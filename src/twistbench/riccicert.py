@@ -428,7 +428,8 @@ def certify(
     eps = min(p.origin_eps, 0.75 * base.cap.blend_start)
 
     def builder(r):
-        return warpmetric.smooth_origin(base, r, eps)
+        # Labelled here so a collar failure inside search_r names its stage.
+        return _stage("smooth_origin", warpmetric.smooth_origin, base, r, eps)
 
     r, profile, neck_report = _stage("search_r", search_r, builder, c, target_margin)
 
@@ -442,7 +443,7 @@ def certify(
     if phi > phi_cap:
         shrink = math.exp(phi_cap - phi)
         r = r * shrink * 0.999
-        profile = _stage("smooth_origin", builder, r)
+        profile = builder(r)
         neck_report = _stage("ricci_neck", ricci_neck, profile, c, r)
         h_end = profile.evaluate(profile.s_lambda)[3]
         phi = math.log(h_end / profile.cap.big_n)

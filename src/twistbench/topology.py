@@ -224,10 +224,6 @@ def suspend(x: ManifoldExpr, e: EulerClass) -> ManifoldExpr:
     return ManifoldExpr("twisted_suspension", children=(x,), euler=e)
 
 
-def csum_copies(x: ManifoldExpr, copies: int) -> ManifoldExpr:
-    return connected_sum([x] * copies) if copies > 1 else x
-
-
 # ---------------------------------------------------------------------------
 # Rendering (the CLI grammar in reverse)
 # ---------------------------------------------------------------------------

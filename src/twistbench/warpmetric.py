@@ -10,7 +10,10 @@ stages:
   f'^2 = lam0^2 (1 - f^(-alpha)) doubles as an accuracy monitor.
 * ``cap_sine`` replaces the outer end of f by an exact sine arc
   N sin((s - s')/N), blending second derivatives so the three curvature
-  inequalities keep their margins.
+  inequalities keep their margins.  N is the root of the arc's amplitude
+  equation, solved by bracketed (Illinois) regula falsi; the blend start
+  is where f' meets a corrected slope target, solved on the one cubic
+  Hermite piece of f' that crosses it.
 * ``flatten_h_tail`` multiplies h' by a cutoff so every tracked
   derivative of h vanishes at the outer end.
 * ``smooth_origin`` rescales h by r, splices an exact sine with unit
@@ -245,23 +248,43 @@ class _CoreSolution:
             self.extend(min(self.s_end + 200 * self.step, budget))
 
     def find_slope(self, target: float) -> float:
-        """Location where f' crosses ``target`` (f' is increasing)."""
+        """Location where f' crosses ``target`` (f' is increasing).
+
+        The crossing lies on one cubic Hermite piece of the f' curve, so
+        it is the root of a scalar cubic in the piece parameter t, found
+        by Newton steps kept inside the sign-change bracket [0, 1].
+        """
         _, fp, _, fpcurve = self._curves()
         idx = int(np.searchsorted(fp, target))
         if idx <= 0:
             return 0.0
         if idx >= len(fp):
             raise NoStop("slope target outside the integrated range")
-        lo, hi = (idx - 1) * self.step, idx * self.step
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if fpcurve(mid) < target:
-                lo = mid
+        k = idx - 1
+        y0, y1 = float(fp[k]), float(fp[idx])
+        d0 = float(fpcurve.slopes[k]) * self.step
+        d1 = float(fpcurve.slopes[idx]) * self.step
+        # Power form of the Hermite piece minus the target.
+        c0 = y0 - target
+        c2 = 3.0 * (y1 - y0) - 2.0 * d0 - d1
+        c3 = 2.0 * (y0 - y1) + d0 + d1
+        lo, hi = 0.0, 1.0
+        t = -c0 / (y1 - y0)
+        for _ in range(60):
+            g = c0 + t * (d0 + t * (c2 + t * c3))
+            if g < 0.0:
+                lo = t
             else:
-                hi = mid
-            if hi - lo < 1e-16 * max(1.0, hi):
+                hi = t
+            slope = d0 + t * (2.0 * c2 + 3.0 * t * c3)
+            t_new = t - g / slope if slope > 0.0 else 0.5 * (lo + hi)
+            if not lo <= t_new <= hi:
+                t_new = 0.5 * (lo + hi)
+            if abs(t_new - t) <= 1e-16:
+                t = t_new
                 break
-        return 0.5 * (lo + hi)
+            t = t_new
+        return (k + t) * self.step
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +367,6 @@ class _CoreH:
     h'/h = f^(-alpha-1) / (C f') with C = 2/(alpha lam0^2).
     """
 
-    kind = "core"
-
     def __init__(self, core, scale=1.0):
         self.core = core
         self.scale = scale
@@ -382,12 +403,9 @@ class _CoreH:
 class _SpliceH:
     """h = R sin((s - eps')/R); already includes the r-rescale."""
 
-    kind = "splice"
-
-    def __init__(self, radius, eps_prime, scale=1.0):
+    def __init__(self, radius, eps_prime):
         self.radius = radius
         self.eps_prime = eps_prime
-        self.scale = scale  # kept for uniformity; radius already has r in it
 
     def rescaled(self, r):
         raise InputError("splice segments are built after the rescale")
@@ -408,8 +426,6 @@ class _SpliceH:
 
 class _DenseH:
     """Sampled h with analytic second derivative (tail and kink pieces)."""
-
-    kind = "dense"
 
     def __init__(self, curve_h, curve_hp, hpp_func, scale=1.0):
         self.curve_h = curve_h
@@ -687,32 +703,72 @@ def integrate_core(params: WarpParams) -> WarpProfile:
 
 def _integrate_blend(core, a, b, big_n, steps=512):
     """RK4 for f'' = (1-sig) c2 f^(-alpha-1) - sig f/N^2 on [a, b]."""
-    c2, alpha = core.c2, core.alpha
+    c2, expo = core.c2, -core.alpha - 1.0
+    nn = big_n * big_n
     width = b - a
-
-    def sig(s):
-        return float(smoothstep((s - a) / width))
-
-    def acc(s, f):
-        w = sig(s)
-        return (1.0 - w) * c2 * f ** (-alpha - 1.0) - w * f / (big_n * big_n)
-
     h = width / steps
+
+    # Blend weights at the nodes s_k = s_(k-1) + h (a sequential cumsum,
+    # so the same floats as stepping s by h) and at the half-steps, in one
+    # array pass each; the sweep below then runs on Python floats only.
+    nodes = np.cumsum(np.concatenate(([a], np.full(steps, h))))
+    w_node = smoothstep((nodes - a) / width).tolist()
+    w_half = smoothstep((nodes[:-1] + 0.5 * h - a) / width).tolist()
+
+    def acc(w, f):
+        return (1.0 - w) * c2 * f ** expo - w * f / nn
+
     f0, fp0, _ = core.eval(np.array([a]))
     f, fp = float(f0[0]), float(fp0[0])
     fs, fps = [f], [fp]
-    s = a
-    for _ in range(steps):
-        k1v, k1a = fp, acc(s, f)
-        k2v, k2a = fp + 0.5 * h * k1a, acc(s + 0.5 * h, f + 0.5 * h * k1v)
-        k3v, k3a = fp + 0.5 * h * k2a, acc(s + 0.5 * h, f + 0.5 * h * k2v)
-        k4v, k4a = fp + h * k3a, acc(s + h, f + h * k3v)
+    for k in range(steps):
+        wm = w_half[k]
+        k1v, k1a = fp, acc(w_node[k], f)
+        k2v, k2a = fp + 0.5 * h * k1a, acc(wm, f + 0.5 * h * k1v)
+        k3v, k3a = fp + 0.5 * h * k2a, acc(wm, f + 0.5 * h * k2v)
+        k4v, k4a = fp + h * k3a, acc(w_node[k + 1], f + h * k3v)
         f += (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         fp += (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        s += h
         fs.append(f)
         fps.append(fp)
     return np.array(fs), np.array(fps), h
+
+
+def _illinois(g, lo, hi, glo, ghi, guess=None):
+    """Root of g in the sign-change bracket [lo, hi] by Illinois regula falsi.
+
+    Each step moves the bracket end whose value has the sign of g at the
+    secant point; when the same end stays put twice in a row its value
+    is halved, which keeps the convergence superlinear where plain
+    regula falsi would stall on one side.  ``guess`` (a root of a nearby
+    problem) replaces the first secant point.  Stops once the bracket is
+    within about two ulps of the root, or after 100 steps, and returns
+    its midpoint.
+    """
+    x = guess
+    moved = None
+    for _ in range(100):
+        if hi - lo <= 4e-16 * abs(hi):
+            break
+        if x is None:
+            x = hi - ghi * (hi - lo) / (ghi - glo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if (gx > 0.0) == (ghi > 0.0):
+            hi, ghi = x, gx
+            if moved == "hi":
+                glo *= 0.5
+            moved = "hi"
+        else:
+            lo, glo = x, gx
+            if moved == "lo":
+                ghi *= 0.5
+            moved = "lo"
+        x = None
+    return 0.5 * (lo + hi)
 
 
 def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
@@ -723,6 +779,17 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     so that the post-blend arc has amplitude exactly N, making the
     terminal piece N sin((s - s')/N) with f'(s_lambda) = lam and
     N = f(s_lambda) / sqrt(1 - lam^2) holding identically.
+
+    Two unknowns are solved.  The blend start a is a fixed point: the
+    slope target at a is corrected by the slope error at the blend end
+    until that error is below 1e-12, and each a is located as the root
+    of the cubic Hermite piece of f' that crosses the target
+    (``_CoreSolution.find_slope``).  For each a, N is the root of the
+    amplitude gap hypot(f(b), N f'(b)) - N, found by Illinois regula
+    falsi inside the bracket [N0/2, 2 N0] (grown if it holds no sign
+    change) to about two ulps; passes after the first start from the
+    previous pass's N.  The last pass's blend integration is the one
+    the cap keeps.
     """
     p = w.params
     if w.cap is not None:
@@ -742,7 +809,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     if slope_target >= p.lam0 - 0.02 * (p.lam0 - p.lam):
         raise MarginLost("cap width too large for the gap between lam and lam0")
 
-    def solve_big_n(a, b):
+    def solve_big_n(a, b, guess):
         def amp_gap(big_n):
             fs, fps, _ = _integrate_blend(core, a, b, big_n)
             amp = math.hypot(fs[-1], big_n * fps[-1])
@@ -758,13 +825,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
             grow += 1
         if glo * ghi > 0:
             raise MarginLost("cap amplitude equation has no bracketed root")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if amp_gap(mid) * glo <= 0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        return _illinois(amp_gap, lo, hi, glo, ghi, guess)
 
     lam_a = slope_target
     a = b = big_n = None
@@ -774,13 +835,12 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
         a = core.find_slope(lam_a)
         b = a + blend_w
         core.extend(b + 4.0 * p.step)
-        big_n = solve_big_n(a, b)
-        fs, fps, _ = _integrate_blend(core, a, b, big_n)
+        big_n = solve_big_n(a, b, big_n)
+        fs, fps, hstep = _integrate_blend(core, a, b, big_n)
         err = fps[-1] - slope_target
         if abs(err) < 1e-12:
             break
         lam_a -= err
-    fs, fps, hstep = _integrate_blend(core, a, b, big_n)
     if fps[-1] <= lam:
         raise MarginLost("cap blend lost too much slope; shrink the width")
     theta_b = math.atan2(fs[-1] / big_n, fps[-1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistbench import riccicert as rc, warpmetric as wm
-from twistbench.errors import Exhausted, InputError, NotPositive, StageError
+from twistbench.errors import Exhausted, InputError, MarginLost, NotPositive, StageError
 
 
 @pytest.fixture(scope="module")
@@ -301,3 +301,12 @@ def test_stage_error_labels():
     with pytest.raises(StageError) as exc:
         rc.certify(3, 1.0, params=wm.WarpParams(n=3, lam=math.cos(1.0), s_budget=0.4))
     assert exc.value.stage == "integrate_core"
+
+
+def test_stage_error_names_origin_collar():
+    # The collar fails inside search_r's probes; the label names the stage
+    # that lost the margin, not the search around it.
+    with pytest.raises(StageError) as exc:
+        rc.certify(3, 0.2, rc.TRIVIAL_CONNECTION, 2.0)
+    assert exc.value.stage == "smooth_origin"
+    assert isinstance(exc.value.cause, MarginLost)

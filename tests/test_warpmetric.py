@@ -1,5 +1,7 @@
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +157,67 @@ def test_cap_rejects_absurd_width():
 def test_cap_margins_positive(capped):
     report = wm.inequality_margins(capped)
     assert report.global_min > 0
+
+
+# -- root solves (blend start, arc scale N) ------------------------------------
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_GRID = [(n, s0) for n in (3, 4, 5, 6) for s0 in (0.3, 1.0)]
+
+
+@pytest.fixture(scope="module")
+def golden_caps():
+    """(capped profile, golden N, blend integrations run) per golden point."""
+    out = {}
+    calls = [0]
+    real = wm._integrate_blend
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wm, "_integrate_blend", counting)
+        for n, s0 in GOLDEN_GRID:
+            p = wm.WarpParams(n=n, lam=math.cos(s0)).resolve()
+            base = wm.integrate_core(p)
+            calls[0] = 0
+            capped = wm.cap_sine(base, p.lam, p.cap_width)
+            golden = GOLDEN_DIR / f"certify_n{n}_s{str(s0).replace('.', 'p')}.json"
+            big_n = json.loads(golden.read_text())["params"]["N"]
+            out[n, s0] = (capped, big_n, calls[0])
+    return out
+
+
+def test_cap_big_n_matches_goldens(golden_caps):
+    for key, (capped, golden_n, _) in golden_caps.items():
+        assert abs(capped.cap.big_n - golden_n) <= 1e-12 * golden_n, key
+
+
+def test_cap_amplitude_gap_closed(golden_caps):
+    for key, (capped, _, _) in golden_caps.items():
+        cap = capped.cap
+        fs, fps, _ = wm._integrate_blend(
+            capped.core, cap.blend_start, cap.blend_end, cap.big_n
+        )
+        gap = math.hypot(fs[-1], cap.big_n * fps[-1]) - cap.big_n
+        assert abs(gap) <= 1e-12 * cap.big_n, (key, gap)
+
+
+def test_cap_blend_integration_budget(golden_caps):
+    # A bisection for N runs about 333 blend integrations per cap; the
+    # bracketed secant needs 29-44 on this grid.
+    for key, (_, _, calls) in golden_caps.items():
+        assert calls <= 80, (key, calls)
+
+
+def test_find_slope_hits_target():
+    core = wm.integrate_core(build()).core
+    fp = np.array(core._fp)
+    nodes = fp[[1, 2, len(fp) // 2, -1]]
+    for target in np.concatenate((np.linspace(1e-3, fp[-1], 37), nodes)):
+        s = core.find_slope(float(target))
+        assert abs(float(core.eval(np.array([s]))[1][0]) - target) <= 1e-14, target
 
 
 # -- tail ----------------------------------------------------------------------
