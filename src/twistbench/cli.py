@@ -199,14 +199,9 @@ def cmd_profile_export(args) -> int:
         s0 = float(cfg["s0"])
     except KeyError as exc:
         raise InputError(f"profile config needs key {exc}") from exc
-    lam = math.cos(s0)
-    params = _build_params(cfg, n, lam).resolve()
-    w = warpmetric.integrate_core(params)
-    w = warpmetric.cap_sine(w, lam, params.cap_width)
-    w = warpmetric.flatten_h_tail(w, params.tail_width)
-    r = float(cfg.get("r", 0.5))
-    eps = min(params.origin_eps, 0.75 * w.cap.blend_start)
-    w = warpmetric.smooth_origin(w, r, eps)
+    params = _build_params(cfg, n, math.cos(s0)).resolve()
+    w, eps = warpmetric.build_neck(params)
+    w = warpmetric.smooth_origin(w, float(cfg.get("r", 0.5)), eps)
     warpmetric.export_profile(w, args.out or sys.stdout)
     return EXIT_OK
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import warpmetric
-from .errors import Exhausted, InputError, NotPositive, StageError
-from .warpmetric import WarpParams, WarpProfile, _segment_margins
+from .errors import Exhausted, InputError, NotPositive
+from .warpmetric import MarginReport, WarpParams, WarpProfile, _stage
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,8 @@ class RicciReport:
     ``margin`` is the eigenvalue lower bound over the strict zone; the
     flattened seam collar (where the fibre direction is brought exactly
     to the product form, so Ric(T,T) closes to zero at the boundary) is
-    certified nonnegative via ``tail_margin``.
+    certified nonnegative via ``tail_margin``.  ``margins`` holds the
+    inequality margins the diagonal bounds were built from.
     """
 
     s: np.ndarray
@@ -86,6 +87,7 @@ class RicciReport:
     margin: float
     tail_margin: float
     r: float
+    margins: MarginReport
 
     def summary(self) -> dict:
         return {
@@ -126,12 +128,11 @@ def ricci_neck(
     else:
         support = None
 
+    margins = warpmetric.inequality_margins(w, refine)
     rows = []
     strict_min = math.inf
     tail_min = math.inf
-    for seg in w.segments:
-        s = w.segment_grid(seg, refine)
-        m1, m2, m3 = _segment_margins(n, seg, s)
+    for seg, (_, s, m1, m2, m3) in zip(w.segments, margins.blocks):
         f, _, _ = seg.fmod.eval(s)
         h, hp, _ = seg.hmod.eval(s)
         if support is None:
@@ -171,6 +172,7 @@ def ricci_neck(
         margin=strict_min,
         tail_margin=tail_min,
         r=r,
+        margins=margins,
     )
     if strict_min <= 0.0:
         raise NotPositive(f"neck eigenvalue lower bound {strict_min:.3e}", report)
@@ -384,15 +386,6 @@ class CertificationResult:
         }
 
 
-def _stage(name, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, exc) from exc
-
-
 def certify(
     n: int,
     s0: float,
@@ -421,11 +414,7 @@ def certify(
     elif abs(params.lam - lam) > 1e-12:
         raise InputError("params.lam must equal cos(s0)")
     p = params.resolve()
-
-    base = _stage("integrate_core", warpmetric.integrate_core, p)
-    base = _stage("cap_sine", warpmetric.cap_sine, base, lam, p.cap_width)
-    base = _stage("flatten_h_tail", warpmetric.flatten_h_tail, base, p.tail_width)
-    eps = min(p.origin_eps, 0.75 * base.cap.blend_start)
+    base, eps = warpmetric.build_neck(p)
 
     def builder(r):
         # Labelled here so a collar failure inside search_r names its stage.
@@ -450,7 +439,7 @@ def certify(
 
     bundle = _stage("ricci_bundle", ricci_bundle, ric_min_base, c, phi, n)
     gluing = _stage("verify_gluing", verify_gluing, profile, s0, tol_glue)
-    margins = _stage("inequality_margins", warpmetric.inequality_margins, profile)
+    margins = neck_report.margins
     fi_resid = profile.first_integral_residual()
 
     ok = (

@@ -20,7 +20,15 @@ stages:
   slope at the new left endpoint, and flattens f to a constant there,
   rejoining the core solution exactly so the first integral survives.
 
-All blending happens in second-derivative space with quintic smoothstep
+``build_neck`` runs the first three stages under their stage labels and
+returns the neck with its origin budget eps; ``certify``, the
+``profile-export`` command and the tests build profiles through it and
+then call ``smooth_origin`` for each fibre scale r they need.
+
+Every ODE (the core equation, the cap blend and the origin bridge of
+h) is integrated by the one fixed-step RK4 sweep ``_rk4`` on Python
+floats, with blend weights precomputed on its half-step grid.  All
+blending happens in second-derivative space with quintic smoothstep
 weights, which keeps the inequality margins one-signed; margins are
 re-evaluated after every stage and a lost margin raises ``MarginLost``
 instead of silently degrading the certificate.
@@ -33,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, MarginLost, NoSolution, NoStop
+from .errors import InputError, MarginLost, NoSolution, NoStop, StageError
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +150,6 @@ class _DenseCurve:
         self.values = np.asarray(values, dtype=float)
         self.slopes = np.asarray(slopes, dtype=float)
 
-    @property
-    def s_end(self) -> float:
-        return self.s0 + self.step * (len(self.values) - 1)
-
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         x = np.clip((s - self.s0) / self.step, 0.0, len(self.values) - 1.0)
@@ -176,16 +180,44 @@ def _trapz(y, step):
 
 
 # ---------------------------------------------------------------------------
-# Core ODE solution
+# RK4 sweep and the core ODE solution
 # ---------------------------------------------------------------------------
 
-class _CoreSolution:
-    """Fixed-step RK4 solution of the core equation, extendable on demand."""
+def _rk4(acc, y, yp, h, steps):
+    """Classical RK4 sweep for y'' = acc(i, y) over ``steps`` steps of h.
 
-    def __init__(self, lam0: float, alpha: float, step: float):
+    ``i`` indexes the half-step grid of the sweep: 2k is node k and
+    2k + 1 its midpoint, so callers pass right-hand sides that look up
+    precomputed weights by index.  A negative h sweeps backward (callers
+    then index their weights from the far end).  Runs on Python floats
+    and returns the node values and slopes as lists, starting with
+    (y, yp).
+    """
+    half = 0.5 * h
+    sixth = h / 6.0
+    ys, yps = [y], [yp]
+    for k in range(steps):
+        i = 2 * k
+        k1v, k1a = yp, acc(i, y)
+        k2v, k2a = yp + half * k1a, acc(i + 1, y + half * k1v)
+        k3v, k3a = yp + half * k2a, acc(i + 1, y + half * k2v)
+        k4v, k4a = yp + h * k3a, acc(i + 2, y + h * k3v)
+        y = y + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
+        yp = yp + sixth * (k1a + 2 * k2a + 2 * k3a + k4a)
+        ys.append(y)
+        yps.append(yp)
+    return ys, yps
+
+
+class _CoreSolution:
+    """Fixed-step RK4 solution of the core equation, extendable on demand
+    up to ``budget``."""
+
+    def __init__(self, lam0: float, alpha: float, step: float, budget: float):
         self.lam0 = lam0
         self.alpha = alpha
         self.step = step
+        self.budget = budget
         self.c2 = 0.5 * alpha * lam0 * lam0
         self._f = [1.0]
         self._fp = [0.0]
@@ -199,24 +231,19 @@ class _CoreSolution:
         return self.step * (len(self._f) - 1)
 
     def extend(self, s_target: float):
-        changed = False
-        h = self.step
-        f, fp = self._f[-1], self._fp[-1]
-        while self.s_end < s_target:
-            k1v, k1s = fp, self.c2 * f ** (-self.alpha - 1.0)
-            f2 = f + 0.5 * h * k1v
-            k2v, k2s = fp + 0.5 * h * k1s, self.c2 * f2 ** (-self.alpha - 1.0)
-            f3 = f + 0.5 * h * k2v
-            k3v, k3s = fp + 0.5 * h * k2s, self.c2 * f3 ** (-self.alpha - 1.0)
-            f4 = f + h * k3v
-            k4v, k4s = fp + h * k3s, self.c2 * f4 ** (-self.alpha - 1.0)
-            f = f + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            fp = fp + (h / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
-            self._f.append(f)
-            self._fp.append(fp)
-            changed = True
-        if changed:
-            self._arrays = None
+        last = len(self._f) - 1
+        steps = 0
+        while self.step * (last + steps) < s_target:
+            steps += 1
+        if steps == 0:
+            return
+        c2, expo = self.c2, -self.alpha - 1.0
+        fs, fps = _rk4(
+            lambda i, f: c2 * f ** expo, self._f[-1], self._fp[-1], self.step, steps
+        )
+        self._f += fs[1:]
+        self._fp += fps[1:]
+        self._arrays = None
 
     def _curves(self):
         if self._arrays is None:
@@ -241,25 +268,26 @@ class _CoreSolution:
         res = fp * fp - self.lam0**2 * (1.0 - np.power(f, -self.alpha))
         return float(np.max(np.abs(res))) if len(res) else 0.0
 
-    def extend_until_slope(self, target: float, budget: float):
-        while self._fp[-1] < target:
-            if self.s_end >= budget:
-                raise NoStop(f"slope {target} not reached by s = {budget}")
-            self.extend(min(self.s_end + 200 * self.step, budget))
-
     def find_slope(self, target: float) -> float:
         """Location where f' crosses ``target`` (f' is increasing).
 
-        The crossing lies on one cubic Hermite piece of the f' curve, so
-        it is the root of a scalar cubic in the piece parameter t, found
-        by Newton steps kept inside the sign-change bracket [0, 1].
+        The solution is first extended in 200-step chunks until f'
+        reaches the target; NoStop if it does not by the budget.  The
+        crossing lies on one cubic Hermite piece of the f' curve, so it
+        is the root of a scalar cubic in the piece parameter t, found by
+        Newton steps kept inside the sign-change bracket [0, 1].
         """
+        while self._fp[-1] < target:
+            if self.s_end >= self.budget:
+                raise NoStop(
+                    f"f' stayed below {target} up to s = {self.budget}; "
+                    "check lam against lam0"
+                )
+            self.extend(min(self.s_end + 200 * self.step, self.budget))
         _, fp, _, fpcurve = self._curves()
         idx = int(np.searchsorted(fp, target))
         if idx <= 0:
             return 0.0
-        if idx >= len(fp):
-            raise NoStop("slope target outside the integrated range")
         k = idx - 1
         y0, y1 = float(fp[k]), float(fp[idx])
         d0 = float(fpcurve.slopes[k]) * self.step
@@ -329,24 +357,9 @@ class _SineF:
         return f, np.cos(th), -np.sin(th) / self.big_n
 
 
-class _BlendCapF:
-    """Dense blend between the core equation and sine curvature."""
-
-    constant = False
-
-    def __init__(self, curve_f, curve_fp, rhs):
-        self.curve_f = curve_f
-        self.curve_fp = curve_fp
-        self.rhs = rhs
-
-    def eval(self, s):
-        f = self.curve_f(s)
-        fp = self.curve_fp(s)
-        return f, fp, self.rhs(s, f)
-
-
-class _OriginBlendF:
-    """Dense f with prescribed second derivative omega(s) * f''_core(s)."""
+class _DenseF:
+    """Sampled f with analytic second derivative (cap blend and origin
+    flattening pieces)."""
 
     constant = False
 
@@ -672,25 +685,15 @@ def integrate_core(params: WarpParams) -> WarpProfile:
     """
     p = params.resolve()
     step = p.step
-    core = None
     for _ in range(5):
-        core = _CoreSolution(p.lam0, p.alpha, step)
-        while True:
-            core.extend(min(core.s_end + 200 * step, p.s_budget))
-            if core._fp[-1] >= p.lam:
-                break
-            if core.s_end >= p.s_budget:
-                raise NoStop(
-                    f"f' stayed below {p.lam} up to s = {p.s_budget}; "
-                    "check lam against lam0"
-                )
+        core = _CoreSolution(p.lam0, p.alpha, step, p.s_budget)
+        s_stop = core.find_slope(p.lam)
         if core.first_integral_residual(core.s_end) <= p.tol_ode:
             break
         step *= 0.5
     else:
         raise NoStop("integrator failed to meet the first-integral tolerance")
     p = replace(p, step=step)
-    s_stop = core.find_slope(p.lam)
     seg = Segment("core", 0.0, s_stop, _CoreF(core), _CoreH(core))
     return WarpProfile(
         params=p, core=core, segments=(seg,), s_left=0.0, s_lambda=s_stop
@@ -708,29 +711,20 @@ def _integrate_blend(core, a, b, big_n, steps=512):
     width = b - a
     h = width / steps
 
-    # Blend weights at the nodes s_k = s_(k-1) + h (a sequential cumsum,
-    # so the same floats as stepping s by h) and at the half-steps, in one
-    # array pass each; the sweep below then runs on Python floats only.
+    # Blend weights on the sweep's half-step grid in one array pass; the
+    # nodes s_k = s_(k-1) + h are a sequential cumsum, so the same floats
+    # as stepping s by h.
     nodes = np.cumsum(np.concatenate(([a], np.full(steps, h))))
-    w_node = smoothstep((nodes - a) / width).tolist()
-    w_half = smoothstep((nodes[:-1] + 0.5 * h - a) / width).tolist()
+    grid = np.empty(2 * steps + 1)
+    grid[0::2] = nodes
+    grid[1::2] = nodes[:-1] + 0.5 * h
+    sig = smoothstep((grid - a) / width).tolist()
 
-    def acc(w, f):
-        return (1.0 - w) * c2 * f ** expo - w * f / nn
+    def acc(i, f):
+        return (1.0 - sig[i]) * c2 * f ** expo - sig[i] * f / nn
 
     f0, fp0, _ = core.eval(np.array([a]))
-    f, fp = float(f0[0]), float(fp0[0])
-    fs, fps = [f], [fp]
-    for k in range(steps):
-        wm = w_half[k]
-        k1v, k1a = fp, acc(w_node[k], f)
-        k2v, k2a = fp + 0.5 * h * k1a, acc(wm, f + 0.5 * h * k1v)
-        k3v, k3a = fp + 0.5 * h * k2a, acc(wm, f + 0.5 * h * k2v)
-        k4v, k4a = fp + h * k3a, acc(w_node[k + 1], f + h * k3v)
-        f += (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        fp += (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        fs.append(f)
-        fps.append(fp)
+    fs, fps = _rk4(acc, float(f0[0]), float(fp0[0]), h, steps)
     return np.array(fs), np.array(fps), h
 
 
@@ -831,7 +825,6 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     a = b = big_n = None
     for _ in range(10):
         lam_a = min(max(lam_a, p.lam + 1e-9), p.lam0 - 1e-9)
-        core.extend_until_slope(lam_a, p.s_budget)
         a = core.find_slope(lam_a)
         b = a + blend_w
         core.extend(b + 4.0 * p.step)
@@ -861,7 +854,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     fcurve = _DenseCurve(a, hstep, fs, fps)
     fpps = blend_rhs(a + hstep * np.arange(len(fs)), fs)
     fpcurve = _DenseCurve(a, hstep, fps, fpps)
-    blend_f = _BlendCapF(fcurve, fpcurve, blend_rhs)
+    blend_f = _DenseF(fcurve, fpcurve, lambda s: blend_rhs(s, fcurve(s)))
     sine_f = _SineF(big_n, s_prime)
     hmod = w.segments[0].hmod
     segments = (
@@ -1007,7 +1000,7 @@ def _flatten_f(core, flat_end: float, rejoin: float, ramp: float):
     fp_vals[0] = 0.0  # the residual here is quadrature roundoff
     curve_f = _DenseCurve(flat_end, hstep, f_vals, fp_vals)
     curve_fp = _DenseCurve(flat_end, hstep, fp_vals, fpp_vals)
-    return _OriginBlendF(curve_f, curve_fp, fpp_func), float(f_vals[0]), plateau
+    return _DenseF(curve_f, curve_fp, fpp_func), float(f_vals[0]), plateau
 
 
 def _smooth_kink(scaled_core, radius_hat, x0, x1):
@@ -1030,26 +1023,14 @@ def _smooth_kink(scaled_core, radius_hat, x0, x1):
     _, _, gr_fine = scaled_core.eval(fine)
     sig_fine = smoothstep((fine - x0) / width)
     inv_r2 = 1.0 / (radius_hat * radius_hat)
+    # The sweep runs backward from x1, so it indexes the grid from the end.
+    sig, gr = sig_fine[::-1].tolist(), gr_fine[::-1].tolist()
 
-    def acc(idx, hval):
-        # idx indexes the half-step grid
-        return -(1.0 - sig_fine[idx]) * hval * inv_r2 + sig_fine[idx] * gr_fine[idx]
+    def acc(i, hval):
+        return -(1.0 - sig[i]) * hval * inv_r2 + sig[i] * gr[i]
 
     h1, hp1, _ = scaled_core.eval(np.array([x1]))
-    hv, hp = float(h1[0]), float(hp1[0])
-    hs = [hv]
-    hps = [hp]
-    # integrate backward: step -hstep from x1 to x0
-    for k in range(steps, 0, -1):
-        i2, i1, i0 = 2 * k, 2 * k - 1, 2 * k - 2
-        k1v, k1a = hp, acc(i2, hv)
-        k2v, k2a = hp - 0.5 * hstep * k1a, acc(i1, hv - 0.5 * hstep * k1v)
-        k3v, k3a = hp - 0.5 * hstep * k2a, acc(i1, hv - 0.5 * hstep * k2v)
-        k4v, k4a = hp - hstep * k3a, acc(i0, hv - hstep * k3v)
-        hv = hv - (hstep / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        hp = hp - (hstep / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        hs.append(hv)
-        hps.append(hp)
+    hs, hps = _rk4(acc, float(h1[0]), float(hp1[0]), -hstep, steps)
     h_vals = np.array(hs[::-1])
     hp_vals = np.array(hps[::-1])
     node_idx = np.arange(0, 2 * steps + 1, 2)
@@ -1138,6 +1119,36 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     )
     _check_margins(out, eps_prime, eps + 2 * p.step, "smooth_origin")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Pipeline
+# ---------------------------------------------------------------------------
+
+def _stage(name, fn, *args, **kwargs):
+    """Call fn, wrapping any failure in StageError labelled ``name``."""
+    try:
+        return fn(*args, **kwargs)
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
+def build_neck(params: WarpParams):
+    """The capped, tail-flattened profile and its origin budget eps.
+
+    Runs ``integrate_core``, ``cap_sine`` and ``flatten_h_tail``, each
+    under its stage label, and stops before ``smooth_origin`` because
+    callers probe many fibre scales r on one neck.  eps is
+    ``origin_eps`` clamped to 0.75 of the blend start, so the origin
+    collar leaves a core zone intact.
+    """
+    w = _stage("integrate_core", integrate_core, params)
+    p = w.params
+    w = _stage("cap_sine", cap_sine, w, p.lam, p.cap_width)
+    w = _stage("flatten_h_tail", flatten_h_tail, w, p.tail_width)
+    return w, min(p.origin_eps, 0.75 * w.cap.blend_start)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,14 @@ def test_profile_export(tmp_path, capsys):
     assert segs == {"core", "cap", "tail", "splice", "flat"}
 
 
+def test_profile_export_names_failed_stage(tmp_path, capsys):
+    cfg = tmp_path / "profile.ini"
+    cfg.write_text("[profile]\nn = 4\ns0 = 1.0\ncap_width = 50\n")
+    code, _, err = run(capsys, "profile-export", str(cfg))
+    assert code == 1
+    assert "stage 'cap_sine'" in err
+
+
 def test_stdin_expression(capsys, monkeypatch):
     import io
 

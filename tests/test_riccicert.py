@@ -8,21 +8,18 @@ from twistbench.errors import Exhausted, InputError, MarginLost, NotPositive, St
 
 
 @pytest.fixture(scope="module")
-def base_profile():
-    p = wm.WarpParams(n=4, lam=math.cos(1.0))
-    w = wm.integrate_core(p)
-    w = wm.cap_sine(w, w.params.lam, w.params.cap_width)
-    return wm.flatten_h_tail(w, None)
+def neck():
+    return wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
 
 
 @pytest.fixture(scope="module")
-def finished(base_profile):
-    eps = min(base_profile.params.origin_eps, 0.75 * base_profile.cap.blend_start)
-    return wm.smooth_origin(base_profile, 0.5, eps)
+def finished(neck):
+    base, eps = neck
+    return wm.smooth_origin(base, 0.5, eps)
 
 
-def builder_for(base):
-    eps = min(base.params.origin_eps, 0.75 * base.cap.blend_start)
+def builder_for(neck):
+    base, eps = neck
     return lambda r: wm.smooth_origin(base, r, eps)
 
 
@@ -43,14 +40,24 @@ def test_trivial_neck_diagonals_match_margins(finished):
     report = rc.ricci_neck(finished, rc.TRIVIAL_CONNECTION)
     margins = wm.inequality_margins(finished)
     assert report.margin > 0
-    assert abs(report.margin - min(margins.min1, margins.min2, margins.min3)) < 1e-15
+    assert report.margin == min(margins.min1, margins.min2, margins.min3)
     assert np.all(report.mixed_fibre_sphere == 0)
     assert np.all(report.mixed_fibre_radial == 0)
     assert np.all(report.mixed_sphere_radial == 0)
 
 
-def test_trivial_neck_r_independent(base_profile):
-    build = builder_for(base_profile)
+def test_certify_ricci_margin_is_min_of_inequalities():
+    # Trivial mode: the Ricci margin and the inequality margins come from
+    # one sampling pass, so they agree exactly on the golden grid.
+    for n in (3, 4, 5, 6):
+        for s0 in (0.3, 1.0):
+            res = rc.certify(n, s0, rc.TRIVIAL_CONNECTION, 2.0)
+            expected = min(res.margin_ineq1, res.margin_ineq2, res.margin_ineq3)
+            assert res.margin_ricci == expected, (n, s0)
+
+
+def test_trivial_neck_r_independent(neck):
+    build = builder_for(neck)
     rep1 = rc.ricci_neck(build(1.0), rc.TRIVIAL_CONNECTION)
     rep2 = rc.ricci_neck(build(0.5), rc.TRIVIAL_CONNECTION)
     assert rep1.margin == rep2.margin
@@ -93,9 +100,9 @@ def test_sphere_diagonal_lower_bound(finished):
         assert np.all(m2 + 1e-12 >= coeff / (f * f))
 
 
-def test_bounded_neck_mixed_bound_scaling(base_profile):
-    build = builder_for(base_profile)
-    eps = min(base_profile.params.origin_eps, 0.75 * base_profile.cap.blend_start)
+def test_bounded_neck_mixed_bound_scaling(neck):
+    build = builder_for(neck)
+    base_profile, eps = neck
     lo = eps + 0.05 * (base_profile.s_lambda - eps)
     c = rc.ConnectionModel(
         "bounded", sup_f=0.2, sup_delta_f=0.1,
@@ -115,15 +122,15 @@ def test_bounded_support_must_avoid_collar(finished):
         rc.ricci_neck(finished, c)
 
 
-def test_eigen_bound_below_true_minimum(base_profile):
+def test_eigen_bound_below_true_minimum(neck):
     """Gershgorin bound versus explicit 3x3 eigen-solve on random draws."""
     rng = np.random.default_rng(1234)
-    eps = min(base_profile.params.origin_eps, 0.75 * base_profile.cap.blend_start)
+    base_profile, eps = neck
     lo = eps + 0.05 * (base_profile.s_lambda - eps)
     hi = base_profile.cap.blend_start
     beta, beta_d = 1.5, 0.8
     c = rc.ConnectionModel("bounded", sup_f=beta, sup_delta_f=beta_d, support=(lo, hi))
-    build = builder_for(base_profile)
+    build = builder_for(neck)
     r, prof, rep = rc.search_r(build, c, 1e-5)
     n = prof.params.n
     for _ in range(100):
@@ -227,20 +234,20 @@ def test_gluing_wrong_angle_fails(finished):
 
 # -- fibre-scale search ------------------------------------------------------------
 
-def test_search_r_trivial_returns_one(base_profile):
-    r, prof, rep = rc.search_r(builder_for(base_profile), rc.TRIVIAL_CONNECTION, 1e-6)
+def test_search_r_trivial_returns_one(neck):
+    r, prof, rep = rc.search_r(builder_for(neck), rc.TRIVIAL_CONNECTION, 1e-6)
     assert r == 1.0
     assert rep.margin > 0
 
 
-def test_search_r_exhausted(base_profile):
+def test_search_r_exhausted(neck):
     with pytest.raises(Exhausted):
-        rc.search_r(builder_for(base_profile), rc.TRIVIAL_CONNECTION, 1e6)
+        rc.search_r(builder_for(neck), rc.TRIVIAL_CONNECTION, 1e6)
 
 
-def test_search_r_bounded_scales_inversely(base_profile):
-    build = builder_for(base_profile)
-    eps = min(base_profile.params.origin_eps, 0.75 * base_profile.cap.blend_start)
+def test_search_r_bounded_scales_inversely(neck):
+    build = builder_for(neck)
+    base_profile, eps = neck
     lo = eps + 0.05 * (base_profile.s_lambda - eps)
     hi = base_profile.cap.blend_start
     rs = []
@@ -280,12 +287,8 @@ def test_certify_precondition_errors():
         rc.certify(3, 2.0)
 
 
-def test_certify_bounded_respects_phi_cap():
-    p = wm.WarpParams(n=4, lam=math.cos(1.0))
-    base = wm.integrate_core(p)
-    base = wm.cap_sine(base, base.params.lam, base.params.cap_width)
-    base = wm.flatten_h_tail(base, None)
-    eps = min(base.params.origin_eps, 0.75 * base.cap.blend_start)
+def test_certify_bounded_respects_phi_cap(neck):
+    base, eps = neck
     lo = eps + 0.05 * (base.s_lambda - eps)
     c = rc.ConnectionModel("bounded", sup_f=1.0, support=(lo, base.cap.blend_start))
     res = rc.certify(4, 1.0, c, ric_min_base=1.0, safety=0.5)

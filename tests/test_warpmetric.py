@@ -21,13 +21,18 @@ def capped():
 
 
 @pytest.fixture(scope="module")
-def tailed(capped):
-    return wm.flatten_h_tail(capped, None)
+def neck():
+    return wm.build_neck(build())
 
 
 @pytest.fixture(scope="module")
-def finished(tailed):
-    eps = min(tailed.params.origin_eps, 0.75 * tailed.cap.blend_start)
+def tailed(neck):
+    return neck[0]
+
+
+@pytest.fixture(scope="module")
+def finished(neck):
+    tailed, eps = neck
     return wm.smooth_origin(tailed, 0.5, eps)
 
 
@@ -86,6 +91,29 @@ def test_core_fourth_order_convergence():
     w2 = wm.integrate_core(p2)
     r2 = w2.core.first_integral_residual(w1.s_lambda)
     assert r1 / r2 >= 8.0
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_rk4_forward_and_backward_fourth_order(forced):
+    # y = sin t on [0, pi] solves y'' = -y, and also y'' = -2y + sin t,
+    # whose forcing is read at the sweep's half-step index.  Sweep
+    # forward from t = 0 with h > 0 and backward from t = pi with h < 0.
+    def worst(steps, backward):
+        h = -math.pi / steps if backward else math.pi / steps
+        t0 = math.pi if backward else 0.0
+
+        def acc(i, y):
+            return -2.0 * y + math.sin(t0 + 0.5 * h * i) if forced else -y
+
+        ys, yps = wm._rk4(acc, math.sin(t0), math.cos(t0), h, steps)
+        t = t0 + h * np.arange(steps + 1)
+        return max(np.max(np.abs(np.array(ys) - np.sin(t))),
+                   np.max(np.abs(np.array(yps) - np.cos(t))))
+
+    for backward in (False, True):
+        coarse, fine = worst(16, backward), worst(32, backward)
+        assert coarse < 1e-3, (backward, coarse)
+        assert coarse / fine >= 8.0, (backward, coarse, fine)
 
 
 def test_core_h_identities():
@@ -323,12 +351,12 @@ def test_splice_no_solution_guard():
         wm._solve_splice(1.0, 1.2, 1.0)
 
 
-def test_splice_small_r_phase_limit(tailed):
+def test_splice_small_r_phase_limit(neck):
     # r -> 0: the nominal matching angle arccos(r h') tends to a quarter turn
     radius, u = wm._solve_splice(1.2e-3, 0.999, 1e-4)
     assert abs(u - math.pi / 2) < 1e-3
     # and the tiny-scale profile still builds cleanly
-    eps = min(tailed.params.origin_eps, 0.75 * tailed.cap.blend_start)
+    tailed, eps = neck
     w = wm.smooth_origin(tailed, 1e-4, eps)
     assert wm.inequality_margins(w).global_min > 0
 
@@ -341,8 +369,8 @@ def test_origin_margins_and_seams(finished):
         assert df < 1e-8 and dfp < 1e-8 and dh < 1e-8 and dhp < 1e-8
 
 
-def test_origin_scale_validation(tailed):
-    eps = min(tailed.params.origin_eps, 0.75 * tailed.cap.blend_start)
+def test_origin_scale_validation(neck):
+    tailed, eps = neck
     with pytest.raises(InputError):
         wm.smooth_origin(tailed, 1.5, eps)
     with pytest.raises(InputError):
@@ -381,11 +409,7 @@ def test_margin_sweep_across_parameters():
     """Strict margins on every non-tail segment over the parameter sweep."""
     for n in range(3, 9):
         for lam in (0.2, 0.5, 0.8):
-            p = wm.WarpParams(n=n, lam=lam)
-            w = wm.integrate_core(p)
-            w = wm.cap_sine(w, lam, w.params.cap_width)
-            w = wm.flatten_h_tail(w, None)
-            eps = min(w.params.origin_eps, 0.75 * w.cap.blend_start)
+            w, eps = wm.build_neck(wm.WarpParams(n=n, lam=lam))
             w = wm.smooth_origin(w, 0.5, eps)
             report = wm.inequality_margins(w)
             assert report.global_min > 0, (n, lam)
