@@ -132,9 +132,7 @@ def ricci_neck(
     rows = []
     strict_min = math.inf
     tail_min = math.inf
-    for seg, (_, s, m1, m2, m3) in zip(w.segments, margins.blocks):
-        f, _, _ = seg.fmod.eval(s)
-        h, hp, _ = seg.hmod.eval(s)
+    for seg, s, f, _, _, h, hp, _, m1, m2, m3 in w.blocks(refine):
         if support is None:
             active = np.zeros_like(s, dtype=bool)
         else:

@@ -23,21 +23,30 @@ stages:
 ``build_neck`` runs the first three stages under their stage labels and
 returns the neck with its origin budget eps; ``certify``, the
 ``profile-export`` command and the tests build profiles through it and
-then call ``smooth_origin`` for each fibre scale r they need.
+then call ``smooth_origin`` for each fibre scale r they need.  Only the
+origin collar left of its flat end depends on r, so ``smooth_origin``
+builds the rest once per (neck, eps) and keeps it on the neck: the
+f-flattening (with its flat value and plateau) and the neck right of
+the flat end at unit fibre scale, whose samples and margins every
+profile built from it shares, with h scaled by r.
 
-Every ODE (the core equation, the cap blend and the origin bridge of
-h) is integrated by the one fixed-step RK4 sweep ``_rk4`` on Python
-floats, with blend weights precomputed on its half-step grid.  All
-blending happens in second-derivative space with quintic smoothstep
-weights, which keeps the inequality margins one-signed; margins are
-re-evaluated after every stage and a lost margin raises ``MarginLost``
-instead of silently degrading the certificate.
+The two nonlinear ODEs (the core equation and the cap blend) are
+integrated by the one fixed-step RK4 sweep ``_rk4`` on Python floats,
+with blend weights precomputed on its half-step grid.  The origin
+bridge of h solves a linear equation, so each of its RK4 steps is an
+affine map of (h, h'); ``_rk4`` computes all of them in one vectorised
+step and the bridge composes them.  All blending happens in
+second-derivative space with quintic smoothstep weights, which keeps
+the inequality margins one-signed; margins are re-evaluated after every
+stage and a lost margin raises ``MarginLost`` instead of silently
+degrading the certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -515,6 +524,13 @@ class WarpProfile:
     cap: CapInfo | None = None
     tail: TailInfo | None = None
     origin: OriginInfo | None = None
+    # After smooth_origin: the neck right of the collar's flat end at unit
+    # fibre scale, shared by every r probed on one neck; the last
+    # len(outer.segments) segments are its segments rescaled by r.
+    outer: WarpProfile | None = field(default=None, repr=False, compare=False)
+    # Sampled blocks keyed by (segment index, refine), and on a neck the
+    # "outer" entry of smooth_origin; they live and die with the profile.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- sampling ----------------------------------------------------------
     def segment_grid(self, seg: Segment, refine: int = 1) -> np.ndarray:
@@ -522,15 +538,34 @@ class WarpProfile:
         count = max(32, int(math.ceil((seg.s1 - seg.s0) / step)))
         return np.linspace(seg.s0, seg.s1, count + 1)
 
+    def blocks(self, refine: int = 1) -> tuple:
+        """Every segment sampled on its grid, with its margins."""
+        return tuple(self.block(k, refine) for k in range(len(self.segments)))
+
+    def block(self, k: int, refine: int = 1) -> _Block:
+        """Segment k sampled on its grid, with its margins; computed once.
+
+        An outer segment's block is ``outer``'s, computed once per neck,
+        with h, h' and h'' scaled by r (the margins are scale-free); only
+        the collar's own segments are sampled for each r.
+        """
+        b = self._memo.get((k, refine))
+        if b is None:
+            seg = self.segments[k]
+            shared = len(self.outer.segments) if self.outer is not None else 0
+            own = len(self.segments) - shared
+            if k < own:
+                b = _sample_block(self.params.n, seg, self.segment_grid(seg, refine))
+            else:
+                u = self.outer.block(k - own, refine)
+                r = self.r
+                b = u._replace(seg=seg, h=r * u.h, hp=r * u.hp, hpp=r * u.hpp)
+            self._memo[k, refine] = b
+        return b
+
     def sample(self, refine: int = 1):
-        """Rows of (label, s, f, fp, fpp, h, hp, hpp) per segment."""
-        out = []
-        for seg in self.segments:
-            s = self.segment_grid(seg, refine)
-            f, fp, fpp = seg.fmod.eval(s)
-            h, hp, hpp = seg.hmod.eval(s)
-            out.append((seg, s, f, fp, fpp, h, hp, hpp))
-        return out
+        """Rows of (segment, s, f, fp, fpp, h, hp, hpp) per segment."""
+        return [b[:8] for b in self.blocks(refine)]
 
     def evaluate(self, s: float):
         """(f, fp, fpp, h, hp, hpp) at a single location."""
@@ -606,6 +641,32 @@ class MarginReport:
         return self.tail_min >= -1e-12
 
 
+class _Block(NamedTuple):
+    """One segment sampled on its grid: the profile columns and the
+    three inequality margins."""
+
+    seg: Segment
+    s: np.ndarray
+    f: np.ndarray
+    fp: np.ndarray
+    fpp: np.ndarray
+    h: np.ndarray
+    hp: np.ndarray
+    hpp: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    m3: np.ndarray
+
+
+def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
+    f, fp, fpp = seg.fmod.eval(s)
+    h, hp, hpp = seg.hmod.eval(s)
+    margins = _segment_margins(n, seg, s)
+    for column in (s, f, fp, fpp, h, hp, hpp, *margins):
+        column.setflags(write=False)  # blocks are shared between profiles
+    return _Block(seg, s, f, fp, fpp, h, hp, hpp, *margins)
+
+
 def _segment_margins(n: int, seg: Segment, s: np.ndarray):
     fmod, hmod = seg.fmod, seg.hmod
     f, fp, fpp = fmod.eval(s)
@@ -635,13 +696,10 @@ def _segment_margins(n: int, seg: Segment, s: np.ndarray):
 
 def inequality_margins(w: WarpProfile, refine: int = 1) -> MarginReport:
     """Evaluate the three differential inequalities over the profile."""
-    n = w.params.n
     blocks = []
     mins = [math.inf, math.inf, math.inf]
     tail_min = math.inf
-    for seg in w.segments:
-        s = w.segment_grid(seg, refine)
-        m1, m2, m3 = _segment_margins(n, seg, s)
+    for seg, s, *_, m1, m2, m3 in w.blocks(refine):
         blocks.append((seg.label, s, m1, m2, m3))
         worst = min(float(np.min(m1)), float(np.min(m2)), float(np.min(m3)))
         if seg.label == "tail":
@@ -654,16 +712,16 @@ def inequality_margins(w: WarpProfile, refine: int = 1) -> MarginReport:
 
 
 def _check_margins(w: WarpProfile, lo: float, hi: float, stage: str):
-    n = w.params.n
-    for seg in w.segments:
+    for k, seg in enumerate(w.segments):
         if seg.s1 <= lo or seg.s0 >= hi:
             continue
-        s = w.segment_grid(seg)
-        s = s[(s >= lo - 1e-12) & (s <= hi + 1e-12)]
-        if len(s) == 0:
+        _, s, *_, m1, m2, m3 = w.block(k)
+        keep = (s >= lo - 1e-12) & (s <= hi + 1e-12)
+        if not keep.any():
             continue
-        m1, m2, m3 = _segment_margins(n, seg, s)
-        worst = min(float(np.min(m1)), float(np.min(m2)), float(np.min(m3)))
+        worst = min(
+            float(np.min(m1[keep])), float(np.min(m2[keep])), float(np.min(m3[keep]))
+        )
         floor = -1e-12 if seg.label == "tail" else 0.0
         if worst <= floor:
             raise MarginLost(
@@ -1013,6 +1071,10 @@ def _smooth_kink(scaled_core, radius_hat, x0, x1):
     exact sine through the resulting left endpoint data closes the left
     seam exactly (the sine parameters are re-solved there).
 
+    The bridge equation h'' = a(s) h + b(s) is linear, so one RK4 step
+    is an affine map of (h, h'): ``_rk4`` takes one step from every node
+    at once to get the maps' coefficients, and the sweep composes them.
+
     Returns the dense bridge model plus (value, slope) at x0.
     """
     steps = 2048
@@ -1023,14 +1085,31 @@ def _smooth_kink(scaled_core, radius_hat, x0, x1):
     _, _, gr_fine = scaled_core.eval(fine)
     sig_fine = smoothstep((fine - x0) / width)
     inv_r2 = 1.0 / (radius_hat * radius_hat)
-    # The sweep runs backward from x1, so it indexes the grid from the end.
-    sig, gr = sig_fine[::-1].tolist(), gr_fine[::-1].tolist()
-
-    def acc(i, hval):
-        return -(1.0 - sig[i]) * hval * inv_r2 + sig[i] * gr[i]
+    # The sweep runs backward from x1, so it reads the grid from the end;
+    # a step's start, midpoint and end are half-step indices 0, 1 and 2.
+    a = (-(1.0 - sig_fine) * inv_r2)[::-1]
+    b = (sig_fine * gr_fine)[::-1]
+    a_at = (a[:-1:2], a[1::2], a[2::2])
+    b_at = (b[:-1:2], b[1::2], b[2::2])
+    # Rows: the step images of (h, h') = (1, 0) and (0, 1) without the
+    # forcing b, and of (0, 0) with it.
+    forced = np.array([[0.0], [0.0], [1.0]])
+    ys, yps = _rk4(
+        lambda i, y: a_at[i] * y + forced * b_at[i],
+        np.array([[1.0], [0.0], [0.0]]),
+        np.array([[0.0], [1.0], [0.0]]),
+        -hstep,
+        1,
+    )
+    maps = zip(*ys[1].tolist(), *yps[1].tolist())
 
     h1, hp1, _ = scaled_core.eval(np.array([x1]))
-    hs, hps = _rk4(acc, float(h1[0]), float(hp1[0]), -hstep, steps)
+    h, hp = float(h1[0]), float(hp1[0])
+    hs, hps = [h], [hp]
+    for h_h, h_p, h_c, p_h, p_p, p_c in maps:
+        h, hp = h_h * h + h_p * hp + h_c, p_h * h + p_p * hp + p_c
+        hs.append(h)
+        hps.append(hp)
     h_vals = np.array(hs[::-1])
     hp_vals = np.array(hps[::-1])
     node_idx = np.arange(0, 2 * steps + 1, 2)
@@ -1045,6 +1124,27 @@ def _smooth_kink(scaled_core, radius_hat, x0, x1):
     return model, float(h_vals[0]), float(hp_vals[0])
 
 
+def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
+    """The neck from ``flat_end`` out at unit fibre scale, with the flat
+    value and plateau of its f-flattening.
+
+    None of it depends on r: the flattening blend ends at eps, and every
+    segment right of eps is the neck clipped there.  Built once per
+    (neck, eps) and kept on the neck, one eps at a time.
+    """
+    cached = w._memo.get("outer")
+    if cached is None or cached[0] != eps:
+        blend_f, flat_value, plateau = _flatten_f(w.core, flat_end, eps, ramp)
+        segments = (Segment("flat", flat_end, eps, blend_f, _CoreH(w.core)),) + tuple(
+            Segment(seg.label, max(seg.s0, eps), seg.s1, seg.fmod, seg.hmod)
+            for seg in w.segments
+            if seg.s1 > eps
+        )
+        outer = replace(w, segments=segments, s_left=flat_end)
+        cached = w._memo["outer"] = (eps, outer, flat_value, plateau)
+    return cached[1:]
+
+
 def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     """Rescale h by r and rebuild the origin collar.
 
@@ -1052,7 +1152,9 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     R sin((s - eps')/R) with unit slope at the new left endpoint eps',
     C^1-matched to r*h at the splice point and bridged through a small
     smoothing window; f is flattened to a constant over the splice and
-    rejoined to the core solution exactly at ``eps``.
+    rejoined to the core solution exactly at ``eps``.  Everything right of
+    the flat end is built once per (w, eps) and shared by the profiles of
+    every r (see ``_outer_part``).
     """
     p = w.params
     if w.cap is None or w.tail is None:
@@ -1077,7 +1179,7 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     w_k = min(0.2 * (flat_end - splice_point), 0.5 * radius_hat)
     x0, x1 = splice_point, splice_point + 2.0 * w_k
 
-    blend_f, flat_value, plateau = _flatten_f(core, flat_end, eps, ramp)
+    outer, flat_value, plateau = _outer_part(w, eps, flat_end, ramp)
     flat_f = _FlatF(flat_value)
     scaled_core_h = _CoreH(core, scale=r)
     kink_h, h_x0, hp_x0 = _smooth_kink(scaled_core_h, radius_hat, x0, x1)
@@ -1089,21 +1191,18 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     u0 = math.atan2(h_x0 / radius, hp_x0)
     eps_prime = x0 - radius * u0
 
-    segments = [
+    segments = (
         Segment("splice", eps_prime, x0, flat_f, _SpliceH(radius, eps_prime)),
         Segment("flat", x0, x1, flat_f, kink_h),
         Segment("flat", x1, flat_end, flat_f, scaled_core_h),
-        Segment("flat", flat_end, eps, blend_f, scaled_core_h),
-    ]
-    for seg in w.segments:
-        if seg.s1 <= eps:
-            continue
-        s0 = max(seg.s0, eps)
-        segments.append(Segment(seg.label, s0, seg.s1, seg.fmod, seg.hmod.rescaled(r)))
+    ) + tuple(
+        Segment(seg.label, seg.s0, seg.s1, seg.fmod, seg.hmod.rescaled(r))
+        for seg in outer.segments
+    )
 
     out = replace(
         w,
-        segments=tuple(segments),
+        segments=segments,
         s_left=eps_prime,
         r=r,
         origin=OriginInfo(
@@ -1116,6 +1215,7 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
             flat_value=flat_value,
             plateau=plateau,
         ),
+        outer=outer,
     )
     _check_margins(out, eps_prime, eps + 2 * p.step, "smooth_origin")
     return out

@@ -259,6 +259,31 @@ def test_search_r_bounded_scales_inversely(neck):
     assert 1.5 < rs[0] / rs[1] < 2.8
 
 
+def test_search_r_flattens_f_once(monkeypatch):
+    # The f-flattening of the origin collar does not depend on r, so a
+    # search builds it once for its neck and eps, not once per probe.
+    calls = [0]
+    real = wm._flatten_f
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wm, "_flatten_f", counting)
+    base, eps = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
+    probes = []
+
+    def build(r):
+        probes.append(r)
+        return wm.smooth_origin(base, r, eps)
+
+    lo = eps + 0.05 * (base.s_lambda - eps)
+    c = rc.ConnectionModel("bounded", sup_f=2.0, support=(lo, base.cap.blend_start))
+    rc.search_r(build, c, 1e-4)
+    assert len(probes) > 5
+    assert calls[0] == 1
+
+
 # -- full pipeline -------------------------------------------------------------------
 
 def test_certify_golden_case():

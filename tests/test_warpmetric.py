@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +377,111 @@ def test_origin_scale_validation(neck):
         wm.smooth_origin(tailed, 1.5, eps)
     with pytest.raises(InputError):
         wm.smooth_origin(tailed, 0.5, 100.0)
+
+
+@pytest.fixture(scope="module")
+def neck_41():
+    return wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
+
+
+def test_kink_bridge_self_consistent(neck_41):
+    # The bridge's stored h'' must be the derivative of its h'.  A sign
+    # slip in the backward sweep keeps every seam closed (the splice sine
+    # is re-solved through the bridge's end data) but shows here, at
+    # about 1e-4 of max|h''| against 3e-7 when correct.
+    tailed, eps = neck_41
+    for r in (1.0, 0.5, 0.013):
+        w = wm.smooth_origin(tailed, r, eps)
+        kink = w.segments[1]
+        assert kink.s0 == w.origin.splice_point
+        curve = kink.hmod.curve_hp
+        hp, hpp = curve.values, curve.slopes
+        centred = (hp[2:] - hp[:-2]) / (2.0 * curve.step)
+        err = np.max(np.abs(centred - hpp[1:-1]))
+        assert err <= 1e-6 * np.max(np.abs(hpp)), (r, err)
+
+
+def test_kink_bridge_matches_rk4_sweep(neck_41):
+    # The bridge composes one affine map per RK4 step; the reference is
+    # the backward _rk4 sweep of the same equation
+    # h'' = -(1 - sig) h / R^2 + sig g, with g the rescaled core h''.
+    tailed, eps = neck_41
+    core = tailed.core
+    for r in (1.0, 0.5, 0.013, 1e-4):
+        o = wm.smooth_origin(tailed, r, eps).origin
+        x0, x1 = o.splice_point, o.splice_point + 2.0 * o.kink_halfwidth
+        h_sp, hp_sp, _ = wm._CoreH(core).eval(np.array([x0]))
+        radius_hat, _ = wm._solve_splice(float(h_sp[0]), float(hp_sp[0]), r)
+        scaled = wm._CoreH(core, scale=r)
+        model, h_x0, hp_x0 = wm._smooth_kink(scaled, radius_hat, x0, x1)
+        h_vals, hp_vals = model.curve_h.values, model.curve_hp.values
+
+        steps = len(h_vals) - 1
+        fine = np.linspace(x0, x1, 2 * steps + 1)
+        sig = wm.smoothstep((fine - x0) / (x1 - x0))[::-1].tolist()
+        g = scaled.eval(fine)[2][::-1].tolist()
+        inv_r2 = 1.0 / (radius_hat * radius_hat)
+
+        def acc(i, h):
+            return -(1.0 - sig[i]) * h * inv_r2 + sig[i] * g[i]
+
+        h1, hp1, _ = scaled.eval(np.array([x1]))
+        hs, hps = wm._rk4(acc, float(h1[0]), float(hp1[0]), -(x1 - x0) / steps, steps)
+        ref_h, ref_hp = np.array(hs[::-1]), np.array(hps[::-1])
+        assert np.max(np.abs(h_vals - ref_h)) <= 1e-12 * np.max(np.abs(ref_h)), r
+        assert np.max(np.abs(hp_vals - ref_hp)) <= 1e-12 * np.max(np.abs(ref_hp)), r
+        assert (h_x0, hp_x0) == (h_vals[0], hp_vals[0])
+
+
+# -- what smooth_origin keeps on the neck ------------------------------------------
+
+def _assert_same_probe(got, want):
+    assert got.origin == want.origin
+    got_m, want_m = wm.inequality_margins(got), wm.inequality_margins(want)
+    assert len(got_m.blocks) == len(want_m.blocks)
+    for g, w in zip(got_m.blocks, want_m.blocks):
+        assert g[0] == w[0]
+        assert all(np.array_equal(a, b) for a, b in zip(g[1:], w[1:]))
+    for g, w in zip(got.sample(), want.sample()):
+        assert all(np.array_equal(a, b) for a, b in zip(g[1:], w[1:]))
+
+
+def test_origin_cache_order_free():
+    # Probes in any order on one neck match probes on fresh necks.
+    params = wm.WarpParams(n=4, lam=math.cos(1.0))
+    rs = (1.0, 1e-4, 0.5, 0.013)
+    fresh = {}
+    for r in rs:
+        tailed, eps = wm.build_neck(params)
+        fresh[r] = wm.smooth_origin(tailed, r, eps)
+    tailed, eps = wm.build_neck(params)
+    for r in rs + rs[::-1]:
+        _assert_same_probe(wm.smooth_origin(tailed, r, eps), fresh[r])
+
+
+def test_origin_cache_follows_eps():
+    # A second origin budget on the same neck gets its own collar.
+    params = wm.WarpParams(n=4, lam=math.cos(1.0))
+    tailed, eps = wm.build_neck(params)
+    first = wm.smooth_origin(tailed, 0.5, eps)
+    second = wm.smooth_origin(tailed, 0.5, 0.5 * eps)
+    assert second.origin.rejoin == 0.5 * eps
+    fresh, _ = wm.build_neck(params)
+    _assert_same_probe(second, wm.smooth_origin(fresh, 0.5, 0.5 * eps))
+    _assert_same_probe(wm.smooth_origin(tailed, 0.5, eps), first)
+
+
+def test_origin_cache_dies_with_neck():
+    tailed, eps = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
+    probe = wm.smooth_origin(tailed, 0.5, eps)
+    neck_ref = weakref.ref(tailed)
+    del tailed
+    gc.collect()
+    assert neck_ref() is None  # a probe does not keep its neck alive
+    outer_ref = weakref.ref(probe.outer)
+    del probe
+    gc.collect()
+    assert outer_ref() is None
 
 
 # -- margins ---------------------------------------------------------------------
