@@ -30,6 +30,16 @@ f-flattening (with its flat value and plateau) and the neck right of
 the flat end at unit fibre scale, whose samples and margins every
 profile built from it shares, with h scaled by r.
 
+f and h on each segment are one of four curve models: the core solution
+(``_CoreSolution`` for f, ``_CoreH`` = 2 f'/(alpha lam0^2) for h), an
+exact ``_Sine`` (the cap arc of f, the splice of h), a sampled
+``_Dense`` curve and a constant ``_FlatF``.  The models describe h at
+unit fibre scale; r is applied in one place, ``Segment.h_scale``.  The
+margins are scale-free and come from the sampled columns, as ratios
+h''/h and h'/h, except for two closed forms: h''/h where h is the core
+or the splice sine, and f'h'/(f h) on pure-core segments.  h vanishes at
+s = 0 and at the splice's left end, where the column ratios are 0/0.
+
 The two nonlinear ODEs (the core equation and the cap blend) are
 integrated by the one fixed-step RK4 sweep ``_rk4`` on Python floats,
 with blend weights precomputed on its half-step grid.  The origin
@@ -325,21 +335,11 @@ class _CoreSolution:
 
 
 # ---------------------------------------------------------------------------
-# f- and h-models (per-segment function descriptions)
+# Curve models: (value, first, second derivative) of f or h on a segment
 # ---------------------------------------------------------------------------
 
-class _CoreF:
-    constant = False
-
-    def __init__(self, core):
-        self.core = core
-
-    def eval(self, s):
-        return self.core.eval(s)
-
-
 class _FlatF:
-    constant = True
+    """A constant f (the origin collar)."""
 
     def __init__(self, value):
         self.value = value
@@ -350,52 +350,43 @@ class _FlatF:
         return np.full_like(s, self.value), z, z
 
 
-class _SineF:
-    """f = N sin((s - s')/N)."""
+class _Sine:
+    """amp sin((s - shift)/amp): the cap arc of f and the splice of h."""
 
-    constant = False
-
-    def __init__(self, big_n, s_prime):
-        self.big_n = big_n
-        self.s_prime = s_prime
+    def __init__(self, amp, shift):
+        self.amp = amp
+        self.shift = shift
 
     def eval(self, s):
         s = np.asarray(s, dtype=float)
-        th = (s - self.s_prime) / self.big_n
-        f = self.big_n * np.sin(th)
-        return f, np.cos(th), -np.sin(th) / self.big_n
+        th = (s - self.shift) / self.amp
+        return self.amp * np.sin(th), np.cos(th), -np.sin(th) / self.amp
 
 
-class _DenseF:
-    """Sampled f with analytic second derivative (cap blend and origin
-    flattening pieces)."""
+class _Dense:
+    """A sampled curve with its sampled derivative and an analytic second
+    derivative (the cap blend, the f-flattening, the h tail and bridge)."""
 
-    constant = False
-
-    def __init__(self, curve_f, curve_fp, fpp_func):
-        self.curve_f = curve_f
-        self.curve_fp = curve_fp
-        self.fpp_func = fpp_func
+    def __init__(self, curve, curve_d, d2_func):
+        self.curve = curve
+        self.curve_d = curve_d
+        self.d2_func = d2_func
 
     def eval(self, s):
-        return self.curve_f(s), self.curve_fp(s), self.fpp_func(s)
+        return self.curve(s), self.curve_d(s), self.d2_func(s)
 
 
 class _CoreH:
-    """h = scale * (2/(alpha lam0^2)) f', with the core identities.
+    """h = (2/(alpha lam0^2)) f' of the core, with the core identities
 
-    The ratio forms used by the inequalities are scale-free:
     h''/h = -(alpha (alpha+1)/2) lam0^2 f^(-alpha-2) and
-    h'/h = f^(-alpha-1) / (C f') with C = 2/(alpha lam0^2).
+    f'h'/(f h) = (alpha/2) lam0^2 f^(-alpha-2), both finite down to s = 0
+    where h vanishes.
     """
 
-    def __init__(self, core, scale=1.0):
+    def __init__(self, core):
         self.core = core
-        self.scale = scale
         self.c_h = 2.0 / (core.alpha * core.lam0**2)
-
-    def rescaled(self, r):
-        return _CoreH(self.core, self.scale * r)
 
     def eval(self, s):
         a = self.core.alpha
@@ -403,73 +394,17 @@ class _CoreH:
         h = self.c_h * fp
         hp = np.power(f, -a - 1.0)
         hpp = -(a + 1.0) * np.power(f, -a - 2.0) * fp
-        return self.scale * h, self.scale * hp, self.scale * hpp
+        return h, hp, hpp
 
     def hpp_over_h(self, s):
         a = self.core.alpha
         f, _, _ = self.core.eval(s)
         return -0.5 * a * (a + 1.0) * self.core.lam0**2 * np.power(f, -a - 2.0)
 
-    def hp_over_h(self, s):
+    def fp_hp_over_f_h(self, f):
+        """f'h'/(f h) at core values f; the segment's f must be the core."""
         a = self.core.alpha
-        f, fp, _ = self.core.eval(s)
-        return np.power(f, -a - 1.0) / (self.c_h * fp)
-
-    def fp_hp_over_f_h(self, s):
-        # The combination f'h'/(f h) in closed form; finite down to s = 0.
-        a = self.core.alpha
-        f, _, _ = self.core.eval(s)
         return 0.5 * a * self.core.lam0**2 * np.power(f, -a - 2.0)
-
-
-class _SpliceH:
-    """h = R sin((s - eps')/R); already includes the r-rescale."""
-
-    def __init__(self, radius, eps_prime):
-        self.radius = radius
-        self.eps_prime = eps_prime
-
-    def rescaled(self, r):
-        raise InputError("splice segments are built after the rescale")
-
-    def eval(self, s):
-        s = np.asarray(s, dtype=float)
-        th = (s - self.eps_prime) / self.radius
-        h = self.radius * np.sin(th)
-        return h, np.cos(th), -np.sin(th) / self.radius
-
-    def hpp_over_h(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.full_like(s, -1.0 / self.radius**2)
-
-    def hp_over_h(self, s):
-        raise InputError("h'/h is singular at the splice origin; f is flat here")
-
-
-class _DenseH:
-    """Sampled h with analytic second derivative (tail and kink pieces)."""
-
-    def __init__(self, curve_h, curve_hp, hpp_func, scale=1.0):
-        self.curve_h = curve_h
-        self.curve_hp = curve_hp
-        self.hpp_func = hpp_func
-        self.scale = scale
-
-    def rescaled(self, r):
-        return _DenseH(self.curve_h, self.curve_hp, self.hpp_func, self.scale * r)
-
-    def eval(self, s):
-        return (
-            self.scale * self.curve_h(s),
-            self.scale * self.curve_hp(s),
-            self.scale * self.hpp_func(s),
-        )
-
-    def hpp_over_h(self, s):
-        return self.hpp_func(s) / self.curve_h(s)
-
-    def hp_over_h(self, s):
-        return self.curve_hp(s) / self.curve_h(s)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +413,33 @@ class _DenseH:
 
 @dataclass(frozen=True)
 class Segment:
+    """f and h on [s0, s1], each one of the four curve models.
+
+    f is the core solution itself, a ``_Sine`` (the cap arc), a
+    ``_Dense`` (the cap blend and the f-flattening) or a ``_FlatF``; h is
+    a ``_CoreH``, a ``_Sine`` (the splice), or a ``_Dense`` (the tail and
+    the origin bridge).  The models describe h at unit fibre scale, and
+    ``h_scale`` is the one place r is applied: ``scaled`` multiplies h,
+    h' and h'' by it, for ``eval`` and for every sampled block.  The
+    margins are formed before that scaling, from column ratios or, where
+    h vanishes at a sample, from the core and sine closed forms.
+    """
+
     label: str  # core | cap | tail | splice | flat
     s0: float
     s1: float
     fmod: object
     hmod: object
+    h_scale: float = 1.0
+
+    def scaled(self, f, fp, fpp, h, hp, hpp):
+        """Unit-scale columns with h, h' and h'' times ``h_scale``."""
+        k = self.h_scale
+        return f, fp, fpp, k * h, k * hp, k * hpp
+
+    def eval(self, s):
+        """(f, f', f'', h, h', h'') at s, h at fibre scale ``h_scale``."""
+        return self.scaled(*self.fmod.eval(s), *self.hmod.eval(s))
 
 
 @dataclass(frozen=True)
@@ -526,7 +483,7 @@ class WarpProfile:
     origin: OriginInfo | None = None
     # After smooth_origin: the neck right of the collar's flat end at unit
     # fibre scale, shared by every r probed on one neck; the last
-    # len(outer.segments) segments are its segments rescaled by r.
+    # len(outer.segments) segments are its segments with h_scale = r.
     outer: WarpProfile | None = field(default=None, repr=False, compare=False)
     # Sampled blocks keyed by (segment index, refine), and on a neck the
     # "outer" entry of smooth_origin; they live and die with the profile.
@@ -546,8 +503,9 @@ class WarpProfile:
         """Segment k sampled on its grid, with its margins; computed once.
 
         An outer segment's block is ``outer``'s, computed once per neck,
-        with h, h' and h'' scaled by r (the margins are scale-free); only
-        the collar's own segments are sampled for each r.
+        with h, h' and h'' scaled by the segment's ``h_scale`` (the margins
+        are scale-free); only the collar's own segments are sampled for
+        each r.
         """
         b = self._memo.get((k, refine))
         if b is None:
@@ -558,8 +516,7 @@ class WarpProfile:
                 b = _sample_block(self.params.n, seg, self.segment_grid(seg, refine))
             else:
                 u = self.outer.block(k - own, refine)
-                r = self.r
-                b = u._replace(seg=seg, h=r * u.h, hp=r * u.hp, hpp=r * u.hpp)
+                b = _Block(seg, u.s, *seg.scaled(*u[2:8]), *u[8:])
             self._memo[k, refine] = b
         return b
 
@@ -571,13 +528,7 @@ class WarpProfile:
         """(f, fp, fpp, h, hp, hpp) at a single location."""
         for seg in self.segments:
             if seg.s0 - 1e-12 <= s <= seg.s1 + 1e-12:
-                arr = np.array([s])
-                f, fp, fpp = seg.fmod.eval(arr)
-                h, hp, hpp = seg.hmod.eval(arr)
-                return (
-                    float(f[0]), float(fp[0]), float(fpp[0]),
-                    float(h[0]), float(hp[0]), float(hpp[0]),
-                )
+                return tuple(float(c[0]) for c in seg.eval(np.array([s])))
         raise InputError(f"location {s} outside the profile domain")
 
     def first_integral_residual(self) -> float:
@@ -594,19 +545,8 @@ class WarpProfile:
         out = []
         for left, right in zip(self.segments, self.segments[1:]):
             s = left.s1
-            fl = left.fmod.eval(np.array([s]))
-            fr = right.fmod.eval(np.array([s]))
-            hl = left.hmod.eval(np.array([s]))
-            hr = right.hmod.eval(np.array([s]))
-            out.append(
-                (
-                    s,
-                    abs(fl[0][0] - fr[0][0]),
-                    abs(fl[1][0] - fr[1][0]),
-                    abs(hl[0][0] - hr[0][0]),
-                    abs(hl[1][0] - hr[1][0]),
-                )
-            )
+            lo, hi = left.eval(np.array([s])), right.eval(np.array([s]))
+            out.append((s, *(abs(lo[i][0] - hi[i][0]) for i in (0, 1, 3, 4))))
         return out
 
 
@@ -659,39 +599,44 @@ class _Block(NamedTuple):
 
 
 def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
-    f, fp, fpp = seg.fmod.eval(s)
-    h, hp, hpp = seg.hmod.eval(s)
-    margins = _segment_margins(n, seg, s)
-    for column in (s, f, fp, fpp, h, hp, hpp, *margins):
-        column.setflags(write=False)  # blocks are shared between profiles
-    return _Block(seg, s, f, fp, fpp, h, hp, hpp, *margins)
+    """Segment ``seg`` sampled at s, with its three inequality margins.
 
-
-def _segment_margins(n: int, seg: Segment, s: np.ndarray):
+    The margins are scale-free, so they are formed from the unit-scale
+    columns (see the module notes on closed forms) before ``seg.scaled``
+    applies the fibre scale.  A margin that is not finite raises
+    MarginLost, since ``min`` and ``<=`` would silently skip a NaN.
+    """
     fmod, hmod = seg.fmod, seg.hmod
     f, fp, fpp = fmod.eval(s)
-    if fmod.constant:
-        # f' = f'' = 0: the inequalities collapse to -h''/h and (n-2)/f^2.
+    h, hp, hpp = hmod.eval(s)
+    if isinstance(hmod, _CoreH):
         roh = hmod.hpp_over_h(s)
+    elif isinstance(hmod, _Sine):
+        roh = np.full_like(s, -1.0 / hmod.amp**2)
+    else:
+        roh = hpp / h
+    if isinstance(fmod, _FlatF):
+        # f' = f'' = 0: the inequalities collapse to -h''/h and (n-2)/f^2.
         m1 = -roh
         m2 = (n - 2) / (f * f)
         m3 = -roh
-        return m1, m2, m3
-    if isinstance(fmod, _CoreF) and isinstance(hmod, _CoreH):
-        # Pure core: use the closed-form ratio identities (finite down to s = 0).
-        roh = hmod.hpp_over_h(s)
-        cross = hmod.fp_hp_over_f_h(s)
+    else:
+        if isinstance(fmod, _CoreSolution) and isinstance(hmod, _CoreH):
+            cross = hmod.fp_hp_over_f_h(f)
+        else:
+            cross = fp * (hp / h) / f
         m1 = -(n - 1) * fpp / f - roh
         m2 = -fpp / f + (n - 2) * (1.0 - fp * fp) / (f * f) - cross
         m3 = -roh - (n - 1) * cross
-        return m1, m2, m3
-    roh = hmod.hpp_over_h(s)
-    rph = hmod.hp_over_h(s)
-    cross = fp * rph / f
-    m1 = -(n - 1) * fpp / f - roh
-    m2 = -fpp / f + (n - 2) * (1.0 - fp * fp) / (f * f) - cross
-    m3 = -roh - (n - 1) * cross
-    return m1, m2, m3
+    if not all(np.isfinite(m).all() for m in (m1, m2, m3)):
+        raise MarginLost(
+            f"non-finite inequality margin on segment {seg.label} "
+            f"[{seg.s0:.6g}, {seg.s1:.6g}]"
+        )
+    columns = (s, *seg.scaled(f, fp, fpp, h, hp, hpp), m1, m2, m3)
+    for column in columns:
+        column.setflags(write=False)  # blocks are shared between profiles
+    return _Block(seg, *columns)
 
 
 def inequality_margins(w: WarpProfile, refine: int = 1) -> MarginReport:
@@ -701,14 +646,12 @@ def inequality_margins(w: WarpProfile, refine: int = 1) -> MarginReport:
     tail_min = math.inf
     for seg, s, *_, m1, m2, m3 in w.blocks(refine):
         blocks.append((seg.label, s, m1, m2, m3))
-        worst = min(float(np.min(m1)), float(np.min(m2)), float(np.min(m3)))
+        lows = [float(np.min(m)) for m in (m1, m2, m3)]
         if seg.label == "tail":
-            tail_min = min(tail_min, worst)
+            tail_min = min(tail_min, *lows)
         else:
-            mins[0] = min(mins[0], float(np.min(m1)))
-            mins[1] = min(mins[1], float(np.min(m2)))
-            mins[2] = min(mins[2], float(np.min(m3)))
-    return MarginReport(tuple(blocks), mins[0], mins[1], mins[2], tail_min)
+            mins = [min(a, b) for a, b in zip(mins, lows)]
+    return MarginReport(tuple(blocks), *mins, tail_min)
 
 
 def _check_margins(w: WarpProfile, lo: float, hi: float, stage: str):
@@ -719,9 +662,7 @@ def _check_margins(w: WarpProfile, lo: float, hi: float, stage: str):
         keep = (s >= lo - 1e-12) & (s <= hi + 1e-12)
         if not keep.any():
             continue
-        worst = min(
-            float(np.min(m1[keep])), float(np.min(m2[keep])), float(np.min(m3[keep]))
-        )
+        worst = min(float(np.min(m[keep])) for m in (m1, m2, m3))
         floor = -1e-12 if seg.label == "tail" else 0.0
         if worst <= floor:
             raise MarginLost(
@@ -752,7 +693,7 @@ def integrate_core(params: WarpParams) -> WarpProfile:
     else:
         raise NoStop("integrator failed to meet the first-integral tolerance")
     p = replace(p, step=step)
-    seg = Segment("core", 0.0, s_stop, _CoreF(core), _CoreH(core))
+    seg = Segment("core", 0.0, s_stop, core, _CoreH(core))
     return WarpProfile(
         params=p, core=core, segments=(seg,), s_left=0.0, s_lambda=s_stop
     )
@@ -912,25 +853,16 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     fcurve = _DenseCurve(a, hstep, fs, fps)
     fpps = blend_rhs(a + hstep * np.arange(len(fs)), fs)
     fpcurve = _DenseCurve(a, hstep, fps, fpps)
-    blend_f = _DenseF(fcurve, fpcurve, lambda s: blend_rhs(s, fcurve(s)))
-    sine_f = _SineF(big_n, s_prime)
+    blend_f = _Dense(fcurve, fpcurve, lambda s: blend_rhs(s, fcurve(s)))
+    sine_f = _Sine(big_n, s_prime)
     hmod = w.segments[0].hmod
     segments = (
-        Segment("core", w.s_left, a, _CoreF(core), hmod),
+        Segment("core", w.s_left, a, core, hmod),
         Segment("cap", a, b, blend_f, hmod),
         Segment("cap", b, s_lam, sine_f, hmod),
     )
-    out = WarpProfile(
-        params=p,
-        core=core,
-        segments=segments,
-        s_left=w.s_left,
-        s_lambda=s_lam,
-        r=w.r,
-        cap=CapInfo(big_n, s_prime, a, b),
-        tail=None,
-        origin=None,
-    )
+    cap = CapInfo(big_n, s_prime, a, b)
+    out = replace(w, segments=segments, s_lambda=s_lam, cap=cap)
     _check_margins(out, a, s_lam, "cap_sine")
     return out
 
@@ -992,17 +924,17 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
 
     tilde_hpp = hpp_func(grid)
     curve_hp = _DenseCurve(t0, hstep, tilde_hp, tilde_hpp)
-    tail_h = _DenseH(curve_h, curve_hp, hpp_func)
+    tail_h = _Dense(curve_h, curve_hp, hpp_func)
 
     segments = []
     for seg in w.segments:
         if seg.s1 <= t0:
             segments.append(seg)
         elif seg.s0 >= t0:
-            segments.append(Segment("tail", seg.s0, seg.s1, seg.fmod, tail_h))
+            segments.append(replace(seg, label="tail", hmod=tail_h))
         else:
-            segments.append(Segment(seg.label, seg.s0, t0, seg.fmod, seg.hmod))
-            segments.append(Segment("tail", t0, seg.s1, seg.fmod, tail_h))
+            segments.append(replace(seg, s1=t0))
+            segments.append(replace(seg, label="tail", s0=t0, hmod=tail_h))
     out = replace(w, segments=tuple(segments), tail=TailInfo(t0, width))
     _check_margins(out, t0, w.s_lambda, "flatten_h_tail")
     return out
@@ -1058,11 +990,11 @@ def _flatten_f(core, flat_end: float, rejoin: float, ramp: float):
     fp_vals[0] = 0.0  # the residual here is quadrature roundoff
     curve_f = _DenseCurve(flat_end, hstep, f_vals, fp_vals)
     curve_fp = _DenseCurve(flat_end, hstep, fp_vals, fpp_vals)
-    return _DenseF(curve_f, curve_fp, fpp_func), float(f_vals[0]), plateau
+    return _Dense(curve_f, curve_fp, fpp_func), float(f_vals[0]), plateau
 
 
-def _smooth_kink(scaled_core, radius_hat, x0, x1):
-    """Bridge from the splice sine into the rescaled core h on [x0, x1].
+def _smooth_kink(core_h, r, radius_hat, x0, x1):
+    """Bridge from the splice sine into r times the core h on [x0, x1].
 
     The second derivative interpolates between sine-type curvature
     -h/radius_hat^2 and the rescaled core h''; both branches are
@@ -1082,7 +1014,7 @@ def _smooth_kink(scaled_core, radius_hat, x0, x1):
     hstep = width / steps
     # Core-side curvature at nodes and half-steps for the RK4 sweep.
     fine = np.linspace(x0, x1, 2 * steps + 1)
-    _, _, gr_fine = scaled_core.eval(fine)
+    gr_fine = r * core_h.eval(fine)[2]
     sig_fine = smoothstep((fine - x0) / width)
     inv_r2 = 1.0 / (radius_hat * radius_hat)
     # The sweep runs backward from x1, so it reads the grid from the end;
@@ -1103,8 +1035,8 @@ def _smooth_kink(scaled_core, radius_hat, x0, x1):
     )
     maps = zip(*ys[1].tolist(), *yps[1].tolist())
 
-    h1, hp1, _ = scaled_core.eval(np.array([x1]))
-    h, hp = float(h1[0]), float(hp1[0])
+    h1, hp1, _ = core_h.eval(np.array([x1]))
+    h, hp = float(r * h1[0]), float(r * hp1[0])
     hs, hps = [h], [hp]
     for h_h, h_p, h_c, p_h, p_p, p_c in maps:
         h, hp = h_h * h + h_p * hp + h_c, p_h * h + p_p * hp + p_c
@@ -1120,7 +1052,7 @@ def _smooth_kink(scaled_core, radius_hat, x0, x1):
     curve_h = _DenseCurve(x0, hstep, h_vals, hp_vals)
     curve_hp = _DenseCurve(x0, hstep, hp_vals, hpp_vals)
     hpp_curve = _DenseCurve(x0, hstep, hpp_vals, np.gradient(hpp_vals, hstep))
-    model = _DenseH(curve_h, curve_hp, hpp_curve)
+    model = _Dense(curve_h, curve_hp, hpp_curve)
     return model, float(h_vals[0]), float(hp_vals[0])
 
 
@@ -1136,9 +1068,7 @@ def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
     if cached is None or cached[0] != eps:
         blend_f, flat_value, plateau = _flatten_f(w.core, flat_end, eps, ramp)
         segments = (Segment("flat", flat_end, eps, blend_f, _CoreH(w.core)),) + tuple(
-            Segment(seg.label, max(seg.s0, eps), seg.s1, seg.fmod, seg.hmod)
-            for seg in w.segments
-            if seg.s1 > eps
+            replace(seg, s0=max(seg.s0, eps)) for seg in w.segments if seg.s1 > eps
         )
         outer = replace(w, segments=segments, s_left=flat_end)
         cached = w._memo["outer"] = (eps, outer, flat_value, plateau)
@@ -1174,15 +1104,15 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
 
     # Nominal sine through the unsmoothed r*h at the splice point; the
     # bridge below re-solves the exact parameters at the same point.
-    h_sp, hp_sp, _ = _CoreH(core).eval(np.array([splice_point]))
+    core_h = _CoreH(core)
+    h_sp, hp_sp, _ = core_h.eval(np.array([splice_point]))
     radius_hat, _ = _solve_splice(float(h_sp[0]), float(hp_sp[0]), r)
     w_k = min(0.2 * (flat_end - splice_point), 0.5 * radius_hat)
     x0, x1 = splice_point, splice_point + 2.0 * w_k
 
     outer, flat_value, plateau = _outer_part(w, eps, flat_end, ramp)
     flat_f = _FlatF(flat_value)
-    scaled_core_h = _CoreH(core, scale=r)
-    kink_h, h_x0, hp_x0 = _smooth_kink(scaled_core_h, radius_hat, x0, x1)
+    kink_h, h_x0, hp_x0 = _smooth_kink(core_h, r, radius_hat, x0, x1)
     if not 0.0 < hp_x0 < 1.0 or h_x0 <= 0.0:
         raise NoSolution(
             f"bridge slope {hp_x0:.6f} at the splice point does not admit a sine"
@@ -1192,13 +1122,10 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     eps_prime = x0 - radius * u0
 
     segments = (
-        Segment("splice", eps_prime, x0, flat_f, _SpliceH(radius, eps_prime)),
+        Segment("splice", eps_prime, x0, flat_f, _Sine(radius, eps_prime)),
         Segment("flat", x0, x1, flat_f, kink_h),
-        Segment("flat", x1, flat_end, flat_f, scaled_core_h),
-    ) + tuple(
-        Segment(seg.label, seg.s0, seg.s1, seg.fmod, seg.hmod.rescaled(r))
-        for seg in outer.segments
-    )
+        Segment("flat", x1, flat_end, flat_f, core_h, h_scale=r),
+    ) + tuple(replace(seg, h_scale=r) for seg in outer.segments)
 
     out = replace(
         w,
@@ -1260,19 +1187,10 @@ CSV_HEADER = "s,f,fp,fpp,h,hp,hpp,segment"
 
 def export_profile(w: WarpProfile, destination) -> None:
     """Write the sampled profile as CSV (17 significant digits)."""
-
-    def fmt(x):
-        return format(float(x), ".17g")
-
     rows = []
-    for seg, s, f, fp, fpp, h, hp, hpp in w.sample():
-        for k in range(len(s)):
-            rows.append(
-                ",".join(
-                    [fmt(s[k]), fmt(f[k]), fmt(fp[k]), fmt(fpp[k]),
-                     fmt(h[k]), fmt(hp[k]), fmt(hpp[k]), seg.label]
-                )
-            )
+    for seg, *columns in w.sample():
+        row = "%.17g," * 7 + seg.label
+        rows += [row % cells for cells in zip(*(c.tolist() for c in columns))]
     text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)

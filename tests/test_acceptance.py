@@ -175,7 +175,7 @@ def test_criterion_8_inequality_two_lower_bound(certified):
                 continue
             s = res.profile.segment_grid(seg, 1)
             f, _, _ = seg.fmod.eval(s)
-            _, m2, _ = wm._segment_margins(p.n, seg, s)
+            m2 = wm._sample_block(p.n, seg, s).m2
             gap = m2 - coeff / (f * f)
             worst = min(worst, float(np.min(gap)))
     report(8, worst >= -1e-12,

@@ -96,7 +96,7 @@ def test_sphere_diagonal_lower_bound(finished):
             continue
         s = finished.segment_grid(seg, 1)
         f, _, _ = seg.fmod.eval(s)
-        m1, m2, m3 = wm._segment_margins(p.n, seg, s)
+        m2 = wm._sample_block(p.n, seg, s).m2
         assert np.all(m2 + 1e-12 >= coeff / (f * f))
 
 

@@ -394,7 +394,7 @@ def test_kink_bridge_self_consistent(neck_41):
         w = wm.smooth_origin(tailed, r, eps)
         kink = w.segments[1]
         assert kink.s0 == w.origin.splice_point
-        curve = kink.hmod.curve_hp
+        curve = kink.hmod.curve_d
         hp, hpp = curve.values, curve.slopes
         centred = (hp[2:] - hp[:-2]) / (2.0 * curve.step)
         err = np.max(np.abs(centred - hpp[1:-1]))
@@ -410,23 +410,24 @@ def test_kink_bridge_matches_rk4_sweep(neck_41):
     for r in (1.0, 0.5, 0.013, 1e-4):
         o = wm.smooth_origin(tailed, r, eps).origin
         x0, x1 = o.splice_point, o.splice_point + 2.0 * o.kink_halfwidth
-        h_sp, hp_sp, _ = wm._CoreH(core).eval(np.array([x0]))
+        core_h = wm._CoreH(core)
+        h_sp, hp_sp, _ = core_h.eval(np.array([x0]))
         radius_hat, _ = wm._solve_splice(float(h_sp[0]), float(hp_sp[0]), r)
-        scaled = wm._CoreH(core, scale=r)
-        model, h_x0, hp_x0 = wm._smooth_kink(scaled, radius_hat, x0, x1)
-        h_vals, hp_vals = model.curve_h.values, model.curve_hp.values
+        model, h_x0, hp_x0 = wm._smooth_kink(core_h, r, radius_hat, x0, x1)
+        h_vals, hp_vals = model.curve.values, model.curve_d.values
 
         steps = len(h_vals) - 1
         fine = np.linspace(x0, x1, 2 * steps + 1)
         sig = wm.smoothstep((fine - x0) / (x1 - x0))[::-1].tolist()
-        g = scaled.eval(fine)[2][::-1].tolist()
+        g = (r * core_h.eval(fine)[2])[::-1].tolist()
         inv_r2 = 1.0 / (radius_hat * radius_hat)
 
         def acc(i, h):
             return -(1.0 - sig[i]) * h * inv_r2 + sig[i] * g[i]
 
-        h1, hp1, _ = scaled.eval(np.array([x1]))
-        hs, hps = wm._rk4(acc, float(h1[0]), float(hp1[0]), -(x1 - x0) / steps, steps)
+        h1, hp1, _ = core_h.eval(np.array([x1]))
+        hstep = -(x1 - x0) / steps
+        hs, hps = wm._rk4(acc, r * float(h1[0]), r * float(hp1[0]), hstep, steps)
         ref_h, ref_hp = np.array(hs[::-1]), np.array(hps[::-1])
         assert np.max(np.abs(h_vals - ref_h)) <= 1e-12 * np.max(np.abs(ref_h)), r
         assert np.max(np.abs(hp_vals - ref_hp)) <= 1e-12 * np.max(np.abs(ref_hp)), r
@@ -482,6 +483,38 @@ def test_origin_cache_dies_with_neck():
     del probe
     gc.collect()
     assert outer_ref() is None
+
+
+def test_fibre_scale_applied_alike_on_shared_and_own_blocks(neck_41):
+    # A probe's outer blocks are the neck's, scaled once per r; sampling
+    # the probe's own segment (which carries h_scale = r) and evaluating
+    # the profile pointwise must give the same bits.
+    tailed, eps = neck_41
+    for r in (1.0, 0.5, 0.013):
+        w = wm.smooth_origin(tailed, r, eps)
+        own = len(w.segments) - len(w.outer.segments)
+        for k, seg in enumerate(w.segments):
+            got = w.block(k)
+            if k >= own:
+                assert seg.h_scale == r
+                fresh = wm._sample_block(w.params.n, seg, got.s)
+                assert fresh.seg is seg
+                for a, b in zip(got[1:], fresh[1:]):
+                    assert np.array_equal(a, b), (r, k)
+            for i in range(1, len(got.s) - 1, 5):
+                want = tuple(float(c[i]) for c in got[2:8])
+                assert w.evaluate(float(got.s[i])) == want, (r, k, i)
+
+
+def test_non_finite_margin_fails_closed():
+    # h = 0 at a sample makes h''/h infinite; min() would skip a NaN and
+    # an inf margin certifies nothing, so the block must refuse it.
+    curve = wm._DenseCurve(0.0, 0.5, [1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+    h = wm._Dense(curve, curve, lambda s: np.ones_like(s))
+    seg = wm.Segment("flat", 0.0, 1.0, wm._FlatF(1.0), h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(MarginLost, match=r"segment flat \[0, 1\]"):
+            wm._sample_block(4, seg, np.linspace(0.0, 1.0, 5))
 
 
 # -- margins ---------------------------------------------------------------------
