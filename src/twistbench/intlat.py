@@ -64,13 +64,6 @@ class IntMatrix:
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("incompatible shapes for product")
@@ -119,9 +112,6 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
 
 
 @dataclass(frozen=True)
@@ -206,13 +196,6 @@ class _Reducer:
         ri, rj = self.right_inv[i], self.right_inv[j]
         for k in range(self.n):
             ri[k] -= q * rj[k]
-
-    def negate_col(self, j):
-        for row in self.a:
-            row[j] = -row[j]
-        for row in self.right:
-            row[j] = -row[j]
-        self.right_inv[j] = [-x for x in self.right_inv[j]]
 
     def _find_pivot(self, t):
         """Smallest nonzero |entry| in the trailing submatrix."""

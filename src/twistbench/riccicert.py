@@ -89,16 +89,6 @@ class RicciReport:
     r: float
     margins: MarginReport
 
-    def summary(self) -> dict:
-        return {
-            "margin": self.margin,
-            "tail_margin": self.tail_margin,
-            "min_diag_fibre": float(np.min(self.diag_fibre)),
-            "min_diag_sphere": float(np.min(self.diag_sphere)),
-            "min_diag_radial": float(np.min(self.diag_radial)),
-            "samples": int(len(self.s)),
-        }
-
 
 def ricci_neck(
     w: WarpProfile, c: ConnectionModel, r: float | None = None, refine: int = 1

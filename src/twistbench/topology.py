@@ -380,16 +380,6 @@ def _table(n: int, groups: dict) -> tuple:
     return tuple(groups.get(i, TRIVIAL) for i in range(n + 1))
 
 
-def _tensor_with_free(g: FgAbGroup, rank: int) -> FgAbGroup:
-    """g (x) Z^rank, enough Kunneth for torsion-free partners."""
-    if rank == 0:
-        return TRIVIAL
-    out = g
-    for _ in range(rank - 1):
-        out = direct_sum(out, g)
-    return out
-
-
 @lru_cache(maxsize=None)
 def homology(x: ManifoldExpr) -> tuple:
     """Integral homology table H_0 .. H_n, or Unsupported."""

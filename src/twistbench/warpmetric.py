@@ -10,10 +10,10 @@ stages:
   f'^2 = lam0^2 (1 - f^(-alpha)) doubles as an accuracy monitor.
 * ``cap_sine`` replaces the outer end of f by an exact sine arc
   N sin((s - s')/N), blending second derivatives so the three curvature
-  inequalities keep their margins.  N is the root of the arc's amplitude
-  equation, solved by bracketed (Illinois) regula falsi; the blend start
-  is where f' meets a corrected slope target, solved on the one cubic
-  Hermite piece of f' that crosses it.
+  inequalities keep their margins.  The blend start a and N solve two
+  equations at the blend end, the arc's amplitude equation and its
+  slope target, by Newton; the blend sweep integrates its variational
+  equations in (a, N) for the Jacobian.
 * ``flatten_h_tail`` multiplies h' by a cutoff so every tracked
   derivative of h vanishes at the outer end.
 * ``smooth_origin`` rescales h by r, splices an exact sine with unit
@@ -43,9 +43,9 @@ s = 0 and at the splice's left end, where the column ratios are 0/0.
 The two nonlinear ODEs (the core equation and the cap blend) are
 integrated by the one fixed-step RK4 sweep ``_rk4`` on Python floats,
 with blend weights precomputed on its half-step grid.  The origin
-bridge of h solves a linear equation, so each of its RK4 steps is an
-affine map of (h, h'); ``_rk4`` computes all of them in one vectorised
-step and the bridge composes them.  All blending happens in
+bridge of h and the cap's variational equations are linear, so each of
+their RK4 steps is an affine map; ``_rk4`` computes all of them in one
+vectorised step and the caller composes them.  All blending happens in
 second-derivative space with quintic smoothstep weights, which keeps
 the inequality margins one-signed; margins are re-evaluated after every
 stage and a lost margin raises ``MarginLost`` instead of silently
@@ -207,10 +207,10 @@ def _rk4(acc, y, yp, h, steps):
 
     ``i`` indexes the half-step grid of the sweep: 2k is node k and
     2k + 1 its midpoint, so callers pass right-hand sides that look up
-    precomputed weights by index.  A negative h sweeps backward (callers
-    then index their weights from the far end).  Runs on Python floats
-    and returns the node values and slopes as lists, starting with
-    (y, yp).
+    precomputed weights by index; acc is called once per stage, in stage
+    order.  A negative h sweeps backward (callers then index their
+    weights from the far end).  Runs on Python floats and returns the
+    node values and slopes as lists, starting with (y, yp).
     """
     half = 0.5 * h
     sixth = h / 6.0
@@ -703,6 +703,17 @@ def integrate_core(params: WarpParams) -> WarpProfile:
 # Stage 2: sine cap
 # ---------------------------------------------------------------------------
 
+class _BlendSweep(NamedTuple):
+    """A cap blend sweep: f and f' at the nodes, the step, the weights on
+    the half-step grid and f at each RK4 stage, four per step."""
+
+    fs: np.ndarray
+    fps: np.ndarray
+    h: float
+    sig: np.ndarray
+    stage_f: list
+
+
 def _integrate_blend(core, a, b, big_n, steps=512):
     """RK4 for f'' = (1-sig) c2 f^(-alpha-1) - sig f/N^2 on [a, b]."""
     c2, expo = core.c2, -core.alpha - 1.0
@@ -717,51 +728,74 @@ def _integrate_blend(core, a, b, big_n, steps=512):
     grid = np.empty(2 * steps + 1)
     grid[0::2] = nodes
     grid[1::2] = nodes[:-1] + 0.5 * h
-    sig = smoothstep((grid - a) / width).tolist()
+    sig_grid = smoothstep((grid - a) / width)
+    sig = sig_grid.tolist()
+    stage_f = []
 
     def acc(i, f):
+        stage_f.append(f)
         return (1.0 - sig[i]) * c2 * f ** expo - sig[i] * f / nn
 
     f0, fp0, _ = core.eval(np.array([a]))
     fs, fps = _rk4(acc, float(f0[0]), float(fp0[0]), h, steps)
-    return np.array(fs), np.array(fps), h
+    return _BlendSweep(np.array(fs), np.array(fps), h, sig_grid, stage_f)
 
 
-def _illinois(g, lo, hi, glo, ghi, guess=None):
-    """Root of g in the sign-change bracket [lo, hi] by Illinois regula falsi.
+def _blend_jacobian(core, a, big_n, sweep):
+    """d(f(b), f'(b))/d(a, N) of a blend sweep, by its variational equations.
 
-    Each step moves the bracket end whose value has the sign of g at the
-    secant point; when the same end stays put twice in a row its value
-    is halved, which keeps the convergence superlinear where plain
-    regula falsi would stall on one side.  ``guess`` (a root of a nearby
-    problem) replaces the first secant point.  Stops once the bracket is
-    within about two ulps of the root, or after 100 steps, and returns
-    its midpoint.
+    The weights are a function of s - a, so moving a only moves the
+    initial data: u = df/da solves u'' = J u from the core's (f'(a),
+    f''(a)), and v = df/dN solves v'' = J v + 2 sig f/N^3 from (0, 0),
+    with J = (1-sig) c2 (-alpha-1) f^(-alpha-2) - sig/N^2 (Hairer,
+    Norsett and Wanner, Solving ODEs I, I.14) at the sweep's stage
+    values, which makes them the exact derivative of the discrete sweep.
+    As in ``_smooth_kink`` each RK4 step is an affine map of (y, y');
+    ``_rk4`` takes one step from every node at once, calling acc once per
+    stage in order, and the maps are multiplied pairwise down to one.
     """
-    x = guess
-    moved = None
-    for _ in range(100):
-        if hi - lo <= 4e-16 * abs(hi):
-            break
-        if x is None:
-            x = hi - ghi * (hi - lo) / (ghi - glo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        gx = g(x)
-        if gx == 0.0:
-            return x
-        if (gx > 0.0) == (ghi > 0.0):
-            hi, ghi = x, gx
-            if moved == "hi":
-                glo *= 0.5
-            moved = "hi"
-        else:
-            lo, glo = x, gx
-            if moved == "lo":
-                ghi *= 0.5
-            moved = "lo"
-        x = None
-    return 0.5 * (lo + hi)
+    f = np.array(sweep.stage_f).reshape(-1, 4).T
+    w = sweep.sig
+    sig = np.stack((w[:-1:2], w[1::2], w[1::2], w[2::2]))
+    c2, alpha = core.c2, core.alpha
+    jac = (1.0 - sig) * c2 * (-alpha - 1.0) * f ** (-alpha - 2.0) - sig / big_n**2
+    stages = iter(zip(jac, 2.0 * sig * f / big_n**3))
+    forced = np.array([[0.0], [0.0], [1.0]])
+
+    def acc(i, y):
+        j, force = next(stages)
+        return j * y + forced * force
+
+    # Rows: the step images of (y, y') = (1, 0) and (0, 1) without the
+    # forcing, and of (0, 0) with it.
+    ys, yps = _rk4(
+        acc, np.array([[1.0], [0.0], [0.0]]), np.array([[0.0], [1.0], [0.0]]), sweep.h, 1
+    )
+    maps = np.zeros((f.shape[1], 3, 3))
+    maps[:, 0], maps[:, 1], maps[:, 2, 2] = ys[1].T, yps[1].T, 1.0
+    while len(maps) > 1:  # map k takes node k to node k + 1; 2^m steps
+        maps = maps[1::2] @ maps[0::2]
+    _, fp_a, fpp_a = core.eval(np.array([a]))
+    d_a = maps[0, :2, :2] @ np.array([fp_a[0], fpp_a[0]])
+    return np.column_stack((d_a, maps[0, :2, 2]))
+
+
+def _cap_equations(core, a, big_n, slope_target, sweep):
+    """The two cap equations at the blend end b and their Jacobian in
+    (a, N): the amplitude gap hypot(f(b), N f'(b)) - N and the slope
+    error f'(b) - slope_target."""
+    fb, pb = float(sweep.fs[-1]), float(sweep.fps[-1])
+    (f_a, f_n), (p_a, p_n) = _blend_jacobian(core, a, big_n, sweep).tolist()
+    amp = math.hypot(fb, big_n * pb)
+    nn = big_n * big_n
+    gap_a = (fb * f_a + nn * pb * p_a) / amp
+    gap_n = (fb * f_n + nn * pb * p_n + big_n * pb * pb) / amp - 1.0
+    return (amp - big_n, pb - slope_target), ((gap_a, gap_n), (p_a, p_n))
+
+
+# Newton sweeps allowed per cap; with the sweep kept at the root a cap
+# runs at most one more blend integration.
+_CAP_NEWTON_SWEEPS = 7
 
 
 def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
@@ -773,16 +807,16 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     terminal piece N sin((s - s')/N) with f'(s_lambda) = lam and
     N = f(s_lambda) / sqrt(1 - lam^2) holding identically.
 
-    Two unknowns are solved.  The blend start a is a fixed point: the
-    slope target at a is corrected by the slope error at the blend end
-    until that error is below 1e-12, and each a is located as the root
-    of the cubic Hermite piece of f' that crosses the target
-    (``_CoreSolution.find_slope``).  For each a, N is the root of the
-    amplitude gap hypot(f(b), N f'(b)) - N, found by Illinois regula
-    falsi inside the bracket [N0/2, 2 N0] (grown if it holds no sign
-    change) to about two ulps; passes after the first start from the
-    previous pass's N.  The last pass's blend integration is the one
-    the cap keeps.
+    The blend start a and N solve, by Newton, the amplitude gap
+    hypot(f(b), N f'(b)) = N and f'(b) = slope_target at the blend end
+    b = a + width/2 (``_cap_equations``, Jacobian from the sweep's own
+    variational equations).  It starts where the core's f' meets the
+    target, with N0 = f(s_stop)/sqrt(1 - lam^2), and stops once its step
+    is within 1e-9 of a and of N, when quadratic convergence puts the
+    next iterate at rounding level; the cap keeps the sweep taken there.
+    No convergence within ``_CAP_NEWTON_SWEEPS`` sweeps, a singular or
+    non-finite Jacobian, or an iterate whose core slope f'(a) leaves
+    (lam, lam0) raises MarginLost.
     """
     p = w.params
     if w.cap is not None:
@@ -791,48 +825,43 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
         raise InputError("cap slope must match the profile's lam")
     if width <= 0:
         raise InputError("cap width must be positive")
-    blend_w = 0.5 * width
-    sine_target = 0.5 * width
+    blend_w = 0.5 * width  # the sine arc takes the other half
     s_stop = w.s_lambda
     core = w.core
     core.extend(s_stop + 4.0 * width + 4.0 * p.step)
     f_at_stop = float(core.eval(np.array([s_stop]))[0][0])
     n0 = f_at_stop / math.sqrt(1.0 - lam * lam)
-    slope_target = lam + math.sqrt(1.0 - lam * lam) * sine_target / n0
+    slope_target = lam + math.sqrt(1.0 - lam * lam) * blend_w / n0
     if slope_target >= p.lam0 - 0.02 * (p.lam0 - p.lam):
         raise MarginLost("cap width too large for the gap between lam and lam0")
 
-    def solve_big_n(a, b, guess):
-        def amp_gap(big_n):
-            fs, fps, _ = _integrate_blend(core, a, b, big_n)
-            amp = math.hypot(fs[-1], big_n * fps[-1])
-            return amp - big_n
+    def sweep_at(a, big_n):
+        # The budget test first: a wild iterate must not extend the core.
+        if 0.0 < a < p.s_budget and big_n > 0.0:
+            core.extend(a + blend_w + 4.0 * p.step)
+            if lam < float(core.eval(np.array([a]))[1][0]) < p.lam0:
+                return _integrate_blend(core, a, a + blend_w, big_n)
+        raise MarginLost(f"cap Newton iterate a = {a:.6g} left the slope window")
 
-        lo, hi = 0.5 * n0, 2.0 * n0
-        glo, ghi = amp_gap(lo), amp_gap(hi)
-        grow = 0
-        while glo * ghi > 0 and grow < 8:
-            lo *= 0.7
-            hi *= 1.5
-            glo, ghi = amp_gap(lo), amp_gap(hi)
-            grow += 1
-        if glo * ghi > 0:
-            raise MarginLost("cap amplitude equation has no bracketed root")
-        return _illinois(amp_gap, lo, hi, glo, ghi, guess)
-
-    lam_a = slope_target
-    a = b = big_n = None
-    for _ in range(10):
-        lam_a = min(max(lam_a, p.lam + 1e-9), p.lam0 - 1e-9)
-        a = core.find_slope(lam_a)
-        b = a + blend_w
-        core.extend(b + 4.0 * p.step)
-        big_n = solve_big_n(a, b, big_n)
-        fs, fps, hstep = _integrate_blend(core, a, b, big_n)
-        err = fps[-1] - slope_target
-        if abs(err) < 1e-12:
+    a, big_n = core.find_slope(slope_target), n0
+    for _ in range(_CAP_NEWTON_SWEEPS):
+        sweep = sweep_at(a, big_n)
+        (g1, g2), ((j11, j12), (j21, j22)) = _cap_equations(
+            core, a, big_n, slope_target, sweep
+        )
+        det = j11 * j22 - j12 * j21
+        if not (math.isfinite(det) and det != 0.0):
+            raise MarginLost("cap Newton Jacobian is singular or not finite")
+        da = (j12 * g2 - j22 * g1) / det
+        dn = (j21 * g1 - j11 * g2) / det
+        a, big_n = a + da, big_n + dn
+        if abs(da) <= 1e-9 * a and abs(dn) <= 1e-9 * big_n:
             break
-        lam_a -= err
+    else:
+        raise MarginLost(f"cap Newton did not converge in {_CAP_NEWTON_SWEEPS} sweeps")
+    sweep = sweep_at(a, big_n)
+    b = a + blend_w
+    fs, fps, hstep = sweep.fs, sweep.fps, sweep.h
     if fps[-1] <= lam:
         raise MarginLost("cap blend lost too much slope; shrink the width")
     theta_b = math.atan2(fs[-1] / big_n, fps[-1])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from twistbench import warpmetric as wm
-from twistbench.errors import InputError, MarginLost, NoSolution, NoStop
+from twistbench.errors import InputError, MarginLost, NoSolution, NoStop, StageError
 
 
 def build(n=3, lam=0.5, lam0=0.75, alpha=1.389, **kw):
@@ -197,48 +197,134 @@ GOLDEN_GRID = [(n, s0) for n in (3, 4, 5, 6) for s0 in (0.3, 1.0)]
 
 @pytest.fixture(scope="module")
 def golden_caps():
-    """(capped profile, golden N, blend integrations run) per golden point."""
+    """Per golden point: the capped profile, the slope target f'(b), the
+    golden N, and the blend integrations and Jacobians the cap ran."""
     out = {}
-    calls = [0]
-    real = wm._integrate_blend
+    calls = {"_integrate_blend": 0, "_blend_jacobian": 0}
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(wm, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wm, "_integrate_blend", counting)
+        for name in calls:
+            mp.setattr(wm, name, counting(name))
         for n, s0 in GOLDEN_GRID:
             p = wm.WarpParams(n=n, lam=math.cos(s0)).resolve()
             base = wm.integrate_core(p)
-            calls[0] = 0
+            calls.update(dict.fromkeys(calls, 0))
             capped = wm.cap_sine(base, p.lam, p.cap_width)
+            # f'(b) leaves the sine arc half the cap width to reach lam.
+            f_stop = float(capped.core.eval(np.array([base.s_lambda]))[0][0])
+            root = math.sqrt(1.0 - p.lam * p.lam)
+            target = p.lam + root * 0.5 * p.cap_width / (f_stop / root)
             golden = GOLDEN_DIR / f"certify_n{n}_s{str(s0).replace('.', 'p')}.json"
             big_n = json.loads(golden.read_text())["params"]["N"]
-            out[n, s0] = (capped, big_n, calls[0])
+            out[n, s0] = (capped, target, big_n, dict(calls))
     return out
 
 
+def _cap_sweep(capped):
+    cap = capped.cap
+    return wm._integrate_blend(capped.core, cap.blend_start, cap.blend_end, cap.big_n)
+
+
 def test_cap_big_n_matches_goldens(golden_caps):
-    for key, (capped, golden_n, _) in golden_caps.items():
-        assert abs(capped.cap.big_n - golden_n) <= 1e-12 * golden_n, key
+    # The goldens' solver stopped once |f'(b) - target| < 1e-12, so a
+    # golden N may sit off the root by 1e-12 |dN/d(slope residual)|; the
+    # Jacobian at the root gives that derivative.  The band is 5.4e-11
+    # relative at (3, 0.3) and at least 1.4e-12 elsewhere.
+    for key, (capped, target, golden_n, _) in golden_caps.items():
+        cap = capped.cap
+        _, ((j11, j12), (j21, j22)) = wm._cap_equations(
+            capped.core, cap.blend_start, cap.big_n, target, _cap_sweep(capped)
+        )
+        band = 1e-12 * abs(j11 / (j11 * j22 - j12 * j21))
+        assert abs(cap.big_n - golden_n) <= band, (key, cap.big_n - golden_n, band)
 
 
 def test_cap_amplitude_gap_closed(golden_caps):
-    for key, (capped, _, _) in golden_caps.items():
+    for key, (capped, *_) in golden_caps.items():
         cap = capped.cap
-        fs, fps, _ = wm._integrate_blend(
-            capped.core, cap.blend_start, cap.blend_end, cap.big_n
-        )
-        gap = math.hypot(fs[-1], cap.big_n * fps[-1]) - cap.big_n
+        sweep = _cap_sweep(capped)
+        gap = math.hypot(sweep.fs[-1], cap.big_n * sweep.fps[-1]) - cap.big_n
         assert abs(gap) <= 1e-12 * cap.big_n, (key, gap)
 
 
+def test_cap_equations_at_rounding_level(golden_caps):
+    # Newton converges quadratically, so the kept sweep closes both cap
+    # equations to rounding; a solver that stops at a slope residual of
+    # 1e-12 leaves 5.7e-13 at (3, 0.3).
+    for key, (capped, target, *_) in golden_caps.items():
+        cap = capped.cap
+        sweep = _cap_sweep(capped)
+        gap = math.hypot(sweep.fs[-1], cap.big_n * sweep.fps[-1]) - cap.big_n
+        assert abs(gap) <= 1e-14 * cap.big_n, (key, gap)
+        assert abs(sweep.fps[-1] - target) <= 1e-14, (key, sweep.fps[-1] - target)
+
+
 def test_cap_blend_integration_budget(golden_caps):
-    # A bisection for N runs about 333 blend integrations per cap; the
-    # bracketed secant needs 29-44 on this grid.
-    for key, (_, _, calls) in golden_caps.items():
-        assert calls <= 80, (key, calls)
+    # Newton on (a, N) takes 3 sweeps on this grid, plus the sweep the
+    # cap keeps; the fixed point on a with a secant solve for N ran 29-44.
+    # Each Jacobian comes from the stages of a counted sweep.
+    for key, (*_, calls) in golden_caps.items():
+        sweeps = calls["_integrate_blend"]
+        assert sweeps <= 8, (key, calls)
+        assert calls["_blend_jacobian"] < sweeps, (key, calls)
+
+
+@pytest.mark.parametrize("key", [(3, 0.3), (6, 1.0)])
+def test_blend_jacobian_matches_finite_differences(golden_caps, key):
+    # A sign slip in the N forcing only slows Newton down, so no other
+    # test would see it.  The sweep is affine in q = 1/N^2 up to the
+    # feedback through f, so a wide centred step in q is accurate, where
+    # a step in N small enough for its curvature would drown df(b)/dN
+    # (1.2e-8 at (3, 0.3)) in rounding; dN/dq = -N^3/2.
+    capped, *_ = golden_caps[key]
+    core, cap = capped.core, capped.cap
+    a, big_n, width = cap.blend_start, cap.big_n, cap.blend_end - cap.blend_start
+
+    def end(a, big_n):
+        sweep = wm._integrate_blend(core, a, a + width, big_n)
+        return np.array([sweep.fs[-1], sweep.fps[-1]])
+
+    jac = wm._blend_jacobian(core, a, big_n, wm._integrate_blend(core, a, a + width, big_n))
+    da, q = 1e-4, big_n**-2
+    d_a = (end(a + da, big_n) - end(a - da, big_n)) / (2.0 * da)
+    d_q = (end(a, (1.3 * q) ** -0.5) - end(a, (0.7 * q) ** -0.5)) / (0.6 * q)
+    for got, centred in ((jac[:, 0], d_a), (jac[:, 1], d_q * -2.0 / big_n**3)):
+        assert np.all(np.abs(got - centred) <= 1e-6 * np.abs(centred)), (got, centred)
+
+
+def _huge_step(real):
+    def equations(*args):
+        (g1, g2), jac = real(*args)
+        return (1e6 * g1, 1e6 * g2), jac
+
+    return equations
+
+
+@pytest.mark.parametrize(
+    "name, patch, message",
+    [
+        ("_CAP_NEWTON_SWEEPS", lambda real: 1, "did not converge"),
+        ("_cap_equations", lambda real: lambda *a: ((1.0, 1.0), ((0.0, 0.0), (0.0, 0.0))),
+         "singular"),
+        ("_cap_equations", _huge_step, "left the slope window"),
+    ],
+)
+def test_cap_newton_fails_closed(monkeypatch, name, patch, message):
+    monkeypatch.setattr(wm, name, patch(getattr(wm, name)))
+    with pytest.raises(StageError) as info:
+        wm.build_neck(build())
+    assert info.value.stage == "cap_sine"
+    assert isinstance(info.value.cause, MarginLost)
+    assert message in str(info.value.cause)
 
 
 def test_find_slope_hits_target():
