@@ -8,6 +8,10 @@ through worst-case bounds on its components (``bounded`` mode).
 Diagonal Ricci entries are bounded below, mixed entries above, and the
 per-sample eigenvalue lower bound is the Gershgorin bound of the 3x3
 frame block (fibre direction, sphere direction, radial direction).
+Where no curvature acts that bound is min(m1, m2, m3) of the inequality
+margins, so ``ricci_neck`` starts from their minima and runs the bounded
+arithmetic only on the sampled blocks the curvature support reaches; its
+report keeps minima, not per-sample columns.
 
 The bundle region is handled through the constant-fibre-length
 formulas with a harmonic curvature representative, which kills the
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import warpmetric
 from .errors import Exhausted, InputError, NotPositive
-from .warpmetric import MarginReport, WarpParams, WarpProfile, _stage
+from .warpmetric import TAIL_FLOOR, MarginReport, WarpParams, WarpProfile, _stage
 
 
 # ---------------------------------------------------------------------------
@@ -67,27 +71,44 @@ TRIVIAL_CONNECTION = ConnectionModel("trivial")
 
 @dataclass(frozen=True)
 class RicciReport:
-    """Samplewise diagonal bounds, mixed bounds, and the global margin.
+    """The neck's Ricci eigenvalue lower bounds, as minima.
 
     ``margin`` is the eigenvalue lower bound over the strict zone; the
     flattened seam collar (where the fibre direction is brought exactly
     to the product form, so Ric(T,T) closes to zero at the boundary) is
     certified nonnegative via ``tail_margin``.  ``margins`` holds the
-    inequality margins the diagonal bounds were built from.
+    inequality margins the diagonal bounds are built from.  Per-sample
+    bounds are not kept: ``_frame_bound`` recomputes them for one block.
     """
 
-    s: np.ndarray
-    diag_fibre: np.ndarray  # Ric(T, T) lower bound
-    diag_sphere: np.ndarray  # Ric(X/f, X/f) lower bound
-    diag_radial: np.ndarray  # Ric(ds, ds) lower bound
-    mixed_fibre_sphere: np.ndarray
-    mixed_fibre_radial: np.ndarray
-    mixed_sphere_radial: np.ndarray
-    eigen_lower: np.ndarray
     margin: float
     tail_margin: float
-    r: float
     margins: MarginReport
+
+
+def _frame_bound(n: int, b, active, beta: float, beta_delta: float):
+    """Per-sample Ricci eigenvalue lower bound on one sampled block.
+
+    The frame is (fibre T, sphere X/f, radial ds).  Its diagonal entries
+    are the inequality margins less worst-case curvature losses (the
+    curvature term in Ric(T,T) is nonnegative and dropped), its mixed
+    entries are bounded above, and the bound is the Gershgorin bound of
+    the 3x3 block.  Curvature acts only where ``active``; elsewhere the
+    bound is min(m1, m2, m3) exactly.  Returns the bound and the mixed
+    bounds (T-X, T-ds, X-ds).
+    """
+    f, h, hp = b.f, b.h, b.hp
+    f_sq = f * f
+    h_sq = h * h
+    loss_sphere = np.where(active, 0.5 * h_sq / (f_sq * f_sq) * (n - 1) * beta**2, 0.0)
+    loss_radial = np.where(active, 0.5 * h_sq / f_sq * (n - 1) * beta**2, 0.0)
+    mix_tx = np.where(active, 0.5 * h * beta_delta + 1.5 * np.abs(hp) * beta, 0.0)
+    mix_ts = np.where(active, 0.5 * h * beta_delta, 0.0)
+    mix_xs = np.where(active, 0.5 * h_sq / (f_sq * f) * (n - 1) * beta**2, 0.0)
+    row_t = b.m3 - mix_tx - mix_ts
+    row_x = b.m2 - loss_sphere - mix_tx - mix_xs
+    row_s = b.m1 - loss_radial - mix_ts - mix_xs
+    return np.minimum(row_t, np.minimum(row_x, row_s)), (mix_tx, mix_ts, mix_xs)
 
 
 def ricci_neck(
@@ -95,79 +116,40 @@ def ricci_neck(
 ) -> RicciReport:
     """Lower-bound the Ricci eigenvalues of the neck metric.
 
-    In trivial mode the diagonal entries are exactly the three
+    With no curvature the diagonal entries are exactly the three
     inequality margins (so they do not depend on the fibre scale) and
-    every mixed bound vanishes.  In bounded mode the curvature terms are
-    added with worst-case signs using the profile's scaled h.
+    every mixed bound vanishes, so the bounds are the minima of
+    ``inequality_margins``.  In bounded mode ``_frame_bound`` runs on the
+    blocks the curvature support reaches, with worst-case signs and the
+    profile's scaled h, and each block's minimum is folded in.
     """
-    if r is None:
-        r = w.r
-    if abs(r - w.r) > 1e-15:
+    if r is not None and abs(r - w.r) > 1e-15:
         raise InputError("profile was built with a different fibre scale")
-    n = w.params.n
-    beta = c.sup_f if c.variant == "bounded" else 0.0
-    beta_delta = c.sup_delta_f if c.variant == "bounded" else 0.0
+    margins = warpmetric.inequality_margins(w, refine)
+    strict_min, tail_min = margins.global_min, margins.tail_min
     if c.variant == "bounded":
-        lo = c.support[0] if c.support else w.origin.rejoin if w.origin else w.s_left
-        min_lo = (w.origin.rejoin if w.origin else w.s_left) - 1e-12
-        if lo < min_lo:
+        collar_end = w.origin.rejoin if w.origin else w.s_left
+        lo = c.support[0] if c.support else collar_end
+        if lo < collar_end - 1e-12:
             raise InputError(
                 "curvature support must avoid the product-connection collar"
             )
-        support = (lo, c.support[1] if c.support else w.s_lambda)
-    else:
-        support = None
+        hi = c.support[1] if c.support else w.s_lambda
+        for b in w.blocks(refine):
+            active = (b.s >= lo) & (b.s <= hi)
+            if not active.any():
+                continue
+            eig, _ = _frame_bound(w.params.n, b, active, c.sup_f, c.sup_delta_f)
+            if b.seg.label == "tail":
+                tail_min = min(tail_min, float(np.min(eig)))
+            else:
+                strict_min = min(strict_min, float(np.min(eig)))
 
-    margins = warpmetric.inequality_margins(w, refine)
-    rows = []
-    strict_min = math.inf
-    tail_min = math.inf
-    for seg, s, f, _, _, h, hp, _, m1, m2, m3 in w.blocks(refine):
-        if support is None:
-            active = np.zeros_like(s, dtype=bool)
-        else:
-            active = (s >= support[0]) & (s <= support[1])
-        f_sq = f * f
-        h_sq = h * h
-        loss_sphere = np.where(active, 0.5 * h_sq / (f_sq * f_sq) * (n - 1) * beta**2, 0.0)
-        loss_radial = np.where(active, 0.5 * h_sq / f_sq * (n - 1) * beta**2, 0.0)
-        diag_t = m3  # curvature term in Ric(T,T) is nonnegative; dropped
-        diag_x = m2 - loss_sphere
-        diag_s = m1 - loss_radial
-        mix_tx = np.where(active, 0.5 * h * beta_delta + 1.5 * np.abs(hp) * beta, 0.0)
-        mix_ts = np.where(active, 0.5 * h * beta_delta, 0.0)
-        mix_xs = np.where(active, 0.5 * h_sq / (f_sq * f) * (n - 1) * beta**2, 0.0)
-        eig = np.minimum(
-            diag_t - mix_tx - mix_ts,
-            np.minimum(diag_x - mix_tx - mix_xs, diag_s - mix_ts - mix_xs),
-        )
-        if seg.label == "tail":
-            tail_min = min(tail_min, float(np.min(eig)))
-        else:
-            strict_min = min(strict_min, float(np.min(eig)))
-        rows.append((s, diag_t, diag_x, diag_s, mix_tx, mix_ts, mix_xs, eig))
-
-    cat = [np.concatenate([row[k] for row in rows]) for k in range(8)]
-    report = RicciReport(
-        s=cat[0],
-        diag_fibre=cat[1],
-        diag_sphere=cat[2],
-        diag_radial=cat[3],
-        mixed_fibre_sphere=cat[4],
-        mixed_fibre_radial=cat[5],
-        mixed_sphere_radial=cat[6],
-        eigen_lower=cat[7],
-        margin=strict_min,
-        tail_margin=tail_min,
-        r=r,
-        margins=margins,
-    )
+    report = RicciReport(strict_min, tail_min, margins)
     if strict_min <= 0.0:
         raise NotPositive(f"neck eigenvalue lower bound {strict_min:.3e}", report)
-    if tail_min < -1e-12:
-        raise NotPositive(
-            f"seam collar lost nonnegativity: {tail_min:.3e}", report
-        )
+    if tail_min < TAIL_FLOOR:
+        raise NotPositive(f"seam collar lost nonnegativity: {tail_min:.3e}", report)
     return report
 
 
@@ -432,7 +414,7 @@ def certify(
 
     ok = (
         neck_report.margin > 0.0
-        and neck_report.tail_margin >= -1e-12
+        and neck_report.tail_margin >= TAIL_FLOOR
         and gluing.passed
         and fi_resid < p.tol_ode
         and bundle.overall >= 0.0

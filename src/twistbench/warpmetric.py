@@ -554,19 +554,24 @@ class WarpProfile:
 # Margins
 # ---------------------------------------------------------------------------
 
+# Lowest margin the flattened seam collar may reach and still count as
+# nonnegative: the tail closes inequality (3) to zero at the outer end.
+TAIL_FLOOR = -1e-12
+
+
 @dataclass(frozen=True)
 class MarginReport:
-    """Pointwise margins of the three inequalities plus their minima.
+    """Minima of the three inequality margins over the profile.
 
-    The scalar minima run over the strict zone (everything left of the
+    The three minima run over the strict zone (everything left of the
     flattened seam collar): the tail brings every h-derivative to zero
     at the outer boundary, so inequality (3) closes to zero there by
     construction and the collar is certified nonnegative instead
-    (``tail_min``); strictness across the seam is the cited deformation
-    step, recorded as an annotation rather than computed.
+    (``tail_min``, down to ``TAIL_FLOOR``); strictness across the seam
+    is the cited deformation step, recorded as an annotation rather than
+    computed.  The pointwise margins stay on ``WarpProfile.blocks``.
     """
 
-    blocks: tuple  # (label, s, m1, m2, m3) per segment
     min1: float
     min2: float
     min3: float
@@ -578,7 +583,7 @@ class MarginReport:
 
     @property
     def tail_nonnegative(self) -> bool:
-        return self.tail_min >= -1e-12
+        return self.tail_min >= TAIL_FLOOR
 
 
 class _Block(NamedTuple):
@@ -640,18 +645,16 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
 
 
 def inequality_margins(w: WarpProfile, refine: int = 1) -> MarginReport:
-    """Evaluate the three differential inequalities over the profile."""
-    blocks = []
+    """Minima of the three differential inequalities over the profile."""
     mins = [math.inf, math.inf, math.inf]
     tail_min = math.inf
-    for seg, s, *_, m1, m2, m3 in w.blocks(refine):
-        blocks.append((seg.label, s, m1, m2, m3))
+    for seg, *_, m1, m2, m3 in w.blocks(refine):
         lows = [float(np.min(m)) for m in (m1, m2, m3)]
         if seg.label == "tail":
             tail_min = min(tail_min, *lows)
         else:
             mins = [min(a, b) for a, b in zip(mins, lows)]
-    return MarginReport(tuple(blocks), *mins, tail_min)
+    return MarginReport(*mins, tail_min)
 
 
 def _check_margins(w: WarpProfile, lo: float, hi: float, stage: str):
@@ -663,7 +666,7 @@ def _check_margins(w: WarpProfile, lo: float, hi: float, stage: str):
         if not keep.any():
             continue
         worst = min(float(np.min(m[keep])) for m in (m1, m2, m3))
-        floor = -1e-12 if seg.label == "tail" else 0.0
+        floor = TAIL_FLOOR if seg.label == "tail" else 0.0
         if worst <= floor:
             raise MarginLost(
                 f"{stage}: inequality margin {worst:.3e} lost on "

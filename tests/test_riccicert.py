@@ -41,9 +41,19 @@ def test_trivial_neck_diagonals_match_margins(finished):
     margins = wm.inequality_margins(finished)
     assert report.margin > 0
     assert report.margin == min(margins.min1, margins.min2, margins.min3)
-    assert np.all(report.mixed_fibre_sphere == 0)
-    assert np.all(report.mixed_fibre_radial == 0)
-    assert np.all(report.mixed_sphere_radial == 0)
+    # Sample by sample: with no curvature acting, whether the bounds are
+    # zero or the samples lie outside the support, the frame bound is
+    # exactly min(m1, m2, m3) and every mixed bound vanishes.
+    n = finished.params.n
+    for b in finished.blocks():
+        lowest = np.minimum(b.m1, np.minimum(b.m2, b.m3))
+        for active, beta, beta_d in (
+            (np.ones_like(b.s, dtype=bool), 0.0, 0.0),
+            (np.zeros_like(b.s, dtype=bool), 50.0, 10.0),
+        ):
+            eig, mixed = rc._frame_bound(n, b, active, beta, beta_d)
+            assert np.array_equal(eig, lowest)
+            assert all(np.all(m == 0) for m in mixed)
 
 
 def test_certify_ricci_margin_is_min_of_inequalities():
@@ -58,12 +68,20 @@ def test_certify_ricci_margin_is_min_of_inequalities():
 
 def test_trivial_neck_r_independent(neck):
     build = builder_for(neck)
-    rep1 = rc.ricci_neck(build(1.0), rc.TRIVIAL_CONNECTION)
-    rep2 = rc.ricci_neck(build(0.5), rc.TRIVIAL_CONNECTION)
+    w1, w2 = build(1.0), build(0.5)
+    rep1 = rc.ricci_neck(w1, rc.TRIVIAL_CONNECTION)
+    rep2 = rc.ricci_neck(w2, rc.TRIVIAL_CONNECTION)
     assert rep1.margin == rep2.margin
-    assert float(np.min(rep1.diag_fibre)) == float(np.min(rep2.diag_fibre))
-    assert float(np.min(rep1.diag_sphere)) == float(np.min(rep2.diag_sphere))
-    assert float(np.min(rep1.diag_radial)) == float(np.min(rep2.diag_radial))
+    assert rep1.tail_margin == rep2.tail_margin
+    assert rep1.margins == rep2.margins
+
+    # The diagonals (fibre m3, sphere m2, radial m1) over every sample,
+    # the seam collar included.
+    def lowest(w, name):
+        return min(float(np.min(getattr(b, name))) for b in w.blocks())
+
+    for name in ("m1", "m2", "m3"):
+        assert lowest(w1, name) == lowest(w2, name)
 
 
 def test_fibre_diagonal_closed_form(finished):
@@ -104,14 +122,20 @@ def test_bounded_neck_mixed_bound_scaling(neck):
     build = builder_for(neck)
     base_profile, eps = neck
     lo = eps + 0.05 * (base_profile.s_lambda - eps)
-    c = rc.ConnectionModel(
-        "bounded", sup_f=0.2, sup_delta_f=0.1,
-        support=(lo, base_profile.cap.blend_start),
-    )
-    rep1 = rc.ricci_neck(build(0.5), c)
-    rep2 = rc.ricci_neck(build(0.25), c)
-    b1 = float(np.max(rep1.mixed_sphere_radial))
-    b2 = float(np.max(rep2.mixed_sphere_radial))
+    hi = base_profile.cap.blend_start
+    c = rc.ConnectionModel("bounded", sup_f=0.2, sup_delta_f=0.1, support=(lo, hi))
+
+    def sphere_radial(w):
+        rc.ricci_neck(w, c)  # certifies at both scales
+        bounds = []
+        for b in w.blocks():
+            active = (b.s >= lo) & (b.s <= hi)
+            _, (_, _, mix_xs) = rc._frame_bound(w.params.n, b, active, 0.2, 0.1)
+            bounds.append(float(np.max(mix_xs)))
+        return max(bounds)
+
+    b1, b2 = sphere_radial(build(0.5)), sphere_radial(build(0.25))
+    assert b2 > 0
     # h scales linearly in r, so the quadratic bound quarters
     assert abs(b1 / b2 - 4.0) < 1e-9
 
@@ -133,9 +157,17 @@ def test_eigen_bound_below_true_minimum(neck):
     build = builder_for(neck)
     r, prof, rep = rc.search_r(build, c, 1e-5)
     n = prof.params.n
+    blocks = prof.blocks()
+    bounds = [rc._frame_bound(n, b, (b.s >= lo) & (b.s <= hi), beta, beta_d)[0]
+              for b in blocks]
+    # The report folds exactly these per-block minima.
+    strict = [float(np.min(e)) for b, e in zip(blocks, bounds) if b.seg.label != "tail"]
+    assert rep.margin == min(strict)
+    s_all = np.concatenate([b.s for b in blocks])
+    eigen_lower = np.concatenate(bounds)
     for _ in range(100):
-        i = int(rng.integers(0, len(rep.s)))
-        s = float(rep.s[i])
+        i = int(rng.integers(0, len(s_all)))
+        s = float(s_all[i])
         f, fp, fpp, h, hp, hpp = prof.evaluate(s)
         inside = lo <= s <= hi
         fx = rng.uniform(-beta, beta, size=n - 1) if inside else np.zeros(n - 1)
@@ -157,7 +189,7 @@ def test_eigen_bound_below_true_minimum(neck):
         xs = -(h * h / (2 * f**3)) * np.sum(fx * fs)
         mat = np.array([[tt, tx, ts], [tx, xx, xs], [ts, xs, ss]])
         true_min = float(np.linalg.eigvalsh(mat)[0])
-        assert rep.eigen_lower[i] <= true_min + 1e-9
+        assert eigen_lower[i] <= true_min + 1e-9
 
 
 def test_not_positive_carries_report(finished):
@@ -168,6 +200,25 @@ def test_not_positive_carries_report(finished):
     with pytest.raises(NotPositive) as exc:
         rc.ricci_neck(finished, c)
     assert exc.value.report is not None
+    assert exc.value.report.margin <= 0
+
+
+def test_seam_collar_loss_raises(finished):
+    # Curvature confined to the flattened seam collar leaves the strict
+    # zone alone and pushes the collar's bound below the floor.
+    tail = next(seg for seg in finished.segments if seg.label == "tail")
+    c = rc.ConnectionModel(
+        "bounded", sup_f=50.0, support=(tail.s0 + 1e-9, finished.s_lambda)
+    )
+    with pytest.raises(NotPositive, match="seam collar lost nonnegativity") as exc:
+        rc.ricci_neck(finished, c)
+    assert exc.value.report.margin > 0
+    assert exc.value.report.tail_margin < wm.TAIL_FLOOR
+    # The support is closed: starting at the seam itself also reaches the
+    # last strict-zone sample, so the strict bound fails first.
+    c = rc.ConnectionModel("bounded", sup_f=50.0, support=(tail.s0, finished.s_lambda))
+    with pytest.raises(NotPositive, match="neck eigenvalue lower bound") as exc:
+        rc.ricci_neck(finished, c)
     assert exc.value.report.margin <= 0
 
 
@@ -323,6 +374,23 @@ def test_certify_bounded_respects_phi_cap(neck):
     # the seam condition defines phi
     h_end = res.profile.evaluate(res.profile.s_lambda)[3]
     assert abs(res.phi - math.log(h_end / res.big_n)) < 1e-12
+
+
+def test_certify_shrinks_r_when_phi_cap_binds(neck):
+    base, eps = neck
+    span = base.cap.blend_start - eps
+    c = rc.ConnectionModel(
+        "bounded", sup_f=0.5, support=(eps + 0.05 * span, eps + 0.145 * span)
+    )
+    res = rc.certify(4, 1.0, c, ric_min_base=1.0, safety=0.999)
+    assert res.passed()
+    cap = rc.choose_phi(1.0, c, 0.999, 4)
+    assert res.phi <= cap
+    # The scale search alone lands above the cap, so certify shrank r.
+    r_search, prof, _ = rc.search_r(builder_for(neck), c, 1e-6)
+    h_end = prof.evaluate(prof.s_lambda)[3]
+    assert math.log(h_end / prof.cap.big_n) > cap
+    assert res.r < r_search
 
 
 def test_stage_error_labels():

@@ -524,12 +524,10 @@ def test_kink_bridge_matches_rk4_sweep(neck_41):
 
 def _assert_same_probe(got, want):
     assert got.origin == want.origin
-    got_m, want_m = wm.inequality_margins(got), wm.inequality_margins(want)
-    assert len(got_m.blocks) == len(want_m.blocks)
-    for g, w in zip(got_m.blocks, want_m.blocks):
-        assert g[0] == w[0]
-        assert all(np.array_equal(a, b) for a, b in zip(g[1:], w[1:]))
-    for g, w in zip(got.sample(), want.sample()):
+    assert wm.inequality_margins(got) == wm.inequality_margins(want)
+    assert len(got.blocks()) == len(want.blocks())
+    for g, w in zip(got.blocks(), want.blocks()):
+        assert g.seg.label == w.seg.label
         assert all(np.array_equal(a, b) for a, b in zip(g[1:], w[1:]))
 
 
@@ -610,25 +608,23 @@ def test_core_inequality_two_lower_bound(finished):
     p = finished.params
     bound_coeff = (p.n - 2) - p.alpha * p.lam0**2
     assert bound_coeff > 0
-    report = wm.inequality_margins(finished)
-    for label, s, m1, m2, m3 in report.blocks:
-        if label != "core":
+    for b in finished.blocks():
+        if b.seg.label != "core":
             continue
-        f = finished.core.eval(s)[0]
+        f = finished.core.eval(b.s)[0]
         bound = bound_coeff / (f * f)
-        assert np.all(m2 + 1e-12 >= bound)
+        assert np.all(b.m2 + 1e-12 >= bound)
 
 
 def test_splice_margin_closed_form(finished):
     o = finished.origin
-    report = wm.inequality_margins(finished)
-    for label, s, m1, m2, m3 in report.blocks:
-        if label == "splice":
-            assert np.allclose(m1, 1.0 / o.radius**2, rtol=1e-12)
-            assert np.allclose(m3, 1.0 / o.radius**2, rtol=1e-12)
+    for b in finished.blocks():
+        if b.seg.label == "splice":
+            assert np.allclose(b.m1, 1.0 / o.radius**2, rtol=1e-12)
+            assert np.allclose(b.m3, 1.0 / o.radius**2, rtol=1e-12)
             flat = finished.origin.flat_value
             expected = (finished.params.n - 2) / (flat * flat)
-            assert np.allclose(m2, expected, rtol=1e-12)
+            assert np.allclose(b.m2, expected, rtol=1e-12)
 
 
 def test_margin_sweep_across_parameters():
