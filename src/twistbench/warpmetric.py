@@ -45,7 +45,9 @@ integrated by the one fixed-step RK4 sweep ``_rk4`` on Python floats,
 with blend weights precomputed on its half-step grid.  The origin
 bridge of h and the cap's variational equations are linear, so each of
 their RK4 steps is an affine map; ``_rk4`` computes all of them in one
-vectorised step and the caller composes them.  All blending happens in
+vectorised step and the caller composes them.  The bridge's step count
+is sized by step doubling against a Richardson error estimate, which
+``OriginInfo`` keeps.  All blending happens in
 second-derivative space with quintic smoothstep weights, which keeps
 the inequality margins one-signed; margins are re-evaluated after every
 stage and a lost margin raises ``MarginLost`` instead of silently
@@ -68,7 +70,7 @@ from .errors import InputError, MarginLost, NoSolution, NoStop, StageError
 # ---------------------------------------------------------------------------
 
 def smoothstep(u):
-    u = np.clip(u, 0.0, 1.0)
+    u = np.minimum(np.maximum(u, 0.0), 1.0)  # np.clip's dispatch costs more
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
@@ -171,11 +173,13 @@ class _DenseCurve:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        x = np.clip((s - self.s0) / self.step, 0.0, len(self.values) - 1.0)
-        k = np.clip(np.floor(x).astype(int), 0, len(self.values) - 2)
-        t = x - k
+        last = len(self.values) - 1
+        x = np.minimum(np.maximum((s - self.s0) / self.step, 0.0), float(last))
+        k = np.minimum(x.astype(int), last - 1)  # x >= 0, so astype floors
+        t = np.asarray(x - k)
         # snap to nodes so junction evaluations are exact
-        t = np.where(np.abs(t) < 1e-9, 0.0, np.where(np.abs(t - 1.0) < 1e-9, 1.0, t))
+        t[np.abs(t) < 1e-9] = 0.0
+        t[np.abs(t - 1.0) < 1e-9] = 1.0
         y0, y1 = self.values[k], self.values[k + 1]
         d0, d1 = self.slopes[k] * self.step, self.slopes[k + 1] * self.step
         t2, t3 = t * t, t * t * t
@@ -275,10 +279,13 @@ class _CoreSolution:
 
     def eval(self, s):
         """(f, f', f'') at the given locations."""
-        _, _, fcurve, fpcurve = self._curves()
-        f = fcurve(s)
-        fp = fpcurve(s)
+        f, fp = self.f_fp(s)
         return f, fp, self.fpp_of(f)
+
+    def f_fp(self, s):
+        """(f, f') at the given locations."""
+        _, _, fcurve, fpcurve = self._curves()
+        return fcurve(s), fpcurve(s)
 
     def first_integral_residual(self, s_hi: float) -> float:
         f, fp, _, _ = self._curves()
@@ -389,16 +396,20 @@ class _CoreH:
         self.c_h = 2.0 / (core.alpha * core.lam0**2)
 
     def eval(self, s):
-        a = self.core.alpha
-        f, fp, _ = self.core.eval(s)
-        h = self.c_h * fp
-        hp = np.power(f, -a - 1.0)
-        hpp = -(a + 1.0) * np.power(f, -a - 2.0) * fp
-        return h, hp, hpp
+        return self.from_core(*self.core.f_fp(s))
 
-    def hpp_over_h(self, s):
+    def from_core(self, f, fp):
+        """(h, h', h'') from the core's f and f' at the same locations."""
+        return self.c_h * fp, np.power(f, -self.core.alpha - 1.0), self.hpp(f, fp)
+
+    def hpp(self, f, fp):
+        """h'' from the core's f and f'."""
         a = self.core.alpha
-        f, _, _ = self.core.eval(s)
+        return -(a + 1.0) * np.power(f, -a - 2.0) * fp
+
+    def hpp_over_h(self, f):
+        """h''/h at core values f."""
+        a = self.core.alpha
         return -0.5 * a * (a + 1.0) * self.core.lam0**2 * np.power(f, -a - 2.0)
 
     def fp_hp_over_f_h(self, f):
@@ -466,6 +477,10 @@ class OriginInfo:
     rejoin: float
     flat_value: float
     plateau: float
+    # RK4 step count of the origin bridge and its error estimate
+    # (``_smooth_kink``).
+    bridge_steps: int
+    bridge_error: float
 
 
 @dataclass(frozen=True)
@@ -613,13 +628,17 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
     """
     fmod, hmod = seg.fmod, seg.hmod
     f, fp, fpp = fmod.eval(s)
-    h, hp, hpp = hmod.eval(s)
     if isinstance(hmod, _CoreH):
-        roh = hmod.hpp_over_h(s)
-    elif isinstance(hmod, _Sine):
-        roh = np.full_like(s, -1.0 / hmod.amp**2)
+        # One core evaluation for the h columns and the closed form h''/h.
+        core_f, core_fp = hmod.core.f_fp(s)
+        h, hp, hpp = hmod.from_core(core_f, core_fp)
+        roh = hmod.hpp_over_h(core_f)
     else:
-        roh = hpp / h
+        h, hp, hpp = hmod.eval(s)
+        if isinstance(hmod, _Sine):
+            roh = np.full_like(s, -1.0 / hmod.amp**2)
+        else:
+            roh = hpp / h
     if isinstance(fmod, _FlatF):
         # f' = f'' = 0: the inequalities collapse to -h''/h and (n-2)/f^2.
         m1 = -roh
@@ -1025,34 +1044,25 @@ def _flatten_f(core, flat_end: float, rejoin: float, ramp: float):
     return _Dense(curve_f, curve_fp, fpp_func), float(f_vals[0]), plateau
 
 
-def _smooth_kink(core_h, r, radius_hat, x0, x1):
-    """Bridge from the splice sine into r times the core h on [x0, x1].
+# Relative RK4 error allowed in the bridge's end data (h, h') at x0; the
+# splice radius h/sqrt(1 - h'^2) amplifies it where h' is near 1 (r near 1).
+_BRIDGE_TOL = 1e-11
+# First bridge step count; it meets the tolerance for r near 1, and the
+# estimate, which depends on r alone, takes one more doubling below r = 0.5.
+_BRIDGE_START = 128
+_BRIDGE_MAX = 2048  # step cap; the tolerance unmet there raises MarginLost
 
-    The second derivative interpolates between sine-type curvature
-    -h/radius_hat^2 and the rescaled core h''; both branches are
-    negative, so the bridge never loses concavity.  Integrating backward
-    from the core values at x1 closes the right seam exactly, and the
-    exact sine through the resulting left endpoint data closes the left
-    seam exactly (the sine parameters are re-solved there).
 
-    The bridge equation h'' = a(s) h + b(s) is linear, so one RK4 step
-    is an affine map of (h, h'): ``_rk4`` takes one step from every node
-    at once to get the maps' coefficients, and the sweep composes them.
+def _bridge_sweep(a, b, h, hp, hstep):
+    """Backward RK4 sweep of h'' = a h + b from (h, h') at the right end.
 
-    Returns the dense bridge model plus (value, slope) at x0.
+    a and b are read on the half-step grid from the right end, so a
+    step's start, midpoint and end are half-step indices 0, 1 and 2.  The
+    equation is linear, so one RK4 step is an affine map of (h, h'):
+    ``_rk4`` takes one step from every node at once to get the maps'
+    coefficients, and the loop composes them.  Returns the node values
+    and slopes from the right end on.
     """
-    steps = 2048
-    width = x1 - x0
-    hstep = width / steps
-    # Core-side curvature at nodes and half-steps for the RK4 sweep.
-    fine = np.linspace(x0, x1, 2 * steps + 1)
-    gr_fine = r * core_h.eval(fine)[2]
-    sig_fine = smoothstep((fine - x0) / width)
-    inv_r2 = 1.0 / (radius_hat * radius_hat)
-    # The sweep runs backward from x1, so it reads the grid from the end;
-    # a step's start, midpoint and end are half-step indices 0, 1 and 2.
-    a = (-(1.0 - sig_fine) * inv_r2)[::-1]
-    b = (sig_fine * gr_fine)[::-1]
     a_at = (a[:-1:2], a[1::2], a[2::2])
     b_at = (b[:-1:2], b[1::2], b[2::2])
     # Rows: the step images of (h, h') = (1, 0) and (0, 1) without the
@@ -1065,27 +1075,75 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
         -hstep,
         1,
     )
-    maps = zip(*ys[1].tolist(), *yps[1].tolist())
-
-    h1, hp1, _ = core_h.eval(np.array([x1]))
-    h, hp = float(r * h1[0]), float(r * hp1[0])
     hs, hps = [h], [hp]
-    for h_h, h_p, h_c, p_h, p_p, p_c in maps:
+    for h_h, h_p, h_c, p_h, p_p, p_c in zip(*ys[1].tolist(), *yps[1].tolist()):
         h, hp = h_h * h + h_p * hp + h_c, p_h * h + p_p * hp + p_c
         hs.append(h)
         hps.append(hp)
+    return hs, hps
+
+
+def _smooth_kink(core_h, r, radius_hat, x0, x1):
+    """Bridge from the splice sine into r times the core h on [x0, x1].
+
+    The second derivative interpolates between sine-type curvature
+    -h/radius_hat^2 and the rescaled core h''; both branches are
+    negative, so the bridge never loses concavity.  Integrating backward
+    from the core values at x1 closes the right seam exactly, and the
+    exact sine through the resulting left endpoint data closes the left
+    seam exactly (the sine parameters are re-solved there).
+
+    The step count is sized by step doubling from ``_BRIDGE_START``: the
+    RK4 error of (h, h') at x0 is about the relative change from the
+    half-count sweep over 15 (Richardson; Hairer, Norsett and Wanner,
+    Solving ODEs I, II.4).  The first half-count sweep reads every other
+    entry of the same coefficients, and each later one is the previous
+    level's sweep; each level evaluates the core once, on its half-step
+    grid.  An estimate above ``_BRIDGE_TOL`` at ``_BRIDGE_MAX`` steps
+    raises MarginLost.
+
+    Returns the dense bridge model, (value, slope) at x0, the step count
+    and the error estimate.
+    """
+    width = x1 - x0
+    inv_r2 = 1.0 / (radius_hat * radius_hat)
+    steps, coarse = _BRIDGE_START, None
+    while True:
+        hstep = width / steps
+        # Core-side curvature at nodes and half-steps for the RK4 sweep.
+        fine = np.linspace(x0, x1, 2 * steps + 1)
+        core_f, core_fp = core_h.core.f_fp(fine)
+        gr_fine = r * core_h.hpp(core_f, core_fp)
+        sig_fine = smoothstep((fine - x0) / width)
+        # The sweep runs backward from x1, so it reads the grid from the end.
+        a = (-(1.0 - sig_fine) * inv_r2)[::-1]
+        b = (sig_fine * gr_fine)[::-1]
+        if coarse is None:
+            h1, hp1, _ = core_h.from_core(core_f[-1:], core_fp[-1:])
+            h1, hp1 = float(r * h1[0]), float(r * hp1[0])
+            coarse = _bridge_sweep(a[::2], b[::2], h1, hp1, 2.0 * hstep)
+        hs, hps = _bridge_sweep(a, b, h1, hp1, hstep)
+        error = max(
+            abs(hs[-1] - coarse[0][-1]) / abs(hs[-1]),
+            abs(hps[-1] - coarse[1][-1]) / abs(hps[-1]),
+        ) / 15.0
+        if error <= _BRIDGE_TOL:
+            break
+        if steps >= _BRIDGE_MAX:
+            raise MarginLost(
+                f"origin bridge: RK4 error estimate {error:.3e} above "
+                f"{_BRIDGE_TOL:.0e} at {steps} steps"
+            )
+        coarse = hs, hps
+        steps *= 2
     h_vals = np.array(hs[::-1])
     hp_vals = np.array(hps[::-1])
-    node_idx = np.arange(0, 2 * steps + 1, 2)
-    hpp_vals = (
-        -(1.0 - sig_fine[node_idx]) * h_vals * inv_r2
-        + sig_fine[node_idx] * gr_fine[node_idx]
-    )
+    hpp_vals = -(1.0 - sig_fine[::2]) * h_vals * inv_r2 + sig_fine[::2] * gr_fine[::2]
     curve_h = _DenseCurve(x0, hstep, h_vals, hp_vals)
     curve_hp = _DenseCurve(x0, hstep, hp_vals, hpp_vals)
     hpp_curve = _DenseCurve(x0, hstep, hpp_vals, np.gradient(hpp_vals, hstep))
     model = _Dense(curve_h, curve_hp, hpp_curve)
-    return model, float(h_vals[0]), float(hp_vals[0])
+    return model, float(h_vals[0]), float(hp_vals[0]), steps, error
 
 
 def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
@@ -1144,7 +1202,9 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
 
     outer, flat_value, plateau = _outer_part(w, eps, flat_end, ramp)
     flat_f = _FlatF(flat_value)
-    kink_h, h_x0, hp_x0 = _smooth_kink(core_h, r, radius_hat, x0, x1)
+    kink_h, h_x0, hp_x0, bridge_steps, bridge_error = _smooth_kink(
+        core_h, r, radius_hat, x0, x1
+    )
     if not 0.0 < hp_x0 < 1.0 or h_x0 <= 0.0:
         raise NoSolution(
             f"bridge slope {hp_x0:.6f} at the splice point does not admit a sine"
@@ -1173,6 +1233,8 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
             rejoin=eps,
             flat_value=flat_value,
             plateau=plateau,
+            bridge_steps=bridge_steps,
+            bridge_error=bridge_error,
         ),
         outer=outer,
     )

@@ -146,9 +146,32 @@ def test_bounded_support_must_avoid_collar(finished):
         rc.ricci_neck(finished, c)
 
 
+def _frame_matrix(n, f, fp, fpp, h, hp, hpp, fx, fs, fxs, dfx, dfs):
+    """The (T, X, ds) frame block of the Ricci tensor for curvature
+    components fx and fs (n - 1 each) and fxs, and codifferential
+    components dfx and dfs."""
+    m1 = -(n - 1) * fpp / f - hpp / h
+    m2 = -fpp / f + (n - 2) * (1 - fp * fp) / (f * f) - fp * hp / (f * h)
+    m3 = -hpp / h - (n - 1) * fp * hp / (f * h)
+    tt = m3 + (h * h / 4.0) * (2.0 * np.sum(fx * fx) / f**4)
+    xx = m2 - (h * h / (2 * f**4)) * np.sum(fx * fx)
+    ss = m1 - (h * h / (2 * f * f)) * np.sum(fs * fs)
+    tx = (h / 2.0) * (-dfx + 3.0 * (hp / h) * fxs)
+    ts = -(h / 2.0) * dfs
+    xs = -(h * h / (2 * f**3)) * np.sum(fx * fs)
+    return np.array([[tt, tx, ts], [tx, xx, xs], [ts, xs, ss]])
+
+
 def test_eigen_bound_below_true_minimum(neck):
-    """Gershgorin bound versus explicit 3x3 eigen-solve on random draws."""
+    """Gershgorin bound versus explicit 3x3 eigen-solve on random draws
+    and at the worst case.  On the (4, 1.0) neck the fibre row binds at
+    every sample the support reaches, on (6, 1.0) the sphere row does."""
     rng = np.random.default_rng(1234)
+    for case in (neck, wm.build_neck(wm.WarpParams(n=6, lam=math.cos(1.0)))):
+        _check_eigen_bound(case, rng)
+
+
+def _check_eigen_bound(neck, rng):
     base_profile, eps = neck
     lo = eps + 0.05 * (base_profile.s_lambda - eps)
     hi = base_profile.cap.blend_start
@@ -175,21 +198,31 @@ def test_eigen_bound_below_true_minimum(neck):
         fxs = rng.uniform(-beta, beta) if inside else 0.0
         dfx = rng.uniform(-beta_d, beta_d) if inside else 0.0
         dfs = rng.uniform(-beta_d, beta_d) if inside else 0.0
-        if h > 0:
-            m1 = -(n - 1) * fpp / f - hpp / h
-            m2 = -fpp / f + (n - 2) * (1 - fp * fp) / (f * f) - fp * hp / (f * h)
-            m3 = -hpp / h - (n - 1) * fp * hp / (f * h)
-        else:
+        if h <= 0:
             continue
-        tt = m3 + (h * h / 4.0) * (2.0 * np.sum(fx * fx) / f**4)
-        xx = m2 - (h * h / (2 * f**4)) * np.sum(fx * fx)
-        ss = m1 - (h * h / (2 * f * f)) * np.sum(fs * fs)
-        tx = (h / 2.0) * (-dfx + 3.0 * (hp / h) * fxs)
-        ts = -(h / 2.0) * dfs
-        xs = -(h * h / (2 * f**3)) * np.sum(fx * fs)
-        mat = np.array([[tt, tx, ts], [tx, xx, xs], [ts, xs, ss]])
+        mat = _frame_matrix(n, f, fp, fpp, h, hp, hpp, fx, fs, fxs, dfx, dfs)
         true_min = float(np.linalg.eigvalsh(mat)[0])
         assert eigen_lower[i] <= true_min + 1e-9
+    # Random draws seldom reach the worst case, where a bound that leaves
+    # out a mixed term shows.  At every sample the support reaches, align
+    # every component at its bound so that each curvature loss and each
+    # |mixed entry| is largest; the bound must sit below that matrix's
+    # minimum eigenvalue and below its Gershgorin rows, with Ric(T,T) at
+    # its curvature-free floor m3 (its curvature term is nonnegative).
+    ones, zeros = np.ones(n - 1), np.zeros(n - 1)
+    checked = 0
+    for b, eig in zip(blocks, bounds):
+        for i in np.flatnonzero((b.s >= lo) & (b.s <= hi)):
+            vals = (b.f[i], b.fp[i], b.fpp[i], b.h[i], b.hp[i], b.hpp[i])
+            worst = _frame_matrix(n, *vals, beta * ones, beta * ones,
+                                  math.copysign(beta, b.hp[i]), -beta_d, beta_d)
+            assert eig[i] <= np.linalg.eigvalsh(worst)[0] + 1e-9
+            worst[0, 0] = _frame_matrix(n, *vals, zeros, zeros, 0.0, 0.0, 0.0)[0, 0]
+            off = np.abs(worst).sum(axis=1) - np.abs(np.diag(worst))
+            rows = np.diag(worst) - off
+            assert eig[i] <= rows.min() + 1e-9 * (1.0 + abs(rows.min())), (b.s[i], rows)
+            checked += 1
+    assert checked >= 40  # 74 and 49 samples on the two necks
 
 
 def test_not_positive_carries_report(finished):

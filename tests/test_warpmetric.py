@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twistbench import riccicert as rc
 from twistbench import warpmetric as wm
 from twistbench.errors import InputError, MarginLost, NoSolution, NoStop, StageError
 
@@ -473,8 +474,10 @@ def neck_41():
 def test_kink_bridge_self_consistent(neck_41):
     # The bridge's stored h'' must be the derivative of its h'.  A sign
     # slip in the backward sweep keeps every seam closed (the splice sine
-    # is re-solved through the bridge's end data) but shows here, at
-    # about 1e-4 of max|h''| against 3e-7 when correct.
+    # is re-solved through the bridge's end data) but shows here.  The
+    # fourth-order centred difference keeps the difference's own error
+    # below the gate at the sized step count (4e-9 of max|h''| at 256
+    # steps; a second-order one gives 1.7e-5 there).
     tailed, eps = neck_41
     for r in (1.0, 0.5, 0.013):
         w = wm.smooth_origin(tailed, r, eps)
@@ -482,8 +485,8 @@ def test_kink_bridge_self_consistent(neck_41):
         assert kink.s0 == w.origin.splice_point
         curve = kink.hmod.curve_d
         hp, hpp = curve.values, curve.slopes
-        centred = (hp[2:] - hp[:-2]) / (2.0 * curve.step)
-        err = np.max(np.abs(centred - hpp[1:-1]))
+        centred = (8.0 * (hp[3:-1] - hp[1:-3]) - (hp[4:] - hp[:-4])) / (12.0 * curve.step)
+        err = np.max(np.abs(centred - hpp[2:-2]))
         assert err <= 1e-6 * np.max(np.abs(hpp)), (r, err)
 
 
@@ -499,10 +502,10 @@ def test_kink_bridge_matches_rk4_sweep(neck_41):
         core_h = wm._CoreH(core)
         h_sp, hp_sp, _ = core_h.eval(np.array([x0]))
         radius_hat, _ = wm._solve_splice(float(h_sp[0]), float(hp_sp[0]), r)
-        model, h_x0, hp_x0 = wm._smooth_kink(core_h, r, radius_hat, x0, x1)
+        model, h_x0, hp_x0, steps, _ = wm._smooth_kink(core_h, r, radius_hat, x0, x1)
         h_vals, hp_vals = model.curve.values, model.curve_d.values
+        assert steps == o.bridge_steps == len(h_vals) - 1
 
-        steps = len(h_vals) - 1
         fine = np.linspace(x0, x1, 2 * steps + 1)
         sig = wm.smoothstep((fine - x0) / (x1 - x0))[::-1].tolist()
         g = (r * core_h.eval(fine)[2])[::-1].tolist()
@@ -518,6 +521,29 @@ def test_kink_bridge_matches_rk4_sweep(neck_41):
         assert np.max(np.abs(h_vals - ref_h)) <= 1e-12 * np.max(np.abs(ref_h)), r
         assert np.max(np.abs(hp_vals - ref_hp)) <= 1e-12 * np.max(np.abs(ref_hp)), r
         assert (h_x0, hp_x0) == (h_vals[0], hp_vals[0])
+
+
+def test_kink_bridge_sized_by_its_error(neck_41):
+    # Step doubling stops at the first count whose Richardson estimate
+    # meets the tolerance: 128 or 256 steps across r, not the cap.
+    tailed, eps = neck_41
+    for r in (1.0, 0.5, 0.013, 1e-4):
+        o = wm.smooth_origin(tailed, r, eps).origin
+        assert 0.0 <= o.bridge_error <= wm._BRIDGE_TOL, r
+        assert wm._BRIDGE_START <= o.bridge_steps <= 256, r
+
+
+def test_kink_bridge_fails_closed_at_step_cap(monkeypatch):
+    # No estimate meets a zero tolerance, so the bridge gives up at the cap.
+    monkeypatch.setattr(wm, "_BRIDGE_TOL", 0.0)
+    tailed, eps = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
+    with pytest.raises(MarginLost, match=f"origin bridge.* at {wm._BRIDGE_MAX} steps"):
+        wm.smooth_origin(tailed, 0.5, eps)
+    with pytest.raises(StageError) as info:
+        rc.certify(4, 1.0, ric_min_base=2.0)
+    assert info.value.stage in ("smooth_origin", "search_r")
+    assert isinstance(info.value.cause, MarginLost)
+    assert "origin bridge" in str(info.value.cause)
 
 
 # -- what smooth_origin keeps on the neck ------------------------------------------
