@@ -13,7 +13,8 @@ stages:
   inequalities keep their margins.  The blend start a and N solve two
   equations at the blend end, the arc's amplitude equation and its
   slope target, by Newton; the blend sweep integrates its variational
-  equations in (a, N) for the Jacobian.
+  equations in (a, N) for the Jacobian, and its step count is sized by
+  step doubling at the root.
 * ``flatten_h_tail`` multiplies h' by a cutoff so every tracked
   derivative of h vanishes at the outer end.
 * ``smooth_origin`` rescales h by r, splices an exact sine with unit
@@ -45,9 +46,10 @@ integrated by the one fixed-step RK4 sweep ``_rk4`` on Python floats,
 with blend weights precomputed on its half-step grid.  The origin
 bridge of h and the cap's variational equations are linear, so each of
 their RK4 steps is an affine map; ``_rk4`` computes all of them in one
-vectorised step and the caller composes them.  The bridge's step count
-is sized by step doubling against a Richardson error estimate, which
-``OriginInfo`` keeps.  All blending happens in
+vectorised step and the caller composes them.  The cap blend's and the
+bridge's step counts are sized by step doubling against a Richardson
+error estimate and one tolerance, ``_SWEEP_TOL``; ``CapInfo`` and
+``OriginInfo`` keep the count and the estimate.  All blending happens in
 second-derivative space with quintic smoothstep weights, which keeps
 the inequality margins one-signed; margins are re-evaluated after every
 stage and a lost margin raises ``MarginLost`` instead of silently
@@ -182,13 +184,37 @@ class _DenseCurve:
         t[np.abs(t - 1.0) < 1e-9] = 1.0
         y0, y1 = self.values[k], self.values[k + 1]
         d0, d1 = self.slopes[k] * self.step, self.slopes[k + 1] * self.step
-        t2, t3 = t * t, t * t * t
-        return (
-            (1 - 3 * t2 + 2 * t3) * y0
-            + (t - 2 * t2 + t3) * d0
-            + (3 * t2 - 2 * t3) * y1
-            + (t3 - t2) * d1
-        )
+        return _hermite(t, y0, d0, y1, d1)
+
+    def at(self, s: float) -> float:
+        """``self(s)`` at one float location, bit for bit, without the
+        array dispatch; a NaN location raises ValueError."""
+        last = len(self.values) - 1
+        x = (s - self.s0) / self.step
+        if x < 0.0:
+            x = 0.0
+        elif x > last:
+            x = float(last)
+        k = min(int(x), last - 1)
+        t = x - k
+        if abs(t) < 1e-9:
+            t = 0.0
+        if abs(t - 1.0) < 1e-9:
+            t = 1.0
+        y0, y1 = float(self.values[k]), float(self.values[k + 1])
+        d0, d1 = float(self.slopes[k]) * self.step, float(self.slopes[k + 1]) * self.step
+        return _hermite(t, y0, d0, y1, d1)
+
+
+def _hermite(t, y0, d0, y1, d1):
+    """Cubic Hermite piece at parameter t in [0, 1], slopes in t units."""
+    t2, t3 = t * t, t * t * t
+    return (
+        (1 - 3 * t2 + 2 * t3) * y0
+        + (t - 2 * t2 + t3) * d0
+        + (3 * t2 - 2 * t3) * y1
+        + (t3 - t2) * d1
+    )
 
 
 def _cumulative_trapezoid(y, step):
@@ -230,6 +256,20 @@ def _rk4(acc, y, yp, h, steps):
         ys.append(y)
         yps.append(yp)
     return ys, yps
+
+
+# Relative RK4 error allowed in the end data of a step-doubled sweep: the
+# cap blend's (f, f') at its end b and the origin bridge's (h, h') at x0.
+# The splice radius h/sqrt(1 - h'^2) amplifies the bridge's where h' is
+# near 1 (r near 1).
+_SWEEP_TOL = 1e-11
+
+
+def _richardson(y, yp, y_half, yp_half):
+    """RK4 error estimate of a sweep's end data (y, y') from the sweep of
+    half the step count: the larger relative change, over 15 (Richardson;
+    Hairer, Norsett and Wanner, Solving ODEs I, II.4)."""
+    return max(abs(y - y_half) / abs(y), abs(yp - yp_half) / abs(yp)) / 15.0
 
 
 class _CoreSolution:
@@ -286,6 +326,12 @@ class _CoreSolution:
         """(f, f') at the given locations."""
         _, _, fcurve, fpcurve = self._curves()
         return fcurve(s), fpcurve(s)
+
+    def at(self, s: float):
+        """(f, f', f'') at one location as floats, the bits of ``eval``."""
+        _, _, fcurve, fpcurve = self._curves()
+        f = fcurve.at(s)
+        return f, fpcurve.at(s), float(self.fpp_of(f))
 
     def first_integral_residual(self, s_hi: float) -> float:
         f, fp, _, _ = self._curves()
@@ -459,6 +505,10 @@ class CapInfo:
     s_prime: float
     blend_start: float
     blend_end: float
+    # RK4 step count of the blend sweep and its error estimate
+    # (``cap_sine``).
+    blend_steps: int
+    blend_error: float
 
 
 @dataclass(frozen=True)
@@ -500,9 +550,22 @@ class WarpProfile:
     # fibre scale, shared by every r probed on one neck; the last
     # len(outer.segments) segments are its segments with h_scale = r.
     outer: WarpProfile | None = field(default=None, repr=False, compare=False)
-    # Sampled blocks keyed by (segment index, refine), and on a neck the
-    # "outer" entry of smooth_origin; they live and die with the profile.
+    # Sampled blocks keyed by (segment, refine), and on a neck the "outer"
+    # entry of smooth_origin; they live and die with the profile, and
+    # ``derive`` hands on those of the segments it keeps.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def derive(self, **changes) -> WarpProfile:
+        """``replace(self, **changes)`` keeping the sampled blocks of every
+        segment it keeps: a block depends only on its segment, the step and
+        n, and a later stage keeps the segments it does not touch."""
+        out = replace(self, **changes)
+        kept = set(out.segments)
+        out._memo.update(
+            (key, b) for key, b in self._memo.items()
+            if isinstance(key, tuple) and key[0] in kept
+        )
+        return out
 
     # -- sampling ----------------------------------------------------------
     def segment_grid(self, seg: Segment, refine: int = 1) -> np.ndarray:
@@ -522,9 +585,9 @@ class WarpProfile:
         are scale-free); only the collar's own segments are sampled for
         each r.
         """
-        b = self._memo.get((k, refine))
+        seg = self.segments[k]
+        b = self._memo.get((seg, refine))
         if b is None:
-            seg = self.segments[k]
             shared = len(self.outer.segments) if self.outer is not None else 0
             own = len(self.segments) - shared
             if k < own:
@@ -532,7 +595,7 @@ class WarpProfile:
             else:
                 u = self.outer.block(k - own, refine)
                 b = _Block(seg, u.s, *seg.scaled(*u[2:8]), *u[8:])
-            self._memo[k, refine] = b
+            self._memo[seg, refine] = b
         return b
 
     def sample(self, refine: int = 1):
@@ -602,8 +665,8 @@ class MarginReport:
 
 
 class _Block(NamedTuple):
-    """One segment sampled on its grid: the profile columns and the
-    three inequality margins."""
+    """One segment sampled on its grid: the profile columns, the three
+    inequality margins and their minima."""
 
     seg: Segment
     s: np.ndarray
@@ -616,6 +679,7 @@ class _Block(NamedTuple):
     m1: np.ndarray
     m2: np.ndarray
     m3: np.ndarray
+    mins: tuple  # (min m1, min m2, min m3); scale-free like the margins
 
 
 def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
@@ -660,19 +724,18 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
     columns = (s, *seg.scaled(f, fp, fpp, h, hp, hpp), m1, m2, m3)
     for column in columns:
         column.setflags(write=False)  # blocks are shared between profiles
-    return _Block(seg, *columns)
+    return _Block(seg, *columns, tuple(float(np.min(m)) for m in (m1, m2, m3)))
 
 
 def inequality_margins(w: WarpProfile, refine: int = 1) -> MarginReport:
     """Minima of the three differential inequalities over the profile."""
     mins = [math.inf, math.inf, math.inf]
     tail_min = math.inf
-    for seg, *_, m1, m2, m3 in w.blocks(refine):
-        lows = [float(np.min(m)) for m in (m1, m2, m3)]
-        if seg.label == "tail":
-            tail_min = min(tail_min, *lows)
+    for b in w.blocks(refine):
+        if b.seg.label == "tail":
+            tail_min = min(tail_min, *b.mins)
         else:
-            mins = [min(a, b) for a, b in zip(mins, lows)]
+            mins = [min(x, y) for x, y in zip(mins, b.mins)]
     return MarginReport(*mins, tail_min)
 
 
@@ -680,11 +743,11 @@ def _check_margins(w: WarpProfile, lo: float, hi: float, stage: str):
     for k, seg in enumerate(w.segments):
         if seg.s1 <= lo or seg.s0 >= hi:
             continue
-        _, s, *_, m1, m2, m3 = w.block(k)
-        keep = (s >= lo - 1e-12) & (s <= hi + 1e-12)
+        b = w.block(k)
+        keep = (b.s >= lo - 1e-12) & (b.s <= hi + 1e-12)
         if not keep.any():
             continue
-        worst = min(float(np.min(m[keep])) for m in (m1, m2, m3))
+        worst = min(float(np.min(m[keep])) for m in (b.m1, b.m2, b.m3))
         floor = TAIL_FLOOR if seg.label == "tail" else 0.0
         if worst <= floor:
             raise MarginLost(
@@ -736,7 +799,7 @@ class _BlendSweep(NamedTuple):
     stage_f: list
 
 
-def _integrate_blend(core, a, b, big_n, steps=512):
+def _integrate_blend(core, a, b, big_n, steps):
     """RK4 for f'' = (1-sig) c2 f^(-alpha-1) - sig f/N^2 on [a, b]."""
     c2, expo = core.c2, -core.alpha - 1.0
     nn = big_n * big_n
@@ -758,8 +821,8 @@ def _integrate_blend(core, a, b, big_n, steps=512):
         stage_f.append(f)
         return (1.0 - sig[i]) * c2 * f ** expo - sig[i] * f / nn
 
-    f0, fp0, _ = core.eval(np.array([a]))
-    fs, fps = _rk4(acc, float(f0[0]), float(fp0[0]), h, steps)
+    f0, fp0, _ = core.at(a)
+    fs, fps = _rk4(acc, f0, fp0, h, steps)
     return _BlendSweep(np.array(fs), np.array(fps), h, sig_grid, stage_f)
 
 
@@ -797,8 +860,7 @@ def _blend_jacobian(core, a, big_n, sweep):
     maps[:, 0], maps[:, 1], maps[:, 2, 2] = ys[1].T, yps[1].T, 1.0
     while len(maps) > 1:  # map k takes node k to node k + 1; 2^m steps
         maps = maps[1::2] @ maps[0::2]
-    _, fp_a, fpp_a = core.eval(np.array([a]))
-    d_a = maps[0, :2, :2] @ np.array([fp_a[0], fpp_a[0]])
+    d_a = maps[0, :2, :2] @ np.array(core.at(a)[1:])
     return np.column_stack((d_a, maps[0, :2, 2]))
 
 
@@ -815,9 +877,14 @@ def _cap_equations(core, a, big_n, slope_target, sweep):
     return (amp - big_n, pb - slope_target), ((gap_a, gap_n), (p_a, p_n))
 
 
-# Newton sweeps allowed per cap; with the sweep kept at the root a cap
-# runs at most one more blend integration.
+# Newton sweeps allowed per blend step count; the root's kept sweep and
+# its half-count comparison are two more integrations.
 _CAP_NEWTON_SWEEPS = 7
+# First blend step count.  Its estimates on n in {3, 4, 5, 6, 12} and
+# s0 in {0.3, 1.0} are 2e-16 to 9e-14, inside the tolerance, and the
+# margins it gives differ from a 512-step sweep's by at most 3e-11.
+_BLEND_START = 64
+_BLEND_MAX = 512  # step cap, the old fixed count; unmet there raises MarginLost
 
 
 def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
@@ -839,6 +906,13 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     No convergence within ``_CAP_NEWTON_SWEEPS`` sweeps, a singular or
     non-finite Jacobian, or an iterate whose core slope f'(a) leaves
     (lam, lam0) raises MarginLost.
+
+    The blend sweep's step count is sized by step doubling: Newton runs
+    at ``_BLEND_START`` steps, and at its root the kept sweep is compared
+    with the half-count sweep at the same (a, N) (``_richardson``).  An
+    estimate above ``_SWEEP_TOL`` doubles the count and Newton goes on
+    from that root; at ``_BLEND_MAX`` steps it raises MarginLost.
+    ``CapInfo`` keeps the count and the estimate.
     """
     p = w.params
     if w.cap is not None:
@@ -851,37 +925,50 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     s_stop = w.s_lambda
     core = w.core
     core.extend(s_stop + 4.0 * width + 4.0 * p.step)
-    f_at_stop = float(core.eval(np.array([s_stop]))[0][0])
+    f_at_stop = core.at(s_stop)[0]
     n0 = f_at_stop / math.sqrt(1.0 - lam * lam)
     slope_target = lam + math.sqrt(1.0 - lam * lam) * blend_w / n0
     if slope_target >= p.lam0 - 0.02 * (p.lam0 - p.lam):
         raise MarginLost("cap width too large for the gap between lam and lam0")
 
-    def sweep_at(a, big_n):
+    def sweep_at(a, big_n, steps):
         # The budget test first: a wild iterate must not extend the core.
         if 0.0 < a < p.s_budget and big_n > 0.0:
             core.extend(a + blend_w + 4.0 * p.step)
-            if lam < float(core.eval(np.array([a]))[1][0]) < p.lam0:
-                return _integrate_blend(core, a, a + blend_w, big_n)
+            if lam < core.at(a)[1] < p.lam0:
+                return _integrate_blend(core, a, a + blend_w, big_n, steps)
         raise MarginLost(f"cap Newton iterate a = {a:.6g} left the slope window")
 
-    a, big_n = core.find_slope(slope_target), n0
-    for _ in range(_CAP_NEWTON_SWEEPS):
-        sweep = sweep_at(a, big_n)
-        (g1, g2), ((j11, j12), (j21, j22)) = _cap_equations(
-            core, a, big_n, slope_target, sweep
-        )
-        det = j11 * j22 - j12 * j21
-        if not (math.isfinite(det) and det != 0.0):
-            raise MarginLost("cap Newton Jacobian is singular or not finite")
-        da = (j12 * g2 - j22 * g1) / det
-        dn = (j21 * g1 - j11 * g2) / det
-        a, big_n = a + da, big_n + dn
-        if abs(da) <= 1e-9 * a and abs(dn) <= 1e-9 * big_n:
+    a, big_n, steps = core.find_slope(slope_target), n0, _BLEND_START
+    while True:
+        for _ in range(_CAP_NEWTON_SWEEPS):
+            sweep = sweep_at(a, big_n, steps)
+            (g1, g2), ((j11, j12), (j21, j22)) = _cap_equations(
+                core, a, big_n, slope_target, sweep
+            )
+            det = j11 * j22 - j12 * j21
+            if not (math.isfinite(det) and det != 0.0):
+                raise MarginLost("cap Newton Jacobian is singular or not finite")
+            da = (j12 * g2 - j22 * g1) / det
+            dn = (j21 * g1 - j11 * g2) / det
+            a, big_n = a + da, big_n + dn
+            if abs(da) <= 1e-9 * a and abs(dn) <= 1e-9 * big_n:
+                break
+        else:
+            raise MarginLost(
+                f"cap Newton did not converge in {_CAP_NEWTON_SWEEPS} sweeps"
+            )
+        sweep = sweep_at(a, big_n, steps)
+        half = _integrate_blend(core, a, a + blend_w, big_n, steps // 2)
+        error = _richardson(sweep.fs[-1], sweep.fps[-1], half.fs[-1], half.fps[-1])
+        if error <= _SWEEP_TOL:
             break
-    else:
-        raise MarginLost(f"cap Newton did not converge in {_CAP_NEWTON_SWEEPS} sweeps")
-    sweep = sweep_at(a, big_n)
+        if steps >= _BLEND_MAX:
+            raise MarginLost(
+                f"cap blend: RK4 error estimate {error:.3e} above "
+                f"{_SWEEP_TOL:.0e} at {steps} steps"
+            )
+        steps *= 2
     b = a + blend_w
     fs, fps, hstep = sweep.fs, sweep.fps, sweep.h
     if fps[-1] <= lam:
@@ -912,8 +999,8 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
         Segment("cap", a, b, blend_f, hmod),
         Segment("cap", b, s_lam, sine_f, hmod),
     )
-    cap = CapInfo(big_n, s_prime, a, b)
-    out = replace(w, segments=segments, s_lambda=s_lam, cap=cap)
+    cap = CapInfo(big_n, s_prime, a, b, steps, float(error))
+    out = w.derive(segments=segments, s_lambda=s_lam, cap=cap)
     _check_margins(out, a, s_lam, "cap_sine")
     return out
 
@@ -950,7 +1037,6 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
 
     grid = np.linspace(t0, w.s_lambda, 4097)
     hstep = grid[1] - grid[0]
-    h0, hp0, _ = base.eval(np.array([t0]))
 
     def unit(s):
         # snap the endpoints so the boundary conditions are exact zeros
@@ -964,16 +1050,17 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
     def psi_d(s):
         return -smoothstep_d(unit(s)) / width
 
-    _, hp_nodes, hpp_nodes = base.eval(grid)
-    tilde_hp = psi(grid) * hp_nodes
-    tilde_h = h0[0] + _cumulative_trapezoid(tilde_hp, hstep)
+    h_nodes, hp_nodes, hpp_nodes = base.eval(grid)
+    psi_nodes = psi(grid)
+    tilde_hp = psi_nodes * hp_nodes
+    tilde_h = h_nodes[0] + _cumulative_trapezoid(tilde_hp, hstep)
     curve_h = _DenseCurve(t0, hstep, tilde_h, tilde_hp)
 
     def hpp_func(s):
         _, hp_s, hpp_s = base.eval(s)
         return psi(s) * hpp_s + psi_d(s) * hp_s
 
-    tilde_hpp = hpp_func(grid)
+    tilde_hpp = psi_nodes * hpp_nodes + psi_d(grid) * hp_nodes  # hpp_func(grid)
     curve_hp = _DenseCurve(t0, hstep, tilde_hp, tilde_hpp)
     tail_h = _Dense(curve_h, curve_hp, hpp_func)
 
@@ -986,7 +1073,7 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
         else:
             segments.append(replace(seg, s1=t0))
             segments.append(replace(seg, label="tail", s0=t0, hmod=tail_h))
-    out = replace(w, segments=tuple(segments), tail=TailInfo(t0, width))
+    out = w.derive(segments=tuple(segments), tail=TailInfo(t0, width))
     _check_margins(out, t0, w.s_lambda, "flatten_h_tail")
     return out
 
@@ -1016,7 +1103,7 @@ def _flatten_f(core, flat_end: float, rejoin: float, ramp: float):
     """
     grid = np.linspace(flat_end, rejoin, 16385)
     hstep = grid[1] - grid[0]
-    _, fp_nodes, fpp_nodes = core.eval(grid)
+    f_nodes, fp_nodes, fpp_nodes = core.eval(grid)
     up = smoothstep((grid - flat_end) / ramp)
     down = smoothstep((grid - (rejoin - ramp)) / ramp)
     base_i = _trapz(up * (1.0 - down) * fpp_nodes, hstep)
@@ -1033,20 +1120,16 @@ def _flatten_f(core, flat_end: float, rejoin: float, ramp: float):
     def fpp_func(s):
         return omega(s) * core.eval(s)[2]
 
-    fpp_vals = omega(grid) * fpp_nodes
+    fpp_vals = up * (plateau - (plateau - 1.0) * down) * fpp_nodes  # omega(grid)
     # Backward cumulative integration anchored at the core values.
     fp_vals = target - (_cumulative_trapezoid(fpp_vals[::-1], hstep)[::-1])
-    f_end = float(core.eval(np.array([rejoin]))[0][0])
-    f_vals = f_end - (_cumulative_trapezoid(fp_vals[::-1], hstep)[::-1])
+    f_vals = f_nodes[-1] - (_cumulative_trapezoid(fp_vals[::-1], hstep)[::-1])
     fp_vals[0] = 0.0  # the residual here is quadrature roundoff
     curve_f = _DenseCurve(flat_end, hstep, f_vals, fp_vals)
     curve_fp = _DenseCurve(flat_end, hstep, fp_vals, fpp_vals)
     return _Dense(curve_f, curve_fp, fpp_func), float(f_vals[0]), plateau
 
 
-# Relative RK4 error allowed in the bridge's end data (h, h') at x0; the
-# splice radius h/sqrt(1 - h'^2) amplifies it where h' is near 1 (r near 1).
-_BRIDGE_TOL = 1e-11
 # First bridge step count; it meets the tolerance for r near 1, and the
 # estimate, which depends on r alone, takes one more doubling below r = 0.5.
 _BRIDGE_START = 128
@@ -1094,12 +1177,11 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
     seam exactly (the sine parameters are re-solved there).
 
     The step count is sized by step doubling from ``_BRIDGE_START``: the
-    RK4 error of (h, h') at x0 is about the relative change from the
-    half-count sweep over 15 (Richardson; Hairer, Norsett and Wanner,
-    Solving ODEs I, II.4).  The first half-count sweep reads every other
+    RK4 error of (h, h') at x0 is estimated from the half-count sweep
+    (``_richardson``).  The first half-count sweep reads every other
     entry of the same coefficients, and each later one is the previous
     level's sweep; each level evaluates the core once, on its half-step
-    grid.  An estimate above ``_BRIDGE_TOL`` at ``_BRIDGE_MAX`` steps
+    grid.  An estimate above ``_SWEEP_TOL`` at ``_BRIDGE_MAX`` steps
     raises MarginLost.
 
     Returns the dense bridge model, (value, slope) at x0, the step count
@@ -1123,16 +1205,13 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
             h1, hp1 = float(r * h1[0]), float(r * hp1[0])
             coarse = _bridge_sweep(a[::2], b[::2], h1, hp1, 2.0 * hstep)
         hs, hps = _bridge_sweep(a, b, h1, hp1, hstep)
-        error = max(
-            abs(hs[-1] - coarse[0][-1]) / abs(hs[-1]),
-            abs(hps[-1] - coarse[1][-1]) / abs(hps[-1]),
-        ) / 15.0
-        if error <= _BRIDGE_TOL:
+        error = _richardson(hs[-1], hps[-1], coarse[0][-1], coarse[1][-1])
+        if error <= _SWEEP_TOL:
             break
         if steps >= _BRIDGE_MAX:
             raise MarginLost(
                 f"origin bridge: RK4 error estimate {error:.3e} above "
-                f"{_BRIDGE_TOL:.0e} at {steps} steps"
+                f"{_SWEEP_TOL:.0e} at {steps} steps"
             )
         coarse = hs, hps
         steps *= 2
@@ -1160,7 +1239,7 @@ def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
         segments = (Segment("flat", flat_end, eps, blend_f, _CoreH(w.core)),) + tuple(
             replace(seg, s0=max(seg.s0, eps)) for seg in w.segments if seg.s1 > eps
         )
-        outer = replace(w, segments=segments, s_left=flat_end)
+        outer = w.derive(segments=segments, s_left=flat_end)
         cached = w._memo["outer"] = (eps, outer, flat_value, plateau)
     return cached[1:]
 
@@ -1195,8 +1274,8 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     # Nominal sine through the unsmoothed r*h at the splice point; the
     # bridge below re-solves the exact parameters at the same point.
     core_h = _CoreH(core)
-    h_sp, hp_sp, _ = core_h.eval(np.array([splice_point]))
-    radius_hat, _ = _solve_splice(float(h_sp[0]), float(hp_sp[0]), r)
+    h_sp, hp_sp, _ = core_h.from_core(*core.at(splice_point)[:2])
+    radius_hat, _ = _solve_splice(float(h_sp), float(hp_sp), r)
     w_k = min(0.2 * (flat_end - splice_point), 0.5 * radius_hat)
     x0, x1 = splice_point, splice_point + 2.0 * w_k
 

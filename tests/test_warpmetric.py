@@ -231,8 +231,11 @@ def golden_caps():
 
 
 def _cap_sweep(capped):
+    # The sweep the cap kept, at the step count it was sized to.
     cap = capped.cap
-    return wm._integrate_blend(capped.core, cap.blend_start, cap.blend_end, cap.big_n)
+    return wm._integrate_blend(
+        capped.core, cap.blend_start, cap.blend_end, cap.big_n, cap.blend_steps
+    )
 
 
 def test_cap_big_n_matches_goldens(golden_caps):
@@ -271,7 +274,8 @@ def test_cap_equations_at_rounding_level(golden_caps):
 
 def test_cap_blend_integration_budget(golden_caps):
     # Newton on (a, N) takes 3 sweeps on this grid, plus the sweep the
-    # cap keeps; the fixed point on a with a secant solve for N ran 29-44.
+    # cap keeps and its half-count comparison; the fixed point on a with
+    # a secant solve for N ran 29-44.
     # Each Jacobian comes from the stages of a counted sweep.
     for key, (*_, calls) in golden_caps.items():
         sweeps = calls["_integrate_blend"]
@@ -290,11 +294,14 @@ def test_blend_jacobian_matches_finite_differences(golden_caps, key):
     core, cap = capped.core, capped.cap
     a, big_n, width = cap.blend_start, cap.big_n, cap.blend_end - cap.blend_start
 
-    def end(a, big_n):
-        sweep = wm._integrate_blend(core, a, a + width, big_n)
-        return np.array([sweep.fs[-1], sweep.fps[-1]])
+    def sweep(a, big_n):
+        return wm._integrate_blend(core, a, a + width, big_n, cap.blend_steps)
 
-    jac = wm._blend_jacobian(core, a, big_n, wm._integrate_blend(core, a, a + width, big_n))
+    def end(a, big_n):
+        swept = sweep(a, big_n)
+        return np.array([swept.fs[-1], swept.fps[-1]])
+
+    jac = wm._blend_jacobian(core, a, big_n, sweep(a, big_n))
     da, q = 1e-4, big_n**-2
     d_a = (end(a + da, big_n) - end(a - da, big_n)) / (2.0 * da)
     d_q = (end(a, (1.3 * q) ** -0.5) - end(a, (0.7 * q) ** -0.5)) / (0.6 * q)
@@ -326,6 +333,42 @@ def test_cap_newton_fails_closed(monkeypatch, name, patch, message):
     assert info.value.stage == "cap_sine"
     assert isinstance(info.value.cause, MarginLost)
     assert message in str(info.value.cause)
+
+
+def test_cap_sweep_sized_by_its_error(golden_caps):
+    # The first count meets the tolerance on the golden grid, and the kept
+    # estimate is the Richardson one from the half-count sweep.  At half
+    # the kept count, where the RK4 error is above rounding, the estimate
+    # is within a factor 2 of the end data's distance from a 512-step
+    # sweep (0.76-1.37 measured).
+    for key, (capped, *_) in golden_caps.items():
+        cap = capped.cap
+        assert cap.blend_steps == wm._BLEND_START == 64, key
+        assert 0.0 <= cap.blend_error <= wm._SWEEP_TOL, key
+
+        def sweep(steps):
+            return wm._integrate_blend(
+                capped.core, cap.blend_start, cap.blend_end, cap.big_n, steps
+            )
+
+        kept, half, quarter, fine = sweep(64), sweep(32), sweep(16), sweep(512)
+        assert cap.blend_error == wm._richardson(
+            kept.fs[-1], kept.fps[-1], half.fs[-1], half.fps[-1]), key
+        estimate = wm._richardson(half.fs[-1], half.fps[-1], quarter.fs[-1], quarter.fps[-1])
+        error = max(abs(half.fs[-1] - fine.fs[-1]) / abs(fine.fs[-1]),
+                    abs(half.fps[-1] - fine.fps[-1]) / abs(fine.fps[-1]))
+        assert 0.5 <= estimate / error <= 2.0, key
+
+
+def test_cap_sweep_fails_closed_at_step_cap(monkeypatch):
+    # No estimate meets a zero tolerance, so the blend gives up at the cap.
+    monkeypatch.setattr(wm, "_SWEEP_TOL", 0.0)
+    with pytest.raises(StageError) as info:
+        wm.build_neck(build())
+    assert info.value.stage == "cap_sine"
+    assert isinstance(info.value.cause, MarginLost)
+    assert "cap blend: RK4 error estimate" in str(info.value.cause)
+    assert f"at {wm._BLEND_MAX} steps" in str(info.value.cause)
 
 
 def test_find_slope_hits_target():
@@ -529,14 +572,18 @@ def test_kink_bridge_sized_by_its_error(neck_41):
     tailed, eps = neck_41
     for r in (1.0, 0.5, 0.013, 1e-4):
         o = wm.smooth_origin(tailed, r, eps).origin
-        assert 0.0 <= o.bridge_error <= wm._BRIDGE_TOL, r
+        assert 0.0 <= o.bridge_error <= wm._SWEEP_TOL, r
         assert wm._BRIDGE_START <= o.bridge_steps <= 256, r
 
 
 def test_kink_bridge_fails_closed_at_step_cap(monkeypatch):
     # No estimate meets a zero tolerance, so the bridge gives up at the cap.
-    monkeypatch.setattr(wm, "_BRIDGE_TOL", 0.0)
-    tailed, eps = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
+    # The cap blend shares the tolerance, so the neck is built before it
+    # drops, and certify gets that neck.
+    neck = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
+    monkeypatch.setattr(wm, "_SWEEP_TOL", 0.0)
+    monkeypatch.setattr(wm, "build_neck", lambda params: neck)
+    tailed, eps = neck
     with pytest.raises(MarginLost, match=f"origin bridge.* at {wm._BRIDGE_MAX} steps"):
         wm.smooth_origin(tailed, 0.5, eps)
     with pytest.raises(StageError) as info:
@@ -544,6 +591,49 @@ def test_kink_bridge_fails_closed_at_step_cap(monkeypatch):
     assert info.value.stage in ("smooth_origin", "search_r")
     assert isinstance(info.value.cause, MarginLost)
     assert "origin bridge" in str(info.value.cause)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_dense_curve_float_path_matches_array_path(neck_41):
+    # The float lookup gives the array path's bits (zero signs included):
+    # random points, exact node hits on a dyadic grid, points within the
+    # 1e-9 snap of a node, and points outside the grid, which clamp.
+    rng = np.random.default_rng(11)
+    synthetic = wm._DenseCurve(0.25, 0.125, rng.normal(size=65), rng.normal(size=65))
+    core = neck_41[0].core
+    _, _, fcurve, fpcurve = core._curves()
+    for curve in (synthetic, fcurve, fpcurve):
+        nodes = curve.s0 + curve.step * np.arange(len(curve.values))
+        end = nodes[-1]
+        near = nodes + curve.step * rng.uniform(-9e-10, 9e-10, len(nodes))
+        outside = [curve.s0 - 1.0, curve.s0 - 1e-12, -0.0, end + 1e-12, end + 3.0]
+        s = np.concatenate((rng.uniform(curve.s0, end, 2000), nodes, near, outside))
+        assert _same_bits([curve.at(float(x)) for x in s], curve(s))
+        with pytest.raises(ValueError):
+            curve.at(math.nan)
+    for x in rng.uniform(0.0, core.s_end, 200):
+        assert core.at(float(x)) == tuple(float(c[0]) for c in core.eval(np.array([x])))
+
+
+def test_certify_samples_each_block_once(monkeypatch):
+    # A stage keeps the blocks of the segments it leaves alone, so one
+    # certify samples no (segment, grid) pair twice.
+    sampled = []
+    real = wm._sample_block
+
+    def recording(n, seg, s):
+        sampled.append((seg, s))
+        return real(n, seg, s)
+
+    monkeypatch.setattr(wm, "_sample_block", recording)
+    rc.certify(4, 1.0, ric_min_base=2.0)
+    for i, (seg, s) in enumerate(sampled):
+        for other, t in sampled[:i]:
+            assert not (seg == other and np.array_equal(s, t)), (seg.label, seg.s0, seg.s1)
 
 
 # -- what smooth_origin keeps on the neck ------------------------------------------
