@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 
@@ -250,10 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -268,11 +274,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TwistbenchError as exc:
-        cause = getattr(exc, "cause", None)
-        if isinstance(cause, Unsupported):
+        # The cause's class, not the cause: a local holding the cause would
+        # tie this frame into a cycle through its traceback, and the neck in
+        # the failed stage's frames would wait for the cycle collector.
+        kind = type(getattr(exc, "cause", None))
+        if issubclass(kind, Unsupported):
             print(f"unsupported: {exc}", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        if isinstance(cause, ComputedFailure):
+        if issubclass(kind, ComputedFailure):
             print(f"failed: {exc}", file=sys.stderr)
             return EXIT_FAIL
         print(f"error: {exc}", file=sys.stderr)

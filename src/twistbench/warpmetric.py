@@ -165,31 +165,38 @@ class WarpParams:
 # ---------------------------------------------------------------------------
 
 class _DenseCurve:
-    """Cubic Hermite interpolant on a uniform grid of (value, slope) nodes."""
+    """Cubic Hermite interpolants of k rows of (value, slope) nodes on one
+    uniform grid, kept as given, so rows may share arrays.  A call forms
+    the four Hermite weights once; each row is w0 y0 + w1 d0 + w2 y1 +
+    w3 d1, with the slopes d in t units."""
 
     def __init__(self, s0: float, step: float, values, slopes):
         self.s0 = float(s0)
         self.step = float(step)
-        self.values = np.asarray(values, dtype=float)
-        self.slopes = np.asarray(slopes, dtype=float)
+        self.values = tuple(np.asarray(v, dtype=float) for v in values)
+        self.slopes = tuple(np.asarray(d, dtype=float) for d in slopes)
 
-    def __call__(self, s):
+    def __call__(self, s, rows=None):
+        """The first ``rows`` rows (all by default) at s, one array each."""
         s = np.asarray(s, dtype=float)
-        last = len(self.values) - 1
+        last = len(self.values[0]) - 1
         x = np.minimum(np.maximum((s - self.s0) / self.step, 0.0), float(last))
         k = np.minimum(x.astype(int), last - 1)  # x >= 0, so astype floors
         t = np.asarray(x - k)
         # snap to nodes so junction evaluations are exact
         t[np.abs(t) < 1e-9] = 0.0
         t[np.abs(t - 1.0) < 1e-9] = 1.0
-        y0, y1 = self.values[k], self.values[k + 1]
-        d0, d1 = self.slopes[k] * self.step, self.slopes[k + 1] * self.step
-        return _hermite(t, y0, d0, y1, d1)
+        w0, w1, w2, w3 = _hermite_weights(t)
+        k1, h = k + 1, self.step
+        return [
+            w0 * y[k] + w1 * (d[k] * h) + w2 * y[k1] + w3 * (d[k1] * h)
+            for y, d in zip(self.values[:rows], self.slopes[:rows])
+        ]
 
-    def at(self, s: float) -> float:
-        """``self(s)`` at one float location, bit for bit, without the
-        array dispatch; a NaN location raises ValueError."""
-        last = len(self.values) - 1
+    def at(self, s: float) -> list:
+        """Every row of ``self(s)`` at one float location, bit for bit,
+        without the array dispatch; a NaN location raises ValueError."""
+        last = len(self.values[0]) - 1
         x = (s - self.s0) / self.step
         if x < 0.0:
             x = 0.0
@@ -201,20 +208,19 @@ class _DenseCurve:
             t = 0.0
         if abs(t - 1.0) < 1e-9:
             t = 1.0
-        y0, y1 = float(self.values[k]), float(self.values[k + 1])
-        d0, d1 = float(self.slopes[k]) * self.step, float(self.slopes[k + 1]) * self.step
-        return _hermite(t, y0, d0, y1, d1)
+        (w0, w1, w2, w3), h = _hermite_weights(t), self.step
+        return [
+            w0 * float(y[k]) + w1 * (float(d[k]) * h)
+            + w2 * float(y[k + 1]) + w3 * (float(d[k + 1]) * h)
+            for y, d in zip(self.values, self.slopes)
+        ]
 
 
-def _hermite(t, y0, d0, y1, d1):
-    """Cubic Hermite piece at parameter t in [0, 1], slopes in t units."""
+def _hermite_weights(t):
+    """Weights of (y0, d0, y1, d1) in the cubic Hermite piece at parameter
+    t in [0, 1], slopes in t units."""
     t2, t3 = t * t, t * t * t
-    return (
-        (1 - 3 * t2 + 2 * t3) * y0
-        + (t - 2 * t2 + t3) * d0
-        + (3 * t2 - 2 * t3) * y1
-        + (t3 - t2) * d1
-    )
+    return 1 - 3 * t2 + 2 * t3, t - 2 * t2 + t3, 3 * t2 - 2 * t3, t3 - t2
 
 
 def _cumulative_trapezoid(y, step):
@@ -284,7 +290,7 @@ class _CoreSolution:
         self.c2 = 0.5 * alpha * lam0 * lam0
         self._f = [1.0]
         self._fp = [0.0]
-        self._arrays = None
+        self._curve = None
 
     def fpp_of(self, f):
         return self.c2 * np.power(f, -self.alpha - 1.0)
@@ -306,16 +312,14 @@ class _CoreSolution:
         )
         self._f += fs[1:]
         self._fp += fps[1:]
-        self._arrays = None
+        self._curve = None
 
-    def _curves(self):
-        if self._arrays is None:
-            f = np.array(self._f)
-            fp = np.array(self._fp)
-            fcurve = _DenseCurve(0.0, self.step, f, fp)
-            fpcurve = _DenseCurve(0.0, self.step, fp, self.fpp_of(f))
-            self._arrays = (f, fp, fcurve, fpcurve)
-        return self._arrays
+    def curve(self) -> _DenseCurve:
+        """The nodes as one two-row curve: rows f and f', slopes f' and f''."""
+        if self._curve is None:
+            f, fp = np.array(self._f), np.array(self._fp)
+            self._curve = _DenseCurve(0.0, self.step, (f, fp), (fp, self.fpp_of(f)))
+        return self._curve
 
     def eval(self, s):
         """(f, f', f'') at the given locations."""
@@ -324,17 +328,19 @@ class _CoreSolution:
 
     def f_fp(self, s):
         """(f, f') at the given locations."""
-        _, _, fcurve, fpcurve = self._curves()
-        return fcurve(s), fpcurve(s)
+        return self.curve()(s)
+
+    def fpp(self, s):
+        """f'' at the given locations, from the f row alone."""
+        return self.fpp_of(self.curve()(s, 1)[0])
 
     def at(self, s: float):
         """(f, f', f'') at one location as floats, the bits of ``eval``."""
-        _, _, fcurve, fpcurve = self._curves()
-        f = fcurve.at(s)
-        return f, fpcurve.at(s), float(self.fpp_of(f))
+        f, fp = self.curve().at(s)
+        return f, fp, float(self.fpp_of(f))
 
     def first_integral_residual(self, s_hi: float) -> float:
-        f, fp, _, _ = self._curves()
+        f, fp = self.curve().values
         k = int(math.floor(s_hi / self.step)) + 1
         f, fp = f[:k], fp[:k]
         res = fp * fp - self.lam0**2 * (1.0 - np.power(f, -self.alpha))
@@ -356,14 +362,14 @@ class _CoreSolution:
                     "check lam against lam0"
                 )
             self.extend(min(self.s_end + 200 * self.step, self.budget))
-        _, fp, _, fpcurve = self._curves()
+        fp, fpp = self.curve().slopes
         idx = int(np.searchsorted(fp, target))
         if idx <= 0:
             return 0.0
         k = idx - 1
         y0, y1 = float(fp[k]), float(fp[idx])
-        d0 = float(fpcurve.slopes[k]) * self.step
-        d1 = float(fpcurve.slopes[idx]) * self.step
+        d0 = float(fpp[k]) * self.step
+        d1 = float(fpp[idx]) * self.step
         # Power form of the Hermite piece minus the target.
         c0 = y0 - target
         c2 = 3.0 * (y1 - y0) - 2.0 * d0 - d1
@@ -417,16 +423,17 @@ class _Sine:
 
 
 class _Dense:
-    """A sampled curve with its sampled derivative and an analytic second
-    derivative (the cap blend, the f-flattening, the h tail and bridge)."""
+    """A sampled curve (the cap blend, the f-flattening, the h tail and
+    bridge): one ``_DenseCurve`` with rows y and y', and y'' either its
+    third row (``d2`` None) or the function d2(s, y)."""
 
-    def __init__(self, curve, curve_d, d2_func):
+    def __init__(self, curve, d2=None):
         self.curve = curve
-        self.curve_d = curve_d
-        self.d2_func = d2_func
+        self.d2 = d2
 
     def eval(self, s):
-        return self.curve(s), self.curve_d(s), self.d2_func(s)
+        y, yp, *y2 = self.curve(s)
+        return y, yp, y2[0] if self.d2 is None else self.d2(s, y)
 
 
 class _CoreH:
@@ -614,7 +621,7 @@ class WarpProfile:
         lo = self.origin.rejoin if self.origin else self.s_left
         hi = self.cap.blend_start if self.cap else self.s_lambda
         s = np.linspace(lo, hi, 2049)
-        f, fp, _ = self.core.eval(s)
+        f, fp = self.core.f_fp(s)
         res = fp * fp - self.params.lam0**2 * (1.0 - np.power(f, -self.params.alpha))
         return float(np.max(np.abs(res)))
 
@@ -691,9 +698,10 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
     MarginLost, since ``min`` and ``<=`` would silently skip a NaN.
     """
     fmod, hmod = seg.fmod, seg.hmod
-    f, fp, fpp = fmod.eval(s)
+    pure_core = isinstance(hmod, _CoreH) and fmod is hmod.core
     if isinstance(hmod, _CoreH):
-        # One core evaluation for the h columns and the closed form h''/h.
+        # One core evaluation for the h columns, the closed form h''/h
+        # and, on pure-core segments, the f columns.
         core_f, core_fp = hmod.core.f_fp(s)
         h, hp, hpp = hmod.from_core(core_f, core_fp)
         roh = hmod.hpp_over_h(core_f)
@@ -703,13 +711,14 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
             roh = np.full_like(s, -1.0 / hmod.amp**2)
         else:
             roh = hpp / h
+    f, fp, fpp = (core_f, core_fp, fmod.fpp_of(core_f)) if pure_core else fmod.eval(s)
     if isinstance(fmod, _FlatF):
         # f' = f'' = 0: the inequalities collapse to -h''/h and (n-2)/f^2.
         m1 = -roh
         m2 = (n - 2) / (f * f)
         m3 = -roh
     else:
-        if isinstance(fmod, _CoreSolution) and isinstance(hmod, _CoreH):
+        if pure_core:
             cross = hmod.fp_hp_over_f_h(f)
         else:
             cross = fp * (hp / h) / f
@@ -988,10 +997,8 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
             big_n * big_n
         )
 
-    fcurve = _DenseCurve(a, hstep, fs, fps)
     fpps = blend_rhs(a + hstep * np.arange(len(fs)), fs)
-    fpcurve = _DenseCurve(a, hstep, fps, fpps)
-    blend_f = _Dense(fcurve, fpcurve, lambda s: blend_rhs(s, fcurve(s)))
+    blend_f = _Dense(_DenseCurve(a, hstep, (fs, fps), (fps, fpps)), blend_rhs)
     sine_f = _Sine(big_n, s_prime)
     hmod = w.segments[0].hmod
     segments = (
@@ -1054,15 +1061,14 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
     psi_nodes = psi(grid)
     tilde_hp = psi_nodes * hp_nodes
     tilde_h = h_nodes[0] + _cumulative_trapezoid(tilde_hp, hstep)
-    curve_h = _DenseCurve(t0, hstep, tilde_h, tilde_hp)
 
-    def hpp_func(s):
+    def hpp_func(s, _h):
         _, hp_s, hpp_s = base.eval(s)
         return psi(s) * hpp_s + psi_d(s) * hp_s
 
-    tilde_hpp = psi_nodes * hpp_nodes + psi_d(grid) * hp_nodes  # hpp_func(grid)
-    curve_hp = _DenseCurve(t0, hstep, tilde_hp, tilde_hpp)
-    tail_h = _Dense(curve_h, curve_hp, hpp_func)
+    tilde_hpp = psi_nodes * hpp_nodes + psi_d(grid) * hp_nodes  # hpp_func(grid, _)
+    curve = _DenseCurve(t0, hstep, (tilde_h, tilde_hp), (tilde_hp, tilde_hpp))
+    tail_h = _Dense(curve, hpp_func)
 
     segments = []
     for seg in w.segments:
@@ -1099,16 +1105,21 @@ def _flatten_f(core, flat_end: float, rejoin: float, ramp: float):
     omega rises from 0 at ``flat_end`` to a plateau P and descends to 1
     at ``rejoin``; P is solved linearly so the lost slope of the flat
     zone is recovered exactly, then f is rebuilt by integrating backward
-    from the core values at ``rejoin``.
+    from the core values at ``rejoin``.  The grid reads the core's f row
+    alone (for f''); f and f' at ``rejoin`` are float lookups.
     """
     grid = np.linspace(flat_end, rejoin, 16385)
     hstep = grid[1] - grid[0]
-    f_nodes, fp_nodes, fpp_nodes = core.eval(grid)
-    up = smoothstep((grid - flat_end) / ramp)
-    down = smoothstep((grid - (rejoin - ramp)) / ramp)
+    fpp_nodes = core.fpp(grid)
+    f_end, target, _ = core.at(rejoin)
+    # Outside their ramps (about 131 cells each) the smoothsteps are
+    # exactly 1 (up) and 0 (down); m cells cover a ramp and one cell more.
+    m = int(ramp / hstep) + 2
+    up, down = np.ones_like(grid), np.zeros_like(grid)
+    up[:m] = smoothstep((grid[:m] - flat_end) / ramp)
+    down[-m:] = smoothstep((grid[-m:] - (rejoin - ramp)) / ramp)
     base_i = _trapz(up * (1.0 - down) * fpp_nodes, hstep)
     rest_i = _trapz(up * down * fpp_nodes, hstep)
-    target = float(fp_nodes[-1])
     plateau = (target - rest_i) / base_i
 
     def omega(s):
@@ -1117,17 +1128,16 @@ def _flatten_f(core, flat_end: float, rejoin: float, ramp: float):
         d = smoothstep((s - (rejoin - ramp)) / ramp)
         return u * (plateau - (plateau - 1.0) * d)
 
-    def fpp_func(s):
-        return omega(s) * core.eval(s)[2]
+    def fpp_func(s, _f):
+        return omega(s) * core.fpp(s)
 
     fpp_vals = up * (plateau - (plateau - 1.0) * down) * fpp_nodes  # omega(grid)
     # Backward cumulative integration anchored at the core values.
     fp_vals = target - (_cumulative_trapezoid(fpp_vals[::-1], hstep)[::-1])
-    f_vals = f_nodes[-1] - (_cumulative_trapezoid(fp_vals[::-1], hstep)[::-1])
+    f_vals = f_end - (_cumulative_trapezoid(fp_vals[::-1], hstep)[::-1])
     fp_vals[0] = 0.0  # the residual here is quadrature roundoff
-    curve_f = _DenseCurve(flat_end, hstep, f_vals, fp_vals)
-    curve_fp = _DenseCurve(flat_end, hstep, fp_vals, fpp_vals)
-    return _Dense(curve_f, curve_fp, fpp_func), float(f_vals[0]), plateau
+    curve = _DenseCurve(flat_end, hstep, (f_vals, fp_vals), (fp_vals, fpp_vals))
+    return _Dense(curve, fpp_func), float(f_vals[0]), plateau
 
 
 # First bridge step count; it meets the tolerance for r near 1, and the
@@ -1218,11 +1228,9 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
     h_vals = np.array(hs[::-1])
     hp_vals = np.array(hps[::-1])
     hpp_vals = -(1.0 - sig_fine[::2]) * h_vals * inv_r2 + sig_fine[::2] * gr_fine[::2]
-    curve_h = _DenseCurve(x0, hstep, h_vals, hp_vals)
-    curve_hp = _DenseCurve(x0, hstep, hp_vals, hpp_vals)
-    hpp_curve = _DenseCurve(x0, hstep, hpp_vals, np.gradient(hpp_vals, hstep))
-    model = _Dense(curve_h, curve_hp, hpp_curve)
-    return model, float(h_vals[0]), float(hp_vals[0]), steps, error
+    rows = (h_vals, hp_vals, hpp_vals, np.gradient(hpp_vals, hstep))
+    curve = _DenseCurve(x0, hstep, rows[:3], rows[1:])
+    return _Dense(curve), float(h_vals[0]), float(hp_vals[0]), steps, error
 
 
 def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):

@@ -1,6 +1,8 @@
+import gc
 import json
+import weakref
 
-from twistbench import cli
+from twistbench import cli, warpmetric
 
 
 def run(capsys, *argv):
@@ -162,3 +164,66 @@ def test_stdin_expression(capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert payload["pi1"] == "Z/3"
+
+
+def test_parser_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_path):
+    # main builds its parser once per process.  A call must answer as a
+    # fresh parser would after any earlier call: a flag, a usage error or
+    # an --out path of one call does not reach the next.
+    out_path = tmp_path / "report.json"
+    calls = [
+        ("homology", "--decompose", "susp(0,S(3))"),
+        ("homology", "susp(0,S(3))"),
+        ("homology",),
+        ("homology", "lens(3,5)", "--out", str(out_path)),
+        ("homology", "lens(3,5)"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    written = out_path.read_text()
+    out_path.unlink()
+
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    kept = [run(capsys, *argv) for argv in calls]
+    assert len(builds) == 1
+    assert kept == fresh
+    decomposed, plain, usage, to_file, to_stdout = kept
+    assert json.loads(decomposed[1])["expression"] == "S(4)"
+    assert json.loads(plain[1])["expression"] != "S(4)"
+    assert usage[0] == 2 and not usage[1]
+    assert to_file == (0, "", "") and out_path.read_text() == written
+    assert to_stdout[0] == 0 and to_stdout[1] == written
+
+
+def test_failed_certify_frees_its_neck_without_the_cycle_collector(
+    capsys, monkeypatch, tmp_path
+):
+    # The failed stage's frames hold the neck.  main keeps no reference
+    # that ties those frames into a cycle, so the neck is freed when main
+    # returns instead of waiting, with its dense grids, for the collector.
+    necks = []
+    real = warpmetric.build_neck
+
+    def recording(params):
+        neck = real(params)
+        necks.append(weakref.ref(neck[0]))
+        return neck
+
+    monkeypatch.setattr(warpmetric, "build_neck", recording)
+    cfg = tmp_path / "certify.ini"
+    for s0, stage in ((0.25, "search_r"), (0.2, "smooth_origin")):
+        cfg.write_text(f"[certify]\nn = 3\ns0 = {s0}\nric_min_base = 2.0\n")
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, err = run(capsys, "certify", str(cfg))
+            alive = necks[-1]() is not None
+        finally:
+            gc.enable()
+        assert code == 1 and f"stage '{stage}'" in err
+        assert not alive, s0

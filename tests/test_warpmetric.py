@@ -526,8 +526,8 @@ def test_kink_bridge_self_consistent(neck_41):
         w = wm.smooth_origin(tailed, r, eps)
         kink = w.segments[1]
         assert kink.s0 == w.origin.splice_point
-        curve = kink.hmod.curve_d
-        hp, hpp = curve.values, curve.slopes
+        curve = kink.hmod.curve
+        hp, hpp = curve.values[1], curve.slopes[1]
         centred = (8.0 * (hp[3:-1] - hp[1:-3]) - (hp[4:] - hp[:-4])) / (12.0 * curve.step)
         err = np.max(np.abs(centred - hpp[2:-2]))
         assert err <= 1e-6 * np.max(np.abs(hpp)), (r, err)
@@ -546,7 +546,7 @@ def test_kink_bridge_matches_rk4_sweep(neck_41):
         h_sp, hp_sp, _ = core_h.eval(np.array([x0]))
         radius_hat, _ = wm._solve_splice(float(h_sp[0]), float(hp_sp[0]), r)
         model, h_x0, hp_x0, steps, _ = wm._smooth_kink(core_h, r, radius_hat, x0, x1)
-        h_vals, hp_vals = model.curve.values, model.curve_d.values
+        h_vals, hp_vals = model.curve.values[:2]
         assert steps == o.bridge_steps == len(h_vals) - 1
 
         fine = np.linspace(x0, x1, 2 * steps + 1)
@@ -603,20 +603,132 @@ def test_dense_curve_float_path_matches_array_path(neck_41):
     # random points, exact node hits on a dyadic grid, points within the
     # 1e-9 snap of a node, and points outside the grid, which clamp.
     rng = np.random.default_rng(11)
-    synthetic = wm._DenseCurve(0.25, 0.125, rng.normal(size=65), rng.normal(size=65))
+    synthetic = wm._DenseCurve(0.25, 0.125, [rng.normal(size=65)], [rng.normal(size=65)])
     core = neck_41[0].core
-    _, _, fcurve, fpcurve = core._curves()
-    for curve in (synthetic, fcurve, fpcurve):
-        nodes = curve.s0 + curve.step * np.arange(len(curve.values))
+    for curve in (synthetic, core.curve()):
+        nodes = curve.s0 + curve.step * np.arange(len(curve.values[0]))
         end = nodes[-1]
         near = nodes + curve.step * rng.uniform(-9e-10, 9e-10, len(nodes))
         outside = [curve.s0 - 1.0, curve.s0 - 1e-12, -0.0, end + 1e-12, end + 3.0]
         s = np.concatenate((rng.uniform(curve.s0, end, 2000), nodes, near, outside))
-        assert _same_bits([curve.at(float(x)) for x in s], curve(s))
+        assert _same_bits([curve.at(float(x)) for x in s], np.transpose(curve(s)))
         with pytest.raises(ValueError):
             curve.at(math.nan)
     for x in rng.uniform(0.0, core.s_end, 200):
         assert core.at(float(x)) == tuple(float(c[0]) for c in core.eval(np.array([x])))
+
+
+def _hermite_one_row(curve, s):
+    # A one-row curve's evaluation as one formula: clamp, floor, snap to
+    # nodes, then the Hermite sum in its fixed order.
+    values, slopes = curve.values[0], curve.slopes[0]
+    last = len(values) - 1
+    x = np.minimum(np.maximum((s - curve.s0) / curve.step, 0.0), float(last))
+    k = np.minimum(x.astype(int), last - 1)
+    t = x - k
+    t[np.abs(t) < 1e-9] = 0.0
+    t[np.abs(t - 1.0) < 1e-9] = 1.0
+    t2, t3 = t * t, t * t * t
+    return (
+        (1 - 3 * t2 + 2 * t3) * values[k]
+        + (t - 2 * t2 + t3) * (slopes[k] * curve.step)
+        + (3 * t2 - 2 * t3) * values[k + 1]
+        + (t3 - t2) * (slopes[k + 1] * curve.step)
+    )
+
+
+def test_dense_curve_rows_match_one_row_curves():
+    # A k-row curve forms the Hermite weights once for all its rows; each
+    # row keeps the bits of a one-row curve of that row (zero signs
+    # included), on the array path, with ``rows``, and on the float path.
+    rng = np.random.default_rng(12)
+    values, slopes = rng.normal(size=(3, 65)), rng.normal(size=(3, 65))
+    values[1, 7:9] = slopes[2, 20:22] = 0.0
+    multi = wm._DenseCurve(0.25, 0.125, values, slopes)
+    singles = [wm._DenseCurve(0.25, 0.125, [v], [d]) for v, d in zip(values, slopes)]
+    nodes = 0.25 + 0.125 * np.arange(65)
+    near = nodes + 0.125 * rng.uniform(-9e-10, 9e-10, len(nodes))
+    outside = [0.25 - 1.0, 0.25 - 1e-12, -0.0, nodes[-1] + 1e-12, nodes[-1] + 3.0]
+    s = np.concatenate((rng.uniform(0.25, nodes[-1], 2000), nodes, near, outside))
+    for rows in (None, 1, 2):
+        got = multi(s, rows)
+        assert len(got) == (rows or 3)
+        for row, single in zip(got, singles):
+            (want,) = single(s)
+            assert _same_bits(row, want)
+            assert _same_bits(want, _hermite_one_row(single, s))
+    for x in s:
+        assert _same_bits(multi.at(float(x)), [c.at(float(x))[0] for c in singles])
+    assert [row.shape for row in multi(s.reshape(5, -1))] == [(5, len(s) // 5)] * 3
+
+
+@pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (12, 0.3)])
+def test_flatten_f_matches_full_grid_formulas(n, s0):
+    # _flatten_f evaluates only f on its grid, reads f' at the rejoin as a
+    # float and forms the smoothsteps on their ramps only; the formulas
+    # on the full grid give the same bits.
+    neck, eps = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+    core = neck.core
+    flat_end, ramp = 0.002 * eps, 0.008 * eps
+    model, flat_value, plateau = wm._flatten_f(core, flat_end, eps, ramp)
+
+    grid = np.linspace(flat_end, eps, 16385)
+    hstep = grid[1] - grid[0]
+    f_nodes, fp_nodes, fpp_nodes = core.eval(grid)
+    up = wm.smoothstep((grid - flat_end) / ramp)
+    down = wm.smoothstep((grid - (eps - ramp)) / ramp)
+    base_i = wm._trapz(up * (1.0 - down) * fpp_nodes, hstep)
+    rest_i = wm._trapz(up * down * fpp_nodes, hstep)
+    target = float(fp_nodes[-1])
+    want_plateau = (target - rest_i) / base_i
+    fpp_vals = up * (want_plateau - (want_plateau - 1.0) * down) * fpp_nodes
+    fp_vals = target - wm._cumulative_trapezoid(fpp_vals[::-1], hstep)[::-1]
+    f_vals = f_nodes[-1] - wm._cumulative_trapezoid(fp_vals[::-1], hstep)[::-1]
+    fp_vals[0] = 0.0
+    assert _same_bits(plateau, want_plateau)
+    assert _same_bits(flat_value, f_vals[0])
+    assert (model.curve.s0, model.curve.step) == (flat_end, hstep)
+    assert _same_bits(model.curve.values, [f_vals, fp_vals])
+    assert _same_bits(model.curve.slopes, [fp_vals, fpp_vals])
+
+    s = np.linspace(flat_end - 1e-3 * eps, eps, 1001)
+    u = wm.smoothstep((s - flat_end) / ramp)
+    d = wm.smoothstep((s - (eps - ramp)) / ramp)
+    want_fpp = u * (want_plateau - (want_plateau - 1.0) * d) * core.eval(s)[2]
+    assert _same_bits(model.eval(s)[2], want_fpp)
+
+
+def test_dense_models_self_consistent():
+    # On every _Dense model the stored slopes of rows y and y' are the
+    # derivatives of the rows' node values: the fourth-order centred
+    # difference of the values, against the slopes, as a share of the
+    # largest slope.  Measured shares: bridge 3.6e-8 at 128 steps (r = 1)
+    # and 3.9e-9 at 256; tail 4.9e-8, the trapezoid rule that integrates
+    # its h'; cap blend f' against f'' 0.8-1.2e-6, the difference's own
+    # error at 64 steps.  The f-flattening's f' is the cumulative
+    # trapezoid of its f'', whose error the difference reads as
+    # step^2/12 (omega f'')'': 2.8e-5 at every (n, s0), since the ramps
+    # always span 131 cells.  That mismatch is open (ROADMAP item 2).
+    gates = {"bridge": 5e-8, "tail": 1e-7, "cap": 2e-6, "flat": 5e-5}
+
+    def share(curve, row):
+        v, slope = curve.values[row], curve.slopes[row]
+        centred = (8.0 * (v[3:-1] - v[1:-3]) - (v[4:] - v[:-4])) / (12.0 * curve.step)
+        return np.max(np.abs(centred - slope[2:-2])) / np.max(np.abs(slope))
+
+    for n, s0 in ((3, 0.3), (4, 1.0), (12, 0.3)):
+        neck, eps = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+        models = [("cap", seg.fmod) for seg in neck.segments if seg.label == "cap"]
+        models += [("tail", seg.hmod) for seg in neck.segments if seg.label == "tail"]
+        for r in (1.0, 0.5, 0.013):
+            w = wm.smooth_origin(neck, r, eps)
+            models.append(("bridge", w.segments[1].hmod))
+        models.append(("flat", w.outer.segments[0].fmod))
+        dense = [(name, m) for name, m in models if isinstance(m, wm._Dense)]
+        assert sorted({name for name, _ in dense}) == sorted(gates)
+        for name, model in dense:
+            for row in (0, 1):
+                assert share(model.curve, row) <= gates[name], (n, s0, name, row)
 
 
 def test_certify_samples_each_block_once(monkeypatch):
@@ -709,8 +821,8 @@ def test_fibre_scale_applied_alike_on_shared_and_own_blocks(neck_41):
 def test_non_finite_margin_fails_closed():
     # h = 0 at a sample makes h''/h infinite; min() would skip a NaN and
     # an inf margin certifies nothing, so the block must refuse it.
-    curve = wm._DenseCurve(0.0, 0.5, [1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
-    h = wm._Dense(curve, curve, lambda s: np.ones_like(s))
+    curve = wm._DenseCurve(0.0, 0.5, [[1.0, 0.0, 1.0]] * 2, [[0.0, 0.0, 0.0]] * 2)
+    h = wm._Dense(curve, lambda s, _h: np.ones_like(s))
     seg = wm.Segment("flat", 0.0, 1.0, wm._FlatF(1.0), h)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(MarginLost, match=r"segment flat \[0, 1\]"):
