@@ -54,6 +54,9 @@ class ConnectionModel:
     def __post_init__(self):
         if self.variant not in ("trivial", "bounded"):
             raise InputError(f"unknown connection variant {self.variant!r}")
+        bounds = (self.sup_f, self.sup_delta_f, *(self.support or ()))
+        if not all(map(math.isfinite, bounds)):  # NaN fails every test below
+            raise InputError("curvature bounds and support must be finite")
         if self.sup_f < 0 or self.sup_delta_f < 0:
             raise InputError("curvature bounds must be nonnegative")
         if self.variant == "trivial" and (self.sup_f or self.sup_delta_f):
@@ -112,7 +115,7 @@ def _frame_bound(n: int, b, active, beta: float, beta_delta: float):
 
 
 def ricci_neck(
-    w: WarpProfile, c: ConnectionModel, r: float | None = None, refine: int = 1
+    w: WarpProfile, c: ConnectionModel, r: float | None = None
 ) -> RicciReport:
     """Lower-bound the Ricci eigenvalues of the neck metric.
 
@@ -125,7 +128,7 @@ def ricci_neck(
     """
     if r is not None and abs(r - w.r) > 1e-15:
         raise InputError("profile was built with a different fibre scale")
-    margins = warpmetric.inequality_margins(w, refine)
+    margins = warpmetric.inequality_margins(w)
     strict_min, tail_min = margins.global_min, margins.tail_min
     if c.variant == "bounded":
         collar_end = w.origin.rejoin if w.origin else w.s_left
@@ -135,7 +138,7 @@ def ricci_neck(
                 "curvature support must avoid the product-connection collar"
             )
         hi = c.support[1] if c.support else w.s_lambda
-        for b in w.blocks(refine):
+        for b in w.blocks():
             active = (b.s >= lo) & (b.s <= hi)
             if not active.any():
                 continue

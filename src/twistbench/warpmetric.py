@@ -45,15 +45,16 @@ The two nonlinear ODEs (the core equation and the cap blend) are
 integrated by the one fixed-step RK4 sweep ``_rk4`` on Python floats,
 with blend weights precomputed on its half-step grid.  The origin
 bridge of h and the cap's variational equations are linear, so each of
-their RK4 steps is an affine map; ``_rk4`` computes all of them in one
-vectorised step and the caller composes them.  The cap blend's and the
-bridge's step counts are sized by step doubling against a Richardson
-error estimate and one tolerance, ``_SWEEP_TOL``; ``CapInfo`` and
-``OriginInfo`` keep the count and the estimate.  All blending happens in
-second-derivative space with quintic smoothstep weights, which keeps
-the inequality margins one-signed; margins are re-evaluated after every
-stage and a lost margin raises ``MarginLost`` instead of silently
-degrading the certificate.
+their RK4 steps is an affine map; ``_affine_steps`` computes all of them
+in one vectorised ``_rk4`` step and the caller composes them.  The cap
+blend's and the bridge's step counts are sized by step doubling against
+a Richardson error estimate and one tolerance, ``_SWEEP_TOL``;
+``CapInfo`` and ``OriginInfo`` keep the count and the estimate.  All
+blending happens in second-derivative space with quintic smoothstep
+weights, which keeps the inequality margins one-signed.  Each segment is
+sampled once (``WarpProfile.block``), and each stage gates the segments
+it built on their cached margin minima (``_gate``), so a lost margin
+raises ``MarginLost`` instead of silently degrading the certificate.
 """
 
 from __future__ import annotations
@@ -262,6 +263,26 @@ def _rk4(acc, y, yp, h, steps):
         ys.append(y)
         yps.append(yp)
     return ys, yps
+
+
+def _affine_steps(a, b, h):
+    """One RK4 step of the linear y'' = a y + b from every node at once.
+
+    a and b hold four rows, their values at each step's four RK4 stages.
+    A step is an affine map of (y, y'); returns the y and y' rows of the
+    images of (1, 0) and (0, 1) without the forcing, and of (0, 0) with
+    it, one column per step."""
+    stages = iter(zip(a, b))
+    forced = np.array([[0.0], [0.0], [1.0]])
+
+    def acc(i, y):
+        a_k, b_k = next(stages)
+        return a_k * y + forced * b_k
+
+    ys, yps = _rk4(
+        acc, np.array([[1.0], [0.0], [0.0]]), np.array([[0.0], [1.0], [0.0]]), h, 1
+    )
+    return ys[1], yps[1]
 
 
 # Relative RK4 error allowed in the end data of a step-doubled sweep: the
@@ -557,10 +578,12 @@ class WarpProfile:
     # fibre scale, shared by every r probed on one neck; the last
     # len(outer.segments) segments are its segments with h_scale = r.
     outer: WarpProfile | None = field(default=None, repr=False, compare=False)
-    # Sampled blocks keyed by (segment, refine), and on a neck the "outer"
-    # entry of smooth_origin; they live and die with the profile, and
-    # ``derive`` hands on those of the segments it keeps.
+    # Sampled blocks keyed by segment; they live and die with the profile,
+    # and ``derive`` hands on those of the segments it keeps.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # On a neck: smooth_origin's (eps, outer, flat value, plateau) for the
+    # last eps it was called with (``_outer_part``).
+    _outer_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def derive(self, **changes) -> WarpProfile:
         """``replace(self, **changes)`` keeping the sampled blocks of every
@@ -568,23 +591,19 @@ class WarpProfile:
         n, and a later stage keeps the segments it does not touch."""
         out = replace(self, **changes)
         kept = set(out.segments)
-        out._memo.update(
-            (key, b) for key, b in self._memo.items()
-            if isinstance(key, tuple) and key[0] in kept
-        )
+        out._memo.update((seg, b) for seg, b in self._memo.items() if seg in kept)
         return out
 
     # -- sampling ----------------------------------------------------------
-    def segment_grid(self, seg: Segment, refine: int = 1) -> np.ndarray:
-        step = self.params.step / refine
-        count = max(32, int(math.ceil((seg.s1 - seg.s0) / step)))
+    def segment_grid(self, seg: Segment) -> np.ndarray:
+        count = max(32, int(math.ceil((seg.s1 - seg.s0) / self.params.step)))
         return np.linspace(seg.s0, seg.s1, count + 1)
 
-    def blocks(self, refine: int = 1) -> tuple:
+    def blocks(self) -> tuple:
         """Every segment sampled on its grid, with its margins."""
-        return tuple(self.block(k, refine) for k in range(len(self.segments)))
+        return tuple(self.block(k) for k in range(len(self.segments)))
 
-    def block(self, k: int, refine: int = 1) -> _Block:
+    def block(self, k: int) -> _Block:
         """Segment k sampled on its grid, with its margins; computed once.
 
         An outer segment's block is ``outer``'s, computed once per neck,
@@ -593,21 +612,17 @@ class WarpProfile:
         each r.
         """
         seg = self.segments[k]
-        b = self._memo.get((seg, refine))
+        b = self._memo.get(seg)
         if b is None:
             shared = len(self.outer.segments) if self.outer is not None else 0
             own = len(self.segments) - shared
             if k < own:
-                b = _sample_block(self.params.n, seg, self.segment_grid(seg, refine))
+                b = _sample_block(self.params.n, seg, self.segment_grid(seg))
             else:
-                u = self.outer.block(k - own, refine)
+                u = self.outer.block(k - own)
                 b = _Block(seg, u.s, *seg.scaled(*u[2:8]), *u[8:])
-            self._memo[seg, refine] = b
+            self._memo[seg] = b
         return b
-
-    def sample(self, refine: int = 1):
-        """Rows of (segment, s, f, fp, fpp, h, hp, hpp) per segment."""
-        return [b[:8] for b in self.blocks(refine)]
 
     def evaluate(self, s: float):
         """(f, fp, fpp, h, hp, hpp) at a single location."""
@@ -736,11 +751,11 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
     return _Block(seg, *columns, tuple(float(np.min(m)) for m in (m1, m2, m3)))
 
 
-def inequality_margins(w: WarpProfile, refine: int = 1) -> MarginReport:
+def inequality_margins(w: WarpProfile) -> MarginReport:
     """Minima of the three differential inequalities over the profile."""
     mins = [math.inf, math.inf, math.inf]
     tail_min = math.inf
-    for b in w.blocks(refine):
+    for b in w.blocks():
         if b.seg.label == "tail":
             tail_min = min(tail_min, *b.mins)
         else:
@@ -748,20 +763,20 @@ def inequality_margins(w: WarpProfile, refine: int = 1) -> MarginReport:
     return MarginReport(*mins, tail_min)
 
 
-def _check_margins(w: WarpProfile, lo: float, hi: float, stage: str):
-    for k, seg in enumerate(w.segments):
-        if seg.s1 <= lo or seg.s0 >= hi:
-            continue
-        b = w.block(k)
-        keep = (b.s >= lo - 1e-12) & (b.s <= hi + 1e-12)
-        if not keep.any():
-            continue
-        worst = min(float(np.min(m[keep])) for m in (b.m1, b.m2, b.m3))
-        floor = TAIL_FLOOR if seg.label == "tail" else 0.0
-        if worst <= floor:
+def _gate(w: WarpProfile, ks, stage: str):
+    """MarginLost unless the margin minima of each segment k in ``ks``
+    lie above its floor: ``TAIL_FLOOR`` on tail segments, 0 elsewhere.
+
+    Each stage passes the segments it built: ``cap_sine`` its blend and
+    arc, ``flatten_h_tail`` its tail pieces, ``smooth_origin`` its three
+    collar segments per r and (``_outer_part``) the f-flattening and the
+    clipped core once per (neck, eps).  Later stages keep the rest."""
+    for b in map(w.block, ks):
+        worst = min(b.mins)
+        if worst <= (TAIL_FLOOR if b.seg.label == "tail" else 0.0):
             raise MarginLost(
                 f"{stage}: inequality margin {worst:.3e} lost on "
-                f"segment {seg.label} [{seg.s0:.6g}, {seg.s1:.6g}]"
+                f"segment {b.seg.label} [{b.seg.s0:.6g}, {b.seg.s1:.6g}]"
             )
 
 
@@ -845,28 +860,17 @@ def _blend_jacobian(core, a, big_n, sweep):
     Norsett and Wanner, Solving ODEs I, I.14) at the sweep's stage
     values, which makes them the exact derivative of the discrete sweep.
     As in ``_smooth_kink`` each RK4 step is an affine map of (y, y');
-    ``_rk4`` takes one step from every node at once, calling acc once per
-    stage in order, and the maps are multiplied pairwise down to one.
+    ``_affine_steps`` takes one step from every node at once, and the
+    maps are multiplied pairwise down to one.
     """
     f = np.array(sweep.stage_f).reshape(-1, 4).T
     w = sweep.sig
     sig = np.stack((w[:-1:2], w[1::2], w[1::2], w[2::2]))
     c2, alpha = core.c2, core.alpha
     jac = (1.0 - sig) * c2 * (-alpha - 1.0) * f ** (-alpha - 2.0) - sig / big_n**2
-    stages = iter(zip(jac, 2.0 * sig * f / big_n**3))
-    forced = np.array([[0.0], [0.0], [1.0]])
-
-    def acc(i, y):
-        j, force = next(stages)
-        return j * y + forced * force
-
-    # Rows: the step images of (y, y') = (1, 0) and (0, 1) without the
-    # forcing, and of (0, 0) with it.
-    ys, yps = _rk4(
-        acc, np.array([[1.0], [0.0], [0.0]]), np.array([[0.0], [1.0], [0.0]]), sweep.h, 1
-    )
+    ys, yps = _affine_steps(jac, 2.0 * sig * f / big_n**3, sweep.h)
     maps = np.zeros((f.shape[1], 3, 3))
-    maps[:, 0], maps[:, 1], maps[:, 2, 2] = ys[1].T, yps[1].T, 1.0
+    maps[:, 0], maps[:, 1], maps[:, 2, 2] = ys.T, yps.T, 1.0
     while len(maps) > 1:  # map k takes node k to node k + 1; 2^m steps
         maps = maps[1::2] @ maps[0::2]
     d_a = maps[0, :2, :2] @ np.array(core.at(a)[1:])
@@ -914,7 +918,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     next iterate at rounding level; the cap keeps the sweep taken there.
     No convergence within ``_CAP_NEWTON_SWEEPS`` sweeps, a singular or
     non-finite Jacobian, or an iterate whose core slope f'(a) leaves
-    (lam, lam0) raises MarginLost.
+    (0, lam0) raises MarginLost.
 
     The blend sweep's step count is sized by step doubling: Newton runs
     at ``_BLEND_START`` steps, and at its root the kept sweep is compared
@@ -944,7 +948,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
         # The budget test first: a wild iterate must not extend the core.
         if 0.0 < a < p.s_budget and big_n > 0.0:
             core.extend(a + blend_w + 4.0 * p.step)
-            if lam < core.at(a)[1] < p.lam0:
+            if 0.0 < core.at(a)[1] < p.lam0:
                 return _integrate_blend(core, a, a + blend_w, big_n, steps)
         raise MarginLost(f"cap Newton iterate a = {a:.6g} left the slope window")
 
@@ -1008,7 +1012,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     )
     cap = CapInfo(big_n, s_prime, a, b, steps, float(error))
     out = w.derive(segments=segments, s_lambda=s_lam, cap=cap)
-    _check_margins(out, a, s_lam, "cap_sine")
+    _gate(out, (1, 2), "cap_sine")
     return out
 
 
@@ -1080,7 +1084,7 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
             segments.append(replace(seg, s1=t0))
             segments.append(replace(seg, label="tail", s0=t0, hmod=tail_h))
     out = w.derive(segments=tuple(segments), tail=TailInfo(t0, width))
-    _check_margins(out, t0, w.s_lambda, "flatten_h_tail")
+    _gate(out, [k for k, s in enumerate(segments) if s.s0 >= t0], "flatten_h_tail")
     return out
 
 
@@ -1152,24 +1156,16 @@ def _bridge_sweep(a, b, h, hp, hstep):
     a and b are read on the half-step grid from the right end, so a
     step's start, midpoint and end are half-step indices 0, 1 and 2.  The
     equation is linear, so one RK4 step is an affine map of (h, h'):
-    ``_rk4`` takes one step from every node at once to get the maps'
-    coefficients, and the loop composes them.  Returns the node values
+    ``_affine_steps`` takes one step from every node at once to get the
+    maps' coefficients, and the loop composes them.  Returns the node values
     and slopes from the right end on.
     """
-    a_at = (a[:-1:2], a[1::2], a[2::2])
-    b_at = (b[:-1:2], b[1::2], b[2::2])
-    # Rows: the step images of (h, h') = (1, 0) and (0, 1) without the
-    # forcing b, and of (0, 0) with it.
-    forced = np.array([[0.0], [0.0], [1.0]])
-    ys, yps = _rk4(
-        lambda i, y: a_at[i] * y + forced * b_at[i],
-        np.array([[1.0], [0.0], [0.0]]),
-        np.array([[0.0], [1.0], [0.0]]),
-        -hstep,
-        1,
+    mid_a, mid_b = a[1::2], b[1::2]
+    ys, yps = _affine_steps(
+        (a[:-1:2], mid_a, mid_a, a[2::2]), (b[:-1:2], mid_b, mid_b, b[2::2]), -hstep
     )
     hs, hps = [h], [hp]
-    for h_h, h_p, h_c, p_h, p_p, p_c in zip(*ys[1].tolist(), *yps[1].tolist()):
+    for h_h, h_p, h_c, p_h, p_p, p_c in zip(*ys.tolist(), *yps.tolist()):
         h, hp = h_h * h + h_p * hp + h_c, p_h * h + p_p * hp + p_c
         hs.append(h)
         hps.append(hp)
@@ -1238,17 +1234,18 @@ def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
     value and plateau of its f-flattening.
 
     None of it depends on r: the flattening blend ends at eps, and every
-    segment right of eps is the neck clipped there.  Built once per
-    (neck, eps) and kept on the neck, one eps at a time.
+    segment right of eps is the neck clipped there.  Built and gated once
+    per (neck, eps) and kept on the neck, one eps at a time.
     """
-    cached = w._memo.get("outer")
-    if cached is None or cached[0] != eps:
+    cached = w._outer_memo
+    if not cached or cached[0] != eps:
         blend_f, flat_value, plateau = _flatten_f(w.core, flat_end, eps, ramp)
         segments = (Segment("flat", flat_end, eps, blend_f, _CoreH(w.core)),) + tuple(
             replace(seg, s0=max(seg.s0, eps)) for seg in w.segments if seg.s1 > eps
         )
         outer = w.derive(segments=segments, s_left=flat_end)
-        cached = w._memo["outer"] = (eps, outer, flat_value, plateau)
+        _gate(outer, (0, 1), "smooth_origin")  # eps lies on the neck's core
+        cached[:] = (eps, outer, flat_value, plateau)
     return cached[1:]
 
 
@@ -1263,7 +1260,6 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     the flat end is built once per (w, eps) and shared by the profiles of
     every r (see ``_outer_part``).
     """
-    p = w.params
     if w.cap is None or w.tail is None:
         raise InputError("smooth_origin expects a capped, tail-flattened profile")
     if w.origin is not None:
@@ -1325,7 +1321,7 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
         ),
         outer=outer,
     )
-    _check_margins(out, eps_prime, eps + 2 * p.step, "smooth_origin")
+    _gate(out, (0, 1, 2), "smooth_origin")
     return out
 
 
@@ -1369,7 +1365,7 @@ CSV_HEADER = "s,f,fp,fpp,h,hp,hpp,segment"
 def export_profile(w: WarpProfile, destination) -> None:
     """Write the sampled profile as CSV (17 significant digits)."""
     rows = []
-    for seg, *columns in w.sample():
+    for seg, *columns in (b[:8] for b in w.blocks()):
         row = "%.17g," * 7 + seg.label
         rows += [row % cells for cells in zip(*(c.tolist() for c in columns))]
     text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"

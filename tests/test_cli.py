@@ -135,6 +135,22 @@ def test_certify_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_certify_non_finite_connection_exits_usage(tmp_path, capsys):
+    # A NaN bound fails every comparison, so unchecked it would certify
+    # with the trivial connection's margin, as if no curvature acted.
+    cfg = tmp_path / "certify.ini"
+    base = "[certify]\nn = 4\ns0 = 1.0\nconnection = bounded\n"
+    for extra in (
+        "sup_f = 50\nsupport_lo = nan\nsupport_hi = 0.9\n",
+        "sup_f = nan\n",
+        "sup_f = 50\nsup_delta_f = inf\n",
+    ):
+        cfg.write_text(base + extra)
+        code, out, err = run(capsys, "certify", str(cfg))
+        assert code == 2, extra
+        assert out == "" and "finite" in err, extra
+
+
 def test_profile_export(tmp_path, capsys):
     cfg = tmp_path / "profile.ini"
     cfg.write_text("[profile]\nn = 4\ns0 = 1.0\nr = 0.5\n")

@@ -32,6 +32,19 @@ def test_connection_validation():
         rc.ConnectionModel("twisted")  # unknown variant
     with pytest.raises(InputError):
         rc.ConnectionModel("bounded", sup_f=1.0, support=(2.0, 1.0))
+    nan, inf = math.nan, math.inf
+    for bad in (
+        {"sup_f": nan},
+        {"sup_f": inf},
+        {"sup_f": 1.0, "sup_delta_f": nan},
+        {"sup_f": 1.0, "sup_delta_f": inf},
+        {"sup_f": 1.0, "support": (nan, 1.0)},
+        {"sup_f": 1.0, "support": (0.5, nan)},
+        {"sup_f": 1.0, "support": (0.5, inf)},
+        {"sup_f": 1.0, "support": (-inf, 1.0)},
+    ):
+        with pytest.raises(InputError, match="finite"):
+            rc.ConnectionModel("bounded", **bad)
 
 
 # -- neck ----------------------------------------------------------------------
@@ -96,7 +109,7 @@ def test_fibre_diagonal_closed_form(finished):
     for seg in finished.segments:
         if seg.label != "core":
             continue
-        s = finished.segment_grid(seg, 1)
+        s = finished.segment_grid(seg)
         f, fp, fpp = seg.fmod.eval(s)
         h, hp, hpp = seg.hmod.eval(s)
         numeric = -hpp / h - (p.n - 1) * fp * hp / (f * h)
@@ -112,7 +125,7 @@ def test_sphere_diagonal_lower_bound(finished):
     for seg in finished.segments:
         if seg.label != "core":
             continue
-        s = finished.segment_grid(seg, 1)
+        s = finished.segment_grid(seg)
         f, _, _ = seg.fmod.eval(s)
         m2 = wm._sample_block(p.n, seg, s).m2
         assert np.all(m2 + 1e-12 >= coeff / (f * f))
@@ -385,6 +398,19 @@ def test_certify_golden_case():
 def test_certify_higher_dimension():
     res = rc.certify(6, 0.3, rc.TRIVIAL_CONNECTION, 5.0)
     assert res.passed()
+
+
+@pytest.mark.parametrize("n, s0", [(14, 0.3), (20, 1.0), (30, 1.5)])
+def test_certify_large_dimension(n, s0):
+    # Here the cap's root has core slope f'(a) below lam: the blend's core
+    # part raises f' again before the arc, so a Newton window (lam, lam0)
+    # on f'(a) would reject the root with MarginLost.
+    res = rc.certify(n, s0)
+    assert res.passed(), (n, s0)
+    margins = (res.margin_ineq1, res.margin_ineq2, res.margin_ineq3, res.margin_ricci)
+    assert min(margins) > 0, margins
+    w = res.profile
+    assert 0.0 < w.core.at(w.cap.blend_start)[1] < res.lam
 
 
 def test_certify_precondition_errors():

@@ -4,6 +4,7 @@ import json
 import math
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -748,6 +749,54 @@ def test_certify_samples_each_block_once(monkeypatch):
             assert not (seg == other and np.array_equal(s, t)), (seg.label, seg.s0, seg.s1)
 
 
+def test_each_stage_gates_the_segments_it_built(monkeypatch):
+    # The gate reads the cached minima of exactly the segments a stage
+    # built; the f-flattening and the clipped core are gated once per
+    # (neck, eps), not once per probe.
+    gated = []
+    real = wm._gate
+
+    def recording(w, ks, stage):
+        ks = tuple(ks)
+        gated.append((stage, tuple(w.segments[k].label for k in ks)))
+        return real(w, ks, stage)
+
+    monkeypatch.setattr(wm, "_gate", recording)
+    tailed, eps = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
+    for r in (1.0, 0.5, 0.25):
+        wm.smooth_origin(tailed, r, eps)
+    assert gated == [
+        ("cap_sine", ("cap", "cap")),
+        ("flatten_h_tail", ("tail",)),
+        ("smooth_origin", ("flat", "core")),
+        *[("smooth_origin", ("splice", "flat", "flat"))] * 3,
+    ]
+
+
+def test_gate_reads_every_minimum_against_its_floor():
+    def profile(label, mins):
+        seg = wm.Segment(label, 0.0, 1.0, None, None)
+        return SimpleNamespace(block=lambda k: SimpleNamespace(seg=seg, mins=mins))
+
+    for i in range(3):
+        for label, lost in (("cap", 0.0), ("tail", 2.0 * wm.TAIL_FLOOR)):
+            mins = [1.0, 1.0, 1.0]
+            mins[i] = lost
+            with pytest.raises(MarginLost, match=f"lost on segment {label}"):
+                wm._gate(profile(label, tuple(mins)), (0,), "stage")
+    wm._gate(profile("tail", (1.0, 0.5 * wm.TAIL_FLOOR, 1.0)), (0,), "stage")
+
+
+def test_gate_names_the_segment_that_lost_its_margin():
+    # On (3, 0.2) the f-flattening's plateau is too high for its margins,
+    # at every r, so the once-per-eps gate raises on the first probe.
+    tailed, eps = wm.build_neck(wm.WarpParams(n=3, lam=math.cos(0.2)))
+    lost = r"smooth_origin: inequality margin -1.346e-03 lost on segment flat \[0.002, 1\]"
+    for r in (1.0, 0.5):
+        with pytest.raises(MarginLost, match=lost):
+            wm.smooth_origin(tailed, r, eps)
+
+
 # -- what smooth_origin keeps on the neck ------------------------------------------
 
 def _assert_same_probe(got, want):
@@ -875,16 +924,16 @@ def test_export_profile_roundtrip(finished):
     lines = text.strip().split("\n")
     assert lines[0] == "s,f,fp,fpp,h,hp,hpp,segment"
     rows = [ln.split(",") for ln in lines[1:]]
-    expected_rows = sum(len(s) for _, s, *_ in finished.sample())
+    expected_rows = sum(len(b.s) for b in finished.blocks())
     assert len(rows) == expected_rows
     # round-trip: parse back and compare against fresh samples
     parsed = np.array([[float(v) for v in row[:7]] for row in rows])
     k = 0
-    for seg, s, f, fp, fpp, h, hp, hpp in finished.sample():
-        block = parsed[k : k + len(s)]
-        assert np.array_equal(block[:, 0], s)
-        assert np.array_equal(block[:, 1], f)
-        assert np.array_equal(block[:, 4], h)
-        k += len(s)
+    for b in finished.blocks():
+        block = parsed[k : k + len(b.s)]
+        assert np.array_equal(block[:, 0], b.s)
+        assert np.array_equal(block[:, 1], b.f)
+        assert np.array_equal(block[:, 4], b.h)
+        k += len(b.s)
     labels = {row[7] for row in rows}
     assert labels <= {"core", "cap", "tail", "splice", "flat"}

@@ -1,6 +1,8 @@
-"""Write a digest of the program's numeric outputs to one text file.
+"""Write a digest of the program's numeric outputs to one text file, or
+compare it with the digest of another revision.
 
     python3 tools/output_digest.py OUT.txt
+    python3 tools/output_digest.py --against REV
 
 The digest holds, for the sources of the checkout the script sits in:
 
@@ -12,15 +14,19 @@ The digest holds, for the sources of the checkout the script sits in:
 * the SHA-256 of the ``profile-export`` CSV of each of those necks.
 
 Floats are written with ``repr``, so two digests compare equal byte for
-byte only if every number is bit-identical.  To check that a change keeps
-the outputs, copy this script into a checkout of the parent commit, run
-it there and here, and ``cmp`` the two files.
+byte only if every number is bit-identical.  ``--against REV`` checks that
+a change keeps the outputs: it ``git archive``s REV into a temporary
+directory, runs this script there and here, prints the first differing
+line and exits 1 if the digests differ, and exits 0 if they match.  It
+leaves the repository's ``.git`` as it was.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 
@@ -84,16 +90,50 @@ def export_lines(tb, workdir):
             yield f"## profile-export ({n}, {s0}): exit {code} {err!r} csv {_sha(fh.read())}"
 
 
-def main(argv):
-    if len(argv) != 1:
-        raise SystemExit("usage: python3 tools/output_digest.py OUT.txt")
-    tb = twistbench
+def digest_lines():
     with tempfile.TemporaryDirectory() as workdir:
-        lines = [
-            *certify_lines(tb, workdir),
-            *search_lines(tb),
-            *export_lines(tb, workdir),
+        return [
+            *certify_lines(twistbench, workdir),
+            *search_lines(twistbench),
+            *export_lines(twistbench, workdir),
         ]
+
+
+def against(rev):
+    """Compare this checkout's digest with REV's; the exit code."""
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", "--format=tar", rev],
+        check=True, capture_output=True,
+    ).stdout
+    with tempfile.TemporaryDirectory() as tree:
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        script = os.path.join(tree, "tools", "output_digest.py")
+        os.makedirs(os.path.dirname(script), exist_ok=True)
+        shutil.copyfile(os.path.abspath(__file__), script)
+        out = os.path.join(tree, "digest.txt")
+        subprocess.run([sys.executable, script, out], check=True)
+        with open(out, encoding="utf-8") as fh:
+            theirs = fh.read().split("\n")
+    ours = ("\n".join(digest_lines()) + "\n").split("\n")
+    for i, (mine, other) in enumerate(zip(ours, theirs), 1):
+        if mine != other:
+            print(f"line {i} differs\n{rev}: {other}\nhere: {mine}")
+            return 1
+    if len(ours) != len(theirs):
+        print(f"{rev} has {len(theirs) - 1} lines, here {len(ours) - 1}")
+        return 1
+    print(f"digest identical to {rev} ({len(ours) - 1} lines)")
+    return 0
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "--against":
+        raise SystemExit(against(argv[1]))
+    if len(argv) != 1:
+        raise SystemExit(
+            "usage: python3 tools/output_digest.py OUT.txt | --against REV"
+        )
+    lines = digest_lines()
     with open(argv[0], "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
