@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import grammar, jsonout, orbitgon, plumbing, riccicert, topology, warpmetric
-from .errors import ComputedFailure, InputError, TwistbenchError, Unsupported
+from .errors import ComputedFailure, InputError, StageError, TwistbenchError, Unsupported
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -264,20 +264,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except Unsupported as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ComputedFailure as exc:
-        print(f"failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (InputError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TwistbenchError as exc:
+    except (TwistbenchError, OSError, ValueError) as exc:
         # The cause's class, not the cause: a local holding the cause would
         # tie this frame into a cycle through its traceback, and the neck in
         # the failed stage's frames would wait for the cycle collector.
-        kind = type(getattr(exc, "cause", None))
+        kind = type(exc.cause) if isinstance(exc, StageError) else type(exc)
         if issubclass(kind, Unsupported):
             print(f"unsupported: {exc}", file=sys.stderr)
             return EXIT_UNSUPPORTED

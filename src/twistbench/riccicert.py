@@ -166,13 +166,6 @@ class BundleBound:
     vertical: float  # lower bound for Ric(T, T); >= 0
     overall: float
 
-    def as_dict(self) -> dict:
-        return {
-            "horizontal": self.horizontal,
-            "vertical": self.vertical,
-            "overall": self.overall,
-        }
-
 
 def ricci_bundle(
     ric_min_base: float, c_base: ConnectionModel, phi: float, n: int

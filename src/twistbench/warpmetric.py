@@ -6,8 +6,9 @@ stages:
 
 * ``integrate_core`` solves f'' = (alpha lam0^2 / 2) f^(-alpha-1) with
   f(0) = 1, f'(0) = 0 and stops where f' reaches the target slope; h is
-  a fixed multiple of f' there, so the conserved first integral
-  f'^2 = lam0^2 (1 - f^(-alpha)) doubles as an accuracy monitor.
+  a fixed multiple of f' there.  The conserved first integral
+  f'^2 = lam0^2 (1 - f^(-alpha)), read at the nodes and cell midpoints,
+  sizes the step and gates the verdict.
 * ``cap_sine`` replaces the outer end of f by an exact sine arc
   N sin((s - s')/N), blending second derivatives so the three curvature
   inequalities keep their margins.  The blend start a and N solve two
@@ -28,8 +29,8 @@ then call ``smooth_origin`` for each fibre scale r they need.  Only the
 origin collar left of its flat end depends on r, so ``smooth_origin``
 builds the rest once per (neck, eps) and keeps it on the neck: the
 f-flattening (with its flat value and plateau) and the neck right of
-the flat end at unit fibre scale, whose samples and margins every
-profile built from it shares, with h scaled by r.
+the flat end at unit fibre scale.  Each probe it returns holds that
+part's sampled blocks with h scaled by r, next to its own collar's.
 
 f and h on each segment are one of four curve models: the core solution
 (``_CoreSolution`` for f, ``_CoreH`` = 2 f'/(alpha lam0^2) for h), an
@@ -360,10 +361,18 @@ class _CoreSolution:
         f, fp = self.curve().at(s)
         return f, fp, float(self.fpp_of(f))
 
-    def first_integral_residual(self, s_hi: float) -> float:
-        f, fp = self.curve().values
-        k = int(math.floor(s_hi / self.step)) + 1
-        f, fp = f[:k], fp[:k]
+    def first_integral_residual(self, s_lo: float, s_hi: float) -> float:
+        """Largest |f'^2 - lam0^2 (1 - f^(-alpha))| of the interpolated core
+        at its nodes in [s_lo, s_hi] and the midpoints of the cells between
+        them: the Hermite error peaks at the midpoints."""
+        h = self.step
+        k = slice(math.ceil(s_lo / h), math.floor(s_hi / h) + 1)
+        (f, fp), fpp = (y[k] for y in self.curve().values), self.curve().slopes[1][k]
+        # Each cell's cubic Hermite piece at t = 1/2: (y0 + y1)/2 + h (d0 - d1)/8.
+        f, fp = (
+            np.concatenate((y, 0.5 * (y[:-1] + y[1:]) + 0.125 * h * (d[:-1] - d[1:])))
+            for y, d in ((f, fp), (fp, fpp))
+        )
         res = fp * fp - self.lam0**2 * (1.0 - np.power(f, -self.alpha))
         return float(np.max(np.abs(res))) if len(res) else 0.0
 
@@ -574,10 +583,6 @@ class WarpProfile:
     cap: CapInfo | None = None
     tail: TailInfo | None = None
     origin: OriginInfo | None = None
-    # After smooth_origin: the neck right of the collar's flat end at unit
-    # fibre scale, shared by every r probed on one neck; the last
-    # len(outer.segments) segments are its segments with h_scale = r.
-    outer: WarpProfile | None = field(default=None, repr=False, compare=False)
     # Sampled blocks keyed by segment; they live and die with the profile,
     # and ``derive`` hands on those of the segments it keeps.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -606,21 +611,12 @@ class WarpProfile:
     def block(self, k: int) -> _Block:
         """Segment k sampled on its grid, with its margins; computed once.
 
-        An outer segment's block is ``outer``'s, computed once per neck,
-        with h, h' and h'' scaled by the segment's ``h_scale`` (the margins
-        are scale-free); only the collar's own segments are sampled for
-        each r.
-        """
+        A ``smooth_origin`` probe holds its outer blocks (the neck's, h
+        scaled by r) from the start, so only its collar is sampled here."""
         seg = self.segments[k]
         b = self._memo.get(seg)
         if b is None:
-            shared = len(self.outer.segments) if self.outer is not None else 0
-            own = len(self.segments) - shared
-            if k < own:
-                b = _sample_block(self.params.n, seg, self.segment_grid(seg))
-            else:
-                u = self.outer.block(k - own)
-                b = _Block(seg, u.s, *seg.scaled(*u[2:8]), *u[8:])
+            b = _sample_block(self.params.n, seg, self.segment_grid(seg))
             self._memo[seg] = b
         return b
 
@@ -632,13 +628,10 @@ class WarpProfile:
         raise InputError(f"location {s} outside the profile domain")
 
     def first_integral_residual(self) -> float:
-        """Max first-integral residual over the untouched core range."""
+        """The core's first-integral residual over the untouched core range."""
         lo = self.origin.rejoin if self.origin else self.s_left
         hi = self.cap.blend_start if self.cap else self.s_lambda
-        s = np.linspace(lo, hi, 2049)
-        f, fp = self.core.f_fp(s)
-        res = fp * fp - self.params.lam0**2 * (1.0 - np.power(f, -self.params.alpha))
-        return float(np.max(np.abs(res)))
+        return self.core.first_integral_residual(lo, hi)
 
     def seam_residuals(self) -> list:
         """C^1 mismatches of f and h at every interior junction."""
@@ -768,9 +761,10 @@ def _gate(w: WarpProfile, ks, stage: str):
     lie above its floor: ``TAIL_FLOOR`` on tail segments, 0 elsewhere.
 
     Each stage passes the segments it built: ``cap_sine`` its blend and
-    arc, ``flatten_h_tail`` its tail pieces, ``smooth_origin`` its three
-    collar segments per r and (``_outer_part``) the f-flattening and the
-    clipped core once per (neck, eps).  Later stages keep the rest."""
+    arc, ``flatten_h_tail`` the pieces it clipped or gave the tail,
+    ``smooth_origin`` its three collar segments per r and (``_outer_part``)
+    the f-flattening and the clipped core once per (neck, eps).  Later
+    stages keep the rest."""
     for b in map(w.block, ks):
         worst = min(b.mins)
         if worst <= (TAIL_FLOOR if b.seg.label == "tail" else 0.0):
@@ -788,15 +782,16 @@ def integrate_core(params: WarpParams) -> WarpProfile:
     """Solve the core equation and stop where f' reaches lam.
 
     The step size is halved (up to four times) until the first-integral
-    residual at the accepted nodes is within ``tol_ode``.  Raises NoStop
-    if the slope target is not reached inside the budget.
+    residual at the nodes and cell midpoints is within ``tol_ode``.
+    Raises NoStop if the slope target is not reached inside the budget or
+    the tolerance is not met after four halvings.
     """
     p = params.resolve()
     step = p.step
     for _ in range(5):
         core = _CoreSolution(p.lam0, p.alpha, step, p.s_budget)
         s_stop = core.find_slope(p.lam)
-        if core.first_integral_residual(core.s_end) <= p.tol_ode:
+        if core.first_integral_residual(0.0, core.s_end) <= p.tol_ode:
             break
         step *= 0.5
     else:
@@ -1084,7 +1079,8 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
             segments.append(replace(seg, s1=t0))
             segments.append(replace(seg, label="tail", s0=t0, hmod=tail_h))
     out = w.derive(segments=tuple(segments), tail=TailInfo(t0, width))
-    _gate(out, [k for k, s in enumerate(segments) if s.s0 >= t0], "flatten_h_tail")
+    built = [k for k, s in enumerate(segments) if s not in w.segments]
+    _gate(out, built, "flatten_h_tail")
     return out
 
 
@@ -1319,9 +1315,14 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
             bridge_steps=bridge_steps,
             bridge_error=bridge_error,
         ),
-        outer=outer,
     )
     _gate(out, (0, 1, 2), "smooth_origin")
+    # The neck's outer blocks with h scaled by r (margins are scale-free);
+    # every probe reads them all, so they are built here, not on demand.
+    out._memo.update(
+        (seg, _Block(seg, u.s, *seg.scaled(*u[2:8]), *u[8:]))
+        for seg, u in zip(segments[3:], outer.blocks())
+    )
     return out
 
 

@@ -2,7 +2,10 @@ import gc
 import json
 import weakref
 
+import pytest
+
 from twistbench import cli, warpmetric
+from twistbench.errors import ComputedFailure, InputError, StageError, Unsupported
 
 
 def run(capsys, *argv):
@@ -243,3 +246,26 @@ def test_failed_certify_frees_its_neck_without_the_cycle_collector(
             gc.enable()
         assert code == 1 and f"stage '{stage}'" in err
         assert not alive, s0
+
+
+@pytest.mark.parametrize("wrapped", [False, True])
+@pytest.mark.parametrize(
+    "kind, code, prefix",
+    [
+        (Unsupported, 3, "unsupported"),
+        (ComputedFailure, 1, "failed"),
+        (InputError, 2, "error"),
+        (OSError, 2, "error"),
+        (ValueError, 2, "error"),
+    ],
+)
+def test_exit_code_follows_the_error_kind(capsys, monkeypatch, wrapped, kind, code, prefix):
+    # A StageError exits as its cause would: one map from error kind to
+    # exit code and stderr prefix serves both.
+    error = StageError("homology", kind("no")) if wrapped else kind("no")
+
+    def fail(text):
+        raise error
+
+    monkeypatch.setattr(cli.grammar, "parse_manifold", fail)
+    assert run(capsys, "homology", "S(3)") == (code, "", f"{prefix}: {error}\n")

@@ -413,6 +413,21 @@ def test_certify_large_dimension(n, s0):
     assert 0.0 < w.core.at(w.cap.blend_start)[1] < res.lam
 
 
+@pytest.mark.parametrize("n, s0", [(40, 1.3), (40, 1.5), (45, 1.3), (45, 1.5)])
+def test_certify_sizes_the_core_by_the_verdicts_residual(n, s0):
+    # At the default step the core's first-integral residual is 5.9-8.8e-10
+    # at the nodes but 1.1-2.0e-9 between them, above tol_ode = 1e-9.  One
+    # residual, read at nodes and cell midpoints, sizes the core and gates
+    # the verdict, so the core halves its step and the verdict passes.
+    res = rc.certify(n, s0)
+    assert res.passed(), (n, s0)
+    margins = (res.margin_ineq1, res.margin_ineq2, res.margin_ineq3, res.margin_ricci)
+    assert min(margins) > 0, margins
+    p = res.profile.params
+    assert p.step == 0.5 * wm.WarpParams(n=n, lam=res.lam).resolve().step
+    assert res.first_integral_residual < p.tol_ode
+
+
 def test_certify_precondition_errors():
     with pytest.raises(InputError):
         rc.certify(3, 0.0)

@@ -90,11 +90,29 @@ def test_core_first_integral_residual():
 def test_core_fourth_order_convergence():
     p = build(step=0.02, tol_ode=1.0)  # disable adaptive halving
     w1 = wm.integrate_core(p)
-    r1 = w1.core.first_integral_residual(w1.s_lambda)
+    r1 = w1.core.first_integral_residual(0.0, w1.s_lambda)
     p2 = build(step=0.01, tol_ode=1.0)
     w2 = wm.integrate_core(p2)
-    r2 = w2.core.first_integral_residual(w1.s_lambda)
+    r2 = w2.core.first_integral_residual(0.0, w1.s_lambda)
     assert r1 / r2 >= 8.0
+
+
+def test_core_unmet_tolerance_raises_after_five_steps(monkeypatch):
+    # No step meets a 1e-18 residual: the core halves its step four times
+    # and then fails instead of returning an unchecked solution.
+    steps = []
+    real = wm._CoreSolution.first_integral_residual
+
+    def recording(core, s_lo, s_hi):
+        steps.append(core.step)
+        return real(core, s_lo, s_hi)
+
+    monkeypatch.setattr(wm._CoreSolution, "first_integral_residual", recording)
+    p = build(tol_ode=1e-18)
+    with pytest.raises(NoStop, match="first-integral tolerance"):
+        wm.integrate_core(p)
+    step = p.resolve().step
+    assert steps == [step, step / 2, step / 4, step / 8, step / 16]
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -724,7 +742,7 @@ def test_dense_models_self_consistent():
         for r in (1.0, 0.5, 0.013):
             w = wm.smooth_origin(neck, r, eps)
             models.append(("bridge", w.segments[1].hmod))
-        models.append(("flat", w.outer.segments[0].fmod))
+        models.append(("flat", w.segments[3].fmod))  # the first outer segment
         dense = [(name, m) for name, m in models if isinstance(m, wm._Dense)]
         assert sorted({name for name, _ in dense}) == sorted(gates)
         for name, model in dense:
@@ -767,7 +785,7 @@ def test_each_stage_gates_the_segments_it_built(monkeypatch):
         wm.smooth_origin(tailed, r, eps)
     assert gated == [
         ("cap_sine", ("cap", "cap")),
-        ("flatten_h_tail", ("tail",)),
+        ("flatten_h_tail", ("cap", "tail")),
         ("smooth_origin", ("flat", "core")),
         *[("smooth_origin", ("splice", "flat", "flat"))] * 3,
     ]
@@ -837,13 +855,16 @@ def test_origin_cache_dies_with_neck():
     tailed, eps = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
     probe = wm.smooth_origin(tailed, 0.5, eps)
     neck_ref = weakref.ref(tailed)
+    outer_ref = weakref.ref(tailed._outer_memo[1])
+    flat_ref = weakref.ref(probe.segments[3].fmod)  # the outer part's flattening
     del tailed
     gc.collect()
     assert neck_ref() is None  # a probe does not keep its neck alive
-    outer_ref = weakref.ref(probe.outer)
+    assert outer_ref() is None  # nor the neck's outer part
+    assert flat_ref() is not None
     del probe
     gc.collect()
-    assert outer_ref() is None
+    assert flat_ref() is None
 
 
 def test_fibre_scale_applied_alike_on_shared_and_own_blocks(neck_41):
@@ -853,7 +874,7 @@ def test_fibre_scale_applied_alike_on_shared_and_own_blocks(neck_41):
     tailed, eps = neck_41
     for r in (1.0, 0.5, 0.013):
         w = wm.smooth_origin(tailed, r, eps)
-        own = len(w.segments) - len(w.outer.segments)
+        own = 3  # the collar; w.segments[3:] are the neck's outer part
         for k, seg in enumerate(w.segments):
             got = w.block(k)
             if k >= own:
