@@ -11,7 +11,9 @@ frame block (fibre direction, sphere direction, radial direction).
 Where no curvature acts that bound is min(m1, m2, m3) of the inequality
 margins, so ``ricci_neck`` starts from their minima and runs the bounded
 arithmetic only on the sampled blocks the curvature support reaches; its
-report keeps minima, not per-sample columns.
+report keeps minima, not per-sample columns.  ``search_r`` runs the same
+fold on the r = 1 probe's blocks right of the origin collar, with h
+scaled by r, and builds only the probes that bound lets pass.
 
 The bundle region is handled through the constant-fibre-length
 formulas with a harmonic curvature representative, which kills the
@@ -114,6 +116,39 @@ def _frame_bound(n: int, b, active, beta: float, beta_delta: float):
     return np.minimum(row_t, np.minimum(row_x, row_s)), (mix_tx, mix_ts, mix_xs)
 
 
+def _fold_frame_bounds(
+    w: WarpProfile, c: ConnectionModel, blocks, strict_min: float, tail_min: float,
+    scale: float = 1.0,
+):
+    """Fold each block's frame-bound minimum into (strict_min, tail_min).
+
+    Only bounded connections fold anything, and only on the blocks the
+    curvature support reaches; the support must avoid w's
+    product-connection collar.  ``scale`` multiplies h, h' and h'' of
+    those blocks first, so ``search_r`` can fold the r = 1 probe's outer
+    blocks as the blocks of the probe at r = ``scale``.
+    """
+    if c.variant != "bounded":
+        return strict_min, tail_min
+    collar_end = w.origin.rejoin if w.origin else w.s_left
+    lo = c.support[0] if c.support else collar_end
+    if lo < collar_end - 1e-12:
+        raise InputError("curvature support must avoid the product-connection collar")
+    hi = c.support[1] if c.support else w.s_lambda
+    for b in blocks:
+        active = (b.s >= lo) & (b.s <= hi)
+        if not active.any():
+            continue
+        if scale != 1.0:
+            b = b._replace(h=scale * b.h, hp=scale * b.hp, hpp=scale * b.hpp)
+        eig, _ = _frame_bound(w.params.n, b, active, c.sup_f, c.sup_delta_f)
+        if b.seg.label == "tail":
+            tail_min = min(tail_min, float(np.min(eig)))
+        else:
+            strict_min = min(strict_min, float(np.min(eig)))
+    return strict_min, tail_min
+
+
 def ricci_neck(
     w: WarpProfile, c: ConnectionModel, r: float | None = None
 ) -> RicciReport:
@@ -129,25 +164,9 @@ def ricci_neck(
     if r is not None and abs(r - w.r) > 1e-15:
         raise InputError("profile was built with a different fibre scale")
     margins = warpmetric.inequality_margins(w)
-    strict_min, tail_min = margins.global_min, margins.tail_min
-    if c.variant == "bounded":
-        collar_end = w.origin.rejoin if w.origin else w.s_left
-        lo = c.support[0] if c.support else collar_end
-        if lo < collar_end - 1e-12:
-            raise InputError(
-                "curvature support must avoid the product-connection collar"
-            )
-        hi = c.support[1] if c.support else w.s_lambda
-        for b in w.blocks():
-            active = (b.s >= lo) & (b.s <= hi)
-            if not active.any():
-                continue
-            eig, _ = _frame_bound(w.params.n, b, active, c.sup_f, c.sup_delta_f)
-            if b.seg.label == "tail":
-                tail_min = min(tail_min, float(np.min(eig)))
-            else:
-                strict_min = min(strict_min, float(np.min(eig)))
-
+    strict_min, tail_min = _fold_frame_bounds(
+        w, c, w.blocks(), margins.global_min, margins.tail_min
+    )
     report = RicciReport(strict_min, tail_min, margins)
     if strict_min <= 0.0:
         raise NotPositive(f"neck eigenvalue lower bound {strict_min:.3e}", report)
@@ -248,44 +267,94 @@ def verify_gluing(w: WarpProfile, s0: float, tol: float = 1e-8) -> GluingReport:
 R_FLOOR = 1e-6
 
 
+def _outer_segments(w: WarpProfile) -> list:
+    """The segments of a ``smooth_origin`` probe right of its flat end."""
+    if w.origin is None:
+        raise InputError("search_r expects profiles built by smooth_origin")
+    return [seg for seg in w.segments if seg.s0 >= w.origin.flat_end]
+
+
 def search_r(builder, c: ConnectionModel, target_margin: float):
     """Largest fibre scale on the grid {2^-k} certifying the target margin.
 
-    ``builder`` maps r to a finished WarpProfile.  After the coarse grid
-    hit, the boundary is bisected to two extra decimal digits.  Raises
-    Exhausted when no scale above the floor certifies.
+    ``builder`` maps r to a ``smooth_origin`` probe of one neck and eps.
+    After the coarse grid hit, the boundary is bisected to two extra
+    decimal digits.  Raises Exhausted when no scale above the floor
+    certifies.
+
+    Right of its flat end every probe holds the r = 1 probe's segments
+    with h, h' and h'' times r, and a bounded connection's support avoids
+    the collar left of it; the collar's margins can only lower the bound.
+    So after r = 1 a probe is built only if the r = 1 probe's outer
+    blocks, folded at scale r (``_fold_frame_bounds``), reach the target;
+    otherwise it fails unbuilt, and the decisions are those of building
+    every probe.  Each built probe must share those segments, or
+    InputError is raised.  Two failing scales are built as witnesses: the
+    returned bracket's failing end and, before Exhausted, the last grid
+    scale above ``R_FLOOR``.  An unbuilt probe never builds its collar,
+    so a collar failure at a scale that fails anyway does not stop the
+    search; the returned profile is always fully built and gated.
     """
+    first = builder(1.0)
+    outer = _outer_segments(first)
+    built = set()
 
-    def margin_at(r):
-        profile = builder(r)
+    def checked(profile, r):
+        segments = _outer_segments(profile)
+        if len(segments) != len(outer) or any(
+            s.label != t.label or (s.s0, s.s1) != (t.s0, t.s1)
+            or s.fmod is not t.fmod or s.hmod is not t.hmod or s.h_scale != r
+            for s, t in zip(segments, outer)
+        ):
+            raise InputError(
+                "search_r probes must share the r = 1 probe's segments right "
+                "of its flat end, with h scaled by r"
+            )
+        built.add(r)
+        return profile
+
+    def margin_at(profile, r):
         try:
-            report = ricci_neck(profile, c, r)
+            return ricci_neck(profile, c, r)
         except NotPositive as exc:
-            return profile, exc.report
-        return profile, report
+            return exc.report
 
-    prev_fail = None
-    k = 0
-    while True:
-        r = 2.0 ** (-k)
-        if r < R_FLOOR:
-            raise Exhausted(f"no fibre scale above {R_FLOOR} certifies the margin")
-        profile, report = margin_at(r)
-        if report.margin >= target_margin:
-            break
-        prev_fail = r
+    report = margin_at(checked(first, 1.0), 1.0)
+    if report.margin >= target_margin:
+        return 1.0, first, report
+
+    kept = set(outer)
+    blocks = [b for b in first.blocks() if b.seg in kept]
+    outer_min = min(min(b.mins) for b in blocks if b.seg.label != "tail")
+
+    def passing(r):
+        """The probe at r and its report if it reaches the target, else None."""
+        bound, _ = _fold_frame_bounds(first, c, blocks, outer_min, math.inf, r)
+        if bound < target_margin:
+            return None
+        profile = checked(builder(r), r)
+        report = margin_at(profile, r)
+        return (profile, report) if report.margin >= target_margin else None
+
+    def witness(r):
+        if r not in built:
+            checked(builder(r), r)
+
+    k = 1
+    while (found := passing(2.0 ** (-k))) is None:
         k += 1
-    if prev_fail is None:
-        return r, profile, report
-    lo, lo_profile, lo_report = r, profile, report
-    hi = prev_fail
+        if 2.0 ** (-k) < R_FLOOR:
+            witness(2.0 ** (1 - k))
+            raise Exhausted(f"no fibre scale above {R_FLOOR} certifies the margin")
+    lo, (lo_profile, lo_report), hi = 2.0 ** (-k), found, 2.0 ** (1 - k)
     while hi / lo > 1.01:
         mid = 0.5 * (lo + hi)
-        profile, report = margin_at(mid)
-        if report.margin >= target_margin:
-            lo, lo_profile, lo_report = mid, profile, report
-        else:
+        found = passing(mid)
+        if found is None:
             hi = mid
+        else:
+            lo, (lo_profile, lo_report) = mid, found
+    witness(hi)
     return lo, lo_profile, lo_report
 
 

@@ -1,4 +1,6 @@
+import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -338,8 +340,19 @@ def test_search_r_trivial_returns_one(neck):
 
 
 def test_search_r_exhausted(neck):
-    with pytest.raises(Exhausted):
-        rc.search_r(builder_for(neck), rc.TRIVIAL_CONNECTION, 1e6)
+    # A trivial connection's margin does not depend on r, so once r = 1
+    # misses the target every grid probe fails unbuilt; only the last grid
+    # scale above the floor is built, as the witness of the failure.
+    base, eps = neck
+    probes = []
+
+    def build(r):
+        probes.append(r)
+        return wm.smooth_origin(base, r, eps)
+
+    with pytest.raises(Exhausted, match="no fibre scale above 1e-06 certifies the margin"):
+        rc.search_r(build, rc.TRIVIAL_CONNECTION, 1e6)
+    assert probes == [1.0, 2.0**-19]
 
 
 def test_search_r_bounded_scales_inversely(neck):
@@ -377,8 +390,104 @@ def test_search_r_flattens_f_once(monkeypatch):
     lo = eps + 0.05 * (base.s_lambda - eps)
     c = rc.ConnectionModel("bounded", sup_f=2.0, support=(lo, base.cap.blend_start))
     rc.search_r(build, c, 1e-4)
-    assert len(probes) > 5
+    assert len(probes) >= 3
     assert calls[0] == 1
+
+
+def test_search_r_rejects_probes_of_another_eps(neck):
+    # The pre-test folds the r = 1 probe's outer blocks, so every built
+    # probe must hold those segments; a probe with another eps does not.
+    base, eps = neck
+
+    def build(r):
+        return wm.smooth_origin(base, r, eps if r == 1.0 else 0.9 * eps)
+
+    lo = eps + 0.05 * (base.s_lambda - eps)
+    c = rc.ConnectionModel("bounded", sup_f=2.0, support=(lo, base.cap.blend_start))
+    with pytest.raises(InputError, match="r = 1 probe's segments"):
+        rc.search_r(build, c, 1e-4)
+
+
+def _search_every_probe(builder, c, target_margin):
+    """The search that builds every probe: the reference for ``search_r``."""
+
+    def margin_at(r):
+        profile = builder(r)
+        try:
+            report = rc.ricci_neck(profile, c, r)
+        except NotPositive as exc:
+            return profile, exc.report
+        return profile, report
+
+    prev_fail = None
+    k = 0
+    while True:
+        r = 2.0 ** (-k)
+        if r < rc.R_FLOOR:
+            raise Exhausted(f"no fibre scale above {rc.R_FLOOR} certifies the margin")
+        profile, report = margin_at(r)
+        if report.margin >= target_margin:
+            break
+        prev_fail = r
+        k += 1
+    if prev_fail is None:
+        return r, profile, report
+    lo, lo_profile, lo_report = r, profile, report
+    hi = prev_fail
+    while hi / lo > 1.01:
+        mid = 0.5 * (lo + hi)
+        profile, report = margin_at(mid)
+        if report.margin >= target_margin:
+            lo, lo_profile, lo_report = mid, profile, report
+        else:
+            hi = mid
+    return lo, lo_profile, lo_report
+
+
+def _search_outcome(search, neck, c, target):
+    """(r, margins, CSV) of a search, or its Exhausted message, and the
+    scales it built."""
+    base, eps = neck
+    probes = []
+
+    def build(r):
+        probes.append(r)
+        return wm.smooth_origin(base, r, eps)
+
+    try:
+        r, profile, report = search(build, c, target)
+    except Exhausted as exc:
+        return str(exc), probes
+    csv = io.StringIO()
+    wm.export_profile(profile, csv)
+    margins = (report.margin, report.tail_margin, report.margins)
+    return (r, margins, csv.getvalue()), probes
+
+
+@pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (6, 0.3)])
+def test_search_r_matches_building_every_probe(n, s0):
+    neck = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+    base, eps = neck
+    rng = random.Random(n)
+    span = base.cap.blend_start - eps
+    connections = [rc.TRIVIAL_CONNECTION]
+    for _ in range(3):
+        a = rng.uniform(0.0, 0.9)
+        connections.append(rc.ConnectionModel(
+            "bounded", sup_f=math.exp(rng.uniform(math.log(0.1), math.log(20.0))),
+            support=(eps + a * span, eps + rng.uniform(a + 0.05, 1.0) * span),
+        ))
+    for c in connections:
+        for target in (1e-6, 1e-4):
+            expected, every = _search_outcome(_search_every_probe, neck, c, target)
+            found, built = _search_outcome(rc.search_r, neck, c, target)
+            assert found == expected, (c, target)
+            assert set(built) <= set(every) and len(set(built)) == len(built)
+            if isinstance(found, str) or found[0] == 1.0:
+                continue
+            r = found[0]
+            hi = min(p for p in built if p > r)  # the bracket's failing end
+            assert hi / r <= 1.01 and hi == min(p for p in every if p > r)
 
 
 # -- full pipeline -------------------------------------------------------------------

@@ -16,9 +16,9 @@ The digest holds, for the sources of the checkout the script sits in:
 Floats are written with ``repr``, so two digests compare equal byte for
 byte only if every number is bit-identical.  ``--against REV`` checks that
 a change keeps the outputs: it ``git archive``s REV into a temporary
-directory, runs this script there and here, prints the first differing
-line and exits 1 if the digests differ, and exits 0 if they match.  It
-leaves the repository's ``.git`` as it was.
+directory and runs this script there and here.  If the digests differ it
+prints every differing line and their count and exits 1; if they match it
+exits 0.  It leaves the repository's ``.git`` as it was.
 """
 
 from __future__ import annotations
@@ -115,15 +115,18 @@ def against(rev):
         with open(out, encoding="utf-8") as fh:
             theirs = fh.read().split("\n")
     ours = ("\n".join(digest_lines()) + "\n").split("\n")
+    differ = 0
     for i, (mine, other) in enumerate(zip(ours, theirs), 1):
         if mine != other:
+            differ += 1
             print(f"line {i} differs\n{rev}: {other}\nhere: {mine}")
-            return 1
     if len(ours) != len(theirs):
         print(f"{rev} has {len(theirs) - 1} lines, here {len(ours) - 1}")
-        return 1
-    print(f"digest identical to {rev} ({len(ours) - 1} lines)")
-    return 0
+    elif not differ:
+        print(f"digest identical to {rev} ({len(ours) - 1} lines)")
+        return 0
+    print(f"{differ} of {min(len(ours), len(theirs)) - 1} lines differ from {rev}")
+    return 1
 
 
 def main(argv):
