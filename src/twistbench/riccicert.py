@@ -9,10 +9,10 @@ Diagonal Ricci entries are bounded below, mixed entries above, and the
 per-sample eigenvalue lower bound is the Gershgorin bound of the 3x3
 frame block (fibre direction, sphere direction, radial direction).
 Where no curvature acts that bound is min(m1, m2, m3) of the inequality
-margins, so ``ricci_neck`` starts from their minima and runs the bounded
-arithmetic only on the sampled blocks the curvature support reaches; its
-report keeps minima, not per-sample columns.  ``search_r`` runs the same
-fold on the r = 1 probe's blocks right of the origin collar, with h
+margins, so ``_FrameFold`` runs the bounded arithmetic only on the
+samples the curvature support reaches; ``ricci_neck``'s report keeps
+minima, not per-sample columns.  ``search_r`` prepares the same fold once
+on the r = 1 probe's blocks right of the origin collar, folds it with h
 scaled by r, and builds only the probes that bound lets pass.
 
 The bundle region is handled through the constant-fibre-length
@@ -83,7 +83,7 @@ class RicciReport:
     to the product form, so Ric(T,T) closes to zero at the boundary) is
     certified nonnegative via ``tail_margin``.  ``margins`` holds the
     inequality margins the diagonal bounds are built from.  Per-sample
-    bounds are not kept: ``_frame_bound`` recomputes them for one block.
+    bounds are not kept: ``_FrameFold.bounds`` recomputes them.
     """
 
     margin: float
@@ -91,62 +91,84 @@ class RicciReport:
     margins: MarginReport
 
 
-def _frame_bound(n: int, b, active, beta: float, beta_delta: float):
-    """Per-sample Ricci eigenvalue lower bound on one sampled block.
+class _FrameFold:
+    """The Ricci frame bound of some sampled blocks, prepared once and
+    folded at any fibre scale.
 
     The frame is (fibre T, sphere X/f, radial ds).  Its diagonal entries
     are the inequality margins less worst-case curvature losses (the
     curvature term in Ric(T,T) is nonnegative and dropped), its mixed
-    entries are bounded above, and the bound is the Gershgorin bound of
-    the 3x3 block.  Curvature acts only where ``active``; elsewhere the
-    bound is min(m1, m2, m3) exactly.  Returns the bound and the mixed
-    bounds (T-X, T-ds, X-ds).
+    entries are bounded above, and the per-sample bound is the Gershgorin
+    bound of the 3x3 block.  Curvature acts only where a bounded
+    connection's support reaches; elsewhere, and everywhere for a trivial
+    connection, the bound is min(m1, m2, m3) exactly, which no scale
+    changes.  So the blocks are read once, per group (the strict zone,
+    and the seam collar labelled ``tail``): f, h, h' and m1-m3 at the
+    samples the support reaches, concatenated, and min(m1, m2, m3) over
+    the group's other samples.  The support must avoid w's
+    product-connection collar.
     """
-    f, h, hp = b.f, b.h, b.hp
-    f_sq = f * f
-    h_sq = h * h
-    loss_sphere = np.where(active, 0.5 * h_sq / (f_sq * f_sq) * (n - 1) * beta**2, 0.0)
-    loss_radial = np.where(active, 0.5 * h_sq / f_sq * (n - 1) * beta**2, 0.0)
-    mix_tx = np.where(active, 0.5 * h * beta_delta + 1.5 * np.abs(hp) * beta, 0.0)
-    mix_ts = np.where(active, 0.5 * h * beta_delta, 0.0)
-    mix_xs = np.where(active, 0.5 * h_sq / (f_sq * f) * (n - 1) * beta**2, 0.0)
-    row_t = b.m3 - mix_tx - mix_ts
-    row_x = b.m2 - loss_sphere - mix_tx - mix_xs
-    row_s = b.m1 - loss_radial - mix_ts - mix_xs
-    return np.minimum(row_t, np.minimum(row_x, row_s)), (mix_tx, mix_ts, mix_xs)
 
+    def __init__(self, w: WarpProfile, c: ConnectionModel, blocks):
+        self.n, self.beta, self.beta_delta = w.params.n, c.sup_f, c.sup_delta_f
+        bounded = c.variant == "bounded"
+        if bounded:
+            collar_end = w.origin.rejoin if w.origin else w.s_left
+            lo = c.support[0] if c.support else collar_end
+            if lo < collar_end - 1e-12:
+                raise InputError("curvature support must avoid the product-connection collar")
+            hi = c.support[1] if c.support else w.s_lambda
+        reached = {False: [], True: []}  # keyed by "is the seam collar"
+        rest = {False: math.inf, True: math.inf}
+        for b in blocks:
+            tail = b.seg.label == "tail"
+            # A block's samples rise along s (``segment_grid``), so the
+            # support reaches one run of them, [i, j).
+            i, j = 0, 0
+            if bounded:
+                i, j = int(b.s.searchsorted(lo)), int(b.s.searchsorted(hi, "right"))
+            if i >= j:
+                rest[tail] = min(rest[tail], *b.mins)
+                continue
+            reached[tail].append([x[i:j] for x in (b.f, b.h, b.hp, b.m1, b.m2, b.m3)])
+            low = np.minimum(b.m1, np.minimum(b.m2, b.m3))
+            rest[tail] = min([rest[tail], *(float(np.min(x)) for x in (low[:i], low[j:]) if len(x))])
+        self.groups = tuple(
+            ([np.concatenate(x) for x in zip(*reached[tail])], rest[tail])
+            for tail in (False, True)
+        )
 
-def _fold_frame_bounds(
-    w: WarpProfile, c: ConnectionModel, blocks, strict_min: float, tail_min: float,
-    scale: float = 1.0,
-):
-    """Fold each block's frame-bound minimum into (strict_min, tail_min).
+    def bounds(self, scale: float = 1.0) -> tuple:
+        """The bound at the reached samples of each group (strict, tail),
+        with h and h' times ``scale``: ``search_r`` folds the r = 1
+        probe's blocks at scale r as the blocks of the probe at r."""
+        n, beta, beta_delta = self.n, self.beta, self.beta_delta
+        out = []
+        for columns, _ in self.groups:
+            if not columns:
+                out.append(np.empty(0))
+                continue
+            f, h, hp, m1, m2, m3 = columns
+            h, hp = scale * h, scale * hp
+            f_sq = f * f
+            half_h_sq = 0.5 * (h * h)
+            loss_sphere = half_h_sq / (f_sq * f_sq) * (n - 1) * beta**2
+            loss_radial = half_h_sq / f_sq * (n - 1) * beta**2
+            mix_ts = 0.5 * h * beta_delta
+            mix_tx = mix_ts + 1.5 * np.abs(hp) * beta
+            mix_xs = half_h_sq / (f_sq * f) * (n - 1) * beta**2
+            row_t = m3 - mix_tx - mix_ts
+            row_x = m2 - loss_sphere - mix_tx - mix_xs
+            row_s = m1 - loss_radial - mix_ts - mix_xs
+            out.append(np.minimum(row_t, np.minimum(row_x, row_s)))
+        return tuple(out)
 
-    Only bounded connections fold anything, and only on the blocks the
-    curvature support reaches; the support must avoid w's
-    product-connection collar.  ``scale`` multiplies h, h' and h'' of
-    those blocks first, so ``search_r`` can fold the r = 1 probe's outer
-    blocks as the blocks of the probe at r = ``scale``.
-    """
-    if c.variant != "bounded":
-        return strict_min, tail_min
-    collar_end = w.origin.rejoin if w.origin else w.s_left
-    lo = c.support[0] if c.support else collar_end
-    if lo < collar_end - 1e-12:
-        raise InputError("curvature support must avoid the product-connection collar")
-    hi = c.support[1] if c.support else w.s_lambda
-    for b in blocks:
-        active = (b.s >= lo) & (b.s <= hi)
-        if not active.any():
-            continue
-        if scale != 1.0:
-            b = b._replace(h=scale * b.h, hp=scale * b.hp, hpp=scale * b.hpp)
-        eig, _ = _frame_bound(w.params.n, b, active, c.sup_f, c.sup_delta_f)
-        if b.seg.label == "tail":
-            tail_min = min(tail_min, float(np.min(eig)))
-        else:
-            strict_min = min(strict_min, float(np.min(eig)))
-    return strict_min, tail_min
+    def minima(self, scale: float = 1.0) -> tuple:
+        """(strict, tail): the least bound over every sample of each group."""
+        return tuple(
+            min(float(np.min(eig)), rest) if len(eig) else rest
+            for eig, (_, rest) in zip(self.bounds(scale), self.groups)
+        )
 
 
 def ricci_neck(
@@ -157,16 +179,15 @@ def ricci_neck(
     With no curvature the diagonal entries are exactly the three
     inequality margins (so they do not depend on the fibre scale) and
     every mixed bound vanishes, so the bounds are the minima of
-    ``inequality_margins``.  In bounded mode ``_frame_bound`` runs on the
-    blocks the curvature support reaches, with worst-case signs and the
-    profile's scaled h, and each block's minimum is folded in.
+    ``inequality_margins``.  In bounded mode ``_FrameFold`` runs on the
+    samples the curvature support reaches, with worst-case signs and the
+    profile's scaled h, and folds their minimum with the margins' minimum
+    over the other samples.
     """
     if r is not None and abs(r - w.r) > 1e-15:
         raise InputError("profile was built with a different fibre scale")
     margins = warpmetric.inequality_margins(w)
-    strict_min, tail_min = _fold_frame_bounds(
-        w, c, w.blocks(), margins.global_min, margins.tail_min
-    )
+    strict_min, tail_min = _FrameFold(w, c, w.blocks()).minima()
     report = RicciReport(strict_min, tail_min, margins)
     if strict_min <= 0.0:
         raise NotPositive(f"neck eigenvalue lower bound {strict_min:.3e}", report)
@@ -286,10 +307,15 @@ def search_r(builder, c: ConnectionModel, target_margin: float):
     with h, h' and h'' times r, and a bounded connection's support avoids
     the collar left of it; the collar's margins can only lower the bound.
     So after r = 1 a probe is built only if the r = 1 probe's outer
-    blocks, folded at scale r (``_fold_frame_bounds``), reach the target;
-    otherwise it fails unbuilt, and the decisions are those of building
-    every probe.  Each built probe must share those segments, or
-    InputError is raised.  Two failing scales are built as witnesses: the
+    blocks, folded at scale r, reach the target; otherwise it fails
+    unbuilt, and the decisions are those of building every probe.  That
+    fold (``_FrameFold``) is prepared once per search, from the samples
+    the support reaches and the margins' minimum over the others, and is
+    dropped when the search returns; each scale then runs the bounded
+    arithmetic on those samples alone.  Each built probe must share those
+    segments, or InputError is raised; it shares their sampled blocks, and
+    their CSV text once exported, with every probe of the neck and eps
+    (``smooth_origin``, ``export_profile``).  Two failing scales are built as witnesses: the
     returned bracket's failing end and, before Exhausted, the last grid
     scale above ``R_FLOOR``.  An unbuilt probe never builds its collar,
     so a collar failure at a scale that fails anyway does not stop the
@@ -324,13 +350,11 @@ def search_r(builder, c: ConnectionModel, target_margin: float):
         return 1.0, first, report
 
     kept = set(outer)
-    blocks = [b for b in first.blocks() if b.seg in kept]
-    outer_min = min(min(b.mins) for b in blocks if b.seg.label != "tail")
+    fold = _FrameFold(first, c, [b for b in first.blocks() if b.seg in kept])
 
     def passing(r):
         """The probe at r and its report if it reaches the target, else None."""
-        bound, _ = _fold_frame_bounds(first, c, blocks, outer_min, math.inf, r)
-        if bound < target_margin:
+        if fold.minima(r)[0] < target_margin:
             return None
         profile = checked(builder(r), r)
         report = margin_at(profile, r)

@@ -490,6 +490,13 @@ class _CoreH:
         a = self.core.alpha
         return -(a + 1.0) * np.power(f, -a - 2.0) * fp
 
+    def hppp(self, f, fp):
+        """h''' from the core's f and f', with f'' from the core equation."""
+        a = self.core.alpha
+        return -(a + 1.0) * np.power(f, -a - 3.0) * (
+            (-a - 2.0) * fp * fp + f * self.core.fpp_of(f)
+        )
+
     def hpp_over_h(self, f):
         """h''/h at core values f."""
         a = self.core.alpha
@@ -681,7 +688,7 @@ class MarginReport:
 
 class _Block(NamedTuple):
     """One segment sampled on its grid: the profile columns, the three
-    inequality margins and their minima."""
+    inequality margins, their minima and the rows' CSV text up to h."""
 
     seg: Segment
     s: np.ndarray
@@ -695,6 +702,10 @@ class _Block(NamedTuple):
     m2: np.ndarray
     m3: np.ndarray
     mins: tuple  # (min m1, min m2, min m3); scale-free like the margins
+    # The rows' CSV text up to h, "s,f,fp,fpp,", filled by the first
+    # ``export_profile``; scale-free, so the scaled copies of a block that
+    # ``smooth_origin`` gives each probe share it.
+    text: list
 
 
 def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
@@ -741,7 +752,7 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
     columns = (s, *seg.scaled(f, fp, fpp, h, hp, hpp), m1, m2, m3)
     for column in columns:
         column.setflags(write=False)  # blocks are shared between profiles
-    return _Block(seg, *columns, tuple(float(np.min(m)) for m in (m1, m2, m3)))
+    return _Block(seg, *columns, tuple(float(np.min(m)) for m in (m1, m2, m3)), [])
 
 
 def inequality_margins(w: WarpProfile) -> MarginReport:
@@ -1186,8 +1197,10 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
     grid.  An estimate above ``_SWEEP_TOL`` at ``_BRIDGE_MAX`` steps
     raises MarginLost.
 
-    Returns the dense bridge model, (value, slope) at x0, the step count
-    and the error estimate.
+    The dense bridge model holds rows h, h' and h'' at the nodes; the
+    slopes of its h'' row are the ODE's h''' = a' h + a h' + b' there.
+    Returns that model, (value, slope) at x0, the step count and the
+    error estimate.
     """
     width = x1 - x0
     inv_r2 = 1.0 / (radius_hat * radius_hat)
@@ -1219,8 +1232,16 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
         steps *= 2
     h_vals = np.array(hs[::-1])
     hp_vals = np.array(hps[::-1])
-    hpp_vals = -(1.0 - sig_fine[::2]) * h_vals * inv_r2 + sig_fine[::2] * gr_fine[::2]
-    rows = (h_vals, hp_vals, hpp_vals, np.gradient(hpp_vals, hstep))
+    sig, gr = sig_fine[::2], gr_fine[::2]
+    hpp_vals = -(1.0 - sig) * h_vals * inv_r2 + sig * gr
+    # The ODE's h''' = a' h + a h' + b', with a = -(1 - sig)/radius_hat^2
+    # and b = sig r h_c'' for the core's h_c.
+    dsig = smoothstep_d((fine[::2] - x0) / width) / width
+    f, fp = core_f[::2], core_fp[::2]
+    hppp_vals = (dsig * h_vals - (1.0 - sig) * hp_vals) * inv_r2 + (
+        dsig * gr + sig * r * core_h.hppp(f, fp)
+    )
+    rows = (h_vals, hp_vals, hpp_vals, hppp_vals)
     curve = _DenseCurve(x0, hstep, rows[:3], rows[1:])
     return _Dense(curve), float(h_vals[0]), float(hp_vals[0]), steps, error
 
@@ -1317,8 +1338,9 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
         ),
     )
     _gate(out, (0, 1, 2), "smooth_origin")
-    # The neck's outer blocks with h scaled by r (margins are scale-free);
-    # every probe reads them all, so they are built here, not on demand.
+    # The neck's outer blocks with h scaled by r (margins and row text are
+    # scale-free); every probe reads them all, so they are built here, not
+    # on demand.
     out._memo.update(
         (seg, _Block(seg, u.s, *seg.scaled(*u[2:8]), *u[8:]))
         for seg, u in zip(segments[3:], outer.blocks())
@@ -1364,11 +1386,25 @@ CSV_HEADER = "s,f,fp,fpp,h,hp,hpp,segment"
 
 
 def export_profile(w: WarpProfile, destination) -> None:
-    """Write the sampled profile as CSV (17 significant digits)."""
+    """Write the sampled profile as CSV (17 significant digits).
+
+    A row is its block's kept text for s, f, f' and f'' (``_Block.text``,
+    formatted on the block's first export) followed by h, h' and h''.
+    That text lives as long as the block: a probe of ``smooth_origin``
+    shares it with its neck's outer part and every other probe of that
+    (neck, eps), so across fibre scales r only the h columns and the
+    probe's own collar rows are formatted again.
+    """
     rows = []
-    for seg, *columns in (b[:8] for b in w.blocks()):
-        row = "%.17g," * 7 + seg.label
-        rows += [row % cells for cells in zip(*(c.tolist() for c in columns))]
+    for b in w.blocks():
+        if not b.text:
+            b.text.extend(map("%.17g,%.17g,%.17g,%.17g,".__mod__, zip(
+                b.s.tolist(), b.f.tolist(), b.fp.tolist(), b.fpp.tolist()
+            )))
+        row = "%s%.17g,%.17g,%.17g," + b.seg.label
+        rows += [row % cells for cells in zip(
+            b.text, b.h.tolist(), b.hp.tolist(), b.hpp.tolist()
+        )]
     text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)

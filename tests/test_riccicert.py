@@ -51,6 +51,30 @@ def test_connection_validation():
 
 # -- neck ----------------------------------------------------------------------
 
+def _frame_bound(n, b, active, beta, beta_delta, scale=1.0):
+    """Reference for ``rc._FrameFold``: the frame bound of one block at
+    every sample, the curvature terms masked by ``np.where(active, ...)``,
+    with h and h' times ``scale``.  Returns the bound and the mixed bounds
+    (T-X, T-ds, X-ds)."""
+    f, h, hp = b.f, scale * b.h, scale * b.hp
+    f_sq = f * f
+    h_sq = h * h
+    loss_sphere = np.where(active, 0.5 * h_sq / (f_sq * f_sq) * (n - 1) * beta**2, 0.0)
+    loss_radial = np.where(active, 0.5 * h_sq / f_sq * (n - 1) * beta**2, 0.0)
+    mix_tx = np.where(active, 0.5 * h * beta_delta + 1.5 * np.abs(hp) * beta, 0.0)
+    mix_ts = np.where(active, 0.5 * h * beta_delta, 0.0)
+    mix_xs = np.where(active, 0.5 * h_sq / (f_sq * f) * (n - 1) * beta**2, 0.0)
+    row_t = b.m3 - mix_tx - mix_ts
+    row_x = b.m2 - loss_sphere - mix_tx - mix_xs
+    row_s = b.m1 - loss_radial - mix_ts - mix_xs
+    return np.minimum(row_t, np.minimum(row_x, row_s)), (mix_tx, mix_ts, mix_xs)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_trivial_neck_diagonals_match_margins(finished):
     report = rc.ricci_neck(finished, rc.TRIVIAL_CONNECTION)
     margins = wm.inequality_margins(finished)
@@ -66,9 +90,26 @@ def test_trivial_neck_diagonals_match_margins(finished):
             (np.ones_like(b.s, dtype=bool), 0.0, 0.0),
             (np.zeros_like(b.s, dtype=bool), 50.0, 10.0),
         ):
-            eig, mixed = rc._frame_bound(n, b, active, beta, beta_d)
+            eig, mixed = _frame_bound(n, b, active, beta, beta_d)
             assert np.array_equal(eig, lowest)
             assert all(np.all(m == 0) for m in mixed)
+    # The same two cases through the fold: zero bounds on a support that
+    # reaches every sample right of the collar, and large bounds on one
+    # that reaches none (it lies between two samples).
+    blocks = finished.blocks()
+    rejoin = finished.origin.rejoin
+    zero = rc.ConnectionModel("bounded", support=(rejoin, finished.s_lambda))
+    fold = rc._FrameFold(finished, zero, blocks)
+    for tail, got in zip((False, True), fold.bounds()):
+        want = [np.minimum(b.m1, np.minimum(b.m2, b.m3))[b.s >= rejoin]
+                for b in blocks if (b.seg.label == "tail") == tail]
+        assert _same_bits(got, np.concatenate(want))
+    s = next(b.s for b in blocks if b.seg.label == "core")
+    between = (0.6 * s[0] + 0.4 * s[1], 0.4 * s[0] + 0.6 * s[1])
+    far = rc.ConnectionModel("bounded", sup_f=50.0, sup_delta_f=10.0, support=between)
+    fold = rc._FrameFold(finished, far, blocks)
+    assert [len(x) for x in fold.bounds()] == [0, 0]
+    assert fold.minima() == (margins.global_min, margins.tail_min)
 
 
 def test_certify_ricci_margin_is_min_of_inequalities():
@@ -145,7 +186,7 @@ def test_bounded_neck_mixed_bound_scaling(neck):
         bounds = []
         for b in w.blocks():
             active = (b.s >= lo) & (b.s <= hi)
-            _, (_, _, mix_xs) = rc._frame_bound(w.params.n, b, active, 0.2, 0.1)
+            _, (_, _, mix_xs) = _frame_bound(w.params.n, b, active, 0.2, 0.1)
             bounds.append(float(np.max(mix_xs)))
         return max(bounds)
 
@@ -159,6 +200,56 @@ def test_bounded_support_must_avoid_collar(finished):
     c = rc.ConnectionModel("bounded", sup_f=0.1, support=(0.0, 1.0))
     with pytest.raises(InputError):
         rc.ricci_neck(finished, c)
+
+
+@pytest.mark.parametrize("n, s0", [(4, 1.0), (6, 0.3)])
+def test_frame_fold_matches_where_reference(n, s0):
+    # The prepared fold against the np.where reference, bit for bit: the
+    # bound at every reached sample and the minima per group, on a probe's
+    # blocks (as ricci_neck folds them), on the r = 1 probe's outer blocks
+    # at the scales search_r folds, and on each outer block alone, where
+    # the samples the support misses can hold the minimum.
+    base, eps = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+    first = wm.smooth_origin(base, 1.0, eps)
+    outer = [b for b in first.blocks() if b.seg.s0 >= first.origin.flat_end]
+    core = next(b for b in outer if b.seg.label == "core")
+    k = len(core.s) // 2
+    gap = float(core.s[k + 1] - core.s[k]) / 3.0
+    rng = random.Random(1729 + n)
+    supports = [tuple(sorted(rng.uniform(eps, first.s_lambda) for _ in range(2)))
+                for _ in range(6)]
+    reaches = {
+        (float(core.s[k]) + gap, float(core.s[k + 1]) - gap): (0, 0),  # no block
+        (float(core.s[k]) - gap, float(core.s[k]) + gap): (1, 0),  # one sample
+    }
+    supports += [*reaches, (0.5 * (eps + first.tail.start), first.s_lambda)]
+    connections = [rc.TRIVIAL_CONNECTION] + [
+        rc.ConnectionModel("bounded", sup_f=rng.uniform(0.05, 3.0),
+                           sup_delta_f=rng.uniform(0.0, 1.0), support=sup)
+        for sup in supports
+    ]
+    probe = wm.smooth_origin(base, 0.5, eps)
+    reached_tail = False
+    for c in connections:
+        for profile, blocks in ((probe, probe.blocks()), (first, outer), *((first, [b]) for b in outer)):
+            fold = rc._FrameFold(profile, c, blocks)
+            for scale in (1.0, 0.5, 2.0**-19):
+                want_eig, want_min = [[np.empty(0)], [np.empty(0)]], [math.inf, math.inf]
+                for b in blocks:
+                    tail = b.seg.label == "tail"
+                    lo, hi = c.support or (math.inf, -math.inf)  # trivial: reaches none
+                    active = (b.s >= lo) & (b.s <= hi)
+                    eig, _ = _frame_bound(n, b, active, c.sup_f, c.sup_delta_f, scale)
+                    want_eig[tail].append(eig[active])
+                    want_min[tail] = min(want_min[tail], float(np.min(eig)))
+                got = fold.bounds(scale)
+                for g, w in zip(got, want_eig):
+                    assert _same_bits(g, np.concatenate(w)), (c, scale)
+                assert _same_bits(fold.minima(scale), want_min), (c, scale)
+            if c.support in reaches and blocks is outer:
+                assert tuple(len(x) for x in got) == reaches[c.support]
+            reached_tail |= len(got[1]) > 0
+    assert reached_tail
 
 
 def _frame_matrix(n, f, fp, fpp, h, hp, hpp, fx, fs, fxs, dfx, dfs):
@@ -196,7 +287,7 @@ def _check_eigen_bound(neck, rng):
     r, prof, rep = rc.search_r(build, c, 1e-5)
     n = prof.params.n
     blocks = prof.blocks()
-    bounds = [rc._frame_bound(n, b, (b.s >= lo) & (b.s <= hi), beta, beta_d)[0]
+    bounds = [_frame_bound(n, b, (b.s >= lo) & (b.s <= hi), beta, beta_d)[0]
               for b in blocks]
     # The report folds exactly these per-block minima.
     strict = [float(np.min(e)) for b, e in zip(blocks, bounds) if b.seg.label != "tail"]
