@@ -13,7 +13,8 @@ margins, so ``_FrameFold`` runs the bounded arithmetic only on the
 samples the curvature support reaches; ``ricci_neck``'s report keeps
 minima, not per-sample columns.  ``search_r`` prepares the same fold once
 on the r = 1 probe's blocks right of the origin collar, folds it with h
-scaled by r, and builds only the probes that bound lets pass.
+scaled by r, builds only the probes that bound lets pass, and takes their
+reports from that fold.
 
 The bundle region is handled through the constant-fibre-length
 formulas with a harmonic curvature representative, which kills the
@@ -196,6 +197,16 @@ def ricci_neck(
     return report
 
 
+def _probe_report(w: WarpProfile, minima: tuple) -> RicciReport:
+    """``ricci_neck``'s report of a ``search_r`` probe (any verdict), given
+    ``minima``, the (strict, tail) fold of its blocks right of its flat end.
+
+    The collar left of the flat end is strict zone that a curvature
+    support never reaches, so it adds only the minima of its margins."""
+    collar = [m for b in w.blocks() if b.seg.s0 < w.origin.flat_end for m in b.mins]
+    return RicciReport(min(minima[0], *collar), minima[1], warpmetric.inequality_margins(w))
+
+
 # ---------------------------------------------------------------------------
 # Bundle region
 # ---------------------------------------------------------------------------
@@ -312,10 +323,13 @@ def search_r(builder, c: ConnectionModel, target_margin: float):
     fold (``_FrameFold``) is prepared once per search, from the samples
     the support reaches and the margins' minimum over the others, and is
     dropped when the search returns; each scale then runs the bounded
-    arithmetic on those samples alone.  Each built probe must share those
-    segments, or InputError is raised; it shares their sampled blocks, and
-    their CSV text once exported, with every probe of the neck and eps
-    (``smooth_origin``, ``export_profile``).  Two failing scales are built as witnesses: the
+    arithmetic on those samples alone.  A probe built after r = 1 takes its
+    report from that fold at r and its collar's margins (``_probe_report``),
+    the report ``ricci_neck`` gives it, so the search folds once.  Each
+    built probe must share those segments, or InputError is raised; it
+    shares their sampled blocks, and their CSV text once exported, with
+    every probe of the neck and eps (``smooth_origin``,
+    ``export_profile``).  Two failing scales are built as witnesses: the
     returned bracket's failing end and, before Exhausted, the last grid
     scale above ``R_FLOOR``.  An unbuilt probe never builds its collar,
     so a collar failure at a scale that fails anyway does not stop the
@@ -339,13 +353,10 @@ def search_r(builder, c: ConnectionModel, target_margin: float):
         built.add(r)
         return profile
 
-    def margin_at(profile, r):
-        try:
-            return ricci_neck(profile, c, r)
-        except NotPositive as exc:
-            return exc.report
-
-    report = margin_at(checked(first, 1.0), 1.0)
+    try:
+        report = ricci_neck(checked(first, 1.0), c, 1.0)
+    except NotPositive as exc:
+        report = exc.report
     if report.margin >= target_margin:
         return 1.0, first, report
 
@@ -354,10 +365,11 @@ def search_r(builder, c: ConnectionModel, target_margin: float):
 
     def passing(r):
         """The probe at r and its report if it reaches the target, else None."""
-        if fold.minima(r)[0] < target_margin:
+        minima = fold.minima(r)
+        if minima[0] < target_margin:
             return None
         profile = checked(builder(r), r)
-        report = margin_at(profile, r)
+        report = _probe_report(profile, minima)
         return (profile, report) if report.margin >= target_margin else None
 
     def witness(r):

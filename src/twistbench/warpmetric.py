@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -225,6 +226,24 @@ def _hermite_weights(t):
     return 1 - 3 * t2 + 2 * t3, t - 2 * t2 + t3, 3 * t2 - 2 * t3, t3 - t2
 
 
+def _linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace(start, stop, num)`` bit for bit, without its dispatch.
+
+    It is linspace's own float arithmetic: i (stop - start)/(num - 1) +
+    start, with the last entry set to stop.  Halving a normal step is
+    exact, so ``_linspace(a, b, 2 m + 1)[::2]`` is ``_linspace(a, b, m +
+    1)``.  A span too small for a nonzero step goes to np.linspace, which
+    divides before it multiplies there."""
+    step = (stop - start) / (num - 1)
+    if step == 0.0:
+        return np.linspace(start, stop, num)
+    y = np.arange(num, dtype=float)
+    y *= step
+    y += start
+    y[-1] = stop
+    return y
+
+
 def _cumulative_trapezoid(y, step):
     out = np.empty_like(y)
     out[0] = 0.0
@@ -269,10 +288,10 @@ def _rk4(acc, y, yp, h, steps):
 def _affine_steps(a, b, h):
     """One RK4 step of the linear y'' = a y + b from every node at once.
 
-    a and b hold four rows, their values at each step's four RK4 stages.
-    A step is an affine map of (y, y'); returns the y and y' rows of the
-    images of (1, 0) and (0, 1) without the forcing, and of (0, 0) with
-    it, one column per step."""
+    a and b hold four rows, their values at each step's four RK4 stages;
+    h is the step, or one step per column.  A step is an affine map of
+    (y, y'); returns the y and y' rows of the images of (1, 0) and (0, 1)
+    without the forcing, and of (0, 0) with it, one column per step."""
     stages = iter(zip(a, b))
     forced = np.array([[0.0], [0.0], [1.0]])
 
@@ -609,7 +628,7 @@ class WarpProfile:
     # -- sampling ----------------------------------------------------------
     def segment_grid(self, seg: Segment) -> np.ndarray:
         count = max(32, int(math.ceil((seg.s1 - seg.s0) / self.params.step)))
-        return np.linspace(seg.s0, seg.s1, count + 1)
+        return _linspace(seg.s0, seg.s1, count + 1)
 
     def blocks(self) -> tuple:
         """Every segment sampled on its grid, with its margins."""
@@ -1157,22 +1176,32 @@ _BRIDGE_START = 128
 _BRIDGE_MAX = 2048  # step cap; the tolerance unmet there raises MarginLost
 
 
-def _bridge_sweep(a, b, h, hp, hstep):
-    """Backward RK4 sweep of h'' = a h + b from (h, h') at the right end.
+def _bridge_maps(levels, width):
+    """The RK4 step maps of backward sweeps of h'' = a h + b over an
+    interval of ``width``, one sweep per (a, b) in ``levels``.
 
-    a and b are read on the half-step grid from the right end, so a
-    step's start, midpoint and end are half-step indices 0, 1 and 2.  The
-    equation is linear, so one RK4 step is an affine map of (h, h'):
-    ``_affine_steps`` takes one step from every node at once to get the
-    maps' coefficients, and the loop composes them.  Returns the node values
-    and slopes from the right end on.
-    """
-    mid_a, mid_b = a[1::2], b[1::2]
-    ys, yps = _affine_steps(
-        (a[:-1:2], mid_a, mid_a, a[2::2]), (b[:-1:2], mid_b, mid_b, b[2::2]), -hstep
-    )
+    a and b are read on a sweep's half-step grid from the right end, so a
+    step's start, midpoint and end are half-step indices 0, 1 and 2, and
+    the sweep takes len(a) // 2 steps.  The equation is linear, so one RK4
+    step is an affine map of (h, h'): one ``_affine_steps`` call takes one
+    step from every node of every sweep.  Returns each sweep's six rows of
+    map coefficients as lists."""
+    def stages(x):  # each step's start, midpoint (twice) and end
+        return x[:-1:2], x[1::2], x[1::2], x[2::2]
+
+    counts = [len(a) // 2 for a, _ in levels]
+    a, b = ([np.concatenate(rows) for rows in zip(*map(stages, xs))] for xs in zip(*levels))
+    ys, yps = _affine_steps(a, b, np.repeat([-width / k for k in counts], counts))
+    rows = ys.tolist() + yps.tolist()
+    ends = np.cumsum([0, *counts]).tolist()
+    return [[row[i:j] for row in rows] for i, j in zip(ends, ends[1:])]
+
+
+def _bridge_sweep(maps, h, hp):
+    """Compose a sweep's step maps (``_bridge_maps``) from (h, h') at the
+    right end; returns the node values and slopes from the right end on."""
     hs, hps = [h], [hp]
-    for h_h, h_p, h_c, p_h, p_p, p_c in zip(*ys.tolist(), *yps.tolist()):
+    for h_h, h_p, h_c, p_h, p_p, p_c in zip(*maps):
         h, hp = h_h * h + h_p * hp + h_c, p_h * h + p_p * hp + p_c
         hs.append(h)
         hps.append(hp)
@@ -1191,11 +1220,14 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
 
     The step count is sized by step doubling from ``_BRIDGE_START``: the
     RK4 error of (h, h') at x0 is estimated from the half-count sweep
-    (``_richardson``).  The first half-count sweep reads every other
-    entry of the same coefficients, and each later one is the previous
-    level's sweep; each level evaluates the core once, on its half-step
-    grid.  An estimate above ``_SWEEP_TOL`` at ``_BRIDGE_MAX`` steps
-    raises MarginLost.
+    (``_richardson``).  The half-step grids of the sweeps of
+    ``_BRIDGE_START`` / 2, ``_BRIDGE_START`` and 2 ``_BRIDGE_START`` steps
+    nest bit for bit (``_linspace``), so the core is evaluated once, on
+    the finest, and the other two read every 4th and every 2nd entry.
+    One ``_bridge_maps`` call builds the three sweeps' step maps, and a
+    sweep is composed only when step doubling reaches it.  Each level
+    past those evaluates the core on its own grid.  An estimate above
+    ``_SWEEP_TOL`` at ``_BRIDGE_MAX`` steps raises MarginLost.
 
     The dense bridge model holds rows h, h' and h'' at the nodes; the
     slopes of its h'' row are the ODE's h''' = a' h + a h' + b' there.
@@ -1204,22 +1236,34 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
     """
     width = x1 - x0
     inv_r2 = 1.0 / (radius_hat * radius_hat)
-    steps, coarse = _BRIDGE_START, None
-    while True:
-        hstep = width / steps
-        # Core-side curvature at nodes and half-steps for the RK4 sweep.
-        fine = np.linspace(x0, x1, 2 * steps + 1)
+
+    def on_grid(steps):
+        # The grid, the core's f and f', sig and r h_c'' at the nodes and
+        # half-steps of a sweep of ``steps`` steps, and its coefficients
+        # a and b; the sweep runs backward from x1, so they read the grid
+        # from the end.
+        fine = _linspace(x0, x1, 2 * steps + 1)
         core_f, core_fp = core_h.core.f_fp(fine)
-        gr_fine = r * core_h.hpp(core_f, core_fp)
-        sig_fine = smoothstep((fine - x0) / width)
-        # The sweep runs backward from x1, so it reads the grid from the end.
-        a = (-(1.0 - sig_fine) * inv_r2)[::-1]
-        b = (sig_fine * gr_fine)[::-1]
-        if coarse is None:
-            h1, hp1, _ = core_h.from_core(core_f[-1:], core_fp[-1:])
-            h1, hp1 = float(r * h1[0]), float(r * hp1[0])
-            coarse = _bridge_sweep(a[::2], b[::2], h1, hp1, 2.0 * hstep)
-        hs, hps = _bridge_sweep(a, b, h1, hp1, hstep)
+        sig, gr = smoothstep((fine - x0) / width), r * core_h.hpp(core_f, core_fp)
+        a, b = (-(1.0 - sig) * inv_r2)[::-1], (sig * gr)[::-1]
+        return (fine, core_f, core_fp, sig, gr), (a, b)
+
+    top = 2 * _BRIDGE_START
+    top_cols, (a, b) = on_grid(top)
+    maps = _bridge_maps([(a[::4], b[::4]), (a[::2], b[::2]), (a, b)], width)
+    _, core_f, core_fp, _, _ = top_cols
+    h1, hp1, _ = core_h.from_core(core_f[-1:], core_fp[-1:])  # at x1
+    h1, hp1 = float(r * h1[0]), float(r * hp1[0])
+    coarse = _bridge_sweep(maps[0], h1, hp1)
+    steps = _BRIDGE_START
+    while True:
+        if steps <= top:
+            cols = [x[:: top // steps] for x in top_cols]
+            level_maps = maps[steps // _BRIDGE_START]
+        else:
+            cols, level = on_grid(steps)
+            (level_maps,) = _bridge_maps([level], width)
+        hs, hps = _bridge_sweep(level_maps, h1, hp1)
         error = _richardson(hs[-1], hps[-1], coarse[0][-1], coarse[1][-1])
         if error <= _SWEEP_TOL:
             break
@@ -1230,19 +1274,18 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
             )
         coarse = hs, hps
         steps *= 2
+    nodes, f, fp, sig, gr = (x[::2] for x in cols)
     h_vals = np.array(hs[::-1])
     hp_vals = np.array(hps[::-1])
-    sig, gr = sig_fine[::2], gr_fine[::2]
     hpp_vals = -(1.0 - sig) * h_vals * inv_r2 + sig * gr
     # The ODE's h''' = a' h + a h' + b', with a = -(1 - sig)/radius_hat^2
     # and b = sig r h_c'' for the core's h_c.
-    dsig = smoothstep_d((fine[::2] - x0) / width) / width
-    f, fp = core_f[::2], core_fp[::2]
+    dsig = smoothstep_d((nodes - x0) / width) / width
     hppp_vals = (dsig * h_vals - (1.0 - sig) * hp_vals) * inv_r2 + (
         dsig * gr + sig * r * core_h.hppp(f, fp)
     )
     rows = (h_vals, hp_vals, hpp_vals, hppp_vals)
-    curve = _DenseCurve(x0, hstep, rows[:3], rows[1:])
+    curve = _DenseCurve(x0, width / steps, rows[:3], rows[1:])
     return _Dense(curve), float(h_vals[0]), float(hp_vals[0]), steps, error
 
 
@@ -1317,7 +1360,9 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
         Segment("splice", eps_prime, x0, flat_f, _Sine(radius, eps_prime)),
         Segment("flat", x0, x1, flat_f, kink_h),
         Segment("flat", x1, flat_end, flat_f, core_h, h_scale=r),
-    ) + tuple(replace(seg, h_scale=r) for seg in outer.segments)
+    ) + tuple(
+        Segment(seg.label, seg.s0, seg.s1, seg.fmod, seg.hmod, r) for seg in outer.segments
+    )
 
     out = replace(
         w,
@@ -1395,17 +1440,19 @@ def export_profile(w: WarpProfile, destination) -> None:
     (neck, eps), so across fibre scales r only the h columns and the
     probe's own collar rows are formatted again.
     """
-    rows = []
+    blocks = []
     for b in w.blocks():
         if not b.text:
             b.text.extend(map("%.17g,%.17g,%.17g,%.17g,".__mod__, zip(
                 b.s.tolist(), b.f.tolist(), b.fp.tolist(), b.fpp.tolist()
             )))
-        row = "%s%.17g,%.17g,%.17g," + b.seg.label
-        rows += [row % cells for cells in zip(
+        # One format call per block: the row format once per row, over
+        # the rows' cells in order.
+        rows = "\n".join(["%s%.17g,%.17g,%.17g," + b.seg.label] * len(b.text))
+        blocks.append(rows % tuple(chain.from_iterable(zip(
             b.text, b.h.tolist(), b.hp.tolist(), b.hpp.tolist()
-        )]
-    text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+        ))))
+    text = CSV_HEADER + "\n" + "\n".join(blocks) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
     else:

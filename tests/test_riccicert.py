@@ -581,6 +581,72 @@ def test_search_r_matches_building_every_probe(n, s0):
             assert hi / r <= 1.01 and hi == min(p for p in every if p > r)
 
 
+def _report_bits(report):
+    m = report.margins
+    values = (report.margin, report.tail_margin, m.min1, m.min2, m.min3, m.tail_min)
+    return tuple(map(float.hex, values))
+
+
+def _neck_report(profile, c):
+    try:
+        return rc.ricci_neck(profile, c, profile.r)
+    except NotPositive as exc:
+        return exc.report
+
+
+@pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0)])
+def test_search_r_reports_match_ricci_neck(monkeypatch, n, s0):
+    # search_r reports a probe built after r = 1 from its one fold and the
+    # probe's collar minima; each report is ricci_neck's for that probe,
+    # field for field and bit for bit.  Supports start at the rejoin (one
+    # just inside its tolerance, so they reach the f-flattening's last
+    # sample), mid-core, and reach into the tail.  Every connection, the
+    # trivial one included (its searches build no probe after r = 1), is
+    # also checked on the fold at fixed scales.
+    base, eps = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+    reports = []
+    real = rc._probe_report
+
+    def recording(w, minima):
+        reports.append((w, real(w, minima)))
+        return reports[-1][1]
+
+    monkeypatch.setattr(rc, "_probe_report", recording)
+    tail = base.tail.start
+    supports = [(eps - 5e-13, base.cap.blend_start), (eps, 0.5 * (eps + tail)),
+                (math.nextafter(eps, 1.0), base.s_lambda),
+                (0.5 * (eps + tail), 0.5 * (tail + base.s_lambda))]
+    connections = [rc.ConnectionModel("bounded", sup_f=sup_f, sup_delta_f=0.3, support=sup)
+                   for sup in supports for sup_f in (0.5, 4.0)]
+    first = wm.smooth_origin(base, 1.0, eps)
+    outer = [b for b in first.blocks() if b.seg.s0 >= first.origin.flat_end]
+    reported = 0
+    for c in [rc.TRIVIAL_CONNECTION, *connections]:
+        fold = rc._FrameFold(first, c, outer)
+        for r in (1.0, 0.5, 2.0**-10, 2.0**-19):
+            probe = wm.smooth_origin(base, r, eps)
+            got = real(probe, fold.minima(r))
+            assert _report_bits(got) == _report_bits(_neck_report(probe, c)), (c, r)
+            # The collar's own term, which the outer fold hides on these necks.
+            collar = [b for b in probe.blocks() if b.seg.s0 < probe.origin.flat_end]
+            alone = real(probe, (math.inf, math.inf)).margin
+            assert alone == rc._FrameFold(probe, c, collar).minima()[0] < math.inf
+        if c is rc.TRIVIAL_CONNECTION:
+            continue
+        for target in (1e-6, 1e-4):
+            del reports[:]
+            try:
+                _, profile, report = rc.search_r(builder_for((base, eps)), c, target)
+            except Exhausted:
+                pass
+            else:
+                assert _report_bits(report) == _report_bits(_neck_report(profile, c))
+            for probe, got in reports:
+                assert _report_bits(got) == _report_bits(_neck_report(probe, c)), (c, target)
+            reported += len(reports)
+    assert reported  # (3, 0.3) misses most targets; (4, 1.0) builds on every support
+
+
 # -- full pipeline -------------------------------------------------------------------
 
 def test_certify_golden_case():

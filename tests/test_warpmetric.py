@@ -613,6 +613,133 @@ def test_kink_bridge_fails_closed_at_step_cap(monkeypatch):
     assert "origin bridge" in str(info.value.cause)
 
 
+def _bridge_sweep_reference(a, b, h, hp, hstep):
+    # One level's backward sweep: its own affine maps, composed.
+    mid_a, mid_b = a[1::2], b[1::2]
+    ys, yps = wm._affine_steps(
+        (a[:-1:2], mid_a, mid_a, a[2::2]), (b[:-1:2], mid_b, mid_b, b[2::2]), -hstep
+    )
+    hs, hps = [h], [hp]
+    for h_h, h_p, h_c, p_h, p_p, p_c in zip(*ys.tolist(), *yps.tolist()):
+        h, hp = h_h * h + h_p * hp + h_c, p_h * h + p_p * hp + p_c
+        hs.append(h)
+        hps.append(hp)
+    return hs, hps
+
+
+def _smooth_kink_reference(core_h, r, radius_hat, x0, x1):
+    # The bridge evaluated level by level: each step count evaluates the
+    # core on its own np.linspace half-step grid and builds its own maps;
+    # the first half-count sweep reads every other entry of the first
+    # level's coefficients.
+    width = x1 - x0
+    inv_r2 = 1.0 / (radius_hat * radius_hat)
+    steps, coarse = wm._BRIDGE_START, None
+    while True:
+        hstep = width / steps
+        fine = np.linspace(x0, x1, 2 * steps + 1)
+        core_f, core_fp = core_h.core.f_fp(fine)
+        gr_fine = r * core_h.hpp(core_f, core_fp)
+        sig_fine = wm.smoothstep((fine - x0) / width)
+        a = (-(1.0 - sig_fine) * inv_r2)[::-1]
+        b = (sig_fine * gr_fine)[::-1]
+        if coarse is None:
+            h1, hp1, _ = core_h.from_core(core_f[-1:], core_fp[-1:])
+            h1, hp1 = float(r * h1[0]), float(r * hp1[0])
+            coarse = _bridge_sweep_reference(a[::2], b[::2], h1, hp1, 2.0 * hstep)
+        hs, hps = _bridge_sweep_reference(a, b, h1, hp1, hstep)
+        error = wm._richardson(hs[-1], hps[-1], coarse[0][-1], coarse[1][-1])
+        if error <= wm._SWEEP_TOL:
+            break
+        if steps >= wm._BRIDGE_MAX:
+            raise MarginLost("origin bridge")
+        coarse = hs, hps
+        steps *= 2
+    h_vals = np.array(hs[::-1])
+    hp_vals = np.array(hps[::-1])
+    sig, gr = sig_fine[::2], gr_fine[::2]
+    hpp_vals = -(1.0 - sig) * h_vals * inv_r2 + sig * gr
+    dsig = wm.smoothstep_d((fine[::2] - x0) / width) / width
+    f, fp = core_f[::2], core_fp[::2]
+    hppp_vals = (dsig * h_vals - (1.0 - sig) * hp_vals) * inv_r2 + (
+        dsig * gr + sig * r * core_h.hppp(f, fp)
+    )
+    rows = (h_vals, hp_vals, hpp_vals, hppp_vals)
+    curve = wm._DenseCurve(x0, hstep, rows[:3], rows[1:])
+    return wm._Dense(curve), float(h_vals[0]), float(hp_vals[0]), steps, error
+
+
+def _kink_args(neck, r):
+    # _smooth_kink's arguments as smooth_origin forms them.
+    tailed, eps = neck
+    o = wm.smooth_origin(tailed, r, eps).origin
+    core_h = wm._CoreH(tailed.core)
+    h_sp, hp_sp, _ = core_h.from_core(*tailed.core.at(o.splice_point)[:2])
+    radius_hat, _ = wm._solve_splice(float(h_sp), float(hp_sp), r)
+    return core_h, r, radius_hat, o.splice_point, o.splice_point + 2.0 * o.kink_halfwidth
+
+
+def _assert_same_bridge(got, want):
+    # (h, h') at x0, the step count, the error estimate and every row.
+    assert got[3] == want[3]
+    assert _same_bits([got[1], got[2], got[4]], [want[1], want[2], want[4]])
+    curve, ref_curve = got[0].curve, want[0].curve
+    assert (curve.s0, curve.step) == (ref_curve.s0, ref_curve.step)
+    assert len(curve.values) == len(ref_curve.values) == 3
+    for row, ref_row in zip(curve.values + curve.slopes, ref_curve.values + ref_curve.slopes):
+        assert _same_bits(row, ref_row)
+
+
+@pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (6, 0.3), (12, 0.3)])
+def test_kink_bridge_matches_per_level_reference(n, s0):
+    # The core is evaluated once on the finest grid of the first three
+    # levels and their maps are built in one call; every output keeps the
+    # bits of evaluating each level on its own grid.  Both step counts the
+    # tolerance picks occur among these scales.
+    neck = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+    steps = set()
+    for r in (1.0, 0.9, 0.7, 0.5, 0.3, 2.0**-10, 2.0**-19):
+        args = _kink_args(neck, r)
+        got = wm._smooth_kink(*args)
+        _assert_same_bridge(got, _smooth_kink_reference(*args))
+        steps.add(got[3])
+    assert steps == {wm._BRIDGE_START, 2 * wm._BRIDGE_START}
+
+
+def test_kink_bridge_matches_reference_past_shared_grid(monkeypatch, neck_41):
+    # A tighter tolerance takes the bridge past 2 _BRIDGE_START steps,
+    # where each level evaluates its own grid.
+    args = [_kink_args(neck_41, r) for r in (0.5, 2.0**-10)]
+    monkeypatch.setattr(wm, "_SWEEP_TOL", 1e-13)
+    for a in args:
+        got = wm._smooth_kink(*a)
+        assert got[3] > 2 * wm._BRIDGE_START
+        _assert_same_bridge(got, _smooth_kink_reference(*a))
+
+
+def test_linspace_matches_numpy():
+    # _linspace is np.linspace's arithmetic; seeded spans of every sign
+    # and size, the counts the profile uses, the halving nesting the
+    # bridge reads, and spans too small for a nonzero step.
+    rng = np.random.default_rng(15)
+    cases = []
+    for _ in range(300):
+        start = rng.normal() * 10.0 ** rng.integers(-6, 3)
+        span = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, 2)
+        num = int(rng.choice([2, 3, 33, 129, 257, 513, 4097, 16385, rng.integers(2, 16386)]))
+        cases.append((float(start), float(start + span), num))
+    for start, stop, num in cases:
+        want = np.linspace(start, stop, num)
+        assert _same_bits(wm._linspace(start, stop, num), want), (start, stop, num)
+        if num % 2:  # halving a normal step is exact, so odd grids nest
+            assert _same_bits(want[::2], wm._linspace(start, stop, num // 2 + 1))
+    for start, stop, num in ((0.0, 1e-322, 64), (1e-322, 0.0, 9), (1.0, 1.0, 33), (-2.5, -2.5, 2)):
+        want = np.linspace(start, stop, num)
+        assert _same_bits(wm._linspace(start, stop, num), want), (start, stop, num)
+    # The zero-step fallback matters: arange times a zero step is not it.
+    assert not _same_bits(np.linspace(0.0, 1e-322, 64)[:-1], np.zeros(63))
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

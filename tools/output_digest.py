@@ -11,7 +11,10 @@ The digest holds, for the sources of the checkout the script sits in:
 * r, margin and probe trail of ``search_r`` on the three ``scale_search``
   necks, for two seeded blocks of that workload's searches, with the
   SHA-256 of the CSV each successful search exports;
-* the SHA-256 of the ``profile-export`` CSV of each of those necks.
+* the SHA-256 of the ``profile-export`` CSV of each of those necks;
+* the origin bridge of each of those necks at r in ``ORIGIN_SCALES``:
+  the splice radius, eps', and the bridge's step count and error
+  estimate from ``smooth_origin``'s ``OriginInfo``.
 
 Floats are written with ``repr``, so two digests compare equal byte for
 byte only if every number is bit-identical.  ``--against REV`` checks that
@@ -39,6 +42,7 @@ from workloads import BASE_NECKS, ScaleSearch, certify_points, run_cli  # noqa: 
 
 SEARCH_SEED = 0
 SEARCH_BLOCKS = 2
+ORIGIN_SCALES = (1.0, 0.7, 0.5, 2.0**-10, 2.0**-19)
 
 
 def _sha(text: str) -> str:
@@ -90,12 +94,26 @@ def export_lines(tb, workdir):
             yield f"## profile-export ({n}, {s0}): exit {code} {err!r} csv {_sha(fh.read())}"
 
 
+def origin_lines(tb):
+    wl = ScaleSearch(SEARCH_SEED, ROOT, None)
+    wl.setup(tb)
+    for (n, s0), neck in zip(BASE_NECKS, wl.necks):
+        for r in ORIGIN_SCALES:
+            o = tb.warpmetric.smooth_origin(neck.profile, r, neck.eps).origin
+            yield (
+                f"## origin ({n}, {s0}) r {r!r}: radius {o.radius!r} eps_prime "
+                f"{o.eps_prime!r} bridge_steps {o.bridge_steps!r} "
+                f"bridge_error {o.bridge_error!r}"
+            )
+
+
 def digest_lines():
     with tempfile.TemporaryDirectory() as workdir:
         return [
             *certify_lines(twistbench, workdir),
             *search_lines(twistbench),
             *export_lines(twistbench, workdir),
+            *origin_lines(twistbench),
         ]
 
 
