@@ -8,18 +8,20 @@ through worst-case bounds on its components (``bounded`` mode).
 Diagonal Ricci entries are bounded below, mixed entries above, and the
 per-sample eigenvalue lower bound is the Gershgorin bound of the 3x3
 frame block (fibre direction, sphere direction, radial direction).
-Where no curvature acts that bound is min(m1, m2, m3) of the inequality
-margins, so ``_FrameFold`` runs the bounded arithmetic only on the
-samples the curvature support reaches; ``ricci_neck``'s report keeps
-minima, not per-sample columns.  ``search_r`` prepares the same fold once
-on the r = 1 probe's blocks right of the origin collar, folds it with h
-scaled by r, builds only the probes that bound lets pass, and takes their
-reports from that fold.
+Every curvature term only lowers a row, so the bound never exceeds
+min(m1, m2, m3) of the inequality margins, and equals it where no
+curvature acts; ``_FrameFold`` runs the bounded arithmetic only on the
+samples the curvature support reaches, and a report keeps the two minima
+(strict zone, seam collar), not per-sample columns.  ``search_r``
+prepares the same fold once on the r = 1 probe's blocks right of the
+origin collar and reports every probe, r = 1 included, from that fold
+at its scale and the probe's collar minima (``_probe_report``).
 
 The bundle region is handled through the constant-fibre-length
 formulas with a harmonic curvature representative, which kills the
 mixed term and leaves a closed-form horizontal bound that can be
-inverted for the fibre scale.
+inverted for the fibre scale.  The vertical entry's honest lower bound
+is 0, so the horizontal bound alone decides the bundle region.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import warpmetric
 from .errors import Exhausted, InputError, NotPositive
-from .warpmetric import TAIL_FLOOR, MarginReport, WarpParams, WarpProfile, _stage
+from .warpmetric import TAIL_FLOOR, WarpParams, WarpProfile, _stage
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +84,13 @@ class RicciReport:
     ``margin`` is the eigenvalue lower bound over the strict zone; the
     flattened seam collar (where the fibre direction is brought exactly
     to the product form, so Ric(T,T) closes to zero at the boundary) is
-    certified nonnegative via ``tail_margin``.  ``margins`` holds the
-    inequality margins the diagonal bounds are built from.  Per-sample
-    bounds are not kept: ``_FrameFold.bounds`` recomputes them.
+    certified nonnegative via ``tail_margin``.  Each is at most the
+    least inequality margin of its zone.  Per-sample bounds are not
+    kept: ``_FrameFold.bounds`` recomputes them.
     """
 
     margin: float
     tail_margin: float
-    margins: MarginReport
 
 
 class _FrameFold:
@@ -99,8 +100,10 @@ class _FrameFold:
     The frame is (fibre T, sphere X/f, radial ds).  Its diagonal entries
     are the inequality margins less worst-case curvature losses (the
     curvature term in Ric(T,T) is nonnegative and dropped), its mixed
-    entries are bounded above, and the per-sample bound is the Gershgorin
-    bound of the 3x3 block.  Curvature acts only where a bounded
+    entries are bounded above in absolute value, and the per-sample bound
+    is the Gershgorin bound of the 3x3 block.  Every loss and mixed bound
+    is nonnegative whatever the signs of h and h', so the bound never
+    exceeds min(m1, m2, m3).  Curvature acts only where a bounded
     connection's support reaches; elsewhere, and everywhere for a trivial
     connection, the bound is min(m1, m2, m3) exactly, which no scale
     changes.  So the blocks are read once, per group (the strict zone,
@@ -155,7 +158,7 @@ class _FrameFold:
             half_h_sq = 0.5 * (h * h)
             loss_sphere = half_h_sq / (f_sq * f_sq) * (n - 1) * beta**2
             loss_radial = half_h_sq / f_sq * (n - 1) * beta**2
-            mix_ts = 0.5 * h * beta_delta
+            mix_ts = 0.5 * np.abs(h) * beta_delta
             mix_tx = mix_ts + 1.5 * np.abs(hp) * beta
             mix_xs = half_h_sq / (f_sq * f) * (n - 1) * beta**2
             row_t = m3 - mix_tx - mix_ts
@@ -183,13 +186,15 @@ def ricci_neck(
     ``inequality_margins``.  In bounded mode ``_FrameFold`` runs on the
     samples the curvature support reaches, with worst-case signs and the
     profile's scaled h, and folds their minimum with the margins' minimum
-    over the other samples.
+    over the other samples.  Raises NotPositive, carrying the report, if
+    the strict-zone bound is not positive or the seam collar's falls
+    below ``TAIL_FLOOR``.  ``search_r`` gives each of its probes this
+    report without calling it.
     """
     if r is not None and abs(r - w.r) > 1e-15:
         raise InputError("profile was built with a different fibre scale")
-    margins = warpmetric.inequality_margins(w)
     strict_min, tail_min = _FrameFold(w, c, w.blocks()).minima()
-    report = RicciReport(strict_min, tail_min, margins)
+    report = RicciReport(strict_min, tail_min)
     if strict_min <= 0.0:
         raise NotPositive(f"neck eigenvalue lower bound {strict_min:.3e}", report)
     if tail_min < TAIL_FLOOR:
@@ -204,40 +209,30 @@ def _probe_report(w: WarpProfile, minima: tuple) -> RicciReport:
     The collar left of the flat end is strict zone that a curvature
     support never reaches, so it adds only the minima of its margins."""
     collar = [m for b in w.blocks() if b.seg.s0 < w.origin.flat_end for m in b.mins]
-    return RicciReport(min(minima[0], *collar), minima[1], warpmetric.inequality_margins(w))
+    return RicciReport(min(minima[0], *collar), minima[1])
 
 
 # ---------------------------------------------------------------------------
 # Bundle region
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BundleBound:
-    horizontal: float  # lower bound for Ric on horizontal directions
-    vertical: float  # lower bound for Ric(T, T); >= 0
-    overall: float
-
-
 def ricci_bundle(
     ric_min_base: float, c_base: ConnectionModel, phi: float, n: int
-) -> BundleBound:
-    """Eigenvalue lower bounds for the constant-fibre-length bundle metric.
+) -> float:
+    """The horizontal Ricci lower bound of the constant-fibre-length
+    bundle metric.
 
     Assumes a harmonic curvature representative, so the fibre-horizontal
     mixed term vanishes.  The vertical entry is (e^{2 phi}/4) |F|^2 >= 0;
     with only a sup bound available its honest lower bound is 0, so the
-    bundle region certifies nonnegativity (strict positivity is claimed
-    only where reported).
+    bundle region is certified nonnegative exactly when this bound is
+    (strict positivity is claimed only where reported).
     """
     if ric_min_base <= 0:
         raise InputError("base Ricci lower bound must be positive")
-    scale = math.exp(2.0 * phi)
-    horizontal = ric_min_base - 0.5 * scale * (n - 1) * c_base.sup_f**2
-    vertical = 0.0
-    return BundleBound(horizontal, vertical, min(horizontal, vertical))
+    return ric_min_base - 0.5 * math.exp(2.0 * phi) * (n - 1) * c_base.sup_f**2
 
 
-DEFAULT_PHI = 0.0
 PHI_FLOOR = -20.0
 
 
@@ -247,14 +242,14 @@ def choose_phi(
     """Largest phi whose horizontal bundle bound keeps ``safety`` of the base.
 
     Closed-form inversion of the ricci_bundle bound.  A vanishing
-    curvature bound puts no constraint on phi and returns the configured
-    default; degenerate safety values clamp to the floor instead of
-    returning -inf.
+    curvature bound puts no constraint on phi and returns math.inf;
+    degenerate safety values clamp to the floor instead of returning
+    -inf.
     """
     if not 0.0 < safety <= 1.0:
         raise InputError("safety must lie in (0, 1]")
     if c_base.sup_f == 0.0:
-        return DEFAULT_PHI
+        return math.inf
     slack = (1.0 - safety) * ric_min_base
     if slack <= 0.0:
         return PHI_FLOOR
@@ -272,7 +267,6 @@ class GluingReport:
     resid_cap: float
     resid_h_slope: float
     passed: bool
-    tol: float
 
 
 def verify_gluing(w: WarpProfile, s0: float, tol: float = 1e-8) -> GluingReport:
@@ -289,7 +283,7 @@ def verify_gluing(w: WarpProfile, s0: float, tol: float = 1e-8) -> GluingReport:
     resid_cap = abs(f / w.cap.big_n - math.sin(s0))
     resid_h = abs(hp)
     passed = resid_fprime < tol and resid_cap < tol and resid_h < tol
-    return GluingReport(resid_fprime, resid_cap, resid_h, passed, tol)
+    return GluingReport(resid_fprime, resid_cap, resid_h, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +317,13 @@ def search_r(builder, c: ConnectionModel, target_margin: float):
     fold (``_FrameFold``) is prepared once per search, from the samples
     the support reaches and the margins' minimum over the others, and is
     dropped when the search returns; each scale then runs the bounded
-    arithmetic on those samples alone.  A probe built after r = 1 takes its
-    report from that fold at r and its collar's margins (``_probe_report``),
-    the report ``ricci_neck`` gives it, so the search folds once.  Each
-    built probe must share those segments, or InputError is raised; it
-    shares their sampled blocks, and their CSV text once exported, with
-    every probe of the neck and eps (``smooth_origin``,
-    ``export_profile``).  Two failing scales are built as witnesses: the
+    arithmetic on those samples alone.  Every built probe, r = 1 included,
+    takes its report from that fold at its scale and its collar's margins
+    (``_probe_report``): the report ``ricci_neck`` gives it, without a
+    second fold.  Each built probe must share those segments, or
+    InputError is raised; it shares their sampled blocks, and their CSV
+    text once exported, with every probe of the neck and eps
+    (``smooth_origin``, ``export_profile``).  Two failing scales are built as witnesses: the
     returned bracket's failing end and, before Exhausted, the last grid
     scale above ``R_FLOOR``.  An unbuilt probe never builds its collar,
     so a collar failure at a scale that fails anyway does not stop the
@@ -353,15 +347,11 @@ def search_r(builder, c: ConnectionModel, target_margin: float):
         built.add(r)
         return profile
 
-    try:
-        report = ricci_neck(checked(first, 1.0), c, 1.0)
-    except NotPositive as exc:
-        report = exc.report
+    kept = set(outer)
+    fold = _FrameFold(checked(first, 1.0), c, [b for b in first.blocks() if b.seg in kept])
+    report = _probe_report(first, fold.minima(1.0))
     if report.margin >= target_margin:
         return 1.0, first, report
-
-    kept = set(outer)
-    fold = _FrameFold(first, c, [b for b in first.blocks() if b.seg in kept])
 
     def passing(r):
         """The probe at r and its report if it reaches the target, else None."""
@@ -414,7 +404,7 @@ class CertificationResult:
     margin_ineq3: float
     margin_ricci: float
     gluing: GluingReport
-    bundle: BundleBound
+    bundle: float  # the bundle region's horizontal Ricci lower bound
     first_integral_residual: float
     verdict: str
     profile: WarpProfile = field(repr=False)
@@ -495,9 +485,7 @@ def certify(
 
     # The seam fixes the fibre length: e^phi = h_r(s_lambda) / N.  The
     # curvature side caps phi; shrink r further if the cap binds.
-    phi_cap = (
-        choose_phi(ric_min_base, c, safety, n) if c.sup_f > 0 else math.inf
-    )
+    phi_cap = choose_phi(ric_min_base, c, safety, n)
     h_end = profile.evaluate(profile.s_lambda)[3]
     phi = math.log(h_end / profile.cap.big_n)
     if phi > phi_cap:
@@ -510,17 +498,18 @@ def certify(
 
     bundle = _stage("ricci_bundle", ricci_bundle, ric_min_base, c, phi, n)
     gluing = _stage("verify_gluing", verify_gluing, profile, s0, tol_glue)
-    margins = neck_report.margins
+    margins = warpmetric.inequality_margins(profile)
     fi_resid = profile.first_integral_residual()
 
+    # The Ricci bounds never exceed the inequality margins of their zone,
+    # so the first two conditions also hold the margins above 0 and
+    # TAIL_FLOOR.
     ok = (
         neck_report.margin > 0.0
         and neck_report.tail_margin >= TAIL_FLOOR
         and gluing.passed
         and fi_resid < p.tol_ode
-        and bundle.overall >= 0.0
-        and margins.global_min > 0.0
-        and margins.tail_nonnegative
+        and bundle >= 0.0
     )
     return CertificationResult(
         n=n,

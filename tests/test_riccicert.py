@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import random
@@ -61,8 +62,8 @@ def _frame_bound(n, b, active, beta, beta_delta, scale=1.0):
     h_sq = h * h
     loss_sphere = np.where(active, 0.5 * h_sq / (f_sq * f_sq) * (n - 1) * beta**2, 0.0)
     loss_radial = np.where(active, 0.5 * h_sq / f_sq * (n - 1) * beta**2, 0.0)
-    mix_tx = np.where(active, 0.5 * h * beta_delta + 1.5 * np.abs(hp) * beta, 0.0)
-    mix_ts = np.where(active, 0.5 * h * beta_delta, 0.0)
+    mix_tx = np.where(active, 0.5 * np.abs(h) * beta_delta + 1.5 * np.abs(hp) * beta, 0.0)
+    mix_ts = np.where(active, 0.5 * np.abs(h) * beta_delta, 0.0)
     mix_xs = np.where(active, 0.5 * h_sq / (f_sq * f) * (n - 1) * beta**2, 0.0)
     row_t = b.m3 - mix_tx - mix_ts
     row_x = b.m2 - loss_sphere - mix_tx - mix_xs
@@ -129,7 +130,7 @@ def test_trivial_neck_r_independent(neck):
     rep2 = rc.ricci_neck(w2, rc.TRIVIAL_CONNECTION)
     assert rep1.margin == rep2.margin
     assert rep1.tail_margin == rep2.tail_margin
-    assert rep1.margins == rep2.margins
+    assert wm.inequality_margins(w1) == wm.inequality_margins(w2)
 
     # The diagonals (fibre m3, sphere m2, radial m1) over every sample,
     # the seam collar included.
@@ -252,6 +253,35 @@ def test_frame_fold_matches_where_reference(n, s0):
     assert reached_tail
 
 
+def test_frame_fold_never_exceeds_the_margins(finished):
+    # Every loss and mixed bound is nonnegative whatever the signs of h and
+    # h', so at each sample the support reaches the bound is at most
+    # min(m1, m2, m3), and each group's minimum at most its margins'.  The
+    # second set of blocks is hand-built with h and h' negated: with
+    # sup_f = 0 a signed T-ds bound would raise every row above its margin.
+    n, eps = finished.params.n, finished.origin.rejoin
+    flipped = [b._replace(h=-b.h, hp=-b.hp) for b in finished.blocks()
+               if b.seg.label == "core"]
+    support = (eps, finished.s_lambda)
+    for blocks in (finished.blocks(), flipped):
+        for sup_f, sup_delta_f in ((0.0, 1.0), (0.5, 0.3), (4.0, 0.0)):
+            c = rc.ConnectionModel("bounded", sup_f=sup_f, sup_delta_f=sup_delta_f,
+                                   support=support)
+            fold = rc._FrameFold(finished, c, blocks)
+            lowest, floors = [[np.empty(0)], [np.empty(0)]], [math.inf, math.inf]
+            for b in blocks:
+                tail = b.seg.label == "tail"
+                low = np.minimum(b.m1, np.minimum(b.m2, b.m3))
+                lowest[tail].append(low[(b.s >= support[0]) & (b.s <= support[1])])
+                floors[tail] = min(floors[tail], *b.mins)
+            for scale in (1.0, 0.5, 2.0**-19):
+                got = fold.bounds(scale)
+                assert len(got[0]) > 0
+                for g, want in zip(got, map(np.concatenate, lowest)):
+                    assert g.shape == want.shape and np.all(g <= want), (c, scale)
+                assert all(m <= f for m, f in zip(fold.minima(scale), floors)), (c, scale)
+
+
 def _frame_matrix(n, f, fp, fpp, h, hp, hpp, fx, fs, fxs, dfx, dfs):
     """The (T, X, ds) frame block of the Ricci tensor for curvature
     components fx and fs (n - 1 each) and fxs, and codifferential
@@ -366,21 +396,21 @@ def test_seam_collar_loss_raises(finished):
 def test_bundle_bound_examples():
     c = rc.ConnectionModel("bounded", sup_f=1.0)
     b = rc.ricci_bundle(1.0, c, 0.5 * math.log(2.0 / 3.0), 4)
-    assert abs(b.horizontal) < 1e-12  # zero point of the bound
+    assert abs(b) < 1e-12  # zero point of the bound
     # phi -> -inf recovers the base bound
     b2 = rc.ricci_bundle(1.0, c, -40.0, 4)
-    assert abs(b2.horizontal - 1.0) < 1e-12
+    assert abs(b2 - 1.0) < 1e-12
     # vanishing curvature: bound equals the base bound for all phi
     c0 = rc.ConnectionModel("bounded", sup_f=0.0)
-    assert rc.ricci_bundle(1.0, c0, 3.0, 4).horizontal == 1.0
+    assert rc.ricci_bundle(1.0, c0, 3.0, 4) == 1.0
 
 
 def test_bundle_monotone_in_phi_and_sup():
     c = rc.ConnectionModel("bounded", sup_f=1.0)
-    hs = [rc.ricci_bundle(1.0, c, phi, 5).horizontal for phi in (-2.0, -1.0, 0.0)]
+    hs = [rc.ricci_bundle(1.0, c, phi, 5) for phi in (-2.0, -1.0, 0.0)]
     assert hs[0] > hs[1] > hs[2]
     cs = [rc.ConnectionModel("bounded", sup_f=s) for s in (0.5, 1.0, 2.0)]
-    hb = [rc.ricci_bundle(1.0, ci, -0.5, 5).horizontal for ci in cs]
+    hb = [rc.ricci_bundle(1.0, ci, -0.5, 5) for ci in cs]
     assert hb[0] > hb[1] > hb[2]
 
 
@@ -389,14 +419,14 @@ def test_choose_phi_inverts_bound():
     for safety in (0.25, 0.5, 0.9):
         phi = rc.choose_phi(1.0, c, safety, 4)
         b = rc.ricci_bundle(1.0, c, phi, 4)
-        assert abs(b.horizontal - safety * 1.0) < 1e-12
+        assert abs(b - safety * 1.0) < 1e-12
         # the zero point from the worked example is phi = ln(2/3)/2
         assert phi < 0.5 * math.log(2.0 / 3.0)
 
 
 def test_choose_phi_degenerate_cases():
     c0 = rc.ConnectionModel("bounded", sup_f=0.0)
-    assert rc.choose_phi(1.0, c0, 0.5, 4) == rc.DEFAULT_PHI
+    assert rc.choose_phi(1.0, c0, 0.5, 4) == math.inf  # no constraint
     c = rc.ConnectionModel("bounded", sup_f=1.0)
     assert rc.choose_phi(1.0, c, 1.0, 4) == rc.PHI_FLOOR
     phis = [rc.choose_phi(1.0, rc.ConnectionModel("bounded", sup_f=s), 0.5, 4)
@@ -551,7 +581,7 @@ def _search_outcome(search, neck, c, target):
         return str(exc), probes
     csv = io.StringIO()
     wm.export_profile(profile, csv)
-    margins = (report.margin, report.tail_margin, report.margins)
+    margins = (report.margin, report.tail_margin, wm.inequality_margins(profile))
     return (r, margins, csv.getvalue()), probes
 
 
@@ -582,9 +612,7 @@ def test_search_r_matches_building_every_probe(n, s0):
 
 
 def _report_bits(report):
-    m = report.margins
-    values = (report.margin, report.tail_margin, m.min1, m.min2, m.min3, m.tail_min)
-    return tuple(map(float.hex, values))
+    return tuple(float.hex(getattr(report, f.name)) for f in dataclasses.fields(report))
 
 
 def _neck_report(profile, c):
@@ -596,13 +624,12 @@ def _neck_report(profile, c):
 
 @pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0)])
 def test_search_r_reports_match_ricci_neck(monkeypatch, n, s0):
-    # search_r reports a probe built after r = 1 from its one fold and the
-    # probe's collar minima; each report is ricci_neck's for that probe,
-    # field for field and bit for bit.  Supports start at the rejoin (one
-    # just inside its tolerance, so they reach the f-flattening's last
-    # sample), mid-core, and reach into the tail.  Every connection, the
-    # trivial one included (its searches build no probe after r = 1), is
-    # also checked on the fold at fixed scales.
+    # search_r reports every probe it builds, r = 1 first, from its one
+    # fold and the probe's collar minima; each report is ricci_neck's for
+    # that probe, field for field and bit for bit.  Supports start at the
+    # rejoin (one just inside its tolerance, so they reach the
+    # f-flattening's last sample), mid-core, and reach into the tail.
+    # Every connection is also checked on the fold at fixed scales.
     base, eps = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
     reports = []
     real = rc._probe_report
@@ -631,8 +658,6 @@ def test_search_r_reports_match_ricci_neck(monkeypatch, n, s0):
             collar = [b for b in probe.blocks() if b.seg.s0 < probe.origin.flat_end]
             alone = real(probe, (math.inf, math.inf)).margin
             assert alone == rc._FrameFold(probe, c, collar).minima()[0] < math.inf
-        if c is rc.TRIVIAL_CONNECTION:
-            continue
         for target in (1e-6, 1e-4):
             del reports[:]
             try:
@@ -641,6 +666,9 @@ def test_search_r_reports_match_ricci_neck(monkeypatch, n, s0):
                 pass
             else:
                 assert _report_bits(report) == _report_bits(_neck_report(profile, c))
+            # The r = 1 probe is reported on the same path as the others.
+            assert reports and reports[0][0].r == 1.0, (c, target)
+            assert _report_bits(reports[0][1]) == _report_bits(_neck_report(first, c))
             for probe, got in reports:
                 assert _report_bits(got) == _report_bits(_neck_report(probe, c)), (c, target)
             reported += len(reports)
@@ -694,6 +722,52 @@ def test_certify_sizes_the_core_by_the_verdicts_residual(n, s0):
     assert res.first_integral_residual < p.tol_ode
 
 
+def _conjuncts(res):
+    """The five conditions the verdict reads, by name."""
+    return {
+        "ricci": res.margin_ricci > 0.0,
+        "tail": res.neck_report.tail_margin >= wm.TAIL_FLOOR,
+        "gluing": res.gluing.passed,
+        "first_integral": res.first_integral_residual < res.profile.params.tol_ode,
+        "bundle": res.bundle >= 0.0,
+    }
+
+
+@pytest.fixture
+def fail_routes(neck, monkeypatch):
+    """For each verdict condition, certify (4, 1.0) so that it alone fails."""
+    base, eps = neck
+    blend, tail = base.cap.blend_start, base.tail.start
+
+    def first_integral():
+        monkeypatch.setattr(wm.WarpProfile, "first_integral_residual", lambda w: 1.0)
+        return rc.certify(4, 1.0)
+
+    def bundle():
+        monkeypatch.setattr(rc, "ricci_bundle", lambda *args: -1.0)
+        return rc.certify(4, 1.0)
+
+    return {
+        # The target admits a negative bound, so the search returns one.
+        "ricci": lambda: rc.certify(4, 1.0, rc.ConnectionModel(
+            "bounded", sup_f=50.0, support=(eps, blend)), target_margin=-1.0),
+        # Curvature on the seam collar alone; the search reads the strict zone.
+        "tail": lambda: rc.certify(4, 1.0, rc.ConnectionModel(
+            "bounded", sup_f=0.1, sup_delta_f=0.1,
+            support=(0.5 * (blend + tail), base.s_lambda))),
+        "gluing": lambda: rc.certify(4, 1.0, tol_glue=0.0),
+        "first_integral": first_integral,
+        "bundle": bundle,
+    }
+
+
+@pytest.mark.parametrize("condition", ["ricci", "tail", "gluing", "first_integral", "bundle"])
+def test_certify_fails_on_each_condition(fail_routes, condition):
+    res = fail_routes[condition]()
+    assert res.verdict == "fail"
+    assert [k for k, ok in _conjuncts(res).items() if not ok] == [condition]
+
+
 def test_certify_precondition_errors():
     with pytest.raises(InputError):
         rc.certify(3, 0.0)
@@ -701,6 +775,8 @@ def test_certify_precondition_errors():
         rc.certify(2, 1.0)
     with pytest.raises(InputError):
         rc.certify(3, 2.0)
+    with pytest.raises(InputError, match="safety"):
+        rc.certify(3, 1.0, safety=0.0)  # checked for every connection
 
 
 def test_certify_bounded_respects_phi_cap(neck):
