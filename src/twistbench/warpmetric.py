@@ -5,10 +5,13 @@ h (the circle factor) on an interval [s_left, s_lambda], built in four
 stages:
 
 * ``integrate_core`` solves f'' = (alpha lam0^2 / 2) f^(-alpha-1) with
-  f(0) = 1, f'(0) = 0 and stops where f' reaches the target slope; h is
-  a fixed multiple of f' there.  The conserved first integral
-  f'^2 = lam0^2 (1 - f^(-alpha)), read at the nodes and cell midpoints,
-  sizes the step and gates the verdict.
+  f(0) = 1, f'(0) = 0 through its first integral
+  f'^2 = lam0^2 (1 - f^(-alpha)): a table of s at uniform nodes in
+  u = sqrt(f - 1), interpolated, gives f, and f' and f'' follow from f
+  in closed form.  It stops where f' reaches the target slope, also in
+  closed form; h is a fixed multiple of f'.  The first integral, read
+  with f' the derivative of the interpolated f at the table's cell
+  midpoints, gates the verdict.
 * ``cap_sine`` replaces the outer end of f by an exact sine arc
   N sin((s - s')/N), blending second derivatives so the three curvature
   inequalities keep their margins.  The blend start a and N solve two
@@ -21,6 +24,8 @@ stages:
 * ``smooth_origin`` rescales h by r, splices an exact sine with unit
   slope at the new left endpoint, and flattens f to a constant there,
   rejoining the core solution exactly so the first integral survives.
+  The flattening is exact in terms of the core on its plateau and takes
+  quadrature only on its two ramps.
 
 ``build_neck`` runs the first three stages under their stage labels and
 returns the neck with its origin budget eps; ``certify``, the
@@ -32,25 +37,27 @@ f-flattening (with its flat value and plateau) and the neck right of
 the flat end at unit fibre scale.  Each probe it returns holds that
 part's sampled blocks with h scaled by r, next to its own collar's.
 
-f and h on each segment are one of four curve models: the core solution
+f and h on each segment are one of five curve models: the core solution
 (``_CoreSolution`` for f, ``_CoreH`` = 2 f'/(alpha lam0^2) for h), an
 exact ``_Sine`` (the cap arc of f, the splice of h), a sampled
-``_Dense`` curve and a constant ``_FlatF``.  The models describe h at
+``_Dense`` curve, the f-flattening ``_FlattenedF`` and a constant
+``_FlatF``.  The models describe h at
 unit fibre scale; r is applied in one place, ``Segment.h_scale``.  The
 margins are scale-free and come from the sampled columns, as ratios
 h''/h and h'/h, except for two closed forms: h''/h where h is the core
 or the splice sine, and f'h'/(f h) on pure-core segments.  h vanishes at
 s = 0 and at the splice's left end, where the column ratios are 0/0.
 
-The two nonlinear ODEs (the core equation and the cap blend) are
-integrated by the one fixed-step RK4 sweep ``_rk4`` on Python floats,
-with blend weights precomputed on its half-step grid.  The origin
-bridge of h and the cap's variational equations are linear, so each of
-their RK4 steps is an affine map; ``_affine_steps`` computes all of them
-in one vectorised ``_rk4`` step and the caller composes them.  The cap
-blend's and the bridge's step counts are sized by step doubling against
-a Richardson error estimate and one tolerance, ``_SWEEP_TOL``;
-``CapInfo`` and ``OriginInfo`` keep the count and the estimate.  All
+The cap blend, the one nonlinear ODE left, is integrated by the
+fixed-step RK4 sweep ``_rk4`` on Python floats, with blend weights
+precomputed on its half-step grid.  The origin bridge of h and the
+cap's variational equations are linear, so each of their RK4 steps is
+an affine map; ``_affine_steps`` computes all of them in one vectorised
+``_rk4`` step and the caller composes them.  The core table's cell count
+and the cap blend's and the bridge's step counts are sized by step
+doubling against a Richardson error estimate and one tolerance,
+``_SWEEP_TOL``; ``CapInfo`` and ``OriginInfo`` keep the blend's and
+the bridge's count and estimate, the core its ``error``.  All
 blending happens in second-derivative space with quintic smoothstep
 weights, which keeps the inequality margins one-signed.  Each segment is
 sampled once (``WarpProfile.block``), and each stage gates the segments
@@ -179,8 +186,8 @@ class _DenseCurve:
         self.values = tuple(np.asarray(v, dtype=float) for v in values)
         self.slopes = tuple(np.asarray(d, dtype=float) for d in slopes)
 
-    def __call__(self, s, rows=None):
-        """The first ``rows`` rows (all by default) at s, one array each."""
+    def __call__(self, s):
+        """Every row at s, one array each."""
         s = np.asarray(s, dtype=float)
         last = len(self.values[0]) - 1
         x = np.minimum(np.maximum((s - self.s0) / self.step, 0.0), float(last))
@@ -193,28 +200,6 @@ class _DenseCurve:
         k1, h = k + 1, self.step
         return [
             w0 * y[k] + w1 * (d[k] * h) + w2 * y[k1] + w3 * (d[k1] * h)
-            for y, d in zip(self.values[:rows], self.slopes[:rows])
-        ]
-
-    def at(self, s: float) -> list:
-        """Every row of ``self(s)`` at one float location, bit for bit,
-        without the array dispatch; a NaN location raises ValueError."""
-        last = len(self.values[0]) - 1
-        x = (s - self.s0) / self.step
-        if x < 0.0:
-            x = 0.0
-        elif x > last:
-            x = float(last)
-        k = min(int(x), last - 1)
-        t = x - k
-        if abs(t) < 1e-9:
-            t = 0.0
-        if abs(t - 1.0) < 1e-9:
-            t = 1.0
-        (w0, w1, w2, w3), h = _hermite_weights(t), self.step
-        return [
-            w0 * float(y[k]) + w1 * (float(d[k]) * h)
-            + w2 * float(y[k + 1]) + w3 * (float(d[k + 1]) * h)
             for y, d in zip(self.values, self.slopes)
         ]
 
@@ -249,10 +234,6 @@ def _cumulative_trapezoid(y, step):
     out[0] = 0.0
     np.cumsum(0.5 * step * (y[1:] + y[:-1]), out=out[1:])
     return out
-
-
-def _trapz(y, step):
-    return float(np.sum(0.5 * step * (y[1:] + y[:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -319,127 +300,174 @@ def _richardson(y, yp, y_half, yp_half):
     return max(abs(y - y_half) / abs(y), abs(yp - yp_half) / abs(yp)) / 15.0
 
 
-class _CoreSolution:
-    """Fixed-step RK4 solution of the core equation, extendable on demand
-    up to ``budget``."""
+def _gauss_legendre(nodes, weights):
+    """The Gauss-Legendre rule on [0, 1], nodes and weights, from the
+    positive nodes of the symmetric rule on [-1, 1] and their weights
+    (as numpy.polynomial.legendre.leggauss gives them)."""
+    x, w = np.array(nodes), np.array(weights)
+    return 0.5 + 0.5 * np.concatenate((-x[::-1], x)), 0.5 * np.concatenate((w[::-1], w))
 
-    def __init__(self, lam0: float, alpha: float, step: float, budget: float):
+
+# The rule of each core table cell, four points; the cells are short
+# enough that its error stays at rounding, far below the table's
+# interpolation error.
+_CORE_RULE = _gauss_legendre(
+    (0.33998104358485626, 0.8611363115940526), (0.6521451548625464, 0.34785484513745357)
+)
+# First core table cell count per unit of sqrt(alpha) u, since f^(-alpha)
+# varies on the scale u ~ 1/sqrt(alpha); it meets the tolerance on the
+# golden grid and at n = 12 and 40.  The doublings allowed before the
+# error estimate's failure raises NoStop.
+_CORE_START = 256
+_CORE_DOUBLINGS = 6
+
+
+class _CoreSolution:
+    """The core solution f'' = c2 f^(-alpha-1), f(0) = 1, f'(0) = 0, from
+    its first integral f'^2 = lam0^2 (1 - f^(-alpha)).
+
+    With f = 1 + u^2 the inverse is s(u) = int_0^u ds/du, where ds/du =
+    2u / (lam0 sqrt(1 - (1 + u^2)^(-alpha))) is smooth down to u = 0.  A
+    table holds s at uniform nodes in u up to sqrt(lam0 budget), where s
+    has passed the budget (ds/du > 2u/lam0); each cell's integral is a
+    four-point Gauss-Legendre rule, and s is their cumulative sum.  u(s)
+    is the table's cubic Hermite interpolant, with slopes du/ds =
+    1/(ds/du); f = 1 + u^2, and f' and f'' follow from f in closed form.
+
+    The cell count is sized by step doubling: the half-count table is
+    every other entry, and its interpolant at the odd nodes, against the
+    table there, gives a Richardson estimate of the relative error in u
+    (which bounds those of f and f').  It must be within ``_SWEEP_TOL``;
+    ``error`` keeps it.
+    """
+
+    def __init__(self, lam0: float, alpha: float, budget: float):
         self.lam0 = lam0
         self.alpha = alpha
-        self.step = step
         self.budget = budget
         self.c2 = 0.5 * alpha * lam0 * lam0
-        self._f = [1.0]
-        self._fp = [0.0]
-        self._curve = None
+        u_max = math.sqrt(lam0 * budget)
+        cells = 2 * math.ceil(0.5 * _CORE_START * math.sqrt(alpha) * u_max)
+        for _ in range(_CORE_DOUBLINGS + 1):
+            self._build(u_max, cells)
+            if self.error <= _SWEEP_TOL:
+                return
+            cells *= 2
+        raise NoStop(
+            f"core table: error estimate {self.error:.3e} above "
+            f"{_SWEEP_TOL:.0e} at {cells // 2} cells"
+        )
+
+    def _fp_of_u(self, u):
+        """f' at f = 1 + u^2, accurate for small u."""
+        return self.lam0 * np.sqrt(-np.expm1(-self.alpha * np.log1p(u * u)))
+
+    def _build(self, u_max: float, cells: int):
+        x, w = _CORE_RULE
+        u = _linspace(0.0, u_max, cells + 1)
+        h = u_max / cells
+        nodes = u[:-1, None] + h * x  # every node lies inside its cell
+        s = np.empty(cells + 1)
+        s[0] = 0.0
+        np.cumsum((2.0 * nodes / self._fp_of_u(nodes)) @ (h * w), out=s[1:])
+        slopes = np.empty(cells + 1)  # du/ds = f'/(2u), lam0 sqrt(alpha)/2 at 0
+        slopes[0] = 0.5 * self.lam0 * math.sqrt(self.alpha)
+        slopes[1:] = self._fp_of_u(u[1:]) / (2.0 * u[1:])
+        self._u, self._s, self._h = u, s, np.diff(s)
+        # Each cell's Hermite piece in power form, u = c0 + t (c1 + t (c2 +
+        # t c3)) at t = (s - s_k)/h_k, with the slopes in t units.
+        du, d0, d1 = np.diff(u), slopes[:-1] * self._h, slopes[1:] * self._h
+        self._c = (u[:-1], d0, 3.0 * du - 2.0 * d0 - d1, d0 + d1 - 2.0 * du)
+        # The half-count table's pieces at the odd nodes, against the table.
+        wide = self._h[0::2] + self._h[1::2]
+        w0, w1, w2, w3 = _hermite_weights(self._h[0::2] / wide)
+        coarse = (
+            w0 * u[:-2:2] + w1 * (slopes[:-2:2] * wide)
+            + w2 * u[2::2] + w3 * (slopes[2::2] * wide)
+        )
+        self.error = float(np.max(np.abs(coarse - u[1::2]) / u[1::2])) / 15.0
+
+    @property
+    def s_end(self) -> float:
+        return float(self._s[-1])
 
     def fpp_of(self, f):
         return self.c2 * np.power(f, -self.alpha - 1.0)
 
-    @property
-    def s_end(self) -> float:
-        return self.step * (len(self._f) - 1)
-
-    def extend(self, s_target: float):
-        last = len(self._f) - 1
-        steps = 0
-        while self.step * (last + steps) < s_target:
-            steps += 1
-        if steps == 0:
-            return
-        c2, expo = self.c2, -self.alpha - 1.0
-        fs, fps = _rk4(
-            lambda i, f: c2 * f ** expo, self._f[-1], self._fp[-1], self.step, steps
-        )
-        self._f += fs[1:]
-        self._fp += fps[1:]
-        self._curve = None
-
-    def curve(self) -> _DenseCurve:
-        """The nodes as one two-row curve: rows f and f', slopes f' and f''."""
-        if self._curve is None:
-            f, fp = np.array(self._f), np.array(self._fp)
-            self._curve = _DenseCurve(0.0, self.step, (f, fp), (fp, self.fpp_of(f)))
-        return self._curve
+    def f_fp(self, s):
+        """(f, f') at the given locations, clamped to the table."""
+        s = np.minimum(np.maximum(np.asarray(s, dtype=float), 0.0), self._s[-1])
+        k = np.minimum(np.searchsorted(self._s, s, side="right") - 1, len(self._h) - 1)
+        t = (s - self._s[k]) / self._h[k]
+        c0, c1, c2, c3 = (c[k] for c in self._c)
+        u = c0 + t * (c1 + t * (c2 + t * c3))
+        return 1.0 + u * u, self._fp_of_u(u)
 
     def eval(self, s):
         """(f, f', f'') at the given locations."""
         f, fp = self.f_fp(s)
         return f, fp, self.fpp_of(f)
 
-    def f_fp(self, s):
-        """(f, f') at the given locations."""
-        return self.curve()(s)
-
-    def fpp(self, s):
-        """f'' at the given locations, from the f row alone."""
-        return self.fpp_of(self.curve()(s, 1)[0])
-
     def at(self, s: float):
-        """(f, f', f'') at one location as floats, the bits of ``eval``."""
-        f, fp = self.curve().at(s)
-        return f, fp, float(self.fpp_of(f))
+        """(f, f', f'') at one location as floats, the bits of ``eval``:
+        the piece in float arithmetic, f' and f'' by the same ufuncs."""
+        s = min(max(s, 0.0), self.s_end)
+        k = min(int(np.searchsorted(self._s, s, side="right")) - 1, len(self._h) - 1)
+        t = (s - float(self._s[k])) / float(self._h[k])
+        c0, c1, c2, c3 = (float(c[k]) for c in self._c)
+        u = np.array([c0 + t * (c1 + t * (c2 + t * c3))])
+        f = 1.0 + u * u
+        return float(f[0]), float(self._fp_of_u(u)[0]), float(self.fpp_of(f)[0])
 
     def first_integral_residual(self, s_lo: float, s_hi: float) -> float:
-        """Largest |f'^2 - lam0^2 (1 - f^(-alpha))| of the interpolated core
-        at its nodes in [s_lo, s_hi] and the midpoints of the cells between
-        them: the Hermite error peaks at the midpoints."""
-        h = self.step
-        k = slice(math.ceil(s_lo / h), math.floor(s_hi / h) + 1)
-        (f, fp), fpp = (y[k] for y in self.curve().values), self.curve().slopes[1][k]
-        # Each cell's cubic Hermite piece at t = 1/2: (y0 + y1)/2 + h (d0 - d1)/8.
-        f, fp = (
-            np.concatenate((y, 0.5 * (y[:-1] + y[1:]) + 0.125 * h * (d[:-1] - d[1:])))
-            for y, d in ((f, fp), (fp, fpp))
-        )
-        res = fp * fp - self.lam0**2 * (1.0 - np.power(f, -self.alpha))
-        return float(np.max(np.abs(res))) if len(res) else 0.0
+        """Largest |f'^2 - lam0^2 (1 - f^(-alpha))| at the midpoints of the
+        table cells in [s_lo, s_hi], with f' the derivative of the
+        interpolated f = 1 + u^2.  At the nodes it vanishes to rounding;
+        the interpolation error peaks between them."""
+        i = int(np.searchsorted(self._s, s_lo))
+        j = int(np.searchsorted(self._s, s_hi, side="right")) - 1
+        if j <= i:
+            return 0.0
+        c0, c1, c2, c3 = (c[i:j] for c in self._c)
+        # Each cell's piece and its derivative at t = 1/2.
+        u = c0 + 0.5 * c1 + 0.25 * c2 + 0.125 * c3
+        up = (c1 + c2 + 0.75 * c3) / self._h[i:j]
+        fp = 2.0 * u * up
+        res = fp * fp - self.lam0**2 * -np.expm1(-self.alpha * np.log1p(u * u))
+        return float(np.max(np.abs(res)))
 
     def find_slope(self, target: float) -> float:
-        """Location where f' crosses ``target`` (f' is increasing).
+        """Location where f' reaches ``target`` (f' rises from 0 to lam0).
 
-        The solution is first extended in 200-step chunks until f'
-        reaches the target; NoStop if it does not by the budget.  The
-        crossing lies on one cubic Hermite piece of the f' curve, so it
-        is the root of a scalar cubic in the piece parameter t, found by
-        Newton steps kept inside the sign-change bracket [0, 1].
+        The first integral gives f = (1 - target^2/lam0^2)^(-1/alpha) in
+        closed form, hence u; the location is where the table's Hermite
+        piece through u's cell takes that u, a monotone cubic solved by
+        Newton from the linear guess, so that f' of the interpolant is
+        ``target`` to rounding.  NoStop unless target < lam0 and the
+        location lies within the budget.
         """
-        while self._fp[-1] < target:
-            if self.s_end >= self.budget:
-                raise NoStop(
-                    f"f' stayed below {target} up to s = {self.budget}; "
-                    "check lam against lam0"
-                )
-            self.extend(min(self.s_end + 200 * self.step, self.budget))
-        fp, fpp = self.curve().slopes
-        idx = int(np.searchsorted(fp, target))
-        if idx <= 0:
+        if target <= 0.0:
             return 0.0
-        k = idx - 1
-        y0, y1 = float(fp[k]), float(fp[idx])
-        d0 = float(fpp[k]) * self.step
-        d1 = float(fpp[idx]) * self.step
-        # Power form of the Hermite piece minus the target.
-        c0 = y0 - target
-        c2 = 3.0 * (y1 - y0) - 2.0 * d0 - d1
-        c3 = 2.0 * (y0 - y1) + d0 + d1
-        lo, hi = 0.0, 1.0
-        t = -c0 / (y1 - y0)
-        for _ in range(60):
-            g = c0 + t * (d0 + t * (c2 + t * c3))
-            if g < 0.0:
-                lo = t
-            else:
-                hi = t
-            slope = d0 + t * (2.0 * c2 + 3.0 * t * c3)
-            t_new = t - g / slope if slope > 0.0 else 0.5 * (lo + hi)
-            if not lo <= t_new <= hi:
-                t_new = 0.5 * (lo + hi)
-            if abs(t_new - t) <= 1e-16:
-                t = t_new
-                break
-            t = t_new
-        return (k + t) * self.step
+        if target < self.lam0:
+            u = math.sqrt(math.expm1(-math.log1p(-((target / self.lam0) ** 2)) / self.alpha))
+            k = int(np.searchsorted(self._u, u, side="right")) - 1
+            if k < len(self._h):
+                c0, c1, c2, c3 = (float(c[k]) for c in self._c)
+                t = (u - c0) / (float(self._u[k + 1]) - c0)
+                for _ in range(8):
+                    dt = (c0 - u + t * (c1 + t * (c2 + t * c3))) / (
+                        c1 + t * (2.0 * c2 + 3.0 * t * c3)
+                    )
+                    t -= dt
+                    if abs(dt) <= 1e-16:
+                        break
+                s = float(self._s[k]) + t * float(self._h[k])
+                if s < self.budget:
+                    return s
+        raise NoStop(
+            f"f' stays below {target} up to s = {self.budget} "
+            f"(it tends to lam0 = {self.lam0}); check lam against lam0"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +500,7 @@ class _Sine:
 
 
 class _Dense:
-    """A sampled curve (the cap blend, the f-flattening, the h tail and
-    bridge): one ``_DenseCurve`` with rows y and y', and y'' either its
+    """A sampled curve (the cap blend, the h tail and bridge): one ``_DenseCurve`` with rows y and y', and y'' either its
     third row (``d2`` None) or the function d2(s, y)."""
 
     def __init__(self, curve, d2=None):
@@ -536,7 +563,8 @@ class Segment:
     """f and h on [s0, s1], each one of the four curve models.
 
     f is the core solution itself, a ``_Sine`` (the cap arc), a
-    ``_Dense`` (the cap blend and the f-flattening) or a ``_FlatF``; h is
+    ``_Dense`` (the cap blend), the f-flattening ``_FlattenedF`` or a
+    ``_FlatF``; h is
     a ``_CoreH``, a ``_Sine`` (the splice), or a ``_Dense`` (the tail and
     the origin bridge).  The models describe h at unit fibre scale, and
     ``h_scale`` is the one place r is applied: ``scaled`` multiplies h,
@@ -790,8 +818,9 @@ def _gate(w: WarpProfile, ks, stage: str):
     """MarginLost unless the margin minima of each segment k in ``ks``
     lie above its floor: ``TAIL_FLOOR`` on tail segments, 0 elsewhere.
 
-    Each stage passes the segments it built: ``cap_sine`` its blend and
-    arc, ``flatten_h_tail`` the pieces it clipped or gave the tail,
+    Each stage passes the segments it built: ``cap_sine`` its blend,
+    ``flatten_h_tail`` the pieces it clipped or gave the tail (the arc up
+    to the tail start among them, so the arc past it is never sampled),
     ``smooth_origin`` its three collar segments per r and (``_outer_part``)
     the f-flattening and the clipped core once per (neck, eps).  Later
     stages keep the rest."""
@@ -809,24 +838,22 @@ def _gate(w: WarpProfile, ks, stage: str):
 # ---------------------------------------------------------------------------
 
 def integrate_core(params: WarpParams) -> WarpProfile:
-    """Solve the core equation and stop where f' reaches lam.
+    """Build the core solution and stop where f' reaches lam.
 
-    The step size is halved (up to four times) until the first-integral
-    residual at the nodes and cell midpoints is within ``tol_ode``.
-    Raises NoStop if the slope target is not reached inside the budget or
-    the tolerance is not met after four halvings.
+    The core comes from its first integral (``_CoreSolution``), and the
+    stop from the closed form of ``find_slope``.  Raises NoStop if the
+    slope target is not reached inside the budget, or if the first-
+    integral residual of the interpolated core exceeds ``tol_ode``.
     """
     p = params.resolve()
-    step = p.step
-    for _ in range(5):
-        core = _CoreSolution(p.lam0, p.alpha, step, p.s_budget)
-        s_stop = core.find_slope(p.lam)
-        if core.first_integral_residual(0.0, core.s_end) <= p.tol_ode:
-            break
-        step *= 0.5
-    else:
-        raise NoStop("integrator failed to meet the first-integral tolerance")
-    p = replace(p, step=step)
+    core = _CoreSolution(p.lam0, p.alpha, p.s_budget)
+    s_stop = core.find_slope(p.lam)
+    residual = core.first_integral_residual(0.0, core.s_end)
+    if residual > p.tol_ode:
+        raise NoStop(
+            f"core table misses the first-integral tolerance: residual "
+            f"{residual:.3e} above {p.tol_ode:.0e}"
+        )
     seg = Segment("core", 0.0, s_stop, core, _CoreH(core))
     return WarpProfile(
         params=p, core=core, segments=(seg,), s_left=0.0, s_lambda=s_stop
@@ -941,9 +968,11 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     target, with N0 = f(s_stop)/sqrt(1 - lam^2), and stops once its step
     is within 1e-9 of a and of N, when quadratic convergence puts the
     next iterate at rounding level; the cap keeps the sweep taken there.
-    No convergence within ``_CAP_NEWTON_SWEEPS`` sweeps, a singular or
-    non-finite Jacobian, or an iterate whose core slope f'(a) leaves
-    (0, lam0) raises MarginLost.
+    A step that would take a out of (0, s_budget) is halved, with its N
+    step, until a stays inside.  No convergence within
+    ``_CAP_NEWTON_SWEEPS`` sweeps, a singular or non-finite Jacobian or
+    step, or an iterate with N <= 0 or core slope f'(a) outside (0, lam0)
+    raises MarginLost, and so does an arc that ends past the core table.
 
     The blend sweep's step count is sized by step doubling: Newton runs
     at ``_BLEND_START`` steps, and at its root the kept sweep is compared
@@ -962,7 +991,6 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     blend_w = 0.5 * width  # the sine arc takes the other half
     s_stop = w.s_lambda
     core = w.core
-    core.extend(s_stop + 4.0 * width + 4.0 * p.step)
     f_at_stop = core.at(s_stop)[0]
     n0 = f_at_stop / math.sqrt(1.0 - lam * lam)
     slope_target = lam + math.sqrt(1.0 - lam * lam) * blend_w / n0
@@ -970,11 +998,8 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
         raise MarginLost("cap width too large for the gap between lam and lam0")
 
     def sweep_at(a, big_n, steps):
-        # The budget test first: a wild iterate must not extend the core.
-        if 0.0 < a < p.s_budget and big_n > 0.0:
-            core.extend(a + blend_w + 4.0 * p.step)
-            if 0.0 < core.at(a)[1] < p.lam0:
-                return _integrate_blend(core, a, a + blend_w, big_n, steps)
+        if big_n > 0.0 and 0.0 < core.at(a)[1] < p.lam0:
+            return _integrate_blend(core, a, a + blend_w, big_n, steps)
         raise MarginLost(f"cap Newton iterate a = {a:.6g} left the slope window")
 
     a, big_n, steps = core.find_slope(slope_target), n0, _BLEND_START
@@ -989,6 +1014,10 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
                 raise MarginLost("cap Newton Jacobian is singular or not finite")
             da = (j12 * g2 - j22 * g1) / det
             dn = (j21 * g1 - j11 * g2) / det
+            if not (math.isfinite(da) and math.isfinite(dn)):
+                raise MarginLost("cap Newton step is not finite")
+            while not 0.0 < a + da < p.s_budget:  # damped: a stays in the core
+                da, dn = 0.5 * da, 0.5 * dn
             a, big_n = a + da, big_n + dn
             if abs(da) <= 1e-9 * a and abs(dn) <= 1e-9 * big_n:
                 break
@@ -1016,7 +1045,8 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     s_lam = s_prime + big_n * math.acos(lam)
     if s_lam < b:
         raise MarginLost("sine arc ends before the blend; shrink the width")
-    core.extend(s_lam + 4.0 * p.step)
+    if s_lam > core.s_end:
+        raise MarginLost("sine arc ends past the core table; raise s_budget")
 
     width_b = b - a
 
@@ -1037,7 +1067,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     )
     cap = CapInfo(big_n, s_prime, a, b, steps, float(error))
     out = w.derive(segments=segments, s_lambda=s_lam, cap=cap)
-    _gate(out, (1, 2), "cap_sine")
+    _gate(out, (1,), "cap_sine")  # flatten_h_tail gates the arc it keeps
     return out
 
 
@@ -1129,45 +1159,100 @@ def _solve_splice(h_val: float, hp_val: float, r: float):
     return radius, u
 
 
-def _flatten_f(core, flat_end: float, rejoin: float, ramp: float):
-    """Second-derivative profile omega * f'' with an exact core rejoin.
+# The rule of the f-flattening's ramp integrals, one per sample, eight
+# points.  omega is a quintic on each ramp, and from six points on the
+# plateau and the flattening's f and f' agree with a 40-point rule's to
+# rounding (four points move f by up to 2e-12 relative, at n = 12).
+_RAMP_RULE = _gauss_legendre(
+    (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
+    (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706),
+)
 
-    omega rises from 0 at ``flat_end`` to a plateau P and descends to 1
-    at ``rejoin``; P is solved linearly so the lost slope of the flat
-    zone is recovered exactly, then f is rebuilt by integrating backward
-    from the core values at ``rejoin``.  The grid reads the core's f row
-    alone (for f''); f and f' at ``rejoin`` are float lookups.
+
+class _FlattenedF:
+    """f of the f-flattening of the origin collar, exact on its plateau.
+
+    f'' = omega f''_c on [a0, b1] = [flat_end, rejoin], with f'(a0) = 0
+    and the core's (f, f') at b1.  omega rises over the left ramp [a0, a1]
+    (a1 = a0 + ramp) from 0 to a plateau P and descends over the right
+    ramp [b0, b1] (b0 = b1 - ramp) to 1, so f rejoins the core with its
+    second derivative too.  P is the linear solve that recovers the slope
+    the flat zone lost:
+
+        f'_c(b1) = P (J_L + f'_c(b0) - f'_c(a1) + J_R1) + J_R2,
+
+    with J_L the left ramp's integral of sigma_L f''_c and J_R1, J_R2 the
+    right ramp's of (1 - sigma_R) f''_c and sigma_R f''_c; the plateau
+    contributes P (f'_c(b0) - f'_c(a1)) in closed form.
+
+    On the plateau omega = P, so f = P (f_c - f_c(b0)) + A (s - b0) +
+    f(b0) and f' = P f'_c + A, with A = f'(b0) - P f'_c(b0), in terms of
+    the core.  On a ramp each sample integrates omega f''_c from the
+    ramp's outer end by ``_RAMP_RULE``: on the left f'(s) = int_a0^s
+    omega f''_c and f(s) = flat value + int_a0^s (s - x) omega f''_c, on
+    the right f'(s) = f'_c(b1) - int_s^b1 omega f''_c and f(s) = f_c(b1)
+    - (b1 - s) f'_c(b1) + int_s^b1 (x - s) omega f''_c.  So f'(a0) = 0
+    and (f, f') at b1 are the core's exactly; f'' = omega f''_c
+    everywhere.  ``flat_value`` is f(a0) and ``plateau`` is P.
     """
-    grid = np.linspace(flat_end, rejoin, 16385)
-    hstep = grid[1] - grid[0]
-    fpp_nodes = core.fpp(grid)
-    f_end, target, _ = core.at(rejoin)
-    # Outside their ramps (about 131 cells each) the smoothsteps are
-    # exactly 1 (up) and 0 (down); m cells cover a ramp and one cell more.
-    m = int(ramp / hstep) + 2
-    up, down = np.ones_like(grid), np.zeros_like(grid)
-    up[:m] = smoothstep((grid[:m] - flat_end) / ramp)
-    down[-m:] = smoothstep((grid[-m:] - (rejoin - ramp)) / ramp)
-    base_i = _trapz(up * (1.0 - down) * fpp_nodes, hstep)
-    rest_i = _trapz(up * down * fpp_nodes, hstep)
-    plateau = (target - rest_i) / base_i
 
-    def omega(s):
+    def __init__(self, core, flat_end: float, rejoin: float, ramp: float):
+        self.core, self.ramp = core, ramp
+        self.a0, self.a1 = flat_end, flat_end + ramp
+        self.b0, self.b1 = rejoin - ramp, rejoin
+        self.f_end, self.fp_end, _ = core.at(rejoin)
+        (xl, xr), (wl, wr) = _ramp_nodes(np.array([self.a0, self.b0]), np.array([self.a1, self.b1]))
+        (f_a1, f_b0), (fp_a1, fp_b0), _ = core.eval(np.array([self.a1, self.b0]))
+        gl = smoothstep((xl - self.a0) / ramp) * core.eval(xl)[2]
+        sig = smoothstep((xr - self.b0) / ramp)
+        g = core.eval(xr)[2]
+        rest, blend = (1.0 - sig) * g, sig * g
+        j_r1, j_r2 = wr @ rest, wr @ blend
+        p = (self.fp_end - j_r2) / (wl @ gl + fp_b0 - fp_a1 + j_r1)
+        self.plateau = float(p)
+        self.fc_b0, self.fpc_b0 = f_b0, fp_b0
+        # f and f' at b0, from the right ramp; on the plateau f' - P f'_c
+        # is the constant A.
+        self.fp_b0 = self.fp_end - j_r2 - p * j_r1
+        self.f_b0 = self.f_end - (self.b1 - self.b0) * self.fp_end + wr @ (
+            (xr - self.b0) * (p * rest + blend)
+        )
+        self.big_a = self.fp_b0 - p * fp_b0
+        f_a1 = p * (f_a1 - f_b0) + self.big_a * (self.a1 - self.b0) + self.f_b0
+        self.flat_value = float(f_a1 - p * (wl @ ((self.a1 - xl) * gl)))
+
+    def omega(self, s):
+        sig_l = smoothstep((s - self.a0) / self.ramp)
+        sig_r = smoothstep((s - self.b0) / self.ramp)
+        return sig_l * (self.plateau - (self.plateau - 1.0) * sig_r)
+
+    def eval(self, s):
         s = np.asarray(s, dtype=float)
-        u = smoothstep((s - flat_end) / ramp)
-        d = smoothstep((s - (rejoin - ramp)) / ramp)
-        return u * (plateau - (plateau - 1.0) * d)
+        p = self.plateau
+        f_c, fp_c, fpp_c = self.core.eval(s)
+        f = p * (f_c - self.fc_b0) + self.big_a * (s - self.b0) + self.f_b0
+        fp = p * (fp_c - self.fpc_b0) + self.fp_b0
+        left, right = s < self.a1, s > self.b0
+        if left.any():
+            x, w = _ramp_nodes(self.a0, s[left])
+            g = self.omega(x) * self.core.eval(x)[2]
+            fp[left] = np.sum(w * g, axis=-1)
+            f[left] = self.flat_value + np.sum(w * (s[left][:, None] - x) * g, axis=-1)
+        if right.any():
+            x, w = _ramp_nodes(s[right], self.b1)
+            g = self.omega(x) * self.core.eval(x)[2]
+            fp[right] = self.fp_end - np.sum(w * g, axis=-1)
+            f[right] = self.f_end - (self.b1 - s[right]) * self.fp_end + np.sum(
+                w * (x - s[right][:, None]) * g, axis=-1
+            )
+        return f, fp, self.omega(s) * fpp_c
 
-    def fpp_func(s, _f):
-        return omega(s) * core.fpp(s)
 
-    fpp_vals = up * (plateau - (plateau - 1.0) * down) * fpp_nodes  # omega(grid)
-    # Backward cumulative integration anchored at the core values.
-    fp_vals = target - (_cumulative_trapezoid(fpp_vals[::-1], hstep)[::-1])
-    f_vals = f_end - (_cumulative_trapezoid(fp_vals[::-1], hstep)[::-1])
-    fp_vals[0] = 0.0  # the residual here is quadrature roundoff
-    curve = _DenseCurve(flat_end, hstep, (f_vals, fp_vals), (fp_vals, fpp_vals))
-    return _Dense(curve, fpp_func), float(f_vals[0]), plateau
+def _ramp_nodes(lo, hi):
+    """The ramp rule's nodes and weights on each [lo, hi], one row each."""
+    x, w = _RAMP_RULE
+    lo, span = np.asarray(lo, dtype=float)[..., None], np.asarray(hi - lo, dtype=float)[..., None]
+    return lo + span * x, span * w
 
 
 # First bridge step count; it meets the tolerance for r near 1, and the
@@ -1299,13 +1384,13 @@ def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
     """
     cached = w._outer_memo
     if not cached or cached[0] != eps:
-        blend_f, flat_value, plateau = _flatten_f(w.core, flat_end, eps, ramp)
+        blend_f = _FlattenedF(w.core, flat_end, eps, ramp)
         segments = (Segment("flat", flat_end, eps, blend_f, _CoreH(w.core)),) + tuple(
             replace(seg, s0=max(seg.s0, eps)) for seg in w.segments if seg.s1 > eps
         )
         outer = w.derive(segments=segments, s_left=flat_end)
         _gate(outer, (0, 1), "smooth_origin")  # eps lies on the neck's core
-        cached[:] = (eps, outer, flat_value, plateau)
+        cached[:] = (eps, outer, blend_f.flat_value, blend_f.plateau)
     return cached[1:]
 
 

@@ -494,13 +494,13 @@ def test_search_r_flattens_f_once(monkeypatch):
     # The f-flattening of the origin collar does not depend on r, so a
     # search builds it once for its neck and eps, not once per probe.
     calls = [0]
-    real = wm._flatten_f
+    real = wm._FlattenedF
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(wm, "_flatten_f", counting)
+    monkeypatch.setattr(wm, "_FlattenedF", counting)
     base, eps = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
     probes = []
 
@@ -709,17 +709,17 @@ def test_certify_large_dimension(n, s0):
 
 @pytest.mark.parametrize("n, s0", [(40, 1.3), (40, 1.5), (45, 1.3), (45, 1.5)])
 def test_certify_sizes_the_core_by_the_verdicts_residual(n, s0):
-    # At the default step the core's first-integral residual is 5.9-8.8e-10
-    # at the nodes but 1.1-2.0e-9 between them, above tol_ode = 1e-9.  One
-    # residual, read at nodes and cell midpoints, sizes the core and gates
-    # the verdict, so the core halves its step and the verdict passes.
+    # The verdict reads the core's first-integral residual at its table's
+    # cell midpoints, where the interpolation error peaks.  At these
+    # large-n points it is far below tol_ode = 1e-9 at the default
+    # sampling step, so they pass without a finer one.
     res = rc.certify(n, s0)
     assert res.passed(), (n, s0)
     margins = (res.margin_ineq1, res.margin_ineq2, res.margin_ineq3, res.margin_ricci)
     assert min(margins) > 0, margins
     p = res.profile.params
-    assert p.step == 0.5 * wm.WarpParams(n=n, lam=res.lam).resolve().step
-    assert res.first_integral_residual < p.tol_ode
+    assert p.step == wm.WarpParams(n=n, lam=res.lam).resolve().step
+    assert res.first_integral_residual < 1e-3 * p.tol_ode
 
 
 def _conjuncts(res):

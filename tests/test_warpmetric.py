@@ -74,10 +74,10 @@ def test_core_stop_matches_first_integral_closed_form():
 
 
 def test_core_slope_monotone_and_asymptote():
-    w = wm.integrate_core(build(s_budget=140.0))
-    core = w.core
-    core.extend(120.0)
-    fp = np.array(core._fp)
+    # The table is built to the budget: f' rises on it and tends to lam0.
+    core = wm.integrate_core(build(s_budget=140.0)).core
+    assert core.s_end >= 140.0
+    fp = core.f_fp(np.linspace(0.0, 120.0, 24001))[1]
     assert np.all(np.diff(fp) >= 0)
     assert np.all(np.diff(fp[: len(fp) // 2]) > 0)
     assert abs(fp[-1] - 0.75) < 1e-3  # converges to lam0
@@ -88,32 +88,63 @@ def test_core_first_integral_residual():
     assert w.first_integral_residual() < w.params.tol_ode
 
 
+def _quad_s_of_f(p, f):
+    # s(f) = int_1^f dx / (lam0 sqrt(1 - x^-alpha)), with x = 1 + v^2.
+    quad = pytest.importorskip("scipy.integrate").quad
+
+    def ds_dv(v):
+        if v == 0.0:
+            return 2.0 / (p.lam0 * math.sqrt(p.alpha))
+        return 2.0 * v / (p.lam0 * math.sqrt(-math.expm1(-p.alpha * math.log1p(v * v))))
+
+    return quad(ds_dv, 0.0, math.sqrt(f - 1.0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (12, 0.3), (40, 1.3)])
+def test_core_matches_quadrature_oracle(n, s0):
+    # f at scipy's s(f), from f = 1 + 1e-6 up to f at 1.2 s_lambda.
+    p = wm.WarpParams(n=n, lam=math.cos(s0)).resolve()
+    core = wm.integrate_core(p).core
+    f_top = float(core.f_fp(np.array([1.2 * core.find_slope(p.lam)]))[0][0])
+    for f in np.geomspace(1e-6, f_top - 1.0, 25) + 1.0:
+        got = float(core.f_fp(np.array([_quad_s_of_f(p, f)]))[0][0])
+        assert abs(got - f) <= 1e-11 * f, (n, s0, f)
+
+
+def test_gauss_legendre_rules_match_numpy():
+    # The hard-coded rules are numpy's, mapped to [0, 1].
+    leggauss = pytest.importorskip("numpy.polynomial.legendre").leggauss
+    for (x, w), k in ((wm._CORE_RULE, 4), (wm._RAMP_RULE, 8)):
+        nodes, weights = leggauss(k)
+        assert _same_bits(x, 0.5 * (nodes + 1.0)) and _same_bits(w, 0.5 * weights), k
+
+
 def test_core_fourth_order_convergence():
-    p = build(step=0.02, tol_ode=1.0)  # disable adaptive halving
-    w1 = wm.integrate_core(p)
-    r1 = w1.core.first_integral_residual(0.0, w1.s_lambda)
-    p2 = build(step=0.01, tol_ode=1.0)
-    w2 = wm.integrate_core(p2)
-    r2 = w2.core.first_integral_residual(0.0, w1.s_lambda)
-    assert r1 / r2 >= 8.0
+    # The residual reads the interpolant's derivative at cell midpoints,
+    # where the cubic Hermite error of u' is fourth order: doubling the
+    # cells cuts it by about 16.
+    p = build().resolve()
+    core = wm._CoreSolution(p.lam0, p.alpha, p.s_budget)
+    u_max = float(core._u[-1])
+    residuals = []
+    for cells in (64, 128):
+        core._build(u_max, cells)
+        residuals.append(core.first_integral_residual(0.0, 5.0))
+    assert residuals[0] / residuals[1] >= 8.0, residuals
+    assert residuals[1] > 1e-12  # above rounding, so the ratio is the error's
 
 
-def test_core_unmet_tolerance_raises_after_five_steps(monkeypatch):
-    # No step meets a 1e-18 residual: the core halves its step four times
-    # and then fails instead of returning an unchecked solution.
-    steps = []
-    real = wm._CoreSolution.first_integral_residual
-
-    def recording(core, s_lo, s_hi):
-        steps.append(core.step)
-        return real(core, s_lo, s_hi)
-
-    monkeypatch.setattr(wm._CoreSolution, "first_integral_residual", recording)
-    p = build(tol_ode=1e-18)
+def test_core_unmet_tolerance_raises():
+    # No table meets a 1e-18 residual: the core fails instead of
+    # returning an unchecked solution.
     with pytest.raises(NoStop, match="first-integral tolerance"):
-        wm.integrate_core(p)
-    step = p.resolve().step
-    assert steps == [step, step / 2, step / 4, step / 8, step / 16]
+        wm.integrate_core(build(tol_ode=1e-18))
+
+
+def test_core_table_fails_closed_at_its_cap(monkeypatch):
+    monkeypatch.setattr(wm, "_SWEEP_TOL", 0.0)
+    with pytest.raises(NoStop, match="core table: error estimate"):
+        wm.integrate_core(build())
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -258,18 +289,29 @@ def _cap_sweep(capped):
     )
 
 
-def test_cap_big_n_matches_goldens(golden_caps):
+def test_cap_big_n_matches_goldens(golden_caps, monkeypatch):
     # The goldens' solver stopped once |f'(b) - target| < 1e-12, so a
     # golden N may sit off the root by 1e-12 |dN/d(slope residual)|; the
-    # Jacobian at the root gives that derivative.  The band is 5.4e-11
-    # relative at (3, 0.3) and at least 1.4e-12 elsewhere.
+    # Jacobian at the root gives that derivative.  That band is 5.4e-11
+    # relative at (3, 0.3) and at least 1.4e-12 elsewhere.  The goldens
+    # were also built on an RK4 core, whose error N inherits: against
+    # this core (which matches scipy's quadrature to 3e-13) they sit up to
+    # 3.2e-11 relative off, at (6, 0.3).  The band adds 1e-10 relative for
+    # that.  The root itself is converged in the core: a table of about four
+    # times the cells moves N by at most 1e-13 relative.
     for key, (capped, target, golden_n, _) in golden_caps.items():
         cap = capped.cap
         _, ((j11, j12), (j21, j22)) = wm._cap_equations(
             capped.core, cap.blend_start, cap.big_n, target, _cap_sweep(capped)
         )
-        band = 1e-12 * abs(j11 / (j11 * j22 - j12 * j21))
+        band = 1e-12 * abs(j11 / (j11 * j22 - j12 * j21)) + 1e-10 * golden_n
         assert abs(cap.big_n - golden_n) <= band, (key, cap.big_n - golden_n, band)
+    monkeypatch.setattr(wm, "_CORE_START", 4 * wm._CORE_START)
+    for (n, s0), (capped, *_) in golden_caps.items():
+        p = wm.WarpParams(n=n, lam=math.cos(s0)).resolve()
+        fine = wm.cap_sine(wm.integrate_core(p), p.lam, p.cap_width)
+        assert len(fine.core._h) > 3 * len(capped.core._h)
+        assert abs(fine.cap.big_n - capped.cap.big_n) <= 1e-13 * capped.cap.big_n, (n, s0)
 
 
 def test_cap_amplitude_gap_closed(golden_caps):
@@ -355,6 +397,29 @@ def test_cap_newton_fails_closed(monkeypatch, name, patch, message):
     assert message in str(info.value.cause)
 
 
+@pytest.mark.parametrize("n", [40, 45, 50])
+def test_cap_newton_step_damped_inside_the_core(monkeypatch, n):
+    # At s0 = 1.56 the full Newton step takes a below 0 (to -2.1e-5,
+    # -1.6e-4 and -2.8e-4).  The damped step keeps every iterate in
+    # (0, s_budget); there is no root there (f'(b) stays above the slope
+    # target as a falls), so Newton runs out of sweeps.
+    starts = []
+    real = wm._integrate_blend
+
+    def recording(core, a, b, big_n, steps):
+        starts.append(a)
+        return real(core, a, b, big_n, steps)
+
+    monkeypatch.setattr(wm, "_integrate_blend", recording)
+    p = wm.WarpParams(n=n, lam=math.cos(1.56))
+    with pytest.raises(StageError) as info:
+        wm.build_neck(p)
+    assert info.value.stage == "cap_sine"
+    assert "did not converge" in str(info.value.cause)
+    assert len(starts) == wm._CAP_NEWTON_SWEEPS
+    assert all(0.0 < a < p.resolve().s_budget for a in starts), starts
+
+
 def test_cap_sweep_sized_by_its_error(golden_caps):
     # The first count meets the tolerance on the golden grid, and the kept
     # estimate is the Richardson one from the half-count sweep.  At half
@@ -382,9 +447,11 @@ def test_cap_sweep_sized_by_its_error(golden_caps):
 
 def test_cap_sweep_fails_closed_at_step_cap(monkeypatch):
     # No estimate meets a zero tolerance, so the blend gives up at the cap.
+    # The core, which reads the same tolerance, is built before it drops.
+    base = wm.integrate_core(build())
     monkeypatch.setattr(wm, "_SWEEP_TOL", 0.0)
     with pytest.raises(StageError) as info:
-        wm.build_neck(build())
+        wm._stage("cap_sine", wm.cap_sine, base, 0.5, base.params.cap_width)
     assert info.value.stage == "cap_sine"
     assert isinstance(info.value.cause, MarginLost)
     assert "cap blend: RK4 error estimate" in str(info.value.cause)
@@ -392,12 +459,19 @@ def test_cap_sweep_fails_closed_at_step_cap(monkeypatch):
 
 
 def test_find_slope_hits_target():
-    core = wm.integrate_core(build()).core
-    fp = np.array(core._fp)
-    nodes = fp[[1, 2, len(fp) // 2, -1]]
-    for target in np.concatenate((np.linspace(1e-3, fp[-1], 37), nodes)):
+    # f' of the interpolant at find_slope(t) is t: at the neck's lam, at
+    # targets up to lam0, and at the f' of table nodes.
+    w = wm.integrate_core(build())
+    core = w.core
+    assert abs(w.evaluate(w.s_lambda)[1] - 0.5) <= 1e-14
+    nodes = core.f_fp(core._s[[1, 2, len(core._s) // 4]])[1]
+    for target in np.concatenate((np.linspace(1e-3, 0.74, 37), nodes)):
         s = core.find_slope(float(target))
         assert abs(float(core.eval(np.array([s]))[1][0]) - target) <= 1e-14, target
+    assert core.find_slope(0.0) == 0.0
+    for target in (0.75, 0.8):  # lam0 and above: never reached
+        with pytest.raises(NoStop):
+            core.find_slope(target)
 
 
 # -- tail ----------------------------------------------------------------------
@@ -745,23 +819,13 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_dense_curve_float_path_matches_array_path(neck_41):
-    # The float lookup gives the array path's bits (zero signs included):
-    # random points, exact node hits on a dyadic grid, points within the
-    # 1e-9 snap of a node, and points outside the grid, which clamp.
-    rng = np.random.default_rng(11)
-    synthetic = wm._DenseCurve(0.25, 0.125, [rng.normal(size=65)], [rng.normal(size=65)])
+def test_core_at_matches_eval(neck_41):
+    # The float lookup gives the array path's bits, on the table and
+    # outside it, where s clamps.
     core = neck_41[0].core
-    for curve in (synthetic, core.curve()):
-        nodes = curve.s0 + curve.step * np.arange(len(curve.values[0]))
-        end = nodes[-1]
-        near = nodes + curve.step * rng.uniform(-9e-10, 9e-10, len(nodes))
-        outside = [curve.s0 - 1.0, curve.s0 - 1e-12, -0.0, end + 1e-12, end + 3.0]
-        s = np.concatenate((rng.uniform(curve.s0, end, 2000), nodes, near, outside))
-        assert _same_bits([curve.at(float(x)) for x in s], np.transpose(curve(s)))
-        with pytest.raises(ValueError):
-            curve.at(math.nan)
-    for x in rng.uniform(0.0, core.s_end, 200):
+    rng = np.random.default_rng(11)
+    s = np.concatenate((rng.uniform(0.0, core.s_end, 200), core._s[:5], [-1.0, core.s_end + 1.0]))
+    for x in s:
         assert core.at(float(x)) == tuple(float(c[0]) for c in core.eval(np.array([x])))
 
 
@@ -787,7 +851,7 @@ def _hermite_one_row(curve, s):
 def test_dense_curve_rows_match_one_row_curves():
     # A k-row curve forms the Hermite weights once for all its rows; each
     # row keeps the bits of a one-row curve of that row (zero signs
-    # included), on the array path, with ``rows``, and on the float path.
+    # included).
     rng = np.random.default_rng(12)
     values, slopes = rng.normal(size=(3, 65)), rng.normal(size=(3, 65))
     values[1, 7:9] = slopes[2, 20:22] = 0.0
@@ -797,52 +861,82 @@ def test_dense_curve_rows_match_one_row_curves():
     near = nodes + 0.125 * rng.uniform(-9e-10, 9e-10, len(nodes))
     outside = [0.25 - 1.0, 0.25 - 1e-12, -0.0, nodes[-1] + 1e-12, nodes[-1] + 3.0]
     s = np.concatenate((rng.uniform(0.25, nodes[-1], 2000), nodes, near, outside))
-    for rows in (None, 1, 2):
-        got = multi(s, rows)
-        assert len(got) == (rows or 3)
-        for row, single in zip(got, singles):
-            (want,) = single(s)
-            assert _same_bits(row, want)
-            assert _same_bits(want, _hermite_one_row(single, s))
-    for x in s:
-        assert _same_bits(multi.at(float(x)), [c.at(float(x))[0] for c in singles])
+    got = multi(s)
+    assert len(got) == 3
+    for row, single in zip(got, singles):
+        (want,) = single(s)
+        assert _same_bits(row, want)
+        assert _same_bits(want, _hermite_one_row(single, s))
     assert [row.shape for row in multi(s.reshape(5, -1))] == [(5, len(s) // 5)] * 3
 
 
 @pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (12, 0.3)])
-def test_flatten_f_matches_full_grid_formulas(n, s0):
-    # _flatten_f evaluates only f on its grid, reads f' at the rejoin as a
-    # float and forms the smoothsteps on their ramps only; the formulas
-    # on the full grid give the same bits.
+def test_flatten_f_matches_closed_forms(n, s0):
+    # The f-flattening against the same closed forms built independently,
+    # with scipy's quad for every integral of omega f''_c: P from the
+    # slope balance, the plateau's f = P f_c + A s + B, and on each ramp
+    # f' and f integrated from its outer end.
+    quad = pytest.importorskip("scipy.integrate").quad
     neck, eps = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
     core = neck.core
-    flat_end, ramp = 0.002 * eps, 0.008 * eps
-    model, flat_value, plateau = wm._flatten_f(core, flat_end, eps, ramp)
+    a0, ramp = 0.002 * eps, 0.008 * eps
+    a1, b0 = a0 + ramp, eps - ramp
+    model = wm._FlattenedF(core, a0, eps, ramp)
+    flat_value, plateau = model.flat_value, model.plateau
 
-    grid = np.linspace(flat_end, eps, 16385)
-    hstep = grid[1] - grid[0]
-    f_nodes, fp_nodes, fpp_nodes = core.eval(grid)
-    up = wm.smoothstep((grid - flat_end) / ramp)
-    down = wm.smoothstep((grid - (eps - ramp)) / ramp)
-    base_i = wm._trapz(up * (1.0 - down) * fpp_nodes, hstep)
-    rest_i = wm._trapz(up * down * fpp_nodes, hstep)
-    target = float(fp_nodes[-1])
-    want_plateau = (target - rest_i) / base_i
-    fpp_vals = up * (want_plateau - (want_plateau - 1.0) * down) * fpp_nodes
-    fp_vals = target - wm._cumulative_trapezoid(fpp_vals[::-1], hstep)[::-1]
-    f_vals = f_nodes[-1] - wm._cumulative_trapezoid(fp_vals[::-1], hstep)[::-1]
-    fp_vals[0] = 0.0
-    assert _same_bits(plateau, want_plateau)
-    assert _same_bits(flat_value, f_vals[0])
-    assert (model.curve.s0, model.curve.step) == (flat_end, hstep)
-    assert _same_bits(model.curve.values, [f_vals, fp_vals])
-    assert _same_bits(model.curve.slopes, [fp_vals, fpp_vals])
+    def fc(x):
+        return [float(c[0]) for c in core.eval(np.array([x]))]
 
-    s = np.linspace(flat_end - 1e-3 * eps, eps, 1001)
-    u = wm.smoothstep((s - flat_end) / ramp)
-    d = wm.smoothstep((s - (eps - ramp)) / ramp)
-    want_fpp = u * (want_plateau - (want_plateau - 1.0) * d) * core.eval(s)[2]
-    assert _same_bits(model.eval(s)[2], want_fpp)
+    def integral(g, lo, hi, moment=None):
+        def integrand(x):
+            return g(x) * fc(x)[2] * (1.0 if moment is None else x - moment)
+
+        return quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    def up(x):
+        return float(wm.smoothstep((x - a0) / ramp))
+
+    def down(x):
+        return float(wm.smoothstep((x - b0) / ramp))
+
+    f_end, fp_end, _ = fc(eps)
+    j_r2 = integral(down, b0, eps)
+    want_p = (fp_end - j_r2) / (
+        integral(up, a0, a1) + fc(b0)[1] - fc(a1)[1] + integral(lambda x: 1.0 - down(x), b0, eps)
+    )
+    assert abs(plateau - want_p) <= 1e-13 * want_p
+
+    def omega(x):
+        return up(x) * (want_p - (want_p - 1.0) * down(x))
+
+    def right(s):  # integrated from (f_c, f'_c) at eps
+        return (
+            f_end - (eps - s) * fp_end + integral(omega, s, eps, moment=s),
+            fp_end - integral(omega, s, eps),
+        )
+
+    f_b0, fp_b0 = right(b0)
+    big_a = fp_b0 - want_p * fc(b0)[1]
+    big_b = f_b0 - want_p * fc(b0)[0] - big_a * b0
+    want_flat = want_p * fc(a1)[0] + big_a * a1 + big_b + integral(omega, a0, a1, moment=a1)
+    assert abs(flat_value - want_flat) <= 1e-13 * want_flat
+
+    def left(s):  # integrated from (flat value, 0) at flat_end
+        return want_flat - integral(omega, a0, s, moment=s), integral(omega, a0, s)
+
+    def plateau_f(s):
+        f, fp, _ = fc(s)
+        return want_p * f + big_a * s + big_b, want_p * fp + big_a
+
+    s = np.concatenate((
+        np.linspace(a0, a1, 9), np.linspace(a1, b0, 9)[1:-1], np.linspace(b0, eps, 9)
+    ))
+    got = model.eval(s)
+    for k, x in enumerate(s.tolist()):
+        want = left(x) if x < a1 else right(x) if x > b0 else plateau_f(x)
+        assert abs(got[0][k] - want[0]) <= 1e-13 * want[0], (n, s0, x)
+        assert abs(got[1][k] - want[1]) <= 1e-13, (n, s0, x)
+        assert abs(got[2][k] - omega(x) * fc(x)[2]) <= 1e-15 * fc(x)[2], (n, s0, x)
 
 
 def test_dense_models_self_consistent():
@@ -854,19 +948,22 @@ def test_dense_models_self_consistent():
     # slopes are the ODE's h''', 6e-11 at 128 steps and 4.0-5.4e-9 at 256
     # (np.gradient's second-order slopes read 8-9e-5); tail 4.9e-8, the
     # trapezoid rule that integrates its h'; cap blend f' against f''
-    # 0.8-1.2e-6, the difference's own error at 64 steps.  The
-    # f-flattening's f' is the cumulative trapezoid of its f'', whose
-    # error the difference reads as step^2/12 (omega f'')'': 2.8e-5 at
-    # every (n, s0), since the ramps always span 131 cells.  That mismatch
-    # is open (ROADMAP item 2).
+    # 0.8-1.2e-6, the difference's own error at 64 steps.
+    #
+    # The f-flattening is exact on its plateau and integrated per sample
+    # on its ramps.  Sampled at ramp/256 over each ramp and as far into
+    # the plateau, its f' and f'' against the same differences of its f
+    # and f', as a share of its largest f'', read 4.5e-12 to 1.0e-9 (f')
+    # and 1.0e-10 to 9.8e-8 (f''; the difference's own error where omega
+    # is only C^2, at the ramps' ends).  Its f' is 0 at flat_end, and its
+    # (f, f') at eps are the core's.
     gates = {  # one per row
-        "bridge": (5e-8, 5e-8, 1e-8), "tail": (1e-7,) * 2, "cap": (2e-6,) * 2, "flat": (5e-5,) * 2,
+        "bridge": (5e-8, 5e-8, 1e-8), "tail": (1e-7,) * 2, "cap": (2e-6,) * 2,
     }
 
-    def share(curve, row):
-        v, slope = curve.values[row], curve.slopes[row]
-        centred = (8.0 * (v[3:-1] - v[1:-3]) - (v[4:] - v[:-4])) / (12.0 * curve.step)
-        return np.max(np.abs(centred - slope[2:-2])) / np.max(np.abs(slope))
+    def share(v, slope, step, scale):
+        centred = (8.0 * (v[3:-1] - v[1:-3]) - (v[4:] - v[:-4])) / (12.0 * step)
+        return np.max(np.abs(centred - slope[2:-2])) / scale
 
     for n, s0 in ((3, 0.3), (4, 1.0), (12, 0.3)):
         neck, eps = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
@@ -875,13 +972,26 @@ def test_dense_models_self_consistent():
         for r in (1.0, 0.5, 0.013):
             w = wm.smooth_origin(neck, r, eps)
             models.append(("bridge", w.segments[1].hmod))
-        models.append(("flat", w.segments[3].fmod))  # the first outer segment
         dense = [(name, m) for name, m in models if isinstance(m, wm._Dense)]
         assert sorted({name for name, _ in dense}) == sorted(gates)
         for name, model in dense:
-            assert len(model.curve.values) == len(gates[name])
+            c = model.curve
+            assert len(c.values) == len(gates[name])
             for row, gate in enumerate(gates[name]):
-                assert share(model.curve, row) <= gate, (n, s0, name, row)
+                v, slope = c.values[row], c.slopes[row]
+                assert share(v, slope, c.step, np.max(np.abs(slope))) <= gate, (n, s0, name, row)
+
+        flat = w.segments[3]  # the first outer segment
+        assert flat.label == "flat" and isinstance(flat.fmod, wm._FlattenedF)
+        model, ramp = flat.fmod, 0.008 * eps
+        step = ramp / 256
+        top = float(np.max(np.abs(model.eval(np.linspace(flat.s0, eps, 2001))[2])))
+        for lo in (flat.s0, eps - 2.0 * ramp):
+            f, fp, fpp = model.eval(lo + step * np.arange(513))
+            assert share(f, fp, step, top) <= 5e-9, (n, s0, lo)
+            assert share(fp, fpp, step, top) <= 2e-7, (n, s0, lo)
+        assert model.eval(np.array([flat.s0]))[1][0] == 0.0
+        assert [float(c[0]) for c in model.eval(np.array([eps]))[:2]] == list(neck.core.at(eps)[:2])
 
 
 def test_certify_samples_each_block_once(monkeypatch):
@@ -917,8 +1027,10 @@ def test_each_stage_gates_the_segments_it_built(monkeypatch):
     tailed, eps = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
     for r in (1.0, 0.5, 0.25):
         wm.smooth_origin(tailed, r, eps)
+    # cap_sine gates its blend; the arc is gated by flatten_h_tail, which
+    # keeps it only up to the tail start.
     assert gated == [
-        ("cap_sine", ("cap", "cap")),
+        ("cap_sine", ("cap",)),
         ("flatten_h_tail", ("cap", "tail")),
         ("smooth_origin", ("flat", "core")),
         *[("smooth_origin", ("splice", "flat", "flat"))] * 3,

@@ -20,14 +20,17 @@ Floats are written with ``repr``, so two digests compare equal byte for
 byte only if every number is bit-identical.  ``--against REV`` checks that
 a change keeps the outputs: it ``git archive``s REV into a temporary
 directory and runs this script there and here.  If the digests differ it
-prints every differing line and their count and exits 1; if they match it
-exits 0.  It leaves the repository's ``.git`` as it was.
+prints every differing line with the largest relative move among its
+numeric fields (``hash differs`` for a SHA-256 field that changed), then
+their count and the largest move over all of them, and exits 1; if they
+match it exits 0.  It leaves the repository's ``.git`` as it was.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -47,6 +50,26 @@ ORIGIN_SCALES = (1.0, 0.7, 0.5, 2.0**-10, 2.0**-19)
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_SHA = re.compile(r"\b[0-9a-f]{64}\b")
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+
+
+def line_move(theirs: str, ours: str):
+    """How a differing line moved: (largest relative move among its
+    numeric fields, whether a SHA-256 field differs).  The move is None if
+    the lines differ other than in their numbers and hashes."""
+    hashes = (_SHA.findall(theirs), _SHA.findall(ours))
+    theirs, ours = _SHA.sub("#", theirs), _SHA.sub("#", ours)
+    numbers = (_NUMBER.findall(theirs), _NUMBER.findall(ours))
+    if _NUMBER.sub("0", theirs) != _NUMBER.sub("0", ours) or len(hashes[0]) != len(hashes[1]):
+        return None, hashes[0] != hashes[1]
+    move = 0.0
+    for a, b in zip(*map(lambda xs: [float(x) for x in xs], numbers)):
+        if a != b:
+            move = max(move, abs(a - b) / max(abs(a), abs(b)))
+    return move, hashes[0] != hashes[1]
 
 
 def _write_config(path, section, cfg):
@@ -133,17 +156,28 @@ def against(rev):
         with open(out, encoding="utf-8") as fh:
             theirs = fh.read().split("\n")
     ours = ("\n".join(digest_lines()) + "\n").split("\n")
-    differ = 0
+    differ, largest = 0, 0.0
     for i, (mine, other) in enumerate(zip(ours, theirs), 1):
         if mine != other:
             differ += 1
-            print(f"line {i} differs\n{rev}: {other}\nhere: {mine}")
+            move, hashed = line_move(other, mine)
+            if move is None:
+                how = "text differs"
+            else:
+                largest = max(largest, move)
+                how = f"largest relative move {move:.3g}"
+            if hashed:
+                how += "; hash differs"
+            print(f"line {i} differs ({how})\n{rev}: {other}\nhere: {mine}")
     if len(ours) != len(theirs):
         print(f"{rev} has {len(theirs) - 1} lines, here {len(ours) - 1}")
     elif not differ:
         print(f"digest identical to {rev} ({len(ours) - 1} lines)")
         return 0
-    print(f"{differ} of {min(len(ours), len(theirs)) - 1} lines differ from {rev}")
+    print(
+        f"{differ} of {min(len(ours), len(theirs)) - 1} lines differ from {rev}; "
+        f"largest relative move {largest:.3g}"
+    )
     return 1
 
 
