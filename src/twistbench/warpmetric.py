@@ -37,36 +37,40 @@ f-flattening (with its flat value and plateau) and the neck right of
 the flat end at unit fibre scale.  Each probe it returns holds that
 part's sampled blocks with h scaled by r, next to its own collar's.
 
-f and h on each segment are one of five curve models: the core solution
+f and h on each segment are one of six curve models: the core solution
 (``_CoreSolution`` for f, ``_CoreH`` = 2 f'/(alpha lam0^2) for h), an
 exact ``_Sine`` (the cap arc of f, the splice of h), a sampled
-``_Dense`` curve, the f-flattening ``_FlattenedF`` and a constant
-``_FlatF``.  The models describe h at
-unit fibre scale; r is applied in one place, ``Segment.h_scale``.  The
-margins are scale-free and come from the sampled columns, as ratios
-h''/h and h'/h, except for two closed forms: h''/h where h is the core
-or the splice sine, and f'h'/(f h) on pure-core segments.  h vanishes at
-s = 0 and at the splice's left end, where the column ratios are 0/0.
+``_Dense`` curve, the origin bridge ``_Bridge``, the f-flattening
+``_FlattenedF`` and a constant ``_FlatF``.  The models describe h at
+unit fibre scale, except the bridge and the splice, which are built per
+r; r is applied in one place, ``Segment.h_scale``.  The margins are
+scale-free and come from the sampled columns, as ratios h''/h and h'/h,
+except for two closed forms: h''/h where h is the core or the splice
+sine, and f'h'/(f h) on pure-core segments.  h vanishes at s = 0 and at
+the splice's left end, where the column ratios are 0/0.
 
 The cap blend, the one nonlinear ODE left, is integrated by the
 fixed-step RK4 sweep ``_rk4`` on Python floats, with blend weights
-precomputed on its half-step grid.  The origin bridge of h and the
-cap's variational equations are linear, so each of their RK4 steps is
-an affine map; ``_affine_steps`` computes all of them in one vectorised
-``_rk4`` step and the caller composes them.  The core table's cell count
-and the cap blend's and the bridge's step counts are sized by step
-doubling against a Richardson error estimate and one tolerance,
-``_SWEEP_TOL``; ``CapInfo`` and ``OriginInfo`` keep the blend's and
-the bridge's count and estimate, the core its ``error``.  All
-blending happens in second-derivative space with quintic smoothstep
-weights, which keeps the inequality margins one-signed.  Each segment is
-sampled once (``WarpProfile.block``), and each stage gates the segments
-it built on their cached margin minima (``_gate``), so a lost margin
-raises ``MarginLost`` instead of silently degrading the certificate.
+precomputed on its half-step grid.  Its variational equations are
+linear, so each of their RK4 steps is an affine map; ``_affine_steps``
+computes all of them in one vectorised ``_rk4`` step and the caller
+composes them.  The origin bridge of h is linear, short and smooth: one
+linear solve by Chebyshev spectral integration (``_smooth_kink``).  The
+core table's cell count, the cap blend's step count and the bridge's
+degree are sized by doubling against an error estimate from half the
+size and one tolerance, ``_SWEEP_TOL``; ``CapInfo`` and ``OriginInfo``
+keep the blend's count and the bridge's degree with their estimates,
+the core its ``error``.  All blending happens in second-derivative space
+with quintic smoothstep weights, which keeps the inequality margins
+one-signed.  Each segment is sampled once (``WarpProfile.block``), and
+each stage gates the segments it built on their cached margin minima
+(``_gate``), so a lost margin raises ``MarginLost`` instead of silently
+degrading the certificate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -286,7 +290,7 @@ def _affine_steps(a, b, h):
     return ys[1], yps[1]
 
 
-# Relative RK4 error allowed in the end data of a step-doubled sweep: the
+# Relative error allowed in what doubling sizes: the core table's u, the
 # cap blend's (f, f') at its end b and the origin bridge's (h, h') at x0.
 # The splice radius h/sqrt(1 - h'^2) amplifies the bridge's where h' is
 # near 1 (r near 1).
@@ -500,16 +504,16 @@ class _Sine:
 
 
 class _Dense:
-    """A sampled curve (the cap blend, the h tail and bridge): one ``_DenseCurve`` with rows y and y', and y'' either its
-    third row (``d2`` None) or the function d2(s, y)."""
+    """A sampled curve (the cap blend and the h tail): one ``_DenseCurve``
+    with rows y and y', and y'' the function d2(s, y)."""
 
-    def __init__(self, curve, d2=None):
+    def __init__(self, curve, d2):
         self.curve = curve
         self.d2 = d2
 
     def eval(self, s):
-        y, yp, *y2 = self.curve(s)
-        return y, yp, y2[0] if self.d2 is None else self.d2(s, y)
+        y, yp = self.curve(s)
+        return y, yp, self.d2(s, y)
 
 
 class _CoreH:
@@ -536,13 +540,6 @@ class _CoreH:
         a = self.core.alpha
         return -(a + 1.0) * np.power(f, -a - 2.0) * fp
 
-    def hppp(self, f, fp):
-        """h''' from the core's f and f', with f'' from the core equation."""
-        a = self.core.alpha
-        return -(a + 1.0) * np.power(f, -a - 3.0) * (
-            (-a - 2.0) * fp * fp + f * self.core.fpp_of(f)
-        )
-
     def hpp_over_h(self, f):
         """h''/h at core values f."""
         a = self.core.alpha
@@ -560,17 +557,18 @@ class _CoreH:
 
 @dataclass(frozen=True)
 class Segment:
-    """f and h on [s0, s1], each one of the four curve models.
+    """f and h on [s0, s1], each one of the curve models.
 
     f is the core solution itself, a ``_Sine`` (the cap arc), a
     ``_Dense`` (the cap blend), the f-flattening ``_FlattenedF`` or a
-    ``_FlatF``; h is
-    a ``_CoreH``, a ``_Sine`` (the splice), or a ``_Dense`` (the tail and
-    the origin bridge).  The models describe h at unit fibre scale, and
-    ``h_scale`` is the one place r is applied: ``scaled`` multiplies h,
-    h' and h'' by it, for ``eval`` and for every sampled block.  The
-    margins are formed before that scaling, from column ratios or, where
-    h vanishes at a sample, from the core and sine closed forms.
+    ``_FlatF``; h is a ``_CoreH``, a ``_Sine`` (the splice), a ``_Dense``
+    (the tail) or a ``_Bridge`` (the origin bridge).  The models describe
+    h at unit fibre scale, except the splice and the bridge, which are
+    built per r; ``h_scale`` is the one place r is applied to the others:
+    ``scaled`` multiplies h, h' and h'' by it, for ``eval`` and for every
+    sampled block.  The margins are formed before that scaling, from
+    column ratios or, where h vanishes at a sample, from the core and
+    sine closed forms.
     """
 
     label: str  # core | cap | tail | splice | flat
@@ -618,9 +616,9 @@ class OriginInfo:
     rejoin: float
     flat_value: float
     plateau: float
-    # RK4 step count of the origin bridge and its error estimate
-    # (``_smooth_kink``).
-    bridge_steps: int
+    # Chebyshev degree of the origin bridge and the relative change of its
+    # (h, h') at the splice point from half that degree (``_smooth_kink``).
+    bridge_degree: int
     bridge_error: float
 
 
@@ -866,17 +864,19 @@ def integrate_core(params: WarpParams) -> WarpProfile:
 
 class _BlendSweep(NamedTuple):
     """A cap blend sweep: f and f' at the nodes, the step, the weights on
-    the half-step grid and f at each RK4 stage, four per step."""
+    the half-step grid, f at each RK4 stage (four per step) and ``start``."""
 
     fs: np.ndarray
     fps: np.ndarray
     h: float
     sig: np.ndarray
     stage_f: list
+    start: tuple
 
 
-def _integrate_blend(core, a, b, big_n, steps):
-    """RK4 for f'' = (1-sig) c2 f^(-alpha-1) - sig f/N^2 on [a, b]."""
+def _integrate_blend(core, a, b, big_n, steps, start):
+    """RK4 for f'' = (1-sig) c2 f^(-alpha-1) - sig f/N^2 on [a, b], from
+    ``start``, the core's ``at(a)``, evaluated once per Newton iterate."""
     c2, expo = core.c2, -core.alpha - 1.0
     nn = big_n * big_n
     width = b - a
@@ -897,12 +897,11 @@ def _integrate_blend(core, a, b, big_n, steps):
         stage_f.append(f)
         return (1.0 - sig[i]) * c2 * f ** expo - sig[i] * f / nn
 
-    f0, fp0, _ = core.at(a)
-    fs, fps = _rk4(acc, f0, fp0, h, steps)
-    return _BlendSweep(np.array(fs), np.array(fps), h, sig_grid, stage_f)
+    fs, fps = _rk4(acc, start[0], start[1], h, steps)
+    return _BlendSweep(np.array(fs), np.array(fps), h, sig_grid, stage_f, start)
 
 
-def _blend_jacobian(core, a, big_n, sweep):
+def _blend_jacobian(core, big_n, sweep):
     """d(f(b), f'(b))/d(a, N) of a blend sweep, by its variational equations.
 
     The weights are a function of s - a, so moving a only moves the
@@ -911,9 +910,9 @@ def _blend_jacobian(core, a, big_n, sweep):
     with J = (1-sig) c2 (-alpha-1) f^(-alpha-2) - sig/N^2 (Hairer,
     Norsett and Wanner, Solving ODEs I, I.14) at the sweep's stage
     values, which makes them the exact derivative of the discrete sweep.
-    As in ``_smooth_kink`` each RK4 step is an affine map of (y, y');
-    ``_affine_steps`` takes one step from every node at once, and the
-    maps are multiplied pairwise down to one.
+    The equations are linear, so each RK4 step is an affine map of (y,
+    y'); ``_affine_steps`` takes one step from every node at once, and
+    the maps are multiplied pairwise down to one.
     """
     f = np.array(sweep.stage_f).reshape(-1, 4).T
     w = sweep.sig
@@ -925,16 +924,16 @@ def _blend_jacobian(core, a, big_n, sweep):
     maps[:, 0], maps[:, 1], maps[:, 2, 2] = ys.T, yps.T, 1.0
     while len(maps) > 1:  # map k takes node k to node k + 1; 2^m steps
         maps = maps[1::2] @ maps[0::2]
-    d_a = maps[0, :2, :2] @ np.array(core.at(a)[1:])
+    d_a = maps[0, :2, :2] @ np.array(sweep.start[1:])
     return np.column_stack((d_a, maps[0, :2, 2]))
 
 
-def _cap_equations(core, a, big_n, slope_target, sweep):
+def _cap_equations(core, big_n, slope_target, sweep):
     """The two cap equations at the blend end b and their Jacobian in
     (a, N): the amplitude gap hypot(f(b), N f'(b)) - N and the slope
     error f'(b) - slope_target."""
     fb, pb = float(sweep.fs[-1]), float(sweep.fps[-1])
-    (f_a, f_n), (p_a, p_n) = _blend_jacobian(core, a, big_n, sweep).tolist()
+    (f_a, f_n), (p_a, p_n) = _blend_jacobian(core, big_n, sweep).tolist()
     amp = math.hypot(fb, big_n * pb)
     nn = big_n * big_n
     gap_a = (fb * f_a + nn * pb * p_a) / amp
@@ -998,8 +997,9 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
         raise MarginLost("cap width too large for the gap between lam and lam0")
 
     def sweep_at(a, big_n, steps):
-        if big_n > 0.0 and 0.0 < core.at(a)[1] < p.lam0:
-            return _integrate_blend(core, a, a + blend_w, big_n, steps)
+        start = core.at(a)
+        if big_n > 0.0 and 0.0 < start[1] < p.lam0:
+            return _integrate_blend(core, a, a + blend_w, big_n, steps, start)
         raise MarginLost(f"cap Newton iterate a = {a:.6g} left the slope window")
 
     a, big_n, steps = core.find_slope(slope_target), n0, _BLEND_START
@@ -1007,7 +1007,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
         for _ in range(_CAP_NEWTON_SWEEPS):
             sweep = sweep_at(a, big_n, steps)
             (g1, g2), ((j11, j12), (j21, j22)) = _cap_equations(
-                core, a, big_n, slope_target, sweep
+                core, big_n, slope_target, sweep
             )
             det = j11 * j22 - j12 * j21
             if not (math.isfinite(det) and det != 0.0):
@@ -1026,7 +1026,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
                 f"cap Newton did not converge in {_CAP_NEWTON_SWEEPS} sweeps"
             )
         sweep = sweep_at(a, big_n, steps)
-        half = _integrate_blend(core, a, a + blend_w, big_n, steps // 2)
+        half = _integrate_blend(core, a, a + blend_w, big_n, steps // 2, sweep.start)
         error = _richardson(sweep.fs[-1], sweep.fps[-1], half.fs[-1], half.fps[-1])
         if error <= _SWEEP_TOL:
             break
@@ -1255,123 +1255,124 @@ def _ramp_nodes(lo, hi):
     return lo + span * x, span * w
 
 
-# First bridge step count; it meets the tolerance for r near 1, and the
-# estimate, which depends on r alone, takes one more doubling below r = 0.5.
-_BRIDGE_START = 128
-_BRIDGE_MAX = 2048  # step cap; the tolerance unmet there raises MarginLost
+# The bridge's degree, checked against the solve at half of it: 32 meets
+# the tolerance at every r (the change from 16 reads at most 7e-15).  The
+# tolerance unmet at the cap raises MarginLost.
+_BRIDGE_DEGREE, _BRIDGE_DEGREE_MAX = 32, 128
 
 
-def _bridge_maps(levels, width):
-    """The RK4 step maps of backward sweeps of h'' = a h + b over an
-    interval of ``width``, one sweep per (a, b) in ``levels``.
+@functools.lru_cache(maxsize=None)
+def _chebyshev(degree: int):
+    """The Chebyshev-Lobatto nodes t_j = cos(j pi/degree), from t = 1 down
+    to -1, their barycentric weights, and the matrices K1 and K2 that take
+    the node values of g to those of int_1^t g and int_1^t (t - x) g(x) dx:
+    the interpolant's Chebyshev series integrated once and twice from t = 1
+    (Greengard, SIAM J. Numer. Anal. 28, 1991; Trefethen, Spectral Methods
+    in MATLAB, 2000).  Row 0 of both is zero.  Built on first use; read-only."""
+    j = np.arange(degree + 1)
+    t = np.sin(0.5 * np.pi * (degree - 2 * j) / degree)  # symmetric about 0
+    cheb = np.cos(np.outer(np.pi * j / degree, np.arange(degree + 3)))  # T_k(t_j)
 
-    a and b are read on a sweep's half-step grid from the right end, so a
-    step's start, midpoint and end are half-step indices 0, 1 and 2, and
-    the sweep takes len(a) // 2 steps.  The equation is linear, so one RK4
-    step is an affine map of (h, h'): one ``_affine_steps`` call takes one
-    step from every node of every sweep.  Returns each sweep's six rows of
-    map coefficients as lists."""
-    def stages(x):  # each step's start, midpoint (twice) and end
-        return x[:-1:2], x[1::2], x[1::2], x[2::2]
+    def integral(m):  # m coefficients to m + 1, zero at t = 1 where T_k = 1
+        out = np.zeros((m + 1, m))
+        k = np.arange(1, m + 1)
+        out[k, k - 1] = 0.5 / k
+        out[1, 0] = 1.0
+        out[k[:-2], k[:-2] + 1] = -0.5 / k[:-2]
+        out[0] = -out[1:].sum(axis=0)
+        return out
 
-    counts = [len(a) // 2 for a, _ in levels]
-    a, b = ([np.concatenate(rows) for rows in zip(*map(stages, xs))] for xs in zip(*levels))
-    ys, yps = _affine_steps(a, b, np.repeat([-width / k for k in counts], counts))
-    rows = ys.tolist() + yps.tolist()
-    ends = np.cumsum([0, *counts]).tolist()
-    return [[row[i:j] for row in rows] for i, j in zip(ends, ends[1:])]
+    once = integral(degree + 1) @ np.linalg.inv(cheb[:, : degree + 1])
+    k1, k2 = cheb[:, : degree + 2] @ once, cheb @ (integral(degree + 2) @ once)
+    k1[0] = k2[0] = 0.0
+    weights = (-1.0) ** j
+    weights[[0, -1]] *= 0.5
+    for x in (t, weights, k1, k2):
+        x.setflags(write=False)
+    return t, weights, k1, k2
 
 
-def _bridge_sweep(maps, h, hp):
-    """Compose a sweep's step maps (``_bridge_maps``) from (h, h') at the
-    right end; returns the node values and slopes from the right end on."""
-    hs, hps = [h], [hp]
-    for h_h, h_p, h_c, p_h, p_p, p_c in zip(*maps):
-        h, hp = h_h * h + h_p * hp + h_c, p_h * h + p_p * hp + p_c
-        hs.append(h)
-        hps.append(hp)
-    return hs, hps
+class _Bridge:
+    """h on the origin bridge [x0, x0 + width]: rows h, h' and h'' at the
+    Chebyshev-Lobatto nodes of ``degree`` in t = 2 (s - x0)/width - 1,
+    interpolated barycentrically in t.  At a node (x0 and x1 among them)
+    it returns the node values exactly.  Each location's sums run along
+    its own row, so one location gets the bits it has in a sampled block."""
+
+    def __init__(self, x0: float, width: float, degree: int, rows):
+        self.x0, self.width, self.degree, self.rows = x0, width, degree, rows
+
+    def eval(self, s):
+        nodes, weights, _, _ = _chebyshev(self.degree)
+        t = 2.0 * (np.asarray(s, dtype=float) - self.x0) / self.width - 1.0
+        d = t[..., None] - nodes
+        exact = d == 0.0
+        c = weights / np.where(exact, 1.0, d)
+        hit = exact.any(axis=-1)
+        c[hit] = exact[hit]
+        c /= np.sum(c, axis=-1, keepdims=True)
+        return tuple(np.sum(c * y, axis=-1) for y in self.rows)
 
 
 def _smooth_kink(core_h, r, radius_hat, x0, x1):
     """Bridge from the splice sine into r times the core h on [x0, x1].
 
-    The second derivative interpolates between sine-type curvature
-    -h/radius_hat^2 and the rescaled core h''; both branches are
-    negative, so the bridge never loses concavity.  Integrating backward
-    from the core values at x1 closes the right seam exactly, and the
-    exact sine through the resulting left endpoint data closes the left
-    seam exactly (the sine parameters are re-solved there).
+    The bridge solves h'' = a h + b with a = -(1 - sig)/radius_hat^2 and
+    b = sig r h_c'': its second derivative blends sine-type curvature
+    into the rescaled core's, both negative, so it never loses concavity.
+    It starts from r times the core's (h, h') at x1, which closes the
+    right seam exactly, and the exact sine through its (h, h') at x0
+    closes the left seam exactly (the sine is re-solved there).
 
-    The step count is sized by step doubling from ``_BRIDGE_START``: the
-    RK4 error of (h, h') at x0 is estimated from the half-count sweep
-    (``_richardson``).  The half-step grids of the sweeps of
-    ``_BRIDGE_START`` / 2, ``_BRIDGE_START`` and 2 ``_BRIDGE_START`` steps
-    nest bit for bit (``_linspace``), so the core is evaluated once, on
-    the finest, and the other two read every 4th and every 2nd entry.
-    One ``_bridge_maps`` call builds the three sweeps' step maps, and a
-    sweep is composed only when step doubling reaches it.  Each level
-    past those evaluates the core on its own grid.  An estimate above
-    ``_SWEEP_TOL`` at ``_BRIDGE_MAX`` steps raises MarginLost.
+    The solve is Chebyshev spectral integration from x1 (``_chebyshev``):
+    with g = h'' at the nodes, h = h1 + h1' (x - x1) + (w/2)^2 K2 g and
+    h' = h1' + (w/2) K1 g for the width w, so (I - diag(a) (w/2)^2 K2) g
+    = a (h1 + h1' (x - x1)) + b.  sig is read at the nodes' t, which is
+    exact; x - x0 near s = 1e-3 would carry an ulp of s, 1e-10 of the
+    window at r = 2^-19.  The degree is sized by doubling: the estimate
+    is the larger relative change of (h, h') at x0 from the solve at half
+    the degree, on every other node.  An estimate above ``_SWEEP_TOL`` at
+    ``_BRIDGE_DEGREE_MAX`` raises MarginLost.
 
-    The dense bridge model holds rows h, h' and h'' at the nodes; the
-    slopes of its h'' row are the ODE's h''' = a' h + a h' + b' there.
-    Returns that model, (value, slope) at x0, the step count and the
-    error estimate.
+    Returns the ``_Bridge`` model (h'' = a h + b at the nodes), (h, h')
+    at x0, the degree and the error estimate.
     """
-    width = x1 - x0
+    width, half = x1 - x0, 0.5 * (x1 - x0)
     inv_r2 = 1.0 / (radius_hat * radius_hat)
 
-    def on_grid(steps):
-        # The grid, the core's f and f', sig and r h_c'' at the nodes and
-        # half-steps of a sweep of ``steps`` steps, and its coefficients
-        # a and b; the sweep runs backward from x1, so they read the grid
-        # from the end.
-        fine = _linspace(x0, x1, 2 * steps + 1)
-        core_f, core_fp = core_h.core.f_fp(fine)
-        sig, gr = smoothstep((fine - x0) / width), r * core_h.hpp(core_f, core_fp)
-        a, b = (-(1.0 - sig) * inv_r2)[::-1], (sig * gr)[::-1]
-        return (fine, core_f, core_fp, sig, gr), (a, b)
+    def on_nodes(degree):  # a and b at the nodes, and the core's f, f' at x1
+        t = _chebyshev(degree)[0]
+        x = x0 + half * (1.0 + t)
+        x[0] = x1
+        f, fp = core_h.core.f_fp(x)
+        sig = smoothstep(0.5 * (1.0 + t))
+        return -(1.0 - sig) * inv_r2, sig * (r * core_h.hpp(f, fp)), f[:1], fp[:1]
 
-    top = 2 * _BRIDGE_START
-    top_cols, (a, b) = on_grid(top)
-    maps = _bridge_maps([(a[::4], b[::4]), (a[::2], b[::2]), (a, b)], width)
-    _, core_f, core_fp, _, _ = top_cols
-    h1, hp1, _ = core_h.from_core(core_f[-1:], core_fp[-1:])  # at x1
-    h1, hp1 = float(r * h1[0]), float(r * hp1[0])
-    coarse = _bridge_sweep(maps[0], h1, hp1)
-    steps = _BRIDGE_START
+    def solve(degree, a, b):
+        t, _, k1, k2 = _chebyshev(degree)
+        line = h1 + hp1 * half * (t - 1.0)
+        m = np.eye(degree + 1) - (a * (half * half))[:, None] * k2
+        g = np.linalg.solve(m, a * line + b)
+        return line + (half * half) * (k2 @ g), hp1 + half * (k1 @ g)
+
+    degree = _BRIDGE_DEGREE
+    a, b, f1, fp1 = on_nodes(degree)
+    h1, hp1 = (float(r * y[0]) for y in core_h.from_core(f1, fp1)[:2])
+    coarse = solve(degree // 2, a[::2], b[::2])
     while True:
-        if steps <= top:
-            cols = [x[:: top // steps] for x in top_cols]
-            level_maps = maps[steps // _BRIDGE_START]
-        else:
-            cols, level = on_grid(steps)
-            (level_maps,) = _bridge_maps([level], width)
-        hs, hps = _bridge_sweep(level_maps, h1, hp1)
-        error = _richardson(hs[-1], hps[-1], coarse[0][-1], coarse[1][-1])
+        h, hp = solve(degree, a, b)
+        error = max(abs(y[-1] - y_half[-1]) / abs(y[-1]) for y, y_half in zip((h, hp), coarse))
         if error <= _SWEEP_TOL:
             break
-        if steps >= _BRIDGE_MAX:
+        if degree >= _BRIDGE_DEGREE_MAX:
             raise MarginLost(
-                f"origin bridge: RK4 error estimate {error:.3e} above "
-                f"{_SWEEP_TOL:.0e} at {steps} steps"
+                f"origin bridge: error estimate {error:.3e} above "
+                f"{_SWEEP_TOL:.0e} at degree {degree}"
             )
-        coarse = hs, hps
-        steps *= 2
-    nodes, f, fp, sig, gr = (x[::2] for x in cols)
-    h_vals = np.array(hs[::-1])
-    hp_vals = np.array(hps[::-1])
-    hpp_vals = -(1.0 - sig) * h_vals * inv_r2 + sig * gr
-    # The ODE's h''' = a' h + a h' + b', with a = -(1 - sig)/radius_hat^2
-    # and b = sig r h_c'' for the core's h_c.
-    dsig = smoothstep_d((nodes - x0) / width) / width
-    hppp_vals = (dsig * h_vals - (1.0 - sig) * hp_vals) * inv_r2 + (
-        dsig * gr + sig * r * core_h.hppp(f, fp)
-    )
-    rows = (h_vals, hp_vals, hpp_vals, hppp_vals)
-    curve = _DenseCurve(x0, width / steps, rows[:3], rows[1:])
-    return _Dense(curve), float(h_vals[0]), float(hp_vals[0]), steps, error
+        coarse, degree = (h, hp), 2 * degree
+        a, b, _, _ = on_nodes(degree)
+    model = _Bridge(x0, width, degree, (h, hp, a * h + b))
+    return model, float(h[-1]), float(hp[-1]), degree, float(error)
 
 
 def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
@@ -1400,7 +1401,8 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     After the rescale the spliced segment is an exact sine
     R sin((s - eps')/R) with unit slope at the new left endpoint eps',
     C^1-matched to r*h at the splice point and bridged through a small
-    smoothing window; f is flattened to a constant over the splice and
+    smoothing window (``_smooth_kink``, a spectral solve of the bridge
+    equation); f is flattened to a constant over the splice and
     rejoined to the core solution exactly at ``eps``.  Everything right of
     the flat end is built once per (w, eps) and shared by the profiles of
     every r (see ``_outer_part``).
@@ -1430,9 +1432,7 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
 
     outer, flat_value, plateau = _outer_part(w, eps, flat_end, ramp)
     flat_f = _FlatF(flat_value)
-    kink_h, h_x0, hp_x0, bridge_steps, bridge_error = _smooth_kink(
-        core_h, r, radius_hat, x0, x1
-    )
+    kink_h, h_x0, hp_x0, bridge_degree, bridge_error = _smooth_kink(core_h, r, radius_hat, x0, x1)
     if not 0.0 < hp_x0 < 1.0 or h_x0 <= 0.0:
         raise NoSolution(
             f"bridge slope {hp_x0:.6f} at the splice point does not admit a sine"
@@ -1463,7 +1463,7 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
             rejoin=eps,
             flat_value=flat_value,
             plateau=plateau,
-            bridge_steps=bridge_steps,
+            bridge_degree=bridge_degree,
             bridge_error=bridge_error,
         ),
     )

@@ -12,7 +12,7 @@ import pytest
 
 from twistbench import riccicert as rc
 from twistbench import warpmetric as wm
-from twistbench.errors import InputError, MarginLost, NoSolution, NoStop, StageError
+from twistbench.errors import Exhausted, InputError, MarginLost, NoSolution, NoStop, StageError
 
 
 def build(n=3, lam=0.5, lam0=0.75, alpha=1.389, **kw):
@@ -285,7 +285,8 @@ def _cap_sweep(capped):
     # The sweep the cap kept, at the step count it was sized to.
     cap = capped.cap
     return wm._integrate_blend(
-        capped.core, cap.blend_start, cap.blend_end, cap.big_n, cap.blend_steps
+        capped.core, cap.blend_start, cap.blend_end, cap.big_n, cap.blend_steps,
+        capped.core.at(cap.blend_start),
     )
 
 
@@ -302,7 +303,7 @@ def test_cap_big_n_matches_goldens(golden_caps, monkeypatch):
     for key, (capped, target, golden_n, _) in golden_caps.items():
         cap = capped.cap
         _, ((j11, j12), (j21, j22)) = wm._cap_equations(
-            capped.core, cap.blend_start, cap.big_n, target, _cap_sweep(capped)
+            capped.core, cap.big_n, target, _cap_sweep(capped)
         )
         band = 1e-12 * abs(j11 / (j11 * j22 - j12 * j21)) + 1e-10 * golden_n
         assert abs(cap.big_n - golden_n) <= band, (key, cap.big_n - golden_n, band)
@@ -357,13 +358,13 @@ def test_blend_jacobian_matches_finite_differences(golden_caps, key):
     a, big_n, width = cap.blend_start, cap.big_n, cap.blend_end - cap.blend_start
 
     def sweep(a, big_n):
-        return wm._integrate_blend(core, a, a + width, big_n, cap.blend_steps)
+        return wm._integrate_blend(core, a, a + width, big_n, cap.blend_steps, core.at(a))
 
     def end(a, big_n):
         swept = sweep(a, big_n)
         return np.array([swept.fs[-1], swept.fps[-1]])
 
-    jac = wm._blend_jacobian(core, a, big_n, sweep(a, big_n))
+    jac = wm._blend_jacobian(core, big_n, sweep(a, big_n))
     da, q = 1e-4, big_n**-2
     d_a = (end(a + da, big_n) - end(a - da, big_n)) / (2.0 * da)
     d_q = (end(a, (1.3 * q) ** -0.5) - end(a, (0.7 * q) ** -0.5)) / (0.6 * q)
@@ -406,9 +407,9 @@ def test_cap_newton_step_damped_inside_the_core(monkeypatch, n):
     starts = []
     real = wm._integrate_blend
 
-    def recording(core, a, b, big_n, steps):
+    def recording(core, a, b, big_n, steps, start):
         starts.append(a)
-        return real(core, a, b, big_n, steps)
+        return real(core, a, b, big_n, steps, start)
 
     monkeypatch.setattr(wm, "_integrate_blend", recording)
     p = wm.WarpParams(n=n, lam=math.cos(1.56))
@@ -433,7 +434,8 @@ def test_cap_sweep_sized_by_its_error(golden_caps):
 
         def sweep(steps):
             return wm._integrate_blend(
-                capped.core, cap.blend_start, cap.blend_end, cap.big_n, steps
+                capped.core, cap.blend_start, cap.blend_end, cap.big_n, steps,
+                capped.core.at(cap.blend_start),
             )
 
         kept, half, quarter, fine = sweep(64), sweep(32), sweep(16), sweep(512)
@@ -609,138 +611,101 @@ def neck_41():
 
 
 def test_kink_bridge_self_consistent(neck_41):
-    # The bridge's stored h'' must be the derivative of its h'.  A sign
-    # slip in the backward sweep keeps every seam closed (the splice sine
-    # is re-solved through the bridge's end data) but shows here.  The
-    # fourth-order centred difference keeps the difference's own error
-    # below the gate at the sized step count (4e-9 of max|h''| at 256
-    # steps; a second-order one gives 1.7e-5 there).
+    # The bridge's h' must be the derivative of its h, and its h'' (a h + b
+    # at the nodes) that of its h'.  A sign slip in an integration matrix
+    # or in the half-width keeps every seam closed (the splice sine is
+    # re-solved through the bridge's end data) but shows here.  The
+    # fourth-order centred difference of the model on 129 samples, as a
+    # share of the largest slope, reads at most 1.2e-7: its rounding at
+    # r = 1, where the window is narrowest, and its truncation, 6.2e-8,
+    # elsewhere.
     tailed, eps = neck_41
-    for r in (1.0, 0.5, 0.013):
+    for r in (1.0, 0.5, 0.013, 2.0**-10, 2.0**-19):
         w = wm.smooth_origin(tailed, r, eps)
         kink = w.segments[1]
         assert kink.s0 == w.origin.splice_point
-        curve = kink.hmod.curve
-        hp, hpp = curve.values[1], curve.slopes[1]
-        centred = (8.0 * (hp[3:-1] - hp[1:-3]) - (hp[4:] - hp[:-4])) / (12.0 * curve.step)
-        err = np.max(np.abs(centred - hpp[2:-2]))
-        assert err <= 1e-6 * np.max(np.abs(hpp)), (r, err)
+        step = (kink.s1 - kink.s0) / 128
+        h, hp, hpp = kink.hmod.eval(kink.s0 + step * np.arange(129))
+        for v, slope in ((h, hp), (hp, hpp)):
+            centred = (8.0 * (v[3:-1] - v[1:-3]) - (v[4:] - v[:-4])) / (12.0 * step)
+            err = np.max(np.abs(centred - slope[2:-2]))
+            assert err <= 5e-7 * np.max(np.abs(slope)), (r, err)
 
 
-def test_kink_bridge_matches_rk4_sweep(neck_41):
-    # The bridge composes one affine map per RK4 step; the reference is
-    # the backward _rk4 sweep of the same equation
-    # h'' = -(1 - sig) h / R^2 + sig g, with g the rescaled core h''.
-    tailed, eps = neck_41
-    core = tailed.core
-    for r in (1.0, 0.5, 0.013, 1e-4):
-        o = wm.smooth_origin(tailed, r, eps).origin
-        x0, x1 = o.splice_point, o.splice_point + 2.0 * o.kink_halfwidth
-        core_h = wm._CoreH(core)
-        h_sp, hp_sp, _ = core_h.eval(np.array([x0]))
-        radius_hat, _ = wm._solve_splice(float(h_sp[0]), float(hp_sp[0]), r)
-        model, h_x0, hp_x0, steps, _ = wm._smooth_kink(core_h, r, radius_hat, x0, x1)
-        h_vals, hp_vals = model.curve.values[:2]
-        assert steps == o.bridge_steps == len(h_vals) - 1
+def _bridge_oracle(core_h, r, radius_hat, x0, x1, tau):
+    # The bridge equation in the window parameter tau = (s - x0)/(x1 - x0),
+    # integrated by DOP853 from the core's data at x1 to each tau; returns
+    # h, h' and h''.  tau is the bridge's own variable: s - x0 at a sample
+    # near s = 1e-3 carries an ulp of s, 1e-10 of the window at r = 2^-19.
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    width = x1 - x0
+    inv_r2 = 1.0 / (radius_hat * radius_hat)
 
-        fine = np.linspace(x0, x1, 2 * steps + 1)
-        sig = wm.smoothstep((fine - x0) / (x1 - x0))[::-1].tolist()
-        g = (r * core_h.eval(fine)[2])[::-1].tolist()
-        inv_r2 = 1.0 / (radius_hat * radius_hat)
+    def hpp(tau, h):
+        sig = wm.smoothstep(np.asarray(tau))
+        return -(1.0 - sig) * h * inv_r2 + sig * r * core_h.eval(x0 + width * np.asarray(tau))[2]
 
-        def acc(i, h):
-            return -(1.0 - sig[i]) * h * inv_r2 + sig[i] * g[i]
+    def rhs(tau, y):
+        return [y[1], width * width * float(hpp(tau, y[0]))]
 
-        h1, hp1, _ = core_h.eval(np.array([x1]))
-        hstep = -(x1 - x0) / steps
-        hs, hps = wm._rk4(acc, r * float(h1[0]), r * float(hp1[0]), hstep, steps)
-        ref_h, ref_hp = np.array(hs[::-1]), np.array(hps[::-1])
-        assert np.max(np.abs(h_vals - ref_h)) <= 1e-12 * np.max(np.abs(ref_h)), r
-        assert np.max(np.abs(hp_vals - ref_hp)) <= 1e-12 * np.max(np.abs(ref_hp)), r
-        assert (h_x0, hp_x0) == (h_vals[0], hp_vals[0])
+    h1, hp1, _ = core_h.eval(np.array([x1]))
+    y1 = [r * float(h1[0]), width * r * float(hp1[0])]
+    sol = solve_ivp(rhs, (1.0, 0.0), y1, method="DOP853", rtol=1e-13, atol=0.0, t_eval=tau[::-1])
+    h, dh = sol.y[0][::-1], sol.y[1][::-1]
+    return h, dh / width, hpp(tau, h)
+
+
+@pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (6, 0.3), (12, 0.3)])
+def test_kink_bridge_matches_dop853_oracle(n, s0):
+    # (h, h') at the splice point and h, h', h'' at the bridge's block
+    # samples against scipy's DOP853 on the same equation, on the three
+    # scale-search necks and n = 12, down to the search's last fibre scale.
+    # Measured: at most 4.3e-15 at x0 and 1.2e-13 of a column's largest
+    # value on the samples.
+    neck = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+    tailed, eps = neck
+    for r in (1.0, 0.7, 0.5, 2.0**-10, 2.0**-19):
+        w = wm.smooth_origin(tailed, r, eps)
+        core_h, _, radius_hat, x0, x1 = _kink_args(neck, r)
+        b = w.block(1)
+        assert (b.s[0], b.s[-1]) == (x0, x1)
+        want = _bridge_oracle(core_h, r, radius_hat, x0, x1, (b.s - x0) / (x1 - x0))
+        for got, ref in zip((b.h, b.hp, b.hpp), want):
+            assert abs(got[0] - ref[0]) <= 1e-11 * abs(ref[0]), (r, got[0], ref[0])
+            assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref)), r
 
 
 def test_kink_bridge_sized_by_its_error(neck_41):
-    # Step doubling stops at the first count whose Richardson estimate
-    # meets the tolerance: 128 or 256 steps across r, not the cap.
+    # The first degree meets the tolerance at every scale, 2^-19 (the
+    # search's last probe) included, and the estimate is a Python float.
+    # The (3, 0.25) negative's search reaches that floor and still ends
+    # in Exhausted, not in a lost bridge.
     tailed, eps = neck_41
-    for r in (1.0, 0.5, 0.013, 1e-4):
+    for r in (1.0, 0.5, 0.013, 1e-4, 2.0**-19):
         o = wm.smooth_origin(tailed, r, eps).origin
-        assert 0.0 <= o.bridge_error <= wm._SWEEP_TOL, r
-        assert wm._BRIDGE_START <= o.bridge_steps <= 256, r
+        assert type(o.bridge_error) is float and 0.0 <= o.bridge_error <= wm._SWEEP_TOL, r
+        assert o.bridge_degree == wm._BRIDGE_DEGREE, r
+    with pytest.raises(StageError) as info:
+        rc.certify(3, 0.25, ric_min_base=2.0)
+    assert info.value.stage == "search_r" and isinstance(info.value.cause, Exhausted)
 
 
-def test_kink_bridge_fails_closed_at_step_cap(monkeypatch):
-    # No estimate meets a zero tolerance, so the bridge gives up at the cap.
-    # The cap blend shares the tolerance, so the neck is built before it
-    # drops, and certify gets that neck.
+def test_kink_bridge_fails_closed_at_degree_cap(monkeypatch):
+    # No estimate meets a negative tolerance (a spectral estimate can read
+    # exactly 0), so the bridge gives up at the cap.  The core and the cap
+    # blend share the tolerance, so the neck is built before it drops, and
+    # certify gets that neck.
     neck = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
-    monkeypatch.setattr(wm, "_SWEEP_TOL", 0.0)
+    monkeypatch.setattr(wm, "_SWEEP_TOL", -1.0)
     monkeypatch.setattr(wm, "build_neck", lambda params: neck)
     tailed, eps = neck
-    with pytest.raises(MarginLost, match=f"origin bridge.* at {wm._BRIDGE_MAX} steps"):
+    with pytest.raises(MarginLost, match=f"origin bridge.* at degree {wm._BRIDGE_DEGREE_MAX}$"):
         wm.smooth_origin(tailed, 0.5, eps)
     with pytest.raises(StageError) as info:
         rc.certify(4, 1.0, ric_min_base=2.0)
     assert info.value.stage in ("smooth_origin", "search_r")
     assert isinstance(info.value.cause, MarginLost)
     assert "origin bridge" in str(info.value.cause)
-
-
-def _bridge_sweep_reference(a, b, h, hp, hstep):
-    # One level's backward sweep: its own affine maps, composed.
-    mid_a, mid_b = a[1::2], b[1::2]
-    ys, yps = wm._affine_steps(
-        (a[:-1:2], mid_a, mid_a, a[2::2]), (b[:-1:2], mid_b, mid_b, b[2::2]), -hstep
-    )
-    hs, hps = [h], [hp]
-    for h_h, h_p, h_c, p_h, p_p, p_c in zip(*ys.tolist(), *yps.tolist()):
-        h, hp = h_h * h + h_p * hp + h_c, p_h * h + p_p * hp + p_c
-        hs.append(h)
-        hps.append(hp)
-    return hs, hps
-
-
-def _smooth_kink_reference(core_h, r, radius_hat, x0, x1):
-    # The bridge evaluated level by level: each step count evaluates the
-    # core on its own np.linspace half-step grid and builds its own maps;
-    # the first half-count sweep reads every other entry of the first
-    # level's coefficients.
-    width = x1 - x0
-    inv_r2 = 1.0 / (radius_hat * radius_hat)
-    steps, coarse = wm._BRIDGE_START, None
-    while True:
-        hstep = width / steps
-        fine = np.linspace(x0, x1, 2 * steps + 1)
-        core_f, core_fp = core_h.core.f_fp(fine)
-        gr_fine = r * core_h.hpp(core_f, core_fp)
-        sig_fine = wm.smoothstep((fine - x0) / width)
-        a = (-(1.0 - sig_fine) * inv_r2)[::-1]
-        b = (sig_fine * gr_fine)[::-1]
-        if coarse is None:
-            h1, hp1, _ = core_h.from_core(core_f[-1:], core_fp[-1:])
-            h1, hp1 = float(r * h1[0]), float(r * hp1[0])
-            coarse = _bridge_sweep_reference(a[::2], b[::2], h1, hp1, 2.0 * hstep)
-        hs, hps = _bridge_sweep_reference(a, b, h1, hp1, hstep)
-        error = wm._richardson(hs[-1], hps[-1], coarse[0][-1], coarse[1][-1])
-        if error <= wm._SWEEP_TOL:
-            break
-        if steps >= wm._BRIDGE_MAX:
-            raise MarginLost("origin bridge")
-        coarse = hs, hps
-        steps *= 2
-    h_vals = np.array(hs[::-1])
-    hp_vals = np.array(hps[::-1])
-    sig, gr = sig_fine[::2], gr_fine[::2]
-    hpp_vals = -(1.0 - sig) * h_vals * inv_r2 + sig * gr
-    dsig = wm.smoothstep_d((fine[::2] - x0) / width) / width
-    f, fp = core_f[::2], core_fp[::2]
-    hppp_vals = (dsig * h_vals - (1.0 - sig) * hp_vals) * inv_r2 + (
-        dsig * gr + sig * r * core_h.hppp(f, fp)
-    )
-    rows = (h_vals, hp_vals, hpp_vals, hppp_vals)
-    curve = wm._DenseCurve(x0, hstep, rows[:3], rows[1:])
-    return wm._Dense(curve), float(h_vals[0]), float(hp_vals[0]), steps, error
 
 
 def _kink_args(neck, r):
@@ -753,48 +718,10 @@ def _kink_args(neck, r):
     return core_h, r, radius_hat, o.splice_point, o.splice_point + 2.0 * o.kink_halfwidth
 
 
-def _assert_same_bridge(got, want):
-    # (h, h') at x0, the step count, the error estimate and every row.
-    assert got[3] == want[3]
-    assert _same_bits([got[1], got[2], got[4]], [want[1], want[2], want[4]])
-    curve, ref_curve = got[0].curve, want[0].curve
-    assert (curve.s0, curve.step) == (ref_curve.s0, ref_curve.step)
-    assert len(curve.values) == len(ref_curve.values) == 3
-    for row, ref_row in zip(curve.values + curve.slopes, ref_curve.values + ref_curve.slopes):
-        assert _same_bits(row, ref_row)
-
-
-@pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (6, 0.3), (12, 0.3)])
-def test_kink_bridge_matches_per_level_reference(n, s0):
-    # The core is evaluated once on the finest grid of the first three
-    # levels and their maps are built in one call; every output keeps the
-    # bits of evaluating each level on its own grid.  Both step counts the
-    # tolerance picks occur among these scales.
-    neck = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
-    steps = set()
-    for r in (1.0, 0.9, 0.7, 0.5, 0.3, 2.0**-10, 2.0**-19):
-        args = _kink_args(neck, r)
-        got = wm._smooth_kink(*args)
-        _assert_same_bridge(got, _smooth_kink_reference(*args))
-        steps.add(got[3])
-    assert steps == {wm._BRIDGE_START, 2 * wm._BRIDGE_START}
-
-
-def test_kink_bridge_matches_reference_past_shared_grid(monkeypatch, neck_41):
-    # A tighter tolerance takes the bridge past 2 _BRIDGE_START steps,
-    # where each level evaluates its own grid.
-    args = [_kink_args(neck_41, r) for r in (0.5, 2.0**-10)]
-    monkeypatch.setattr(wm, "_SWEEP_TOL", 1e-13)
-    for a in args:
-        got = wm._smooth_kink(*a)
-        assert got[3] > 2 * wm._BRIDGE_START
-        _assert_same_bridge(got, _smooth_kink_reference(*a))
-
-
 def test_linspace_matches_numpy():
     # _linspace is np.linspace's arithmetic; seeded spans of every sign
-    # and size, the counts the profile uses, the halving nesting the
-    # bridge reads, and spans too small for a nonzero step.
+    # and size, the counts the profile uses, the halving nesting of odd
+    # grids, and spans too small for a nonzero step.
     rng = np.random.default_rng(15)
     cases = []
     for _ in range(300):
@@ -940,15 +867,12 @@ def test_flatten_f_matches_closed_forms(n, s0):
 
 
 def test_dense_models_self_consistent():
-    # On every _Dense model the stored slopes of its rows (y and y', and
-    # the bridge's y'') are the derivatives of the rows' node values: the
-    # fourth-order centred difference of the values, against the slopes,
-    # as a share of the largest slope.  Measured shares: bridge 3.6e-8 at
-    # 128 steps (r = 1) and 3.9e-9 at 256; the bridge's h'' row, whose
-    # slopes are the ODE's h''', 6e-11 at 128 steps and 4.0-5.4e-9 at 256
-    # (np.gradient's second-order slopes read 8-9e-5); tail 4.9e-8, the
-    # trapezoid rule that integrates its h'; cap blend f' against f''
-    # 0.8-1.2e-6, the difference's own error at 64 steps.
+    # On every _Dense model the stored slopes of its rows y and y' are the
+    # derivatives of the rows' node values: the fourth-order centred
+    # difference of the values, against the slopes, as a share of the
+    # largest slope.  Measured shares: tail 4.9e-8, the trapezoid rule
+    # that integrates its h'; cap blend f' against f'' 0.8-1.2e-6, the
+    # difference's own error at 64 steps.
     #
     # The f-flattening is exact on its plateau and integrated per sample
     # on its ramps.  Sampled at ramp/256 over each ramp and as far into
@@ -958,7 +882,7 @@ def test_dense_models_self_consistent():
     # is only C^2, at the ramps' ends).  Its f' is 0 at flat_end, and its
     # (f, f') at eps are the core's.
     gates = {  # one per row
-        "bridge": (5e-8, 5e-8, 1e-8), "tail": (1e-7,) * 2, "cap": (2e-6,) * 2,
+        "tail": (1e-7,) * 2, "cap": (2e-6,) * 2,
     }
 
     def share(v, slope, step, scale):
@@ -969,9 +893,6 @@ def test_dense_models_self_consistent():
         neck, eps = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
         models = [("cap", seg.fmod) for seg in neck.segments if seg.label == "cap"]
         models += [("tail", seg.hmod) for seg in neck.segments if seg.label == "tail"]
-        for r in (1.0, 0.5, 0.013):
-            w = wm.smooth_origin(neck, r, eps)
-            models.append(("bridge", w.segments[1].hmod))
         dense = [(name, m) for name, m in models if isinstance(m, wm._Dense)]
         assert sorted({name for name, _ in dense}) == sorted(gates)
         for name, model in dense:
@@ -981,7 +902,7 @@ def test_dense_models_self_consistent():
                 v, slope = c.values[row], c.slopes[row]
                 assert share(v, slope, c.step, np.max(np.abs(slope))) <= gate, (n, s0, name, row)
 
-        flat = w.segments[3]  # the first outer segment
+        flat = wm.smooth_origin(neck, 0.5, eps).segments[3]  # the first outer segment
         assert flat.label == "flat" and isinstance(flat.fmod, wm._FlattenedF)
         model, ramp = flat.fmod, 0.008 * eps
         step = ramp / 256

@@ -13,11 +13,12 @@ The digest holds, for the sources of the checkout the script sits in:
   SHA-256 of the CSV each successful search exports;
 * the SHA-256 of the ``profile-export`` CSV of each of those necks;
 * the origin bridge of each of those necks at r in ``ORIGIN_SCALES``:
-  the splice radius, eps', and the bridge's step count and error
-  estimate from ``smooth_origin``'s ``OriginInfo``.
+  the splice radius, eps', and the bridge's degree and error estimate
+  from ``smooth_origin``'s ``OriginInfo``.
 
-Floats are written with ``repr``, so two digests compare equal byte for
-byte only if every number is bit-identical.  ``--against REV`` checks that
+Floats are written as ``repr(float(x))``, so two digests compare equal
+byte for byte only if every number is bit-identical, and a numpy scalar
+prints as the same text under numpy 1.x and 2.x.  ``--against REV`` checks that
 a change keeps the outputs: it ``git archive``s REV into a temporary
 directory and runs this script there and here.  If the digests differ it
 prints every differing line with the largest relative move among its
@@ -123,10 +124,12 @@ def origin_lines(tb):
     for (n, s0), neck in zip(BASE_NECKS, wl.necks):
         for r in ORIGIN_SCALES:
             o = tb.warpmetric.smooth_origin(neck.profile, r, neck.eps).origin
+            # Revisions before the spectral bridge kept an RK4 step count.
+            size = "bridge_degree" if hasattr(o, "bridge_degree") else "bridge_steps"
             yield (
-                f"## origin ({n}, {s0}) r {r!r}: radius {o.radius!r} eps_prime "
-                f"{o.eps_prime!r} bridge_steps {o.bridge_steps!r} "
-                f"bridge_error {o.bridge_error!r}"
+                f"## origin ({n}, {s0}) r {r!r}: radius {float(o.radius)!r} eps_prime "
+                f"{float(o.eps_prime)!r} {size} {getattr(o, size)!r} "
+                f"bridge_error {float(o.bridge_error)!r}"
             )
 
 
