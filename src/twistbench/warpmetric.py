@@ -14,13 +14,13 @@ stages:
   midpoints, gates the verdict.
 * ``cap_sine`` replaces the outer end of f by an exact sine arc
   N sin((s - s')/N), blending second derivatives so the three curvature
-  inequalities keep their margins.  The blend start a and N solve two
-  equations at the blend end, the arc's amplitude equation and its
-  slope target, by Newton; the blend sweep integrates its variational
-  equations in (a, N) for the Jacobian, and its step count is sized by
-  step doubling at the root.
+  inequalities keep their margins.  The blend's f'' at the nodes of its
+  Chebyshev window, the blend start a and N solve one Newton system: the
+  collocation equations and, at the blend end, the arc's amplitude
+  equation and its slope target.
 * ``flatten_h_tail`` multiplies h' by a cutoff so every tracked
-  derivative of h vanishes at the outer end.
+  derivative of h vanishes at the outer end, integrating it on a
+  Chebyshev window.
 * ``smooth_origin`` rescales h by r, splices an exact sine with unit
   slope at the new left endpoint, and flattens f to a constant there,
   rejoining the core solution exactly so the first integral survives.
@@ -37,31 +37,31 @@ f-flattening (with its flat value and plateau) and the neck right of
 the flat end at unit fibre scale.  Each probe it returns holds that
 part's sampled blocks with h scaled by r, next to its own collar's.
 
-f and h on each segment are one of six curve models: the core solution
+f and h on each segment are one of five curve models: the core solution
 (``_CoreSolution`` for f, ``_CoreH`` = 2 f'/(alpha lam0^2) for h), an
-exact ``_Sine`` (the cap arc of f, the splice of h), a sampled
-``_Dense`` curve, the origin bridge ``_Bridge``, the f-flattening
-``_FlattenedF`` and a constant ``_FlatF``.  The models describe h at
-unit fibre scale, except the bridge and the splice, which are built per
-r; r is applied in one place, ``Segment.h_scale``.  The margins are
-scale-free and come from the sampled columns, as ratios h''/h and h'/h,
-except for two closed forms: h''/h where h is the core or the splice
-sine, and f'h'/(f h) on pure-core segments.  h vanishes at s = 0 and at
+exact ``_Sine`` (the cap arc of f, the splice of h), a Chebyshev window
+``_Window`` (the cap blend of f, the tail and the origin bridge of h),
+the f-flattening ``_FlattenedF`` and a constant ``_FlatF``.  The models
+describe h at unit fibre scale, except the bridge and the splice, which
+are built per r; r is applied in one place, ``Segment.h_scale``.  The
+margins are scale-free and come from the sampled columns, as ratios
+h''/h and h'/h, except for two closed forms: h''/h where h is the core
+or the splice sine, and f'h'/(f h) on pure-core segments.  h vanishes at s = 0 and at
 the splice's left end, where the column ratios are 0/0.
 
-The cap blend, the one nonlinear ODE left, is integrated by the
-fixed-step RK4 sweep ``_rk4`` on Python floats, with blend weights
-precomputed on its half-step grid.  Its variational equations are
-linear, so each of their RK4 steps is an affine map; ``_affine_steps``
-computes all of them in one vectorised ``_rk4`` step and the caller
-composes them.  The origin bridge of h is linear, short and smooth: one
-linear solve by Chebyshev spectral integration (``_smooth_kink``).  The
-core table's cell count, the cap blend's step count and the bridge's
-degree are sized by doubling against an error estimate from half the
-size and one tolerance, ``_SWEEP_TOL``; ``CapInfo`` and ``OriginInfo``
-keep the blend's count and the bridge's degree with their estimates,
-the core its ``error``.  All blending happens in second-derivative space
-with quintic smoothstep weights, which keeps the inequality margins
+The three short windows, the cap blend, the h tail and the origin
+bridge, are each built by Chebyshev spectral integration: values of the
+blend's f'', the bridge's h'' or the tail's h' at the Chebyshev-Lobatto
+nodes of the window, integrated by ``_chebyshev``'s matrices from one
+end and read back by barycentric interpolation (``_Window``).  The
+bridge is linear (one solve, ``_smooth_kink``), the blend nonlinear
+(Newton, ``cap_sine``), and the tail a quadrature of psi h'
+(``flatten_h_tail``).  The core table's cell count and the windows'
+degrees are sized by doubling against an error estimate from half the
+size and one tolerance, ``_SWEEP_TOL``; ``CapInfo``, ``TailInfo`` and
+``OriginInfo`` keep the windows' degrees with their estimates, the core
+its ``error``.  All blending happens in second-derivative space with
+quintic smoothstep weights, which keeps the inequality margins
 one-signed.  Each segment is sampled once (``WarpProfile.block``), and
 each stage gates the segments it built on their cached margin minima
 (``_gate``), so a lost margin raises ``MarginLost`` instead of silently
@@ -88,15 +88,6 @@ from .errors import InputError, MarginLost, NoSolution, NoStop, StageError
 def smoothstep(u):
     u = np.minimum(np.maximum(u, 0.0), 1.0)  # np.clip's dispatch costs more
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-
-
-def smoothstep_d(u):
-    u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    out = np.zeros_like(u)
-    ui = u[inside]
-    out[inside] = 30.0 * ui * ui * (1.0 - ui) ** 2
-    return out
 
 
 def _default_cap_width(n, lam, lam0, alpha, f_stop, s_est):
@@ -175,38 +166,8 @@ class WarpParams:
 
 
 # ---------------------------------------------------------------------------
-# Dense curves (uniform grid + cubic Hermite evaluation)
+# Uniform grids and cubic Hermite weights
 # ---------------------------------------------------------------------------
-
-class _DenseCurve:
-    """Cubic Hermite interpolants of k rows of (value, slope) nodes on one
-    uniform grid, kept as given, so rows may share arrays.  A call forms
-    the four Hermite weights once; each row is w0 y0 + w1 d0 + w2 y1 +
-    w3 d1, with the slopes d in t units."""
-
-    def __init__(self, s0: float, step: float, values, slopes):
-        self.s0 = float(s0)
-        self.step = float(step)
-        self.values = tuple(np.asarray(v, dtype=float) for v in values)
-        self.slopes = tuple(np.asarray(d, dtype=float) for d in slopes)
-
-    def __call__(self, s):
-        """Every row at s, one array each."""
-        s = np.asarray(s, dtype=float)
-        last = len(self.values[0]) - 1
-        x = np.minimum(np.maximum((s - self.s0) / self.step, 0.0), float(last))
-        k = np.minimum(x.astype(int), last - 1)  # x >= 0, so astype floors
-        t = np.asarray(x - k)
-        # snap to nodes so junction evaluations are exact
-        t[np.abs(t) < 1e-9] = 0.0
-        t[np.abs(t - 1.0) < 1e-9] = 1.0
-        w0, w1, w2, w3 = _hermite_weights(t)
-        k1, h = k + 1, self.step
-        return [
-            w0 * y[k] + w1 * (d[k] * h) + w2 * y[k1] + w3 * (d[k1] * h)
-            for y, d in zip(self.values, self.slopes)
-        ]
-
 
 def _hermite_weights(t):
     """Weights of (y0, d0, y1, d1) in the cubic Hermite piece at parameter
@@ -233,75 +194,16 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
     return y
 
 
-def _cumulative_trapezoid(y, step):
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum(0.5 * step * (y[1:] + y[:-1]), out=out[1:])
-    return out
-
-
 # ---------------------------------------------------------------------------
-# RK4 sweep and the core ODE solution
+# The core ODE solution
 # ---------------------------------------------------------------------------
-
-def _rk4(acc, y, yp, h, steps):
-    """Classical RK4 sweep for y'' = acc(i, y) over ``steps`` steps of h.
-
-    ``i`` indexes the half-step grid of the sweep: 2k is node k and
-    2k + 1 its midpoint, so callers pass right-hand sides that look up
-    precomputed weights by index; acc is called once per stage, in stage
-    order.  A negative h sweeps backward (callers then index their
-    weights from the far end).  Runs on Python floats and returns the
-    node values and slopes as lists, starting with (y, yp).
-    """
-    half = 0.5 * h
-    sixth = h / 6.0
-    ys, yps = [y], [yp]
-    for k in range(steps):
-        i = 2 * k
-        k1v, k1a = yp, acc(i, y)
-        k2v, k2a = yp + half * k1a, acc(i + 1, y + half * k1v)
-        k3v, k3a = yp + half * k2a, acc(i + 1, y + half * k2v)
-        k4v, k4a = yp + h * k3a, acc(i + 2, y + h * k3v)
-        y = y + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
-        yp = yp + sixth * (k1a + 2 * k2a + 2 * k3a + k4a)
-        ys.append(y)
-        yps.append(yp)
-    return ys, yps
-
-
-def _affine_steps(a, b, h):
-    """One RK4 step of the linear y'' = a y + b from every node at once.
-
-    a and b hold four rows, their values at each step's four RK4 stages;
-    h is the step, or one step per column.  A step is an affine map of
-    (y, y'); returns the y and y' rows of the images of (1, 0) and (0, 1)
-    without the forcing, and of (0, 0) with it, one column per step."""
-    stages = iter(zip(a, b))
-    forced = np.array([[0.0], [0.0], [1.0]])
-
-    def acc(i, y):
-        a_k, b_k = next(stages)
-        return a_k * y + forced * b_k
-
-    ys, yps = _rk4(
-        acc, np.array([[1.0], [0.0], [0.0]]), np.array([[0.0], [1.0], [0.0]]), h, 1
-    )
-    return ys[1], yps[1]
-
 
 # Relative error allowed in what doubling sizes: the core table's u, the
-# cap blend's (f, f') at its end b and the origin bridge's (h, h') at x0.
-# The splice radius h/sqrt(1 - h'^2) amplifies the bridge's where h' is
-# near 1 (r near 1).
+# cap blend's (f, f') and the tail's h at the nodes they share with the
+# solve at half the degree, and the origin bridge's (h, h') at x0.  The
+# splice radius h/sqrt(1 - h'^2) amplifies the bridge's where h' is near
+# 1 (r near 1).
 _SWEEP_TOL = 1e-11
-
-
-def _richardson(y, yp, y_half, yp_half):
-    """RK4 error estimate of a sweep's end data (y, y') from the sweep of
-    half the step count: the larger relative change, over 15 (Richardson;
-    Hairer, Norsett and Wanner, Solving ODEs I, II.4)."""
-    return max(abs(y - y_half) / abs(y), abs(yp - yp_half) / abs(yp)) / 15.0
 
 
 def _gauss_legendre(nodes, weights):
@@ -475,6 +377,109 @@ class _CoreSolution:
 
 
 # ---------------------------------------------------------------------------
+# Chebyshev windows
+# ---------------------------------------------------------------------------
+
+# The cap blend, the h tail and the origin bridge are each built at the
+# Chebyshev-Lobatto nodes of their window: node values of the blend's f'',
+# the bridge's h'' or the tail's h~' integrated by ``_chebyshev``'s K1 and
+# K2 from one end of the window, read back by ``_Window``.  Each starts at
+# the degree below and doubles while its estimate against the solve at
+# half the degree is above ``_SWEEP_TOL``; at ``_DEGREE_MAX`` it raises
+# MarginLost.  The first degrees meet the tolerance on the golden
+# grid and at n = 12 and 40:
+# * the bridge at 32 at every r (the change from 16 reads at most 7e-15);
+# * the cap blend at 32 (the change from 16 reads at most 1.0e-15; 16
+#   reads up to 1.2e-9 at n = 45);
+# * the tail at 16 (the change from 8 reads at most 3.2e-13, at n = 45).
+_BRIDGE_DEGREE, _BLEND_DEGREE, _TAIL_DEGREE, _DEGREE_MAX = 32, 32, 16, 128
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev(degree: int):
+    """The Chebyshev-Lobatto nodes t_j = cos(j pi/degree), from t = 1 down
+    to -1, their barycentric weights, and the matrices K1 and K2 that take
+    the node values of g to those of int_1^t g and int_1^t (t - x) g(x) dx:
+    the interpolant's Chebyshev series integrated once and twice from t = 1
+    (Greengard, SIAM J. Numer. Anal. 28, 1991; Trefethen, Spectral Methods
+    in MATLAB, 2000).  Row 0 of both is zero.  Built on first use; read-only."""
+    j = np.arange(degree + 1)
+    t = np.sin(0.5 * np.pi * (degree - 2 * j) / degree)  # symmetric about 0
+    cheb = np.cos(np.outer(np.pi * j / degree, np.arange(degree + 3)))  # T_k(t_j)
+
+    def integral(m):  # m coefficients to m + 1, zero at t = 1 where T_k = 1
+        out = np.zeros((m + 1, m))
+        k = np.arange(1, m + 1)
+        out[k, k - 1] = 0.5 / k
+        out[1, 0] = 1.0
+        out[k[:-2], k[:-2] + 1] = -0.5 / k[:-2]
+        out[0] = -out[1:].sum(axis=0)
+        return out
+
+    once = integral(degree + 1) @ np.linalg.inv(cheb[:, : degree + 1])
+    k1, k2 = cheb[:, : degree + 2] @ once, cheb @ (integral(degree + 2) @ once)
+    k1[0] = k2[0] = 0.0
+    weights = (-1.0) ** j
+    weights[[0, -1]] *= 0.5
+    for x in (t, weights, k1, k2):
+        x.setflags(write=False)
+    return t, weights, k1, k2
+
+
+class _Window:
+    """A curve on the window [x0, x0 + width] (the cap blend of f, the tail
+    and the origin bridge of h): rows y, y' and y'' at the Chebyshev-Lobatto
+    nodes of ``degree`` in t = 2 (s - x0)/width - 1, interpolated
+    barycentrically in t.  At a node (x0 and x0 + width among them) it
+    returns the node values exactly.  Each location's sums run along its
+    own row, so one location gets the bits it has in a sampled block.
+
+    The bridge is solved from its right end, and its rows follow the nodes
+    from t = 1 down.  The cap blend and the tail are solved from their left
+    end and stored reversed: the nodes are exactly symmetric, and at even
+    degree so are the weights, so row j of the left-end solve is the value
+    at node degree - j."""
+
+    def __init__(self, x0: float, width: float, degree: int, rows):
+        self.x0, self.width, self.degree, self.rows = x0, width, degree, rows
+
+    def eval(self, s):
+        nodes, weights, _, _ = _chebyshev(self.degree)
+        t = 2.0 * (np.asarray(s, dtype=float) - self.x0) / self.width - 1.0
+        d = t[..., None] - nodes
+        exact = d == 0.0
+        c = weights / np.where(exact, 1.0, d)
+        hit = exact.any(axis=-1)
+        c[hit] = exact[hit]
+        c /= np.sum(c, axis=-1, keepdims=True)
+        return tuple(np.sum(c * y, axis=-1) for y in self.rows)
+
+
+def _by_doubling(solve, degree: int, what: str):
+    """``solve(degree)`` returns a result and its error estimate against
+    the solve at half the degree; the degree doubles from ``degree`` until
+    the estimate is within ``_SWEEP_TOL``.  Returns the result, the degree
+    and the estimate; raises MarginLost at ``_DEGREE_MAX``."""
+    while True:
+        result, error = solve(degree)
+        if error <= _SWEEP_TOL:
+            return result, degree, error
+        if degree >= _DEGREE_MAX:
+            raise MarginLost(
+                f"{what}: error estimate {error:.3e} above "
+                f"{_SWEEP_TOL:.0e} at degree {degree}"
+            )
+        degree *= 2
+
+
+def _relative_change(fine, coarse) -> float:
+    """The largest relative change of the rows ``fine`` at the nodes they
+    share with the rows ``coarse`` of the solve at half the degree (every
+    other node: the node sets nest exactly)."""
+    return max(float(np.max(np.abs(y[::2] - c) / np.abs(y[::2]))) for y, c in zip(fine, coarse))
+
+
+# ---------------------------------------------------------------------------
 # Curve models: (value, first, second derivative) of f or h on a segment
 # ---------------------------------------------------------------------------
 
@@ -501,19 +506,6 @@ class _Sine:
         s = np.asarray(s, dtype=float)
         th = (s - self.shift) / self.amp
         return self.amp * np.sin(th), np.cos(th), -np.sin(th) / self.amp
-
-
-class _Dense:
-    """A sampled curve (the cap blend and the h tail): one ``_DenseCurve``
-    with rows y and y', and y'' the function d2(s, y)."""
-
-    def __init__(self, curve, d2):
-        self.curve = curve
-        self.d2 = d2
-
-    def eval(self, s):
-        y, yp = self.curve(s)
-        return y, yp, self.d2(s, y)
 
 
 class _CoreH:
@@ -560,9 +552,9 @@ class Segment:
     """f and h on [s0, s1], each one of the curve models.
 
     f is the core solution itself, a ``_Sine`` (the cap arc), a
-    ``_Dense`` (the cap blend), the f-flattening ``_FlattenedF`` or a
-    ``_FlatF``; h is a ``_CoreH``, a ``_Sine`` (the splice), a ``_Dense``
-    (the tail) or a ``_Bridge`` (the origin bridge).  The models describe
+    ``_Window`` (the cap blend), the f-flattening ``_FlattenedF`` or a
+    ``_FlatF``; h is a ``_CoreH``, a ``_Sine`` (the splice) or a
+    ``_Window`` (the tail or the origin bridge).  The models describe
     h at unit fibre scale, except the splice and the bridge, which are
     built per r; ``h_scale`` is the one place r is applied to the others:
     ``scaled`` multiplies h, h' and h'' by it, for ``eval`` and for every
@@ -590,20 +582,30 @@ class Segment:
 
 @dataclass(frozen=True)
 class CapInfo:
+    """What ``cap_sine`` built: the arc N sin((s - s_prime)/N), the blend
+    window [blend_start, blend_end], and the blend's Chebyshev degree with
+    its error estimate, the largest relative change of its (f, f') at the
+    nodes shared with half that degree."""
+
     big_n: float
     s_prime: float
     blend_start: float
     blend_end: float
-    # RK4 step count of the blend sweep and its error estimate
-    # (``cap_sine``).
-    blend_steps: int
+    blend_degree: int
     blend_error: float
 
 
 @dataclass(frozen=True)
 class TailInfo:
+    """What ``flatten_h_tail`` built: the tail window [start, s_lambda] of
+    the given width, and its Chebyshev degree with its error estimate, the
+    largest relative change of its h at the nodes shared with half that
+    degree."""
+
     start: float
     width: float
+    degree: int
+    error: float
 
 
 @dataclass(frozen=True)
@@ -862,93 +864,73 @@ def integrate_core(params: WarpParams) -> WarpProfile:
 # Stage 2: sine cap
 # ---------------------------------------------------------------------------
 
-class _BlendSweep(NamedTuple):
-    """A cap blend sweep: f and f' at the nodes, the step, the weights on
-    the half-step grid, f at each RK4 stage (four per step) and ``start``."""
-
-    fs: np.ndarray
-    fps: np.ndarray
-    h: float
-    sig: np.ndarray
-    stage_f: list
-    start: tuple
-
-
-def _integrate_blend(core, a, b, big_n, steps, start):
-    """RK4 for f'' = (1-sig) c2 f^(-alpha-1) - sig f/N^2 on [a, b], from
-    ``start``, the core's ``at(a)``, evaluated once per Newton iterate."""
-    c2, expo = core.c2, -core.alpha - 1.0
+def _blend_rows(core, start, big_n, g, width):
+    """The cap blend on [a, a + width] from g = f'' at the Chebyshev-Lobatto
+    nodes, in order from a (s - a = w tau_j with tau_j = (1 - t_j)/2), and
+    the core's ``start`` = (f, f', f'') at a: f = f(a) + f'(a)(s - a) +
+    (w/2)^2 K2 g and f' = f'(a) - (w/2) K1 g; the right-hand side F(f) =
+    (1-sig) c2 f^(-alpha-1) - sig f/N^2 and its derivatives in f and N, at
+    the nodes.  sig is read at tau, as the bridge reads it.  Row 0 of K1
+    and K2 is zero, so (f, f') at a are the core's bit for bit."""
+    t, _, k1, k2 = _chebyshev(len(g) - 1)
+    half = 0.5 * width
+    tau = 0.5 * (1.0 - t)
+    sig = smoothstep(tau)
+    f = start[0] + start[1] * (width * tau) + (half * half) * (k2 @ g)
+    fp = start[1] - half * (k1 @ g)
+    core_term = (1.0 - sig) * core.c2 * np.power(f, -core.alpha - 1.0)
     nn = big_n * big_n
-    width = b - a
-    h = width / steps
-
-    # Blend weights on the sweep's half-step grid in one array pass; the
-    # nodes s_k = s_(k-1) + h are a sequential cumsum, so the same floats
-    # as stepping s by h.
-    nodes = np.cumsum(np.concatenate(([a], np.full(steps, h))))
-    grid = np.empty(2 * steps + 1)
-    grid[0::2] = nodes
-    grid[1::2] = nodes[:-1] + 0.5 * h
-    sig_grid = smoothstep((grid - a) / width)
-    sig = sig_grid.tolist()
-    stage_f = []
-
-    def acc(i, f):
-        stage_f.append(f)
-        return (1.0 - sig[i]) * c2 * f ** expo - sig[i] * f / nn
-
-    fs, fps = _rk4(acc, start[0], start[1], h, steps)
-    return _BlendSweep(np.array(fs), np.array(fps), h, sig_grid, stage_f, start)
+    sine_term = sig * f / nn
+    rhs_f = (-core.alpha - 1.0) * core_term / f - sig / nn
+    return f, fp, core_term - sine_term, rhs_f, 2.0 * sine_term / big_n
 
 
-def _blend_jacobian(core, big_n, sweep):
-    """d(f(b), f'(b))/d(a, N) of a blend sweep, by its variational equations.
+def _cap_equations(core, start, big_n, g, width, slope_target):
+    """The cap's equations in (g, a, N) and their Jacobian.
 
-    The weights are a function of s - a, so moving a only moves the
-    initial data: u = df/da solves u'' = J u from the core's (f'(a),
-    f''(a)), and v = df/dN solves v'' = J v + 2 sig f/N^3 from (0, 0),
-    with J = (1-sig) c2 (-alpha-1) f^(-alpha-2) - sig/N^2 (Hairer,
-    Norsett and Wanner, Solving ODEs I, I.14) at the sweep's stage
-    values, which makes them the exact derivative of the discrete sweep.
-    The equations are linear, so each RK4 step is an affine map of (y,
-    y'); ``_affine_steps`` takes one step from every node at once, and
-    the maps are multiplied pairwise down to one.
-    """
-    f = np.array(sweep.stage_f).reshape(-1, 4).T
-    w = sweep.sig
-    sig = np.stack((w[:-1:2], w[1::2], w[1::2], w[2::2]))
-    c2, alpha = core.c2, core.alpha
-    jac = (1.0 - sig) * c2 * (-alpha - 1.0) * f ** (-alpha - 2.0) - sig / big_n**2
-    ys, yps = _affine_steps(jac, 2.0 * sig * f / big_n**3, sweep.h)
-    maps = np.zeros((f.shape[1], 3, 3))
-    maps[:, 0], maps[:, 1], maps[:, 2, 2] = ys.T, yps.T, 1.0
-    while len(maps) > 1:  # map k takes node k to node k + 1; 2^m steps
-        maps = maps[1::2] @ maps[0::2]
-    d_a = maps[0, :2, :2] @ np.array(sweep.start[1:])
-    return np.column_stack((d_a, maps[0, :2, 2]))
-
-
-def _cap_equations(core, big_n, slope_target, sweep):
-    """The two cap equations at the blend end b and their Jacobian in
-    (a, N): the amplitude gap hypot(f(b), N f'(b)) - N and the slope
-    error f'(b) - slope_target."""
-    fb, pb = float(sweep.fs[-1]), float(sweep.fps[-1])
-    (f_a, f_n), (p_a, p_n) = _blend_jacobian(core, big_n, sweep).tolist()
+    They are the blend's collocation residual g - F(f) at the nodes
+    (``_blend_rows``) and the two cap equations at the blend end b: the
+    amplitude gap hypot(f(b), N f'(b)) - N and the slope error f'(b) -
+    slope_target.  At fixed g, moving a moves the window, which changes f
+    by f'(a) + f''(a)(s - a) and f' by f''(a), from the core's ``start``
+    at a.  Returns the residual, the Jacobian and the rows f, f' and
+    F(f)."""
+    m = len(g)
+    t, _, k1, k2 = _chebyshev(m - 1)
+    half = 0.5 * width
+    f, fp, rhs, rhs_f, rhs_n = _blend_rows(core, start, big_n, g, width)
+    fb, pb = float(f[-1]), float(fp[-1])
     amp = math.hypot(fb, big_n * pb)
-    nn = big_n * big_n
-    gap_a = (fb * f_a + nn * pb * p_a) / amp
-    gap_n = (fb * f_n + nn * pb * p_n + big_n * pb * pb) / amp - 1.0
-    return (amp - big_n, pb - slope_target), ((gap_a, gap_n), (p_a, p_n))
+    jac = np.empty((m + 2, m + 2))
+    jac[:m, :m] = np.eye(m) - (rhs_f * (half * half))[:, None] * k2
+    jac[:m, m] = -rhs_f * (start[1] + start[2] * (width * (0.5 * (1.0 - t))))
+    jac[:m, m + 1] = -rhs_n
+    # The slope error's row is f'(b)'s gradient in (g, a, N); the gap's
+    # combines it with f(b)'s.
+    jac[m + 1, :m], jac[m + 1, m], jac[m + 1, m + 1] = -half * k1[-1], start[2], 0.0
+    cf, cp = fb / amp, big_n * big_n * pb / amp
+    jac[m, :m] = cf * (half * half) * k2[-1] + cp * jac[m + 1, :m]
+    jac[m, m] = cf * (start[1] + start[2] * width) + cp * start[2]
+    jac[m, m + 1] = big_n * pb * pb / amp - 1.0
+    res = np.concatenate((g - rhs, (amp - big_n, pb - slope_target)))
+    return res, jac, (f, fp, rhs)
 
 
-# Newton sweeps allowed per blend step count; the root's kept sweep and
-# its half-count comparison are two more integrations.
-_CAP_NEWTON_SWEEPS = 7
-# First blend step count.  Its estimates on n in {3, 4, 5, 6, 12} and
-# s0 in {0.3, 1.0} are 2e-16 to 9e-14, inside the tolerance, and the
-# margins it gives differ from a 512-step sweep's by at most 3e-11.
-_BLEND_START = 64
-_BLEND_MAX = 512  # step cap, the old fixed count; unmet there raises MarginLost
+def _newton_step(jac, res):
+    """The cap Newton step -jac^-1 res; MarginLost if jac is singular or
+    the step is not finite."""
+    try:
+        step = np.linalg.solve(jac, -res)
+    except np.linalg.LinAlgError:
+        raise MarginLost("cap Newton Jacobian is singular") from None
+    if not np.isfinite(step).all():
+        raise MarginLost("cap Newton step is not finite")
+    return step
+
+
+# Newton steps allowed per blend degree; the golden grid and n = 12 take
+# 3, n = 40 and 45 take 4.
+_CAP_NEWTON_STEPS = 7
 
 
 def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
@@ -960,25 +942,26 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     terminal piece N sin((s - s')/N) with f'(s_lambda) = lam and
     N = f(s_lambda) / sqrt(1 - lam^2) holding identically.
 
-    The blend start a and N solve, by Newton, the amplitude gap
-    hypot(f(b), N f'(b)) = N and f'(b) = slope_target at the blend end
-    b = a + width/2 (``_cap_equations``, Jacobian from the sweep's own
-    variational equations).  It starts where the core's f' meets the
-    target, with N0 = f(s_stop)/sqrt(1 - lam^2), and stops once its step
-    is within 1e-9 of a and of N, when quadratic convergence puts the
-    next iterate at rounding level; the cap keeps the sweep taken there.
-    A step that would take a out of (0, s_budget) is halved, with its N
-    step, until a stays inside.  No convergence within
-    ``_CAP_NEWTON_SWEEPS`` sweeps, a singular or non-finite Jacobian or
-    step, or an iterate with N <= 0 or core slope f'(a) outside (0, lam0)
-    raises MarginLost, and so does an arc that ends past the core table.
+    The blend is a Chebyshev window on [a, b], b = a + width/2: f'' at its
+    nodes, integrated from the core's (f, f') at a (``_blend_rows``).
+    Those node values, the blend start a and N solve one dense Newton
+    system (``_cap_equations``): the collocation residual at the nodes,
+    the amplitude gap hypot(f(b), N f'(b)) = N and f'(b) = slope_target.
+    Newton starts from f'' = 0 at the nodes, a where the core's f' meets
+    the target and N0 = f(s_stop)/sqrt(1 - lam^2), and stops once its step
+    is within 1e-9 of a and of N, when quadratic convergence puts the next
+    iterate at rounding level.  A step that would take a out of (0,
+    s_budget) is halved until a stays inside.  No convergence within
+    ``_CAP_NEWTON_STEPS`` steps, a singular Jacobian or a non-finite step,
+    or an iterate with N <= 0 or core slope f'(a) outside (0, lam0) raises
+    MarginLost, and so does an arc that ends past the core table.
 
-    The blend sweep's step count is sized by step doubling: Newton runs
-    at ``_BLEND_START`` steps, and at its root the kept sweep is compared
-    with the half-count sweep at the same (a, N) (``_richardson``).  An
-    estimate above ``_SWEEP_TOL`` doubles the count and Newton goes on
-    from that root; at ``_BLEND_MAX`` steps it raises MarginLost.
-    ``CapInfo`` keeps the count and the estimate.
+    The degree starts at ``_BLEND_DEGREE`` and is sized by doubling
+    (``_by_doubling``): at the root, the solve at half the degree and the
+    same (a, N), one Newton step in f'' from the root's values at the
+    shared nodes, gives the estimate, the largest relative change of f
+    and f' at those nodes.  At a doubled degree Newton starts again from
+    the root's (a, N).  ``CapInfo`` keeps the degree and the estimate.
     """
     p = w.params
     if w.cap is not None:
@@ -996,48 +979,37 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     if slope_target >= p.lam0 - 0.02 * (p.lam0 - p.lam):
         raise MarginLost("cap width too large for the gap between lam and lam0")
 
-    def sweep_at(a, big_n, steps):
+    def start_at(a, big_n):  # the core's (f, f', f'') at a, in the slope window
         start = core.at(a)
         if big_n > 0.0 and 0.0 < start[1] < p.lam0:
-            return _integrate_blend(core, a, a + blend_w, big_n, steps, start)
+            return start
         raise MarginLost(f"cap Newton iterate a = {a:.6g} left the slope window")
 
-    a, big_n, steps = core.find_slope(slope_target), n0, _BLEND_START
-    while True:
-        for _ in range(_CAP_NEWTON_SWEEPS):
-            sweep = sweep_at(a, big_n, steps)
-            (g1, g2), ((j11, j12), (j21, j22)) = _cap_equations(
-                core, big_n, slope_target, sweep
-            )
-            det = j11 * j22 - j12 * j21
-            if not (math.isfinite(det) and det != 0.0):
-                raise MarginLost("cap Newton Jacobian is singular or not finite")
-            da = (j12 * g2 - j22 * g1) / det
-            dn = (j21 * g1 - j11 * g2) / det
-            if not (math.isfinite(da) and math.isfinite(dn)):
-                raise MarginLost("cap Newton step is not finite")
-            while not 0.0 < a + da < p.s_budget:  # damped: a stays in the core
-                da, dn = 0.5 * da, 0.5 * dn
-            a, big_n = a + da, big_n + dn
-            if abs(da) <= 1e-9 * a and abs(dn) <= 1e-9 * big_n:
+    a, big_n = core.find_slope(slope_target), n0
+
+    def solve(degree):
+        nonlocal a, big_n
+        g = np.zeros(degree + 1)
+        for _ in range(_CAP_NEWTON_STEPS):
+            start = start_at(a, big_n)
+            res, jac, _ = _cap_equations(core, start, big_n, g, blend_w, slope_target)
+            step = _newton_step(jac, res)
+            while not 0.0 < a + step[-2] < p.s_budget:  # damped: a stays in the core
+                step *= 0.5
+            g += step[:-2]
+            a, big_n = a + float(step[-2]), big_n + float(step[-1])
+            if abs(step[-2]) <= 1e-9 * a and abs(step[-1]) <= 1e-9 * big_n:
                 break
         else:
-            raise MarginLost(
-                f"cap Newton did not converge in {_CAP_NEWTON_SWEEPS} sweeps"
-            )
-        sweep = sweep_at(a, big_n, steps)
-        half = _integrate_blend(core, a, a + blend_w, big_n, steps // 2, sweep.start)
-        error = _richardson(sweep.fs[-1], sweep.fps[-1], half.fs[-1], half.fps[-1])
-        if error <= _SWEEP_TOL:
-            break
-        if steps >= _BLEND_MAX:
-            raise MarginLost(
-                f"cap blend: RK4 error estimate {error:.3e} above "
-                f"{_SWEEP_TOL:.0e} at {steps} steps"
-            )
-        steps *= 2
+            raise MarginLost(f"cap Newton did not converge in {_CAP_NEWTON_STEPS} steps")
+        start = start_at(a, big_n)
+        rows = _blend_rows(core, start, big_n, g, blend_w)[:3]
+        res, jac, _ = _cap_equations(core, start, big_n, g[::2], blend_w, slope_target)
+        coarse = g[::2] + _newton_step(jac[:-2, :-2], res[:-2])
+        return rows, _relative_change(rows[:2], _blend_rows(core, start, big_n, coarse, blend_w))
+
+    (fs, fps, fpps), degree, error = _by_doubling(solve, _BLEND_DEGREE, "cap blend")
     b = a + blend_w
-    fs, fps, hstep = sweep.fs, sweep.fps, sweep.h
     if fps[-1] <= lam:
         raise MarginLost("cap blend lost too much slope; shrink the width")
     theta_b = math.atan2(fs[-1] / big_n, fps[-1])
@@ -1048,16 +1020,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     if s_lam > core.s_end:
         raise MarginLost("sine arc ends past the core table; raise s_budget")
 
-    width_b = b - a
-
-    def blend_rhs(s, f):
-        sig = smoothstep((np.asarray(s) - a) / width_b)
-        return (1.0 - sig) * core.c2 * np.power(f, -core.alpha - 1.0) - sig * f / (
-            big_n * big_n
-        )
-
-    fpps = blend_rhs(a + hstep * np.arange(len(fs)), fs)
-    blend_f = _Dense(_DenseCurve(a, hstep, (fs, fps), (fps, fpps)), blend_rhs)
+    blend_f = _Window(a, b - a, degree, (fs[::-1], fps[::-1], fpps[::-1]))
     sine_f = _Sine(big_n, s_prime)
     hmod = w.segments[0].hmod
     segments = (
@@ -1065,7 +1028,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
         Segment("cap", a, b, blend_f, hmod),
         Segment("cap", b, s_lam, sine_f, hmod),
     )
-    cap = CapInfo(big_n, s_prime, a, b, steps, float(error))
+    cap = CapInfo(big_n, s_prime, a, b, degree, error)
     out = w.derive(segments=segments, s_lambda=s_lam, cap=cap)
     _gate(out, (1,), "cap_sine")  # flatten_h_tail gates the arc it keeps
     return out
@@ -1082,6 +1045,14 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
     derivatives vanish at s_lambda, so h', h'' (and the tracked third
     derivative) vanish at the boundary; h''<= psi h'' keeps inequality
     (3) intact.
+
+    The tail is a Chebyshev window on [t0, s_lambda], solved from t0: at
+    its nodes h~' = psi h', h~ = h(t0) + int_t0^s psi h' by K1, and h~'' =
+    psi h'' + psi' h', with psi read at the nodes' window parameter, so
+    h~(t0) = h(t0) and h~'(s_lambda) = h~''(s_lambda) = 0 exactly.  The
+    degree starts at ``_TAIL_DEGREE`` and is sized by doubling
+    (``_by_doubling``); the estimate is the largest relative change of h~
+    at the nodes shared with half the degree.  ``TailInfo`` keeps both.
     """
     p = w.params
     if w.cap is None:
@@ -1101,33 +1072,26 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
     if base is None:
         raise InputError("tail start outside the profile")
 
-    grid = np.linspace(t0, w.s_lambda, 4097)
-    hstep = grid[1] - grid[0]
+    s_lam = w.s_lambda
+    span, half = s_lam - t0, 0.5 * (s_lam - t0)
 
-    def unit(s):
-        # snap the endpoints so the boundary conditions are exact zeros
-        u = (np.asarray(s, dtype=float) - t0) / width
-        u = np.where(u > 1.0 - 1e-13, 1.0, u)
-        return np.where(np.abs(u) < 1e-13, 0.0, u)
+    def solve(degree):
+        t, _, k1, _ = _chebyshev(degree)
+        tau = 0.5 * (1.0 - t)  # in order from t0
+        x = t0 + span * tau
+        x[-1] = s_lam
+        h, hp, hpp = base.eval(x)
+        psi = 1.0 - smoothstep(tau)
+        tilde_hp = psi * hp
+        tilde_h = h[0] - half * (k1 @ tilde_hp)
+        coarse = h[0] - half * (_chebyshev(degree // 2)[2] @ tilde_hp[::2])
+        # psi' = -30 tau^2 (1 - tau)^2 / span, from smoothstep's derivative.
+        tilde_hpp = psi * hpp - (30.0 / span) * (tau * (1.0 - tau)) ** 2 * hp
+        rows = (tilde_h[::-1], tilde_hp[::-1], tilde_hpp[::-1])
+        return rows, _relative_change((tilde_h,), (coarse,))
 
-    def psi(s):
-        return 1.0 - smoothstep(unit(s))
-
-    def psi_d(s):
-        return -smoothstep_d(unit(s)) / width
-
-    h_nodes, hp_nodes, hpp_nodes = base.eval(grid)
-    psi_nodes = psi(grid)
-    tilde_hp = psi_nodes * hp_nodes
-    tilde_h = h_nodes[0] + _cumulative_trapezoid(tilde_hp, hstep)
-
-    def hpp_func(s, _h):
-        _, hp_s, hpp_s = base.eval(s)
-        return psi(s) * hpp_s + psi_d(s) * hp_s
-
-    tilde_hpp = psi_nodes * hpp_nodes + psi_d(grid) * hp_nodes  # hpp_func(grid, _)
-    curve = _DenseCurve(t0, hstep, (tilde_h, tilde_hp), (tilde_hp, tilde_hpp))
-    tail_h = _Dense(curve, hpp_func)
+    rows, degree, error = _by_doubling(solve, _TAIL_DEGREE, "h tail")
+    tail_h = _Window(t0, span, degree, rows)
 
     segments = []
     for seg in w.segments:
@@ -1138,7 +1102,7 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
         else:
             segments.append(replace(seg, s1=t0))
             segments.append(replace(seg, label="tail", s0=t0, hmod=tail_h))
-    out = w.derive(segments=tuple(segments), tail=TailInfo(t0, width))
+    out = w.derive(segments=tuple(segments), tail=TailInfo(t0, width, degree, error))
     built = [k for k, s in enumerate(segments) if s not in w.segments]
     _gate(out, built, "flatten_h_tail")
     return out
@@ -1255,65 +1219,6 @@ def _ramp_nodes(lo, hi):
     return lo + span * x, span * w
 
 
-# The bridge's degree, checked against the solve at half of it: 32 meets
-# the tolerance at every r (the change from 16 reads at most 7e-15).  The
-# tolerance unmet at the cap raises MarginLost.
-_BRIDGE_DEGREE, _BRIDGE_DEGREE_MAX = 32, 128
-
-
-@functools.lru_cache(maxsize=None)
-def _chebyshev(degree: int):
-    """The Chebyshev-Lobatto nodes t_j = cos(j pi/degree), from t = 1 down
-    to -1, their barycentric weights, and the matrices K1 and K2 that take
-    the node values of g to those of int_1^t g and int_1^t (t - x) g(x) dx:
-    the interpolant's Chebyshev series integrated once and twice from t = 1
-    (Greengard, SIAM J. Numer. Anal. 28, 1991; Trefethen, Spectral Methods
-    in MATLAB, 2000).  Row 0 of both is zero.  Built on first use; read-only."""
-    j = np.arange(degree + 1)
-    t = np.sin(0.5 * np.pi * (degree - 2 * j) / degree)  # symmetric about 0
-    cheb = np.cos(np.outer(np.pi * j / degree, np.arange(degree + 3)))  # T_k(t_j)
-
-    def integral(m):  # m coefficients to m + 1, zero at t = 1 where T_k = 1
-        out = np.zeros((m + 1, m))
-        k = np.arange(1, m + 1)
-        out[k, k - 1] = 0.5 / k
-        out[1, 0] = 1.0
-        out[k[:-2], k[:-2] + 1] = -0.5 / k[:-2]
-        out[0] = -out[1:].sum(axis=0)
-        return out
-
-    once = integral(degree + 1) @ np.linalg.inv(cheb[:, : degree + 1])
-    k1, k2 = cheb[:, : degree + 2] @ once, cheb @ (integral(degree + 2) @ once)
-    k1[0] = k2[0] = 0.0
-    weights = (-1.0) ** j
-    weights[[0, -1]] *= 0.5
-    for x in (t, weights, k1, k2):
-        x.setflags(write=False)
-    return t, weights, k1, k2
-
-
-class _Bridge:
-    """h on the origin bridge [x0, x0 + width]: rows h, h' and h'' at the
-    Chebyshev-Lobatto nodes of ``degree`` in t = 2 (s - x0)/width - 1,
-    interpolated barycentrically in t.  At a node (x0 and x1 among them)
-    it returns the node values exactly.  Each location's sums run along
-    its own row, so one location gets the bits it has in a sampled block."""
-
-    def __init__(self, x0: float, width: float, degree: int, rows):
-        self.x0, self.width, self.degree, self.rows = x0, width, degree, rows
-
-    def eval(self, s):
-        nodes, weights, _, _ = _chebyshev(self.degree)
-        t = 2.0 * (np.asarray(s, dtype=float) - self.x0) / self.width - 1.0
-        d = t[..., None] - nodes
-        exact = d == 0.0
-        c = weights / np.where(exact, 1.0, d)
-        hit = exact.any(axis=-1)
-        c[hit] = exact[hit]
-        c /= np.sum(c, axis=-1, keepdims=True)
-        return tuple(np.sum(c * y, axis=-1) for y in self.rows)
-
-
 def _smooth_kink(core_h, r, radius_hat, x0, x1):
     """Bridge from the splice sine into r times the core h on [x0, x1].
 
@@ -1331,48 +1236,36 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
     exact; x - x0 near s = 1e-3 would carry an ulp of s, 1e-10 of the
     window at r = 2^-19.  The degree is sized by doubling: the estimate
     is the larger relative change of (h, h') at x0 from the solve at half
-    the degree, on every other node.  An estimate above ``_SWEEP_TOL`` at
-    ``_BRIDGE_DEGREE_MAX`` raises MarginLost.
+    the degree, on every other node (``_by_doubling``).
 
-    Returns the ``_Bridge`` model (h'' = a h + b at the nodes), (h, h')
+    Returns the ``_Window`` model (h'' = a h + b at the nodes), (h, h')
     at x0, the degree and the error estimate.
     """
     width, half = x1 - x0, 0.5 * (x1 - x0)
     inv_r2 = 1.0 / (radius_hat * radius_hat)
 
-    def on_nodes(degree):  # a and b at the nodes, and the core's f, f' at x1
-        t = _chebyshev(degree)[0]
-        x = x0 + half * (1.0 + t)
-        x[0] = x1
-        f, fp = core_h.core.f_fp(x)
-        sig = smoothstep(0.5 * (1.0 + t))
-        return -(1.0 - sig) * inv_r2, sig * (r * core_h.hpp(f, fp)), f[:1], fp[:1]
-
-    def solve(degree, a, b):
+    def integrate(degree, a, b, h1, hp1):
         t, _, k1, k2 = _chebyshev(degree)
         line = h1 + hp1 * half * (t - 1.0)
         m = np.eye(degree + 1) - (a * (half * half))[:, None] * k2
         g = np.linalg.solve(m, a * line + b)
         return line + (half * half) * (k2 @ g), hp1 + half * (k1 @ g)
 
-    degree = _BRIDGE_DEGREE
-    a, b, f1, fp1 = on_nodes(degree)
-    h1, hp1 = (float(r * y[0]) for y in core_h.from_core(f1, fp1)[:2])
-    coarse = solve(degree // 2, a[::2], b[::2])
-    while True:
-        h, hp = solve(degree, a, b)
-        error = max(abs(y[-1] - y_half[-1]) / abs(y[-1]) for y, y_half in zip((h, hp), coarse))
-        if error <= _SWEEP_TOL:
-            break
-        if degree >= _BRIDGE_DEGREE_MAX:
-            raise MarginLost(
-                f"origin bridge: error estimate {error:.3e} above "
-                f"{_SWEEP_TOL:.0e} at degree {degree}"
-            )
-        coarse, degree = (h, hp), 2 * degree
-        a, b, _, _ = on_nodes(degree)
-    model = _Bridge(x0, width, degree, (h, hp, a * h + b))
-    return model, float(h[-1]), float(hp[-1]), degree, float(error)
+    def solve(degree):
+        t = _chebyshev(degree)[0]
+        x = x0 + half * (1.0 + t)
+        x[0] = x1
+        f, fp = core_h.core.f_fp(x)
+        sig = smoothstep(0.5 * (1.0 + t))
+        a, b = -(1.0 - sig) * inv_r2, sig * (r * core_h.hpp(f, fp))
+        h1, hp1 = (float(r * y[0]) for y in core_h.from_core(f[:1], fp[:1])[:2])
+        h, hp = integrate(degree, a, b, h1, hp1)
+        coarse = integrate(degree // 2, a[::2], b[::2], h1, hp1)
+        error = max(abs(y[-1] - c[-1]) / abs(y[-1]) for y, c in zip((h, hp), coarse))
+        return (h, hp, a * h + b), float(error)
+
+    rows, degree, error = _by_doubling(solve, _BRIDGE_DEGREE, "origin bridge")
+    return _Window(x0, width, degree, rows), float(rows[0][-1]), float(rows[1][-1]), degree, error
 
 
 def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):

@@ -38,3 +38,18 @@ def test_import_loads_no_test_only_package():
         check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # The Chebyshev matrices are built by hand: importing numpy.polynomial
+    # costs about 3.5 ms, which every command's start-up would pay.
+    code = (
+        "import sys, twistbench.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]", out.stdout

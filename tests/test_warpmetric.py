@@ -147,29 +147,6 @@ def test_core_table_fails_closed_at_its_cap(monkeypatch):
         wm.integrate_core(build())
 
 
-@pytest.mark.parametrize("forced", [False, True])
-def test_rk4_forward_and_backward_fourth_order(forced):
-    # y = sin t on [0, pi] solves y'' = -y, and also y'' = -2y + sin t,
-    # whose forcing is read at the sweep's half-step index.  Sweep
-    # forward from t = 0 with h > 0 and backward from t = pi with h < 0.
-    def worst(steps, backward):
-        h = -math.pi / steps if backward else math.pi / steps
-        t0 = math.pi if backward else 0.0
-
-        def acc(i, y):
-            return -2.0 * y + math.sin(t0 + 0.5 * h * i) if forced else -y
-
-        ys, yps = wm._rk4(acc, math.sin(t0), math.cos(t0), h, steps)
-        t = t0 + h * np.arange(steps + 1)
-        return max(np.max(np.abs(np.array(ys) - np.sin(t))),
-                   np.max(np.abs(np.array(yps) - np.cos(t))))
-
-    for backward in (False, True):
-        coarse, fine = worst(16, backward), worst(32, backward)
-        assert coarse < 1e-3, (backward, coarse)
-        assert coarse / fine >= 8.0, (backward, coarse, fine)
-
-
 def test_core_h_identities():
     w = wm.integrate_core(build())
     a = w.params.alpha
@@ -250,26 +227,21 @@ GOLDEN_GRID = [(n, s0) for n in (3, 4, 5, 6) for s0 in (0.3, 1.0)]
 @pytest.fixture(scope="module")
 def golden_caps():
     """Per golden point: the capped profile, the slope target f'(b), the
-    golden N, and the blend integrations and Jacobians the cap ran."""
+    golden N, and the number of Newton systems the cap solved."""
     out = {}
-    calls = {"_integrate_blend": 0, "_blend_jacobian": 0}
+    calls = [0]
+    real = wm._cap_equations
 
-    def counting(name):
-        real = getattr(wm, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        return counted
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            mp.setattr(wm, name, counting(name))
+        mp.setattr(wm, "_cap_equations", counted)
         for n, s0 in GOLDEN_GRID:
             p = wm.WarpParams(n=n, lam=math.cos(s0)).resolve()
             base = wm.integrate_core(p)
-            calls.update(dict.fromkeys(calls, 0))
+            calls[0] = 0
             capped = wm.cap_sine(base, p.lam, p.cap_width)
             # f'(b) leaves the sine arc half the cap width to reach lam.
             f_stop = float(capped.core.eval(np.array([base.s_lambda]))[0][0])
@@ -277,36 +249,49 @@ def golden_caps():
             target = p.lam + root * 0.5 * p.cap_width / (f_stop / root)
             golden = GOLDEN_DIR / f"certify_n{n}_s{str(s0).replace('.', 'p')}.json"
             big_n = json.loads(golden.read_text())["params"]["N"]
-            out[n, s0] = (capped, target, big_n, dict(calls))
+            out[n, s0] = (capped, target, big_n, calls[0])
     return out
 
 
-def _cap_sweep(capped):
-    # The sweep the cap kept, at the step count it was sized to.
-    cap = capped.cap
-    return wm._integrate_blend(
-        capped.core, cap.blend_start, cap.blend_end, cap.big_n, cap.blend_steps,
-        capped.core.at(cap.blend_start),
-    )
+def _blend(profile):
+    # The cap blend's window model and its width as cap_sine solved it.
+    seg = profile.segments[1]
+    assert seg.label == "cap" and isinstance(seg.fmod, wm._Window)
+    return seg.fmod, 0.5 * profile.params.cap_width
+
+
+def _cap_system(capped, target, g=None, a=None, big_n=None):
+    # The cap's Newton system at (g, a, N), by default at the root: f'' at
+    # the blend's nodes in order from a is the model's f'' row reversed.
+    model, width = _blend(capped)
+    cap, core = capped.cap, capped.core
+    g = model.rows[2][::-1] if g is None else g
+    a = cap.blend_start if a is None else a
+    big_n = cap.big_n if big_n is None else big_n
+    return wm._cap_equations(core, core.at(a), big_n, g, width, target)
+
+
+def _cap_end(capped):
+    # (f, f') at the blend end b, read from the kept model.
+    f, fp, _ = _blend(capped)[0].eval(np.array([capped.cap.blend_end]))
+    return float(f[0]), float(fp[0])
 
 
 def test_cap_big_n_matches_goldens(golden_caps, monkeypatch):
     # The goldens' solver stopped once |f'(b) - target| < 1e-12, so a
     # golden N may sit off the root by 1e-12 |dN/d(slope residual)|; the
-    # Jacobian at the root gives that derivative.  That band is 5.4e-11
-    # relative at (3, 0.3) and at least 1.4e-12 elsewhere.  The goldens
-    # were also built on an RK4 core, whose error N inherits: against
-    # this core (which matches scipy's quadrature to 3e-13) they sit up to
-    # 3.2e-11 relative off, at (6, 0.3).  The band adds 1e-10 relative for
-    # that.  The root itself is converged in the core: a table of about four
-    # times the cells moves N by at most 1e-13 relative.
+    # inverse Jacobian at the root gives that derivative.  That band is
+    # 5.4e-11 relative at (3, 0.3) and at least 1.4e-12 elsewhere.  The
+    # goldens were also built on an RK4 core, whose error N inherits:
+    # against this core (which matches scipy's quadrature to 3e-13) they sit
+    # up to 3.2e-11 relative off, at (6, 0.3).  The band adds 1e-10 relative
+    # for that.  The root itself is converged in the core: a table of about
+    # four times the cells moves N by at most 1e-13 relative.
     for key, (capped, target, golden_n, _) in golden_caps.items():
-        cap = capped.cap
-        _, ((j11, j12), (j21, j22)) = wm._cap_equations(
-            capped.core, cap.big_n, target, _cap_sweep(capped)
-        )
-        band = 1e-12 * abs(j11 / (j11 * j22 - j12 * j21)) + 1e-10 * golden_n
-        assert abs(cap.big_n - golden_n) <= band, (key, cap.big_n - golden_n, band)
+        _, jac, _ = _cap_system(capped, target)
+        dn_dslope = np.linalg.inv(jac)[-1, -1]
+        band = 1e-12 * abs(dn_dslope) + 1e-10 * golden_n
+        assert abs(capped.cap.big_n - golden_n) <= band, (key, capped.cap.big_n - golden_n, band)
     monkeypatch.setattr(wm, "_CORE_START", 4 * wm._CORE_START)
     for (n, s0), (capped, *_) in golden_caps.items():
         p = wm.WarpParams(n=n, lam=math.cos(s0)).resolve()
@@ -317,65 +302,73 @@ def test_cap_big_n_matches_goldens(golden_caps, monkeypatch):
 
 def test_cap_amplitude_gap_closed(golden_caps):
     for key, (capped, *_) in golden_caps.items():
-        cap = capped.cap
-        sweep = _cap_sweep(capped)
-        gap = math.hypot(sweep.fs[-1], cap.big_n * sweep.fps[-1]) - cap.big_n
-        assert abs(gap) <= 1e-12 * cap.big_n, (key, gap)
+        fb, pb = _cap_end(capped)
+        gap = math.hypot(fb, capped.cap.big_n * pb) - capped.cap.big_n
+        assert abs(gap) <= 1e-12 * capped.cap.big_n, (key, gap)
 
 
 def test_cap_equations_at_rounding_level(golden_caps):
-    # Newton converges quadratically, so the kept sweep closes both cap
-    # equations to rounding; a solver that stops at a slope residual of
-    # 1e-12 leaves 5.7e-13 at (3, 0.3).
+    # Newton converges quadratically, so the kept blend closes both cap
+    # equations and its collocation residual to rounding; a solver that
+    # stops at a slope residual of 1e-12 leaves 5.7e-13 at (3, 0.3).
     for key, (capped, target, *_) in golden_caps.items():
-        cap = capped.cap
-        sweep = _cap_sweep(capped)
-        gap = math.hypot(sweep.fs[-1], cap.big_n * sweep.fps[-1]) - cap.big_n
-        assert abs(gap) <= 1e-14 * cap.big_n, (key, gap)
-        assert abs(sweep.fps[-1] - target) <= 1e-14, (key, sweep.fps[-1] - target)
+        big_n = capped.cap.big_n
+        fb, pb = _cap_end(capped)
+        gap = math.hypot(fb, big_n * pb) - big_n
+        assert abs(gap) <= 1e-14 * big_n, (key, gap)
+        assert abs(pb - target) <= 1e-14, (key, pb - target)
+        res, _, (f, fp, _) = _cap_system(capped, target)
+        g = _blend(capped)[0].rows[2][::-1]
+        assert np.max(np.abs(res[:-2])) <= 1e-14 * np.max(np.abs(g)), key
+        assert (f[-1], fp[-1]) == (fb, pb), key
 
 
 def test_cap_blend_integration_budget(golden_caps):
-    # Newton on (a, N) takes 3 sweeps on this grid, plus the sweep the
-    # cap keeps and its half-count comparison; the fixed point on a with
-    # a secant solve for N ran 29-44.
-    # Each Jacobian comes from the stages of a counted sweep.
+    # Newton on (f'' at the nodes, a, N) takes 3 steps on this grid, and the
+    # half-degree check one more linear solve.
     for key, (*_, calls) in golden_caps.items():
-        sweeps = calls["_integrate_blend"]
-        assert sweeps <= 8, (key, calls)
-        assert calls["_blend_jacobian"] < sweeps, (key, calls)
+        assert calls <= 5, (key, calls)
 
 
 @pytest.mark.parametrize("key", [(3, 0.3), (6, 1.0)])
 def test_blend_jacobian_matches_finite_differences(golden_caps, key):
-    # A sign slip in the N forcing only slows Newton down, so no other
-    # test would see it.  The sweep is affine in q = 1/N^2 up to the
-    # feedback through f, so a wide centred step in q is accurate, where
-    # a step in N small enough for its curvature would drown df(b)/dN
-    # (1.2e-8 at (3, 0.3)) in rounding; dN/dq = -N^3/2.
-    capped, *_ = golden_caps[key]
-    core, cap = capped.core, capped.cap
-    a, big_n, width = cap.blend_start, cap.big_n, cap.blend_end - cap.blend_start
+    # A sign slip in the Jacobian only slows Newton down, so no other test
+    # would see it.  Each column against a centred difference of the
+    # residual, at the root.  The residual is affine in g but for f^(-alpha-1)
+    # and the hypot, which move little over the window, so the g steps are
+    # wide; the identity part of the g block is exact in both and is taken
+    # out, so its small spectral part is what is compared.  Measured: at
+    # most 1.1e-7 of a column's largest entry (a g column at (6, 1.0)).
+    capped, target, *_ = golden_caps[key]
+    cap = capped.cap
+    g0 = _blend(capped)[0].rows[2][::-1].copy()
+    m = len(g0)
+    _, jac, _ = _cap_system(capped, target)
 
-    def sweep(a, big_n):
-        return wm._integrate_blend(core, a, a + width, big_n, cap.blend_steps, core.at(a))
+    def residual(dg, da, dn):
+        return _cap_system(capped, target, g0 + dg, cap.blend_start + da, cap.big_n + dn)[0]
 
-    def end(a, big_n):
-        swept = sweep(a, big_n)
-        return np.array([swept.fs[-1], swept.fps[-1]])
-
-    jac = wm._blend_jacobian(core, big_n, sweep(a, big_n))
-    da, q = 1e-4, big_n**-2
-    d_a = (end(a + da, big_n) - end(a - da, big_n)) / (2.0 * da)
-    d_q = (end(a, (1.3 * q) ** -0.5) - end(a, (0.7 * q) ** -0.5)) / (0.6 * q)
-    for got, centred in ((jac[:, 0], d_a), (jac[:, 1], d_q * -2.0 / big_n**3)):
-        assert np.all(np.abs(got - centred) <= 1e-6 * np.abs(centred)), (got, centred)
+    zero = np.zeros(m)
+    columns = []
+    for k in range(m):
+        e = np.zeros(m)
+        e[k] = 10.0 * np.max(np.abs(g0))
+        d = (residual(e, 0.0, 0.0) - residual(-e, 0.0, 0.0)) / (2.0 * e[k])
+        d[k] -= 1.0
+        got = jac[:, k].copy()
+        got[k] -= 1.0
+        columns.append((k, got, d))
+    da, dn = 1e-4, 1e-5 * cap.big_n
+    columns.append(("a", jac[:, m], (residual(zero, da, 0.0) - residual(zero, -da, 0.0)) / (2.0 * da)))
+    columns.append(("N", jac[:, m + 1], (residual(zero, 0.0, dn) - residual(zero, 0.0, -dn)) / (2.0 * dn)))
+    for k, got, centred in columns:
+        assert np.max(np.abs(got - centred)) <= 1e-6 * np.max(np.abs(centred)), (key, k)
 
 
 def _huge_step(real):
     def equations(*args):
-        (g1, g2), jac = real(*args)
-        return (1e6 * g1, 1e6 * g2), jac
+        res, jac, rows = real(*args)
+        return 1e6 * res, jac, rows
 
     return equations
 
@@ -383,8 +376,8 @@ def _huge_step(real):
 @pytest.mark.parametrize(
     "name, patch, message",
     [
-        ("_CAP_NEWTON_SWEEPS", lambda real: 1, "did not converge"),
-        ("_cap_equations", lambda real: lambda *a: ((1.0, 1.0), ((0.0, 0.0), (0.0, 0.0))),
+        ("_CAP_NEWTON_STEPS", lambda real: 1, "did not converge"),
+        ("_cap_equations", lambda real: lambda *a: (lambda res, jac, rows: (res, 0.0 * jac, rows))(*real(*a)),
          "singular"),
         ("_cap_equations", _huge_step, "left the slope window"),
     ],
@@ -401,63 +394,111 @@ def test_cap_newton_fails_closed(monkeypatch, name, patch, message):
 @pytest.mark.parametrize("n", [40, 45, 50])
 def test_cap_newton_step_damped_inside_the_core(monkeypatch, n):
     # At s0 = 1.56 the full Newton step takes a below 0 (to -2.1e-5,
-    # -1.6e-4 and -2.8e-4).  The damped step keeps every iterate in
-    # (0, s_budget); there is no root there (f'(b) stays above the slope
-    # target as a falls), so Newton runs out of sweeps.
-    starts = []
-    real = wm._integrate_blend
+    # -1.6e-4 and -2.8e-4).  The
+    # damped step keeps every iterate in (0, s_budget); there is no root
+    # there (f'(b) stays above the slope target as a falls), so Newton runs
+    # out of steps.  cap_sine reads the core at s_stop once, then at each
+    # iterate's a.
+    at = []
+    real = wm._CoreSolution.at
 
-    def recording(core, a, b, big_n, steps, start):
-        starts.append(a)
-        return real(core, a, b, big_n, steps, start)
+    def recording(core, s):
+        at.append(s)
+        return real(core, s)
 
-    monkeypatch.setattr(wm, "_integrate_blend", recording)
+    monkeypatch.setattr(wm._CoreSolution, "at", recording)
     p = wm.WarpParams(n=n, lam=math.cos(1.56))
     with pytest.raises(StageError) as info:
         wm.build_neck(p)
     assert info.value.stage == "cap_sine"
     assert "did not converge" in str(info.value.cause)
-    assert len(starts) == wm._CAP_NEWTON_SWEEPS
+    starts = at[1:]
+    assert len(starts) == wm._CAP_NEWTON_STEPS
     assert all(0.0 < a < p.resolve().s_budget for a in starts), starts
 
 
-def test_cap_sweep_sized_by_its_error(golden_caps):
-    # The first count meets the tolerance on the golden grid, and the kept
-    # estimate is the Richardson one from the half-count sweep.  At half
-    # the kept count, where the RK4 error is above rounding, the estimate
-    # is within a factor 2 of the end data's distance from a 512-step
-    # sweep (0.76-1.37 measured).
-    for key, (capped, *_) in golden_caps.items():
+def _blend_at_degree(capped, target, degree):
+    # The blend at the root's (a, N) solved at another degree: Newton in g
+    # alone, from 0, to rounding.  Returns (f, f') at the nodes from a.
+    g = np.zeros(degree + 1)
+    for _ in range(10):
+        res, jac, (f, fp, _) = _cap_system(capped, target, g)
+        step = np.linalg.solve(jac[:-2, :-2], -res[:-2])
+        g += step
+        if np.max(np.abs(step)) <= 1e-15 * np.max(np.abs(g)):
+            break
+    _, _, (f, fp, _) = _cap_system(capped, target, g)
+    return f, fp
+
+
+def test_cap_blend_sized_by_its_error(golden_caps):
+    # The first degree meets the tolerance on the golden grid, and the kept
+    # estimate, a Python float, is the relative change at the shared nodes
+    # from the half-degree solve at the root's (a, N).  The estimate bounds
+    # the error: at degrees 4 and 8, where the error is above rounding, the
+    # change from half the degree is at least the distance from a
+    # degree-128 solve at the same nodes.
+    for key, (capped, target, *_) in golden_caps.items():
         cap = capped.cap
-        assert cap.blend_steps == wm._BLEND_START == 64, key
-        assert 0.0 <= cap.blend_error <= wm._SWEEP_TOL, key
-
-        def sweep(steps):
-            return wm._integrate_blend(
-                capped.core, cap.blend_start, cap.blend_end, cap.big_n, steps,
-                capped.core.at(cap.blend_start),
-            )
-
-        kept, half, quarter, fine = sweep(64), sweep(32), sweep(16), sweep(512)
-        assert cap.blend_error == wm._richardson(
-            kept.fs[-1], kept.fps[-1], half.fs[-1], half.fps[-1]), key
-        estimate = wm._richardson(half.fs[-1], half.fps[-1], quarter.fs[-1], quarter.fps[-1])
-        error = max(abs(half.fs[-1] - fine.fs[-1]) / abs(fine.fs[-1]),
-                    abs(half.fps[-1] - fine.fps[-1]) / abs(fine.fps[-1]))
-        assert 0.5 <= estimate / error <= 2.0, key
+        assert cap.blend_degree == wm._BLEND_DEGREE == 32, key
+        assert type(cap.blend_error) is float and 0.0 <= cap.blend_error <= wm._SWEEP_TOL, key
+        kept = [row[::-1] for row in _blend(capped)[0].rows[:2]]
+        half = _blend_at_degree(capped, target, 16)
+        assert cap.blend_error == pytest.approx(wm._relative_change(kept, half), abs=1e-15), key
+        fine = _blend_at_degree(capped, target, 128)
+        for degree in (4, 8):
+            rows, coarse = _blend_at_degree(capped, target, degree), _blend_at_degree(capped, target, degree // 2)
+            estimate = wm._relative_change(rows, coarse)
+            error = max(float(np.max(np.abs(y - y_fine[:: 128 // degree]) / np.abs(y_fine[:: 128 // degree])))
+                        for y, y_fine in zip(rows, fine))
+            assert error <= estimate, (key, degree, error, estimate)
 
 
-def test_cap_sweep_fails_closed_at_step_cap(monkeypatch):
-    # No estimate meets a zero tolerance, so the blend gives up at the cap.
-    # The core, which reads the same tolerance, is built before it drops.
+def test_cap_blend_fails_closed_at_degree_cap(monkeypatch):
+    # No estimate meets a negative tolerance (a spectral estimate can read
+    # exactly 0), so the blend gives up at the cap.  The core, which reads
+    # the same tolerance, is built before it drops.
     base = wm.integrate_core(build())
-    monkeypatch.setattr(wm, "_SWEEP_TOL", 0.0)
+    monkeypatch.setattr(wm, "_SWEEP_TOL", -1.0)
     with pytest.raises(StageError) as info:
         wm._stage("cap_sine", wm.cap_sine, base, 0.5, base.params.cap_width)
     assert info.value.stage == "cap_sine"
     assert isinstance(info.value.cause, MarginLost)
-    assert "cap blend: RK4 error estimate" in str(info.value.cause)
-    assert f"at {wm._BLEND_MAX} steps" in str(info.value.cause)
+    assert "cap blend: error estimate" in str(info.value.cause)
+    assert str(info.value.cause).endswith(f"at degree {wm._DEGREE_MAX}")
+
+
+def _blend_oracle(capped, tau):
+    # The blend equation in the window parameter tau = (s - a)/(b - a),
+    # integrated by DOP853 from the core's (f, f') at a, at the root's (a,
+    # N); returns f and f'.
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    core, cap = capped.core, capped.cap
+    width = cap.blend_end - cap.blend_start
+
+    def rhs(tau, y):
+        sig = float(wm.smoothstep(tau))
+        fpp = (1.0 - sig) * core.c2 * y[0] ** (-core.alpha - 1.0) - sig * y[0] / cap.big_n**2
+        return [y[1], width * width * fpp]
+
+    f_a, fp_a, _ = core.at(cap.blend_start)
+    sol = solve_ivp(rhs, (0.0, 1.0), [f_a, width * fp_a], method="DOP853", rtol=1e-13,
+                    atol=0.0, t_eval=tau)
+    return sol.y[0], sol.y[1] / width
+
+
+@pytest.mark.parametrize("n, s0", GOLDEN_GRID + [(12, 1.0), (40, 1.3)])
+def test_cap_blend_matches_dop853_oracle(n, s0):
+    # f and f' at the blend's block samples, b among them, against scipy's
+    # DOP853 on the blend equation from the root's (a, N).  Measured: at
+    # most 1.0e-15 relative.
+    p = wm.WarpParams(n=n, lam=math.cos(s0)).resolve()
+    capped = wm.cap_sine(wm.integrate_core(p), p.lam, p.cap_width)
+    cap, b = capped.cap, capped.block(1)
+    assert (b.s[0], b.s[-1]) == (cap.blend_start, cap.blend_end)
+    tau = (b.s - cap.blend_start) / (cap.blend_end - cap.blend_start)
+    for got, want in zip((b.f, b.fp), _blend_oracle(capped, tau)):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11, (n, s0)
 
 
 def test_find_slope_hits_target():
@@ -481,8 +522,73 @@ def test_find_slope_hits_target():
 def test_tail_boundary_conditions(tailed):
     *_, h, hp, hpp = tailed.evaluate(tailed.s_lambda)
     assert hp == 0.0
-    assert abs(hpp) < 1e-6
+    assert hpp == 0.0
     assert h > 0
+
+
+@pytest.mark.parametrize("n, s0", GOLDEN_GRID)
+def test_window_end_data_exact(n, s0):
+    # The windows start from their left end's data bit for bit: the blend
+    # from the core's (f, f') at a, the tail from h at its start; and the
+    # tail's h' and h'' vanish at s_lambda exactly.
+    tailed, _ = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+    cap, tail, core = tailed.cap, tailed.tail, tailed.core
+    f, fp, _ = tailed.segments[1].fmod.eval(np.array([cap.blend_start]))
+    assert (float(f[0]), float(fp[0])) == core.at(cap.blend_start)[:2]
+    seg = next(seg for seg in tailed.segments if seg.label == "tail")
+    assert seg.s0 == tail.start
+    h, hp, hpp = seg.hmod.eval(np.array([tail.start, tailed.s_lambda]))
+    assert h[0] == wm._CoreH(core).eval(np.array([tail.start]))[0][0]
+    assert hp[1] == 0.0 and hpp[1] == 0.0
+
+
+@pytest.mark.parametrize("n, s0", GOLDEN_GRID)
+def test_cap_and_tail_seams_closed(n, s0):
+    # f, f', h and h' agree across the blend start, the blend end and the
+    # tail start to 1e-13 relative.
+    tailed, _ = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+    seams = {s: d for s, *d in tailed.seam_residuals()}
+    junctions = (tailed.cap.blend_start, tailed.cap.blend_end, tailed.tail.start)
+    assert sorted(seams) == sorted(junctions)
+    for s in junctions:
+        f, fp, _, h, hp, _ = tailed.evaluate(s)
+        for d, value in zip(seams[s], (f, fp, h, hp)):
+            assert d <= 1e-13 * abs(value), (n, s0, s, seams[s])
+
+
+@pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (12, 0.3), (40, 1.3), (45, 1.5)])
+def test_tail_matches_quadrature_oracle(n, s0):
+    # The tail's h at its block samples against h(t0) + int_t0^s psi h',
+    # with scipy's quad; h' and h'' at the samples against psi h' and psi
+    # h'' + psi' h'.  Measured: h at most 6.4e-16 relative, h' 9.2e-14 of
+    # the core's h' (the degree-16 interpolant, at n = 40 and 45).
+    quad = pytest.importorskip("scipy.integrate").quad
+    tailed, _ = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+    t0, s_lam = tailed.tail.start, tailed.s_lambda
+    core_h = wm._CoreH(tailed.core)
+    k = next(k for k, seg in enumerate(tailed.segments) if seg.label == "tail")
+    b = tailed.block(k)
+
+    def psi(x):
+        return 1.0 - float(wm.smoothstep((x - t0) / (s_lam - t0)))
+
+    def hp(x):
+        return float(core_h.eval(np.array([x]))[1][0])
+
+    h0 = float(core_h.eval(np.array([t0]))[0][0])
+    for i, x in enumerate(b.s.tolist()):
+        want = h0 + quad(lambda y: psi(y) * hp(y), t0, x, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert abs(b.h[i] - want) <= 1e-12 * want, (n, s0, x)
+        assert abs(b.hp[i] - psi(x) * hp(x)) <= 1e-12 * hp(x), (n, s0, x)
+
+
+def test_tail_fails_closed_at_degree_cap(monkeypatch):
+    # As the blend: the capped profile is built before the tolerance drops.
+    w = wm.integrate_core(build())
+    capped = wm.cap_sine(w, 0.5, w.params.cap_width)
+    monkeypatch.setattr(wm, "_SWEEP_TOL", -1.0)
+    with pytest.raises(MarginLost, match=f"h tail: error estimate .* at degree {wm._DEGREE_MAX}$"):
+        wm.flatten_h_tail(capped)
 
 
 def test_tail_slope_ratio_inequality(tailed):
@@ -699,7 +805,7 @@ def test_kink_bridge_fails_closed_at_degree_cap(monkeypatch):
     monkeypatch.setattr(wm, "_SWEEP_TOL", -1.0)
     monkeypatch.setattr(wm, "build_neck", lambda params: neck)
     tailed, eps = neck
-    with pytest.raises(MarginLost, match=f"origin bridge.* at degree {wm._BRIDGE_DEGREE_MAX}$"):
+    with pytest.raises(MarginLost, match=f"origin bridge.* at degree {wm._DEGREE_MAX}$"):
         wm.smooth_origin(tailed, 0.5, eps)
     with pytest.raises(StageError) as info:
         rc.certify(4, 1.0, ric_min_base=2.0)
@@ -754,47 +860,6 @@ def test_core_at_matches_eval(neck_41):
     s = np.concatenate((rng.uniform(0.0, core.s_end, 200), core._s[:5], [-1.0, core.s_end + 1.0]))
     for x in s:
         assert core.at(float(x)) == tuple(float(c[0]) for c in core.eval(np.array([x])))
-
-
-def _hermite_one_row(curve, s):
-    # A one-row curve's evaluation as one formula: clamp, floor, snap to
-    # nodes, then the Hermite sum in its fixed order.
-    values, slopes = curve.values[0], curve.slopes[0]
-    last = len(values) - 1
-    x = np.minimum(np.maximum((s - curve.s0) / curve.step, 0.0), float(last))
-    k = np.minimum(x.astype(int), last - 1)
-    t = x - k
-    t[np.abs(t) < 1e-9] = 0.0
-    t[np.abs(t - 1.0) < 1e-9] = 1.0
-    t2, t3 = t * t, t * t * t
-    return (
-        (1 - 3 * t2 + 2 * t3) * values[k]
-        + (t - 2 * t2 + t3) * (slopes[k] * curve.step)
-        + (3 * t2 - 2 * t3) * values[k + 1]
-        + (t3 - t2) * (slopes[k + 1] * curve.step)
-    )
-
-
-def test_dense_curve_rows_match_one_row_curves():
-    # A k-row curve forms the Hermite weights once for all its rows; each
-    # row keeps the bits of a one-row curve of that row (zero signs
-    # included).
-    rng = np.random.default_rng(12)
-    values, slopes = rng.normal(size=(3, 65)), rng.normal(size=(3, 65))
-    values[1, 7:9] = slopes[2, 20:22] = 0.0
-    multi = wm._DenseCurve(0.25, 0.125, values, slopes)
-    singles = [wm._DenseCurve(0.25, 0.125, [v], [d]) for v, d in zip(values, slopes)]
-    nodes = 0.25 + 0.125 * np.arange(65)
-    near = nodes + 0.125 * rng.uniform(-9e-10, 9e-10, len(nodes))
-    outside = [0.25 - 1.0, 0.25 - 1e-12, -0.0, nodes[-1] + 1e-12, nodes[-1] + 3.0]
-    s = np.concatenate((rng.uniform(0.25, nodes[-1], 2000), nodes, near, outside))
-    got = multi(s)
-    assert len(got) == 3
-    for row, single in zip(got, singles):
-        (want,) = single(s)
-        assert _same_bits(row, want)
-        assert _same_bits(want, _hermite_one_row(single, s))
-    assert [row.shape for row in multi(s.reshape(5, -1))] == [(5, len(s) // 5)] * 3
 
 
 @pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (12, 0.3)])
@@ -867,12 +932,13 @@ def test_flatten_f_matches_closed_forms(n, s0):
 
 
 def test_dense_models_self_consistent():
-    # On every _Dense model the stored slopes of its rows y and y' are the
-    # derivatives of the rows' node values: the fourth-order centred
-    # difference of the values, against the slopes, as a share of the
-    # largest slope.  Measured shares: tail 4.9e-8, the trapezoid rule
-    # that integrates its h'; cap blend f' against f'' 0.8-1.2e-6, the
-    # difference's own error at 64 steps.
+    # On the cap blend's and the tail's windows, the model's y' and y'' are
+    # the derivatives of its y and y': the fourth-order centred difference
+    # of the model on 129 samples over the window, against the model's
+    # slope, as a share of the largest slope.  A sign slip in an integration
+    # matrix, or rows stored in the wrong order, shows here.  Measured
+    # shares: cap blend 4.3-8.8e-11 (f') and 5.4-6.8e-8 (f''), tail 4.3-4.9e-8,
+    # the difference's own error.
     #
     # The f-flattening is exact on its plateau and integrated per sample
     # on its ramps.  Sampled at ramp/256 over each ramp and as far into
@@ -881,26 +947,20 @@ def test_dense_models_self_consistent():
     # and 1.0e-10 to 9.8e-8 (f''; the difference's own error where omega
     # is only C^2, at the ramps' ends).  Its f' is 0 at flat_end, and its
     # (f, f') at eps are the core's.
-    gates = {  # one per row
-        "tail": (1e-7,) * 2, "cap": (2e-6,) * 2,
-    }
-
     def share(v, slope, step, scale):
         centred = (8.0 * (v[3:-1] - v[1:-3]) - (v[4:] - v[:-4])) / (12.0 * step)
         return np.max(np.abs(centred - slope[2:-2])) / scale
 
     for n, s0 in ((3, 0.3), (4, 1.0), (12, 0.3)):
         neck, eps = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
-        models = [("cap", seg.fmod) for seg in neck.segments if seg.label == "cap"]
-        models += [("tail", seg.hmod) for seg in neck.segments if seg.label == "tail"]
-        dense = [(name, m) for name, m in models if isinstance(m, wm._Dense)]
-        assert sorted({name for name, _ in dense}) == sorted(gates)
-        for name, model in dense:
-            c = model.curve
-            assert len(c.values) == len(gates[name])
-            for row, gate in enumerate(gates[name]):
-                v, slope = c.values[row], c.slopes[row]
-                assert share(v, slope, c.step, np.max(np.abs(slope))) <= gate, (n, s0, name, row)
+        windows = {seg.label: getattr(seg, model) for seg in neck.segments
+                   for model in ("fmod", "hmod") if isinstance(getattr(seg, model), wm._Window)}
+        assert sorted(windows) == ["cap", "tail"]
+        for name, model in windows.items():
+            step = model.width / 128
+            y, yp, ypp = model.eval(model.x0 + step * np.arange(129))
+            for v, slope in ((y, yp), (yp, ypp)):
+                assert share(v, slope, step, np.max(np.abs(slope))) <= 5e-7, (n, s0, name)
 
         flat = wm.smooth_origin(neck, 0.5, eps).segments[3]  # the first outer segment
         assert flat.label == "flat" and isinstance(flat.fmod, wm._FlattenedF)
@@ -1103,8 +1163,8 @@ def test_fibre_scale_applied_alike_on_shared_and_own_blocks(neck_41):
 def test_non_finite_margin_fails_closed():
     # h = 0 at a sample makes h''/h infinite; min() would skip a NaN and
     # an inf margin certifies nothing, so the block must refuse it.
-    curve = wm._DenseCurve(0.0, 0.5, [[1.0, 0.0, 1.0]] * 2, [[0.0, 0.0, 0.0]] * 2)
-    h = wm._Dense(curve, lambda s, _h: np.ones_like(s))
+    # A degree-2 window has its middle node at s = 0.5, a sample.
+    h = wm._Window(0.0, 1.0, 2, tuple(np.array(row) for row in ([1.0, 0.0, 1.0], [0.0] * 3, [1.0] * 3)))
     seg = wm.Segment("flat", 0.0, 1.0, wm._FlatF(1.0), h)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(MarginLost, match=r"segment flat \[0, 1\]"):

@@ -12,6 +12,9 @@ The digest holds, for the sources of the checkout the script sits in:
   necks, for two seeded blocks of that workload's searches, with the
   SHA-256 of the CSV each successful search exports;
 * the SHA-256 of the ``profile-export`` CSV of each of those necks;
+* the cap blend and the h tail of each of those necks: N, the blend's
+  ends, degree and error estimate from ``CapInfo``, and the tail's start,
+  width, degree and error estimate from ``TailInfo``;
 * the origin bridge of each of those necks at r in ``ORIGIN_SCALES``:
   the splice radius, eps', and the bridge's degree and error estimate
   from ``smooth_origin``'s ``OriginInfo``.
@@ -118,10 +121,25 @@ def export_lines(tb, workdir):
             yield f"## profile-export ({n}, {s0}): exit {code} {err!r} csv {_sha(fh.read())}"
 
 
-def origin_lines(tb):
+def _fields(info, names):
+    """``name value`` for each field in ``names`` that ``info`` has, a
+    float as ``repr(float(x))``.  Revisions before the spectral windows
+    have a blend step count instead of a degree, and no tail degree or
+    estimate; they print the fields they have."""
+    values = ((k, getattr(info, k)) for k in names if hasattr(info, k))
+    return " ".join(f"{k} {v!r}" if isinstance(v, int) else f"{k} {float(v)!r}" for k, v in values)
+
+
+def neck_lines(tb):
     wl = ScaleSearch(SEARCH_SEED, ROOT, None)
     wl.setup(tb)
     for (n, s0), neck in zip(BASE_NECKS, wl.necks):
+        cap, tail = neck.profile.cap, neck.profile.tail
+        yield (
+            f"## neck ({n}, {s0}): "
+            + _fields(cap, ("big_n", "blend_start", "blend_end", "blend_degree", "blend_steps", "blend_error"))
+            + " tail " + _fields(tail, ("start", "width", "degree", "error"))
+        )
         for r in ORIGIN_SCALES:
             o = tb.warpmetric.smooth_origin(neck.profile, r, neck.eps).origin
             # Revisions before the spectral bridge kept an RK4 step count.
@@ -139,7 +157,7 @@ def digest_lines():
             *certify_lines(twistbench, workdir),
             *search_lines(twistbench),
             *export_lines(twistbench, workdir),
-            *origin_lines(twistbench),
+            *neck_lines(twistbench),
         ]
 
 
