@@ -55,7 +55,7 @@ class ComputedFailure(TwistbenchError):
 
 
 class NoStop(ComputedFailure):
-    """The core ODE never reached the target slope within the budget."""
+    """The core table misses its accuracy or does not reach a slope target."""
 
 
 class MarginLost(ComputedFailure):

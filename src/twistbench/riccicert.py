@@ -463,15 +463,25 @@ def certify(
     Builds the profile for lam = cos(s0), searches the fibre scale,
     caps it by the bundle-side constraint on the fibre length, and
     bundles every report with a verdict.  Stage failures are wrapped in
-    StageError with the stage name.
+    StageError with the stage name.  A non-finite or out-of-range number,
+    or ``params`` for another n or s0, raises InputError before any
+    stage runs.
     """
     if n < 3:
         raise InputError("need dimension n >= 3")
     if not 0.0 < s0 < 0.5 * math.pi:
         raise InputError("gluing radius s0 must lie in (0, pi/2)")
+    if not 0.0 < ric_min_base < math.inf:
+        raise InputError("ric_min_base must be positive and finite")
+    if not math.isfinite(target_margin):
+        raise InputError("target_margin must be finite")
+    if not 0.0 <= tol_glue < math.inf:
+        raise InputError("tol_glue must be nonnegative and finite")
     lam = math.cos(s0)
     if params is None:
         params = WarpParams(n=n, lam=lam)
+    elif params.n != n:
+        raise InputError("params.n must equal n")
     elif abs(params.lam - lam) > 1e-12:
         raise InputError("params.lam must equal cos(s0)")
     p = params.resolve()

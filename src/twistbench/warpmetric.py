@@ -7,11 +7,11 @@ stages:
 * ``integrate_core`` solves f'' = (alpha lam0^2 / 2) f^(-alpha-1) with
   f(0) = 1, f'(0) = 0 through its first integral
   f'^2 = lam0^2 (1 - f^(-alpha)): a table of s at uniform nodes in
-  u = sqrt(f - 1), interpolated, gives f, and f' and f'' follow from f
-  in closed form.  It stops where f' reaches the target slope, also in
-  closed form; h is a fixed multiple of f'.  The first integral, read
-  with f' the derivative of the interpolated f at the table's cell
-  midpoints, gates the verdict.
+  u = sqrt(f - 1), ending where the neck stops reading it, interpolated,
+  gives f; f' and f'' follow from f in closed form.  It stops where f'
+  reaches the target slope, also in closed form; h is a fixed multiple
+  of f'.  The first integral, read with f' the derivative of the
+  interpolated f at the table's cell midpoints, gates the verdict.
 * ``cap_sine`` replaces the outer end of f by an exact sine arc
   N sin((s - s')/N), blending second derivatives so the three curvature
   inequalities keep their margins.  The blend's f'' at the nodes of its
@@ -119,7 +119,9 @@ class WarpParams:
     radius), lam0 the asymptotic slope of the core solution, alpha the
     core exponent.  The open-interval conditions lam in (0,1),
     lam0 in (lam, 1) and alpha in (n-2, (n-2)/lam0^2) are enforced
-    strictly.
+    strictly.  The widths, the step and ``tol_ode`` must be positive and
+    finite, and the step at least s_est 2^-20 (``segment_grid`` samples a
+    segment at about one point per step).
     """
 
     n: int
@@ -130,12 +132,15 @@ class WarpParams:
     tail_width: float | None = None
     origin_eps: float | None = None
     step: float | None = None
-    s_budget: float | None = None
     tol_ode: float = 1e-9
 
     def resolve(self) -> "WarpParams":
         if self.n < 3:
             raise InputError("need dimension n >= 3")
+        for name in ("cap_width", "tail_width", "origin_eps", "step", "tol_ode"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise InputError(f"{name} must be positive and finite, not {value}")
         if not 0.0 < self.lam < 1.0:
             raise InputError("lam must lie strictly in (0, 1)")
         lam0 = self.lam0 if self.lam0 is not None else 0.5 * (self.lam + 1.0)
@@ -149,7 +154,8 @@ class WarpParams:
         f_stop = (1.0 - self.lam**2 / lam0**2) ** (-1.0 / alpha)
         s_est = (f_stop - 1.0) / lam0 + 2.0 / (lam0 * math.sqrt(alpha)) + 0.5
         step = self.step if self.step is not None else min(0.01, s_est / 800.0)
-        budget = self.s_budget if self.s_budget is not None else 4.0 * s_est + 10.0
+        if step < s_est * 2.0**-20:
+            raise InputError(f"step {step} is below s_est 2^-20 = {s_est * 2.0**-20:.3g}")
         cap = self.cap_width if self.cap_width is not None else _default_cap_width(
             self.n, self.lam, lam0, alpha, f_stop, s_est
         )
@@ -161,7 +167,6 @@ class WarpParams:
             cap_width=cap,
             origin_eps=eps,
             step=step,
-            s_budget=budget,
         )
 
 
@@ -228,16 +233,20 @@ _CORE_START = 256
 _CORE_DOUBLINGS = 6
 
 
+def _u2_at_slope(core, target: float) -> float:
+    """u^2 = f - 1 where f' = target, for the lam0 and alpha of a core or its params."""
+    return math.expm1(-math.log1p(-((target / core.lam0) ** 2)) / core.alpha)
+
+
 class _CoreSolution:
     """The core solution f'' = c2 f^(-alpha-1), f(0) = 1, f'(0) = 0, from
     its first integral f'^2 = lam0^2 (1 - f^(-alpha)).
 
     With f = 1 + u^2 the inverse is s(u) = int_0^u ds/du, where ds/du =
     2u / (lam0 sqrt(1 - (1 + u^2)^(-alpha))) is smooth down to u = 0.  A
-    table holds s at uniform nodes in u up to sqrt(lam0 budget), where s
-    has passed the budget (ds/du > 2u/lam0); each cell's integral is a
-    four-point Gauss-Legendre rule, and s is their cumulative sum.  u(s)
-    is the table's cubic Hermite interpolant, with slopes du/ds =
+    table holds s at uniform nodes in u on [0, u_max]; each cell's integral
+    is a four-point Gauss-Legendre rule, and s is their cumulative sum.
+    u(s) is the table's cubic Hermite interpolant, with slopes du/ds =
     1/(ds/du); f = 1 + u^2, and f' and f'' follow from f in closed form.
 
     The cell count is sized by step doubling: the half-count table is
@@ -247,12 +256,10 @@ class _CoreSolution:
     ``error`` keeps it.
     """
 
-    def __init__(self, lam0: float, alpha: float, budget: float):
+    def __init__(self, lam0: float, alpha: float, u_max: float):
         self.lam0 = lam0
         self.alpha = alpha
-        self.budget = budget
         self.c2 = 0.5 * alpha * lam0 * lam0
-        u_max = math.sqrt(lam0 * budget)
         cells = 2 * math.ceil(0.5 * _CORE_START * math.sqrt(alpha) * u_max)
         for _ in range(_CORE_DOUBLINGS + 1):
             self._build(u_max, cells)
@@ -349,31 +356,25 @@ class _CoreSolution:
         closed form, hence u; the location is where the table's Hermite
         piece through u's cell takes that u, a monotone cubic solved by
         Newton from the linear guess, so that f' of the interpolant is
-        ``target`` to rounding.  NoStop unless target < lam0 and the
-        location lies within the budget.
+        ``target`` to rounding.  NoStop unless target < lam0 and u lies
+        on the table.
         """
         if target <= 0.0:
             return 0.0
-        if target < self.lam0:
-            u = math.sqrt(math.expm1(-math.log1p(-((target / self.lam0) ** 2)) / self.alpha))
-            k = int(np.searchsorted(self._u, u, side="right")) - 1
-            if k < len(self._h):
-                c0, c1, c2, c3 = (float(c[k]) for c in self._c)
-                t = (u - c0) / (float(self._u[k + 1]) - c0)
-                for _ in range(8):
-                    dt = (c0 - u + t * (c1 + t * (c2 + t * c3))) / (
-                        c1 + t * (2.0 * c2 + 3.0 * t * c3)
-                    )
-                    t -= dt
-                    if abs(dt) <= 1e-16:
-                        break
-                s = float(self._s[k]) + t * float(self._h[k])
-                if s < self.budget:
-                    return s
-        raise NoStop(
-            f"f' stays below {target} up to s = {self.budget} "
-            f"(it tends to lam0 = {self.lam0}); check lam against lam0"
-        )
+        u = math.sqrt(_u2_at_slope(self, target)) if target < self.lam0 else math.inf
+        k = int(np.searchsorted(self._u, u, side="right")) - 1
+        if k < len(self._h):
+            c0, c1, c2, c3 = (float(c[k]) for c in self._c)
+            t = (u - c0) / (float(self._u[k + 1]) - c0)
+            for _ in range(8):
+                dt = (c0 - u + t * (c1 + t * (c2 + t * c3))) / (
+                    c1 + t * (2.0 * c2 + 3.0 * t * c3)
+                )
+                t -= dt
+                if abs(dt) <= 1e-16:
+                    break
+            return float(self._s[k]) + t * float(self._h[k])
+        raise NoStop(f"f' does not reach {target} on the core table (s <= {self.s_end})")
 
 
 # ---------------------------------------------------------------------------
@@ -841,12 +842,16 @@ def integrate_core(params: WarpParams) -> WarpProfile:
     """Build the core solution and stop where f' reaches lam.
 
     The core comes from its first integral (``_CoreSolution``), and the
-    stop from the closed form of ``find_slope``.  Raises NoStop if the
-    slope target is not reached inside the budget, or if the first-
-    integral residual of the interpolated core exceeds ``tol_ode``.
+    stop from the closed form of ``find_slope``.  The table's u^2 ends 2
+    lam0 ``cap_width`` past the cap's slope target, so s ends over 2
+    ``cap_width`` past the cap's Newton start (ds/du > 2u/lam0), or at the
+    cap's guard if the target passes it.  NoStop if the first-integral
+    residual of the interpolated core exceeds ``tol_ode``.
     """
     p = params.resolve()
-    core = _CoreSolution(p.lam0, p.alpha, p.s_budget)
+    _, target, guard = _cap_slope_target(p, 1.0 + _u2_at_slope(p, p.lam))
+    pad = 2.0 * p.lam0 * p.cap_width if target < guard else 0.0
+    core = _CoreSolution(p.lam0, p.alpha, math.sqrt(_u2_at_slope(p, min(target, guard)) + pad))
     s_stop = core.find_slope(p.lam)
     residual = core.first_integral_residual(0.0, core.s_end)
     if residual > p.tol_ode:
@@ -863,6 +868,13 @@ def integrate_core(params: WarpParams) -> WarpProfile:
 # ---------------------------------------------------------------------------
 # Stage 2: sine cap
 # ---------------------------------------------------------------------------
+
+def _cap_slope_target(p, f_stop):
+    """N0 = f(s_stop)/sqrt(1 - lam^2), f'(b) for ``cap_width``, and its guard."""
+    root = math.sqrt(1.0 - p.lam * p.lam)
+    n0 = f_stop / root
+    return n0, p.lam + root * (0.5 * p.cap_width) / n0, p.lam0 - 0.02 * (p.lam0 - p.lam)
+
 
 def _blend_rows(core, start, big_n, g, width):
     """The cap blend on [a, a + width] from g = f'' at the Chebyshev-Lobatto
@@ -950,8 +962,8 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     Newton starts from f'' = 0 at the nodes, a where the core's f' meets
     the target and N0 = f(s_stop)/sqrt(1 - lam^2), and stops once its step
     is within 1e-9 of a and of N, when quadratic convergence puts the next
-    iterate at rounding level.  A step that would take a out of (0,
-    s_budget) is halved until a stays inside.  No convergence within
+    iterate at rounding level.  A step that would take a out of the core
+    table (0, s_end) is halved until a stays inside.  No convergence within
     ``_CAP_NEWTON_STEPS`` steps, a singular Jacobian or a non-finite step,
     or an iterate with N <= 0 or core slope f'(a) outside (0, lam0) raises
     MarginLost, and so does an arc that ends past the core table.
@@ -966,17 +978,12 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     p = w.params
     if w.cap is not None:
         raise InputError("cap already applied")
-    if abs(lam - p.lam) > 1e-12:
-        raise InputError("cap slope must match the profile's lam")
-    if width <= 0:
-        raise InputError("cap width must be positive")
+    if abs(lam - p.lam) > 1e-12 or width != p.cap_width:
+        raise InputError("cap slope and width must be the profile's lam and cap_width")
     blend_w = 0.5 * width  # the sine arc takes the other half
-    s_stop = w.s_lambda
     core = w.core
-    f_at_stop = core.at(s_stop)[0]
-    n0 = f_at_stop / math.sqrt(1.0 - lam * lam)
-    slope_target = lam + math.sqrt(1.0 - lam * lam) * blend_w / n0
-    if slope_target >= p.lam0 - 0.02 * (p.lam0 - p.lam):
+    n0, slope_target, guard = _cap_slope_target(p, core.at(w.s_lambda)[0])
+    if slope_target >= guard:
         raise MarginLost("cap width too large for the gap between lam and lam0")
 
     def start_at(a, big_n):  # the core's (f, f', f'') at a, in the slope window
@@ -994,7 +1001,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
             start = start_at(a, big_n)
             res, jac, _ = _cap_equations(core, start, big_n, g, blend_w, slope_target)
             step = _newton_step(jac, res)
-            while not 0.0 < a + step[-2] < p.s_budget:  # damped: a stays in the core
+            while not 0.0 < a + step[-2] < core.s_end:  # damped: a stays in the core
                 step *= 0.5
             g += step[:-2]
             a, big_n = a + float(step[-2]), big_n + float(step[-1])
@@ -1018,7 +1025,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     if s_lam < b:
         raise MarginLost("sine arc ends before the blend; shrink the width")
     if s_lam > core.s_end:
-        raise MarginLost("sine arc ends past the core table; raise s_budget")
+        raise MarginLost("sine arc ends past the core table")
 
     blend_f = _Window(a, b - a, degree, (fs[::-1], fps[::-1], fpps[::-1]))
     sine_f = _Sine(big_n, s_prime)

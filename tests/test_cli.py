@@ -175,6 +175,25 @@ def test_profile_export_names_failed_stage(tmp_path, capsys):
     assert "stage 'cap_sine'" in err
 
 
+def test_certify_huge_cap_width_fails_in_cap_sine(tmp_path, capsys):
+    # A width past the cap's guard fails in cap_sine, and the core table
+    # is sized to the guard, not to the width.
+    cfg = tmp_path / "certify.ini"
+    cfg.write_text("[certify]\nn = 4\ns0 = 1.0\ncap_width = 1e12\n")
+    code, out, err = run(capsys, "certify", str(cfg))
+    assert code == 1 and not out
+    assert "stage 'cap_sine'" in err and "cap width too large" in err
+
+
+@pytest.mark.parametrize("line", ["cap_width = nan", "tol_ode = -1", "ric_min_base = inf", "step = 0"])
+def test_certify_rejects_nonfinite_and_out_of_range(tmp_path, capsys, line):
+    cfg = tmp_path / "certify.ini"
+    cfg.write_text(f"[certify]\nn = 4\ns0 = 1.0\n{line}\n")
+    code, out, err = run(capsys, "certify", str(cfg))
+    assert code == 2 and not out
+    assert line.split()[0] in err
+
+
 def test_stdin_expression(capsys, monkeypatch):
     import io
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twistbench import riccicert as rc, warpmetric as wm
-from twistbench.errors import Exhausted, InputError, MarginLost, NotPositive, StageError
+from twistbench.errors import Exhausted, InputError, MarginLost, NoStop, NotPositive, StageError
 
 
 @pytest.fixture(scope="module")
@@ -809,10 +809,24 @@ def test_certify_shrinks_r_when_phi_cap_binds(neck):
     assert res.r < r_search
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"ric_min_base": math.nan}, {"ric_min_base": math.inf}, {"ric_min_base": 0.0},
+     {"target_margin": math.nan}, {"target_margin": math.inf},
+     {"tol_glue": math.nan}, {"tol_glue": math.inf}, {"tol_glue": -1e-8},
+     {"params": wm.WarpParams(n=6, lam=math.cos(1.0))}],
+)
+def test_certify_rejects_nonfinite_and_out_of_range(kwargs):
+    # Each is refused before a neck is built.
+    with pytest.raises(InputError):
+        rc.certify(4, 1.0, **kwargs)
+
+
 def test_stage_error_labels():
     with pytest.raises(StageError) as exc:
-        rc.certify(3, 1.0, params=wm.WarpParams(n=3, lam=math.cos(1.0), s_budget=0.4))
+        rc.certify(3, 1.0, params=wm.WarpParams(n=3, lam=math.cos(1.0), tol_ode=1e-18))
     assert exc.value.stage == "integrate_core"
+    assert isinstance(exc.value.cause, NoStop)
 
 
 def test_stage_error_names_origin_collar():

@@ -19,6 +19,13 @@ def build(n=3, lam=0.5, lam0=0.75, alpha=1.389, **kw):
     return wm.WarpParams(n=n, lam=lam, lam0=lam0, alpha=alpha, **kw)
 
 
+def wide_core(p, s_wide):
+    # A core table wider than any neck reads, ending past s_wide (ds/du >
+    # 2u/lam0, so u_max^2 = lam0 s_wide is enough).
+    p = p.resolve()
+    return wm._CoreSolution(p.lam0, p.alpha, math.sqrt(p.lam0 * s_wide))
+
+
 @pytest.fixture(scope="module")
 def capped():
     w = wm.integrate_core(build())
@@ -55,6 +62,19 @@ def test_params_strict_intervals():
     assert p.n - 2 < p.alpha < (p.n - 2) / p.lam0**2
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name in ("cap_width", "tail_width", "origin_eps", "step", "tol_ode")
+     for value in (math.nan, math.inf, 0.0, -1.0)]
+    # A step this far below s_est would ask for billions of samples per
+    # segment, so this case is only ever resolved, never built.
+    + [("step", 1e-9)],
+)
+def test_params_reject_nonfinite_and_out_of_range(name, value):
+    with pytest.raises(InputError, match=name):
+        wm.WarpParams(n=4, lam=math.cos(1.0), **{name: value}).resolve()
+
+
 # -- core integration ----------------------------------------------------------
 
 def test_core_initial_point():
@@ -74,8 +94,8 @@ def test_core_stop_matches_first_integral_closed_form():
 
 
 def test_core_slope_monotone_and_asymptote():
-    # The table is built to the budget: f' rises on it and tends to lam0.
-    core = wm.integrate_core(build(s_budget=140.0)).core
+    # On a wide table f' rises and tends to lam0.
+    core = wide_core(build(), 140.0)
     assert core.s_end >= 140.0
     fp = core.f_fp(np.linspace(0.0, 120.0, 24001))[1]
     assert np.all(np.diff(fp) >= 0)
@@ -102,10 +122,12 @@ def _quad_s_of_f(p, f):
 
 @pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (12, 0.3), (40, 1.3)])
 def test_core_matches_quadrature_oracle(n, s0):
-    # f at scipy's s(f), from f = 1 + 1e-6 up to f at 1.2 s_lambda.
+    # f at scipy's s(f), from f = 1 + 1e-6 up to f at the table's end,
+    # which lies past s_lambda.
     p = wm.WarpParams(n=n, lam=math.cos(s0)).resolve()
     core = wm.integrate_core(p).core
-    f_top = float(core.f_fp(np.array([1.2 * core.find_slope(p.lam)]))[0][0])
+    assert core.s_end > core.find_slope(p.lam)
+    f_top = float(core.f_fp(np.array([core.s_end]))[0][0])
     for f in np.geomspace(1e-6, f_top - 1.0, 25) + 1.0:
         got = float(core.f_fp(np.array([_quad_s_of_f(p, f)]))[0][0])
         assert abs(got - f) <= 1e-11 * f, (n, s0, f)
@@ -123,8 +145,7 @@ def test_core_fourth_order_convergence():
     # The residual reads the interpolant's derivative at cell midpoints,
     # where the cubic Hermite error of u' is fourth order: doubling the
     # cells cuts it by about 16.
-    p = build().resolve()
-    core = wm._CoreSolution(p.lam0, p.alpha, p.s_budget)
+    core = wide_core(build(), 24.0)
     u_max = float(core._u[-1])
     residuals = []
     for cells in (64, 128):
@@ -170,9 +191,14 @@ def test_core_h_derivative_consistency():
         assert abs(hp_fd - hp_mid) < 5e-9
 
 
-def test_core_no_stop_on_small_budget():
-    with pytest.raises(NoStop):
-        wm.integrate_core(build(s_budget=0.5))
+def test_find_slope_past_the_table_raises():
+    # A slope below lam0 whose u lies past the table's end is not reached.
+    core = wm.integrate_core(build()).core
+    end = float(core.f_fp(np.array([core.s_end]))[1][0])
+    assert end < 0.75
+    assert core.find_slope(0.999 * end) < core.s_end
+    with pytest.raises(NoStop, match="on the core table"):
+        core.find_slope(0.5 * (end + 0.75))
 
 
 # -- cap -----------------------------------------------------------------------
@@ -208,9 +234,30 @@ def test_cap_preserves_profile_outside(capped):
 
 
 def test_cap_rejects_absurd_width():
-    w = wm.integrate_core(build())
+    w = wm.integrate_core(build(cap_width=50.0))
     with pytest.raises(MarginLost):
         wm.cap_sine(w, 0.5, 50.0)
+
+
+def test_cap_width_must_be_the_profiles():
+    # The profile's cap_width sized its core table, so no other is taken.
+    w = wm.integrate_core(build())
+    with pytest.raises(InputError, match="cap_width"):
+        wm.cap_sine(w, 0.5, 0.5 * w.params.cap_width)
+
+
+@pytest.mark.parametrize("width", [50.0, 1e12])
+def test_core_table_past_the_cap_guard_ends_at_the_guard(width):
+    # A cap width whose slope target passes the guard sizes the table to
+    # the guard alone (862 cells at (4, 1.0) for any such width), and
+    # cap_sine fails there before it reads the table.
+    p = wm.WarpParams(n=4, lam=math.cos(1.0), cap_width=width)
+    w = wm.integrate_core(p)
+    guard = w.params.lam0 - 0.02 * (w.params.lam0 - w.params.lam)
+    assert len(w.core._h) < 1000
+    assert abs(float(w.core.f_fp(np.array([w.core.s_end]))[1][0]) - guard) <= 1e-12
+    with pytest.raises(MarginLost, match="cap width too large"):
+        wm.cap_sine(w, p.lam, width)
 
 
 def test_cap_margins_positive(capped):
@@ -395,7 +442,7 @@ def test_cap_newton_fails_closed(monkeypatch, name, patch, message):
 def test_cap_newton_step_damped_inside_the_core(monkeypatch, n):
     # At s0 = 1.56 the full Newton step takes a below 0 (to -2.1e-5,
     # -1.6e-4 and -2.8e-4).  The
-    # damped step keeps every iterate in (0, s_budget); there is no root
+    # damped step keeps every iterate in the core table (0, s_end); there is no root
     # there (f'(b) stays above the slope target as a falls), so Newton runs
     # out of steps.  cap_sine reads the core at s_stop once, then at each
     # iterate's a.
@@ -403,7 +450,7 @@ def test_cap_newton_step_damped_inside_the_core(monkeypatch, n):
     real = wm._CoreSolution.at
 
     def recording(core, s):
-        at.append(s)
+        at.append((core, s))
         return real(core, s)
 
     monkeypatch.setattr(wm._CoreSolution, "at", recording)
@@ -414,7 +461,7 @@ def test_cap_newton_step_damped_inside_the_core(monkeypatch, n):
     assert "did not converge" in str(info.value.cause)
     starts = at[1:]
     assert len(starts) == wm._CAP_NEWTON_STEPS
-    assert all(0.0 < a < p.resolve().s_budget for a in starts), starts
+    assert all(0.0 < a < core.s_end for core, a in starts), starts
 
 
 def _blend_at_degree(capped, target, degree):
@@ -502,11 +549,11 @@ def test_cap_blend_matches_dop853_oracle(n, s0):
 
 
 def test_find_slope_hits_target():
-    # f' of the interpolant at find_slope(t) is t: at the neck's lam, at
-    # targets up to lam0, and at the f' of table nodes.
+    # f' of the interpolant at find_slope(t) is t: at the neck's lam, and
+    # on a wide table at targets up to lam0 and at the f' of table nodes.
     w = wm.integrate_core(build())
-    core = w.core
     assert abs(w.evaluate(w.s_lambda)[1] - 0.5) <= 1e-14
+    core = wide_core(build(), 24.0)
     nodes = core.f_fp(core._s[[1, 2, len(core._s) // 4]])[1]
     for target in np.concatenate((np.linspace(1e-3, 0.74, 37), nodes)):
         s = core.find_slope(float(target))
@@ -515,6 +562,18 @@ def test_find_slope_hits_target():
     for target in (0.75, 0.8):  # lam0 and above: never reached
         with pytest.raises(NoStop):
             core.find_slope(target)
+
+
+@pytest.mark.parametrize("n, s0", GOLDEN_GRID + [(12, 1.0), (40, 1.0), (45, 1.0)])
+def test_core_table_ends_where_the_neck_reads_it(n, s0):
+    # The table reaches past s_lambda, the last point a neck reads, and no
+    # node lies more than 2 cap_width plus one cell past it.  Measured:
+    # it ends 0.30 (3, 0.3) to 1.96 (12, 1.0) cap widths past s_lambda.
+    # The reach grows like lam0/lam (7.3 cap widths at (12, 1.5)).
+    w, _ = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+    core, width = w.core, w.params.cap_width
+    assert core.s_end >= w.s_lambda
+    assert core._s[-2] <= w.s_lambda + 2.0 * width
 
 
 # -- tail ----------------------------------------------------------------------

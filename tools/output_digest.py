@@ -12,9 +12,10 @@ The digest holds, for the sources of the checkout the script sits in:
   necks, for two seeded blocks of that workload's searches, with the
   SHA-256 of the CSV each successful search exports;
 * the SHA-256 of the ``profile-export`` CSV of each of those necks;
-* the cap blend and the h tail of each of those necks: N, the blend's
-  ends, degree and error estimate from ``CapInfo``, and the tail's start,
-  width, degree and error estimate from ``TailInfo``;
+* the core table, the cap blend and the h tail of each of those necks:
+  the table's cell count and error estimate, N, the blend's ends, degree
+  and error estimate from ``CapInfo``, and the tail's start, width,
+  degree and error estimate from ``TailInfo``;
 * the origin bridge of each of those necks at r in ``ORIGIN_SCALES``:
   the splice radius, eps', and the bridge's degree and error estimate
   from ``smooth_origin``'s ``OriginInfo``.
@@ -134,9 +135,11 @@ def neck_lines(tb):
     wl = ScaleSearch(SEARCH_SEED, ROOT, None)
     wl.setup(tb)
     for (n, s0), neck in zip(BASE_NECKS, wl.necks):
-        cap, tail = neck.profile.cap, neck.profile.tail
+        core, cap, tail = neck.profile.core, neck.profile.cap, neck.profile.tail
+        # Revisions before the first-integral core have no cell table.
+        cells = f"core cells {len(core._h)!r} error {float(core.error)!r} " if hasattr(core, "_h") else ""
         yield (
-            f"## neck ({n}, {s0}): "
+            f"## neck ({n}, {s0}): {cells}"
             + _fields(cap, ("big_n", "blend_start", "blend_end", "blend_degree", "blend_steps", "blend_error"))
             + " tail " + _fields(tail, ("start", "width", "degree", "error"))
         )
