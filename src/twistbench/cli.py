@@ -14,7 +14,9 @@ import functools
 import json
 import sys
 
-from . import grammar, jsonout, orbitgon, plumbing, riccicert, topology, warpmetric
+# warpmetric and riccicert load numpy: the metric commands import them
+# when they run, so the topology commands start without numpy.
+from . import grammar, jsonout, orbitgon, plumbing, topology
 from .errors import ComputedFailure, InputError, StageError, TwistbenchError, Unsupported
 
 EXIT_OK = 0
@@ -92,7 +94,7 @@ def cmd_gon(args) -> int:
             g = orbitgon.gon(data["n"], data["labels"])
         except KeyError as exc:
             raise InputError(f"gon JSON needs key {exc}") from exc
-    report = orbitgon.validate(g)
+    report = g.validation
     payload = {
         "n": g.n,
         "m": g.m,
@@ -135,7 +137,9 @@ def _load_config(path: str, section: str, allowed: set) -> dict:
     return out
 
 
-def _build_params(cfg, n, lam) -> warpmetric.WarpParams:
+def _build_params(cfg, n, lam):
+    from . import warpmetric
+
     def fget(key):
         return float(cfg[key]) if key in cfg else None
 
@@ -152,7 +156,9 @@ def _build_params(cfg, n, lam) -> warpmetric.WarpParams:
     return warpmetric.WarpParams(n=n, lam=lam, **kwargs)
 
 
-def _connection_from(cfg) -> riccicert.ConnectionModel:
+def _connection_from(cfg):
+    from . import riccicert
+
     variant = cfg.get("connection", "trivial")
     if variant == "trivial":
         return riccicert.TRIVIAL_CONNECTION
@@ -169,6 +175,8 @@ def _connection_from(cfg) -> riccicert.ConnectionModel:
 
 def cmd_certify(args) -> int:
     import math
+
+    from . import riccicert
 
     cfg = _load_config(args.config, "certify", _CERTIFY_KEYS)
     try:
@@ -193,6 +201,8 @@ def cmd_certify(args) -> int:
 
 def cmd_profile_export(args) -> int:
     import math
+
+    from . import warpmetric
 
     cfg = _load_config(args.config, "profile", _PROFILE_KEYS)
     try:

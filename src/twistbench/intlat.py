@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotGenerating, ZeroVector
@@ -28,7 +29,7 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(map(isinstance, self.entries, repeat(int))):
             raise ValueError("entries must be integers")
 
     @staticmethod
@@ -106,11 +107,16 @@ class IntMatrix:
                     return 0
                 m[k], m[pivot] = m[pivot], m[k]
                 sign = -sign
+            top = m[k]
+            p, tail = top[k], top[k + 1 :]
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
+                row = m[i]
+                q = row[k]
+                # With q = 0 the update scales the row by p / prev, so a
+                # zero multiplier under an unchanged pivot leaves it as is.
+                if q or p != prev:
+                    row[k + 1 :] = [(x * p - q * y) // prev for x, y in zip(row[k + 1 :], tail)]
+            prev = p
         return sign * m[n - 1][n - 1]
 
 
@@ -133,6 +139,19 @@ class SnfDecomposition:
         return self.diag.diagonal()
 
 
+def _from_lists(lists: list, cols: int) -> IntMatrix:
+    """Rectangular lists of ints as a matrix, without ``from_rows``'s
+    copy and ``int()`` pass; the constructor still checks every entry."""
+    return IntMatrix(len(lists), cols, tuple(chain.from_iterable(lists)))
+
+
+def _identity_lists(n: int) -> list:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 class _Reducer:
     """Mutable state for one Smith reduction, with transform tracking."""
 
@@ -140,10 +159,10 @@ class _Reducer:
         self.m = a.rows
         self.n = a.cols
         self.a = a.to_lists()
-        self.left = IntMatrix.identity(self.m).to_lists()
-        self.left_inv = IntMatrix.identity(self.m).to_lists()
-        self.right = IntMatrix.identity(self.n).to_lists()
-        self.right_inv = IntMatrix.identity(self.n).to_lists()
+        self.left = _identity_lists(self.m)
+        self.left_inv = _identity_lists(self.m)
+        self.right = _identity_lists(self.n)
+        self.right_inv = _identity_lists(self.n)
 
     # Row operations act as A <- E A, so left <- E left and
     # left_inv <- left_inv E^{-1}.
@@ -273,11 +292,11 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     red = _Reducer(a)
     red.run()
     return SnfDecomposition(
-        left=IntMatrix.from_rows(red.left, cols=a.rows),
-        diag=IntMatrix.from_rows(red.a, cols=a.cols),
-        right=IntMatrix.from_rows(red.right, cols=a.cols),
-        left_inv=IntMatrix.from_rows(red.left_inv, cols=a.rows),
-        right_inv=IntMatrix.from_rows(red.right_inv, cols=a.cols),
+        left=_from_lists(red.left, a.rows),
+        diag=_from_lists(red.a, a.cols),
+        right=_from_lists(red.right, a.cols),
+        left_inv=_from_lists(red.left_inv, a.rows),
+        right_inv=_from_lists(red.right_inv, a.cols),
     )
 
 
@@ -295,14 +314,14 @@ def unimodular_extension(a: IntMatrix) -> IntMatrix:
     diag = dec.diagonal()
     if len(diag) < r or any(d != 1 for d in diag[:r]):
         raise NotGenerating("columns do not generate the full lattice")
-    # a = left_inv [I 0] right_inv, so stacking left_inv over an identity
-    # block and multiplying by right_inv keeps the top rows equal to a.
+    # a = left_inv [I 0] right_inv, so [[left_inv, 0], [0, I]] @ right_inv
+    # has a as its top rows.  The block-diagonal factor touches only the
+    # top r rows: they are left_inv @ right_inv[:r], and the rest of
+    # right_inv passes through.
     linv = dec.left_inv.to_lists()
-    block = [row + [0] * (m - r) for row in linv]
-    for i in range(m - r):
-        block.append([0] * r + [1 if j == i else 0 for j in range(m - r)])
-    ext = IntMatrix.from_rows(block, cols=m) @ dec.right_inv
-    return ext
+    rinv = dec.right_inv.to_lists()
+    top = [[sum(c * rk[j] for c, rk in zip(row, rinv)) for j in range(m)] for row in linv]
+    return _from_lists(top + rinv[r:], m)
 
 
 def divisibility(v: Iterable[int]) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import intlat
 from .errors import InvalidLabelling, NotMinimal
@@ -38,6 +39,11 @@ class GonLabelling:
     @property
     def m(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def validation(self) -> GonValidation:
+        """``validate(self)``, worked out once per labelling."""
+        return validate(self)
 
     def label_matrix(self) -> IntMatrix:
         """(n-2) x m matrix with the labels as columns."""
@@ -99,7 +105,7 @@ def validate(g: GonLabelling) -> GonValidation:
 
 
 def _require_valid(g: GonLabelling):
-    report = validate(g)
+    report = g.validation
     if not report.valid:
         raise InvalidLabelling("; ".join(report.failures))
 

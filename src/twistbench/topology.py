@@ -21,6 +21,14 @@ from . import fgab
 from .errors import DimensionMismatch, DimensionTooSmall, RankTooLarge, Unsupported
 from .fgab import TRIVIAL, Z, FgAbGroup, cyclic, direct_sum
 
+# Entries kept by each memo of dim, pi1, spin and homology.  A process
+# that answers many requests would otherwise keep every expression it
+# ever saw.  The catalogue atoms that sums share stay among the recent:
+# over 16 000 requests of the ``topology_queries`` benchmark workload the
+# homology memo hits 0.894 of its calls, against 0.914 unbounded (3526
+# entries).
+CACHE_SIZE = 256
+
 
 # ---------------------------------------------------------------------------
 # Twisting classes
@@ -257,7 +265,7 @@ def render(x: ManifoldExpr) -> str:
 # Dimension / orientability / pi_1 / spin
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def dim(x: ManifoldExpr) -> int:
     if x.kind == "atom":
         if x.atom == "sphere":
@@ -288,7 +296,7 @@ def orientable(x: ManifoldExpr) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def pi1(x: ManifoldExpr) -> Pi1:
     if x.kind in ("atom", "product"):
         if x.kind == "atom" and x.atom == "lens":
@@ -313,7 +321,7 @@ def simply_connected(x: ManifoldExpr) -> bool:
     return pi1(x).is_trivial()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def spin(x: ManifoldExpr):
     """Tri-state spin flag: True / False / None (= unknown)."""
     if x.kind == "atom":
@@ -380,7 +388,7 @@ def _table(n: int, groups: dict) -> tuple:
     return tuple(groups.get(i, TRIVIAL) for i in range(n + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def homology(x: ManifoldExpr) -> tuple:
     """Integral homology table H_0 .. H_n, or Unsupported."""
     n = dim(x)

@@ -1,10 +1,11 @@
 import gc
+import io
 import json
 import weakref
 
 import pytest
 
-from twistbench import cli, warpmetric
+from twistbench import cli, orbitgon, warpmetric
 from twistbench.errors import ComputedFailure, InputError, StageError, Unsupported
 
 
@@ -88,6 +89,26 @@ def test_gon_invalid(capsys, tmp_path):
     assert code == 1
     payload = json.loads(out)
     assert payload["validation"]["valid"] is False
+
+
+@pytest.mark.parametrize("argv, labels", [
+    (["gon", "--standard", "5"], None),
+    (["gon", "-"], [[1, 0], [0, 1], [1, 1]]),
+    (["gon", "-"], [[1, 0], [2, 0]]),
+])
+def test_gon_validates_once_per_request(capsys, monkeypatch, argv, labels):
+    # The validation also backs betti2 and unimodular_model, which the
+    # command calls after it: one request still validates the labels once.
+    calls = []
+    validate = orbitgon.validate
+    monkeypatch.setattr(orbitgon, "validate", lambda g: calls.append(g) or validate(g))
+    if labels is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": 4, "labels": labels})))
+    code, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    assert len(calls) == 1
+    assert code == (0 if payload["validation"]["valid"] else 1)
+    assert ("model" in payload) == payload["validation"]["valid"]
 
 
 def test_plumb(tmp_path, capsys):
@@ -195,8 +216,6 @@ def test_certify_rejects_nonfinite_and_out_of_range(tmp_path, capsys, line):
 
 
 def test_stdin_expression(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("lens(3,5)"))
     code, out, _ = run(capsys, "homology", "-")
     assert code == 0

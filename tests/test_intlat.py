@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -192,3 +193,55 @@ def test_det_bareiss_matches_cofactor():
             [[rng.randint(-10, 10) for _ in range(n)] for _ in range(n)]
         )
         assert a.det() == cofactor_det(a)
+
+
+def fraction_det(rows) -> int:
+    """Oracle: Gaussian elimination over the rationals, with row swaps."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def test_det_bareiss_matches_fraction_elimination():
+    # Dense matrices make each pivot differ from the one before; sparse
+    # ones give zero multipliers under equal pivots, the rows Bareiss
+    # skips, and zero pivots that need a row swap part way through.
+    rng = random.Random(2021)
+    kinds = {"dense": 0, "singular": 0, "swap": 0, "skip": 0}
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        density = rng.choice((1.0, 0.5, 0.2))
+        rows = [
+            [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        if trial % 5 == 1 and n >= 2:
+            # Singular: one row a combination of the others.
+            i = rng.randrange(n)
+            j, k = (rng.choice([x for x in range(n) if x != i]) for _ in range(2))
+            c = rng.randint(-3, 3)
+            rows[i] = [c * x + y for x, y in zip(rows[j], rows[k])]
+        if trial % 5 == 2 and n >= 2:
+            # A zero leading pivot: the first row starts with 0.
+            rows[0][0] = 0
+            rows[rng.randrange(1, n)][0] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        expected = fraction_det(rows)
+        assert IntMatrix.from_rows(rows).det() == expected, rows
+        kinds["singular"] += expected == 0
+        kinds["swap"] += n >= 2 and rows[0][0] == 0
+        kinds["dense"] += density == 1.0 and n >= 3
+        kinds["skip"] += density == 0.2 and n >= 3
+    assert all(count >= 20 for count in kinds.values()), kinds

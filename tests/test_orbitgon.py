@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twistbench import intlat
 from twistbench import orbitgon as og
 from twistbench.errors import InvalidLabelling, NotMinimal
 from twistbench.intlat import IntMatrix
@@ -122,3 +123,25 @@ def test_random_labellings_validate_and_extend():
         for i in range(a.rows):
             assert model.row(i) == a.row(i)
         assert og.betti2(g) == m - n + 2
+
+
+def _block_product(a: IntMatrix) -> IntMatrix:
+    """[[left_inv, 0], [0, I]] @ right_inv by the general product."""
+    dec = intlat.snf(a)
+    r, m = a.rows, a.cols
+    block = [row + [0] * (m - r) for row in dec.left_inv.to_lists()]
+    block += [[0] * r + [int(i == j) for j in range(m - r)] for i in range(m - r)]
+    return IntMatrix.from_rows(block, cols=m) @ dec.right_inv
+
+
+def test_unimodular_extension_is_the_block_product():
+    # The extension forms only the top r rows; the general product with
+    # the block-diagonal factor is the reference.
+    gons = [og.standard_gon(handles) for handles in range(41)]
+    rng = random.Random(2718)
+    for _ in range(40):
+        n = rng.randint(4, 7)
+        gons.append(og.random_valid_labelling(rng, n, rng.randint(n - 2, n + 10)))
+    for g in gons:
+        a = g.label_matrix()
+        assert intlat.unimodular_extension(a) == _block_product(a)

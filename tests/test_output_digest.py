@@ -1,0 +1,34 @@
+"""How ``tools/output_digest.py --against`` reports a differing line."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def digest():
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", ROOT / "tools" / "output_digest.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_line_move_is_relative_above_the_floor_and_absolute_below(digest):
+    move, hashed = digest.line_move("margin 0.5 ricci 2.0", "margin 0.5 ricci 2.2")
+    assert move == pytest.approx(0.2 / 2.2) and not hashed
+    # Rounding-level fields: 1e-16 -> 3e-16 is a move of 2e-16, not 0.67.
+    move, _ = digest.line_move("eps_prime 1e-16 margin 0.5", "eps_prime 3e-16 margin 0.5")
+    assert move == pytest.approx(2e-16)
+    move, _ = digest.line_move("bridge_error 0.0", "bridge_error 4e-13")
+    assert move == pytest.approx(4e-13)
+
+
+def test_line_move_reports_hashes_and_text(digest):
+    a, b = "csv " + "0" * 64, "csv " + "1" * 64
+    assert digest.line_move(a, b) == (0.0, True)
+    assert digest.line_move("exit 0 pass", "exit 1 fail")[0] is None

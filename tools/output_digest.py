@@ -18,7 +18,12 @@ The digest holds, for the sources of the checkout the script sits in:
   degree and error estimate from ``TailInfo``;
 * the origin bridge of each of those necks at r in ``ORIGIN_SCALES``:
   the splice radius, eps', and the bridge's degree and error estimate
-  from ``smooth_origin``'s ``OriginInfo``.
+  from ``smooth_origin``'s ``OriginInfo``;
+* under ``## topology``, the exit code and the SHA-256 of stdout and
+  stderr of exact-topology requests: ``gon --standard L`` for L = 0..40,
+  seeded valid labellings from the benchmark's ``random_gon``, invalid
+  labellings, and seeded blocks of the ``topology_queries`` workload
+  (homology, suspend, plumb and gon requests).
 
 Floats are written as ``repr(float(x))``, so two digests compare equal
 byte for byte only if every number is bit-identical, and a numpy scalar
@@ -34,7 +39,9 @@ match it exits 0.  It leaves the repository's ``.git`` as it was.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -46,11 +53,30 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import twistbench  # noqa: E402
 import twistbench.cli  # noqa: E402,F401
-from workloads import BASE_NECKS, ScaleSearch, certify_points, run_cli  # noqa: E402
+from workloads import (  # noqa: E402
+    BASE_NECKS, ScaleSearch, TopologyQueries, certify_points, random_gon, run_cli,
+)
 
 SEARCH_SEED = 0
 SEARCH_BLOCKS = 2
 ORIGIN_SCALES = (1.0, 0.7, 0.5, 2.0**-10, 2.0**-19)
+ABSOLUTE_BELOW = 1e-12
+GON_STANDARD_MAX = 40
+GON_RANDOM = 200
+TOPOLOGY_SEED = 0
+TOPOLOGY_BLOCKS = 5
+# Labellings the gon command rejects: a label that is not primitive, an
+# adjacent pair that is no basis, labels that do not generate, and input
+# errors (wrong length, a zero label, too few edges, no labels key).
+INVALID_GONS = (
+    {"n": 4, "labels": [[2, 0], [0, 1], [1, 1]]},
+    {"n": 4, "labels": [[1, 0], [1, 2], [0, 1]]},
+    {"n": 5, "labels": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 1, 0]]},
+    {"n": 4, "labels": [[1, 0], [0, 1, 0]]},
+    {"n": 4, "labels": [[1, 0], [0, 0]]},
+    {"n": 4, "labels": [[1, 0]]},
+    {"n": 4},
+)
 
 
 def _sha(text: str) -> str:
@@ -62,8 +88,9 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 
 def line_move(theirs: str, ours: str):
-    """How a differing line moved: (largest relative move among its
-    numeric fields, whether a SHA-256 field differs).  The move is None if
+    """How a differing line moved: (largest move among its numeric fields,
+    relative or, below ``ABSOLUTE_BELOW``, absolute; whether a SHA-256
+    field differs).  The move is None if
     the lines differ other than in their numbers and hashes."""
     hashes = (_SHA.findall(theirs), _SHA.findall(ours))
     theirs, ours = _SHA.sub("#", theirs), _SHA.sub("#", ours)
@@ -73,7 +100,8 @@ def line_move(theirs: str, ours: str):
     move = 0.0
     for a, b in zip(*map(lambda xs: [float(x) for x in xs], numbers)):
         if a != b:
-            move = max(move, abs(a - b) / max(abs(a), abs(b)))
+            scale = max(abs(a), abs(b))
+            move = max(move, abs(a - b) / (scale if scale >= ABSOLUTE_BELOW else 1.0))
     return move, hashes[0] != hashes[1]
 
 
@@ -154,6 +182,34 @@ def neck_lines(tb):
             )
 
 
+def topology_requests():
+    """(label, argv, stdin) of every request of the ``## topology`` lines."""
+    for handles in range(GON_STANDARD_MAX + 1):
+        yield "gon standard", ["gon", "--standard", str(handles)], None
+    rng = random.Random(TOPOLOGY_SEED)
+    for _ in range(GON_RANDOM):
+        n = rng.randint(4, 7)
+        m = rng.randint(n - 2, n + 10)
+        yield "gon random", ["gon", "-"], json.dumps({"n": n, "labels": random_gon(rng, n, m)})
+    for data in INVALID_GONS:
+        yield "gon invalid", ["gon", "-"], json.dumps(data)
+    wl = TopologyQueries(TOPOLOGY_SEED, ROOT, None)
+    stream = wl.ops()
+    for _ in range(TOPOLOGY_BLOCKS * wl.block_size):
+        op = next(stream)
+        yield op.kind, op.argv, op.stdin
+
+
+def topology_lines(tb):
+    for i, (label, argv, stdin) in enumerate(topology_requests()):
+        code, out, err = run_cli(tb, argv, stdin)
+        given = "-" if stdin is None else _sha(stdin)
+        yield (
+            f"## topology {i} {label} {argv!r}: stdin {given} exit {code} "
+            f"stdout {_sha(out)} stderr {_sha(err)}"
+        )
+
+
 def digest_lines():
     with tempfile.TemporaryDirectory() as workdir:
         return [
@@ -161,6 +217,7 @@ def digest_lines():
             *search_lines(twistbench),
             *export_lines(twistbench, workdir),
             *neck_lines(twistbench),
+            *topology_lines(twistbench),
         ]
 
 
@@ -189,7 +246,7 @@ def against(rev):
                 how = "text differs"
             else:
                 largest = max(largest, move)
-                how = f"largest relative move {move:.3g}"
+                how = f"largest move {move:.3g}"
             if hashed:
                 how += "; hash differs"
             print(f"line {i} differs ({how})\n{rev}: {other}\nhere: {mine}")
@@ -200,7 +257,7 @@ def against(rev):
         return 0
     print(
         f"{differ} of {min(len(ours), len(theirs)) - 1} lines differ from {rev}; "
-        f"largest relative move {largest:.3g}"
+        f"largest move {largest:.3g}"
     )
     return 1
 
