@@ -2,16 +2,11 @@
 
 Exact topology of twisted suspensions, plumbings and torus orbit gons,
 plus numerically certified positive-Ricci doubly warped metrics.
-
-Submodules load on first attribute access (PEP 562), so the topology
-commands start without importing numpy, which only ``warpmetric`` and
-``riccicert`` use.
 """
 
-import importlib
+from . import fgab, grammar, intlat, orbitgon, plumbing, riccicert, topology, warpmetric
 
 __all__ = [
-    "errors",
     "fgab",
     "grammar",
     "intlat",
@@ -21,9 +16,3 @@ __all__ = [
     "topology",
     "warpmetric",
 ]
-
-
-def __getattr__(name):
-    if name in __all__:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,9 +14,7 @@ import functools
 import json
 import sys
 
-# warpmetric and riccicert load numpy: the metric commands import them
-# when they run, so the topology commands start without numpy.
-from . import grammar, jsonout, orbitgon, plumbing, topology
+from . import grammar, jsonout, orbitgon, plumbing, riccicert, topology, warpmetric
 from .errors import ComputedFailure, InputError, StageError, TwistbenchError, Unsupported
 
 EXIT_OK = 0
@@ -137,9 +135,7 @@ def _load_config(path: str, section: str, allowed: set) -> dict:
     return out
 
 
-def _build_params(cfg, n, lam):
-    from . import warpmetric
-
+def _build_params(cfg, n, lam) -> warpmetric.WarpParams:
     def fget(key):
         return float(cfg[key]) if key in cfg else None
 
@@ -156,9 +152,7 @@ def _build_params(cfg, n, lam):
     return warpmetric.WarpParams(n=n, lam=lam, **kwargs)
 
 
-def _connection_from(cfg):
-    from . import riccicert
-
+def _connection_from(cfg) -> riccicert.ConnectionModel:
     variant = cfg.get("connection", "trivial")
     if variant == "trivial":
         return riccicert.TRIVIAL_CONNECTION
@@ -175,8 +169,6 @@ def _connection_from(cfg):
 
 def cmd_certify(args) -> int:
     import math
-
-    from . import riccicert
 
     cfg = _load_config(args.config, "certify", _CERTIFY_KEYS)
     try:
@@ -201,8 +193,6 @@ def cmd_certify(args) -> int:
 
 def cmd_profile_export(args) -> int:
     import math
-
-    from . import warpmetric
 
     cfg = _load_config(args.config, "profile", _PROFILE_KEYS)
     try:

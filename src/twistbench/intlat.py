@@ -16,6 +16,14 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, NotGenerating, ZeroVector
 
 
+def identity_lists(n: int) -> list:
+    """The n x n identity as a fresh list of row lists."""
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major."""
@@ -34,6 +42,8 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
+        """Rows of ints as a matrix; ``cols`` gives the width of no rows.
+        Entries are not coerced: the constructor rejects non-ints."""
         rows = [list(r) for r in rows]
         if rows:
             width = len(rows[0])
@@ -41,12 +51,11 @@ class IntMatrix:
                 raise ValueError("ragged rows")
         else:
             width = 0 if cols is None else cols
-        flat = tuple(int(x) for r in rows for x in r)
-        return IntMatrix(len(rows), width, flat)
+        return IntMatrix(len(rows), width, tuple(chain.from_iterable(rows)))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return IntMatrix.from_rows(identity_lists(n), cols=n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
@@ -139,19 +148,6 @@ class SnfDecomposition:
         return self.diag.diagonal()
 
 
-def _from_lists(lists: list, cols: int) -> IntMatrix:
-    """Rectangular lists of ints as a matrix, without ``from_rows``'s
-    copy and ``int()`` pass; the constructor still checks every entry."""
-    return IntMatrix(len(lists), cols, tuple(chain.from_iterable(lists)))
-
-
-def _identity_lists(n: int) -> list:
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
-
-
 class _Reducer:
     """Mutable state for one Smith reduction, with transform tracking."""
 
@@ -159,10 +155,10 @@ class _Reducer:
         self.m = a.rows
         self.n = a.cols
         self.a = a.to_lists()
-        self.left = _identity_lists(self.m)
-        self.left_inv = _identity_lists(self.m)
-        self.right = _identity_lists(self.n)
-        self.right_inv = _identity_lists(self.n)
+        self.left = identity_lists(self.m)
+        self.left_inv = identity_lists(self.m)
+        self.right = identity_lists(self.n)
+        self.right_inv = identity_lists(self.n)
 
     # Row operations act as A <- E A, so left <- E left and
     # left_inv <- left_inv E^{-1}.
@@ -292,11 +288,11 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     red = _Reducer(a)
     red.run()
     return SnfDecomposition(
-        left=_from_lists(red.left, a.rows),
-        diag=_from_lists(red.a, a.cols),
-        right=_from_lists(red.right, a.cols),
-        left_inv=_from_lists(red.left_inv, a.rows),
-        right_inv=_from_lists(red.right_inv, a.cols),
+        left=IntMatrix.from_rows(red.left, cols=a.rows),
+        diag=IntMatrix.from_rows(red.a, cols=a.cols),
+        right=IntMatrix.from_rows(red.right, cols=a.cols),
+        left_inv=IntMatrix.from_rows(red.left_inv, cols=a.rows),
+        right_inv=IntMatrix.from_rows(red.right_inv, cols=a.cols),
     )
 
 
@@ -321,7 +317,7 @@ def unimodular_extension(a: IntMatrix) -> IntMatrix:
     linv = dec.left_inv.to_lists()
     rinv = dec.right_inv.to_lists()
     top = [[sum(c * rk[j] for c, rk in zip(row, rinv)) for j in range(m)] for row in linv]
-    return _from_lists(top + rinv[r:], m)
+    return IntMatrix.from_rows(top + rinv[r:], cols=m)
 
 
 def divisibility(v: Iterable[int]) -> int:

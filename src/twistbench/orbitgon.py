@@ -190,7 +190,7 @@ def random_valid_labelling(rng: random.Random, n: int, m: int) -> GonLabelling:
     report = validate(g)
     assert report.valid, report.failures
     # Random unimodular transform: a few shear/swap/negate moves.
-    u = [list(row) for row in IntMatrix.identity(d).to_lists()]
+    u = intlat.identity_lists(d)
     for _ in range(4 * d):
         move = rng.randrange(3)
         i = rng.randrange(d)

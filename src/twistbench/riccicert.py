@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import warpmetric
 from .errors import Exhausted, InputError, NotPositive
 from .warpmetric import TAIL_FLOOR, WarpParams, WarpProfile, _stage
@@ -114,6 +112,7 @@ class _FrameFold:
     """
 
     def __init__(self, w: WarpProfile, c: ConnectionModel, blocks):
+        import numpy as np
         self.n, self.beta, self.beta_delta = w.params.n, c.sup_f, c.sup_delta_f
         bounded = c.variant == "bounded"
         if bounded:
@@ -146,6 +145,7 @@ class _FrameFold:
         """The bound at the reached samples of each group (strict, tail),
         with h and h' times ``scale``: ``search_r`` folds the r = 1
         probe's blocks at scale r as the blocks of the probe at r."""
+        import numpy as np
         n, beta, beta_delta = self.n, self.beta, self.beta_delta
         out = []
         for columns, _ in self.groups:
@@ -169,6 +169,7 @@ class _FrameFold:
 
     def minima(self, scale: float = 1.0) -> tuple:
         """(strict, tail): the least bound over every sample of each group."""
+        import numpy as np
         return tuple(
             min(float(np.min(eig)), rest) if len(eig) else rest
             for eig, (_, rest) in zip(self.bounds(scale), self.groups)

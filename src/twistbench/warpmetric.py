@@ -74,11 +74,15 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError, MarginLost, NoSolution, NoStop, StageError
+
+# Each function imports numpy where it computes, so importing this module,
+# as every command does, costs no numpy import: the topology commands
+# never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +90,7 @@ from .errors import InputError, MarginLost, NoSolution, NoStop, StageError
 # ---------------------------------------------------------------------------
 
 def smoothstep(u):
+    import numpy as np
     u = np.minimum(np.maximum(u, 0.0), 1.0)  # np.clip's dispatch costs more
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
@@ -189,6 +194,7 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
     exact, so ``_linspace(a, b, 2 m + 1)[::2]`` is ``_linspace(a, b, m +
     1)``.  A span too small for a nonzero step goes to np.linspace, which
     divides before it multiplies there."""
+    import numpy as np
     step = (stop - start) / (num - 1)
     if step == 0.0:
         return np.linspace(start, stop, num)
@@ -211,18 +217,21 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
 _SWEEP_TOL = 1e-11
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_legendre(nodes, weights):
     """The Gauss-Legendre rule on [0, 1], nodes and weights, from the
     positive nodes of the symmetric rule on [-1, 1] and their weights
-    (as numpy.polynomial.legendre.leggauss gives them)."""
+    (as numpy.polynomial.legendre.leggauss gives them).  Built on first
+    use, so importing the module does not import numpy."""
+    import numpy as np
     x, w = np.array(nodes), np.array(weights)
     return 0.5 + 0.5 * np.concatenate((-x[::-1], x)), 0.5 * np.concatenate((w[::-1], w))
 
 
 # The rule of each core table cell, four points; the cells are short
 # enough that its error stays at rounding, far below the table's
-# interpolation error.
-_CORE_RULE = _gauss_legendre(
+# interpolation error.  Positive nodes and their weights.
+_CORE_RULE = (
     (0.33998104358485626, 0.8611363115940526), (0.6521451548625464, 0.34785484513745357)
 )
 # First core table cell count per unit of sqrt(alpha) u, since f^(-alpha)
@@ -273,10 +282,12 @@ class _CoreSolution:
 
     def _fp_of_u(self, u):
         """f' at f = 1 + u^2, accurate for small u."""
+        import numpy as np
         return self.lam0 * np.sqrt(-np.expm1(-self.alpha * np.log1p(u * u)))
 
     def _build(self, u_max: float, cells: int):
-        x, w = _CORE_RULE
+        import numpy as np
+        x, w = _gauss_legendre(*_CORE_RULE)
         u = _linspace(0.0, u_max, cells + 1)
         h = u_max / cells
         nodes = u[:-1, None] + h * x  # every node lies inside its cell
@@ -305,10 +316,12 @@ class _CoreSolution:
         return float(self._s[-1])
 
     def fpp_of(self, f):
+        import numpy as np
         return self.c2 * np.power(f, -self.alpha - 1.0)
 
     def f_fp(self, s):
         """(f, f') at the given locations, clamped to the table."""
+        import numpy as np
         s = np.minimum(np.maximum(np.asarray(s, dtype=float), 0.0), self._s[-1])
         k = np.minimum(np.searchsorted(self._s, s, side="right") - 1, len(self._h) - 1)
         t = (s - self._s[k]) / self._h[k]
@@ -324,6 +337,7 @@ class _CoreSolution:
     def at(self, s: float):
         """(f, f', f'') at one location as floats, the bits of ``eval``:
         the piece in float arithmetic, f' and f'' by the same ufuncs."""
+        import numpy as np
         s = min(max(s, 0.0), self.s_end)
         k = min(int(np.searchsorted(self._s, s, side="right")) - 1, len(self._h) - 1)
         t = (s - float(self._s[k])) / float(self._h[k])
@@ -337,6 +351,7 @@ class _CoreSolution:
         table cells in [s_lo, s_hi], with f' the derivative of the
         interpolated f = 1 + u^2.  At the nodes it vanishes to rounding;
         the interpolation error peaks between them."""
+        import numpy as np
         i = int(np.searchsorted(self._s, s_lo))
         j = int(np.searchsorted(self._s, s_hi, side="right")) - 1
         if j <= i:
@@ -359,6 +374,7 @@ class _CoreSolution:
         ``target`` to rounding.  NoStop unless target < lam0 and u lies
         on the table.
         """
+        import numpy as np
         if target <= 0.0:
             return 0.0
         u = math.sqrt(_u2_at_slope(self, target)) if target < self.lam0 else math.inf
@@ -404,6 +420,7 @@ def _chebyshev(degree: int):
     the interpolant's Chebyshev series integrated once and twice from t = 1
     (Greengard, SIAM J. Numer. Anal. 28, 1991; Trefethen, Spectral Methods
     in MATLAB, 2000).  Row 0 of both is zero.  Built on first use; read-only."""
+    import numpy as np
     j = np.arange(degree + 1)
     t = np.sin(0.5 * np.pi * (degree - 2 * j) / degree)  # symmetric about 0
     cheb = np.cos(np.outer(np.pi * j / degree, np.arange(degree + 3)))  # T_k(t_j)
@@ -445,6 +462,7 @@ class _Window:
         self.x0, self.width, self.degree, self.rows = x0, width, degree, rows
 
     def eval(self, s):
+        import numpy as np
         nodes, weights, _, _ = _chebyshev(self.degree)
         t = 2.0 * (np.asarray(s, dtype=float) - self.x0) / self.width - 1.0
         d = t[..., None] - nodes
@@ -477,6 +495,7 @@ def _relative_change(fine, coarse) -> float:
     """The largest relative change of the rows ``fine`` at the nodes they
     share with the rows ``coarse`` of the solve at half the degree (every
     other node: the node sets nest exactly)."""
+    import numpy as np
     return max(float(np.max(np.abs(y[::2] - c) / np.abs(y[::2]))) for y, c in zip(fine, coarse))
 
 
@@ -491,6 +510,7 @@ class _FlatF:
         self.value = value
 
     def eval(self, s):
+        import numpy as np
         s = np.asarray(s, dtype=float)
         z = np.zeros_like(s)
         return np.full_like(s, self.value), z, z
@@ -504,6 +524,7 @@ class _Sine:
         self.shift = shift
 
     def eval(self, s):
+        import numpy as np
         s = np.asarray(s, dtype=float)
         th = (s - self.shift) / self.amp
         return self.amp * np.sin(th), np.cos(th), -np.sin(th) / self.amp
@@ -526,20 +547,24 @@ class _CoreH:
 
     def from_core(self, f, fp):
         """(h, h', h'') from the core's f and f' at the same locations."""
+        import numpy as np
         return self.c_h * fp, np.power(f, -self.core.alpha - 1.0), self.hpp(f, fp)
 
     def hpp(self, f, fp):
         """h'' from the core's f and f'."""
+        import numpy as np
         a = self.core.alpha
         return -(a + 1.0) * np.power(f, -a - 2.0) * fp
 
     def hpp_over_h(self, f):
         """h''/h at core values f."""
+        import numpy as np
         a = self.core.alpha
         return -0.5 * a * (a + 1.0) * self.core.lam0**2 * np.power(f, -a - 2.0)
 
     def fp_hp_over_f_h(self, f):
         """f'h'/(f h) at core values f; the segment's f must be the core."""
+        import numpy as np
         a = self.core.alpha
         return 0.5 * a * self.core.lam0**2 * np.power(f, -a - 2.0)
 
@@ -677,6 +702,7 @@ class WarpProfile:
 
     def evaluate(self, s: float):
         """(f, fp, fpp, h, hp, hpp) at a single location."""
+        import numpy as np
         for seg in self.segments:
             if seg.s0 - 1e-12 <= s <= seg.s1 + 1e-12:
                 return tuple(float(c[0]) for c in seg.eval(np.array([s])))
@@ -690,6 +716,7 @@ class WarpProfile:
 
     def seam_residuals(self) -> list:
         """C^1 mismatches of f and h at every interior junction."""
+        import numpy as np
         out = []
         for left, right in zip(self.segments, self.segments[1:]):
             s = left.s1
@@ -764,6 +791,7 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
     applies the fibre scale.  A margin that is not finite raises
     MarginLost, since ``min`` and ``<=`` would silently skip a NaN.
     """
+    import numpy as np
     fmod, hmod = seg.fmod, seg.hmod
     pure_core = isinstance(hmod, _CoreH) and fmod is hmod.core
     if isinstance(hmod, _CoreH):
@@ -884,6 +912,7 @@ def _blend_rows(core, start, big_n, g, width):
     (1-sig) c2 f^(-alpha-1) - sig f/N^2 and its derivatives in f and N, at
     the nodes.  sig is read at tau, as the bridge reads it.  Row 0 of K1
     and K2 is zero, so (f, f') at a are the core's bit for bit."""
+    import numpy as np
     t, _, k1, k2 = _chebyshev(len(g) - 1)
     half = 0.5 * width
     tau = 0.5 * (1.0 - t)
@@ -907,6 +936,7 @@ def _cap_equations(core, start, big_n, g, width, slope_target):
     by f'(a) + f''(a)(s - a) and f' by f''(a), from the core's ``start``
     at a.  Returns the residual, the Jacobian and the rows f, f' and
     F(f)."""
+    import numpy as np
     m = len(g)
     t, _, k1, k2 = _chebyshev(m - 1)
     half = 0.5 * width
@@ -931,6 +961,7 @@ def _cap_equations(core, start, big_n, g, width, slope_target):
 def _newton_step(jac, res):
     """The cap Newton step -jac^-1 res; MarginLost if jac is singular or
     the step is not finite."""
+    import numpy as np
     try:
         step = np.linalg.solve(jac, -res)
     except np.linalg.LinAlgError:
@@ -975,6 +1006,7 @@ def cap_sine(w: WarpProfile, lam: float, width: float) -> WarpProfile:
     and f' at those nodes.  At a doubled degree Newton starts again from
     the root's (a, N).  ``CapInfo`` keeps the degree and the estimate.
     """
+    import numpy as np
     p = w.params
     if w.cap is not None:
         raise InputError("cap already applied")
@@ -1134,7 +1166,7 @@ def _solve_splice(h_val: float, hp_val: float, r: float):
 # points.  omega is a quintic on each ramp, and from six points on the
 # plateau and the flattening's f and f' agree with a 40-point rule's to
 # rounding (four points move f by up to 2e-12 relative, at n = 12).
-_RAMP_RULE = _gauss_legendre(
+_RAMP_RULE = (
     (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
     (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706),
 )
@@ -1168,6 +1200,7 @@ class _FlattenedF:
     """
 
     def __init__(self, core, flat_end: float, rejoin: float, ramp: float):
+        import numpy as np
         self.core, self.ramp = core, ramp
         self.a0, self.a1 = flat_end, flat_end + ramp
         self.b0, self.b1 = rejoin - ramp, rejoin
@@ -1198,6 +1231,7 @@ class _FlattenedF:
         return sig_l * (self.plateau - (self.plateau - 1.0) * sig_r)
 
     def eval(self, s):
+        import numpy as np
         s = np.asarray(s, dtype=float)
         p = self.plateau
         f_c, fp_c, fpp_c = self.core.eval(s)
@@ -1221,7 +1255,8 @@ class _FlattenedF:
 
 def _ramp_nodes(lo, hi):
     """The ramp rule's nodes and weights on each [lo, hi], one row each."""
-    x, w = _RAMP_RULE
+    import numpy as np
+    x, w = _gauss_legendre(*_RAMP_RULE)
     lo, span = np.asarray(lo, dtype=float)[..., None], np.asarray(hi - lo, dtype=float)[..., None]
     return lo + span * x, span * w
 
@@ -1248,6 +1283,7 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
     Returns the ``_Window`` model (h'' = a h + b at the nodes), (h, h')
     at x0, the degree and the error estimate.
     """
+    import numpy as np
     width, half = x1 - x0, 0.5 * (x1 - x0)
     inv_r2 = 1.0 / (radius_hat * radius_hat)
 

@@ -72,10 +72,12 @@ def test_topology_commands_load_no_numpy(tmp_path):
     assert fresh(code, cwd=tmp_path) == "False False False False True"
 
 
-def test_metric_modules_load_on_attribute_access():
+def test_metric_modules_load_numpy_on_first_use():
     code = (
         "import sys, twistbench\n"
-        "print('twistbench.warpmetric' in sys.modules, twistbench.warpmetric.WarpParams.__name__,"
-        " hasattr(twistbench, 'no_such_module'))"
+        "before = 'numpy' in sys.modules\n"
+        "twistbench.warpmetric.smoothstep(0.5)\n"
+        "print(before, twistbench.warpmetric.WarpParams.__name__,"
+        " 'numpy' in sys.modules)"
     )
-    assert fresh(code) == "False WarpParams False"
+    assert fresh(code) == "False WarpParams True"
