@@ -50,7 +50,8 @@ def test_cli_import_loads_no_numpy_polynomial():
     # The Chebyshev matrices are built by hand: importing numpy.polynomial
     # costs about 3.5 ms, which every metric command's start-up would pay.
     code = (
-        "import sys, twistbench.cli, twistbench.riccicert\n"
+        "import sys, twistbench.cli\n"
+        "twistbench.warpmetric._chebyshev(8)\n"
         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
     )
     assert fresh(code) == "[]"
