@@ -24,8 +24,8 @@ stages:
 * ``smooth_origin`` rescales h by r, splices an exact sine with unit
   slope at the new left endpoint, and flattens f to a constant there,
   rejoining the core solution exactly so the first integral survives.
-  The flattening is exact in terms of the core on its plateau and takes
-  quadrature only on its two ramps.
+  The flattening is exact in terms of the core on its plateau and a
+  Chebyshev window on each of its two ramps.
 
 ``build_neck`` runs the first three stages under their stage labels and
 returns the neck with its origin budget eps; ``certify``, the
@@ -41,31 +41,35 @@ f and h on each segment are one of five curve models: the core solution
 (``_CoreSolution`` for f, ``_CoreH`` = 2 f'/(alpha lam0^2) for h), an
 exact ``_Sine`` (the cap arc of f, the splice of h), a Chebyshev window
 ``_Window`` (the cap blend of f, the tail and the origin bridge of h),
-the f-flattening ``_FlattenedF`` and a constant ``_FlatF``.  The models
-describe h at unit fibre scale, except the bridge and the splice, which
-are built per r; r is applied in one place, ``Segment.h_scale``.  The
-margins are scale-free and come from the sampled columns, as ratios
-h''/h and h'/h, except for two closed forms: h''/h where h is the core
-or the splice sine, and f'h'/(f h) on pure-core segments.  h vanishes at s = 0 and at
-the splice's left end, where the column ratios are 0/0.
+the f-flattening ``_FlattenedF`` (the core's closed form on its
+plateau, a ``_Window`` of f and f' on each ramp) and a constant
+``_FlatF``.  The models describe h at unit fibre scale, except the
+bridge and the splice, which are built per r; r is applied in one place,
+``Segment.h_scale``.  The margins are scale-free and come from the
+sampled columns, as ratios h''/h and h'/h, except for two closed forms:
+h''/h where h is the core or the splice sine, and f'h'/(f h) on
+pure-core segments.  h vanishes at s = 0 and at the splice's left end,
+where the column ratios are 0/0.
 
-The three short windows, the cap blend, the h tail and the origin
-bridge, are each built by Chebyshev spectral integration: values of the
-blend's f'', the bridge's h'' or the tail's h' at the Chebyshev-Lobatto
-nodes of the window, integrated by ``_chebyshev``'s matrices from one
-end and read back by barycentric interpolation (``_Window``).  The
-bridge is linear (one solve, ``_smooth_kink``), the blend nonlinear
-(Newton, ``cap_sine``), and the tail a quadrature of psi h'
-(``flatten_h_tail``).  The core table's cell count and the windows'
-degrees are sized by doubling against an error estimate from half the
-size and one tolerance, ``_SWEEP_TOL``; ``CapInfo``, ``TailInfo`` and
-``OriginInfo`` keep the windows' degrees with their estimates, the core
-its ``error``.  All blending happens in second-derivative space with
-quintic smoothstep weights, which keeps the inequality margins
-one-signed.  Each segment is sampled once (``WarpProfile.block``), and
-each stage gates the segments it built on their cached margin minima
-(``_gate``), so a lost margin raises ``MarginLost`` instead of silently
-degrading the certificate.
+The five short windows, the cap blend, the h tail, the origin bridge
+and the f-flattening's two ramps, are each built by Chebyshev spectral
+integration: values of the blend's f'', the bridge's h'', the tail's h'
+or the ramps' omega f''_c at the Chebyshev-Lobatto nodes of the window,
+integrated by ``_chebyshev``'s matrices from one end and read back by
+barycentric interpolation (``_Window``).  The bridge is linear (one
+solve, ``_smooth_kink``), the blend nonlinear (Newton, ``cap_sine``),
+and the tail and the ramps quadratures of psi h' (``flatten_h_tail``)
+and of omega f''_c (``_FlattenedF``, both ramps in one product).  The
+core table's cell count and the windows' degrees are sized by doubling
+against an error estimate from half the size and one tolerance,
+``_SWEEP_TOL``; ``CapInfo``, ``TailInfo`` and ``OriginInfo`` keep the
+windows' degrees with their estimates, the core its ``error``.  All
+blending happens in second-derivative space with quintic smoothstep
+weights, which keeps the inequality margins one-signed.  Each segment
+is sampled once (``WarpProfile.block``), and each stage gates the
+segments it built on their cached margin minima (``_gate``), so a lost
+margin raises ``MarginLost`` instead of silently degrading the
+certificate.
 """
 
 from __future__ import annotations
@@ -397,19 +401,22 @@ class _CoreSolution:
 # Chebyshev windows
 # ---------------------------------------------------------------------------
 
-# The cap blend, the h tail and the origin bridge are each built at the
-# Chebyshev-Lobatto nodes of their window: node values of the blend's f'',
-# the bridge's h'' or the tail's h~' integrated by ``_chebyshev``'s K1 and
-# K2 from one end of the window, read back by ``_Window``.  Each starts at
-# the degree below and doubles while its estimate against the solve at
-# half the degree is above ``_SWEEP_TOL``; at ``_DEGREE_MAX`` it raises
+# The cap blend, the h tail, the origin bridge and the f-flattening's two
+# ramps are each built at the Chebyshev-Lobatto nodes of their window:
+# node values of the blend's f'', the bridge's h'', the tail's h~' or the
+# ramps' omega f''_c integrated by ``_chebyshev``'s K1 and K2 from one end
+# of the window, read back by ``_Window``.  Each starts at the degree
+# below and doubles while its estimate against the solve at half the
+# degree is above ``_SWEEP_TOL``; at ``_DEGREE_MAX`` it raises
 # MarginLost.  The first degrees meet the tolerance on the golden
 # grid and at n = 12 and 40:
 # * the bridge at 32 at every r (the change from 16 reads at most 7e-15);
 # * the cap blend at 32 (the change from 16 reads at most 1.0e-15; 16
 #   reads up to 1.2e-9 at n = 45);
-# * the tail at 16 (the change from 8 reads at most 3.2e-13, at n = 45).
-_BRIDGE_DEGREE, _BLEND_DEGREE, _TAIL_DEGREE, _DEGREE_MAX = 32, 32, 16, 128
+# * the tail at 16 (the change from 8 reads at most 3.2e-13, at n = 45);
+# * the ramps at 16, on all 221 necks of the domain map's grid (the
+#   change from 8 reads at most 8.9e-13, at (11, 0.25)).
+_BRIDGE_DEGREE, _BLEND_DEGREE, _TAIL_DEGREE, _RAMP_DEGREE, _DEGREE_MAX = 32, 32, 16, 16, 128
 
 
 @functools.lru_cache(maxsize=None)
@@ -446,17 +453,18 @@ def _chebyshev(degree: int):
 
 class _Window:
     """A curve on the window [x0, x0 + width] (the cap blend of f, the tail
-    and the origin bridge of h): rows y, y' and y'' at the Chebyshev-Lobatto
-    nodes of ``degree`` in t = 2 (s - x0)/width - 1, interpolated
-    barycentrically in t.  At a node (x0 and x0 + width among them) it
-    returns the node values exactly.  Each location's sums run along its
-    own row, so one location gets the bits it has in a sampled block.
+    and the origin bridge of h, a ramp of the f-flattening): rows y, y' and
+    (but on a ramp) y'' at the Chebyshev-Lobatto nodes of ``degree`` in t =
+    2 (s - x0)/width - 1, interpolated barycentrically in t.  At a node (x0
+    and x0 + width among them) it returns the node values exactly.  Each
+    location's sums run along its own row, so one location gets the bits
+    it has in a sampled block.
 
-    The bridge is solved from its right end, and its rows follow the nodes
-    from t = 1 down.  The cap blend and the tail are solved from their left
-    end and stored reversed: the nodes are exactly symmetric, and at even
-    degree so are the weights, so row j of the left-end solve is the value
-    at node degree - j."""
+    The bridge and the right ramp are solved from their right end, their
+    rows following the nodes from t = 1 down.  The cap blend, the tail and
+    the left ramp are solved from their left end and stored reversed: the
+    nodes are exactly symmetric, and at even degree so are the weights, so
+    row j of the left-end solve is the value at node degree - j."""
 
     def __init__(self, x0: float, width: float, degree: int, rows):
         self.x0, self.width, self.degree, self.rows = x0, width, degree, rows
@@ -648,6 +656,10 @@ class OriginInfo:
     # (h, h') at the splice point from half that degree (``_smooth_kink``).
     bridge_degree: int
     bridge_error: float
+    # Chebyshev degree of the f-flattening's ramps and the largest change
+    # of their integrals from half that degree (``_FlattenedF``).
+    ramp_degree: int
+    ramp_error: float
 
 
 @dataclass(frozen=True)
@@ -666,8 +678,8 @@ class WarpProfile:
     # Sampled blocks keyed by segment; they live and die with the profile,
     # and ``derive`` hands on those of the segments it keeps.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # On a neck: smooth_origin's (eps, outer, flat value, plateau) for the
-    # last eps it was called with (``_outer_part``).
+    # On a neck: smooth_origin's (eps, outer, f-flattening) for the last
+    # eps it was called with (``_outer_part``).
     _outer_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def derive(self, **changes) -> WarpProfile:
@@ -751,14 +763,6 @@ class MarginReport:
     min2: float
     min3: float
     tail_min: float = math.inf
-
-    @property
-    def global_min(self) -> float:
-        return min(self.min1, self.min2, self.min3)
-
-    @property
-    def tail_nonnegative(self) -> bool:
-        return self.tail_min >= TAIL_FLOOR
 
 
 class _Block(NamedTuple):
@@ -1162,16 +1166,6 @@ def _solve_splice(h_val: float, hp_val: float, r: float):
     return radius, u
 
 
-# The rule of the f-flattening's ramp integrals, one per sample, eight
-# points.  omega is a quintic on each ramp, and from six points on the
-# plateau and the flattening's f and f' agree with a 40-point rule's to
-# rounding (four points move f by up to 2e-12 relative, at n = 12).
-_RAMP_RULE = (
-    (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
-    (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706),
-)
-
-
 class _FlattenedF:
     """f of the f-flattening of the origin collar, exact on its plateau.
 
@@ -1188,15 +1182,17 @@ class _FlattenedF:
     right ramp's of (1 - sigma_R) f''_c and sigma_R f''_c; the plateau
     contributes P (f'_c(b0) - f'_c(a1)) in closed form.
 
-    On the plateau omega = P, so f = P (f_c - f_c(b0)) + A (s - b0) +
-    f(b0) and f' = P f'_c + A, with A = f'(b0) - P f'_c(b0), in terms of
-    the core.  On a ramp each sample integrates omega f''_c from the
-    ramp's outer end by ``_RAMP_RULE``: on the left f'(s) = int_a0^s
-    omega f''_c and f(s) = flat value + int_a0^s (s - x) omega f''_c, on
-    the right f'(s) = f'_c(b1) - int_s^b1 omega f''_c and f(s) = f_c(b1)
-    - (b1 - s) f'_c(b1) + int_s^b1 (x - s) omega f''_c.  So f'(a0) = 0
-    and (f, f') at b1 are the core's exactly; f'' = omega f''_c
-    everywhere.  ``flat_value`` is f(a0) and ``plateau`` is P.
+    The three integrands at the nodes of both ramps come from one core
+    evaluation, and one K1 and one K2 product integrate them, the left
+    ramp from a0 and the right from b1; the J are the K1 product's last
+    row times -w/2.  Each ramp is then a ``_Window`` of f and f'.  The
+    degree starts at ``_RAMP_DEGREE`` and is sized by doubling: the
+    estimate (``error``) is each product column's largest change from
+    half the degree, as a share of its largest value.  On the plateau
+    omega = P, so f = P (f_c - f_c(b0)) + A (s - b0) + f(b0) and f' = P
+    f'_c + A, with A = f'(b0) - P f'_c(b0).  f'(a0) = 0 and (f, f') at b1
+    are the core's exactly; f'' = omega f''_c everywhere.  ``flat_value``
+    is f(a0), ``plateau`` P.
     """
 
     def __init__(self, core, flat_end: float, rejoin: float, ramp: float):
@@ -1204,26 +1200,45 @@ class _FlattenedF:
         self.core, self.ramp = core, ramp
         self.a0, self.a1 = flat_end, flat_end + ramp
         self.b0, self.b1 = rejoin - ramp, rejoin
-        self.f_end, self.fp_end, _ = core.at(rejoin)
-        (xl, xr), (wl, wr) = _ramp_nodes(np.array([self.a0, self.b0]), np.array([self.a1, self.b1]))
-        (f_a1, f_b0), (fp_a1, fp_b0), _ = core.eval(np.array([self.a1, self.b0]))
-        gl = smoothstep((xl - self.a0) / ramp) * core.eval(xl)[2]
-        sig = smoothstep((xr - self.b0) / ramp)
-        g = core.eval(xr)[2]
-        rest, blend = (1.0 - sig) * g, sig * g
-        j_r1, j_r2 = wr @ rest, wr @ blend
-        p = (self.fp_end - j_r2) / (wl @ gl + fp_b0 - fp_a1 + j_r1)
-        self.plateau = float(p)
-        self.fc_b0, self.fpc_b0 = f_b0, fp_b0
-        # f and f' at b0, from the right ramp; on the plateau f' - P f'_c
-        # is the constant A.
-        self.fp_b0 = self.fp_end - j_r2 - p * j_r1
-        self.f_b0 = self.f_end - (self.b1 - self.b0) * self.fp_end + wr @ (
-            (xr - self.b0) * (p * rest + blend)
+        wl, wr = self.a1 - self.a0, self.b1 - self.b0
+
+        def solve(degree):
+            t, _, k1, k2 = _chebyshev(degree)
+            tau = 0.5 * (1.0 - t)  # in order from a0 on the left, from b1 on the right
+            x = np.concatenate((self.a0 + wl * tau, self.b1 - wr * tau))
+            x[degree], x[-1] = self.a1, self.b0
+            f_c, fp_c, fpp_c = core.eval(x)
+            left, right = fpp_c[: degree + 1], fpp_c[degree + 1:]
+            sig_r = smoothstep(0.5 * (1.0 + t))
+            g = np.stack((smoothstep(tau) * left, (1.0 - sig_r) * right, sig_r * right), axis=1)
+            fine = (k1 @ g, k2 @ g)
+            coarse = (k @ g[::2] for k in _chebyshev(degree // 2)[2:])
+            change = [np.max(np.abs(y[::2] - c), axis=0) / np.max(np.abs(y), axis=0)
+                      for y, c in zip(fine, coarse)]
+            return (tau, f_c, fp_c, *fine), float(np.max(change))
+
+        (tau, f_c, fp_c, i1, i2), self.degree, self.error = _by_doubling(
+            solve, _RAMP_DEGREE, "f-flattening ramps"
         )
-        self.big_a = self.fp_b0 - p * fp_b0
-        f_a1 = p * (f_a1 - f_b0) + self.big_a * (self.a1 - self.b0) + self.f_b0
-        self.flat_value = float(f_a1 - p * (wl @ ((self.a1 - xl) * gl)))
+        m, hl, hr = self.degree + 1, 0.5 * wl, 0.5 * wr
+        f_end, fp_end = f_c[m], fp_c[m]  # the core's at b1
+        j_l, j_r1, j_r2 = -hl * i1[-1, 0], -hr * i1[-1, 1], -hr * i1[-1, 2]
+        p = float((fp_end - j_r2) / (j_l + fp_c[-1] - fp_c[m - 1] + j_r1))
+        self.plateau = p
+        # The right ramp from b1; at b0 it gives f and f' there, and on the
+        # plateau f' - P f'_c is the constant A.
+        fp_r = fp_end + hr * (p * i1[:, 1] + i1[:, 2])
+        f_r = f_end - fp_end * (wr * tau) + (hr * hr) * (p * i2[:, 1] + i2[:, 2])
+        self.fc_b0, self.fpc_b0 = f_c[-1], fp_c[-1]
+        self.f_b0, self.fp_b0 = f_r[-1], fp_r[-1]
+        self.big_a = self.fp_b0 - p * self.fpc_b0
+        f_a1 = p * (f_c[m - 1] - self.fc_b0) + self.big_a * (self.a1 - self.b0) + self.f_b0
+        self.flat_value = float(f_a1 - (hl * hl) * p * i2[-1, 0])
+        # The left ramp from f'(a0) = 0, stored reversed like the cap blend.
+        f_l = self.flat_value + (hl * hl) * p * i2[:, 0]
+        fp_l = 0.0 - hl * p * i1[:, 0]  # +0.0 at a0, where K1's row is 0
+        self.left = _Window(self.a0, wl, self.degree, (f_l[::-1], fp_l[::-1]))
+        self.right = _Window(self.b0, wr, self.degree, (f_r, fp_r))
 
     def omega(self, s):
         sig_l = smoothstep((s - self.a0) / self.ramp)
@@ -1237,28 +1252,10 @@ class _FlattenedF:
         f_c, fp_c, fpp_c = self.core.eval(s)
         f = p * (f_c - self.fc_b0) + self.big_a * (s - self.b0) + self.f_b0
         fp = p * (fp_c - self.fpc_b0) + self.fp_b0
-        left, right = s < self.a1, s > self.b0
-        if left.any():
-            x, w = _ramp_nodes(self.a0, s[left])
-            g = self.omega(x) * self.core.eval(x)[2]
-            fp[left] = np.sum(w * g, axis=-1)
-            f[left] = self.flat_value + np.sum(w * (s[left][:, None] - x) * g, axis=-1)
-        if right.any():
-            x, w = _ramp_nodes(s[right], self.b1)
-            g = self.omega(x) * self.core.eval(x)[2]
-            fp[right] = self.fp_end - np.sum(w * g, axis=-1)
-            f[right] = self.f_end - (self.b1 - s[right]) * self.fp_end + np.sum(
-                w * (x - s[right][:, None]) * g, axis=-1
-            )
+        for window, on in ((self.left, s < self.a1), (self.right, s > self.b0)):
+            if on.any():
+                f[on], fp[on] = window.eval(s[on])
         return f, fp, self.omega(s) * fpp_c
-
-
-def _ramp_nodes(lo, hi):
-    """The ramp rule's nodes and weights on each [lo, hi], one row each."""
-    import numpy as np
-    x, w = _gauss_legendre(*_RAMP_RULE)
-    lo, span = np.asarray(lo, dtype=float)[..., None], np.asarray(hi - lo, dtype=float)[..., None]
-    return lo + span * x, span * w
 
 
 def _smooth_kink(core_h, r, radius_hat, x0, x1):
@@ -1312,8 +1309,8 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
 
 
 def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
-    """The neck from ``flat_end`` out at unit fibre scale, with the flat
-    value and plateau of its f-flattening.
+    """The neck from ``flat_end`` out at unit fibre scale, and its
+    f-flattening (``_FlattenedF``).
 
     None of it depends on r: the flattening blend ends at eps, and every
     segment right of eps is the neck clipped there.  Built and gated once
@@ -1327,7 +1324,7 @@ def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
         )
         outer = w.derive(segments=segments, s_left=flat_end)
         _gate(outer, (0, 1), "smooth_origin")  # eps lies on the neck's core
-        cached[:] = (eps, outer, blend_f.flat_value, blend_f.plateau)
+        cached[:] = (eps, outer, blend_f)
     return cached[1:]
 
 
@@ -1366,8 +1363,8 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     w_k = min(0.2 * (flat_end - splice_point), 0.5 * radius_hat)
     x0, x1 = splice_point, splice_point + 2.0 * w_k
 
-    outer, flat_value, plateau = _outer_part(w, eps, flat_end, ramp)
-    flat_f = _FlatF(flat_value)
+    outer, flattening = _outer_part(w, eps, flat_end, ramp)
+    flat_f = _FlatF(flattening.flat_value)
     kink_h, h_x0, hp_x0, bridge_degree, bridge_error = _smooth_kink(core_h, r, radius_hat, x0, x1)
     if not 0.0 < hp_x0 < 1.0 or h_x0 <= 0.0:
         raise NoSolution(
@@ -1397,10 +1394,12 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
             kink_halfwidth=w_k,
             flat_end=flat_end,
             rejoin=eps,
-            flat_value=flat_value,
-            plateau=plateau,
+            flat_value=flattening.flat_value,
+            plateau=flattening.plateau,
             bridge_degree=bridge_degree,
             bridge_error=bridge_error,
+            ramp_degree=flattening.degree,
+            ramp_error=flattening.error,
         ),
     )
     _gate(out, (0, 1, 2), "smooth_origin")

@@ -110,7 +110,7 @@ def test_trivial_neck_diagonals_match_margins(finished):
     far = rc.ConnectionModel("bounded", sup_f=50.0, sup_delta_f=10.0, support=between)
     fold = rc._FrameFold(finished, far, blocks)
     assert [len(x) for x in fold.bounds()] == [0, 0]
-    assert fold.minima() == (margins.global_min, margins.tail_min)
+    assert fold.minima() == (min(margins.min1, margins.min2, margins.min3), margins.tail_min)
 
 
 def test_certify_ricci_margin_is_min_of_inequalities():

@@ -134,12 +134,11 @@ def test_core_matches_quadrature_oracle(n, s0):
 
 
 def test_gauss_legendre_rules_match_numpy():
-    # The hard-coded rules are numpy's, mapped to [0, 1].
+    # The hard-coded core cell rule is numpy's, mapped to [0, 1].
     leggauss = pytest.importorskip("numpy.polynomial.legendre").leggauss
-    for rule, k in ((wm._CORE_RULE, 4), (wm._RAMP_RULE, 8)):
-        x, w = wm._gauss_legendre(*rule)
-        nodes, weights = leggauss(k)
-        assert _same_bits(x, 0.5 * (nodes + 1.0)) and _same_bits(w, 0.5 * weights), k
+    x, w = wm._gauss_legendre(*wm._CORE_RULE)
+    nodes, weights = leggauss(4)
+    assert _same_bits(x, 0.5 * (nodes + 1.0)) and _same_bits(w, 0.5 * weights)
 
 
 def test_core_fourth_order_convergence():
@@ -263,7 +262,7 @@ def test_core_table_past_the_cap_guard_ends_at_the_guard(width):
 
 def test_cap_margins_positive(capped):
     report = wm.inequality_margins(capped)
-    assert report.global_min > 0
+    assert min(report.min1, report.min2, report.min3) > 0
 
 
 # -- root solves (blend start, arc scale N) ------------------------------------
@@ -681,8 +680,8 @@ def test_tail_width_halving_shrinks_value_gap(capped):
 
 def test_tail_margins(tailed):
     report = wm.inequality_margins(tailed)
-    assert report.global_min > 0
-    assert report.tail_nonnegative
+    assert min(report.min1, report.min2, report.min3) > 0
+    assert report.tail_min >= wm.TAIL_FLOOR
 
 
 # -- origin smoothing ------------------------------------------------------------
@@ -751,14 +750,14 @@ def test_splice_small_r_phase_limit(neck):
     assert abs(u - math.pi / 2) < 1e-3
     # and the tiny-scale profile still builds cleanly
     tailed, eps = neck
-    w = wm.smooth_origin(tailed, 1e-4, eps)
-    assert wm.inequality_margins(w).global_min > 0
+    report = wm.inequality_margins(wm.smooth_origin(tailed, 1e-4, eps))
+    assert min(report.min1, report.min2, report.min3) > 0
 
 
 def test_origin_margins_and_seams(finished):
     report = wm.inequality_margins(finished)
-    assert report.global_min > 0
-    assert report.tail_nonnegative
+    assert min(report.min1, report.min2, report.min3) > 0
+    assert report.tail_min >= wm.TAIL_FLOOR
     for s, df, dfp, dh, dhp in finished.seam_residuals():
         assert df < 1e-8 and dfp < 1e-8 and dh < 1e-8 and dhp < 1e-8
 
@@ -851,6 +850,8 @@ def test_kink_bridge_sized_by_its_error(neck_41):
         o = wm.smooth_origin(tailed, r, eps).origin
         assert type(o.bridge_error) is float and 0.0 <= o.bridge_error <= wm._SWEEP_TOL, r
         assert o.bridge_degree == wm._BRIDGE_DEGREE, r
+        flattening = tailed._outer_memo[2]  # built once for every r
+        assert (o.ramp_degree, o.ramp_error) == (flattening.degree, flattening.error), r
     with pytest.raises(StageError) as info:
         rc.certify(3, 0.25, ric_min_base=2.0)
     assert info.value.stage == "search_r" and isinstance(info.value.cause, Exhausted)
@@ -858,20 +859,28 @@ def test_kink_bridge_sized_by_its_error(neck_41):
 
 def test_kink_bridge_fails_closed_at_degree_cap(monkeypatch):
     # No estimate meets a negative tolerance (a spectral estimate can read
-    # exactly 0), so the bridge gives up at the cap.  The core and the cap
-    # blend share the tolerance, so the neck is built before it drops, and
-    # certify gets that neck.
-    neck = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
+    # exactly 0), so a window gives up at the cap.  The core and the cap
+    # blend share the tolerance, so the necks are built before it drops,
+    # and certify gets each neck.  The f-flattening is built before the
+    # bridge, once per neck and eps: on a neck whose outer part is cached
+    # the bridge fails, and on a fresh neck the flattening's ramps do.
+    params = wm.WarpParams(n=4, lam=math.cos(1.0))
+    cached, fresh = wm.build_neck(params), wm.build_neck(params)
+    wm.smooth_origin(cached[0], 1.0, cached[1])
     monkeypatch.setattr(wm, "_SWEEP_TOL", -1.0)
-    monkeypatch.setattr(wm, "build_neck", lambda params: neck)
-    tailed, eps = neck
-    with pytest.raises(MarginLost, match=f"origin bridge.* at degree {wm._DEGREE_MAX}$"):
-        wm.smooth_origin(tailed, 0.5, eps)
-    with pytest.raises(StageError) as info:
-        rc.certify(4, 1.0, ric_min_base=2.0)
-    assert info.value.stage in ("smooth_origin", "search_r")
-    assert isinstance(info.value.cause, MarginLost)
-    assert "origin bridge" in str(info.value.cause)
+    for neck, what, stages in (
+        (cached, "origin bridge", ("smooth_origin", "search_r")),
+        (fresh, "f-flattening ramp", ("smooth_origin",)),
+    ):
+        monkeypatch.setattr(wm, "build_neck", lambda params, neck=neck: neck)
+        tailed, eps = neck
+        with pytest.raises(MarginLost, match=f"{what}.* at degree {wm._DEGREE_MAX}$"):
+            wm.smooth_origin(tailed, 0.5, eps)
+        with pytest.raises(StageError) as info:
+            rc.certify(4, 1.0, ric_min_base=2.0)
+        assert info.value.stage in stages, what
+        assert isinstance(info.value.cause, MarginLost)
+        assert what in str(info.value.cause)
 
 
 def _kink_args(neck, r):
@@ -935,6 +944,9 @@ def test_flatten_f_matches_closed_forms(n, s0):
     a1, b0 = a0 + ramp, eps - ramp
     model = wm._FlattenedF(core, a0, eps, ramp)
     flat_value, plateau = model.flat_value, model.plateau
+    # Both ramps are windows of the first degree, with a float estimate.
+    assert model.degree == wm._RAMP_DEGREE and type(model.error) is float
+    assert 0.0 < model.error <= wm._SWEEP_TOL
 
     def fc(x):
         return [float(c[0]) for c in core.eval(np.array([x]))]
@@ -1000,10 +1012,10 @@ def test_dense_models_self_consistent():
     # shares: cap blend 4.3-8.8e-11 (f') and 5.4-6.8e-8 (f''), tail 4.3-4.9e-8,
     # the difference's own error.
     #
-    # The f-flattening is exact on its plateau and integrated per sample
-    # on its ramps.  Sampled at ramp/256 over each ramp and as far into
+    # The f-flattening is exact on its plateau and a window of f and f' on
+    # each ramp.  Sampled at ramp/256 over each ramp and as far into
     # the plateau, its f' and f'' against the same differences of its f
-    # and f', as a share of its largest f'', read 4.5e-12 to 1.0e-9 (f')
+    # and f', as a share of its largest f'', read 8.4e-12 to 1.0e-9 (f')
     # and 1.0e-10 to 9.8e-8 (f''; the difference's own error where omega
     # is only C^2, at the ramps' ends).  Its f' is 0 at flat_end, and its
     # (f, f') at eps are the core's.
@@ -1264,8 +1276,8 @@ def test_margin_sweep_across_parameters():
             w, eps = wm.build_neck(wm.WarpParams(n=n, lam=lam))
             w = wm.smooth_origin(w, 0.5, eps)
             report = wm.inequality_margins(w)
-            assert report.global_min > 0, (n, lam)
-            assert report.tail_nonnegative, (n, lam)
+            assert min(report.min1, report.min2, report.min3) > 0, (n, lam)
+            assert report.tail_min >= wm.TAIL_FLOOR, (n, lam)
 
 
 # -- export ------------------------------------------------------------------------

@@ -17,8 +17,9 @@ The digest holds, for the sources of the checkout the script sits in:
   and error estimate from ``CapInfo``, and the tail's start, width,
   degree and error estimate from ``TailInfo``;
 * the origin bridge of each of those necks at r in ``ORIGIN_SCALES``:
-  the splice radius, eps', and the bridge's degree and error estimate
-  from ``smooth_origin``'s ``OriginInfo``;
+  the splice radius, eps', the bridge's degree and error estimate and
+  the f-flattening ramps' degree and error estimate from
+  ``smooth_origin``'s ``OriginInfo``;
 * under ``## topology``, the exit code and the SHA-256 of stdout and
   stderr of exact-topology requests: ``gon --standard L`` for L = 0..40,
   seeded valid labellings from the benchmark's ``random_gon``, invalid
@@ -175,10 +176,15 @@ def neck_lines(tb):
             o = tb.warpmetric.smooth_origin(neck.profile, r, neck.eps).origin
             # Revisions before the spectral bridge kept an RK4 step count.
             size = "bridge_degree" if hasattr(o, "bridge_degree") else "bridge_steps"
+            # Revisions before the spectral ramps have no ramp degree.
+            ramp = (
+                f" ramp_degree {o.ramp_degree!r} ramp_error {float(o.ramp_error)!r}"
+                if hasattr(o, "ramp_degree") else ""
+            )
             yield (
                 f"## origin ({n}, {s0}) r {r!r}: radius {float(o.radius)!r} eps_prime "
                 f"{float(o.eps_prime)!r} {size} {getattr(o, size)!r} "
-                f"bridge_error {float(o.bridge_error)!r}"
+                f"bridge_error {float(o.bridge_error)!r}{ramp}"
             )
 
 
