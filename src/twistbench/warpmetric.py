@@ -11,7 +11,8 @@ stages:
   gives f; f' and f'' follow from f in closed form.  It stops where f'
   reaches the target slope, also in closed form; h is a fixed multiple
   of f'.  The first integral, read with f' the derivative of the
-  interpolated f at the table's cell midpoints, gates the verdict.
+  interpolated f at the table's cell midpoints, gates the core: a table
+  that misses ``_FIRST_INTEGRAL_TOL`` raises NoStop.
 * ``cap_sine`` replaces the outer end of f by an exact sine arc
   N sin((s - s')/N), blending second derivatives so the three curvature
   inequalities keep their margins.  The blend's f'' at the nodes of its
@@ -128,9 +129,9 @@ class WarpParams:
     radius), lam0 the asymptotic slope of the core solution, alpha the
     core exponent.  The open-interval conditions lam in (0,1),
     lam0 in (lam, 1) and alpha in (n-2, (n-2)/lam0^2) are enforced
-    strictly.  The widths, the step and ``tol_ode`` must be positive and
-    finite, and the step at least s_est 2^-20 (``segment_grid`` samples a
-    segment at about one point per step).
+    strictly.  The widths and the step must be positive and finite, and
+    the step at least s_est 2^-20 (``segment_grid`` samples a segment at
+    about one point per step).
     """
 
     n: int
@@ -141,12 +142,11 @@ class WarpParams:
     tail_width: float | None = None
     origin_eps: float | None = None
     step: float | None = None
-    tol_ode: float = 1e-9
 
     def resolve(self) -> "WarpParams":
         if self.n < 3:
             raise InputError("need dimension n >= 3")
-        for name in ("cap_width", "tail_width", "origin_eps", "step", "tol_ode"):
+        for name in ("cap_width", "tail_width", "origin_eps", "step"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise InputError(f"{name} must be positive and finite, not {value}")
@@ -219,6 +219,11 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
 # splice radius h/sqrt(1 - h'^2) amplifies the bridge's where h' is near
 # 1 (r near 1).
 _SWEEP_TOL = 1e-11
+
+# The core's first-integral residual at its table's cell midpoints, where
+# the interpolated f' is least accurate, must stay within this
+# (``integrate_core``).
+_FIRST_INTEGRAL_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=None)
@@ -755,8 +760,8 @@ class MarginReport:
     at the outer boundary, so inequality (3) closes to zero there by
     construction and the collar is certified nonnegative instead
     (``tail_min``, down to ``TAIL_FLOOR``); strictness across the seam
-    is the cited deformation step, recorded as an annotation rather than
-    computed.  The pointwise margins stay on ``WarpProfile.blocks``.
+    is the cited deformation step, not computed.  The pointwise margins
+    stay on ``WarpProfile.blocks``.
     """
 
     min1: float
@@ -878,7 +883,7 @@ def integrate_core(params: WarpParams) -> WarpProfile:
     lam0 ``cap_width`` past the cap's slope target, so s ends over 2
     ``cap_width`` past the cap's Newton start (ds/du > 2u/lam0), or at the
     cap's guard if the target passes it.  NoStop if the first-integral
-    residual of the interpolated core exceeds ``tol_ode``.
+    residual of the interpolated core exceeds ``_FIRST_INTEGRAL_TOL``.
     """
     p = params.resolve()
     _, target, guard = _cap_slope_target(p, 1.0 + _u2_at_slope(p, p.lam))
@@ -886,10 +891,10 @@ def integrate_core(params: WarpParams) -> WarpProfile:
     core = _CoreSolution(p.lam0, p.alpha, math.sqrt(_u2_at_slope(p, min(target, guard)) + pad))
     s_stop = core.find_slope(p.lam)
     residual = core.first_integral_residual(0.0, core.s_end)
-    if residual > p.tol_ode:
+    if residual > _FIRST_INTEGRAL_TOL:
         raise NoStop(
             f"core table misses the first-integral tolerance: residual "
-            f"{residual:.3e} above {p.tol_ode:.0e}"
+            f"{residual:.3e} above {_FIRST_INTEGRAL_TOL:.0e}"
         )
     seg = Segment("core", 0.0, s_stop, core, _CoreH(core))
     return WarpProfile(

@@ -111,6 +111,20 @@ def test_gon_validates_once_per_request(capsys, monkeypatch, argv, labels):
     assert ("model" in payload) == payload["validation"]["valid"]
 
 
+@pytest.mark.parametrize("stdin", [
+    "[1, 2]",
+    '{"n": "4", "labels": [[1, 0], [0, 1]]}',
+    '{"n": 4.0, "labels": [[1, 0], [0, 1]]}',
+    '{"n": 4, "labels": 5}',
+    '{"n": 4, "labels": [[1.5, 0], [0, 1]]}',  # not truncated to [1, 0]
+], ids=["list", "n_string", "n_float", "labels_int", "label_float"])
+def test_gon_bad_json_exits_usage(capsys, monkeypatch, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, "gon", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_plumb(tmp_path, capsys):
     graph = tmp_path / "graph.txt"
     graph.write_text(
@@ -157,6 +171,31 @@ def test_certify_unknown_key_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "certify", str(cfg))
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("certify", "tol_glue"), ("certify", "tol_ode"), ("profile", "tol_ode"),
+])
+def test_fixed_tolerances_are_unknown_keys(tmp_path, capsys, section, key):
+    # The gluing and first-integral tolerances are module constants.
+    cfg = tmp_path / "config.ini"
+    cfg.write_text(f"[{section}]\nn = 4\ns0 = 1.0\n{key} = 1e-8\n")
+    code, out, err = run(capsys, section.replace("profile", "profile-export"), str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown config key {key!r} in [{section}]\n"
+
+
+@pytest.mark.parametrize("extra", [
+    "connection = bounded\nsup_f = 1\nsupport_lo = 0.1\n",  # no support_hi
+    "connection = trivial\nsup_f = 0.5\n",  # a trivial connection has no curvature
+    "connection = twisted\n",
+], ids=["support_lo_alone", "trivial_with_sup_f", "unknown_variant"])
+def test_certify_bad_connection_exits_usage(tmp_path, capsys, extra):
+    cfg = tmp_path / "certify.ini"
+    cfg.write_text(f"[certify]\nn = 4\ns0 = 1.0\n{extra}")
+    code, out, err = run(capsys, "certify", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_certify_non_finite_connection_exits_usage(tmp_path, capsys):
@@ -206,7 +245,7 @@ def test_certify_huge_cap_width_fails_in_cap_sine(tmp_path, capsys):
     assert "stage 'cap_sine'" in err and "cap width too large" in err
 
 
-@pytest.mark.parametrize("line", ["cap_width = nan", "tol_ode = -1", "ric_min_base = inf", "step = 0"])
+@pytest.mark.parametrize("line", ["cap_width = nan", "origin_eps = -1", "ric_min_base = inf", "step = 0"])
 def test_certify_rejects_nonfinite_and_out_of_range(tmp_path, capsys, line):
     cfg = tmp_path / "certify.ini"
     cfg.write_text(f"[certify]\nn = 4\ns0 = 1.0\n{line}\n")

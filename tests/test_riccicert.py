@@ -32,6 +32,8 @@ def test_connection_validation():
     with pytest.raises(InputError):
         rc.ConnectionModel("trivial", sup_f=1.0)
     with pytest.raises(InputError):
+        rc.ConnectionModel("trivial", support=(0.1, 0.2))
+    with pytest.raises(InputError):
         rc.ConnectionModel("twisted")  # unknown variant
     with pytest.raises(InputError):
         rc.ConnectionModel("bounded", sup_f=1.0, support=(2.0, 1.0))
@@ -709,26 +711,25 @@ def test_certify_large_dimension(n, s0):
 
 @pytest.mark.parametrize("n, s0", [(40, 1.3), (40, 1.5), (45, 1.3), (45, 1.5)])
 def test_certify_sizes_the_core_by_the_verdicts_residual(n, s0):
-    # The verdict reads the core's first-integral residual at its table's
+    # The core's gate reads its first-integral residual at its table's
     # cell midpoints, where the interpolation error peaks.  At these
-    # large-n points it is far below tol_ode = 1e-9 at the default
-    # sampling step, so they pass without a finer one.
+    # large-n points the residual certify reports is far below the gate's
+    # 1e-9 at the default sampling step, so they pass without a finer one.
     res = rc.certify(n, s0)
     assert res.passed(), (n, s0)
     margins = (res.margin_ineq1, res.margin_ineq2, res.margin_ineq3, res.margin_ricci)
     assert min(margins) > 0, margins
     p = res.profile.params
     assert p.step == wm.WarpParams(n=n, lam=res.lam).resolve().step
-    assert res.first_integral_residual < 1e-3 * p.tol_ode
+    assert res.first_integral_residual < 1e-3 * wm._FIRST_INTEGRAL_TOL
 
 
 def _conjuncts(res):
-    """The five conditions the verdict reads, by name."""
+    """The four conditions the verdict reads, by name."""
     return {
         "ricci": res.margin_ricci > 0.0,
         "tail": res.neck_report.tail_margin >= wm.TAIL_FLOOR,
         "gluing": res.gluing.passed,
-        "first_integral": res.first_integral_residual < res.profile.params.tol_ode,
         "bundle": res.bundle >= 0.0,
     }
 
@@ -739,9 +740,21 @@ def fail_routes(neck, monkeypatch):
     base, eps = neck
     blend, tail = base.cap.blend_start, base.tail.start
 
-    def first_integral():
-        monkeypatch.setattr(wm.WarpProfile, "first_integral_residual", lambda w: 1.0)
-        return rc.certify(4, 1.0)
+    def gluing():
+        # N scaled by 1 + 1e-6 on the built neck: resid_cap reads about
+        # sin(1) 1e-6, above GLUING_TOL, and phi moves by 1e-6, which a
+        # trivial connection's bundle bound does not read.
+        real = wm.build_neck
+
+        def mutated(params):
+            w, eps = real(params)
+            cap = dataclasses.replace(w.cap, big_n=w.cap.big_n * (1.0 + 1e-6))
+            return w.derive(cap=cap), eps
+
+        monkeypatch.setattr(wm, "build_neck", mutated)
+        res = rc.certify(4, 1.0)
+        assert 5e-7 < res.gluing.resid_cap < 1e-6
+        return res
 
     def bundle():
         monkeypatch.setattr(rc, "ricci_bundle", lambda *args: -1.0)
@@ -755,13 +768,12 @@ def fail_routes(neck, monkeypatch):
         "tail": lambda: rc.certify(4, 1.0, rc.ConnectionModel(
             "bounded", sup_f=0.1, sup_delta_f=0.1,
             support=(0.5 * (blend + tail), base.s_lambda))),
-        "gluing": lambda: rc.certify(4, 1.0, tol_glue=0.0),
-        "first_integral": first_integral,
+        "gluing": gluing,
         "bundle": bundle,
     }
 
 
-@pytest.mark.parametrize("condition", ["ricci", "tail", "gluing", "first_integral", "bundle"])
+@pytest.mark.parametrize("condition", ["ricci", "tail", "gluing", "bundle"])
 def test_certify_fails_on_each_condition(fail_routes, condition):
     res = fail_routes[condition]()
     assert res.verdict == "fail"
@@ -813,7 +825,7 @@ def test_certify_shrinks_r_when_phi_cap_binds(neck):
     "kwargs",
     [{"ric_min_base": math.nan}, {"ric_min_base": math.inf}, {"ric_min_base": 0.0},
      {"target_margin": math.nan}, {"target_margin": math.inf},
-     {"tol_glue": math.nan}, {"tol_glue": math.inf}, {"tol_glue": -1e-8},
+     {"params": wm.WarpParams(n=4, lam=math.cos(0.9))},
      {"params": wm.WarpParams(n=6, lam=math.cos(1.0))}],
 )
 def test_certify_rejects_nonfinite_and_out_of_range(kwargs):
@@ -822,9 +834,10 @@ def test_certify_rejects_nonfinite_and_out_of_range(kwargs):
         rc.certify(4, 1.0, **kwargs)
 
 
-def test_stage_error_labels():
+def test_stage_error_labels(monkeypatch):
+    monkeypatch.setattr(wm, "_FIRST_INTEGRAL_TOL", 1e-18)
     with pytest.raises(StageError) as exc:
-        rc.certify(3, 1.0, params=wm.WarpParams(n=3, lam=math.cos(1.0), tol_ode=1e-18))
+        rc.certify(3, 1.0)
     assert exc.value.stage == "integrate_core"
     assert isinstance(exc.value.cause, NoStop)
 

@@ -64,7 +64,7 @@ def test_params_strict_intervals():
 
 @pytest.mark.parametrize(
     "name, value",
-    [(name, value) for name in ("cap_width", "tail_width", "origin_eps", "step", "tol_ode")
+    [(name, value) for name in ("cap_width", "tail_width", "origin_eps", "step")
      for value in (math.nan, math.inf, 0.0, -1.0)]
     # A step this far below s_est would ask for billions of samples per
     # segment, so this case is only ever resolved, never built.
@@ -105,7 +105,7 @@ def test_core_slope_monotone_and_asymptote():
 
 def test_core_first_integral_residual():
     w = wm.integrate_core(build())
-    assert w.first_integral_residual() < w.params.tol_ode
+    assert w.first_integral_residual() < wm._FIRST_INTEGRAL_TOL
 
 
 def _quad_s_of_f(p, f):
@@ -155,11 +155,12 @@ def test_core_fourth_order_convergence():
     assert residuals[1] > 1e-12  # above rounding, so the ratio is the error's
 
 
-def test_core_unmet_tolerance_raises():
+def test_core_unmet_tolerance_raises(monkeypatch):
     # No table meets a 1e-18 residual: the core fails instead of
     # returning an unchecked solution.
+    monkeypatch.setattr(wm, "_FIRST_INTEGRAL_TOL", 1e-18)
     with pytest.raises(NoStop, match="first-integral tolerance"):
-        wm.integrate_core(build(tol_ode=1e-18))
+        wm.integrate_core(build())
 
 
 def test_core_table_fails_closed_at_its_cap(monkeypatch):
@@ -718,7 +719,7 @@ def test_origin_rejoins_core_exactly(finished):
 
 
 def test_origin_first_integral_survives(finished):
-    assert finished.first_integral_residual() < finished.params.tol_ode
+    assert finished.first_integral_residual() < wm._FIRST_INTEGRAL_TOL
 
 
 def test_splice_solve_against_root_finder(finished):

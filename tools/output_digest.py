@@ -7,7 +7,8 @@ compare it with the digest of another revision.
 The digest holds, for the sources of the checkout the script sits in:
 
 * stdout, stderr and exit code of the 12 ``certify_grid`` requests of the
-  benchmark, in a fixed order;
+  benchmark, in a fixed order, and of one bounded request whose phi cap
+  binds, so that certify shrinks the searched r (``phi_cap_request``);
 * r, margin and probe trail of ``search_r`` on the three ``scale_search``
   necks, for two seeded blocks of that workload's searches, with the
   SHA-256 of the CSV each successful search exports;
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -112,13 +114,27 @@ def _write_config(path, section, cfg):
         fh.writelines(f"{k} = {v}\n" for k, v in cfg.items())
 
 
+def phi_cap_request(tb):
+    """The certify config of ``test_certify_shrinks_r_when_phi_cap_binds``:
+    at (4, 1.0), curvature 0.5 on 5 % to 14.5 % of [eps, blend_start] of
+    the neck, and a phi cap that the searched r overshoots.  Only this
+    request builds a second probe after the search and runs ricci_neck."""
+    neck, eps = tb.warpmetric.build_neck(tb.warpmetric.WarpParams(n=4, lam=math.cos(1.0)))
+    span = neck.cap.blend_start - eps
+    return {"n": 4, "s0": 1.0, "connection": "bounded", "sup_f": 0.5,
+            "support_lo": eps + 0.05 * span, "support_hi": eps + 0.145 * span,
+            "ric_min_base": 1.0, "safety": 0.999}
+
+
 def certify_lines(tb, workdir):
     points = certify_points()
-    for key in sorted(points, key=repr):
+    requests = [(repr(key), points[key][1]) for key in sorted(points, key=repr)]
+    requests.append(("'phi cap'", phi_cap_request(tb)))
+    for key, cfg in requests:
         path = os.path.join(workdir, "certify.ini")
-        _write_config(path, "certify", points[key][1])
+        _write_config(path, "certify", cfg)
         code, out, err = run_cli(tb, ["certify", path])
-        yield f"## certify {key!r}: exit {code}"
+        yield f"## certify {key}: exit {code}"
         yield "-- stdout"
         yield out.replace(workdir, "<tmp>")
         yield "-- stderr"
