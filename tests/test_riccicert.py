@@ -826,6 +826,7 @@ def test_certify_shrinks_r_when_phi_cap_binds(neck):
     [{"ric_min_base": math.nan}, {"ric_min_base": math.inf}, {"ric_min_base": 0.0},
      {"target_margin": math.nan}, {"target_margin": math.inf},
      {"params": wm.WarpParams(n=4, lam=math.cos(0.9))},
+     {"ric_min_base": -1.0}, {"target_margin": -math.inf},
      {"params": wm.WarpParams(n=6, lam=math.cos(1.0))}],
 )
 def test_certify_rejects_nonfinite_and_out_of_range(kwargs):
