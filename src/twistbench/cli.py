@@ -12,6 +12,7 @@ import argparse
 import configparser
 import functools
 import json
+import math
 import sys
 
 from . import grammar, jsonout, orbitgon, plumbing, riccicert, topology, warpmetric
@@ -110,47 +111,41 @@ def cmd_gon(args) -> int:
     return EXIT_OK if report.valid or args.standard is not None else EXIT_FAIL
 
 
+# The config keys that override a WarpParams field, and their fields.
+_PARAM_FIELDS = {
+    "lambda0": "lam0", "alpha": "alpha", "cap_width": "cap_width",
+    "tail_width": "tail_width", "origin_eps": "origin_eps", "step": "step",
+}
+
 _CERTIFY_KEYS = {
     "n", "s0", "connection", "sup_f", "sup_delta_f", "support_lo", "support_hi",
-    "ric_min_base", "safety", "target_margin",
-    "lambda0", "alpha", "cap_width", "tail_width", "origin_eps", "step",
+    "ric_min_base", "safety", "target_margin", *_PARAM_FIELDS,
 }
 
-_PROFILE_KEYS = {
-    "n", "s0", "r", "lambda0", "alpha", "cap_width", "tail_width",
-    "origin_eps", "step",
-}
+_PROFILE_KEYS = {"n", "s0", "r", *_PARAM_FIELDS}
 
 
-def _load_config(path: str, section: str, allowed: set) -> dict:
+def _load_config(path: str, section: str, allowed: set):
+    """The [section] of the config at ``path``, its n and s0, and the
+    WarpParams for lam = cos(s0) with the section's overrides."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise InputError(f"config file {path!r} not found")
     if section not in parser:
         raise InputError(f"config file needs a [{section}] section")
-    out = {}
+    cfg = {}
     for key, value in parser[section].items():
         if key not in allowed:
             raise InputError(f"unknown config key {key!r} in [{section}]")
-        out[key] = value
-    return out
-
-
-def _build_params(cfg, n, lam) -> warpmetric.WarpParams:
-    def fget(key):
-        return float(cfg[key]) if key in cfg else None
-
-    return warpmetric.WarpParams(
-        n=n,
-        lam=lam,
-        lam0=fget("lambda0"),
-        alpha=fget("alpha"),
-        cap_width=fget("cap_width"),
-        tail_width=fget("tail_width"),
-        origin_eps=fget("origin_eps"),
-        step=fget("step"),
-    )
+        cfg[key] = value
+    try:
+        n = int(cfg["n"])
+        s0 = float(cfg["s0"])
+    except KeyError as exc:
+        raise InputError(f"{section} config needs key {exc}") from exc
+    overrides = {name: float(cfg[key]) for key, name in _PARAM_FIELDS.items() if key in cfg}
+    return cfg, n, s0, warpmetric.WarpParams(n=n, lam=math.cos(s0), **overrides)
 
 
 def _connection_from(cfg) -> riccicert.ConnectionModel:
@@ -171,15 +166,7 @@ def _connection_from(cfg) -> riccicert.ConnectionModel:
 
 
 def cmd_certify(args) -> int:
-    import math
-
-    cfg = _load_config(args.config, "certify", _CERTIFY_KEYS)
-    try:
-        n = int(cfg["n"])
-        s0 = float(cfg["s0"])
-    except KeyError as exc:
-        raise InputError(f"certify config needs key {exc}") from exc
-    params = _build_params(cfg, n, math.cos(s0))
+    cfg, n, s0, params = _load_config(args.config, "certify", _CERTIFY_KEYS)
     result = riccicert.certify(
         n,
         s0,
@@ -194,15 +181,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_profile_export(args) -> int:
-    import math
-
-    cfg = _load_config(args.config, "profile", _PROFILE_KEYS)
-    try:
-        n = int(cfg["n"])
-        s0 = float(cfg["s0"])
-    except KeyError as exc:
-        raise InputError(f"profile config needs key {exc}") from exc
-    params = _build_params(cfg, n, math.cos(s0)).resolve()
+    cfg, _, _, params = _load_config(args.config, "profile", _PROFILE_KEYS)
     w, eps = warpmetric.build_neck(params)
     w = warpmetric.smooth_origin(w, float(cfg.get("r", 0.5)), eps)
     warpmetric.export_profile(w, args.out or sys.stdout)

@@ -1,9 +1,12 @@
 """Text grammar for manifold expressions and twisting classes.
 
-Atoms: ``S(n)``, ``CP(m)``, ``lens(k,d)``, ``N(k)``, ``Wu``, ``Poincare``,
-``S(p)xS(q)``, ``S2~S(n)``.  Combinators: ``csum(a,b,...)`` and
-``susp(e, x)`` with e one of ``0``, ``prim``, ``div(k)`` or a bracketed
-list ``[e1,...,eL]`` splitting over the summands.
+Atoms are the rows of ``topology.ATOMS``: ``S(n)``, ``CP(m)``,
+``lens(k,d)``, ``N(k)``, ``Wu``, ``Poincare``, ``S2~S(n)``.  The parser
+reads each from its row's text form, so an atom is a constructor plus
+one row.  Besides the atoms: the product ``S(p)xS(q)`` and the
+combinators ``csum(a,b,...)`` and ``susp(e, x)`` with e one of ``0``,
+``prim``, ``div(k)`` or a bracketed list ``[e1,...,eL]`` splitting over
+the summands.
 """
 
 from __future__ import annotations
@@ -32,6 +35,15 @@ def _tokenize(text: str) -> list:
         out.append(m.group(1))
         pos = m.end()
     return out
+
+
+# The first token of each atom's text form -> (constructor, later tokens),
+# with "0" for each integer parameter.
+_ATOMS = {
+    tokens[0]: (row.make, tokens[1:])
+    for row in topology.ATOMS.values()
+    for tokens in [_tokenize(row.text.replace("{}", "0"))]
+}
 
 
 class _Parser:
@@ -64,46 +76,22 @@ class _Parser:
     # -- manifolds ----------------------------------------------------------
     def manifold(self) -> ManifoldExpr:
         tok = self.take()
-        if tok == "S":
-            self.take("(")
-            p = self.integer()
-            self.take(")")
-            nxt = self.peek()
-            if nxt == "xS":
+        if tok in _ATOMS:
+            make, rest = _ATOMS[tok]
+            params = []
+            for t in rest:
+                if t == "0":
+                    params.append(self.integer())
+                else:
+                    self.take(t)
+            # S(p)xS(q) is a product, not an atom; its p reads as a sphere's.
+            if tok == "S" and self.peek() == "xS":
                 self.take()
                 self.take("(")
                 q = self.integer()
                 self.take(")")
-                return topology.sphere_product(p, q)
-            return topology.sphere(p)
-        if tok == "CP":
-            self.take("(")
-            m = self.integer()
-            self.take(")")
-            return topology.cp(m)
-        if tok == "lens":
-            self.take("(")
-            k = self.integer()
-            self.take(",")
-            d = self.integer()
-            self.take(")")
-            return topology.lens(k, d)
-        if tok == "N":
-            self.take("(")
-            k = self.integer()
-            self.take(")")
-            return topology.smale(k)
-        if tok == "Wu":
-            return topology.wu_manifold()
-        if tok == "Poincare":
-            return topology.poincare_sphere()
-        if tok == "S2":
-            self.take("~")
-            self.take("S")
-            self.take("(")
-            q = self.integer()
-            self.take(")")
-            return topology.twisted_s2_bundle(q)
+                return topology.sphere_product(*params, q)
+            return make(*params)
         if tok == "csum":
             self.take("(")
             parts = [self.manifold()]

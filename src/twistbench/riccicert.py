@@ -499,7 +499,11 @@ def certify(
         shrink = math.exp(phi_cap - phi)
         r = r * shrink * 0.999
         profile = builder(r)
-        neck_report = _stage("ricci_neck", ricci_neck, profile, c, r)
+        try:
+            neck_report = ricci_neck(profile, c, r)
+        except NotPositive as exc:
+            # A failing bound is the verdict's to read, not a stage failure.
+            neck_report = exc.report
         h_end = profile.evaluate(profile.s_lambda)[3]
         phi = math.log(h_end / profile.cap.big_n)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from . import fgab
 from .errors import DimensionMismatch, DimensionTooSmall, RankTooLarge, Unsupported
@@ -129,7 +130,7 @@ class ManifoldExpr:
     """Immutable expression tree; attributes are computed lazily."""
 
     kind: str  # atom | product | connected_sum | twisted_suspension
-    atom: str = ""  # for atoms: sphere|cp|lens|smale|wu|poincare|twisted_s2
+    atom: str = ""  # for atoms: its key in ATOMS
     params: tuple = ()
     children: tuple = ()
     euler: EulerClass | None = None
@@ -222,25 +223,49 @@ def suspend(x: ManifoldExpr, e: EulerClass) -> ManifoldExpr:
 
 
 # ---------------------------------------------------------------------------
+# The catalogue: one row per atom
+# ---------------------------------------------------------------------------
+
+class Atom(NamedTuple):
+    """One catalogue atom.  ``text`` has ``{}`` for each integer parameter:
+    ``render`` prints it and the grammar reads it.  ``make`` is the
+    validating constructor; the rest are functions of the parameters: the
+    dimension, the spin flag (True / False / None = unknown), the homology
+    groups by degree (absent degrees are trivial) and pi_1."""
+
+    text: str
+    make: Callable
+    dim: Callable
+    spin: Callable
+    homology: Callable
+    pi1: Callable = lambda *params: PI1_TRIVIAL
+
+
+ATOMS = {
+    "sphere": Atom("S({})", sphere, lambda n: n, lambda n: True, lambda n: {0: Z, n: Z}),
+    "cp": Atom("CP({})", cp, lambda m: 2 * m, lambda m: m % 2 == 1,
+               lambda m: {2 * i: Z for i in range(m + 1)}),
+    # Odd-order lens spaces have no 2-torsion in H^2(.; Z/2).
+    "lens": Atom("lens({},{})", lens, lambda k, d: d, lambda k, d: True if k % 2 == 1 else None,
+                 lambda k, d: {0: Z, d: Z, **{i: cyclic(k) for i in range(1, d - 1, 2)}},
+                 lambda k, d: Pi1("cyclic", order=k)),
+    "smale": Atom("N({})", smale, lambda k: 5, lambda k: True,
+                  lambda k: {0: Z, 2: direct_sum(cyclic(k), cyclic(k)), 5: Z}),
+    "wu": Atom("Wu", wu_manifold, lambda: 5, lambda: False, lambda: {0: Z, 2: cyclic(2), 5: Z}),
+    "poincare": Atom("Poincare", poincare_sphere, lambda: 3, lambda: True, lambda: {0: Z, 3: Z},
+                     lambda: Pi1("binary_icosahedral")),
+    "twisted_s2": Atom("S2~S({})", twisted_s2_bundle, lambda q: q + 2, lambda q: False,
+                       lambda q: {0: Z, 2: Z, q: Z, q + 2: Z}),
+}
+
+
+# ---------------------------------------------------------------------------
 # Rendering (the CLI grammar in reverse)
 # ---------------------------------------------------------------------------
 
 def render(x: ManifoldExpr) -> str:
     if x.kind == "atom":
-        if x.atom == "sphere":
-            return f"S({x.params[0]})"
-        if x.atom == "cp":
-            return f"CP({x.params[0]})"
-        if x.atom == "lens":
-            return f"lens({x.params[0]},{x.params[1]})"
-        if x.atom == "smale":
-            return f"N({x.params[0]})"
-        if x.atom == "wu":
-            return "Wu"
-        if x.atom == "poincare":
-            return "Poincare"
-        if x.atom == "twisted_s2":
-            return f"S2~S({x.params[0]})"
+        return ATOMS[x.atom].text.format(*x.params)
     if x.kind == "product":
         return f"S({x.params[0]})xS({x.params[1]})"
     if x.kind == "connected_sum":
@@ -257,20 +282,7 @@ def render(x: ManifoldExpr) -> str:
 @lru_cache(maxsize=CACHE_SIZE)
 def dim(x: ManifoldExpr) -> int:
     if x.kind == "atom":
-        if x.atom == "sphere":
-            return x.params[0]
-        if x.atom == "cp":
-            return 2 * x.params[0]
-        if x.atom == "lens":
-            return x.params[1]
-        if x.atom == "smale":
-            return 5
-        if x.atom == "wu":
-            return 5
-        if x.atom == "poincare":
-            return 3
-        if x.atom == "twisted_s2":
-            return x.params[0] + 2
+        return ATOMS[x.atom].dim(*x.params)
     if x.kind == "product":
         return x.params[0] + x.params[1]
     if x.kind == "connected_sum":
@@ -282,11 +294,9 @@ def dim(x: ManifoldExpr) -> int:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def pi1(x: ManifoldExpr) -> Pi1:
-    if x.kind in ("atom", "product"):
-        if x.kind == "atom" and x.atom == "lens":
-            return Pi1("cyclic", order=x.params[0])
-        if x.kind == "atom" and x.atom == "poincare":
-            return Pi1("binary_icosahedral")
+    if x.kind == "atom":
+        return ATOMS[x.atom].pi1(*x.params)
+    if x.kind == "product":
         return PI1_TRIVIAL
     if x.kind == "connected_sum":
         nontrivial = [pi1(c) for c in x.children if not pi1(c).is_trivial()]
@@ -309,21 +319,7 @@ def simply_connected(x: ManifoldExpr) -> bool:
 def spin(x: ManifoldExpr):
     """Tri-state spin flag: True / False / None (= unknown)."""
     if x.kind == "atom":
-        if x.atom == "sphere":
-            return True
-        if x.atom == "cp":
-            return x.params[0] % 2 == 1
-        if x.atom == "lens":
-            # Odd-order quotients have no 2-torsion in H^2(.; Z/2).
-            return True if x.params[0] % 2 == 1 else None
-        if x.atom == "smale":
-            return True
-        if x.atom == "wu":
-            return False
-        if x.atom == "poincare":
-            return True
-        if x.atom == "twisted_s2":
-            return False
+        return ATOMS[x.atom].spin(*x.params)
     if x.kind == "product":
         return True
     if x.kind == "connected_sum":
@@ -341,12 +337,7 @@ def spin(x: ManifoldExpr):
 def _suspension_spin(base: ManifoldExpr, e: EulerClass):
     """Spin of a suspension: spin iff w_2(base) is congruent to e mod 2."""
     if e.kind == "split":
-        flags = [_suspension_spin(c, p) for c, p in zip(base.children, e.parts)]
-        if any(f is False for f in flags):
-            return False
-        if any(f is None for f in flags):
-            return None
-        return True
+        return spin(_suspended_summands(base, e.parts))
     s = spin(base)
     if e.div % 2 == 0:
         # e is an even class, so the condition is w_2(base) = 0.
@@ -377,7 +368,7 @@ def homology(x: ManifoldExpr) -> tuple:
     """Integral homology table H_0 .. H_n, or Unsupported."""
     n = dim(x)
     if x.kind == "atom":
-        return _atom_homology(x, n)
+        return _table(n, ATOMS[x.atom].homology(*x.params))
     if x.kind == "product":
         p, q = x.params
         groups: dict = {}
@@ -396,28 +387,10 @@ def homology(x: ManifoldExpr) -> tuple:
     raise ValueError(f"unknown expression kind {x.kind!r}")
 
 
-def _atom_homology(x: ManifoldExpr, n: int) -> tuple:
-    if x.atom == "sphere":
-        return _table(n, {0: Z, n: Z})
-    if x.atom == "cp":
-        return _table(n, {2 * i: Z for i in range(x.params[0] + 1)})
-    if x.atom == "lens":
-        k = x.params[0]
-        groups = {0: Z, n: Z}
-        for i in range(1, n - 1, 2):
-            groups[i] = cyclic(k)
-        return _table(n, groups)
-    if x.atom == "smale":
-        k = x.params[0]
-        return _table(5, {0: Z, 2: direct_sum(cyclic(k), cyclic(k)), 5: Z})
-    if x.atom == "wu":
-        return _table(5, {0: Z, 2: cyclic(2), 5: Z})
-    if x.atom == "poincare":
-        return _table(3, {0: Z, 3: Z})
-    if x.atom == "twisted_s2":
-        q = x.params[0]
-        return _table(q + 2, {0: Z, 2: Z, q: Z, q + 2: Z})
-    raise ValueError(f"unknown atom {x.atom!r}")
+def _suspended_summands(base: ManifoldExpr, parts) -> ManifoldExpr:
+    """The split-class rule: a suspension of a connected sum by
+    [e1,...,eL] is the sum of the summands' suspensions by e1, ..., eL."""
+    return connected_sum([suspend(c, p) for c, p in zip(base.children, parts)])
 
 
 def _suspension_homology(base: ManifoldExpr, e: EulerClass) -> tuple:
@@ -430,10 +403,7 @@ def _suspension_homology(base: ManifoldExpr, e: EulerClass) -> tuple:
         groups[n] = h[n - 1]
         return _table(n + 1, groups)
     if e.kind == "split":
-        rewritten = connected_sum(
-            [suspend(c, p) for c, p in zip(base.children, e.parts)]
-        )
-        return homology(rewritten)
+        return homology(_suspended_summands(base, e.parts))
     # Nonzero single class: only the resolved Gysin families.
     if base.kind == "atom" and base.atom == "cp":
         m = base.params[0]
@@ -526,15 +496,9 @@ def _rewrite(x: ManifoldExpr) -> ManifoldExpr:
     if x.kind == "twisted_suspension":
         base = _rewrite(x.children[0])
         e = x.euler
-        if base.kind == "connected_sum" and dim(base) >= 4:
-            if e.kind == "split":
-                return _rewrite(
-                    connected_sum([suspend(c, p) for c, p in zip(base.children, e.parts)])
-                )
-            if e.kind == "zero":
-                return _rewrite(
-                    connected_sum([suspend(c, ZERO_CLASS) for c in base.children])
-                )
+        if base.kind == "connected_sum" and dim(base) >= 4 and e.kind in ("split", "zero"):
+            parts = e.parts if e.kind == "split" else [ZERO_CLASS] * len(base.children)
+            return _rewrite(_suspended_summands(base, parts))
         if base.kind == "atom" and base.atom == "sphere" and e.kind == "zero":
             return sphere(base.params[0] + 1)
         if base.kind == "atom" and base.atom == "cp" and e.kind == "primitive":

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import math
 import weakref
 
 import pytest
@@ -243,6 +244,23 @@ def test_certify_huge_cap_width_fails_in_cap_sine(tmp_path, capsys):
     code, out, err = run(capsys, "certify", str(cfg))
     assert code == 1 and not out
     assert "stage 'cap_sine'" in err and "cap width too large" in err
+
+
+def test_certify_collar_failure_after_the_phi_cap_shrink_is_a_verdict(tmp_path, capsys):
+    # Curvature on the seam collar alone, and a phi cap that makes certify
+    # shrink r: the rebuilt probe fails its collar bound, and the verdict
+    # says so on stdout.
+    neck, _ = warpmetric.build_neck(warpmetric.WarpParams(n=4, lam=math.cos(1.0)))
+    lo = 0.5 * (neck.cap.blend_start + neck.tail.start)
+    cfg = tmp_path / "certify.ini"
+    cfg.write_text(
+        "[certify]\nn = 4\ns0 = 1.0\nconnection = bounded\nsup_f = 0.1\nsup_delta_f = 0.1\n"
+        f"support_lo = {lo!r}\nsupport_hi = {neck.s_lambda!r}\nsafety = 0.999\n"
+    )
+    code, out, err = run(capsys, "certify", str(cfg))
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail" and payload["params"]["r"] < 1.0
 
 
 @pytest.mark.parametrize("line", ["cap_width = nan", "origin_eps = -1", "ric_min_base = inf", "step = 0"])

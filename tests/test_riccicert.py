@@ -756,20 +756,20 @@ def fail_routes(neck, monkeypatch):
         assert 5e-7 < res.gluing.resid_cap < 1e-6
         return res
 
-    def bundle():
-        monkeypatch.setattr(rc, "ricci_bundle", lambda *args: -1.0)
-        return rc.certify(4, 1.0)
-
     return {
         # The target admits a negative bound, so the search returns one.
         "ricci": lambda: rc.certify(4, 1.0, rc.ConnectionModel(
             "bounded", sup_f=50.0, support=(eps, blend)), target_margin=-1.0),
         # Curvature on the seam collar alone; the search reads the strict zone.
-        "tail": lambda: rc.certify(4, 1.0, rc.ConnectionModel(
+        "tail": lambda safety=0.5: rc.certify(4, 1.0, rc.ConnectionModel(
             "bounded", sup_f=0.1, sup_delta_f=0.1,
-            support=(0.5 * (blend + tail), base.s_lambda))),
+            support=(0.5 * (blend + tail), base.s_lambda)), safety=safety),
         "gluing": gluing,
-        "bundle": bundle,
+        # Curvature in the bundle region only.  Safety 1 clamps phi to
+        # PHI_FLOOR, where sup_f above about 4e8 turns the bound negative.
+        "bundle": lambda: rc.certify(4, 1.0, rc.ConnectionModel(
+            "bounded", sup_f=1e9, support=(base.s_lambda + 1.0, base.s_lambda + 2.0)),
+            1.0, safety=1.0),
     }
 
 
@@ -778,6 +778,16 @@ def test_certify_fails_on_each_condition(fail_routes, condition):
     res = fail_routes[condition]()
     assert res.verdict == "fail"
     assert [k for k, ok in _conjuncts(res).items() if not ok] == [condition]
+
+
+def test_certify_phi_cap_shrink_reads_a_failing_report(fail_routes):
+    # At safety 0.999 the tail route's phi cap binds (its search returns
+    # r = 1), so certify shrinks r and rebuilds the probe.  The rebuilt
+    # probe's failing collar is a verdict, not a stage error.
+    res = fail_routes["tail"](safety=0.999)
+    assert res.r < 1.0
+    assert res.neck_report.tail_margin < wm.TAIL_FLOOR
+    assert [k for k, ok in _conjuncts(res).items() if not ok] == ["tail"]
 
 
 def test_certify_precondition_errors():

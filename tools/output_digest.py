@@ -24,8 +24,11 @@ The digest holds, for the sources of the checkout the script sits in:
 * under ``## topology``, the exit code and the SHA-256 of stdout and
   stderr of exact-topology requests: ``gon --standard L`` for L = 0..40,
   seeded valid labellings from the benchmark's ``random_gon``, invalid
-  labellings, and seeded blocks of the ``topology_queries`` workload
-  (homology, suspend, plumb and gon requests).
+  labellings, seeded blocks of the ``topology_queries`` workload
+  (homology, suspend, plumb and gon requests), ``homology`` of each
+  catalogue atom's text form (``CATALOGUE``) and ``homology --decompose``
+  of expressions that run the grammar's ``susp(`` branch and every
+  suspension rule of ``decompose`` (``DECOMPOSED``).
 
 Floats are written as ``repr(float(x))``, so two digests compare equal
 byte for byte only if every number is bit-identical, and a numpy scalar
@@ -79,6 +82,15 @@ INVALID_GONS = (
     {"n": 4, "labels": [[1, 0], [0, 0]]},
     {"n": 4, "labels": [[1, 0]]},
     {"n": 4},
+)
+# One text form per catalogue atom, and the sphere product.
+CATALOGUE = ("S(5)", "CP(3)", "lens(3,5)", "N(3)", "Wu", "Poincare", "S2~S(4)", "S(2)xS(3)")
+# The seeded topology requests never parse susp( or reach a suspension
+# rule of decompose; these do, and the last one's spin is unknown.
+DECOMPOSED = (
+    "susp(0,S(4))", "susp(prim,CP(2))", "susp(prim,CP(3))", "susp(0,S(2)xS(4))",
+    "susp([prim,0],csum(CP(2),S(2)xS(2)))", "susp(0,csum(N(2),S(5)))",
+    "csum(S2~S(4),S(2)xS(4))", "susp(prim,lens(4,5))",
 )
 
 
@@ -220,6 +232,10 @@ def topology_requests():
     for _ in range(TOPOLOGY_BLOCKS * wl.block_size):
         op = next(stream)
         yield op.kind, op.argv, op.stdin
+    for expr in CATALOGUE:
+        yield "catalogue", ["homology", expr], None
+    for expr in DECOMPOSED:
+        yield "decompose", ["homology", "--decompose", expr], None
 
 
 def topology_lines(tb):
