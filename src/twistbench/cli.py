@@ -129,16 +129,19 @@ def _load_config(path: str, section: str, allowed: set):
     """The [section] of the config at ``path``, its n and s0, and the
     WarpParams for lam = cos(s0) with the section's overrides."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise InputError(f"config file {path!r} not found")
-    if section not in parser:
-        raise InputError(f"config file needs a [{section}] section")
-    cfg = {}
-    for key, value in parser[section].items():
+    try:
+        if not parser.read(path):
+            raise InputError(f"config file {path!r} not found")
+        if section not in parser:
+            raise InputError(f"config file needs a [{section}] section")
+        # Values are interpolated as they are read, so a bad % raises here.
+        cfg = dict(parser[section])
+    except configparser.Error as exc:
+        # Its messages span lines; the CLI reports an error on one.
+        raise InputError(f"bad config file {path!r}: {' '.join(str(exc).split())}") from exc
+    for key in cfg:
         if key not in allowed:
             raise InputError(f"unknown config key {key!r} in [{section}]")
-        cfg[key] = value
     try:
         n = int(cfg["n"])
         s0 = float(cfg["s0"])

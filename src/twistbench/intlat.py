@@ -1,7 +1,7 @@
 """Exact integer-lattice linear algebra.
 
-Smith normal form with tracked unimodular transforms (and their inverses),
-unimodular extensions of generating sets, and primitivity/divisibility
+Smith normal form with the inverse transforms that the unimodular extension
+reads, unimodular extensions of generating sets, and primitivity/divisibility
 tests.  All arithmetic uses Python integers, so nothing ever overflows;
 exactness is what the topology side of the workbench is built on.
 """
@@ -57,19 +57,12 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix.from_rows(identity_lists(n), cols=n)
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -131,16 +124,10 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """left @ input @ right = diag, with left/right unimodular.
+    """input == left_inv @ diag @ right_inv, with left_inv and right_inv
+    unimodular."""
 
-    ``left_inv`` and ``right_inv`` are carried along because the
-    unimodular-extension construction needs them and they are cheap to
-    track during the reduction.
-    """
-
-    left: IntMatrix
     diag: IntMatrix
-    right: IntMatrix
     left_inv: IntMatrix
     right_inv: IntMatrix
 
@@ -149,24 +136,21 @@ class SnfDecomposition:
 
 
 class _Reducer:
-    """Mutable state for one Smith reduction, with transform tracking."""
+    """Mutable state for one Smith reduction: the matrix and the inverse
+    transforms, kept so that input == left_inv @ a @ right_inv."""
 
     def __init__(self, a: IntMatrix):
         self.m = a.rows
         self.n = a.cols
         self.a = a.to_lists()
-        self.left = identity_lists(self.m)
         self.left_inv = identity_lists(self.m)
-        self.right = identity_lists(self.n)
         self.right_inv = identity_lists(self.n)
 
-    # Row operations act as A <- E A, so left <- E left and
-    # left_inv <- left_inv E^{-1}.
+    # Row operations act as A <- E A, so left_inv <- left_inv E^{-1}.
     def swap_rows(self, i, j):
         if i == j:
             return
         self.a[i], self.a[j] = self.a[j], self.a[i]
-        self.left[i], self.left[j] = self.left[j], self.left[i]
         for row in self.left_inv:
             row[i], row[j] = row[j], row[i]
 
@@ -177,26 +161,19 @@ class _Reducer:
         ai, aj = self.a[i], self.a[j]
         for k in range(self.n):
             ai[k] += q * aj[k]
-        li, lj = self.left[i], self.left[j]
-        for k in range(self.m):
-            li[k] += q * lj[k]
         for row in self.left_inv:
             row[j] -= q * row[i]
 
     def negate_row(self, i):
         self.a[i] = [-x for x in self.a[i]]
-        self.left[i] = [-x for x in self.left[i]]
         for row in self.left_inv:
             row[i] = -row[i]
 
-    # Column operations act as A <- A E, so right <- right E and
-    # right_inv <- E^{-1} right_inv.
+    # Column operations act as A <- A E, so right_inv <- E^{-1} right_inv.
     def swap_cols(self, i, j):
         if i == j:
             return
         for row in self.a:
-            row[i], row[j] = row[j], row[i]
-        for row in self.right:
             row[i], row[j] = row[j], row[i]
         self.right_inv[i], self.right_inv[j] = self.right_inv[j], self.right_inv[i]
 
@@ -205,8 +182,6 @@ class _Reducer:
         if q == 0:
             return
         for row in self.a:
-            row[j] += q * row[i]
-        for row in self.right:
             row[j] += q * row[i]
         ri, rj = self.right_inv[i], self.right_inv[j]
         for k in range(self.n):
@@ -279,7 +254,8 @@ class _Reducer:
 
 
 def snf(a: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with unimodular transforms.
+    """Smith normal form with the inverse transforms:
+    ``a == left_inv @ diag @ right_inv``.
 
     The diagonal is nonnegative and satisfies d_i | d_{i+1} (trailing
     zeros allowed; zero is divisible by everything).  The diagonal is
@@ -288,9 +264,7 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     red = _Reducer(a)
     red.run()
     return SnfDecomposition(
-        left=IntMatrix.from_rows(red.left, cols=a.rows),
         diag=IntMatrix.from_rows(red.a, cols=a.cols),
-        right=IntMatrix.from_rows(red.right, cols=a.cols),
         left_inv=IntMatrix.from_rows(red.left_inv, cols=a.rows),
         right_inv=IntMatrix.from_rows(red.right_inv, cols=a.cols),
     )
@@ -351,6 +325,5 @@ def extends_to_basis(vs: Sequence[Sequence[int]]) -> bool:
     if len(vs) > d:
         raise DimensionMismatch("more vectors than the ambient rank")
     cols = IntMatrix.from_rows([[int(v[i]) for v in vs] for i in range(d)], cols=len(vs))
-    diag = snf(cols).diagonal()
-    ones = sum(1 for x in diag if x == 1)
-    return ones == len(vs) and all(x == 1 for x in diag[: len(vs)])
+    # len(vs) <= d, so the diagonal has exactly len(vs) entries.
+    return all(x == 1 for x in snf(cols).diagonal())

@@ -119,9 +119,9 @@ def test_criterion_5_snf_property_suite():
             [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rows)]
         )
         dec = intlat.snf(a)
-        assert dec.left @ a @ dec.right == dec.diag
-        assert abs(dec.left.det()) == 1
-        assert abs(dec.right.det()) == 1
+        assert dec.left_inv @ dec.diag @ dec.right_inv == a
+        assert abs(dec.left_inv.det()) == 1
+        assert abs(dec.right_inv.det()) == 1
         d = dec.diagonal()
         assert all(x >= 0 for x in d)
         for x, y in zip(d, d[1:]):

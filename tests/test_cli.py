@@ -174,6 +174,24 @@ def test_certify_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("text", [
+    "n = 4\ns0 = 1.0\n",
+    "[certify]\nn = 4\nn = 5\ns0 = 1.0\n",
+    "[certify]\nn = 4\ns0 = 1.0\n[certify]\nsafety = 0.5\n",
+    "[certify]\nn = 4\ns0 = 1.0\nsafety\n",
+    "[certify]\nn = 4\ns0 = 1.0\nconnection = tri%vial\n",
+    "[profile]\nn = 4\ns0 = 1.0\n",
+    "[certify]\ns0 = 1.0\n",
+], ids=["no_section_header", "duplicate_key", "duplicate_section", "key_without_value",
+        "bad_interpolation", "no_certify_section", "no_n"])
+def test_certify_malformed_config_exits_usage(tmp_path, capsys, text):
+    cfg = tmp_path / "certify.ini"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "certify", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("section, key", [
     ("certify", "tol_glue"), ("certify", "tol_ode"), ("profile", "tol_ode"),
 ])

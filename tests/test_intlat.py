@@ -28,11 +28,9 @@ def minors_gcd(m: IntMatrix, k: int) -> int:
 
 def assert_valid_snf(a: IntMatrix):
     dec = snf(a)
-    assert dec.left @ a @ dec.right == dec.diag
-    assert abs(dec.left.det()) == 1
-    assert abs(dec.right.det()) == 1
-    assert dec.left @ dec.left_inv == IntMatrix.identity(a.rows)
-    assert dec.right @ dec.right_inv == IntMatrix.identity(a.cols)
+    assert dec.left_inv @ dec.diag @ dec.right_inv == a
+    assert abs(dec.left_inv.det()) == 1
+    assert abs(dec.right_inv.det()) == 1
     assert dec.diag.is_diagonal()
     d = dec.diagonal()
     assert all(x >= 0 for x in d)
@@ -60,6 +58,34 @@ def test_snf_column_gcd():
     a = IntMatrix.from_rows([[6], [10], [15]])
     dec = assert_valid_snf(a)
     assert dec.diagonal() == (1,)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_snf_empty_shapes(rows, cols):
+    dec = assert_valid_snf(IntMatrix(rows, cols, ()))
+    assert dec.diagonal() == ()
+
+
+def test_empty_matrices():
+    assert IntMatrix(0, 0, ()).det() == 1
+    # No rows to keep: the extension of Z^0 into Z^3 is the identity.
+    assert unimodular_extension(IntMatrix(0, 3, ())) == IntMatrix.identity(3)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: IntMatrix(-1, 0, ()), ValueError, "nonnegative"),
+    (lambda: IntMatrix(2, 2, (1, 2, 3)), ValueError, "entry count"),
+    (lambda: IntMatrix(1, 2, (1, 2.0)), ValueError, "integers"),
+    (lambda: IntMatrix.from_rows([[1, 2], [3]]), ValueError, "ragged"),
+    (lambda: IntMatrix.identity(2) @ IntMatrix.identity(3), DimensionMismatch, "shapes"),
+    (lambda: IntMatrix.from_rows([[1, 2]]).det(), DimensionMismatch, "non-square"),
+    (lambda: unimodular_extension(IntMatrix.from_rows([[1], [0]])), DimensionMismatch, "rows <= cols"),
+    (lambda: extends_to_basis([(1, 0), (1,)]), DimensionMismatch, "unequal length"),
+], ids=["negative_dim", "entry_count", "non_int", "ragged", "matmul_shapes",
+        "det_non_square", "extension_tall", "basis_unequal_length"])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()
 
 
 def test_snf_minors_oracle_small():
