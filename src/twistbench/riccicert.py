@@ -14,8 +14,12 @@ curvature acts; ``_FrameFold`` runs the bounded arithmetic only on the
 samples the curvature support reaches, and a report keeps the two minima
 (strict zone, seam collar), not per-sample columns.  ``search_r``
 prepares the same fold once on the r = 1 probe's blocks right of the
-origin collar and reports every probe, r = 1 included, from that fold
-at its scale and the probe's collar minima (``_probe_report``).
+origin collar.  Each Gershgorin row there is m - b r - a r^2 in the
+fibre scale r, so the fold's root gives the largest scale that meets
+the target in closed form, and ``certify`` lowers it to the scale at
+which the fibre length reaches the bundle side's cap on it.  Every
+probe, r = 1 included, is reported from that fold at its scale and the
+probe's collar minima (``_probe_report``).
 
 The bundle region is handled through the constant-fibre-length
 formulas with a harmonic curvature representative, which kills the
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import warpmetric
-from .errors import Exhausted, InputError, NotPositive
+from .errors import Exhausted, InputError, NotPositive, StageError
 from .warpmetric import TAIL_FLOOR, WarpParams, WarpProfile, _stage
 
 
@@ -141,31 +145,72 @@ class _FrameFold:
             for tail in (False, True)
         )
 
+    def _rows(self, columns, scale: float) -> tuple:
+        """The Gershgorin rows (T, X, S) at a group's reached samples, with
+        h and h' times ``scale``: each row's margin and the curvature terms
+        it loses, in the order they are subtracted, each with the power of
+        the scale it carries (h and h' enter once in a mixed T bound, twice
+        in a loss or in the X-S bound)."""
+        import numpy as np
+        n, beta, beta_delta = self.n, self.beta, self.beta_delta
+        f, h, hp, m1, m2, m3 = columns
+        h, hp = scale * h, scale * hp
+        f_sq = f * f
+        half_h_sq = 0.5 * (h * h)
+        loss_sphere = half_h_sq / (f_sq * f_sq) * (n - 1) * beta**2
+        loss_radial = half_h_sq / f_sq * (n - 1) * beta**2
+        mix_ts = 0.5 * np.abs(h) * beta_delta
+        mix_tx = mix_ts + 1.5 * np.abs(hp) * beta
+        mix_xs = half_h_sq / (f_sq * f) * (n - 1) * beta**2
+        return (
+            (m3, ((mix_tx, 1), (mix_ts, 1))),
+            (m2, ((loss_sphere, 2), (mix_tx, 1), (mix_xs, 2))),
+            (m1, ((loss_radial, 2), (mix_ts, 1), (mix_xs, 2))),
+        )
+
     def bounds(self, scale: float = 1.0) -> tuple:
         """The bound at the reached samples of each group (strict, tail),
         with h and h' times ``scale``: ``search_r`` folds the r = 1
         probe's blocks at scale r as the blocks of the probe at r."""
         import numpy as np
-        n, beta, beta_delta = self.n, self.beta, self.beta_delta
         out = []
         for columns, _ in self.groups:
             if not columns:
                 out.append(np.empty(0))
                 continue
-            f, h, hp, m1, m2, m3 = columns
-            h, hp = scale * h, scale * hp
-            f_sq = f * f
-            half_h_sq = 0.5 * (h * h)
-            loss_sphere = half_h_sq / (f_sq * f_sq) * (n - 1) * beta**2
-            loss_radial = half_h_sq / f_sq * (n - 1) * beta**2
-            mix_ts = 0.5 * np.abs(h) * beta_delta
-            mix_tx = mix_ts + 1.5 * np.abs(hp) * beta
-            mix_xs = half_h_sq / (f_sq * f) * (n - 1) * beta**2
-            row_t = m3 - mix_tx - mix_ts
-            row_x = m2 - loss_sphere - mix_tx - mix_xs
-            row_s = m1 - loss_radial - mix_ts - mix_xs
-            out.append(np.minimum(row_t, np.minimum(row_x, row_s)))
+            rows = []
+            for margin, terms in self._rows(columns, scale):
+                for term, _ in terms:
+                    margin = margin - term
+                rows.append(margin)
+            out.append(np.minimum(rows[0], np.minimum(rows[1], rows[2])))
         return tuple(out)
+
+    def root(self, target: float) -> float:
+        """The largest scale r* whose strict-zone bound reaches ``target``.
+
+        Read at scale 1, each row is m - b r - a r^2 with a, b >= 0, so the
+        scales that reach the target are [0, r*]: r* is the least positive
+        root 2d / (b + sqrt(b^2 + 4 a d)), d = m - target, over the reached
+        samples and the rows (math.inf if no row ever falls), and 0 if the
+        group's other samples or any reached m miss the target."""
+        import numpy as np
+        columns, rest = self.groups[0]
+        if rest < target:
+            return 0.0
+        least = math.inf
+        for margin, terms in self._rows(columns, 1.0) if columns else ():
+            b = sum(term for term, power in terms if power == 1)
+            a = sum(term for term, power in terms if power == 2)
+            d = margin - target
+            if np.any(d < 0.0):
+                return 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                roots = 2.0 * d / (b + np.sqrt(b * b + 4.0 * a * d))
+            # d = 0 gives 0/0: r* = 0 unless the row never falls.
+            roots = np.where(d > 0.0, roots, np.where(a + b > 0.0, 0.0, math.inf))
+            least = min(least, float(np.min(roots)))
+        return least
 
     def minima(self, scale: float = 1.0) -> tuple:
         """(strict, tail): the least bound over every sample of each group."""
@@ -297,6 +342,7 @@ def verify_gluing(w: WarpProfile, s0: float) -> GluingReport:
 # ---------------------------------------------------------------------------
 
 R_FLOOR = 1e-6
+R_WITNESS = 2.0 ** math.ceil(math.log2(R_FLOOR))  # 2^-19
 
 
 def _outer_segments(w: WarpProfile) -> list:
@@ -306,34 +352,36 @@ def _outer_segments(w: WarpProfile) -> list:
     return [seg for seg in w.segments if seg.s0 >= w.origin.flat_end]
 
 
-def search_r(builder, c: ConnectionModel, target_margin: float):
-    """Largest fibre scale on the grid {2^-k} certifying the target margin.
+def search_r(builder, c: ConnectionModel, target_margin: float, r_max: float = 1.0):
+    """The largest fibre scale up to ``r_max`` certifying the target margin.
 
     ``builder`` maps r to a ``smooth_origin`` probe of one neck and eps.
-    After the coarse grid hit, the boundary is bisected to two extra
-    decimal digits.  Raises Exhausted when no scale above the floor
-    certifies.
-
     Right of its flat end every probe holds the r = 1 probe's segments
     with h, h' and h'' times r, and a bounded connection's support avoids
     the collar left of it; the collar's margins can only lower the bound.
-    So after r = 1 a probe is built only if the r = 1 probe's outer
-    blocks, folded at scale r, reach the target; otherwise it fails
-    unbuilt, and the decisions are those of building every probe.  That
-    fold (``_FrameFold``) is prepared once per search, from the samples
-    the support reaches and the margins' minimum over the others, and is
-    dropped when the search returns; each scale then runs the bounded
-    arithmetic on those samples alone.  Every built probe, r = 1 included,
-    takes its report from that fold at its scale and its collar's margins
-    (``_probe_report``): the report ``ricci_neck`` gives it, without a
-    second fold.  Each built probe must share those segments, or
-    InputError is raised; it shares their sampled blocks, and their CSV
+    So the r = 1 probe's outer blocks are folded once (``_FrameFold``,
+    from the samples the support reaches and the margins' minimum over the
+    others), and that fold at scale r is the outer bound of the probe at
+    r.  Every built probe, r = 1 included, takes its report from the fold
+    at its scale and its collar's margins (``_probe_report``): the report
+    ``ricci_neck`` gives it.  Each built probe must share those segments,
+    or InputError is raised; it shares their sampled blocks, and their CSV
     text once exported, with every probe of the neck and eps
-    (``smooth_origin``, ``export_profile``).  Two failing scales are built as witnesses: the
-    returned bracket's failing end and, before Exhausted, the last grid
-    scale above ``R_FLOOR``.  An unbuilt probe never builds its collar,
-    so a collar failure at a scale that fails anyway does not stop the
-    search; the returned profile is always fully built and gated.
+    (``smooth_origin``, ``export_profile``).
+
+    The fold's rows fall with r, so the scales that reach the target are
+    [0, r*] and ``_FrameFold.root`` gives r* in closed form.  If r = 1
+    reaches the target and ``r_max`` is 1, r = 1 is returned.  Otherwise
+    the probe at min(r_max, r*) is built, r* nudged down by 1e-12
+    relative against rounding, and gated on the fold and its collar; a
+    probe that misses halves r.  When r* decides r, one failing witness
+    just above r* is built too, the bracket's failing end: the fold must
+    miss the target there before it is built, and the step above r* is
+    widened from 1e-12 only while rounding lets it pass.  Raises
+    Exhausted when r* or the halved r falls below ``R_FLOOR``; r* below
+    it first builds the witness ``R_WITNESS``, the last power of two
+    above the floor.  The returned profile is always fully built and
+    gated.
     """
     first = builder(1.0)
     outer = _outer_segments(first)
@@ -356,38 +404,38 @@ def search_r(builder, c: ConnectionModel, target_margin: float):
     kept = set(outer)
     fold = _FrameFold(checked(first, 1.0), c, [b for b in first.blocks() if b.seg in kept])
     report = _probe_report(first, fold.minima(1.0))
-    if report.margin >= target_margin:
+    if r_max >= 1.0 and report.margin >= target_margin:
         return 1.0, first, report
 
     def passing(r):
         """The probe at r and its report if it reaches the target, else None."""
         minima = fold.minima(r)
-        if minima[0] < target_margin:
+        if r in built or minima[0] < target_margin:  # r = 1 is built, and missed
             return None
         profile = checked(builder(r), r)
         report = _probe_report(profile, minima)
         return (profile, report) if report.margin >= target_margin else None
 
-    def witness(r):
-        if r not in built:
-            checked(builder(r), r)
-
-    k = 1
-    while (found := passing(2.0 ** (-k))) is None:
-        k += 1
-        if 2.0 ** (-k) < R_FLOOR:
-            witness(2.0 ** (1 - k))
-            raise Exhausted(f"no fibre scale above {R_FLOOR} certifies the margin")
-    lo, (lo_profile, lo_report), hi = 2.0 ** (-k), found, 2.0 ** (1 - k)
-    while hi / lo > 1.01:
-        mid = 0.5 * (lo + hi)
-        found = passing(mid)
-        if found is None:
-            hi = mid
-        else:
-            lo, (lo_profile, lo_report) = mid, found
-    witness(hi)
-    return lo, lo_profile, lo_report
+    exhausted = f"no fibre scale above {R_FLOOR} certifies the margin"
+    root = fold.root(target_margin)
+    if root < R_FLOOR:
+        checked(builder(R_WITNESS), R_WITNESS)
+        raise Exhausted(exhausted)
+    r = min(r_max, root * (1.0 - 1e-12))
+    found = passing(r)
+    if found is not None and r < r_max:  # r* decides r: build the failing end
+        step = 1e-12
+        while step < 1e-3 and fold.minima(min(1.0, root * (1.0 + step)))[0] >= target_margin:
+            step *= 1e3
+        witness = min(1.0, root * (1.0 + step))
+        if witness not in built:
+            checked(builder(witness), witness)
+    while found is None:
+        r *= 0.5
+        if r < R_FLOOR:
+            raise Exhausted(exhausted)
+        found = passing(r)
+    return (r, *found)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +507,9 @@ def certify(
 ) -> CertificationResult:
     """Run the full pipeline for one surgery radius.
 
-    Builds the profile for lam = cos(s0), searches the fibre scale,
-    caps it by the bundle-side constraint on the fibre length, and
-    bundles every report with a verdict.  Stage failures are wrapped in
+    Builds the profile for lam = cos(s0), searches the largest fibre
+    scale under the cap that the bundle-side constraint on the fibre
+    length puts on it, and bundles every report with a verdict.  Stage failures are wrapped in
     StageError with the stage name.  A non-finite or out-of-range number,
     or ``params`` for another n or s0, raises InputError before any
     stage runs.
@@ -488,24 +536,20 @@ def certify(
         # Labelled here so a collar failure inside search_r names its stage.
         return _stage("smooth_origin", warpmetric.smooth_origin, base, r, eps)
 
-    r, profile, neck_report = _stage("search_r", search_r, builder, c, target_margin)
-
-    # The seam fixes the fibre length: e^phi = h_r(s_lambda) / N.  The
-    # curvature side caps phi; shrink r further if the cap binds.
-    phi_cap = choose_phi(ric_min_base, c, safety, n)
-    h_end = profile.evaluate(profile.s_lambda)[3]
-    phi = math.log(h_end / profile.cap.big_n)
-    if phi > phi_cap:
-        shrink = math.exp(phi_cap - phi)
-        r = r * shrink * 0.999
-        profile = builder(r)
-        try:
-            neck_report = ricci_neck(profile, c, r)
-        except NotPositive as exc:
-            # A failing bound is the verdict's to read, not a stage failure.
-            neck_report = exc.report
-        h_end = profile.evaluate(profile.s_lambda)[3]
-        phi = math.log(h_end / profile.cap.big_n)
+    # The seam fixes the fibre length: e^phi = h_r(s_lambda) / N, where
+    # h_r(s_lambda) = r h_1(s_lambda) bit for bit, since smooth_origin
+    # scales the neck's h by r there.  The curvature side caps phi, so it
+    # caps r at the search: nudged down by 1e-12 relative, so that the
+    # phi of the returned probe stays at or below the cap.
+    try:
+        phi_cap = choose_phi(ric_min_base, c, safety, n)
+    except ArithmeticError as exc:
+        # sup_f**2 out of the float range: the search's ceiling, so its label.
+        raise StageError("search_r", exc) from exc
+    phi_one = math.log(base.evaluate(base.s_lambda)[3] / base.cap.big_n)
+    r_max = 1.0 if phi_one <= phi_cap else math.exp(phi_cap - phi_one) * (1.0 - 1e-12)
+    r, profile, neck_report = _stage("search_r", search_r, builder, c, target_margin, r_max)
+    phi = math.log(profile.evaluate(profile.s_lambda)[3] / profile.cap.big_n)
 
     bundle = _stage("ricci_bundle", ricci_bundle, ric_min_base, c, phi, n)
     gluing = _stage("verify_gluing", verify_gluing, profile, s0)

@@ -265,9 +265,9 @@ def test_certify_huge_cap_width_fails_in_cap_sine(tmp_path, capsys):
 
 
 def test_certify_collar_failure_after_the_phi_cap_shrink_is_a_verdict(tmp_path, capsys):
-    # Curvature on the seam collar alone, and a phi cap that makes certify
-    # shrink r: the rebuilt probe fails its collar bound, and the verdict
-    # says so on stdout.
+    # Curvature on the seam collar alone, and a phi cap that caps the
+    # searched r below 1: the capped probe fails its seam collar bound,
+    # which the search does not gate, and the verdict says so on stdout.
     neck, _ = warpmetric.build_neck(warpmetric.WarpParams(n=4, lam=math.cos(1.0)))
     lo = 0.5 * (neck.cap.blend_start + neck.tail.start)
     cfg = tmp_path / "certify.ini"
@@ -279,6 +279,17 @@ def test_certify_collar_failure_after_the_phi_cap_shrink_is_a_verdict(tmp_path, 
     assert (code, err) == (1, "")
     payload = json.loads(out)
     assert payload["verdict"] == "fail" and payload["params"]["r"] < 1.0
+
+
+def test_certify_overflowing_curvature_bound_is_a_stage_error(tmp_path, capsys):
+    # sup_f = 1e200 overflows sup_f**2 in the phi cap and in the frame
+    # bound alike; either way the search's stage names the failure on
+    # one stderr line, with no traceback.
+    cfg = tmp_path / "certify.ini"
+    cfg.write_text("[certify]\nn = 4\ns0 = 1.0\nconnection = bounded\nsup_f = 1e200\n")
+    code, out, err = run(capsys, "certify", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: stage 'search_r': ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("line", ["cap_width = nan", "origin_eps = -1", "ric_min_base = inf", "step = 0"])

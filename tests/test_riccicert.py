@@ -1,12 +1,13 @@
 import dataclasses
-import io
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twistbench import riccicert as rc, warpmetric as wm
+from twistbench import jsonout, riccicert as rc, warpmetric as wm
 from twistbench.errors import Exhausted, InputError, MarginLost, NoStop, NotPositive, StageError
 
 
@@ -532,7 +533,10 @@ def test_search_r_rejects_probes_of_another_eps(neck):
 
 
 def _search_every_probe(builder, c, target_margin):
-    """The search that builds every probe: the reference for ``search_r``."""
+    """The search that builds every probe, on the grid {2^-k} and then by
+    bisection to hi/lo <= 1.01: the reference for ``search_r``.  Returns
+    the bracket (lo, hi), lo passing and hi failing (math.inf if r = 1
+    passes), with the probe at lo and its report."""
 
     def margin_at(r):
         profile = builder(r)
@@ -554,7 +558,7 @@ def _search_every_probe(builder, c, target_margin):
         prev_fail = r
         k += 1
     if prev_fail is None:
-        return r, profile, report
+        return r, math.inf, profile, report
     lo, lo_profile, lo_report = r, profile, report
     hi = prev_fail
     while hi / lo > 1.01:
@@ -564,12 +568,11 @@ def _search_every_probe(builder, c, target_margin):
             lo, lo_profile, lo_report = mid, profile, report
         else:
             hi = mid
-    return lo, lo_profile, lo_report
+    return lo, hi, lo_profile, lo_report
 
 
-def _search_outcome(search, neck, c, target):
-    """(r, margins, CSV) of a search, or its Exhausted message, and the
-    scales it built."""
+def _recording(neck):
+    """A builder for ``neck`` and the list of scales it has built."""
     base, eps = neck
     probes = []
 
@@ -577,18 +580,16 @@ def _search_outcome(search, neck, c, target):
         probes.append(r)
         return wm.smooth_origin(base, r, eps)
 
-    try:
-        r, profile, report = search(build, c, target)
-    except Exhausted as exc:
-        return str(exc), probes
-    csv = io.StringIO()
-    wm.export_profile(profile, csv)
-    margins = (report.margin, report.tail_margin, wm.inequality_margins(profile))
-    return (r, margins, csv.getvalue()), probes
+    return build, probes
 
 
 @pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (6, 0.3)])
 def test_search_r_matches_building_every_probe(n, s0):
+    # search_r takes r from the fold's closed-form root, so it returns a
+    # scale inside the bracket that building every probe finds, with the
+    # report ricci_neck gives a fresh build at that scale, bit for bit.
+    # A returned r below 1 comes with a built witness just above it that
+    # fails; a search builds at most r = 1, r and that witness.
     neck = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
     base, eps = neck
     rng = random.Random(n)
@@ -600,17 +601,84 @@ def test_search_r_matches_building_every_probe(n, s0):
             "bounded", sup_f=math.exp(rng.uniform(math.log(0.1), math.log(20.0))),
             support=(eps + a * span, eps + rng.uniform(a + 0.05, 1.0) * span),
         ))
+    below = 0
     for c in connections:
         for target in (1e-6, 1e-4):
-            expected, every = _search_outcome(_search_every_probe, neck, c, target)
-            found, built = _search_outcome(rc.search_r, neck, c, target)
-            assert found == expected, (c, target)
-            assert set(built) <= set(every) and len(set(built)) == len(built)
-            if isinstance(found, str) or found[0] == 1.0:
+            build, built = _recording(neck)
+            try:
+                lo, hi, _, _ = _search_every_probe(builder_for(neck), c, target)
+            except Exhausted as exc:
+                with pytest.raises(Exhausted) as got:
+                    rc.search_r(build, c, target)
+                assert str(got.value) == str(exc)
+                assert built == [1.0, 2.0**-19]
                 continue
-            r = found[0]
-            hi = min(p for p in built if p > r)  # the bracket's failing end
-            assert hi / r <= 1.01 and hi == min(p for p in every if p > r)
+            r, profile, report = rc.search_r(build, c, target)
+            assert lo <= r < hi, (c, target)
+            assert len(built) <= 3 and len(set(built)) == len(built)
+            fresh = wm.smooth_origin(base, r, eps)
+            assert _report_bits(report) == _report_bits(_neck_report(fresh, c))
+            assert report.margin >= target
+            if r == 1.0:
+                assert built == [1.0]
+                continue
+            below += 1
+            witness = min(p for p in built if p > r)
+            assert witness / r <= 1.0 + 1e-6, (c, target)
+            assert _neck_report(wm.smooth_origin(base, witness, eps), c).margin < target
+    assert below  # every neck has searches that stop below r = 1
+
+
+def test_search_r_halves_when_the_collar_fails(neck):
+    # The root reads the outer blocks only, so a collar that misses the
+    # target at r* sends the search to r*/2, where the probe is built
+    # and gated again.  The collar is mutated above 0.6 r*: its margins
+    # read target / 2 there.
+    base, eps = neck
+    lo = eps + 0.05 * (base.s_lambda - eps)
+    c = rc.ConnectionModel("bounded", sup_f=2.0, support=(lo, base.cap.blend_start))
+    target = 1e-4
+    first = wm.smooth_origin(base, 1.0, eps)
+    outer = [b for b in first.blocks() if b.seg.s0 >= first.origin.flat_end]
+    root = rc._FrameFold(first, c, outer).root(target)
+    assert 0.0 < root < 1.0
+    built = []
+
+    def build(r):
+        built.append(r)
+        w = wm.smooth_origin(base, r, eps)
+        if r > 0.6 * root:
+            for b in w.blocks():
+                if b.seg.s0 < w.origin.flat_end:
+                    w._memo[b.seg] = b._replace(mins=(0.5 * target,) * 3)
+        return w
+
+    r, profile, report = rc.search_r(build, c, target)
+    assert built[:2] == [1.0, root * (1.0 - 1e-12)]
+    assert r == 0.5 * built[1] and built == [1.0, built[1], r]  # no witness
+    assert report.margin >= target and profile.r == r
+    assert _report_bits(report) == _report_bits(_neck_report(profile, c))
+
+
+def test_search_r_certifies_a_root_between_the_floor_and_the_last_grid_scale(neck):
+    # Without a curvature on the T-S entry each row's root is exactly
+    # inverse to sup_f, so sup_f can place r* at 1.5e-6, between R_FLOOR
+    # and 2^-19.  The grid search raised Exhausted there; search_r
+    # certifies.
+    base, eps = neck
+    support = (eps + 0.05 * (base.s_lambda - eps), base.cap.blend_start)
+    target = 1e-4
+    first = wm.smooth_origin(base, 1.0, eps)
+    outer = [b for b in first.blocks() if b.seg.s0 >= first.origin.flat_end]
+    unit = rc._FrameFold(first, rc.ConnectionModel("bounded", sup_f=1.0, support=support),
+                         outer).root(target)
+    c = rc.ConnectionModel("bounded", sup_f=unit / 1.5e-6, support=support)
+    build, built = _recording(neck)
+    r, profile, report = rc.search_r(build, c, target)
+    assert rc.R_FLOOR <= r < 2.0**-19 and report.margin >= target
+    assert _report_bits(report) == _report_bits(_neck_report(profile, c))
+    with pytest.raises(Exhausted):
+        _search_every_probe(builder_for(neck), c, target)
 
 
 def _report_bits(report):
@@ -689,6 +757,41 @@ def test_certify_golden_case():
     payload = res.to_json_dict()
     assert payload["verdict"] == "pass"
     assert set(payload) == {"params", "margins", "gluing", "verdict"}
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+# A number's move is relative, or absolute where both values lie below
+# GOLDEN_ABSOLUTE_BELOW (the rounding-level gluing residuals), as in
+# tools/output_digest.py's ``line_move``.
+GOLDEN_TOL, GOLDEN_ABSOLUTE_BELOW = 1e-9, 1e-12
+
+
+def _golden_moves(recorded, fresh, path=""):
+    """Every (path, move) of the numbers of two JSON values of one shape;
+    AssertionError where the shapes, keys or non-numbers differ."""
+    if isinstance(recorded, dict):
+        assert isinstance(fresh, dict) and set(recorded) == set(fresh), path
+        for key in recorded:
+            yield from _golden_moves(recorded[key], fresh[key], f"{path}.{key}")
+    elif isinstance(recorded, bool) or not isinstance(recorded, (int, float)):
+        assert fresh == recorded and type(fresh) is type(recorded), path
+    else:
+        assert isinstance(fresh, (int, float)) and not isinstance(fresh, bool), path
+        scale = max(abs(recorded), abs(fresh))
+        yield path, abs(recorded - fresh) / (scale if scale >= GOLDEN_ABSOLUTE_BELOW else 1.0)
+
+
+@pytest.mark.parametrize("n, s0", [(n, s0) for n in (3, 4, 5, 6) for s0 in (0.3, 1.0)])
+def test_certify_matches_goldens_tightly(n, s0):
+    # Every number of the golden certify output, not only the margins
+    # that acceptance criterion 10 reads at 1e-6: N, s_lambda, phi, r,
+    # the parameters and the gluing residuals, at 1e-9.
+    golden = GOLDEN_DIR / f"certify_n{n}_s{str(s0).replace('.', 'p')}.json"
+    recorded = json.loads(golden.read_text())
+    fresh = json.loads(jsonout.dumps(rc.certify(n, s0, rc.TRIVIAL_CONNECTION, 2.0).to_json_dict()))
+    moves = dict(_golden_moves(recorded, fresh))
+    assert len(moves) == 15
+    assert max(moves.values()) <= GOLDEN_TOL, moves
 
 
 def test_certify_higher_dimension():
@@ -781,9 +884,10 @@ def test_certify_fails_on_each_condition(fail_routes, condition):
 
 
 def test_certify_phi_cap_shrink_reads_a_failing_report(fail_routes):
-    # At safety 0.999 the tail route's phi cap binds (its search returns
-    # r = 1), so certify shrinks r and rebuilds the probe.  The rebuilt
-    # probe's failing collar is a verdict, not a stage error.
+    # At safety 0.999 the tail route's phi cap binds at r = 1, so certify
+    # caps the search's r below 1.  The search gates the strict zone only,
+    # so the capped probe's failing seam collar is a verdict, not a stage
+    # error.
     res = fail_routes["tail"](safety=0.999)
     assert res.r < 1.0
     assert res.neck_report.tail_margin < wm.TAIL_FLOOR
@@ -814,21 +918,59 @@ def test_certify_bounded_respects_phi_cap(neck):
     assert abs(res.phi - math.log(h_end / res.big_n)) < 1e-12
 
 
-def test_certify_shrinks_r_when_phi_cap_binds(neck):
+def _phi_cap_connection(neck):
+    """Curvature 0.5 on 5 % to 14.5 % of [eps, blend_start]: at safety
+    0.999 on (4, 1.0) the search alone lands above the phi cap."""
     base, eps = neck
     span = base.cap.blend_start - eps
-    c = rc.ConnectionModel(
+    return rc.ConnectionModel(
         "bounded", sup_f=0.5, support=(eps + 0.05 * span, eps + 0.145 * span)
     )
+
+
+def test_certify_shrinks_r_when_phi_cap_binds(neck):
+    # The phi of the uncapped search's probe lies above the cap, so the
+    # cap, passed to the search as its largest scale, decides r.
+    c = _phi_cap_connection(neck)
     res = rc.certify(4, 1.0, c, ric_min_base=1.0, safety=0.999)
     assert res.passed()
     cap = rc.choose_phi(1.0, c, 0.999, 4)
     assert res.phi <= cap
-    # The scale search alone lands above the cap, so certify shrank r.
     r_search, prof, _ = rc.search_r(builder_for(neck), c, 1e-6)
     h_end = prof.evaluate(prof.s_lambda)[3]
     assert math.log(h_end / prof.cap.big_n) > cap
     assert res.r < r_search
+
+
+def test_certify_phi_cap_is_the_search_ceiling(neck, monkeypatch):
+    # When the cap binds, the searched probe is the certified one: no
+    # probe is built after search_r and ricci_neck is never called, and
+    # phi lands at the cap from below.
+    c = _phi_cap_connection(neck)
+    calls = {"ricci_neck": 0, "smooth_origin": 0}
+    real_build, real_search = wm.smooth_origin, rc.search_r
+
+    def counting_build(*args):
+        calls["smooth_origin"] += 1
+        return real_build(*args)
+
+    def counting_neck(*args):
+        calls["ricci_neck"] += 1
+
+    def recorded_search(*args):
+        found = real_search(*args)
+        calls["after_search"] = calls["smooth_origin"]
+        return found
+
+    monkeypatch.setattr(wm, "smooth_origin", counting_build)
+    monkeypatch.setattr(rc, "ricci_neck", counting_neck)
+    monkeypatch.setattr(rc, "search_r", recorded_search)
+    res = rc.certify(4, 1.0, c, ric_min_base=1.0, safety=0.999)
+    cap = rc.choose_phi(1.0, c, 0.999, 4)
+    assert res.passed() and res.r < 1.0
+    assert calls["ricci_neck"] == 0
+    assert calls["smooth_origin"] == calls["after_search"] == 2  # r = 1 and the capped r
+    assert cap - 1e-9 < res.phi <= cap
 
 
 @pytest.mark.parametrize(

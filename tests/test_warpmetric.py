@@ -1191,11 +1191,12 @@ def _export_matches_cells(w):
 
 
 def test_export_text_shared_across_probes():
-    # Exports of probes at r = 1, a repeated r and a bisected r, on two
-    # necks interleaved, with one origin budget and then another: each CSV
-    # is the cell-by-cell reference, whichever probe formatted the outer
-    # blocks' kept text first.  Probes of the first budget, whose outer
-    # part the second one replaced, export their own text after that.
+    # Exports of probes at r = 1, a repeated r and an r that is no power
+    # of two, on two necks interleaved, with one origin budget and then
+    # another: each CSV is the cell-by-cell reference, whichever probe
+    # formatted the outer blocks' kept text first.  Probes of the first
+    # budget, whose outer part the second one replaced, export their own
+    # text after that.
     necks = [wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0))) for n, s0 in ((3, 0.3), (4, 1.0))]
     rs = (1.0, 0.5, 0.1416015625, 0.5)
     kept = []

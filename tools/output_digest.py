@@ -8,7 +8,8 @@ The digest holds, for the sources of the checkout the script sits in:
 
 * stdout, stderr and exit code of the 12 ``certify_grid`` requests of the
   benchmark, in a fixed order, and of one bounded request whose phi cap
-  binds, so that certify shrinks the searched r (``phi_cap_request``);
+  binds, so that the cap, not the fold's root, decides the searched r
+  (``phi_cap_request``);
 * r, margin and probe trail of ``search_r`` on the three ``scale_search``
   necks, for two seeded blocks of that workload's searches, with the
   SHA-256 of the CSV each successful search exports;
@@ -129,8 +130,8 @@ def _write_config(path, section, cfg):
 def phi_cap_request(tb):
     """The certify config of ``test_certify_shrinks_r_when_phi_cap_binds``:
     at (4, 1.0), curvature 0.5 on 5 % to 14.5 % of [eps, blend_start] of
-    the neck, and a phi cap that the searched r overshoots.  Only this
-    request builds a second probe after the search and runs ricci_neck."""
+    the neck, and a phi cap below the fold's root.  Only this request
+    hands search_r a largest scale below 1, the phi cap's."""
     neck, eps = tb.warpmetric.build_neck(tb.warpmetric.WarpParams(n=4, lam=math.cos(1.0)))
     span = neck.cap.blend_start - eps
     return {"n": 4, "s0": 1.0, "connection": "bounded", "sup_f": 0.5,
