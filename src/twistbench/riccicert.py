@@ -288,13 +288,14 @@ def choose_phi(
     """Largest phi whose horizontal bundle bound keeps ``safety`` of the base.
 
     Closed-form inversion of the ricci_bundle bound.  A vanishing
-    curvature bound puts no constraint on phi and returns math.inf;
-    degenerate safety values clamp to the floor instead of returning
-    -inf.
+    curvature bound puts no constraint on phi and returns math.inf, and
+    so does a bound whose square underflows to 0, since the bundle bound
+    reads it squared; degenerate safety values clamp to the floor
+    instead of returning -inf.
     """
     if not 0.0 < safety <= 1.0:
         raise InputError("safety must lie in (0, 1]")
-    if c_base.sup_f == 0.0:
+    if c_base.sup_f * c_base.sup_f == 0.0:
         return math.inf
     slack = (1.0 - safety) * ric_min_base
     if slack <= 0.0:
@@ -367,7 +368,9 @@ def search_r(builder, c: ConnectionModel, target_margin: float, r_max: float = 1
     ``ricci_neck`` gives it.  Each built probe must share those segments,
     or InputError is raised; it shares their sampled blocks, and their CSV
     text once exported, with every probe of the neck and eps
-    (``smooth_origin``, ``export_profile``).
+    (``smooth_origin``, ``export_profile``).  ``smooth_origin`` keeps the
+    r = 1 probe itself per (neck, eps), so on a warm neck ``builder(1.0)``
+    returns it without building; it still counts as a built probe here.
 
     The fold's rows fall with r, so the scales that reach the target are
     [0, r*] and ``_FrameFold.root`` gives r* in closed form.  If r = 1
@@ -538,18 +541,20 @@ def certify(
 
     # The seam fixes the fibre length: e^phi = h_r(s_lambda) / N, where
     # h_r(s_lambda) = r h_1(s_lambda) bit for bit, since smooth_origin
-    # scales the neck's h by r there.  The curvature side caps phi, so it
-    # caps r at the search: nudged down by 1e-12 relative, so that the
-    # phi of the returned probe stays at or below the cap.
+    # scales the neck's h by r there; so h_1(s_lambda) is read once.  The
+    # curvature side caps phi, so it caps r at the search: nudged down by
+    # 1e-12 relative, so that the phi of the returned probe stays at or
+    # below the cap.
     try:
         phi_cap = choose_phi(ric_min_base, c, safety, n)
     except ArithmeticError as exc:
         # sup_f**2 out of the float range: the search's ceiling, so its label.
         raise StageError("search_r", exc) from exc
-    phi_one = math.log(base.evaluate(base.s_lambda)[3] / base.cap.big_n)
+    h_one = base.evaluate(base.s_lambda)[3]
+    phi_one = math.log(h_one / base.cap.big_n)
     r_max = 1.0 if phi_one <= phi_cap else math.exp(phi_cap - phi_one) * (1.0 - 1e-12)
     r, profile, neck_report = _stage("search_r", search_r, builder, c, target_margin, r_max)
-    phi = math.log(profile.evaluate(profile.s_lambda)[3] / profile.cap.big_n)
+    phi = math.log(r * h_one / profile.cap.big_n)
 
     bundle = _stage("ricci_bundle", ricci_bundle, ric_min_base, c, phi, n)
     gluing = _stage("verify_gluing", verify_gluing, profile, s0)

@@ -34,9 +34,10 @@ returns the neck with its origin budget eps; ``certify``, the
 then call ``smooth_origin`` for each fibre scale r they need.  Only the
 origin collar left of its flat end depends on r, so ``smooth_origin``
 builds the rest once per (neck, eps) and keeps it on the neck: the
-f-flattening (with its flat value and plateau) and the neck right of
-the flat end at unit fibre scale.  Each probe it returns holds that
-part's sampled blocks with h scaled by r, next to its own collar's.
+f-flattening (with its flat value and plateau), the neck right of the
+flat end at unit fibre scale, and the whole r = 1 probe.  Each other
+probe it returns holds that part's sampled blocks with h scaled by r,
+next to its own collar's; the r = 1 probe holds them unscaled.
 
 f and h on each segment are one of five curve models: the core solution
 (``_CoreSolution`` for f, ``_CoreH`` = 2 f'/(alpha lam0^2) for h), an
@@ -456,6 +457,20 @@ def _chebyshev(degree: int):
     return t, weights, k1, k2
 
 
+@functools.lru_cache(maxsize=None)
+def _node_weights(degree: int):
+    """At ``_chebyshev(degree)``'s nodes t: tau = (1 - t)/2, the window
+    parameter from its left end, smoothstep(tau) and smoothstep((1 + t)/2),
+    the blend weights every window reads there.  Built on first use;
+    read-only."""
+    t = _chebyshev(degree)[0]
+    tau = 0.5 * (1.0 - t)
+    out = (tau, smoothstep(tau), smoothstep(0.5 * (1.0 + t)))
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
 class _Window:
     """A curve on the window [x0, x0 + width] (the cap blend of f, the tail
     and the origin bridge of h, a ramp of the f-flattening): rows y, y' and
@@ -480,9 +495,12 @@ class _Window:
         t = 2.0 * (np.asarray(s, dtype=float) - self.x0) / self.width - 1.0
         d = t[..., None] - nodes
         exact = d == 0.0
-        c = weights / np.where(exact, 1.0, d)
-        hit = exact.any(axis=-1)
-        c[hit] = exact[hit]
+        if exact.any():  # a location on a node takes the node's row
+            c = weights / np.where(exact, 1.0, d)
+            hit = exact.any(axis=-1)
+            c[hit] = exact[hit]
+        else:
+            c = weights / d
         c /= np.sum(c, axis=-1, keepdims=True)
         return tuple(np.sum(c * y, axis=-1) for y in self.rows)
 
@@ -683,8 +701,8 @@ class WarpProfile:
     # Sampled blocks keyed by segment; they live and die with the profile,
     # and ``derive`` hands on those of the segments it keeps.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # On a neck: smooth_origin's (eps, outer, f-flattening) for the last
-    # eps it was called with (``_outer_part``).
+    # On a neck: smooth_origin's [eps, outer, f-flattening, r = 1 probe]
+    # for the last eps it was called with (``_outer_part``).
     _outer_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def derive(self, **changes) -> WarpProfile:
@@ -805,7 +823,7 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
     pure_core = isinstance(hmod, _CoreH) and fmod is hmod.core
     if isinstance(hmod, _CoreH):
         # One core evaluation for the h columns, the closed form h''/h
-        # and, on pure-core segments, the f columns.
+        # and, on pure-core and f-flattening segments, the f columns.
         core_f, core_fp = hmod.core.f_fp(s)
         h, hp, hpp = hmod.from_core(core_f, core_fp)
         roh = hmod.hpp_over_h(core_f)
@@ -815,7 +833,12 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
             roh = np.full_like(s, -1.0 / hmod.amp**2)
         else:
             roh = hpp / h
-    f, fp, fpp = (core_f, core_fp, fmod.fpp_of(core_f)) if pure_core else fmod.eval(s)
+    if pure_core:
+        f, fp, fpp = core_f, core_fp, fmod.fpp_of(core_f)
+    elif isinstance(hmod, _CoreH) and getattr(fmod, "core", None) is hmod.core:
+        f, fp, fpp = fmod.from_core(s, core_f, core_fp)  # the f-flattening
+    else:
+        f, fp, fpp = fmod.eval(s)
     if isinstance(fmod, _FlatF):
         # f' = f'' = 0: the inequalities collapse to -h''/h and (n-2)/f^2.
         m1 = -roh
@@ -922,10 +945,9 @@ def _blend_rows(core, start, big_n, g, width):
     the nodes.  sig is read at tau, as the bridge reads it.  Row 0 of K1
     and K2 is zero, so (f, f') at a are the core's bit for bit."""
     import numpy as np
-    t, _, k1, k2 = _chebyshev(len(g) - 1)
+    k1, k2 = _chebyshev(len(g) - 1)[2:]
+    tau, sig, _ = _node_weights(len(g) - 1)
     half = 0.5 * width
-    tau = 0.5 * (1.0 - t)
-    sig = smoothstep(tau)
     f = start[0] + start[1] * (width * tau) + (half * half) * (k2 @ g)
     fp = start[1] - half * (k1 @ g)
     core_term = (1.0 - sig) * core.c2 * np.power(f, -core.alpha - 1.0)
@@ -947,14 +969,14 @@ def _cap_equations(core, start, big_n, g, width, slope_target):
     F(f)."""
     import numpy as np
     m = len(g)
-    t, _, k1, k2 = _chebyshev(m - 1)
+    k1, k2 = _chebyshev(m - 1)[2:]
     half = 0.5 * width
     f, fp, rhs, rhs_f, rhs_n = _blend_rows(core, start, big_n, g, width)
     fb, pb = float(f[-1]), float(fp[-1])
     amp = math.hypot(fb, big_n * pb)
     jac = np.empty((m + 2, m + 2))
     jac[:m, :m] = np.eye(m) - (rhs_f * (half * half))[:, None] * k2
-    jac[:m, m] = -rhs_f * (start[1] + start[2] * (width * (0.5 * (1.0 - t))))
+    jac[:m, m] = -rhs_f * (start[1] + start[2] * (width * _node_weights(m - 1)[0]))
     jac[:m, m + 1] = -rhs_n
     # The slope error's row is f'(b)'s gradient in (g, a, N); the gap's
     # combines it with f(b)'s.
@@ -1124,12 +1146,12 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
     span, half = s_lam - t0, 0.5 * (s_lam - t0)
 
     def solve(degree):
-        t, _, k1, _ = _chebyshev(degree)
-        tau = 0.5 * (1.0 - t)  # in order from t0
+        k1 = _chebyshev(degree)[2]
+        tau, sig, _ = _node_weights(degree)  # in order from t0
         x = t0 + span * tau
         x[-1] = s_lam
         h, hp, hpp = base.eval(x)
-        psi = 1.0 - smoothstep(tau)
+        psi = 1.0 - sig
         tilde_hp = psi * hp
         tilde_h = h[0] - half * (k1 @ tilde_hp)
         coarse = h[0] - half * (_chebyshev(degree // 2)[2] @ tilde_hp[::2])
@@ -1208,14 +1230,14 @@ class _FlattenedF:
         wl, wr = self.a1 - self.a0, self.b1 - self.b0
 
         def solve(degree):
-            t, _, k1, k2 = _chebyshev(degree)
-            tau = 0.5 * (1.0 - t)  # in order from a0 on the left, from b1 on the right
+            k1, k2 = _chebyshev(degree)[2:]
+            # tau in order from a0 on the left, from b1 on the right.
+            tau, sig_l, sig_r = _node_weights(degree)
             x = np.concatenate((self.a0 + wl * tau, self.b1 - wr * tau))
             x[degree], x[-1] = self.a1, self.b0
             f_c, fp_c, fpp_c = core.eval(x)
             left, right = fpp_c[: degree + 1], fpp_c[degree + 1:]
-            sig_r = smoothstep(0.5 * (1.0 + t))
-            g = np.stack((smoothstep(tau) * left, (1.0 - sig_r) * right, sig_r * right), axis=1)
+            g = np.stack((sig_l * left, (1.0 - sig_r) * right, sig_r * right), axis=1)
             fine = (k1 @ g, k2 @ g)
             coarse = (k @ g[::2] for k in _chebyshev(degree // 2)[2:])
             change = [np.max(np.abs(y[::2] - c), axis=0) / np.max(np.abs(y), axis=0)
@@ -1253,8 +1275,12 @@ class _FlattenedF:
     def eval(self, s):
         import numpy as np
         s = np.asarray(s, dtype=float)
+        return self.from_core(s, *self.core.f_fp(s))
+
+    def from_core(self, s, f_c, fp_c):
+        """(f, f', f'') at the locations s, from the core's f and f' there."""
         p = self.plateau
-        f_c, fp_c, fpp_c = self.core.eval(s)
+        fpp_c = self.core.fpp_of(f_c)
         f = p * (f_c - self.fc_b0) + self.big_a * (s - self.b0) + self.f_b0
         fp = p * (fp_c - self.fpc_b0) + self.fp_b0
         for window, on in ((self.left, s < self.a1), (self.right, s > self.b0)):
@@ -1301,7 +1327,7 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
         x = x0 + half * (1.0 + t)
         x[0] = x1
         f, fp = core_h.core.f_fp(x)
-        sig = smoothstep(0.5 * (1.0 + t))
+        sig = _node_weights(degree)[2]
         a, b = -(1.0 - sig) * inv_r2, sig * (r * core_h.hpp(f, fp))
         h1, hp1 = (float(r * y[0]) for y in core_h.from_core(f[:1], fp[:1])[:2])
         h, hp = integrate(degree, a, b, h1, hp1)
@@ -1319,7 +1345,10 @@ def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
 
     None of it depends on r: the flattening blend ends at eps, and every
     segment right of eps is the neck clipped there.  Built and gated once
-    per (neck, eps) and kept on the neck, one eps at a time.
+    per (neck, eps) and kept on the neck, one eps at a time, in
+    ``_outer_memo`` = [eps, outer part, f-flattening, r = 1 probe]; the
+    last slot is empty until ``smooth_origin`` builds that probe, and a
+    new eps empties it.
     """
     cached = w._outer_memo
     if not cached or cached[0] != eps:
@@ -1329,8 +1358,8 @@ def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
         )
         outer = w.derive(segments=segments, s_left=flat_end)
         _gate(outer, (0, 1), "smooth_origin")  # eps lies on the neck's core
-        cached[:] = (eps, outer, blend_f)
-    return cached[1:]
+        cached[:] = (eps, outer, blend_f, None)
+    return cached[1:3]
 
 
 def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
@@ -1343,7 +1372,12 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     equation); f is flattened to a constant over the splice and
     rejoined to the core solution exactly at ``eps``.  Everything right of
     the flat end is built once per (w, eps) and shared by the profiles of
-    every r (see ``_outer_part``).
+    every r (see ``_outer_part``).  The r = 1 probe, which every
+    ``search_r`` starts from, is built and gated once per (w, eps) too
+    and kept beside it: a repeat call returns the same object, until a
+    call with another eps replaces the outer part.  It holds the outer
+    part's segments and sampled blocks themselves, since at unit scale
+    they need no copy, and no reference to w, so it dies with w.
     """
     if w.cap is None or w.tail is None:
         raise InputError("smooth_origin expects a capped, tail-flattened profile")
@@ -1353,6 +1387,9 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
         raise InputError("fibre scale r must lie in (0, 1]")
     if not 0.0 < eps < 0.8 * w.cap.blend_start:
         raise InputError("origin budget eps must leave a core zone intact")
+    memo = w._outer_memo  # [eps, outer part, f-flattening, r = 1 probe]
+    if r == 1.0 and memo and memo[0] == eps and memo[3] is not None:
+        return memo[3]
 
     core = w.core
     delta = 0.001 * eps
@@ -1379,13 +1416,16 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     u0 = math.atan2(h_x0 / radius, hp_x0)
     eps_prime = x0 - radius * u0
 
+    # At r = 1 the outer segments are the probe's as they are: with
+    # h_scale 1.0 a copy would equal them, and 1.0 h is h bit for bit.
+    shared = outer.segments if r == 1.0 else tuple(
+        Segment(seg.label, seg.s0, seg.s1, seg.fmod, seg.hmod, r) for seg in outer.segments
+    )
     segments = (
         Segment("splice", eps_prime, x0, flat_f, _Sine(radius, eps_prime)),
         Segment("flat", x0, x1, flat_f, kink_h),
         Segment("flat", x1, flat_end, flat_f, core_h, h_scale=r),
-    ) + tuple(
-        Segment(seg.label, seg.s0, seg.s1, seg.fmod, seg.hmod, r) for seg in outer.segments
-    )
+    ) + shared
 
     out = replace(
         w,
@@ -1410,11 +1450,15 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     _gate(out, (0, 1, 2), "smooth_origin")
     # The neck's outer blocks with h scaled by r (margins and row text are
     # scale-free); every probe reads them all, so they are built here, not
-    # on demand.
-    out._memo.update(
-        (seg, _Block(seg, u.s, *seg.scaled(*u[2:8]), *u[8:]))
-        for seg, u in zip(segments[3:], outer.blocks())
-    )
+    # on demand.  At r = 1 they are the outer part's own blocks.
+    if r == 1.0:
+        out._memo.update(zip(shared, outer.blocks()))
+        memo[3] = out
+    else:
+        out._memo.update(
+            (seg, _Block(seg, u.s, *seg.scaled(*u[2:8]), *u[8:]))
+            for seg, u in zip(shared, outer.blocks())
+        )
     return out
 
 

@@ -292,6 +292,21 @@ def test_certify_overflowing_curvature_bound_is_a_stage_error(tmp_path, capsys):
     assert err.startswith("error: stage 'search_r': ") and err.count("\n") == 1
 
 
+def test_certify_underflowing_curvature_bound_certifies(tmp_path, capsys):
+    # sup_f = 1e-200 underflows sup_f**2 to 0: the phi cap treats it like
+    # sup_f = 0, so the request certifies with the margins of 1e-150,
+    # whose square is still a float, instead of dividing by zero.
+    outs = []
+    for sup_f in ("1e-150", "1e-200"):
+        cfg = tmp_path / "certify.ini"
+        cfg.write_text(f"[certify]\nn = 4\ns0 = 1.0\nconnection = bounded\nsup_f = {sup_f}\n")
+        code, out, err = run(capsys, "certify", str(cfg))
+        assert (code, err) == (0, ""), sup_f
+        outs.append(json.loads(out))
+    assert outs[1]["verdict"] == "pass"
+    assert outs[1]["margins"] == outs[0]["margins"]
+
+
 @pytest.mark.parametrize("line", ["cap_width = nan", "origin_eps = -1", "ric_min_base = inf", "step = 0"])
 def test_certify_rejects_nonfinite_and_out_of_range(tmp_path, capsys, line):
     cfg = tmp_path / "certify.ini"

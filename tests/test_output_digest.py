@@ -1,6 +1,8 @@
-"""How ``tools/output_digest.py --against`` reports a differing line."""
+"""How ``tools/output_digest.py --against`` reports a differing line, and
+what ``--write-golden`` writes."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,18 @@ def test_line_move_reports_hashes_and_text(digest):
     a, b = "csv " + "0" * 64, "csv " + "1" * 64
     assert digest.line_move(a, b) == (0.0, True)
     assert digest.line_move("exit 0 pass", "exit 1 fail")[0] is None
+
+
+def test_golden_requests_name_every_golden_file(digest):
+    names = set(digest.golden_requests(digest.twistbench))
+    assert names == {p.stem for p in (ROOT / "tests" / "golden").glob("certify_*.json")}
+
+
+def test_write_golden_writes_only_the_named_files(digest, tmp_path):
+    digest.write_goldens(["certify_bounded"], str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == ["certify_bounded.json"]
+    written = json.loads((tmp_path / "certify_bounded.json").read_text())
+    committed = json.loads((ROOT / "tests" / "golden" / "certify_bounded.json").read_text())
+    assert written["verdict"] == "pass" and written.keys() == committed.keys()
+    with pytest.raises(SystemExit, match="unknown golden certify_nowhere"):
+        digest.write_goldens(["certify_nowhere"], str(tmp_path))

@@ -435,6 +435,12 @@ def test_choose_phi_degenerate_cases():
     phis = [rc.choose_phi(1.0, rc.ConnectionModel("bounded", sup_f=s), 0.5, 4)
             for s in (0.5, 1.0, 2.0)]
     assert phis[0] > phis[1] > phis[2]
+    # A bound whose square underflows to 0 constrains phi as little as 0
+    # does; one whose square is a nonzero float keeps the closed form.
+    for tiny in (1e-200, 5e-324):
+        assert rc.choose_phi(1.0, rc.ConnectionModel("bounded", sup_f=tiny), 0.5, 4) == math.inf
+    small = rc.choose_phi(1.0, rc.ConnectionModel("bounded", sup_f=1e-150), 0.5, 4)
+    assert small == 0.5 * math.log(2.0 * 0.5 / (3 * 1e-150**2))
 
 
 # -- gluing ---------------------------------------------------------------------
@@ -516,6 +522,30 @@ def test_search_r_flattens_f_once(monkeypatch):
     rc.search_r(build, c, 1e-4)
     assert len(probes) >= 3
     assert calls[0] == 1
+
+
+def test_search_r_builds_the_unit_probe_once_per_neck(monkeypatch):
+    # Every search starts from the r = 1 probe, which smooth_origin keeps
+    # per (neck, eps): a second search on the warm neck, bounded or
+    # trivial, solves no r = 1 bridge again and starts from that object.
+    scales = []
+    real = wm._smooth_kink
+
+    def counting(core_h, r, *args):
+        scales.append(r)
+        return real(core_h, r, *args)
+
+    monkeypatch.setattr(wm, "_smooth_kink", counting)
+    base, eps = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
+    lo = eps + 0.05 * (base.s_lambda - eps)
+    c = rc.ConnectionModel("bounded", sup_f=2.0, support=(lo, base.cap.blend_start))
+    first = rc.search_r(lambda r: wm.smooth_origin(base, r, eps), c, 1e-4)
+    assert first[0] < 1.0 and scales.count(1.0) == 1
+    r, profile, _ = rc.search_r(lambda r: wm.smooth_origin(base, r, eps), rc.TRIVIAL_CONNECTION, 1e-4)
+    assert r == 1.0 and profile is wm.smooth_origin(base, 1.0, eps)
+    again = rc.search_r(lambda r: wm.smooth_origin(base, r, eps), c, 1e-4)
+    assert scales.count(1.0) == 1
+    assert again[0] == first[0] and _report_bits(again[2]) == _report_bits(first[2])
 
 
 def test_search_r_rejects_probes_of_another_eps(neck):
@@ -646,7 +676,8 @@ def test_search_r_halves_when_the_collar_fails(neck):
 
     def build(r):
         built.append(r)
-        w = wm.smooth_origin(base, r, eps)
+        # A copy: the r = 1 probe is kept on the module's neck.
+        w = wm.smooth_origin(base, r, eps).derive()
         if r > 0.6 * root:
             for b in w.blocks():
                 if b.seg.s0 < w.origin.flat_end:
@@ -789,6 +820,22 @@ def test_certify_matches_goldens_tightly(n, s0):
     golden = GOLDEN_DIR / f"certify_n{n}_s{str(s0).replace('.', 'p')}.json"
     recorded = json.loads(golden.read_text())
     fresh = json.loads(jsonout.dumps(rc.certify(n, s0, rc.TRIVIAL_CONNECTION, 2.0).to_json_dict()))
+    moves = dict(_golden_moves(recorded, fresh))
+    assert len(moves) == 15
+    assert max(moves.values()) <= GOLDEN_TOL, moves
+
+
+@pytest.mark.parametrize("name", ["bounded", "n12_s0p3", "phi_cap"])
+def test_certify_matches_extra_goldens_tightly(name, neck):
+    # The three requests tools/output_digest.py runs past the grid (its
+    # ``golden_requests``), pinned as tightly as the grid goldens.
+    request = {
+        "bounded": lambda: rc.certify(4, 1.0, rc.ConnectionModel("bounded", sup_f=1.0), 1.0),
+        "n12_s0p3": lambda: rc.certify(12, 0.3, rc.TRIVIAL_CONNECTION, 2.0),
+        "phi_cap": lambda: rc.certify(4, 1.0, _phi_cap_connection(neck), 1.0, safety=0.999),
+    }[name]
+    recorded = json.loads((GOLDEN_DIR / f"certify_{name}.json").read_text())
+    fresh = json.loads(jsonout.dumps(request().to_json_dict()))
     moves = dict(_golden_moves(recorded, fresh))
     assert len(moves) == 15
     assert max(moves.values()) <= GOLDEN_TOL, moves

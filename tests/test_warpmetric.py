@@ -865,9 +865,11 @@ def test_kink_bridge_fails_closed_at_degree_cap(monkeypatch):
     # and certify gets each neck.  The f-flattening is built before the
     # bridge, once per neck and eps: on a neck whose outer part is cached
     # the bridge fails, and on a fresh neck the flattening's ramps do.
+    # The cache is warmed at r = 0.5: the r = 1 probe is kept whole, so
+    # certify on a neck warmed at r = 1 would build no bridge.
     params = wm.WarpParams(n=4, lam=math.cos(1.0))
     cached, fresh = wm.build_neck(params), wm.build_neck(params)
-    wm.smooth_origin(cached[0], 1.0, cached[1])
+    wm.smooth_origin(cached[0], 0.5, cached[1])
     monkeypatch.setattr(wm, "_SWEEP_TOL", -1.0)
     for neck, what, stages in (
         (cached, "origin bridge", ("smooth_origin", "search_r")),
@@ -1152,6 +1154,47 @@ def test_origin_cache_follows_eps():
     _assert_same_probe(wm.smooth_origin(tailed, 0.5, eps), first)
 
 
+def test_origin_keeps_the_unit_probe_per_eps():
+    # The r = 1 probe is built once per (neck, eps): a repeat call returns
+    # the same object, and a call with another eps replaces it.  It holds
+    # the neck's outer segments and blocks themselves, not x1 copies.
+    params = wm.WarpParams(n=4, lam=math.cos(1.0))
+    tailed, eps = wm.build_neck(params)
+    unit = wm.smooth_origin(tailed, 1.0, eps)
+    wm.smooth_origin(tailed, 0.5, eps)
+    assert wm.smooth_origin(tailed, 1.0, eps) is unit
+    outer = tailed._outer_memo[1]
+    assert len(unit.segments) == 3 + len(outer.segments)
+    assert all(a is b for a, b in zip(unit.segments[3:], outer.segments))
+    assert all(unit.block(3 + k) is b for k, b in enumerate(outer.blocks()))
+    fresh, _ = wm.build_neck(params)
+    _assert_same_probe(unit, wm.smooth_origin(fresh, 1.0, eps))
+    other = wm.smooth_origin(tailed, 1.0, 0.5 * eps)
+    assert other is not unit and other.origin.rejoin == 0.5 * eps
+    assert wm.smooth_origin(tailed, 1.0, 0.5 * eps) is other
+    again = wm.smooth_origin(tailed, 1.0, eps)
+    assert again is not unit
+    _assert_same_probe(again, unit)
+
+
+@pytest.mark.parametrize("degree", [8, 16, 32, 64, 128])
+def test_node_weights_are_smoothstep_at_the_nodes(degree):
+    # Cached beside _chebyshev(degree), read-only, and bit for bit what
+    # each window computed at its nodes before: tau = (1 - t)/2,
+    # smoothstep(tau) and smoothstep((1 + t)/2), the last one the second
+    # reversed (the nodes are exactly symmetric).
+    t = wm._chebyshev(degree)[0]
+    weights = wm._node_weights(degree)
+    assert wm._node_weights(degree) is weights
+    want = (0.5 * (1.0 - t), wm.smoothstep(0.5 * (1.0 - t)), wm.smoothstep(0.5 * (1.0 + t)))
+    for got, ref in zip(weights, want):
+        assert got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.5
+    assert weights[2].tobytes() == weights[1][::-1].tobytes()
+
+
 def test_origin_cache_dies_with_neck():
     tailed, eps = wm.build_neck(wm.WarpParams(n=4, lam=math.cos(1.0)))
     probe = wm.smooth_origin(tailed, 0.5, eps)
@@ -1161,11 +1204,14 @@ def test_origin_cache_dies_with_neck():
     assert text and text is tailed._outer_memo[1].block(0).text
     neck_ref = weakref.ref(tailed)
     outer_ref = weakref.ref(tailed._outer_memo[1])
+    unit_ref = weakref.ref(wm.smooth_origin(tailed, 1.0, eps))  # kept on the neck
+    assert unit_ref() is tailed._outer_memo[3]
     flat_ref = weakref.ref(probe.segments[3].fmod)  # the outer part's flattening
     del tailed
     gc.collect()
     assert neck_ref() is None  # a probe does not keep its neck alive
     assert outer_ref() is None  # nor the neck's outer part
+    assert unit_ref() is None  # nor the neck's r = 1 probe
     assert flat_ref() is not None
     del probe
     gc.collect()

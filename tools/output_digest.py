@@ -3,6 +3,7 @@ compare it with the digest of another revision.
 
     python3 tools/output_digest.py OUT.txt
     python3 tools/output_digest.py --against REV
+    python3 tools/output_digest.py --write-golden [NAME ...]
 
 The digest holds, for the sources of the checkout the script sits in:
 
@@ -40,6 +41,12 @@ prints every differing line with the largest relative move among its
 numeric fields (``hash differs`` for a SHA-256 field that changed), then
 their count and the largest move over all of them, and exits 1; if they
 match it exits 0.  It leaves the repository's ``.git`` as it was.
+
+``--write-golden`` writes the stdout of certify requests of the digest
+to ``tests/golden/NAME.json``, which the tight golden tests read: of each
+NAME given, or of every request that has a golden file if none is given
+(``golden_requests``: the benchmark's requests that certify, and the phi
+cap's).  A declared output change then shows as a golden diff.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from workloads import (  # noqa: E402
     BASE_NECKS, ScaleSearch, TopologyQueries, certify_points, random_gon, run_cli,
 )
 
+GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
 SEARCH_SEED = 0
 SEARCH_BLOCKS = 2
 ORIGIN_SCALES = (1.0, 0.7, 0.5, 2.0**-10, 2.0**-19)
@@ -139,14 +147,49 @@ def phi_cap_request(tb):
             "ric_min_base": 1.0, "safety": 0.999}
 
 
+def _certify(tb, workdir, cfg):
+    """(exit code, stdout, stderr) of ``twistbench certify`` on ``cfg``."""
+    path = os.path.join(workdir, "certify.ini")
+    _write_config(path, "certify", cfg)
+    return run_cli(tb, ["certify", path])
+
+
+def golden_requests(tb):
+    """Golden file name -> certify config, for each request of the digest
+    that certifies: the grid points, the bounded request, (12, 0.3) and
+    the phi cap's."""
+    out = {}
+    for key, (kind, cfg) in certify_points().items():
+        if kind != "negative":
+            name = key if isinstance(key, str) else "n{}_s{}".format(key[0], str(key[1]).replace(".", "p"))
+            out[f"certify_{name}"] = cfg
+    out["certify_phi_cap"] = phi_cap_request(tb)
+    return out
+
+
+def write_goldens(names, directory=GOLDEN_DIR):
+    """Write the certify stdout of each golden request in ``names`` (all of
+    them if empty) to ``directory``/NAME.json; SystemExit on an unknown
+    name or a request that does not exit 0."""
+    requests = golden_requests(twistbench)
+    unknown = sorted(set(names) - set(requests))
+    if unknown:
+        raise SystemExit(f"unknown golden {', '.join(unknown)}; known: {', '.join(sorted(requests))}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in names or sorted(requests):
+            code, out, err = _certify(twistbench, workdir, requests[name])
+            if code != 0:
+                raise SystemExit(f"{name}: certify exited {code}: {err.strip()}")
+            with open(os.path.join(directory, f"{name}.json"), "w", encoding="utf-8") as fh:
+                fh.write(out)
+
+
 def certify_lines(tb, workdir):
     points = certify_points()
     requests = [(repr(key), points[key][1]) for key in sorted(points, key=repr)]
     requests.append(("'phi cap'", phi_cap_request(tb)))
     for key, cfg in requests:
-        path = os.path.join(workdir, "certify.ini")
-        _write_config(path, "certify", cfg)
-        code, out, err = run_cli(tb, ["certify", path])
+        code, out, err = _certify(tb, workdir, cfg)
         yield f"## certify {key}: exit {code}"
         yield "-- stdout"
         yield out.replace(workdir, "<tmp>")
@@ -304,9 +347,13 @@ def against(rev):
 def main(argv):
     if len(argv) == 2 and argv[0] == "--against":
         raise SystemExit(against(argv[1]))
+    if argv[:1] == ["--write-golden"]:
+        write_goldens(argv[1:])
+        return
     if len(argv) != 1:
         raise SystemExit(
             "usage: python3 tools/output_digest.py OUT.txt | --against REV"
+            " | --write-golden [NAME ...]"
         )
     lines = digest_lines()
     with open(argv[0], "w", encoding="utf-8") as fh:
