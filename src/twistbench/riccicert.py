@@ -325,12 +325,13 @@ def verify_gluing(w: WarpProfile, s0: float) -> GluingReport:
 
     The outer slope must be cos(s0), the rescaled cap value sin(s0), and
     the fibre length must be flat (h' = 0) at the seam, each to within
-    ``GLUING_TOL``.
+    ``GLUING_TOL``.  The seam values are the last row of the tail block
+    (``WarpProfile.seam``).
     """
     if w.cap is None:
         raise InputError("profile has no cap to glue")
     lam = math.cos(s0)
-    f, fp, _, _, hp, _ = w.evaluate(w.s_lambda)
+    f, fp, _, _, hp, _ = w.seam()
     resid_fprime = abs(fp - lam)
     resid_cap = abs(f / w.cap.big_n - math.sin(s0))
     resid_h = abs(hp)
@@ -541,7 +542,8 @@ def certify(
 
     # The seam fixes the fibre length: e^phi = h_r(s_lambda) / N, where
     # h_r(s_lambda) = r h_1(s_lambda) bit for bit, since smooth_origin
-    # scales the neck's h by r there; so h_1(s_lambda) is read once.  The
+    # scales the neck's h by r there; so h_1(s_lambda) is read once, from
+    # the neck's tail block, which flatten_h_tail has sampled.  The
     # curvature side caps phi, so it caps r at the search: nudged down by
     # 1e-12 relative, so that the phi of the returned probe stays at or
     # below the cap.
@@ -550,7 +552,7 @@ def certify(
     except ArithmeticError as exc:
         # sup_f**2 out of the float range: the search's ceiling, so its label.
         raise StageError("search_r", exc) from exc
-    h_one = base.evaluate(base.s_lambda)[3]
+    h_one = base.seam()[3]
     phi_one = math.log(h_one / base.cap.big_n)
     r_max = 1.0 if phi_one <= phi_cap else math.exp(phi_cap - phi_one) * (1.0 - 1e-12)
     r, profile, neck_report = _stage("search_r", search_r, builder, c, target_margin, r_max)

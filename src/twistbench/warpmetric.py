@@ -308,10 +308,12 @@ class _CoreSolution:
         slopes[0] = 0.5 * self.lam0 * math.sqrt(self.alpha)
         slopes[1:] = self._fp_of_u(u[1:]) / (2.0 * u[1:])
         self._u, self._s, self._h = u, s, np.diff(s)
+        self.s_end = float(s[-1])
         # Each cell's Hermite piece in power form, u = c0 + t (c1 + t (c2 +
-        # t c3)) at t = (s - s_k)/h_k, with the slopes in t units.
+        # t c3)) at t = (s - s_k)/h_k, with the slopes in t units: row i of
+        # the (4, cells) array holds c_i, so one index gathers all four.
         du, d0, d1 = np.diff(u), slopes[:-1] * self._h, slopes[1:] * self._h
-        self._c = (u[:-1], d0, 3.0 * du - 2.0 * d0 - d1, d0 + d1 - 2.0 * du)
+        self._c = np.array((u[:-1], d0, 3.0 * du - 2.0 * d0 - d1, d0 + d1 - 2.0 * du))
         # The half-count table's pieces at the odd nodes, against the table.
         wide = self._h[0::2] + self._h[1::2]
         w0, w1, w2, w3 = _hermite_weights(self._h[0::2] / wide)
@@ -321,10 +323,6 @@ class _CoreSolution:
         )
         self.error = float(np.max(np.abs(coarse - u[1::2]) / u[1::2])) / 15.0
 
-    @property
-    def s_end(self) -> float:
-        return float(self._s[-1])
-
     def fpp_of(self, f):
         import numpy as np
         return self.c2 * np.power(f, -self.alpha - 1.0)
@@ -332,10 +330,10 @@ class _CoreSolution:
     def f_fp(self, s):
         """(f, f') at the given locations, clamped to the table."""
         import numpy as np
-        s = np.minimum(np.maximum(np.asarray(s, dtype=float), 0.0), self._s[-1])
-        k = np.minimum(np.searchsorted(self._s, s, side="right") - 1, len(self._h) - 1)
+        s = np.minimum(np.maximum(np.asarray(s, dtype=float), 0.0), self.s_end)
+        k = np.minimum(self._s.searchsorted(s, side="right") - 1, len(self._h) - 1)
         t = (s - self._s[k]) / self._h[k]
-        c0, c1, c2, c3 = (c[k] for c in self._c)
+        c0, c1, c2, c3 = self._c[:, k]
         u = c0 + t * (c1 + t * (c2 + t * c3))
         return 1.0 + u * u, self._fp_of_u(u)
 
@@ -349,9 +347,9 @@ class _CoreSolution:
         the piece in float arithmetic, f' and f'' by the same ufuncs."""
         import numpy as np
         s = min(max(s, 0.0), self.s_end)
-        k = min(int(np.searchsorted(self._s, s, side="right")) - 1, len(self._h) - 1)
+        k = min(int(self._s.searchsorted(s, side="right")) - 1, len(self._h) - 1)
         t = (s - float(self._s[k])) / float(self._h[k])
-        c0, c1, c2, c3 = (float(c[k]) for c in self._c)
+        c0, c1, c2, c3 = self._c[:, k].tolist()
         u = np.array([c0 + t * (c1 + t * (c2 + t * c3))])
         f = 1.0 + u * u
         return float(f[0]), float(self._fp_of_u(u)[0]), float(self.fpp_of(f)[0])
@@ -362,11 +360,11 @@ class _CoreSolution:
         interpolated f = 1 + u^2.  At the nodes it vanishes to rounding;
         the interpolation error peaks between them."""
         import numpy as np
-        i = int(np.searchsorted(self._s, s_lo))
-        j = int(np.searchsorted(self._s, s_hi, side="right")) - 1
+        i = int(self._s.searchsorted(s_lo))
+        j = int(self._s.searchsorted(s_hi, side="right")) - 1
         if j <= i:
             return 0.0
-        c0, c1, c2, c3 = (c[i:j] for c in self._c)
+        c0, c1, c2, c3 = self._c[:, i:j]
         # Each cell's piece and its derivative at t = 1/2.
         u = c0 + 0.5 * c1 + 0.25 * c2 + 0.125 * c3
         up = (c1 + c2 + 0.75 * c3) / self._h[i:j]
@@ -384,13 +382,12 @@ class _CoreSolution:
         ``target`` to rounding.  NoStop unless target < lam0 and u lies
         on the table.
         """
-        import numpy as np
         if target <= 0.0:
             return 0.0
         u = math.sqrt(_u2_at_slope(self, target)) if target < self.lam0 else math.inf
-        k = int(np.searchsorted(self._u, u, side="right")) - 1
+        k = int(self._u.searchsorted(u, side="right")) - 1
         if k < len(self._h):
-            c0, c1, c2, c3 = (float(c[k]) for c in self._c)
+            c0, c1, c2, c3 = self._c[:, k].tolist()
             t = (u - c0) / (float(self._u[k + 1]) - c0)
             for _ in range(8):
                 dt = (c0 - u + t * (c1 + t * (c2 + t * c3))) / (
@@ -501,8 +498,8 @@ class _Window:
             c[hit] = exact[hit]
         else:
             c = weights / d
-        c /= np.sum(c, axis=-1, keepdims=True)
-        return tuple(np.sum(c * y, axis=-1) for y in self.rows)
+        c /= c.sum(axis=-1, keepdims=True)
+        return tuple((c * y).sum(axis=-1) for y in self.rows)
 
 
 def _by_doubling(solve, degree: int, what: str):
@@ -558,11 +555,13 @@ class _Sine:
         import numpy as np
         s = np.asarray(s, dtype=float)
         th = (s - self.shift) / self.amp
-        return self.amp * np.sin(th), np.cos(th), -np.sin(th) / self.amp
+        sin = np.sin(th)
+        return self.amp * sin, np.cos(th), -sin / self.amp
 
 
 class _CoreH:
-    """h = (2/(alpha lam0^2)) f' of the core, with the core identities
+    """h = (2/(alpha lam0^2)) f' of the core, so h' = f^(-alpha-1) and
+    h'' = -(alpha+1) f^(-alpha-2) f', with the core identities
 
     h''/h = -(alpha (alpha+1)/2) lam0^2 f^(-alpha-2) and
     f'h'/(f h) = (alpha/2) lam0^2 f^(-alpha-2), both finite down to s = 0
@@ -578,26 +577,25 @@ class _CoreH:
 
     def from_core(self, f, fp):
         """(h, h', h'') from the core's f and f' at the same locations."""
-        import numpy as np
-        return self.c_h * fp, np.power(f, -self.core.alpha - 1.0), self.hpp(f, fp)
+        return self.columns(f, fp)[:3]
 
-    def hpp(self, f, fp):
-        """h'' from the core's f and f'."""
+    def columns(self, f, fp):
+        """(h, h', h'', h''/h, f'h'/(f h), f'') from the core's f and f' at
+        the same locations, each closed form written here only, with
+        f^(-alpha-1) and f^(-alpha-2) taken once; f'h'/(f h) holds where
+        the segment's f is the core, and f'' = c2 h' is the core equation."""
         import numpy as np
-        a = self.core.alpha
-        return -(a + 1.0) * np.power(f, -a - 2.0) * fp
-
-    def hpp_over_h(self, f):
-        """h''/h at core values f."""
-        import numpy as np
-        a = self.core.alpha
-        return -0.5 * a * (a + 1.0) * self.core.lam0**2 * np.power(f, -a - 2.0)
-
-    def fp_hp_over_f_h(self, f):
-        """f'h'/(f h) at core values f; the segment's f must be the core."""
-        import numpy as np
-        a = self.core.alpha
-        return 0.5 * a * self.core.lam0**2 * np.power(f, -a - 2.0)
+        core, a = self.core, self.core.alpha
+        lam0_sq = core.lam0**2
+        hp, power = np.power(f, -a - 1.0), np.power(f, -a - 2.0)
+        return (
+            self.c_h * fp,
+            hp,
+            -(a + 1.0) * power * fp,
+            -0.5 * a * (a + 1.0) * lam0_sq * power,
+            0.5 * a * lam0_sq * power,
+            core.c2 * hp,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +613,10 @@ class Segment:
     h at unit fibre scale, except the splice and the bridge, which are
     built per r; ``h_scale`` is the one place r is applied to the others:
     ``scaled`` multiplies h, h' and h'' by it, for ``eval`` and for every
-    sampled block.  The margins are formed before that scaling, from
-    column ratios or, where h vanishes at a sample, from the core and
-    sine closed forms.
+    sampled block; at ``h_scale`` 1.0 it passes the columns through
+    unchanged, since the product would be the same bits.  The margins are
+    formed before that scaling, from column ratios or, where h vanishes at
+    a sample, from the core and sine closed forms.
     """
 
     label: str  # core | cap | tail | splice | flat
@@ -628,8 +627,11 @@ class Segment:
     h_scale: float = 1.0
 
     def scaled(self, f, fp, fpp, h, hp, hpp):
-        """Unit-scale columns with h, h' and h'' times ``h_scale``."""
+        """Unit-scale columns with h, h' and h'' times ``h_scale``; at unit
+        scale the columns themselves, since 1.0 h is h bit for bit."""
         k = self.h_scale
+        if k == 1.0:
+            return f, fp, fpp, h, hp, hpp
         return f, fp, fpp, k * h, k * hp, k * hpp
 
     def eval(self, s):
@@ -735,6 +737,12 @@ class WarpProfile:
             self._memo[seg] = b
         return b
 
+    def seam(self):
+        """(f, fp, fpp, h, hp, hpp) at s_lambda: the last row of the last
+        segment's block, whose grid ends at s_lambda exactly."""
+        b = self.block(len(self.segments) - 1)
+        return tuple(float(c[-1]) for c in b[2:8])
+
     def evaluate(self, s: float):
         """(f, fp, fpp, h, hp, hpp) at a single location."""
         import numpy as np
@@ -816,17 +824,17 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
     The margins are scale-free, so they are formed from the unit-scale
     columns (see the module notes on closed forms) before ``seg.scaled``
     applies the fibre scale.  A margin that is not finite raises
-    MarginLost, since ``min`` and ``<=`` would silently skip a NaN.
+    MarginLost (``_finite_minima``).
     """
     import numpy as np
     fmod, hmod = seg.fmod, seg.hmod
     pure_core = isinstance(hmod, _CoreH) and fmod is hmod.core
     if isinstance(hmod, _CoreH):
-        # One core evaluation for the h columns, the closed form h''/h
-        # and, on pure-core and f-flattening segments, the f columns.
+        # One core evaluation for the h columns, the closed forms h''/h
+        # and f'h'/(f h) and, on pure-core and f-flattening segments, the
+        # f columns.
         core_f, core_fp = hmod.core.f_fp(s)
-        h, hp, hpp = hmod.from_core(core_f, core_fp)
-        roh = hmod.hpp_over_h(core_f)
+        h, hp, hpp, roh, core_cross, core_fpp = hmod.columns(core_f, core_fp)
     else:
         h, hp, hpp = hmod.eval(s)
         if isinstance(hmod, _Sine):
@@ -834,9 +842,9 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
         else:
             roh = hpp / h
     if pure_core:
-        f, fp, fpp = core_f, core_fp, fmod.fpp_of(core_f)
+        f, fp, fpp = core_f, core_fp, core_fpp
     elif isinstance(hmod, _CoreH) and getattr(fmod, "core", None) is hmod.core:
-        f, fp, fpp = fmod.from_core(s, core_f, core_fp)  # the f-flattening
+        f, fp, fpp = fmod.from_core(s, core_f, core_fp, core_fpp)  # the f-flattening
     else:
         f, fp, fpp = fmod.eval(s)
     if isinstance(fmod, _FlatF):
@@ -845,22 +853,34 @@ def _sample_block(n: int, seg: Segment, s: np.ndarray) -> _Block:
         m2 = (n - 2) / (f * f)
         m3 = -roh
     else:
-        if pure_core:
-            cross = hmod.fp_hp_over_f_h(f)
-        else:
-            cross = fp * (hp / h) / f
+        cross = core_cross if pure_core else fp * (hp / h) / f
         m1 = -(n - 1) * fpp / f - roh
         m2 = -fpp / f + (n - 2) * (1.0 - fp * fp) / (f * f) - cross
         m3 = -roh - (n - 1) * cross
-    if not all(np.isfinite(m).all() for m in (m1, m2, m3)):
+    mins = _finite_minima(seg, (m1, m2, m3))
+    columns = _read_only((s, *seg.scaled(f, fp, fpp, h, hp, hpp), m1, m2, m3))
+    return _Block(seg, *columns, mins, [])
+
+
+def _finite_minima(seg: Segment, margins) -> tuple:
+    """The minima of segment ``seg``'s margins; MarginLost unless every
+    sample is finite, since ``min`` and ``<=`` would silently skip a NaN.
+    A margin's ``min()`` and ``max()`` both propagate a NaN, so both are
+    finite exactly when every sample is."""
+    mins = tuple(float(m.min()) for m in margins)
+    if not all(math.isfinite(low) and math.isfinite(m.max()) for low, m in zip(mins, margins)):
         raise MarginLost(
             f"non-finite inequality margin on segment {seg.label} "
             f"[{seg.s0:.6g}, {seg.s1:.6g}]"
         )
-    columns = (s, *seg.scaled(f, fp, fpp, h, hp, hpp), m1, m2, m3)
+    return mins
+
+
+def _read_only(columns):
+    """The columns, made read-only: blocks are shared between profiles."""
     for column in columns:
-        column.setflags(write=False)  # blocks are shared between profiles
-    return _Block(seg, *columns, tuple(float(np.min(m)) for m in (m1, m2, m3)), [])
+        column.setflags(write=False)
+    return columns
 
 
 def inequality_margins(w: WarpProfile) -> MarginReport:
@@ -1268,25 +1288,35 @@ class _FlattenedF:
         self.right = _Window(self.b0, wr, self.degree, (f_r, fp_r))
 
     def omega(self, s):
-        sig_l = smoothstep((s - self.a0) / self.ramp)
-        sig_r = smoothstep((s - self.b0) / self.ramp)
-        return sig_l * (self.plateau - (self.plateau - 1.0) * sig_r)
+        return self._omega((s - self.a0) / self.ramp, (s - self.b0) / self.ramp)
+
+    def _omega(self, u_l, u_r):
+        """omega = sigma_L (P - (P - 1) sigma_R) at the ramp parameters
+        u_l = (s - a0)/ramp and u_r = (s - b0)/ramp."""
+        return smoothstep(u_l) * (self.plateau - (self.plateau - 1.0) * smoothstep(u_r))
 
     def eval(self, s):
         import numpy as np
         s = np.asarray(s, dtype=float)
-        return self.from_core(s, *self.core.f_fp(s))
+        return self.from_core(s, *self.core.eval(s))
 
-    def from_core(self, s, f_c, fp_c):
-        """(f, f', f'') at the locations s, from the core's f and f' there."""
+    def from_core(self, s, f_c, fp_c, fpp_c):
+        """(f, f', f'') at the locations s, from the core's f, f' and f''
+        there.  omega takes its formula only where u_l < 1 or u_r > 0:
+        elsewhere both smoothsteps clamp (sigma_L = 1, sigma_R = 0), and
+        omega is the plateau P exactly."""
+        import numpy as np
         p = self.plateau
-        fpp_c = self.core.fpp_of(f_c)
         f = p * (f_c - self.fc_b0) + self.big_a * (s - self.b0) + self.f_b0
         fp = p * (fp_c - self.fpc_b0) + self.fp_b0
         for window, on in ((self.left, s < self.a1), (self.right, s > self.b0)):
             if on.any():
                 f[on], fp[on] = window.eval(s[on])
-        return f, fp, self.omega(s) * fpp_c
+        u_l, u_r = (s - self.a0) / self.ramp, (s - self.b0) / self.ramp
+        ramps = (u_l < 1.0) | (u_r > 0.0)
+        omega = np.full_like(s, p)
+        omega[ramps] = self._omega(u_l[ramps], u_r[ramps])
+        return f, fp, omega * fpp_c
 
 
 def _smooth_kink(core_h, r, radius_hat, x0, x1):
@@ -1326,10 +1356,10 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
         t = _chebyshev(degree)[0]
         x = x0 + half * (1.0 + t)
         x[0] = x1
-        f, fp = core_h.core.f_fp(x)
+        h_c, hp_c, hpp_c = core_h.from_core(*core_h.core.f_fp(x))
         sig = _node_weights(degree)[2]
-        a, b = -(1.0 - sig) * inv_r2, sig * (r * core_h.hpp(f, fp))
-        h1, hp1 = (float(r * y[0]) for y in core_h.from_core(f[:1], fp[:1])[:2])
+        a, b = -(1.0 - sig) * inv_r2, sig * (r * hpp_c)
+        h1, hp1 = float(r * h_c[0]), float(r * hp_c[0])
         h, hp = integrate(degree, a, b, h1, hp1)
         coarse = integrate(degree // 2, a[::2], b[::2], h1, hp1)
         error = max(abs(y[-1] - c[-1]) / abs(y[-1]) for y, c in zip((h, hp), coarse))
@@ -1354,7 +1384,7 @@ def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
     if not cached or cached[0] != eps:
         blend_f = _FlattenedF(w.core, flat_end, eps, ramp)
         segments = (Segment("flat", flat_end, eps, blend_f, _CoreH(w.core)),) + tuple(
-            replace(seg, s0=max(seg.s0, eps)) for seg in w.segments if seg.s1 > eps
+            seg if seg.s0 >= eps else replace(seg, s0=eps) for seg in w.segments if seg.s1 > eps
         )
         outer = w.derive(segments=segments, s_left=flat_end)
         _gate(outer, (0, 1), "smooth_origin")  # eps lies on the neck's core
@@ -1456,7 +1486,7 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
         memo[3] = out
     else:
         out._memo.update(
-            (seg, _Block(seg, u.s, *seg.scaled(*u[2:8]), *u[8:]))
+            (seg, _Block(seg, u.s, *_read_only(seg.scaled(*u[2:8])), *u[8:]))
             for seg, u in zip(shared, outer.blocks())
         )
     return out

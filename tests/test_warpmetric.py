@@ -1280,15 +1280,131 @@ def test_fibre_scale_applied_alike_on_shared_and_own_blocks(neck_41):
                 assert w.evaluate(float(got.s[i])) == want, (r, k, i)
 
 
+class _OneSample:
+    """A curve model with constant columns, but ``column`` is ``value`` at
+    the middle of five samples."""
+
+    def __init__(self, columns, column, value):
+        self.columns, self.column, self.value = columns, column, value
+
+    def eval(self, s):
+        out = tuple(np.full_like(s, c) for c in self.columns)
+        out[self.column][len(s) // 2] = self.value
+        return out
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+NON_FINITE_MESSAGE = r"^non-finite inequality margin on segment flat \[0, 1\]$"
+
+
 def test_non_finite_margin_fails_closed():
-    # h = 0 at a sample makes h''/h infinite; min() would skip a NaN and
-    # an inf margin certifies nothing, so the block must refuse it.
-    # A degree-2 window has its middle node at s = 0.5, a sample.
+    # min() would skip a NaN and an inf margin certifies nothing, so the
+    # block must refuse any non-finite sample, with one message.
+    s = np.linspace(0.0, 1.0, 5)
+    # h = 0 at a sample makes h''/h infinite.  A degree-2 window has its
+    # middle node at s = 0.5, a sample.
     h = wm._Window(0.0, 1.0, 2, tuple(np.array(row) for row in ([1.0, 0.0, 1.0], [0.0] * 3, [1.0] * 3)))
-    seg = wm.Segment("flat", 0.0, 1.0, wm._FlatF(1.0), h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(MarginLost, match=r"segment flat \[0, 1\]"):
-            wm._sample_block(4, seg, np.linspace(0.0, 1.0, 5))
+    cases = [wm.Segment("flat", 0.0, 1.0, wm._FlatF(1.0), h)]
+    # With f = 1, f' = 1/2, f'' = -1 and h = h' = 1, h'' = -1 at n = 4 the
+    # margins are (4, 2, -1/2).  f'' = x turns m1 and m2 into 1 - 3x and 1
+    # - x, and h'' = x turns m1 and m3 into 3 - x and -3/2 - x: so NaN,
+    # +inf and -inf each reach m1, m2 and m3.
+    for bad in NON_FINITE:
+        cases.append(wm.Segment("flat", 0.0, 1.0, _OneSample((1.0, 0.5, -1.0), 2, bad),
+                                _OneSample((1.0, 1.0, -1.0), 0, 1.0)))
+        cases.append(wm.Segment("flat", 0.0, 1.0, _OneSample((1.0, 0.5, -1.0), 0, 1.0),
+                                _OneSample((1.0, 1.0, -1.0), 2, bad)))
+    for seg in cases:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(MarginLost, match=NON_FINITE_MESSAGE):
+                wm._sample_block(4, seg, s)
+    finite = wm._sample_block(4, wm.Segment("flat", 0.0, 1.0, _OneSample((1.0, 0.5, -1.0), 0, 1.0),
+                                            _OneSample((1.0, 1.0, -1.0), 0, 1.0)), s)
+    assert finite.mins == (4.0, 2.0, -0.5)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_finite_minima_refuses_each_non_finite_value_in_each_margin(k):
+    # The check reads each margin's min() and max(): one NaN, +inf or
+    # -inf sample anywhere in any margin is refused.
+    seg = wm.Segment("flat", 0.0, 1.0, None, None)
+    for bad in NON_FINITE:
+        for i in (0, 2, 4):
+            margins = [np.linspace(1.0, 2.0, 5) for _ in range(3)]
+            margins[k][i] = bad
+            with pytest.raises(MarginLost, match=NON_FINITE_MESSAGE):
+                wm._finite_minima(seg, margins)
+    assert wm._finite_minima(seg, [np.linspace(1.0, 2.0, 5)] * 3) == (1.0, 1.0, 1.0)
+
+
+def test_every_block_column_is_read_only(neck_41):
+    # Blocks are shared between profiles: on the neck, on its r = 1 probe
+    # (the neck's outer blocks unscaled) and on a probe at r < 1 (their
+    # copies with h scaled by r), no column may be written.
+    tailed, eps = neck_41
+    for w in (tailed, wm.smooth_origin(tailed, 1.0, eps), wm.smooth_origin(tailed, 0.5, eps)):
+        for b in w.blocks():
+            for name in b._fields[1:11]:
+                assert not getattr(b, name).flags.writeable, (w.r, b.seg.label, name)
+
+
+def test_unit_scale_passes_columns_through():
+    seg = wm.Segment("core", 0.0, 1.0, None, None)
+    columns = tuple(np.full(3, float(k)) for k in range(6))
+    assert all(a is b for a, b in zip(seg.scaled(*columns), columns))
+    half = wm.Segment("core", 0.0, 1.0, None, None, 0.5).scaled(*columns)
+    assert all(a is b for a, b in zip(half[:3], columns[:3]))
+    assert all(np.array_equal(a, 0.5 * b) for a, b in zip(half[3:], columns[3:]))
+
+
+SEAM_NECKS = [(n, s0) for n in (3, 4, 5, 6) for s0 in (0.3, 1.0)] + [(12, 0.3)]
+
+
+@pytest.mark.parametrize("n, s0", SEAM_NECKS)
+def test_seam_is_the_tail_blocks_last_row(n, s0):
+    # verify_gluing and certify read f, f', h and h' at s_lambda from the
+    # last row of the tail block: its grid ends at s_lambda exactly, and
+    # the row has the bits of evaluating the profile there.
+    res = rc.certify(n, s0, rc.TRIVIAL_CONNECTION, 2.0)
+    neck, _ = wm.build_neck(res.profile.params)
+    for w in (neck, res.profile):
+        last = w.segments[-1]
+        assert last.label == "tail" and last.s1 == w.s_lambda
+        assert w.segment_grid(last)[-1] == w.s_lambda
+        assert w.block(len(w.segments) - 1).s[-1] == w.s_lambda
+        assert _same_bits(w.seam(), w.evaluate(w.s_lambda)), (n, s0, w.r)
+
+
+def test_seam_of_a_bounded_probe_below_unit_scale():
+    c = rc.ConnectionModel("bounded", sup_f=1.0)
+    w = rc.certify(4, 1.0, c, 1.0, safety=0.5).profile
+    assert w.r < 1.0
+    assert w.segment_grid(w.segments[-1])[-1] == w.s_lambda
+    assert _same_bits(w.seam(), w.evaluate(w.s_lambda))
+    f, fp, _, _, hp, _ = w.evaluate(w.s_lambda)
+    assert rc.verify_gluing(w, 1.0) == rc.GluingReport(
+        abs(fp - math.cos(1.0)), abs(f / w.cap.big_n - math.sin(1.0)), abs(hp), True
+    )
+
+
+@pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (6, 0.3), (12, 0.3)])
+def test_flattening_omega_matches_its_formula(n, s0):
+    # The f-flattening takes omega from its formula only on the ramps and
+    # the plateau P elsewhere; with f''_c = 1 its f'' column is omega,
+    # which must be omega(s) bit for bit on the flat block's grid and at
+    # a1, b0 and their neighbours, where the smoothsteps start to clamp.
+    neck, eps = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
+    w = wm.smooth_origin(neck, 0.5, eps)
+    flat = [b for b in w.blocks() if isinstance(b.seg.fmod, wm._FlattenedF)]
+    assert len(flat) == 1
+    model = flat[0].seg.fmod
+    edges = [x for e in (model.a1, model.b0)
+             for x in (np.nextafter(e, -math.inf), e, np.nextafter(e, math.inf))]
+    for s in (flat[0].s, np.array(edges)):
+        f_c, fp_c, _ = w.core.eval(s)
+        got = model.from_core(s, f_c, fp_c, np.ones_like(s))[2]
+        assert _same_bits(got, model.omega(s)), (n, s0)
+        assert (got == model.plateau).any() and (got != model.plateau).any()
 
 
 # -- margins ---------------------------------------------------------------------
