@@ -325,7 +325,11 @@ class _CoreSolution:
 
     def fpp_of(self, f):
         import numpy as np
-        return self.c2 * np.power(f, -self.alpha - 1.0)
+        return self.fpp_from_hp(np.power(f, -self.alpha - 1.0))
+
+    def fpp_from_hp(self, hp):
+        """f'' = c2 f^(-alpha-1) from hp = f^(-alpha-1), the core's h'."""
+        return self.c2 * hp
 
     def f_fp(self, s):
         """(f, f') at the given locations, clamped to the table."""
@@ -581,9 +585,9 @@ class _CoreH:
 
     def columns(self, f, fp):
         """(h, h', h'', h''/h, f'h'/(f h), f'') from the core's f and f' at
-        the same locations, each closed form written here only, with
+        the same locations, each form of h written here only, with
         f^(-alpha-1) and f^(-alpha-2) taken once; f'h'/(f h) holds where
-        the segment's f is the core, and f'' = c2 h' is the core equation."""
+        the segment's f is the core, and f'' is ``fpp_from_hp`` of h'."""
         import numpy as np
         core, a = self.core, self.core.alpha
         lam0_sq = core.lam0**2
@@ -594,7 +598,7 @@ class _CoreH:
             -(a + 1.0) * power * fp,
             -0.5 * a * (a + 1.0) * lam0_sq * power,
             0.5 * a * lam0_sq * power,
-            core.c2 * hp,
+            core.fpp_from_hp(hp),
         )
 
 
@@ -1288,12 +1292,9 @@ class _FlattenedF:
         self.right = _Window(self.b0, wr, self.degree, (f_r, fp_r))
 
     def omega(self, s):
-        return self._omega((s - self.a0) / self.ramp, (s - self.b0) / self.ramp)
-
-    def _omega(self, u_l, u_r):
-        """omega = sigma_L (P - (P - 1) sigma_R) at the ramp parameters
-        u_l = (s - a0)/ramp and u_r = (s - b0)/ramp."""
-        return smoothstep(u_l) * (self.plateau - (self.plateau - 1.0) * smoothstep(u_r))
+        sig_l = smoothstep((s - self.a0) / self.ramp)
+        sig_r = smoothstep((s - self.b0) / self.ramp)
+        return sig_l * (self.plateau - (self.plateau - 1.0) * sig_r)
 
     def eval(self, s):
         import numpy as np
@@ -1302,21 +1303,14 @@ class _FlattenedF:
 
     def from_core(self, s, f_c, fp_c, fpp_c):
         """(f, f', f'') at the locations s, from the core's f, f' and f''
-        there.  omega takes its formula only where u_l < 1 or u_r > 0:
-        elsewhere both smoothsteps clamp (sigma_L = 1, sigma_R = 0), and
-        omega is the plateau P exactly."""
-        import numpy as np
+        there."""
         p = self.plateau
         f = p * (f_c - self.fc_b0) + self.big_a * (s - self.b0) + self.f_b0
         fp = p * (fp_c - self.fpc_b0) + self.fp_b0
         for window, on in ((self.left, s < self.a1), (self.right, s > self.b0)):
             if on.any():
                 f[on], fp[on] = window.eval(s[on])
-        u_l, u_r = (s - self.a0) / self.ramp, (s - self.b0) / self.ramp
-        ramps = (u_l < 1.0) | (u_r > 0.0)
-        omega = np.full_like(s, p)
-        omega[ramps] = self._omega(u_l[ramps], u_r[ramps])
-        return f, fp, omega * fpp_c
+        return f, fp, self.omega(s) * fpp_c
 
 
 def _smooth_kink(core_h, r, radius_hat, x0, x1):

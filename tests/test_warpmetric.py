@@ -1387,26 +1387,6 @@ def test_seam_of_a_bounded_probe_below_unit_scale():
     )
 
 
-@pytest.mark.parametrize("n, s0", [(3, 0.3), (4, 1.0), (6, 0.3), (12, 0.3)])
-def test_flattening_omega_matches_its_formula(n, s0):
-    # The f-flattening takes omega from its formula only on the ramps and
-    # the plateau P elsewhere; with f''_c = 1 its f'' column is omega,
-    # which must be omega(s) bit for bit on the flat block's grid and at
-    # a1, b0 and their neighbours, where the smoothsteps start to clamp.
-    neck, eps = wm.build_neck(wm.WarpParams(n=n, lam=math.cos(s0)))
-    w = wm.smooth_origin(neck, 0.5, eps)
-    flat = [b for b in w.blocks() if isinstance(b.seg.fmod, wm._FlattenedF)]
-    assert len(flat) == 1
-    model = flat[0].seg.fmod
-    edges = [x for e in (model.a1, model.b0)
-             for x in (np.nextafter(e, -math.inf), e, np.nextafter(e, math.inf))]
-    for s in (flat[0].s, np.array(edges)):
-        f_c, fp_c, _ = w.core.eval(s)
-        got = model.from_core(s, f_c, fp_c, np.ones_like(s))[2]
-        assert _same_bits(got, model.omega(s)), (n, s0)
-        assert (got == model.plateau).any() and (got != model.plateau).any()
-
-
 # -- margins ---------------------------------------------------------------------
 
 def test_core_inequality_two_lower_bound(finished):
