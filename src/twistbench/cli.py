@@ -125,10 +125,23 @@ _CERTIFY_KEYS = {
 _PROFILE_KEYS = {"n", "s0", "r", *_PARAM_FIELDS}
 
 
+@functools.cache
+def _config_parser() -> configparser.ConfigParser:
+    """The config parser, built once per process: its constructor is most
+    of the cost of reading a small config.  ``_load_config`` empties it
+    before each read."""
+    return configparser.ConfigParser()
+
+
 def _load_config(path: str, section: str, allowed: set):
     """The [section] of the config at ``path``, its n and s0, and the
     WarpParams for lam = cos(s0) with the section's overrides."""
-    parser = configparser.ConfigParser()
+    parser = _config_parser()
+    # Nothing of an earlier read may leak into this one: no section and no
+    # [DEFAULT] key.  A read that failed part way leaves its sections too.
+    for name in parser.sections():
+        parser.remove_section(name)
+    parser[parser.default_section].clear()
     try:
         if not parser.read(path):
             raise InputError(f"config file {path!r} not found")

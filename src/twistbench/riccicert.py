@@ -354,7 +354,9 @@ def _outer_segments(w: WarpProfile) -> list:
     return [seg for seg in w.segments if seg.s0 >= w.origin.flat_end]
 
 
-def search_r(builder, c: ConnectionModel, target_margin: float, r_max: float = 1.0):
+def search_r(
+    builder, c: ConnectionModel, target_margin: float, r_max: float = 1.0, *, witness: bool = True
+):
     """The largest fibre scale up to ``r_max`` certifying the target margin.
 
     ``builder`` maps r to a ``smooth_origin`` probe of one neck and eps.
@@ -384,8 +386,10 @@ def search_r(builder, c: ConnectionModel, target_margin: float, r_max: float = 1
     widened from 1e-12 only while rounding lets it pass.  Raises
     Exhausted when r* or the halved r falls below ``R_FLOOR``; r* below
     it first builds the witness ``R_WITNESS``, the last power of two
-    above the floor.  The returned profile is always fully built and
-    gated.
+    above the floor.  With ``witness=False`` neither witness is built:
+    the returned scale, profile and report, and any Exhausted, are the
+    same, and only the probe trail is shorter.  The returned profile is
+    always fully built and gated.
     """
     first = builder(1.0)
     outer = _outer_segments(first)
@@ -423,11 +427,12 @@ def search_r(builder, c: ConnectionModel, target_margin: float, r_max: float = 1
     exhausted = f"no fibre scale above {R_FLOOR} certifies the margin"
     root = fold.root(target_margin)
     if root < R_FLOOR:
-        checked(builder(R_WITNESS), R_WITNESS)
+        if witness:
+            checked(builder(R_WITNESS), R_WITNESS)
         raise Exhausted(exhausted)
     r = min(r_max, root * (1.0 - 1e-12))
     found = passing(r)
-    if found is not None and r < r_max:  # r* decides r: build the failing end
+    if witness and found is not None and r < r_max:  # r* decides r: build the failing end
         step = 1e-12
         while step < 1e-3 and fold.minima(min(1.0, root * (1.0 + step)))[0] >= target_margin:
             step *= 1e3
@@ -513,10 +518,12 @@ def certify(
 
     Builds the profile for lam = cos(s0), searches the largest fibre
     scale under the cap that the bundle-side constraint on the fibre
-    length puts on it, and bundles every report with a verdict.  Stage failures are wrapped in
-    StageError with the stage name.  A non-finite or out-of-range number,
-    or ``params`` for another n or s0, raises InputError before any
-    stage runs.
+    length puts on it, and bundles every report with a verdict.  The
+    search builds no failing witness (``witness=False``), since no output
+    reads one: only the r = 1 probe and the probes it gates.  Stage
+    failures are wrapped in StageError with the stage name.  A
+    non-finite or out-of-range number, or ``params`` for another n or
+    s0, raises InputError before any stage runs.
     """
     if n < 3:
         raise InputError("need dimension n >= 3")
@@ -555,7 +562,9 @@ def certify(
     h_one = base.seam()[3]
     phi_one = math.log(h_one / base.cap.big_n)
     r_max = 1.0 if phi_one <= phi_cap else math.exp(phi_cap - phi_one) * (1.0 - 1e-12)
-    r, profile, neck_report = _stage("search_r", search_r, builder, c, target_margin, r_max)
+    r, profile, neck_report = _stage(
+        "search_r", search_r, builder, c, target_margin, r_max, witness=False
+    )
     phi = math.log(r * h_one / profile.cap.big_n)
 
     bundle = _stage("ricci_bundle", ricci_bundle, ric_min_base, c, phi, n)

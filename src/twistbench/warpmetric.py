@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -170,14 +170,7 @@ class WarpParams:
             self.n, self.lam, lam0, alpha, f_stop, s_est
         )
         eps = self.origin_eps if self.origin_eps is not None else min(1.0, 0.3 * s_est)
-        return replace(
-            self,
-            lam0=lam0,
-            alpha=alpha,
-            cap_width=cap,
-            origin_eps=eps,
-            step=step,
-        )
+        return WarpParams(self.n, self.lam, lam0, alpha, cap, self.tail_width, eps, step)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +599,7 @@ class _CoreH:
 # Profile
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
     """f and h on [s0, s1], each one of the curve models.
 
@@ -620,7 +613,9 @@ class Segment:
     sampled block; at ``h_scale`` 1.0 it passes the columns through
     unchanged, since the product would be the same bits.  The margins are
     formed before that scaling, from column ratios or, where h vanishes at
-    a sample, from the core and sine closed forms.
+    a sample, from the core and sine closed forms.  A segment compares and
+    hashes by identity: a profile's sampled blocks are keyed by the
+    segment object, and a stage that changes a segment builds a new one.
     """
 
     label: str  # core | cap | tail | splice | flat
@@ -712,10 +707,17 @@ class WarpProfile:
     _outer_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def derive(self, **changes) -> WarpProfile:
-        """``replace(self, **changes)`` keeping the sampled blocks of every
-        segment it keeps: a block depends only on its segment, the step and
-        n, and a later stage keeps the segments it does not touch."""
-        out = replace(self, **changes)
+        """This profile with the fields in ``changes`` replaced, keeping the
+        sampled blocks of every segment it keeps: a block depends only on
+        its segment, the step and n, and a later stage keeps the segments
+        it does not touch."""
+        fields = {
+            "params": self.params, "core": self.core, "segments": self.segments,
+            "s_left": self.s_left, "s_lambda": self.s_lambda, "r": self.r,
+            "cap": self.cap, "tail": self.tail, "origin": self.origin,
+        }
+        fields.update(changes)
+        out = WarpProfile(**fields)
         kept = set(out.segments)
         out._memo.update((seg, b) for seg, b in self._memo.items() if seg in kept)
         return out
@@ -974,6 +976,8 @@ def _blend_rows(core, start, big_n, g, width):
     half = 0.5 * width
     f = start[0] + start[1] * (width * tau) + (half * half) * (k2 @ g)
     fp = start[1] - half * (k1 @ g)
+    # (1 - sig) c2 first: (1 - sig) * core.fpp_of(f) rounds differently,
+    # which changes the bytes of every exported CSV.
     core_term = (1.0 - sig) * core.c2 * np.power(f, -core.alpha - 1.0)
     nn = big_n * big_n
     sine_term = sig * f / nn
@@ -1192,10 +1196,10 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
         if seg.s1 <= t0:
             segments.append(seg)
         elif seg.s0 >= t0:
-            segments.append(replace(seg, label="tail", hmod=tail_h))
+            segments.append(Segment("tail", seg.s0, seg.s1, seg.fmod, tail_h, seg.h_scale))
         else:
-            segments.append(replace(seg, s1=t0))
-            segments.append(replace(seg, label="tail", s0=t0, hmod=tail_h))
+            segments.append(Segment(seg.label, seg.s0, t0, seg.fmod, seg.hmod, seg.h_scale))
+            segments.append(Segment("tail", t0, seg.s1, seg.fmod, tail_h, seg.h_scale))
     out = w.derive(segments=tuple(segments), tail=TailInfo(t0, width, degree, error))
     built = [k for k, s in enumerate(segments) if s not in w.segments]
     _gate(out, built, "flatten_h_tail")
@@ -1377,10 +1381,13 @@ def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
     cached = w._outer_memo
     if not cached or cached[0] != eps:
         blend_f = _FlattenedF(w.core, flat_end, eps, ramp)
-        segments = (Segment("flat", flat_end, eps, blend_f, _CoreH(w.core)),) + tuple(
-            seg if seg.s0 >= eps else replace(seg, s0=eps) for seg in w.segments if seg.s1 > eps
-        )
-        outer = w.derive(segments=segments, s_left=flat_end)
+        segments = [Segment("flat", flat_end, eps, blend_f, _CoreH(w.core))]
+        for seg in w.segments:
+            if seg.s0 >= eps:
+                segments.append(seg)
+            elif seg.s1 > eps:
+                segments.append(Segment(seg.label, eps, seg.s1, seg.fmod, seg.hmod, seg.h_scale))
+        outer = w.derive(segments=tuple(segments), s_left=flat_end)
         _gate(outer, (0, 1), "smooth_origin")  # eps lies on the neck's core
         cached[:] = (eps, outer, blend_f, None)
     return cached[1:3]
@@ -1451,11 +1458,15 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
         Segment("flat", x1, flat_end, flat_f, core_h, h_scale=r),
     ) + shared
 
-    out = replace(
-        w,
+    out = WarpProfile(
+        params=w.params,
+        core=w.core,
         segments=segments,
         s_left=eps_prime,
+        s_lambda=w.s_lambda,
         r=r,
+        cap=w.cap,
+        tail=w.tail,
         origin=OriginInfo(
             radius=radius,
             eps_prime=eps_prime,

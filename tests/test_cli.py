@@ -358,6 +358,60 @@ def test_parser_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_path):
     assert to_stdout[0] == 0 and to_stdout[1] == written
 
 
+def test_config_parser_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_path):
+    # _load_config reads every config with one parser per process.  A read
+    # must give the values and errors a fresh parser gives after any
+    # earlier read: no section, [DEFAULT] key or interpolation source of
+    # one config reaches the next, nor what a failed read left behind.
+    texts = [
+        "[DEFAULT]\nsafety = 0.25\nsup_f = 1.0\n[certify]\nn = 4\ns0 = %(sup_f)s\n[extra]\ny = 2\n",
+        "[certify]\nn = 4\ns0 = 1.0\n",
+        "[certify]\nn = 4\ns0 = %(sup_f)s\n",
+        "[extra]\ny = 2\n",
+        "[certify]\nn = 4\ns0 = 1.0\n[certify]\nsafety = 0.5\n",
+        "[profile]\nn = 4\ns0 = 1.0\n",
+    ]
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"config{i}.ini")
+        paths[-1].write_text(text)
+
+    def load(path):
+        try:
+            return cli._load_config(str(path), "certify", cli._CERTIFY_KEYS)
+        except InputError as exc:
+            return str(exc)
+
+    fresh = []
+    for path in paths:
+        cli._config_parser.cache_clear()
+        fresh.append(load(path))
+    builds = []
+    real = cli.configparser.ConfigParser
+    monkeypatch.setattr(cli.configparser, "ConfigParser", lambda: builds.append(1) or real())
+    cli._config_parser.cache_clear()
+    kept = [load(path) for path in paths]
+    assert len(builds) == 1
+    assert kept == fresh
+    defaults, plain, no_source, no_section, duplicate, other_section = kept
+    assert defaults[0] == {"safety": "0.25", "sup_f": "1.0", "n": "4", "s0": "1.0"}
+    assert plain[0] == {"n": "4", "s0": "1.0"} and plain[1:3] == (4, 1.0)
+    assert no_source.startswith("bad config file") and "'sup_f'" in no_source
+    assert no_section == other_section == "config file needs a [certify] section"
+    assert duplicate.startswith("bad config file") and "already exists" in duplicate
+
+    # A malformed config exits 2, and the next request still certifies.
+    paths[0].write_text("[certify]\nn = 4\ns0 = 1.0\nsafety\n")
+    paths[1].write_text("[certify]\nn = 3\ns0 = 1.047\nric_min_base = 2.0\n")
+    code, out, err = run(capsys, "certify", str(paths[0]))
+    assert (code, out) == (2, "") and err.startswith("error: bad config file")
+    code, out, _ = run(capsys, "certify", str(paths[1]))
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    cli._config_parser.cache_clear()
+    assert run(capsys, "certify", str(paths[1])) == (0, out, "")
+    assert len(builds) == 2
+
+
 def test_failed_certify_frees_its_neck_without_the_cycle_collector(
     capsys, monkeypatch, tmp_path
 ):

@@ -712,6 +712,37 @@ def test_search_r_certifies_a_root_between_the_floor_and_the_last_grid_scale(nec
         _search_every_probe(builder_for(neck), c, target)
 
 
+def test_search_r_without_witness_builds_only_what_it_returns(neck):
+    # witness=False drops the bracket's failing end, and nothing else: the
+    # same scale, report bits and Exhausted message, from the same probe
+    # trail with the witness left out.
+    base, eps = neck
+    span = base.cap.blend_start - eps
+    support = (eps + 0.05 * span, eps + 0.5 * span)
+    searches = [(rc.TRIVIAL_CONNECTION, 1e-6), (rc.TRIVIAL_CONNECTION, 1e6)] + [
+        (rc.ConnectionModel("bounded", sup_f=sup, support=support), 1e-4) for sup in (0.5, 2.0, 8.0)
+    ]
+    below = 0
+    for c, target in searches:
+        found = []
+        for witness in (True, False):
+            build, built = _recording(neck)
+            try:
+                r, _, report = rc.search_r(build, c, target, witness=witness)
+                found.append((built, r, _report_bits(report)))
+            except Exhausted as exc:
+                found.append((built, str(exc)))
+        (with_trail, *with_rest), (without_trail, *without_rest) = found
+        assert without_rest == with_rest, (c, target)
+        if with_rest[0] == 1.0:
+            assert with_trail == without_trail == [1.0]
+            continue
+        below += 1
+        assert with_trail[-1] not in without_trail
+        assert without_trail == with_trail[:-1], (c, target)
+    assert below == 4  # three bounded searches below r = 1 and one Exhausted
+
+
 def _report_bits(report):
     return tuple(float.hex(getattr(report, f.name)) for f in dataclasses.fields(report))
 
@@ -1004,8 +1035,8 @@ def test_certify_phi_cap_is_the_search_ceiling(neck, monkeypatch):
     def counting_neck(*args):
         calls["ricci_neck"] += 1
 
-    def recorded_search(*args):
-        found = real_search(*args)
+    def recorded_search(*args, **kwargs):
+        found = real_search(*args, **kwargs)
         calls["after_search"] = calls["smooth_origin"]
         return found
 
@@ -1018,6 +1049,36 @@ def test_certify_phi_cap_is_the_search_ceiling(neck, monkeypatch):
     assert calls["ricci_neck"] == 0
     assert calls["smooth_origin"] == calls["after_search"] == 2  # r = 1 and the capped r
     assert cap - 1e-9 < res.phi <= cap
+
+
+def test_certify_builds_no_witness(monkeypatch):
+    # certify reads the returned probe only, so its search builds no
+    # failing witness: a golden point builds the r = 1 probe, the bounded
+    # request the r = 1 probe and the certified r, and (3, 0.25) the r = 1
+    # probe before search_r gives up.  A direct search_r call still builds
+    # the witness (test_search_r_exhausted).
+    built = []
+    real = wm.smooth_origin
+
+    def recording(w, r, eps):
+        built.append(r)
+        return real(w, r, eps)
+
+    monkeypatch.setattr(wm, "smooth_origin", recording)
+    for n in (3, 4, 5, 6):
+        for s0 in (0.3, 1.0):
+            built.clear()
+            assert rc.certify(n, s0, ric_min_base=2.0).passed()
+            assert built == [1.0], (n, s0)
+    built.clear()
+    res = rc.certify(4, 1.0, rc.ConnectionModel("bounded", sup_f=1.0), 1.0, safety=0.5)
+    assert res.passed() and res.r < 1.0
+    assert built == [1.0, res.r]
+    built.clear()
+    with pytest.raises(StageError, match="stage 'search_r'") as exc:
+        rc.certify(3, 0.25, ric_min_base=2.0)
+    assert isinstance(exc.value.cause, Exhausted)
+    assert built == [1.0]
 
 
 @pytest.mark.parametrize(

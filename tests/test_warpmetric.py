@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import json
@@ -1050,21 +1051,44 @@ def test_dense_models_self_consistent():
         assert [float(c[0]) for c in model.eval(np.array([eps]))[:2]] == list(neck.core.at(eps)[:2])
 
 
+def test_derive_replaces_fields_and_keeps_blocks_by_segment(neck):
+    # derive builds the profile itself, so it must set every field that
+    # dataclasses.replace would.  Blocks are keyed by the segment object:
+    # a kept segment keeps its block, a segment equal field by field but
+    # built anew does not.
+    base, _ = neck
+    base.blocks()
+    first = base.segments[0]
+    twin = wm.Segment(first.label, first.s0, first.s1, first.fmod, first.hmod, first.h_scale)
+    assert twin != first and hash(twin) != hash(first)
+    for changes in ({}, {"s_left": 0.5, "r": 0.25}, {"segments": (twin,) + base.segments[1:]}):
+        out = base.derive(**changes)
+        assert out == dataclasses.replace(base, **changes), changes
+        for f in dataclasses.fields(out):
+            if f.init and f.name not in changes:
+                assert getattr(out, f.name) is getattr(base, f.name), f.name
+    assert twin not in out._memo
+    assert all(out._memo[seg] is base._memo[seg] for seg in base.segments[1:])
+
+
 def test_certify_samples_each_block_once(monkeypatch):
     # A stage keeps the blocks of the segments it leaves alone, so one
     # certify samples no (segment, grid) pair twice.
+    # Segments compare by identity, so two samplings count as the same
+    # when their segments agree field by field.
     sampled = []
     real = wm._sample_block
 
     def recording(n, seg, s):
-        sampled.append((seg, s))
+        key = (seg.label, seg.s0, seg.s1, seg.fmod, seg.hmod, seg.h_scale)
+        sampled.append((key, s))
         return real(n, seg, s)
 
     monkeypatch.setattr(wm, "_sample_block", recording)
     rc.certify(4, 1.0, ric_min_base=2.0)
-    for i, (seg, s) in enumerate(sampled):
+    for i, (key, s) in enumerate(sampled):
         for other, t in sampled[:i]:
-            assert not (seg == other and np.array_equal(s, t)), (seg.label, seg.s0, seg.s1)
+            assert not (key == other and np.array_equal(s, t)), key[:3]
 
 
 def test_each_stage_gates_the_segments_it_built(monkeypatch):
