@@ -33,14 +33,8 @@ class FgAbGroup:
     def rank(self) -> int:
         return self.free_rank
 
-    def torsion_part(self) -> tuple:
-        return self.torsion
-
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
 
     def order(self) -> int:
         """Group order; raises on infinite groups."""

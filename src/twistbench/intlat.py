@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotGenerating, ZeroVector
 
@@ -122,8 +122,7 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(NamedTuple):
     """input == left_inv @ diag @ right_inv, with left_inv and right_inv
     unimodular."""
 

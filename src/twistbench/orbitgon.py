@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import intlat
 from .errors import InvalidLabelling, NotMinimal
@@ -68,8 +69,7 @@ def gon(n: int, labels) -> GonLabelling:
     return GonLabelling(n, tuple(map(tuple, labels)))
 
 
-@dataclass(frozen=True)
-class GonValidation:
+class GonValidation(NamedTuple):
     primitive: tuple  # per label
     pairs_extend: tuple  # per cyclic adjacent pair (a_i, a_{i+1}), wrapping
     generates: bool

@@ -13,14 +13,14 @@ connected sum of the pieces).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import topology
 from .errors import InputError, UnrecognizedPattern
 from .topology import EulerClass, ManifoldExpr
 
 
-@dataclass(frozen=True)
-class DiscBundleNode:
+class DiscBundleNode(NamedTuple):
     """D^2-bundle over ``base`` with twisting class ``euler``."""
 
     base: ManifoldExpr

@@ -31,7 +31,8 @@ is 0, so the horizontal bound alone decides the bundle region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import warpmetric
 from .errors import Exhausted, InputError, NotPositive, StageError
@@ -79,8 +80,7 @@ TRIVIAL_CONNECTION = ConnectionModel("trivial")
 # Neck certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RicciReport:
+class RicciReport(NamedTuple):
     """The neck's Ricci eigenvalue lower bounds, as minima.
 
     ``margin`` is the eigenvalue lower bound over the strict zone; the
@@ -312,8 +312,7 @@ def choose_phi(
 GLUING_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GluingReport:
+class GluingReport(NamedTuple):
     resid_fprime: float
     resid_cap: float
     resid_h_slope: float
@@ -451,8 +450,7 @@ def search_r(
 # End-to-end certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertificationResult:
+class CertificationResult(NamedTuple):
     n: int
     s0: float
     lam: float
@@ -470,8 +468,8 @@ class CertificationResult:
     bundle: float  # the bundle region's horizontal Ricci lower bound
     first_integral_residual: float
     verdict: str
-    profile: WarpProfile = field(repr=False)
-    neck_report: RicciReport = field(repr=False)
+    profile: WarpProfile
+    neck_report: RicciReport
 
     def passed(self) -> bool:
         return self.verdict == "pass"

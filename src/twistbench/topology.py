@@ -104,8 +104,7 @@ ZERO_CLASS = EulerClass.zero()
 # Fundamental group descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pi1:
+class Pi1(NamedTuple):
     kind: str  # trivial | cyclic | binary_icosahedral | unsupported
     order: int = 0  # cyclic order for kind == "cyclic"
 
@@ -125,8 +124,7 @@ PI1_TRIVIAL = Pi1("trivial")
 # Expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ManifoldExpr:
+class ManifoldExpr(NamedTuple):
     """Immutable expression tree; attributes are computed lazily."""
 
     kind: str  # atom | product | connected_sum | twisted_suspension

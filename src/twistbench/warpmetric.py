@@ -122,8 +122,7 @@ def _default_cap_width(n, lam, lam0, alpha, f_stop, s_est):
 # Parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WarpParams:
+class WarpParams(NamedTuple):
     """Construction parameters; None fields are resolved to defaults.
 
     lam is the target outer slope of f (the cosine of the gluing
@@ -638,8 +637,7 @@ class Segment:
         return self.scaled(*self.fmod.eval(s), *self.hmod.eval(s))
 
 
-@dataclass(frozen=True)
-class CapInfo:
+class CapInfo(NamedTuple):
     """What ``cap_sine`` built: the arc N sin((s - s_prime)/N), the blend
     window [blend_start, blend_end], and the blend's Chebyshev degree with
     its error estimate, the largest relative change of its (f, f') at the
@@ -653,8 +651,7 @@ class CapInfo:
     blend_error: float
 
 
-@dataclass(frozen=True)
-class TailInfo:
+class TailInfo(NamedTuple):
     """What ``flatten_h_tail`` built: the tail window [start, s_lambda] of
     the given width, and its Chebyshev degree with its error estimate, the
     largest relative change of its h at the nodes shared with half that
@@ -666,8 +663,7 @@ class TailInfo:
     error: float
 
 
-@dataclass(frozen=True)
-class OriginInfo:
+class OriginInfo(NamedTuple):
     radius: float
     eps_prime: float
     splice_point: float
@@ -783,8 +779,7 @@ class WarpProfile:
 TAIL_FLOOR = -1e-12
 
 
-@dataclass(frozen=True)
-class MarginReport:
+class MarginReport(NamedTuple):
     """Minima of the three inequality margins over the profile.
 
     The three minima run over the strict zone (everything left of the

@@ -161,6 +161,18 @@ def test_certify_bad_s0_exits_usage(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("section", ["certify", "profile"])
+@pytest.mark.parametrize("s0", ["1e-9", "0", "2.0", "nan", "inf"])
+def test_bad_s0_is_named_in_its_own_terms(tmp_path, capsys, section, s0):
+    # cos(1e-9) rounds to 1: the one-line error names s0 and its documented
+    # range, never a lam the config did not give.
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{section}]\nn = 4\ns0 = {s0}\n")
+    code, out, err = run(capsys, section.replace("profile", "profile-export"), str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: gluing radius s0 must lie in (0, pi/2) with cos(s0) < 1, not {float(s0)!r}\n"
+
+
 def test_certify_missing_file_exits_usage(capsys):
     code, _, err = run(capsys, "certify", "/nonexistent/conf.ini")
     assert code == 2

@@ -30,3 +30,19 @@ def test_domain_map_matches_fixture():
     outcomes = list(json.loads(recorded).values())
     assert len(outcomes) == 224 and outcomes.count("pass") >= 220
     assert fresh == recorded
+
+
+def test_options_print_usage_and_run_no_request(monkeypatch, capsys):
+    # An option is never taken for the output path: --help prints the usage
+    # line and exits 0, any other option exits 2, and neither builds the map.
+    tool = _domain_map_tool()
+
+    def refuse():
+        raise AssertionError("domain_map ran")
+
+    monkeypatch.setattr(tool, "domain_map", refuse)
+    assert tool.main(["--help"]) == 0 and tool.main(["-h"]) == 0
+    assert capsys.readouterr() == ((tool.USAGE + "\n") * 2, "")
+    for argv in (["-o"], ["--out", "x.json"], ["a.json", "b.json"], ["-"]):
+        assert tool.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", tool.USAGE + "\n"), argv

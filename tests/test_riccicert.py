@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -744,7 +743,7 @@ def test_search_r_without_witness_builds_only_what_it_returns(neck):
 
 
 def _report_bits(report):
-    return tuple(float.hex(getattr(report, f.name)) for f in dataclasses.fields(report))
+    return tuple(float.hex(getattr(report, name)) for name in report._fields)
 
 
 def _neck_report(profile, c):
@@ -929,7 +928,7 @@ def fail_routes(neck, monkeypatch):
 
         def mutated(params):
             w, eps = real(params)
-            cap = dataclasses.replace(w.cap, big_n=w.cap.big_n * (1.0 + 1e-6))
+            cap = w.cap._replace(big_n=w.cap.big_n * (1.0 + 1e-6))
             return w.derive(cap=cap), eps
 
         monkeypatch.setattr(wm, "build_neck", mutated)

@@ -44,16 +44,27 @@ def domain_map() -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def main(argv):
-    if len(argv) > 1:
-        raise SystemExit("usage: python3 tools/domain_map.py [OUT.json]")
+USAGE = "usage: python3 tools/domain_map.py [OUT.json]"
+
+
+def main(argv) -> int:
+    """Exit 0 with the map written; -h or --help prints the usage line and
+    exits 0; any other option, or more than one argument, exits 2 before
+    any request runs."""
+    if argv in (["-h"], ["--help"]):
+        print(USAGE)
+        return 0
+    if len(argv) > 1 or argv and argv[0].startswith("-"):
+        print(USAGE, file=sys.stderr)
+        return 2
     text = domain_map()
     if argv:
         with open(argv[0], "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
