@@ -160,9 +160,10 @@ def _load_config(path: str, section: str, allowed: set):
         s0 = float(cfg["s0"])
     except KeyError as exc:
         raise InputError(f"{section} config needs key {exc}") from exc
-    # lam = cos(s0) must lie in (0, 1), and cos rounds to 1 below s0 of about
-    # 1.05e-8: the error names s0, which the config gave, not lam.
-    if not (math.isfinite(s0) and 0.0 < math.cos(s0) < 1.0):
+    # s0 must lie in (0, pi/2) for both commands, as riccicert.certify
+    # checks, and cos rounds to 1 below s0 of about 1.05e-8: the error names
+    # s0, which the config gave, not lam = cos(s0).
+    if not (0.0 < s0 < 0.5 * math.pi and math.cos(s0) < 1.0):
         raise InputError(f"gluing radius s0 must lie in (0, pi/2) with cos(s0) < 1, not {s0!r}")
     overrides = {name: float(cfg[key]) for key, name in _PARAM_FIELDS.items() if key in cfg}
     return cfg, n, s0, warpmetric.WarpParams(n=n, lam=math.cos(s0), **overrides)

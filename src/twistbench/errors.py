@@ -14,10 +14,6 @@ class InputError(TwistbenchError):
     """Malformed input or violated precondition (CLI exit 2)."""
 
 
-class ZeroVector(InputError):
-    pass
-
-
 class DimensionMismatch(InputError):
     pass
 
@@ -30,15 +26,7 @@ class InvalidLabelling(InputError):
     pass
 
 
-class NotMinimal(InputError):
-    """Gon has more edges than the minimal m = n - 2 configuration."""
-
-
 class DimensionTooSmall(InputError):
-    pass
-
-
-class RankTooLarge(InputError):
     pass
 
 

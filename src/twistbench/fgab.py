@@ -3,7 +3,7 @@
 A group is stored as a free rank plus an invariant-factor chain
 d_1 | d_2 | ... | d_t with every d_i >= 2, so structural equality is
 plain field equality.  Normal forms come straight out of the Smith
-normal form of a diagonal (or presentation) matrix.
+normal form of a diagonal matrix.
 """
 
 from __future__ import annotations
@@ -101,26 +101,8 @@ def from_divisors(divisors: Iterable[int], free_rank: int = 0) -> FgAbGroup:
     return FgAbGroup(rank, tuple(chain))
 
 
-def from_presentation(relations: IntMatrix) -> FgAbGroup:
-    """Cokernel Z^g / (row span of ``relations``) in normal form.
-
-    Rows are relators; the number of generators g is the column count.
-    """
-    g = relations.cols
-    if relations.rows == 0:
-        return FgAbGroup(g, ())
-    diag = snf(relations).diagonal()
-    nonzero = [d for d in diag if d != 0]
-    return from_divisors(nonzero, free_rank=g - len(nonzero))
-
-
 def direct_sum(*groups: FgAbGroup) -> FgAbGroup:
     """Normal form of the direct sum of the given groups."""
     rank = sum(g.free_rank for g in groups)
     tors = [d for g in groups for d in g.torsion]
     return from_divisors(tors, free_rank=rank)
-
-
-def equals(g: FgAbGroup, h: FgAbGroup) -> bool:
-    """Structural equality of normal forms (isomorphism of the groups)."""
-    return g == h

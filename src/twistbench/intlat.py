@@ -1,9 +1,10 @@
 """Exact integer-lattice linear algebra.
 
 Smith normal form with the inverse transforms that the unimodular extension
-reads, unimodular extensions of generating sets, and primitivity/divisibility
-tests.  All arithmetic uses Python integers, so nothing ever overflows;
-exactness is what the topology side of the workbench is built on.
+reads, unimodular extensions of generating sets, and divisibility and
+basis-extension tests.  All arithmetic uses Python integers, so nothing
+ever overflows; exactness is what the topology side of the workbench is
+built on.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, NotGenerating, ZeroVector
+from .errors import DimensionMismatch, NotGenerating
 
 
 def identity_lists(n: int) -> list:
@@ -53,10 +54,6 @@ class IntMatrix:
             width = 0 if cols is None else cols
         return IntMatrix(len(rows), width, tuple(chain.from_iterable(rows)))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix.from_rows(identity_lists(n), cols=n)
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -83,14 +80,6 @@ class IntMatrix:
 
     def diagonal(self) -> tuple:
         return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self[i, j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -299,14 +288,6 @@ def divisibility(v: Iterable[int]) -> int:
     for x in v:
         g = math.gcd(g, int(x))
     return g
-
-
-def is_primitive(v: Sequence[int]) -> bool:
-    """True iff the entries have gcd 1.  Raises ZeroVector on 0."""
-    d = divisibility(v)
-    if d == 0:
-        raise ZeroVector("primitivity of the zero vector is undefined")
-    return d == 1
 
 
 def extends_to_basis(vs: Sequence[Sequence[int]]) -> bool:

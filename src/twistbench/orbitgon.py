@@ -4,19 +4,18 @@ The orbit space of an effective T^{n-2}-action on a closed simply
 connected n-manifold is an m-gon whose edges carry primitive isotropy
 vectors in Z^{n-2}.  This module validates labellings (primitivity,
 adjacent basis extension, global generation), computes the second Betti
-number m - n + 2, produces the unimodular m x m model matrix extending
-the labels, and normalizes the minimal case m = n - 2.
+number m - n + 2, and produces the unimodular m x m model matrix
+extending the labels.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from . import intlat
-from .errors import InvalidLabelling, NotMinimal
+from .errors import InvalidLabelling
 from .intlat import IntMatrix
 
 
@@ -136,22 +135,6 @@ def unimodular_model(g: GonLabelling) -> IntMatrix:
     return intlat.unimodular_extension(g.label_matrix())
 
 
-def normalize_minimal(g: GonLabelling) -> GonLabelling:
-    """For m = n - 2, transform the labels to the standard basis.
-
-    Any two valid minimal labellings differ by a torus automorphism, so
-    the normal form is the identity labelling.
-    """
-    _require_valid(g)
-    d = g.n - 2
-    if g.m != d:
-        raise NotMinimal("normalization applies only to m = n - 2 gons")
-    if abs(g.label_matrix().det()) != 1:
-        raise InvalidLabelling("minimal labelling must be unimodular")
-    # a^{-1} maps the labels, the columns of a, to the standard basis.
-    return GonLabelling(g.n, tuple(map(tuple, intlat.identity_lists(d))))
-
-
 def standard_gon(handles: int) -> GonLabelling:
     """Canonical 4-dimensional gon with b_2 = 2 * handles.
 
@@ -164,53 +147,3 @@ def standard_gon(handles: int) -> GonLabelling:
     m = 2 * handles + 2
     labels = tuple((1, 0) if i % 2 == 0 else (0, 1) for i in range(m))
     return GonLabelling(4, labels)
-
-
-def random_valid_labelling(rng: random.Random, n: int, m: int) -> GonLabelling:
-    """Random valid gon for property tests.
-
-    Builds a valid cyclic pattern of standard basis vectors (with the
-    all-ones-compatible vector e_0 + e_1 patching odd wraparounds), then
-    applies a random unimodular change of basis and random sign flips,
-    both of which preserve validity.
-    """
-    d = n - 2
-    if m < d:
-        raise ValueError("m must be at least n - 2")
-    basis = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-    seq = list(range(d))
-    toggle = [0, 1] if d >= 2 else [0]
-    while len(seq) < m:
-        seq.append(toggle[(len(seq) - d) % len(toggle)])
-    labels = [basis[i] for i in seq]
-    if d >= 2 and seq[-1] == seq[0]:
-        labels[-1] = tuple(basis[0][i] + basis[1][i] for i in range(d))
-    g = GonLabelling(n, tuple(labels))
-    report = validate(g)
-    assert report.valid, report.failures
-    # Random unimodular transform: a few shear/swap/negate moves.
-    u = intlat.identity_lists(d)
-    for _ in range(4 * d):
-        move = rng.randrange(3)
-        i = rng.randrange(d)
-        j = rng.randrange(d)
-        if move == 0 and i != j:
-            q = rng.randint(-2, 2)
-            for k in range(d):
-                u[i][k] += q * u[j][k]
-        elif move == 1 and i != j:
-            u[i], u[j] = u[j], u[i]
-        elif move == 2:
-            u[i] = [-x for x in u[i]]
-    umat = IntMatrix.from_rows(u)
-    assert abs(umat.det()) == 1
-    cols = [umat @ IntMatrix.from_rows([[x] for x in a], cols=1) for a in g.labels]
-    new_labels = []
-    for c in cols:
-        vec = tuple(c[i, 0] for i in range(d))
-        if rng.random() < 0.3:
-            vec = tuple(-x for x in vec)
-        new_labels.append(vec)
-    out = GonLabelling(n, tuple(new_labels))
-    assert validate(out).valid
-    return out

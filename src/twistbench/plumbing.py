@@ -60,16 +60,6 @@ def graph(nodes, edges) -> PlumbingGraph:
     return PlumbingGraph(tuple(nodes), tuple((i, j, s) for (i, j, s) in edges))
 
 
-def suspension_graph(base: ManifoldExpr, euler: EulerClass, leaves: int = 1) -> PlumbingGraph:
-    """Star graph: one bundle node over ``base`` with ``leaves`` trivial nodes."""
-    if leaves < 1:
-        raise InputError("need at least one trivial node")
-    n = topology.dim(base)
-    nodes = [DiscBundleNode(base, euler)] + [TrivialDiscNode(n)] * leaves
-    edges = [(0, k, "+") for k in range(1, leaves + 1)]
-    return graph(nodes, edges)
-
-
 def _components(g: PlumbingGraph):
     n = len(g.nodes)
     adj = {i: [] for i in range(n)}

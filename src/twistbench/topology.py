@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import fgab
-from .errors import DimensionMismatch, DimensionTooSmall, RankTooLarge, Unsupported
+from .errors import DimensionMismatch, DimensionTooSmall, Unsupported
 from .fgab import TRIVIAL, Z, cyclic, direct_sum
 
 # Entries kept by each memo of dim, pi1, spin and homology.  A process
@@ -442,20 +442,6 @@ def euler_characteristic(x: ManifoldExpr) -> int:
     return sum((-1) ** i * b for i, b in enumerate(betti(x)))
 
 
-def is_rational_homology_sphere(x: ManifoldExpr) -> bool:
-    b = betti(x)
-    return all(v == 0 for v in b[1:-1]) and b[0] == 1 and b[-1] == 1
-
-
-def is_homology_sphere(x: ManifoldExpr) -> bool:
-    h = homology(x)
-    return (
-        h[0] == Z
-        and h[-1] == Z
-        and all(g.is_trivial() for g in h[1:-1])
-    )
-
-
 # ---------------------------------------------------------------------------
 # Rewrites to connected-sum normal form
 # ---------------------------------------------------------------------------
@@ -532,35 +518,3 @@ def _absorb_trivial_bundles(children: list) -> list:
         else:
             out.append(c)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Torus-bundle bookkeeping
-# ---------------------------------------------------------------------------
-
-def torus_bundle_b2(b2_base: int, fiber_rank: int) -> int:
-    """Second Betti number of a principal torus bundle with basis-extendable
-    Euler classes over a simply-connected base: b2(total) = b2(base) - rank.
-
-    The caller attests the basis-extension hypothesis (see
-    ``intlat.extends_to_basis``).
-    """
-    if fiber_rank < 0 or b2_base < 0:
-        raise ValueError("ranks must be nonnegative")
-    if fiber_rank > b2_base:
-        raise RankTooLarge("fibre rank exceeds the base's second Betti number")
-    return b2_base - fiber_rank
-
-
-def universal_cover_of_space_form_suspension(order: int, n: int) -> ManifoldExpr:
-    """Universal cover of a twisted suspension of an n-dim spherical space
-    form with group order ``order``: the (order-1)-fold sum of S^2 x S^{n-1},
-    read as S^{n+1} when the sum is empty.
-    """
-    if order < 1:
-        raise ValueError("group order must be >= 1")
-    if n < 4:
-        raise DimensionTooSmall("surgery bookkeeping needs n >= 4")
-    if order == 1:
-        return sphere(n + 1)
-    return connected_sum([sphere_product(2, n - 1)] * (order - 1))

@@ -965,15 +965,12 @@ def _blend_rows(core, start, big_n, g, width):
     (1-sig) c2 f^(-alpha-1) - sig f/N^2 and its derivatives in f and N, at
     the nodes.  sig is read at tau, as the bridge reads it.  Row 0 of K1
     and K2 is zero, so (f, f') at a are the core's bit for bit."""
-    import numpy as np
     k1, k2 = _chebyshev(len(g) - 1)[2:]
     tau, sig, _ = _node_weights(len(g) - 1)
     half = 0.5 * width
     f = start[0] + start[1] * (width * tau) + (half * half) * (k2 @ g)
     fp = start[1] - half * (k1 @ g)
-    # (1 - sig) c2 first: (1 - sig) * core.fpp_of(f) rounds differently,
-    # which changes the bytes of every exported CSV.
-    core_term = (1.0 - sig) * core.c2 * np.power(f, -core.alpha - 1.0)
+    core_term = (1.0 - sig) * core.fpp_of(f)
     nn = big_n * big_n
     sine_term = sig * f / nn
     rhs_f = (-core.alpha - 1.0) * core_term / f - sig / nn

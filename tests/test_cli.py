@@ -162,7 +162,7 @@ def test_certify_bad_s0_exits_usage(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section", ["certify", "profile"])
-@pytest.mark.parametrize("s0", ["1e-9", "0", "2.0", "nan", "inf"])
+@pytest.mark.parametrize("s0", ["1e-9", "0", "2.0", "nan", "inf", "-1.0", repr(2 * math.pi + 1)])
 def test_bad_s0_is_named_in_its_own_terms(tmp_path, capsys, section, s0):
     # cos(1e-9) rounds to 1: the one-line error names s0 and its documented
     # range, never a lam the config did not give.

@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency, and only the metric commands load
-it; scipy and mpmath are for tests."""
+it; scipy and mpmath are for tests.  Every public name in the package has
+a caller outside the tests, and every error class has a raiser."""
 
 import ast
 import os
@@ -10,13 +11,22 @@ from pathlib import Path
 import twistbench
 
 SRC = Path(twistbench.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 TEST_ONLY = {"scipy", "mpmath"}
+# Public names that only tests reach, kept on purpose: the pointwise
+# reference that sampled blocks are checked against, and the seam check
+# whose fate ROADMAP item 3 decides.
+TEST_REFERENCES = {"WarpProfile.evaluate", "WarpProfile.seam_residuals"}
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_source_never_imports_test_only_packages():
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(parse(path)):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -82,3 +92,60 @@ def test_metric_modules_load_numpy_on_first_use():
         " 'numpy' in sys.modules)"
     )
     assert fresh(code) == "False WarpParams True"
+
+
+def referenced_names() -> set:
+    """Every name, attribute, imported name and dotted-string part (the
+    benchmark tracer names its targets as "module.function") in the
+    package, tools and benchmark: a definition counts as reached when any
+    of these spells its name."""
+    names = set()
+    for tree in ("src", "tools", "bench"):
+        for path in sorted((REPO / tree).rglob("*.py")):
+            for node in ast.walk(parse(path)):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    parts = node.value.split(".")
+                    if all(part.isidentifier() for part in parts):
+                        names.update(parts)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    reached = referenced_names()
+    unreached = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(m.name, f"{node.name}.{m.name}") for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
+            unreached += [f"{path.stem}.{qual}" for name, qual in defs
+                          if not name.startswith("_") and name not in reached
+                          and qual not in TEST_REFERENCES]
+    assert unreached == []
+
+
+def test_every_error_class_is_raised_or_a_base_of_one():
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in parse(SRC / "errors.py").body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    used, stack = set(), [name for name in bases if name in raised]
+    while stack:
+        name = stack.pop()
+        if name not in used:
+            used.add(name)
+            stack += bases.get(name, [])
+    assert sorted(set(bases) - used) == []

@@ -2,9 +2,7 @@ import math
 import random
 from itertools import product
 
-from twistbench import fgab
 from twistbench.fgab import FgAbGroup, TRIVIAL, Z, cyclic, direct_sum, from_divisors
-from twistbench.intlat import IntMatrix
 
 
 def _prime_factors(n):
@@ -69,34 +67,6 @@ def test_small_enumeration_oracle():
     assert from_divisors([2, 3]) == cyclic(6)
 
 
-def test_from_presentation_empty():
-    rel = IntMatrix.from_rows([], cols=2)
-    assert fgab.from_presentation(rel) == FgAbGroup(2, ())
-
-
-def test_from_presentation_diag():
-    rel = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert fgab.from_presentation(rel) == cyclic(6)
-    rel = IntMatrix.from_rows([[5, 0], [0, 5]])
-    assert fgab.from_presentation(rel) == FgAbGroup(0, (5, 5))
-
-
-def test_from_presentation_random_order_matches_det():
-    rng = random.Random(31337)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        rel = IntMatrix.from_rows(
-            [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
-        )
-        g = fgab.from_presentation(rel)
-        det = rel.det()
-        if det != 0:
-            assert g.free_rank == 0
-            assert g.order() == abs(det)
-        else:
-            assert g.free_rank > 0
-
-
 def test_direct_sum():
     g = FgAbGroup(1, (2,))
     assert direct_sum(g, TRIVIAL) == g
@@ -128,7 +98,6 @@ def test_accessors_and_render():
     g = FgAbGroup(7, (2,))
     assert g.rank() == 7
     assert Z.torsion == ()
-    assert fgab.equals(from_divisors([2, 3]), cyclic(6))
     assert TRIVIAL.render() == "0"
     assert Z.render() == "Z"
     assert FgAbGroup(2, (4, 12)).render() == "Z^2 + Z/4 + Z/12"

@@ -5,15 +5,19 @@ from itertools import combinations
 
 import pytest
 
-from twistbench.errors import DimensionMismatch, NotGenerating, ZeroVector
+from twistbench.errors import DimensionMismatch, NotGenerating
 from twistbench.intlat import (
     IntMatrix,
     divisibility,
     extends_to_basis,
-    is_primitive,
+    identity_lists,
     snf,
     unimodular_extension,
 )
+
+
+def eye(n: int) -> IntMatrix:
+    return IntMatrix.from_rows(identity_lists(n), cols=n)
 
 
 def minors_gcd(m: IntMatrix, k: int) -> int:
@@ -31,7 +35,7 @@ def assert_valid_snf(a: IntMatrix):
     assert dec.left_inv @ dec.diag @ dec.right_inv == a
     assert abs(dec.left_inv.det()) == 1
     assert abs(dec.right_inv.det()) == 1
-    assert dec.diag.is_diagonal()
+    assert all(dec.diag[i, j] == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
     d = dec.diagonal()
     assert all(x >= 0 for x in d)
     for x, y in zip(d, d[1:]):
@@ -43,7 +47,7 @@ def assert_valid_snf(a: IntMatrix):
 
 
 def test_snf_identity():
-    dec = assert_valid_snf(IntMatrix.identity(2))
+    dec = assert_valid_snf(eye(2))
     assert dec.diagonal() == (1, 1)
 
 
@@ -69,7 +73,7 @@ def test_snf_empty_shapes(rows, cols):
 def test_empty_matrices():
     assert IntMatrix(0, 0, ()).det() == 1
     # No rows to keep: the extension of Z^0 into Z^3 is the identity.
-    assert unimodular_extension(IntMatrix(0, 3, ())) == IntMatrix.identity(3)
+    assert unimodular_extension(IntMatrix(0, 3, ())) == eye(3)
 
 
 @pytest.mark.parametrize("call, exc, message", [
@@ -77,7 +81,7 @@ def test_empty_matrices():
     (lambda: IntMatrix(2, 2, (1, 2, 3)), ValueError, "entry count"),
     (lambda: IntMatrix(1, 2, (1, 2.0)), ValueError, "integers"),
     (lambda: IntMatrix.from_rows([[1, 2], [3]]), ValueError, "ragged"),
-    (lambda: IntMatrix.identity(2) @ IntMatrix.identity(3), DimensionMismatch, "shapes"),
+    (lambda: eye(2) @ eye(3), DimensionMismatch, "shapes"),
     (lambda: IntMatrix.from_rows([[1, 2]]).det(), DimensionMismatch, "non-square"),
     (lambda: unimodular_extension(IntMatrix.from_rows([[1], [0]])), DimensionMismatch, "rows <= cols"),
     (lambda: extends_to_basis([(1, 0), (1,)]), DimensionMismatch, "unequal length"),
@@ -104,6 +108,16 @@ def test_snf_minors_oracle_small():
             assert prod == minors_gcd(a, k) or (prod == 0 and minors_gcd(a, k) == 0)
 
 
+def test_snf_diagonal_product_is_abs_det():
+    rng = random.Random(31337)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        a = IntMatrix.from_rows(
+            [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
+        )
+        assert math.prod(snf(a).diagonal()) == abs(a.det())
+
+
 def test_snf_determinism_of_diagonal():
     rng = random.Random(5)
     for _ in range(20):
@@ -126,7 +140,7 @@ def test_snf_property_suite_thousand():
 
 
 def test_unimodular_extension_identity():
-    ext = unimodular_extension(IntMatrix.identity(2))
+    ext = unimodular_extension(eye(2))
     assert ext.rows == ext.cols == 2
     assert abs(ext.det()) == 1
     assert ext.row(0) == (1, 0) and ext.row(1) == (0, 1)
@@ -163,14 +177,6 @@ def test_unimodular_extension_random():
             assert ext.row(i) == a.row(i)
 
 
-def test_is_primitive():
-    assert is_primitive((1, 0, 0))
-    assert not is_primitive((2, 4))
-    assert is_primitive((6, 10, 15))
-    with pytest.raises(ZeroVector):
-        is_primitive((0, 0))
-
-
 def test_divisibility():
     assert divisibility((0, 0)) == 0
     assert divisibility((4, 6)) == 2
@@ -183,7 +189,7 @@ def test_primitive_iff_divisibility_one():
         v = [rng.randint(-30, 30) for _ in range(rng.randint(1, 5))]
         if all(x == 0 for x in v):
             continue
-        assert is_primitive(v) == (divisibility(v) == 1)
+        assert extends_to_basis([v]) == (divisibility(v) == 1)
 
 
 def test_extends_to_basis():

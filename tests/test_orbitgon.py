@@ -4,8 +4,10 @@ import pytest
 
 from twistbench import intlat
 from twistbench import orbitgon as og
-from twistbench.errors import InvalidLabelling, NotMinimal
+from twistbench.errors import InvalidLabelling
 from twistbench.intlat import IntMatrix
+
+from generators import random_valid_labelling
 
 
 def test_validate_alternating_square():
@@ -48,27 +50,6 @@ def test_unimodular_model_postconditions():
         assert model.row(i) == a.row(i)
 
 
-def test_normalize_minimal():
-    g = og.gon(5, [(2, 1, 0), (1, 1, 0), (0, 0, 1)])
-    assert abs(g.label_matrix().det()) == 1
-    out = og.normalize_minimal(g)
-    assert out.labels == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    # idempotent
-    assert og.normalize_minimal(out) == out
-
-
-def test_normalize_minimal_two_dim():
-    g = og.gon(4, [(1, 1), (0, 1)])
-    out = og.normalize_minimal(g)
-    assert out.labels == ((1, 0), (0, 1))
-
-
-def test_normalize_requires_minimal():
-    g = og.standard_gon(1)
-    with pytest.raises(NotMinimal):
-        og.normalize_minimal(g)
-
-
 def test_standard_gon():
     g0 = og.standard_gon(0)
     assert g0.m == 2 and g0.labels == ((1, 0), (0, 1))
@@ -86,7 +67,7 @@ def test_betti_invariances():
     for _ in range(30):
         n = rng.randint(4, 7)
         m = rng.randint(n - 2, n + 3)
-        g = og.random_valid_labelling(rng, n, m)
+        g = random_valid_labelling(rng, n, m)
         b = og.betti2(g)
         # cyclic relabelling
         k = rng.randrange(g.m)
@@ -115,7 +96,7 @@ def test_random_labellings_validate_and_extend():
     for _ in range(60):
         n = rng.randint(4, 8)
         m = rng.randint(n - 2, 12)
-        g = og.random_valid_labelling(rng, n, m)
+        g = random_valid_labelling(rng, n, m)
         assert og.validate(g).valid
         model = og.unimodular_model(g)
         assert abs(model.det()) == 1
@@ -141,7 +122,7 @@ def test_unimodular_extension_is_the_block_product():
     rng = random.Random(2718)
     for _ in range(40):
         n = rng.randint(4, 7)
-        gons.append(og.random_valid_labelling(rng, n, rng.randint(n - 2, n + 10)))
+        gons.append(random_valid_labelling(rng, n, rng.randint(n - 2, n + 10)))
     for g in gons:
         a = g.label_matrix()
         assert intlat.unimodular_extension(a) == _block_product(a)

@@ -1,5 +1,5 @@
-"""How ``tools/output_digest.py --against`` reports a differing line, and
-what ``--write-golden`` writes."""
+"""How ``tools/output_digest.py --against`` reports a differing line, what
+``--write-golden`` writes, and which arguments it refuses."""
 
 import importlib.util
 import json
@@ -49,3 +49,19 @@ def test_write_golden_writes_only_the_named_files(digest, tmp_path):
     assert written["verdict"] == "pass" and written.keys() == committed.keys()
     with pytest.raises(SystemExit, match="unknown golden certify_nowhere"):
         digest.write_goldens(["certify_nowhere"], str(tmp_path))
+
+
+def test_options_print_usage_and_run_no_request(digest, monkeypatch, capsys):
+    # An option is never taken for the output path: --help prints the usage
+    # line and exits 0, any other option or argument count exits 2, and
+    # neither builds the digest.
+    def refuse():
+        raise AssertionError("digest_lines ran")
+
+    monkeypatch.setattr(digest, "digest_lines", refuse)
+    assert digest.main(["--help"]) == 0 and digest.main(["-h"]) == 0
+    assert capsys.readouterr() == ((digest.USAGE + "\n") * 2, "")
+    for argv in ([], ["-o"], ["--out", "x.txt"], ["a.txt", "b.txt"], ["-"], ["--against"],
+                 ["--against", "HEAD", "x"]):
+        assert digest.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", digest.USAGE + "\n"), argv

@@ -5,9 +5,7 @@ from twistbench.errors import UnrecognizedPattern
 from twistbench.plumbing import DiscBundleNode, TrivialDiscNode
 from twistbench.topology import EulerClass, ZERO_CLASS
 
-
-def star(base, euler, leaves):
-    return pl.suspension_graph(base, euler, leaves)
+from generators import suspension_graph as star
 
 
 def test_two_node_pattern_is_suspension():

@@ -344,21 +344,32 @@ def against(rev):
     return 1
 
 
-def main(argv):
+USAGE = (
+    "usage: python3 tools/output_digest.py OUT.txt | --against REV"
+    " | --write-golden [NAME ...]"
+)
+
+
+def main(argv) -> int:
+    """Exit 0 with the digest or the goldens written, or ``against``'s exit
+    code; -h or --help prints the usage line and exits 0; any other option,
+    or a wrong argument count, exits 2 before any request runs."""
+    if argv in (["-h"], ["--help"]):
+        print(USAGE)
+        return 0
     if len(argv) == 2 and argv[0] == "--against":
-        raise SystemExit(against(argv[1]))
+        return against(argv[1])
     if argv[:1] == ["--write-golden"]:
         write_goldens(argv[1:])
-        return
-    if len(argv) != 1:
-        raise SystemExit(
-            "usage: python3 tools/output_digest.py OUT.txt | --against REV"
-            " | --write-golden [NAME ...]"
-        )
+        return 0
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(USAGE, file=sys.stderr)
+        return 2
     lines = digest_lines()
     with open(argv[0], "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
