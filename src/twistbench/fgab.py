@@ -29,22 +29,6 @@ class FgAbGroup:
             if b % a != 0:
                 raise ValueError("torsion list must form a divisibility chain")
 
-    # -- accessors ---------------------------------------------------------
-    def rank(self) -> int:
-        return self.free_rank
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def order(self) -> int:
-        """Group order; raises on infinite groups."""
-        if self.free_rank:
-            raise ValueError("infinite group has no order")
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
     def render(self) -> str:
         """Textual form used in JSON reports, e.g. ``Z^2 + Z/4 + Z/12``."""
         parts = []

@@ -122,10 +122,7 @@ def _require_valid(g: GonLabelling):
 
 def betti2(g: GonLabelling) -> int:
     """b_2 of the manifold over the gon: m - n + 2."""
-    _require_valid(g)
-    if g.m < g.n - 2:
-        # Generation already forces this; kept as a loud sanity check.
-        raise InvalidLabelling("fewer edges than the lattice rank")
+    _require_valid(g)  # generation forces m >= n - 2
     return g.m - g.n + 2
 
 

@@ -200,6 +200,8 @@ def parse_graph(text: str) -> PlumbingGraph:
     """
     from .grammar import parse_euler, parse_manifold
 
+    forms = {"bundle": "<name> <manifold-expr> <euler>", "disc": "<name> <rank>",
+             "edge": "<name> <name> [+|-]"}  # the fields after each kind
     names = {}
     nodes = []
     edges = []
@@ -209,6 +211,8 @@ def parse_graph(text: str) -> PlumbingGraph:
             continue
         fields = line.split()
         kind = fields[0]
+        if len(fields) <= forms.get(kind, "").count("<"):
+            raise InputError(f"line {lineno}: {kind} needs {forms[kind]}")
         try:
             if kind == "bundle":
                 name, expr_text, euler_text = fields[1], fields[2], fields[3]
@@ -223,7 +227,7 @@ def parse_graph(text: str) -> PlumbingGraph:
                 continue
             else:
                 raise InputError(f"unknown declaration {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
         except KeyError as exc:
             raise InputError(f"line {lineno}: unknown node name {exc}") from exc

@@ -205,7 +205,7 @@ class _FrameFold:
             d = margin - target
             if np.any(d < 0.0):
                 return 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 roots = 2.0 * d / (b + np.sqrt(b * b + 4.0 * a * d))
             # d = 0 gives 0/0: r* = 0 unless the row never falls.
             roots = np.where(d > 0.0, roots, np.where(a + b > 0.0, 0.0, math.inf))
@@ -466,7 +466,6 @@ class CertificationResult(NamedTuple):
     margin_ricci: float
     gluing: GluingReport
     bundle: float  # the bundle region's horizontal Ricci lower bound
-    first_integral_residual: float
     verdict: str
     profile: WarpProfile
     neck_report: RicciReport
@@ -595,7 +594,6 @@ def certify(
         margin_ricci=neck_report.margin,
         gluing=gluing,
         bundle=bundle,
-        first_integral_residual=profile.first_integral_residual(),
         verdict="pass" if ok else "fail",
         profile=profile,
         neck_report=neck_report,

@@ -474,8 +474,6 @@ def _rewrite(x: ManifoldExpr) -> ManifoldExpr:
             else:
                 children.append(c)
         children = _absorb_trivial_bundles(children)
-        if len(children) == 1:
-            return children[0]
         return ManifoldExpr("connected_sum", children=tuple(children))
     if x.kind == "twisted_suspension":
         base = _rewrite(x.children[0])

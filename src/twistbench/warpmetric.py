@@ -378,8 +378,6 @@ class _CoreSolution:
         ``target`` to rounding.  NoStop unless target < lam0 and u lies
         on the table.
         """
-        if target <= 0.0:
-            return 0.0
         u = math.sqrt(_u2_at_slope(self, target)) if target < self.lam0 else math.inf
         k = int(self._u.searchsorted(u, side="right")) - 1
         if k < len(self._h):
@@ -425,7 +423,10 @@ def _chebyshev(degree: int):
     the node values of g to those of int_1^t g and int_1^t (t - x) g(x) dx:
     the interpolant's Chebyshev series integrated once and twice from t = 1
     (Greengard, SIAM J. Numer. Anal. 28, 1991; Trefethen, Spectral Methods
-    in MATLAB, 2000).  Row 0 of both is zero.  Built on first use; read-only."""
+    in MATLAB, 2000).  Row 0 of both is zero.  Then the blend weights every
+    window reads at the nodes: tau = (1 - t)/2, the window parameter from
+    its left end, smoothstep(tau) and smoothstep((1 + t)/2).  Built on
+    first use; read-only."""
     import numpy as np
     j = np.arange(degree + 1)
     t = np.sin(0.5 * np.pi * (degree - 2 * j) / degree)  # symmetric about 0
@@ -445,20 +446,8 @@ def _chebyshev(degree: int):
     k1[0] = k2[0] = 0.0
     weights = (-1.0) ** j
     weights[[0, -1]] *= 0.5
-    for x in (t, weights, k1, k2):
-        x.setflags(write=False)
-    return t, weights, k1, k2
-
-
-@functools.lru_cache(maxsize=None)
-def _node_weights(degree: int):
-    """At ``_chebyshev(degree)``'s nodes t: tau = (1 - t)/2, the window
-    parameter from its left end, smoothstep(tau) and smoothstep((1 + t)/2),
-    the blend weights every window reads there.  Built on first use;
-    read-only."""
-    t = _chebyshev(degree)[0]
     tau = 0.5 * (1.0 - t)
-    out = (tau, smoothstep(tau), smoothstep(0.5 * (1.0 + t)))
+    out = (t, weights, k1, k2, tau, smoothstep(tau), smoothstep(0.5 * (1.0 + t)))
     for x in out:
         x.setflags(write=False)
     return out
@@ -484,16 +473,13 @@ class _Window:
 
     def eval(self, s):
         import numpy as np
-        nodes, weights, _, _ = _chebyshev(self.degree)
+        nodes, weights = _chebyshev(self.degree)[:2]
         t = 2.0 * (np.asarray(s, dtype=float) - self.x0) / self.width - 1.0
         d = t[..., None] - nodes
         exact = d == 0.0
-        if exact.any():  # a location on a node takes the node's row
-            c = weights / np.where(exact, 1.0, d)
-            hit = exact.any(axis=-1)
-            c[hit] = exact[hit]
-        else:
-            c = weights / d
+        c = weights / np.where(exact, 1.0, d)
+        hit = exact.any(axis=-1)
+        c[hit] = exact[hit]  # a location on a node takes the node's row
         c /= c.sum(axis=-1, keepdims=True)
         return tuple((c * y).sum(axis=-1) for y in self.rows)
 
@@ -698,8 +684,8 @@ class WarpProfile:
     # Sampled blocks keyed by segment; they live and die with the profile,
     # and ``derive`` hands on those of the segments it keeps.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # On a neck: smooth_origin's [eps, outer, f-flattening, r = 1 probe]
-    # for the last eps it was called with (``_outer_part``).
+    # On a neck: smooth_origin's [eps, outer part, r = 1 probe] for the
+    # last eps it was called with (``_outer_part``).
     _outer_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def derive(self, **changes) -> WarpProfile:
@@ -965,8 +951,7 @@ def _blend_rows(core, start, big_n, g, width):
     (1-sig) c2 f^(-alpha-1) - sig f/N^2 and its derivatives in f and N, at
     the nodes.  sig is read at tau, as the bridge reads it.  Row 0 of K1
     and K2 is zero, so (f, f') at a are the core's bit for bit."""
-    k1, k2 = _chebyshev(len(g) - 1)[2:]
-    tau, sig, _ = _node_weights(len(g) - 1)
+    k1, k2, tau, sig = _chebyshev(len(g) - 1)[2:6]
     half = 0.5 * width
     f = start[0] + start[1] * (width * tau) + (half * half) * (k2 @ g)
     fp = start[1] - half * (k1 @ g)
@@ -989,14 +974,14 @@ def _cap_equations(core, start, big_n, g, width, slope_target):
     F(f)."""
     import numpy as np
     m = len(g)
-    k1, k2 = _chebyshev(m - 1)[2:]
+    k1, k2, tau = _chebyshev(m - 1)[2:5]
     half = 0.5 * width
     f, fp, rhs, rhs_f, rhs_n = _blend_rows(core, start, big_n, g, width)
     fb, pb = float(f[-1]), float(fp[-1])
     amp = math.hypot(fb, big_n * pb)
     jac = np.empty((m + 2, m + 2))
     jac[:m, :m] = np.eye(m) - (rhs_f * (half * half))[:, None] * k2
-    jac[:m, m] = -rhs_f * (start[1] + start[2] * (width * _node_weights(m - 1)[0]))
+    jac[:m, m] = -rhs_f * (start[1] + start[2] * (width * tau))
     jac[:m, m + 1] = -rhs_n
     # The slope error's row is f'(b)'s gradient in (g, a, N); the gap's
     # combines it with f(b)'s.
@@ -1166,8 +1151,7 @@ def flatten_h_tail(w: WarpProfile, width: float | None = None) -> WarpProfile:
     span, half = s_lam - t0, 0.5 * (s_lam - t0)
 
     def solve(degree):
-        k1 = _chebyshev(degree)[2]
-        tau, sig, _ = _node_weights(degree)  # in order from t0
+        k1, _, tau, sig = _chebyshev(degree)[2:6]  # tau in order from t0
         x = t0 + span * tau
         x[-1] = s_lam
         h, hp, hpp = base.eval(x)
@@ -1250,16 +1234,15 @@ class _FlattenedF:
         wl, wr = self.a1 - self.a0, self.b1 - self.b0
 
         def solve(degree):
-            k1, k2 = _chebyshev(degree)[2:]
             # tau in order from a0 on the left, from b1 on the right.
-            tau, sig_l, sig_r = _node_weights(degree)
+            k1, k2, tau, sig_l, sig_r = _chebyshev(degree)[2:]
             x = np.concatenate((self.a0 + wl * tau, self.b1 - wr * tau))
             x[degree], x[-1] = self.a1, self.b0
             f_c, fp_c, fpp_c = core.eval(x)
             left, right = fpp_c[: degree + 1], fpp_c[degree + 1:]
             g = np.stack((sig_l * left, (1.0 - sig_r) * right, sig_r * right), axis=1)
             fine = (k1 @ g, k2 @ g)
-            coarse = (k @ g[::2] for k in _chebyshev(degree // 2)[2:])
+            coarse = (k @ g[::2] for k in _chebyshev(degree // 2)[2:4])
             change = [np.max(np.abs(y[::2] - c), axis=0) / np.max(np.abs(y), axis=0)
                       for y, c in zip(fine, coarse)]
             return (tau, f_c, fp_c, *fine), float(np.max(change))
@@ -1336,18 +1319,17 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
     inv_r2 = 1.0 / (radius_hat * radius_hat)
 
     def integrate(degree, a, b, h1, hp1):
-        t, _, k1, k2 = _chebyshev(degree)
+        t, _, k1, k2 = _chebyshev(degree)[:4]
         line = h1 + hp1 * half * (t - 1.0)
         m = np.eye(degree + 1) - (a * (half * half))[:, None] * k2
         g = np.linalg.solve(m, a * line + b)
         return line + (half * half) * (k2 @ g), hp1 + half * (k1 @ g)
 
     def solve(degree):
-        t = _chebyshev(degree)[0]
+        t, *_, sig = _chebyshev(degree)
         x = x0 + half * (1.0 + t)
         x[0] = x1
         h_c, hp_c, hpp_c = core_h.from_core(*core_h.core.f_fp(x))
-        sig = _node_weights(degree)[2]
         a, b = -(1.0 - sig) * inv_r2, sig * (r * hpp_c)
         h1, hp1 = float(r * h_c[0]), float(r * hp_c[0])
         h, hp = integrate(degree, a, b, h1, hp1)
@@ -1360,15 +1342,15 @@ def _smooth_kink(core_h, r, radius_hat, x0, x1):
 
 
 def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
-    """The neck from ``flat_end`` out at unit fibre scale, and its
-    f-flattening (``_FlattenedF``).
+    """The neck from ``flat_end`` out at unit fibre scale, its first
+    segment's f the f-flattening (``_FlattenedF``).
 
     None of it depends on r: the flattening blend ends at eps, and every
     segment right of eps is the neck clipped there.  Built and gated once
     per (neck, eps) and kept on the neck, one eps at a time, in
-    ``_outer_memo`` = [eps, outer part, f-flattening, r = 1 probe]; the
-    last slot is empty until ``smooth_origin`` builds that probe, and a
-    new eps empties it.
+    ``_outer_memo`` = [eps, outer part, r = 1 probe]; the last slot is
+    empty until ``smooth_origin`` builds that probe, and a new eps
+    empties it.
     """
     cached = w._outer_memo
     if not cached or cached[0] != eps:
@@ -1381,8 +1363,8 @@ def _outer_part(w: WarpProfile, eps: float, flat_end: float, ramp: float):
                 segments.append(Segment(seg.label, eps, seg.s1, seg.fmod, seg.hmod, seg.h_scale))
         outer = w.derive(segments=tuple(segments), s_left=flat_end)
         _gate(outer, (0, 1), "smooth_origin")  # eps lies on the neck's core
-        cached[:] = (eps, outer, blend_f, None)
-    return cached[1:3]
+        cached[:] = (eps, outer, None)
+    return cached[1]
 
 
 def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
@@ -1410,9 +1392,9 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
         raise InputError("fibre scale r must lie in (0, 1]")
     if not 0.0 < eps < 0.8 * w.cap.blend_start:
         raise InputError("origin budget eps must leave a core zone intact")
-    memo = w._outer_memo  # [eps, outer part, f-flattening, r = 1 probe]
-    if r == 1.0 and memo and memo[0] == eps and memo[3] is not None:
-        return memo[3]
+    memo = w._outer_memo  # [eps, outer part, r = 1 probe]
+    if r == 1.0 and memo and memo[0] == eps and memo[2] is not None:
+        return memo[2]
 
     core = w.core
     delta = 0.001 * eps
@@ -1427,8 +1409,11 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     radius_hat, _ = _solve_splice(float(h_sp), float(hp_sp), r)
     w_k = min(0.2 * (flat_end - splice_point), 0.5 * radius_hat)
     x0, x1 = splice_point, splice_point + 2.0 * w_k
+    if x1 == x0:
+        raise NoSolution(f"fibre scale r = {r!r} collapses the origin bridge window to a point")
 
-    outer, flattening = _outer_part(w, eps, flat_end, ramp)
+    outer = _outer_part(w, eps, flat_end, ramp)
+    flattening = outer.segments[0].fmod
     flat_f = _FlatF(flattening.flat_value)
     kink_h, h_x0, hp_x0, bridge_degree, bridge_error = _smooth_kink(core_h, r, radius_hat, x0, x1)
     if not 0.0 < hp_x0 < 1.0 or h_x0 <= 0.0:
@@ -1480,7 +1465,7 @@ def smooth_origin(w: WarpProfile, r: float, eps: float) -> WarpProfile:
     # on demand.  At r = 1 they are the outer part's own blocks.
     if r == 1.0:
         out._memo.update(zip(shared, outer.blocks()))
-        memo[3] = out
+        memo[2] = out
     else:
         out._memo.update(
             (seg, _Block(seg, u.s, *_read_only(seg.scaled(*u[2:8])), *u[8:]))

@@ -139,7 +139,7 @@ def test_criterion_6_certification_grid(certified):
         case_ok = (
             res.passed()
             and res.margin_ricci > 0.0
-            and res.first_integral_residual < 1e-9
+            and res.profile.first_integral_residual() < 1e-9
             and res.gluing.resid_fprime < 1e-8
             and res.gluing.resid_cap < 1e-8
             and elapsed < 10.0

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import math
+import warnings
 import weakref
 
 import pytest
@@ -142,6 +143,18 @@ def test_plumb(tmp_path, capsys):
     assert len(payload["reduced_edges"]) == 1
 
 
+@pytest.mark.parametrize("declaration, fields", [
+    ("bundle a S(3)", "bundle needs <name> <manifold-expr> <euler>"),
+    ("disc d", "disc needs <name> <rank>"),
+    ("edge a", "edge needs <name> <name> [+|-]"),
+], ids=["bundle", "disc", "edge"])
+def test_plumb_short_declaration_names_its_fields(tmp_path, capsys, declaration, fields):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(f"# a comment\n{declaration}\n")
+    code, out, err = run(capsys, "plumb", str(graph))
+    assert (code, out, err) == (2, "", f"error: line 2: {fields}\n")
+
+
 def test_certify_config_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "certify.ini"
     cfg.write_text("[certify]\nn = 3\ns0 = 1.047\nric_min_base = 2.0\n")
@@ -258,6 +271,21 @@ def test_profile_export(tmp_path, capsys):
     assert segs == {"core", "cap", "tail", "splice", "flat"}
 
 
+@pytest.mark.parametrize("r, code", [("1e-16", 0), ("1e-17", 1), ("1e-120", 1), ("1e-300", 1)])
+def test_profile_export_at_tiny_fibre_scale(tmp_path, capsys, r, code):
+    # Below about 1e-17 the origin bridge window [x0, x0 + 2 w_k] rounds
+    # to a point: smooth_origin names r before anything divides by the
+    # window or by the splice radius squared, which underflows at 1e-300.
+    cfg = tmp_path / "profile.ini"
+    cfg.write_text(f"[profile]\nn = 4\ns0 = 1.0\nr = {r}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, err = run(capsys, "profile-export", str(cfg), "--out", str(tmp_path / "p.csv"))
+    assert got == code
+    if code:
+        assert err == f"failed: fibre scale r = {float(r)!r} collapses the origin bridge window to a point\n"
+
+
 def test_profile_export_names_failed_stage(tmp_path, capsys):
     cfg = tmp_path / "profile.ini"
     cfg.write_text("[profile]\nn = 4\ns0 = 1.0\ncap_width = 50\n")
@@ -302,6 +330,19 @@ def test_certify_overflowing_curvature_bound_is_a_stage_error(tmp_path, capsys):
     code, out, err = run(capsys, "certify", str(cfg))
     assert (code, out) == (2, "")
     assert err.startswith("error: stage 'search_r': ") and err.count("\n") == 1
+
+
+def test_certify_overflowing_frame_bound_exhausts_quietly(tmp_path, capsys):
+    # sup_delta_f = 1e300 overflows b * b in the fold's root: the root is
+    # 0, so the search is Exhausted, and numpy's overflow warning stays
+    # off stderr, which holds the one failed: line.
+    cfg = tmp_path / "certify.ini"
+    cfg.write_text("[certify]\nn = 4\ns0 = 1.0\nconnection = bounded\nsup_delta_f = 1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "certify", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("failed: stage 'search_r': no fibre scale") and err.count("\n") == 1
 
 
 def test_certify_underflowing_curvature_bound_certifies(tmp_path, capsys):

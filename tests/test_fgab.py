@@ -96,7 +96,7 @@ def test_chained_divisors_fixed():
 
 def test_accessors_and_render():
     g = FgAbGroup(7, (2,))
-    assert g.rank() == 7
+    assert g.free_rank == 7
     assert Z.torsion == ()
     assert TRIVIAL.render() == "0"
     assert Z.render() == "Z"

@@ -16,7 +16,7 @@ RECORDS = [
     (riccicert.GluingReport, "resid_fprime resid_cap resid_h_slope passed"),
     (riccicert.CertificationResult,
      "n s0 lam lam0 alpha s_lambda big_n r phi margin_ineq1 margin_ineq2 margin_ineq3"
-     " margin_ricci gluing bundle first_integral_residual verdict profile neck_report"),
+     " margin_ricci gluing bundle verdict profile neck_report"),
     (warpmetric.WarpParams, "n lam lam0 alpha cap_width tail_width origin_eps step"),
     (warpmetric.CapInfo, "big_n s_prime blend_start blend_end blend_degree blend_error"),
     (warpmetric.TailInfo, "start width degree error"),

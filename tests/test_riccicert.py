@@ -812,7 +812,7 @@ def test_certify_golden_case():
     res = rc.certify(3, 1.047, rc.TRIVIAL_CONNECTION, 2.0)
     assert res.passed()
     assert res.margin_ricci > 0
-    assert res.first_integral_residual < 1e-9
+    assert res.profile.first_integral_residual() < 1e-9
     assert res.gluing.resid_fprime < 1e-8 and res.gluing.resid_cap < 1e-8
     assert abs(res.lam - math.cos(1.047)) < 1e-15
     payload = res.to_json_dict()
@@ -901,7 +901,7 @@ def test_certify_sizes_the_core_by_the_verdicts_residual(n, s0):
     assert min(margins) > 0, margins
     p = res.profile.params
     assert p.step == wm.WarpParams(n=n, lam=res.lam).resolve().step
-    assert res.first_integral_residual < 1e-3 * wm._FIRST_INTEGRAL_TOL
+    assert res.profile.first_integral_residual() < 1e-3 * wm._FIRST_INTEGRAL_TOL
 
 
 def _conjuncts(res):

@@ -852,7 +852,7 @@ def test_kink_bridge_sized_by_its_error(neck_41):
         o = wm.smooth_origin(tailed, r, eps).origin
         assert type(o.bridge_error) is float and 0.0 <= o.bridge_error <= wm._SWEEP_TOL, r
         assert o.bridge_degree == wm._BRIDGE_DEGREE, r
-        flattening = tailed._outer_memo[2]  # built once for every r
+        flattening = tailed._outer_memo[1].segments[0].fmod  # built once for every r
         assert (o.ramp_degree, o.ramp_error) == (flattening.degree, flattening.error), r
     with pytest.raises(StageError) as info:
         rc.certify(3, 0.25, ric_min_base=2.0)
@@ -1203,13 +1203,13 @@ def test_origin_keeps_the_unit_probe_per_eps():
 
 @pytest.mark.parametrize("degree", [8, 16, 32, 64, 128])
 def test_node_weights_are_smoothstep_at_the_nodes(degree):
-    # Cached beside _chebyshev(degree), read-only, and bit for bit what
-    # each window computed at its nodes before: tau = (1 - t)/2,
+    # Cached in _chebyshev(degree)'s table, read-only, and bit for bit
+    # what each window computed at its nodes before: tau = (1 - t)/2,
     # smoothstep(tau) and smoothstep((1 + t)/2), the last one the second
     # reversed (the nodes are exactly symmetric).
-    t = wm._chebyshev(degree)[0]
-    weights = wm._node_weights(degree)
-    assert wm._node_weights(degree) is weights
+    table = wm._chebyshev(degree)
+    assert wm._chebyshev(degree) is table
+    t, weights = table[0], table[4:]
     want = (0.5 * (1.0 - t), wm.smoothstep(0.5 * (1.0 - t)), wm.smoothstep(0.5 * (1.0 + t)))
     for got, ref in zip(weights, want):
         assert got.tobytes() == ref.tobytes()
@@ -1229,7 +1229,7 @@ def test_origin_cache_dies_with_neck():
     neck_ref = weakref.ref(tailed)
     outer_ref = weakref.ref(tailed._outer_memo[1])
     unit_ref = weakref.ref(wm.smooth_origin(tailed, 1.0, eps))  # kept on the neck
-    assert unit_ref() is tailed._outer_memo[3]
+    assert unit_ref() is tailed._outer_memo[2]
     flat_ref = weakref.ref(probe.segments[3].fmod)  # the outer part's flattening
     del tailed
     gc.collect()

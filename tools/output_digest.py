@@ -36,11 +36,13 @@ Floats are written as ``repr(float(x))``, so two digests compare equal
 byte for byte only if every number is bit-identical, and a numpy scalar
 prints as the same text under numpy 1.x and 2.x.  ``--against REV`` checks that
 a change keeps the outputs: it ``git archive``s REV into a temporary
-directory and runs this script there and here.  If the digests differ it
-prints every differing line with the largest relative move among its
-numeric fields (``hash differs`` for a SHA-256 field that changed), then
-their count and the largest move over all of them, and exits 1; if they
-match it exits 0.  It leaves the repository's ``.git`` as it was.
+directory and runs this script there and here.  REV must be e03db95 (the
+spectral f-flattening ramps) or later, whose profiles carry every field
+the digest reads.  If the digests differ it prints every differing line
+with the largest relative move among its numeric fields (``hash
+differs`` for a SHA-256 field that changed), then their count and the
+largest move over all of them, and exits 1; if they match it exits 0.
+It leaves the repository's ``.git`` as it was.
 
 ``--write-golden`` writes the stdout of certify requests of the digest
 to ``tests/golden/NAME.json``, which the tight golden tests read: of each
@@ -224,11 +226,9 @@ def export_lines(tb, workdir):
 
 
 def _fields(info, names):
-    """``name value`` for each field in ``names`` that ``info`` has, a
-    float as ``repr(float(x))``.  Revisions before the spectral windows
-    have a blend step count instead of a degree, and no tail degree or
-    estimate; they print the fields they have."""
-    values = ((k, getattr(info, k)) for k in names if hasattr(info, k))
+    """``name value`` for each field in ``names`` of ``info``, a float as
+    ``repr(float(x))``."""
+    values = ((k, getattr(info, k)) for k in names)
     return " ".join(f"{k} {v!r}" if isinstance(v, int) else f"{k} {float(v)!r}" for k, v in values)
 
 
@@ -237,26 +237,18 @@ def neck_lines(tb):
     wl.setup(tb)
     for (n, s0), neck in zip(BASE_NECKS, wl.necks):
         core, cap, tail = neck.profile.core, neck.profile.cap, neck.profile.tail
-        # Revisions before the first-integral core have no cell table.
-        cells = f"core cells {len(core._h)!r} error {float(core.error)!r} " if hasattr(core, "_h") else ""
         yield (
-            f"## neck ({n}, {s0}): {cells}"
-            + _fields(cap, ("big_n", "blend_start", "blend_end", "blend_degree", "blend_steps", "blend_error"))
+            f"## neck ({n}, {s0}): core cells {len(core._h)!r} error {float(core.error)!r} "
+            + _fields(cap, ("big_n", "blend_start", "blend_end", "blend_degree", "blend_error"))
             + " tail " + _fields(tail, ("start", "width", "degree", "error"))
         )
         for r in ORIGIN_SCALES:
             o = tb.warpmetric.smooth_origin(neck.profile, r, neck.eps).origin
-            # Revisions before the spectral bridge kept an RK4 step count.
-            size = "bridge_degree" if hasattr(o, "bridge_degree") else "bridge_steps"
-            # Revisions before the spectral ramps have no ramp degree.
-            ramp = (
-                f" ramp_degree {o.ramp_degree!r} ramp_error {float(o.ramp_error)!r}"
-                if hasattr(o, "ramp_degree") else ""
-            )
             yield (
                 f"## origin ({n}, {s0}) r {r!r}: radius {float(o.radius)!r} eps_prime "
-                f"{float(o.eps_prime)!r} {size} {getattr(o, size)!r} "
-                f"bridge_error {float(o.bridge_error)!r}{ramp}"
+                f"{float(o.eps_prime)!r} bridge_degree {o.bridge_degree!r} "
+                f"bridge_error {float(o.bridge_error)!r} ramp_degree {o.ramp_degree!r} "
+                f"ramp_error {float(o.ramp_error)!r}"
             )
 
 
