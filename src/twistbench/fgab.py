@@ -8,26 +8,28 @@ normal form of a diagonal matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .intlat import IntMatrix, snf
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
-    free_rank: int
-    torsion: tuple  # invariant factors, each >= 2, divisibility chain
+class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion")):
+    """Z^free_rank plus the invariant factors ``torsion``, a tuple of ints
+    each >= 2 that forms a divisibility chain."""
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    __slots__ = ()
+
+    def __new__(cls, free_rank: int, torsion: tuple):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for d in self.torsion:
+        for d in torsion:
             if not isinstance(d, int) or d < 2:
                 raise ValueError("torsion coefficients must be integers >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion list must form a divisibility chain")
+        return tuple.__new__(cls, (free_rank, torsion))
 
     def render(self) -> str:
         """Textual form used in JSON reports, e.g. ``Z^2 + Z/4 + Z/12``."""

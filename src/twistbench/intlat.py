@@ -10,7 +10,7 @@ built on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -25,21 +25,20 @@ def identity_lists(n: int) -> list:
     return rows
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, row-major."""
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
+    """Immutable integer matrix, row-major: ``entries`` is the flattened
+    tuple of rows * cols ints."""
 
-    rows: int
-    cols: int
-    entries: tuple  # flattened, length rows * cols
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: tuple):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
-        if not all(map(isinstance, self.entries, repeat(int))):
+        if not all(map(isinstance, entries, repeat(int))):
             raise ValueError("entries must be integers")
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":

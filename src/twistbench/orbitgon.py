@@ -10,31 +10,32 @@ extending the labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
 
-from . import intlat
+from . import intlat, topology
 from .errors import InvalidLabelling
 from .intlat import IntMatrix
 
 
-@dataclass(frozen=True)
-class GonLabelling:
-    n: int  # manifold dimension >= 4
-    labels: tuple  # cyclically ordered vectors in Z^{n-2}
+class GonLabelling(namedtuple("GonLabelling", "n labels")):
+    """The m-gon of an n-manifold, n >= 4: ``labels`` are its edges' vectors
+    in Z^{n-2}, cyclically ordered.  No ``__slots__``: the instance keeps
+    ``validation`` in its ``__dict__``."""
 
-    def __post_init__(self):
-        if self.n < 4:
+    def __new__(cls, n: int, labels: tuple):
+        if n < 4:
             raise InvalidLabelling("manifold dimension must be >= 4")
-        if len(self.labels) < 2:
+        if len(labels) < 2:
             raise InvalidLabelling("a gon has at least two edges")
-        d = self.n - 2
-        for a in self.labels:
+        d = n - 2
+        for a in labels:
             if len(a) != d:
                 raise InvalidLabelling(f"labels must live in Z^{d}")
             if all(x == 0 for x in a):
                 raise InvalidLabelling("labels must be nonzero")
+        return tuple.__new__(cls, (n, labels))
 
     @property
     def m(self) -> int:
@@ -65,6 +66,7 @@ def gon(n: int, labels) -> GonLabelling:
 
     if type(n) is not int or not isinstance(labels, (list, tuple)) or not all(map(ints, labels)):
         raise InvalidLabelling("a gon needs an integer n and labels that are lists of integers")
+    topology.capped("gon edges", len(labels))
     return GonLabelling(n, tuple(map(tuple, labels)))
 
 
@@ -141,6 +143,6 @@ def standard_gon(handles: int) -> GonLabelling:
     """
     if handles < 0:
         raise ValueError("handle count must be nonnegative")
-    m = 2 * handles + 2
+    m = topology.capped("gon edges", 2 * handles + 2)
     labels = tuple((1, 0) if i % 2 == 0 else (0, 1) for i in range(m))
     return GonLabelling(4, labels)

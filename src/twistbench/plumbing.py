@@ -12,7 +12,7 @@ connected sum of the pieces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from . import topology
@@ -27,30 +27,31 @@ class DiscBundleNode(NamedTuple):
     euler: EulerClass
 
 
-@dataclass(frozen=True)
-class TrivialDiscNode:
-    """Trivial D^n-bundle over S^2."""
+class TrivialDiscNode(namedtuple("TrivialDiscNode", "disc_rank")):
+    """Trivial D^n-bundle over S^2, n = ``disc_rank``."""
 
-    disc_rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.disc_rank < 3:
+    def __new__(cls, disc_rank: int):
+        if disc_rank < 3:
             raise InputError("trivial disc nodes need rank >= 3")
+        return tuple.__new__(cls, (disc_rank,))
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
-    nodes: tuple
-    edges: tuple  # (i, j, sign) with sign in {+, -}
+class PlumbingGraph(namedtuple("PlumbingGraph", "nodes edges")):
+    """Nodes, and edges (i, j, sign) with sign in {+, -}."""
 
-    def __post_init__(self):
-        for i, j, sign in self.edges:
+    __slots__ = ()
+
+    def __new__(cls, nodes: tuple, edges: tuple):
+        for i, j, sign in edges:
             if i == j:
                 raise InputError("edge endpoints must be distinct nodes")
-            if not (0 <= i < len(self.nodes) and 0 <= j < len(self.nodes)):
+            if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
                 raise InputError("edge endpoint out of range")
             if sign not in ("+", "-"):
                 raise InputError(f"bad edge sign {sign!r}")
+        return tuple.__new__(cls, (nodes, edges))
 
     def is_bundle(self, i: int) -> bool:
         return isinstance(self.nodes[i], DiscBundleNode)
@@ -196,7 +197,8 @@ def parse_graph(text: str) -> PlumbingGraph:
         disc <name> <rank>
         edge <name> <name> [+|-]
 
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored.  Every error names its
+    line.
     """
     from .grammar import parse_euler, parse_manifold
 
@@ -209,25 +211,29 @@ def parse_graph(text: str) -> PlumbingGraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        kind = fields[0]
-        if len(fields) <= forms.get(kind, "").count("<"):
-            raise InputError(f"line {lineno}: {kind} needs {forms[kind]}")
+        kind, *fields = line.split()
+        form = forms.get(kind)
+        if form is None:
+            raise InputError(f"line {lineno}: unknown declaration {kind!r}")
+        if len(fields) < form.count("<"):
+            raise InputError(f"line {lineno}: {kind} needs {form}")
+        if len(fields) > len(form.split()):
+            raise InputError(f"line {lineno}: {kind} takes {form}")
         try:
             if kind == "bundle":
-                name, expr_text, euler_text = fields[1], fields[2], fields[3]
+                name, expr_text, euler_text = fields
                 node = DiscBundleNode(parse_manifold(expr_text), parse_euler(euler_text))
             elif kind == "disc":
-                name, rank = fields[1], int(fields[2])
-                node = TrivialDiscNode(rank)
-            elif kind == "edge":
-                a, b = fields[1], fields[2]
-                sign = fields[3] if len(fields) > 3 else "+"
+                name, rank = fields
+                node = TrivialDiscNode(int(rank))
+            else:
+                a, b = fields[:2]
+                sign = fields[2] if len(fields) > 2 else "+"
+                if sign not in ("+", "-"):
+                    raise InputError(f"bad edge sign {sign!r}")
                 edges.append((names[a], names[b], sign))
                 continue
-            else:
-                raise InputError(f"unknown declaration {kind!r}")
-        except ValueError as exc:
+        except (ValueError, InputError) as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
         except KeyError as exc:
             raise InputError(f"line {lineno}: unknown node name {exc}") from exc

@@ -31,7 +31,7 @@ is 0, so the horizontal bound alone decides the bundle region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from . import warpmetric
@@ -43,34 +43,34 @@ from .warpmetric import TAIL_FLOOR, WarpParams, WarpProfile, _stage
 # Connection models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConnectionModel:
-    """Either the product connection on the neck or interval bounds.
+class ConnectionModel(namedtuple("ConnectionModel", "variant sup_f sup_delta_f support")):
+    """Either the product connection on the neck (``variant`` "trivial")
+    or interval bounds ("bounded").
 
     ``sup_f`` bounds the absolute value of every curvature component in
     the orthonormal frame of the round sphere plus the radial direction;
-    ``sup_delta_f`` bounds the codifferential's components.  ``support``
-    restricts where the curvature may be nonzero; it must stay away from
-    the left end of the neck, where the connection is the product one.
+    ``sup_delta_f`` bounds the codifferential's components.  ``support``,
+    (lo, hi) in profile coordinates, restricts where the curvature may be
+    nonzero; it must stay away from the left end of the neck, where the
+    connection is the product one.
     """
 
-    variant: str  # "trivial" | "bounded"
-    sup_f: float = 0.0
-    sup_delta_f: float = 0.0
-    support: tuple | None = None  # (lo, hi) in profile coordinates
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variant not in ("trivial", "bounded"):
-            raise InputError(f"unknown connection variant {self.variant!r}")
-        bounds = (self.sup_f, self.sup_delta_f, *(self.support or ()))
+    def __new__(cls, variant: str, sup_f: float = 0.0, sup_delta_f: float = 0.0,
+                support: tuple | None = None):
+        if variant not in ("trivial", "bounded"):
+            raise InputError(f"unknown connection variant {variant!r}")
+        bounds = (sup_f, sup_delta_f, *(support or ()))
         if not all(map(math.isfinite, bounds)):  # NaN fails every test below
             raise InputError("curvature bounds and support must be finite")
-        if self.sup_f < 0 or self.sup_delta_f < 0:
+        if sup_f < 0 or sup_delta_f < 0:
             raise InputError("curvature bounds must be nonnegative")
-        if self.variant == "trivial" and (self.sup_f or self.sup_delta_f or self.support):
+        if variant == "trivial" and (sup_f or sup_delta_f or support):
             raise InputError("trivial connections carry no curvature bounds or support")
-        if self.support is not None and self.support[0] >= self.support[1]:
+        if support is not None and support[0] >= support[1]:
             raise InputError("empty curvature support")
+        return tuple.__new__(cls, (variant, sup_f, sup_delta_f, support))
 
 
 TRIVIAL_CONNECTION = ConnectionModel("trivial")

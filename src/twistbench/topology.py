@@ -14,7 +14,7 @@ Gysin sequence the catalog actually resolves; anything else raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -35,25 +35,23 @@ CACHE_SIZE = 256
 # Twisting classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EulerClass:
+class EulerClass(namedtuple("EulerClass", "kind k parts")):
     """Symbolic degree-2 integral class, described by its divisibility.
 
     kind is one of ``zero``, ``primitive``, ``divisibility`` (with k >= 2),
-    or ``split`` (one part per connected summand).
+    or ``split`` (``parts``, one class per connected summand).
     """
 
-    kind: str
-    k: int = 0
-    parts: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("zero", "primitive", "divisibility", "split"):
-            raise ValueError(f"unknown euler class kind {self.kind!r}")
-        if self.kind == "divisibility" and self.k < 2:
+    def __new__(cls, kind: str, k: int = 0, parts: tuple = ()):
+        if kind not in ("zero", "primitive", "divisibility", "split"):
+            raise ValueError(f"unknown euler class kind {kind!r}")
+        if kind == "divisibility" and k < 2:
             raise ValueError("divisibility classes require k >= 2; use zero/primitive")
-        if self.kind == "split" and not self.parts:
+        if kind == "split" and not parts:
             raise ValueError("split class needs at least one part")
+        return tuple.__new__(cls, (kind, k, parts))
 
     @staticmethod
     def zero() -> "EulerClass":
@@ -256,6 +254,23 @@ ATOMS = {
                        lambda q: {0: Z, 2: Z, q: Z, q + 2: Z}),
 }
 
+# The domain's size caps.  A request above one is refused as Unsupported
+# (CLI exit 3) before any work that grows with the size.  Each cap is the
+# largest size whose costliest request answered in about 1 s on a 2-vCPU
+# VM: ``homology 'susp(0,lens(3,19999))'`` (1.0 s, a table of 20 001
+# groups) and ``gon --standard 699`` (1.0 s, a 1400 x 1400 model).
+CAPS = {
+    "dimension": 20000,  # of any expression: spheres, CP's 2m, lens d, products
+    "gon edges": 1400,  # m of a gon: 2L + 2 for gon --standard L, or its label count
+}
+
+
+def capped(name: str, value: int) -> int:
+    """``value``, or Unsupported when it is above the cap on ``name``."""
+    if value > CAPS[name]:
+        raise Unsupported(f"{name} {value} is above the cap of {CAPS[name]}")
+    return value
+
 
 # ---------------------------------------------------------------------------
 # Rendering (the CLI grammar in reverse)
@@ -279,14 +294,15 @@ def render(x: ManifoldExpr) -> str:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def dim(x: ManifoldExpr) -> int:
+    """The dimension, capped: every homology table reads it first."""
     if x.kind == "atom":
-        return ATOMS[x.atom].dim(*x.params)
+        return capped("dimension", ATOMS[x.atom].dim(*x.params))
     if x.kind == "product":
-        return x.params[0] + x.params[1]
+        return capped("dimension", x.params[0] + x.params[1])
     if x.kind == "connected_sum":
         return dim(x.children[0])
     if x.kind == "twisted_suspension":
-        return dim(x.children[0]) + 1
+        return capped("dimension", dim(x.children[0]) + 1)
     raise ValueError(f"unknown expression kind {x.kind!r}")
 
 

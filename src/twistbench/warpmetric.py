@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -584,9 +584,9 @@ class _CoreH:
 # Profile
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """f and h on [s0, s1], each one of the curve models.
+class Segment(namedtuple("Segment", "label s0 s1 fmod hmod h_scale", defaults=(1.0,))):
+    """f and h on [s0, s1], each one of the curve models; ``label`` is
+    core, cap, tail, splice or flat.
 
     f is the core solution itself, a ``_Sine`` (the cap arc), a
     ``_Window`` (the cap blend), the f-flattening ``_FlattenedF`` or a
@@ -603,12 +603,8 @@ class Segment:
     segment object, and a stage that changes a segment builds a new one.
     """
 
-    label: str  # core | cap | tail | splice | flat
-    s0: float
-    s1: float
-    fmod: object
-    hmod: object
-    h_scale: float = 1.0
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def scaled(self, f, fp, fpp, h, hp, hpp):
         """Unit-scale columns with h, h' and h'' times ``h_scale``; at unit
@@ -668,25 +664,25 @@ class OriginInfo(NamedTuple):
     ramp_error: float
 
 
-@dataclass(frozen=True)
 class WarpProfile:
-    """Piecewise description of (f, h) plus stage metadata."""
+    """Piecewise description of (f, h) plus stage metadata: the
+    ``WarpParams``, the ``_CoreSolution``, the segments on [s_left,
+    s_lambda], the fibre scale r and the ``CapInfo``, ``TailInfo`` and
+    ``OriginInfo`` of the stages that built it.  Read-only; a profile
+    compares and hashes by identity."""
 
-    params: WarpParams
-    core: _CoreSolution
-    segments: tuple
-    s_left: float
-    s_lambda: float
-    r: float = 1.0
-    cap: CapInfo | None = None
-    tail: TailInfo | None = None
-    origin: OriginInfo | None = None
-    # Sampled blocks keyed by segment; they live and die with the profile,
-    # and ``derive`` hands on those of the segments it keeps.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # On a neck: smooth_origin's [eps, outer part, r = 1 probe] for the
-    # last eps it was called with (``_outer_part``).
-    _outer_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
+    def __init__(self, params, core, segments, s_left, s_lambda, r=1.0, cap=None, tail=None,
+                 origin=None):
+        # ``_memo``: sampled blocks keyed by segment; they live and die with
+        # the profile, and ``derive`` hands on those of the segments it
+        # keeps.  ``_outer_memo``, on a neck: smooth_origin's [eps, outer
+        # part, r = 1 probe] for the last eps it was called with.
+        vars(self).update(params=params, core=core, segments=segments, s_left=s_left,
+                          s_lambda=s_lambda, r=r, cap=cap, tail=tail, origin=origin,
+                          _memo={}, _outer_memo=[])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def derive(self, **changes) -> WarpProfile:
         """This profile with the fields in ``changes`` replaced, keeping the

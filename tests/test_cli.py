@@ -2,12 +2,13 @@ import gc
 import io
 import json
 import math
+import tracemalloc
 import warnings
 import weakref
 
 import pytest
 
-from twistbench import cli, orbitgon, warpmetric
+from twistbench import cli, orbitgon, topology, warpmetric
 from twistbench.errors import ComputedFailure, InputError, StageError, Unsupported
 
 
@@ -143,16 +144,70 @@ def test_plumb(tmp_path, capsys):
     assert len(payload["reduced_edges"]) == 1
 
 
+# Every refused declaration names its line: fields missing or past the
+# last, an unknown kind, a bad sign, and what the line's fields refuse.
 @pytest.mark.parametrize("declaration, fields", [
     ("bundle a S(3)", "bundle needs <name> <manifold-expr> <euler>"),
     ("disc d", "disc needs <name> <rank>"),
     ("edge a", "edge needs <name> <name> [+|-]"),
-], ids=["bundle", "disc", "edge"])
+    ("bundle b0 lens(3,5) 0 junk", "bundle takes <name> <manifold-expr> <euler>"),
+    ("disc d1 5 7", "disc takes <name> <rank>"),
+    ("edge b0 d1 + x", "edge takes <name> <name> [+|-]"),
+    ("foo a", "unknown declaration 'foo'"),
+    ("edge b0 d1 *", "bad edge sign '*'"),
+    ("bundle b0 foo 0", "unknown token 'foo'"),
+    ("disc d1 2", "trivial disc nodes need rank >= 3"),
+], ids=["bundle", "disc", "edge", "bundle-extra", "disc-extra", "edge-extra", "unknown", "sign",
+        "expr", "rank"])
 def test_plumb_short_declaration_names_its_fields(tmp_path, capsys, declaration, fields):
     graph = tmp_path / "graph.txt"
     graph.write_text(f"# a comment\n{declaration}\n")
     code, out, err = run(capsys, "plumb", str(graph))
     assert (code, out, err) == (2, "", f"error: line 2: {fields}\n")
+
+
+def test_caps_bound_dimension_and_gon_edges():
+    # The largest sizes pass the caps; one more is refused.
+    assert topology.CAPS == {"dimension": 20000, "gon edges": 1400}
+    zero = topology.EulerClass.zero()
+    at_cap = (topology.sphere(20000), topology.cp(10000),
+              topology.suspend(topology.sphere(19999), zero))
+    assert [topology.dim(x) for x in at_cap] == [20000] * 3
+    assert orbitgon.standard_gon(699).m == 1400
+    assert orbitgon.gon(4, [[1, 0], [0, 1]] * 700).m == 1400
+    for make in (lambda: orbitgon.standard_gon(700), lambda: topology.dim(topology.sphere(20001)),
+                 lambda: topology.dim(topology.suspend(topology.sphere(20000), zero)),
+                 lambda: orbitgon.gon(4, [[1, 0], [0, 1]] * 701)):
+        with pytest.raises(Unsupported, match="above the cap of"):
+            make()
+
+
+# The first two would run for minutes uncapped: never run such a request
+# without its cap.
+@pytest.mark.parametrize("argv, message", [
+    (["gon", "--standard", "100000"], "gon edges 200002 is above the cap of 1400"),
+    (["homology", "S(99999999999999999999)"],
+     "dimension 99999999999999999999 is above the cap of 20000"),
+    (["suspend", "CP(10000)", "0"], "dimension 20001 is above the cap of 20000"),
+    (["homology", "csum(S(3)xS(19998),S(2)xS(19999))"],
+     "dimension 20001 is above the cap of 20000"),
+], ids=["gon", "sphere", "suspend", "product"])
+def test_request_above_a_cap_is_refused_before_any_work(capsys, argv, message):
+    # Refused before anything that grows with the size is allocated: the
+    # traced peak stays far below what a within-cap gon --standard 40 needs.
+    cli._parser()  # built once per process; not part of a request's cost
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert cli.main(["gon", "--standard", "40"]) == 0
+        within = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, f"unsupported: {message}\n")
+    assert peak < 32_000 < 200_000 < within
 
 
 def test_certify_config_roundtrip(tmp_path, capsys):

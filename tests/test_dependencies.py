@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency, and only the metric commands load
-it; scipy and mpmath are for tests.  Every public name in the package has
+it; scipy and mpmath are for tests, and the CLI's import loads neither
+dataclasses nor inspect.  Every public name in the package has
 a caller outside the tests, and every error class has a raiser."""
 
 import ast
@@ -52,6 +53,17 @@ def test_import_loads_no_test_only_package():
     code = (
         "import sys, twistbench, twistbench.cli, twistbench.riccicert\n"
         f"print(sorted({TEST_ONLY!r} & {{m.split('.')[0] for m in sys.modules}}))"
+    )
+    assert fresh(code) == "[]"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # No class is built by the dataclass decorator: each would exec-compile
+    # its methods at import, and importing dataclasses pulls in inspect.
+    # A fresh interpreter, since the benchmark harness imports dataclasses.
+    code = (
+        "import sys, twistbench.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     assert fresh(code) == "[]"
 

@@ -1,5 +1,5 @@
-import dataclasses
 import gc
+import inspect
 import io
 import json
 import math
@@ -1052,21 +1052,26 @@ def test_dense_models_self_consistent():
 
 
 def test_derive_replaces_fields_and_keeps_blocks_by_segment(neck):
-    # derive builds the profile itself, so it must set every field that
-    # dataclasses.replace would.  Blocks are keyed by the segment object:
+    # derive builds the profile itself, so it must set every constructor
+    # field: a changed one to its new value, every other one to the
+    # parent's object.  The probe holds no field at its default, so a
+    # field derive drops shows.  Blocks are keyed by the segment object:
     # a kept segment keeps its block, a segment equal field by field but
     # built anew does not.
-    base, _ = neck
+    base = wm.smooth_origin(neck[0], 0.5, neck[1])
     base.blocks()
     first = base.segments[0]
     twin = wm.Segment(first.label, first.s0, first.s1, first.fmod, first.hmod, first.h_scale)
     assert twin != first and hash(twin) != hash(first)
+    fields = inspect.signature(wm.WarpProfile).parameters
+    assert list(fields) == [
+        "params", "core", "segments", "s_left", "s_lambda", "r", "cap", "tail", "origin"]
+    assert all(getattr(base, name) != p.default for name, p in fields.items())
     for changes in ({}, {"s_left": 0.5, "r": 0.25}, {"segments": (twin,) + base.segments[1:]}):
         out = base.derive(**changes)
-        assert out == dataclasses.replace(base, **changes), changes
-        for f in dataclasses.fields(out):
-            if f.init and f.name not in changes:
-                assert getattr(out, f.name) is getattr(base, f.name), f.name
+        assert out is not base and out._memo is not base._memo, changes
+        for name in fields:
+            assert getattr(out, name) is changes.get(name, getattr(base, name)), name
     assert twin not in out._memo
     assert all(out._memo[seg] is base._memo[seg] for seg in base.segments[1:])
 
