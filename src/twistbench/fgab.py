@@ -2,16 +2,18 @@
 
 A group is stored as a free rank plus an invariant-factor chain
 d_1 | d_2 | ... | d_t with every d_i >= 2, so structural equality is
-plain field equality.  Normal forms come straight out of the Smith
-normal form of a diagonal matrix.
+plain field equality.  Normal forms come from gcd and lcm alone:
+Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), so no matrix is reduced.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 from typing import Iterable
 
-from .intlat import IntMatrix, snf
+# Unused here; bench/tests reads it as the second module name of intlat.snf.
+from .intlat import snf  # noqa: F401
 
 
 class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion")):
@@ -49,10 +51,6 @@ TRIVIAL = FgAbGroup(0, ())
 Z = FgAbGroup(1, ())
 
 
-def free(rank: int) -> FgAbGroup:
-    return FgAbGroup(rank, ())
-
-
 def cyclic(k: int) -> FgAbGroup:
     """Z/k for k >= 2, Z for k = 0, trivial for k = 1."""
     k = abs(int(k))
@@ -66,8 +64,11 @@ def cyclic(k: int) -> FgAbGroup:
 def from_divisors(divisors: Iterable[int], free_rank: int = 0) -> FgAbGroup:
     """Normal form of (+) Z/d_i (+) Z^free_rank for arbitrary d_i.
 
-    Zeros contribute free summands, ones are dropped, everything else is
-    rechained into invariant factors via the SNF of a diagonal matrix.
+    Zeros contribute free summands and ones are dropped.  The rest is
+    rechained in place by one pairwise sweep: for i < j, when a_i does not
+    divide a_j, the pair becomes (gcd, lcm), which keeps the group.  After
+    its row, a_i divides every later entry, so the list ends as a chain
+    a_1 | a_2 | ...; the 1s the gcds leave at its front are dropped.
     """
     tors = []
     rank = free_rank
@@ -77,14 +78,15 @@ def from_divisors(divisors: Iterable[int], free_rank: int = 0) -> FgAbGroup:
             rank += 1
         elif d > 1:
             tors.append(d)
-    if not tors:
-        return FgAbGroup(rank, ())
-    k = len(tors)
-    diag = IntMatrix.from_rows(
-        [[tors[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    )
-    chain = [d for d in snf(diag).diagonal() if d > 1]
-    return FgAbGroup(rank, tuple(chain))
+    for i, a in enumerate(tors):
+        for j in range(i + 1, len(tors)):
+            b = tors[j]
+            if b % a:
+                g = gcd(a, b)
+                tors[j] = a // g * b
+                a = g
+        tors[i] = a
+    return FgAbGroup(rank, tuple(d for d in tors if d > 1))
 
 
 def direct_sum(*groups: FgAbGroup) -> FgAbGroup:

@@ -18,9 +18,8 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from . import fgab
 from .errors import DimensionMismatch, DimensionTooSmall, Unsupported
-from .fgab import TRIVIAL, Z, cyclic, direct_sum
+from .fgab import TRIVIAL, Z, FgAbGroup, cyclic, direct_sum
 
 # Entries kept by each memo of dim, pi1, spin and homology.  A process
 # that answers many requests would otherwise keep every expression it
@@ -441,13 +440,8 @@ def _suspension_homology(base: ManifoldExpr, e: EulerClass) -> tuple:
 def cohomology(x: ManifoldExpr) -> tuple:
     """Integral cohomology via universal coefficients: H^i = free(H_i) + tors(H_{i-1})."""
     h = homology(x)
-    n = dim(x)
-    out = []
-    for i in range(n + 1):
-        f = fgab.free(h[i].free_rank)
-        t = fgab.from_divisors(h[i - 1].torsion) if i >= 1 else TRIVIAL
-        out.append(direct_sum(f, t))
-    return tuple(out)
+    return tuple(FgAbGroup(g.free_rank, h[i - 1].torsion if i else ())
+                 for i, g in enumerate(h))
 
 
 def betti(x: ManifoldExpr) -> tuple:

@@ -1,14 +1,17 @@
 import gc
+import importlib.util
 import io
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import pytest
 
-from twistbench import cli, orbitgon, topology, warpmetric
+from twistbench import cli, intlat, orbitgon, topology, warpmetric
 from twistbench.errors import ComputedFailure, InputError, StageError, Unsupported
 
 
@@ -208,6 +211,53 @@ def test_request_above_a_cap_is_refused_before_any_work(capsys, argv, message):
     out, err = capsys.readouterr()
     assert (code, err) == (3, f"unsupported: {message}\n")
     assert peak < 32_000 < 200_000 < within
+
+
+def reference_expressions(monkeypatch):
+    """The 51 expressions whose homology the ``topology_queries`` benchmark
+    workload computes as references before its first op."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    wk = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", wk)  # its dataclasses look it up
+    spec.loader.exec_module(wk)
+    exprs = [base for base, _ in wk.SUSPEND_SUPPORTED]
+    for base, e, n in wk.PLUMB_BASES:
+        exprs += [wk.star_boundary(base, e, n, leaves) for leaves in range(1, 6)]
+    return exprs
+
+
+def test_homology_path_runs_no_smith_reduction(capsys, monkeypatch, tmp_path):
+    # Invariant factors come from gcd and lcm: homology, suspend and plumb
+    # answer as before with every name of intlat.snf made to raise.
+    graph = tmp_path / "graph.txt"
+    graph.write_text("bundle b0 lens(3,5) prim\n"
+                     + "".join(f"disc d{k} 5\nedge b0 d{k} +\n" for k in (1, 2, 3)))
+    exprs = reference_expressions(monkeypatch)
+    assert len(exprs) == 51
+    requests = [["homology", x] for x in exprs] + [
+        ["homology", f"csum({','.join(['lens(3,5)'] * 300)})"],
+        ["homology", "susp(0,csum(lens(3,9),lens(5,9),lens(3,9)))", "--decompose"],
+        ["suspend", "csum(lens(3,5),N(2))", "[prim,0]"],
+        ["suspend", "lens(5,7)", "prim"],
+        ["suspend", "CP(4)", "div(6)"],
+        ["plumb", str(graph)],
+    ]
+    expected = [run(capsys, *argv) for argv in requests]
+    assert all(code == 0 for code, _, _ in expected)
+
+    def refuse(a):
+        raise AssertionError("Smith reduction on the homology path")
+
+    snf = intlat.snf
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twistbench"):
+            for attr, value in list(vars(module).items()):
+                if value is snf:
+                    monkeypatch.setattr(module, attr, refuse)
+    topology.homology.cache_clear()
+    for argv, want in zip(requests, expected):
+        assert run(capsys, *argv) == want, argv
 
 
 def test_certify_config_roundtrip(tmp_path, capsys):

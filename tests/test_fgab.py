@@ -2,7 +2,10 @@ import math
 import random
 from itertools import product
 
+import pytest
+
 from twistbench.fgab import FgAbGroup, TRIVIAL, Z, cyclic, direct_sum, from_divisors
+from twistbench.intlat import IntMatrix, snf
 
 
 def _prime_factors(n):
@@ -52,6 +55,67 @@ def test_from_divisors_matches_oracle():
         got = from_divisors(divisors)
         assert got.torsion == oracle_normal_form(divisors)
         assert got.free_rank == 0
+
+
+def ladder_form(divisors, free_rank=0):
+    """Reference group of (+) Z/d_i (+) Z^free_rank by the prime ladders."""
+    zeros = sum(d == 0 for d in divisors)
+    return FgAbGroup(free_rank + zeros, oracle_normal_form([abs(d) for d in divisors if d]))
+
+
+def snf_form(divisors, free_rank=0):
+    """Reference group by the Smith normal form of diag(d_1, ..., d_k), the
+    route ``from_divisors`` took before the gcd/lcm sweep."""
+    k = len(divisors)
+    diag = snf(IntMatrix.from_rows(
+        [[d if i == j else 0 for j in range(k)] for i, d in enumerate(divisors)]
+    )).diagonal() if k else ()
+    return FgAbGroup(free_rank + diag.count(0), tuple(d for d in diag if d > 1))
+
+
+def divisor_lists(rng, top, count=150):
+    """Seeded lists of 0..12 entries in [-top, top]: chains, repeats and
+    unrelated entries, with zeros and units mixed in."""
+    for _ in range(count):
+        k = rng.randint(0, 12)
+        shape = rng.randrange(3)
+        if shape == 0:  # a chain up to sign, restarted at 1 past top
+            out, d = [], 1
+            for _ in range(k):
+                d *= rng.choice((1, 2, 3, rng.randint(2, 1000)))
+                if d > top:
+                    d = 1
+                out.append(d * rng.choice((1, -1)))
+        elif shape == 1:  # repeats from a small pool
+            pool = [rng.randint(-top, top), rng.randint(-60, 60), rng.randint(2, 12)]
+            out = [rng.choice(pool) for _ in range(k)]
+        else:  # small entries share factors often, large ones rarely
+            out = [rng.choice((rng.randint(-60, 60), rng.randint(-top, top))) for _ in range(k)]
+        yield [rng.choice((0, 1, -1)) if rng.random() < 0.15 else d for d in out]
+
+
+@pytest.mark.parametrize("reference, top, seed", [
+    (ladder_form, 10**6, 11),
+    (snf_form, 10**30, 12),
+], ids=["prime-ladder", "snf"])
+def test_from_divisors_and_direct_sum_match_references(reference, top, seed):
+    rng = random.Random(seed)
+    shapes = set()
+    for divisors in divisor_lists(rng, top):
+        rank = rng.randint(0, 2)
+        want = reference(divisors, rank)
+        assert from_divisors(divisors, free_rank=rank) == want, divisors
+        # The same group as a direct sum of the references of 1..3 slices.
+        cuts = sorted(rng.randint(0, len(divisors)) for _ in range(rng.randint(0, 2)))
+        parts = [divisors[a:b] for a, b in zip([0, *cuts], [*cuts, len(divisors)])]
+        ranks = [0] * len(parts)
+        ranks[rng.randrange(len(parts))] = rank
+        groups = [reference(p, r) for p, r in zip(parts, ranks)]
+        assert direct_sum(*groups) == want, divisors
+        shapes.add((len(divisors) == 0, 0 in divisors, -1 in divisors,
+                    any(d < -1 for d in divisors), max(map(abs, divisors), default=0) > 10**5))
+    # Every kind of entry showed up: empty lists, zeros, -1, other negatives, large entries.
+    assert all(any(s[i] for s in shapes) for i in range(5))
 
 
 def test_small_enumeration_oracle():
