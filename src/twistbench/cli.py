@@ -45,7 +45,7 @@ def _expr_report(x) -> dict:
     return {
         "expression": topology.render(x),
         "dimension": topology.dim(x),
-        "pi1": topology.pi1(x).render(),
+        "pi1": topology.pi1(x),
         "simply_connected": topology.simply_connected(x),
         "spin": topology.spin_label(topology.spin(x)),
         "homology": [g.render() for g in h],
@@ -130,7 +130,7 @@ def _config_parser() -> configparser.ConfigParser:
     """The config parser, built once per process: its constructor is most
     of the cost of reading a small config.  ``_load_config`` empties it
     before each read."""
-    return configparser.ConfigParser()
+    return configparser.ConfigParser(inline_comment_prefixes=("#",))
 
 
 def _load_config(path: str, section: str, allowed: set):

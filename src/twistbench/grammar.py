@@ -1,12 +1,14 @@
 """Text grammar for manifold expressions and twisting classes.
 
 Atoms are the rows of ``topology.ATOMS``: ``S(n)``, ``CP(m)``,
-``lens(k,d)``, ``N(k)``, ``Wu``, ``Poincare``, ``S2~S(n)``.  The parser
-reads each from its row's text form, so an atom is a constructor plus
-one row.  Besides the atoms: the product ``S(p)xS(q)`` and the
-combinators ``csum(a,b,...)`` and ``susp(e, x)`` with e one of ``0``,
-``prim``, ``div(k)`` or a bracketed list ``[e1,...,eL]`` splitting over
-the summands.
+``lens(k,d)``, ``N(k)``, ``Wu``, ``Poincare``, ``S2~S(n)`` and
+``S(p)xS(q)``.  The parser reads each from its row's text form, so an
+atom is a constructor plus one row.  Rows that share a first token
+extend one another (``S(p)xS(q)`` extends ``S(n)``): the parser reads
+the shortest and reads on into a longer one only while the next token
+continues it.  Besides the atoms: the combinators ``csum(a,b,...)`` and
+``susp(e, x)`` with e one of ``0``, ``prim``, ``div(k)`` or a bracketed
+list ``[e1,...,eL]`` splitting over the summands.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ def _tokenize(text: str) -> list:
     return out
 
 
-# The first token of each atom's text form -> (constructor, later tokens),
-# with "0" for each integer parameter.
-_ATOMS = {
-    tokens[0]: (row.make, tokens[1:])
-    for row in topology.ATOMS.values()
-    for tokens in [_tokenize(row.text.replace("{}", "0"))]
-}
+# The first token of each atom's text form -> its rows as (constructor,
+# later tokens), with "0" for each integer parameter.  Sorted by tokens, a
+# row comes before the longer rows that extend it.
+_ATOMS: dict = {}
+for _tokens, _make in sorted((_tokenize(row.text.replace("{}", "0")), row.make)
+                             for row in topology.ATOMS.values()):
+    _ATOMS.setdefault(_tokens[0], []).append((_make, _tokens[1:]))
 
 
 class _Parser:
@@ -74,37 +76,38 @@ class _Parser:
             raise ExprSyntaxError(f"trailing input: {self.tokens[self.pos:]}")
 
     # -- manifolds ----------------------------------------------------------
-    def manifold(self) -> ManifoldExpr:
+    def manifold(self, depth: int = 0) -> ManifoldExpr:
+        """The expression at the next token, ``depth`` levels of ``csum(``
+        and ``susp(`` in; each level is checked against its cap on entry."""
         tok = self.take()
         if tok in _ATOMS:
-            make, rest = _ATOMS[tok]
-            params = []
-            for t in rest:
-                if t == "0":
-                    params.append(self.integer())
-                else:
-                    self.take(t)
-            # S(p)xS(q) is a product, not an atom; its p reads as a sphere's.
-            if tok == "S" and self.peek() == "xS":
-                self.take()
-                self.take("(")
-                q = self.integer()
-                self.take(")")
-                return topology.sphere_product(*params, q)
+            params, read, make = [], 0, None
+            for row_make, rest in _ATOMS[tok]:
+                # A longer row extends the one read: read on only into it.
+                if make is not None and self.peek() != rest[read]:
+                    break
+                for t in rest[read:]:
+                    if t == "0":
+                        params.append(self.integer())
+                    else:
+                        self.take(t)
+                read, make = len(rest), row_make
             return make(*params)
         if tok == "csum":
+            depth = topology.capped("nesting depth", depth + 1)
             self.take("(")
-            parts = [self.manifold()]
+            parts = [self.manifold(depth)]
             while self.peek() == ",":
                 self.take()
-                parts.append(self.manifold())
+                parts.append(self.manifold(depth))
             self.take(")")
             return topology.connected_sum(parts)
         if tok == "susp":
+            depth = topology.capped("nesting depth", depth + 1)
             self.take("(")
             e = self.euler()
             self.take(",")
-            x = self.manifold()
+            x = self.manifold(depth)
             self.take(")")
             return topology.suspend(x, e)
         raise ExprSyntaxError(f"unknown token {tok!r}")

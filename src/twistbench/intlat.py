@@ -63,20 +63,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("incompatible shapes for product")
-        a, b = self.to_lists(), other.to_lists()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.matmul(other)
-
     def diagonal(self) -> tuple:
         return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
 

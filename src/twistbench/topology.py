@@ -4,7 +4,9 @@ A small expression language over a catalog of closed manifolds with
 known homology, plus the operations the workbench needs: connected
 sums, twisted suspensions (surgery on the fibre of a circle bundle),
 circle-bundle bookkeeping, and the diffeomorphism-type rewrites the
-catalog supports.
+catalog supports.  An expression is one of three kinds: an ``atom`` (a
+row of ``ATOMS``, the sphere product ``S(p)xS(q)`` among them), a
+``connected_sum`` or a ``twisted_suspension``.
 
 Homology tables are exact (``FgAbGroup`` values).  Twisted suspensions
 with a nonzero twisting class are only computed for the families whose
@@ -98,33 +100,13 @@ ZERO_CLASS = EulerClass.zero()
 
 
 # ---------------------------------------------------------------------------
-# Fundamental group descriptors
-# ---------------------------------------------------------------------------
-
-class Pi1(NamedTuple):
-    kind: str  # trivial | cyclic | binary_icosahedral | unsupported
-    order: int = 0  # cyclic order for kind == "cyclic"
-
-    def is_trivial(self) -> bool:
-        return self.kind == "trivial"
-
-    def render(self) -> str:
-        if self.kind == "cyclic":
-            return f"Z/{self.order}"
-        return self.kind
-
-
-PI1_TRIVIAL = Pi1("trivial")
-
-
-# ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
 class ManifoldExpr(NamedTuple):
     """Immutable expression tree; attributes are computed lazily."""
 
-    kind: str  # atom | product | connected_sum | twisted_suspension
+    kind: str  # atom | connected_sum | twisted_suspension
     atom: str = ""  # for atoms: its key in ATOMS
     params: tuple = ()
     children: tuple = ()
@@ -175,7 +157,7 @@ def poincare_sphere() -> ManifoldExpr:
 def sphere_product(p: int, q: int) -> ManifoldExpr:
     if p < 2 or q < 2:
         raise DimensionTooSmall("sphere factors of dimension >= 2 only")
-    return ManifoldExpr("product", params=(p, q))
+    return ManifoldExpr("atom", atom="product", params=(p, q))
 
 
 def twisted_s2_bundle(fiber_dim: int) -> ManifoldExpr:
@@ -226,14 +208,15 @@ class Atom(NamedTuple):
     ``render`` prints it and the grammar reads it.  ``make`` is the
     validating constructor; the rest are functions of the parameters: the
     dimension, the spin flag (True / False / None = unknown), the homology
-    groups by degree (absent degrees are trivial) and pi_1."""
+    groups by degree (absent degrees are trivial) and pi_1 as the text the
+    report prints: "trivial", "Z/k" or "binary_icosahedral"."""
 
     text: str
     make: Callable
     dim: Callable
     spin: Callable
     homology: Callable
-    pi1: Callable = lambda *params: PI1_TRIVIAL
+    pi1: Callable = lambda *params: "trivial"
 
 
 ATOMS = {
@@ -243,14 +226,18 @@ ATOMS = {
     # Odd-order lens spaces have no 2-torsion in H^2(.; Z/2).
     "lens": Atom("lens({},{})", lens, lambda k, d: d, lambda k, d: True if k % 2 == 1 else None,
                  lambda k, d: {0: Z, d: Z, **{i: cyclic(k) for i in range(1, d - 1, 2)}},
-                 lambda k, d: Pi1("cyclic", order=k)),
+                 lambda k, d: f"Z/{k}"),
     "smale": Atom("N({})", smale, lambda k: 5, lambda k: True,
                   lambda k: {0: Z, 2: direct_sum(cyclic(k), cyclic(k)), 5: Z}),
     "wu": Atom("Wu", wu_manifold, lambda: 5, lambda: False, lambda: {0: Z, 2: cyclic(2), 5: Z}),
     "poincare": Atom("Poincare", poincare_sphere, lambda: 3, lambda: True, lambda: {0: Z, 3: Z},
-                     lambda: Pi1("binary_icosahedral")),
+                     lambda: "binary_icosahedral"),
     "twisted_s2": Atom("S2~S({})", twisted_s2_bundle, lambda q: q + 2, lambda q: False,
                        lambda q: {0: Z, 2: Z, q: Z, q + 2: Z}),
+    # Equal factors share one degree, which holds Z + Z.
+    "product": Atom("S({})xS({})", sphere_product, lambda p, q: p + q, lambda p, q: True,
+                    lambda p, q: {0: Z, p + q: Z,
+                                  **({p: direct_sum(Z, Z)} if p == q else {p: Z, q: Z})}),
 }
 
 # The domain's size caps.  A request above one is refused as Unsupported
@@ -261,6 +248,7 @@ ATOMS = {
 CAPS = {
     "dimension": 20000,  # of any expression: spheres, CP's 2m, lens d, products
     "gon edges": 1400,  # m of a gon: 2L + 2 for gon --standard L, or its label count
+    "nesting depth": 200,  # of csum( and susp( in an expression's text
 }
 
 
@@ -278,8 +266,6 @@ def capped(name: str, value: int) -> int:
 def render(x: ManifoldExpr) -> str:
     if x.kind == "atom":
         return ATOMS[x.atom].text.format(*x.params)
-    if x.kind == "product":
-        return f"S({x.params[0]})xS({x.params[1]})"
     if x.kind == "connected_sum":
         return "csum(" + ",".join(render(c) for c in x.children) + ")"
     if x.kind == "twisted_suspension":
@@ -296,8 +282,6 @@ def dim(x: ManifoldExpr) -> int:
     """The dimension, capped: every homology table reads it first."""
     if x.kind == "atom":
         return capped("dimension", ATOMS[x.atom].dim(*x.params))
-    if x.kind == "product":
-        return capped("dimension", x.params[0] + x.params[1])
     if x.kind == "connected_sum":
         return dim(x.children[0])
     if x.kind == "twisted_suspension":
@@ -306,18 +290,15 @@ def dim(x: ManifoldExpr) -> int:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def pi1(x: ManifoldExpr) -> Pi1:
+def pi1(x: ManifoldExpr) -> str:
+    """pi_1 as the report prints it; "unsupported" for a free product."""
     if x.kind == "atom":
         return ATOMS[x.atom].pi1(*x.params)
-    if x.kind == "product":
-        return PI1_TRIVIAL
     if x.kind == "connected_sum":
-        nontrivial = [pi1(c) for c in x.children if not pi1(c).is_trivial()]
-        if not nontrivial:
-            return PI1_TRIVIAL
-        if len(nontrivial) == 1:
-            return nontrivial[0]
-        return Pi1("unsupported")  # free product; not needed downstream
+        nontrivial = [g for g in map(pi1, x.children) if g != "trivial"]
+        if len(nontrivial) > 1:
+            return "unsupported"  # free product; not needed downstream
+        return nontrivial[0] if nontrivial else "trivial"
     if x.kind == "twisted_suspension":
         # Preserved by surgery on a fibre circle in dimension > 2.
         return pi1(x.children[0])
@@ -325,7 +306,7 @@ def pi1(x: ManifoldExpr) -> Pi1:
 
 
 def simply_connected(x: ManifoldExpr) -> bool:
-    return pi1(x).is_trivial()
+    return pi1(x) == "trivial"
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -333,8 +314,6 @@ def spin(x: ManifoldExpr):
     """Tri-state spin flag: True / False / None (= unknown)."""
     if x.kind == "atom":
         return ATOMS[x.atom].spin(*x.params)
-    if x.kind == "product":
-        return True
     if x.kind == "connected_sum":
         flags = [spin(c) for c in x.children]
         if any(f is False for f in flags):
@@ -382,13 +361,6 @@ def homology(x: ManifoldExpr) -> tuple:
     n = dim(x)
     if x.kind == "atom":
         return _table(n, ATOMS[x.atom].homology(*x.params))
-    if x.kind == "product":
-        p, q = x.params
-        groups: dict = {}
-        for i in (0, p):
-            for j in (0, q):
-                groups[i + j] = direct_sum(groups.get(i + j, TRIVIAL), Z)
-        return _table(n, groups)
     if x.kind == "connected_sum":
         tables = [homology(c) for c in x.children]
         groups = {0: Z, n: Z}
@@ -498,12 +470,8 @@ def _rewrite(x: ManifoldExpr) -> ManifoldExpr:
             if c % 2 == 0:
                 return sphere_product(2, 2 * c - 1)
             return twisted_s2_bundle(2 * c - 1)
-        if (
-            base.kind == "product"
-            and base.params[0] == 2
-            and base.params[1] % 2 == 0
-            and e.kind == "zero"
-        ):
+        if (base.atom == "product" and base.params[0] == 2 and base.params[1] % 2 == 0
+                and e.kind == "zero"):
             q = base.params[1]
             return connected_sum([sphere_product(2, q + 1), sphere_product(3, q)])
         if base is not x.children[0]:
@@ -521,7 +489,7 @@ def _absorb_trivial_bundles(children: list) -> list:
         return children
     out = []
     for c in children:
-        if c.kind == "product" and c.params[0] == 2 and c.params[1] in twisted_fibres:
+        if c.atom == "product" and c.params[0] == 2 and c.params[1] in twisted_fibres:
             out.append(twisted_s2_bundle(c.params[1]))
         else:
             out.append(c)

@@ -1,5 +1,5 @@
 """Test-input generators that no command needs: random valid gon
-labellings and star-shaped plumbing graphs."""
+labellings and star-shaped plumbing graphs, and the matrix product."""
 
 import random
 
@@ -48,7 +48,7 @@ def random_valid_labelling(rng: random.Random, n: int, m: int) -> GonLabelling:
             u[i] = [-x for x in u[i]]
     umat = IntMatrix.from_rows(u)
     assert abs(umat.det()) == 1
-    cols = [umat @ IntMatrix.from_rows([[x] for x in a], cols=1) for a in g.labels]
+    cols = [matmul(umat, IntMatrix.from_rows([[x] for x in a], cols=1)) for a in g.labels]
     new_labels = []
     for c in cols:
         vec = tuple(c[i, 0] for i in range(d))
@@ -58,6 +58,14 @@ def random_valid_labelling(rng: random.Random, n: int, m: int) -> GonLabelling:
     out = GonLabelling(n, tuple(new_labels))
     assert validate(out).valid
     return out
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a b."""
+    assert a.cols == b.rows
+    columns = [b.entries[j::b.cols] for j in range(b.cols)]
+    return IntMatrix(a.rows, b.cols, tuple(sum(x * y for x, y in zip(a.row(i), column))
+                                           for i in range(a.rows) for column in columns))
 
 
 def suspension_graph(base: ManifoldExpr, euler: EulerClass, leaves: int) -> PlumbingGraph:

@@ -25,7 +25,7 @@ from twistbench import (
 from twistbench.fgab import FgAbGroup, TRIVIAL, Z, cyclic
 from twistbench.topology import EulerClass, ZERO_CLASS
 
-from generators import random_valid_labelling, suspension_graph
+from generators import matmul, random_valid_labelling, suspension_graph
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GRID = [(n, s0) for n in (3, 4, 5, 6) for s0 in (0.3, 1.0)]
@@ -121,7 +121,7 @@ def test_criterion_5_snf_property_suite():
             [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rows)]
         )
         dec = intlat.snf(a)
-        assert dec.left_inv @ dec.diag @ dec.right_inv == a
+        assert matmul(matmul(dec.left_inv, dec.diag), dec.right_inv) == a
         assert abs(dec.left_inv.det()) == 1
         assert abs(dec.right_inv.det()) == 1
         d = dec.diagonal()

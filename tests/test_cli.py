@@ -3,6 +3,8 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -171,7 +173,7 @@ def test_plumb_short_declaration_names_its_fields(tmp_path, capsys, declaration,
 
 def test_caps_bound_dimension_and_gon_edges():
     # The largest sizes pass the caps; one more is refused.
-    assert topology.CAPS == {"dimension": 20000, "gon edges": 1400}
+    assert topology.CAPS == {"dimension": 20000, "gon edges": 1400, "nesting depth": 200}
     zero = topology.EulerClass.zero()
     at_cap = (topology.sphere(20000), topology.cp(10000),
               topology.suspend(topology.sphere(19999), zero))
@@ -211,6 +213,41 @@ def test_request_above_a_cap_is_refused_before_any_work(capsys, argv, message):
     out, err = capsys.readouterr()
     assert (code, err) == (3, f"unsupported: {message}\n")
     assert peak < 32_000 < 200_000 < within
+
+
+def cli_in_fresh_process(*argv):
+    """Exit code, stdout and stderr of the CLI run as a module in a fresh
+    interpreter, whose memos hold no smaller depth of a nested request."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "twistbench.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def nested_suspensions(depth: int) -> str:
+    return "susp(0," * depth + "S(3)" + ")" * depth
+
+
+@pytest.mark.parametrize("argv, dimension", [
+    (["homology", nested_suspensions(200)], 203),
+    (["homology", nested_suspensions(200), "--decompose"], 203),
+    (["suspend", nested_suspensions(200), "0"], 204),
+], ids=["homology", "decompose", "suspend"])
+def test_request_at_the_nesting_depth_cap_answers(argv, dimension):
+    code, out, err = cli_in_fresh_process(*argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dimension"] == dimension
+
+
+# Without the cap, 330 nested suspensions overflow the interpreter's stack.
+@pytest.mark.parametrize("text", [
+    nested_suspensions(201),
+    nested_suspensions(1000),
+    "csum(S(4)," * 201 + "S(4)" + ")" * 201,
+], ids=["susp-201", "susp-1000", "csum-201"])
+def test_request_above_the_nesting_depth_cap_exits_3_with_one_line(text):
+    code, out, err = cli_in_fresh_process("homology", text)
+    assert (code, out, err) == (3, "", "unsupported: nesting depth 201 is above the cap of 200\n")
 
 
 def reference_expressions(monkeypatch):
@@ -270,6 +307,19 @@ def test_certify_config_roundtrip(tmp_path, capsys):
     assert payload["verdict"] == "pass"
     assert payload["margins"]["ricci"] > 0
     assert payload["gluing"]["pass"] is True
+
+
+def test_readme_certify_example_certifies(tmp_path, capsys):
+    # README's example config, verbatim: its values carry inline comments.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```")[1::2] if b.lstrip("\n").startswith("[certify]"))
+    assert "s0 = 1.047            # gluing radius" in block
+    cfg = tmp_path / "certify.ini"
+    cfg.write_text(block)
+    code, out, err = run(capsys, "certify", str(cfg))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["params"]["n"], payload["params"]["s0"]) == ("pass", 3, 1.047)
 
 
 def test_certify_bad_s0_exits_usage(tmp_path, capsys):
@@ -546,7 +596,8 @@ def test_config_parser_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_pa
         fresh.append(load(path))
     builds = []
     real = cli.configparser.ConfigParser
-    monkeypatch.setattr(cli.configparser, "ConfigParser", lambda: builds.append(1) or real())
+    monkeypatch.setattr(cli.configparser, "ConfigParser",
+                        lambda **options: builds.append(1) or real(**options))
     cli._config_parser.cache_clear()
     kept = [load(path) for path in paths]
     assert len(builds) == 1

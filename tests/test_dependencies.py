@@ -134,7 +134,10 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     does, since a local variable or a keyword of the same name calls
     nothing.  A method whose name is also another class's method or
     field, spelled as an attribute somewhere, still counts as reached:
-    ``FgAbGroup.is_trivial`` and ``order`` hid that way behind ``Pi1``'s."""
+    ``FgAbGroup.is_trivial`` and ``order`` once hid that way behind a
+    record's.  So does a method that a dunder of its class calls:
+    ``IntMatrix.matmul`` counted as reached through ``__matmul__``, which
+    only the tests' ``@`` ran."""
     names, attributes = referenced_names()
     unreached = []
     for path in sorted(SRC.glob("*.py")):

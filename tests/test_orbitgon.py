@@ -7,7 +7,7 @@ from twistbench import orbitgon as og
 from twistbench.errors import InvalidLabelling
 from twistbench.intlat import IntMatrix
 
-from generators import random_valid_labelling
+from generators import matmul, random_valid_labelling
 
 
 def test_validate_alternating_square():
@@ -107,12 +107,12 @@ def test_random_labellings_validate_and_extend():
 
 
 def _block_product(a: IntMatrix) -> IntMatrix:
-    """[[left_inv, 0], [0, I]] @ right_inv by the general product."""
+    """[[left_inv, 0], [0, I]] right_inv by the general product."""
     dec = intlat.snf(a)
     r, m = a.rows, a.cols
     block = [row + [0] * (m - r) for row in dec.left_inv.to_lists()]
     block += [[0] * r + [int(i == j) for j in range(m - r)] for i in range(m - r)]
-    return IntMatrix.from_rows(block, cols=m) @ dec.right_inv
+    return matmul(IntMatrix.from_rows(block, cols=m), dec.right_inv)
 
 
 def test_unimodular_extension_is_the_block_product():

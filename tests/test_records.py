@@ -17,7 +17,6 @@ RECORDS = [
     (intlat.SnfDecomposition, "diag left_inv right_inv"),
     (orbitgon.GonValidation, "primitive pairs_extend generates valid failures"),
     (plumbing.DiscBundleNode, "base euler"),
-    (topology.Pi1, "kind order"),
     (topology.ManifoldExpr, "kind atom params children euler"),
     (riccicert.RicciReport, "margin tail_margin"),
     (riccicert.GluingReport, "resid_fprime resid_cap resid_h_slope passed"),

@@ -876,6 +876,22 @@ def test_certify_higher_dimension():
     assert res.passed()
 
 
+@pytest.mark.parametrize("n, s0, phi", [(4, 1.0, -0.8120), (3, 0.3, -3.5857), (6, 0.3, -2.6957)])
+def test_trivial_connection_verdict_does_not_read_the_base_curvature(n, s0, phi):
+    # A trivial connection gives the bundle region no curvature, so
+    # ric_min_base only comes back as its bound: r, phi and the margins are
+    # the neck's alone.  Such a pass speaks for the suspension only where
+    # the twisting class is torsion, whose flat connection this models.
+    results = [rc.certify(n, s0, rc.TRIVIAL_CONNECTION, base) for base in (1e-6, 1.0, 2.0)]
+    for res, base in zip(results, (1e-6, 1.0, 2.0)):
+        assert res.passed() and res.bundle == base
+    numbers = {(res.r, res.phi, res.margin_ineq1, res.margin_ineq2, res.margin_ineq3,
+                res.margin_ricci) for res in results}
+    assert len(numbers) == 1
+    r, found_phi = next(iter(numbers))[:2]
+    assert r == 1.0 and round(found_phi, 4) == phi
+
+
 @pytest.mark.parametrize("n, s0", [(14, 0.3), (20, 1.0), (30, 1.5)])
 def test_certify_large_dimension(n, s0):
     # Here the cap's root has core slope f'(a) below lam: the blend's core

@@ -94,7 +94,7 @@ INVALID_GONS = (
     {"n": 4, "labels": [[1, 0]]},
     {"n": 4},
 )
-# One text form per catalogue atom, and the sphere product.
+# One text form per catalogue atom, the sphere product among them.
 CATALOGUE = ("S(5)", "CP(3)", "lens(3,5)", "N(3)", "Wu", "Poincare", "S2~S(4)", "S(2)xS(3)")
 # The seeded topology requests never parse susp( or reach a suspension
 # rule of decompose; these do, and the last one's spin is unknown.
