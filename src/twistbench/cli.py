@@ -88,7 +88,10 @@ def cmd_gon(args) -> int:
     if args.standard is not None:
         g = orbitgon.standard_gon(args.standard)
     else:
-        data = json.loads(_read_text(args.gon))
+        try:
+            data = json.loads(_read_text(args.gon))
+        except RecursionError:
+            raise InputError("gon JSON nests too deeply") from None
         if not isinstance(data, dict):
             raise InputError("gon JSON must be an object")
         try:

@@ -8,7 +8,10 @@ extend one another (``S(p)xS(q)`` extends ``S(n)``): the parser reads
 the shortest and reads on into a longer one only while the next token
 continues it.  Besides the atoms: the combinators ``csum(a,b,...)`` and
 ``susp(e, x)`` with e one of ``0``, ``prim``, ``div(k)`` or a bracketed
-list ``[e1,...,eL]`` splitting over the summands.
+list ``[e1,...,eL]`` splitting over the summands.  A class is its
+divisibility: ``0`` and ``prim`` are k = 0 and k = 1, so ``div(0)`` and
+``div(1)`` read as them.  Brackets count toward the nesting depth cap
+with ``csum(`` and ``susp(``.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class _Parser:
         if tok == "susp":
             depth = topology.capped("nesting depth", depth + 1)
             self.take("(")
-            e = self.euler()
+            e = self.euler(depth)
             self.take(",")
             x = self.manifold(depth)
             self.take(")")
@@ -113,28 +116,31 @@ class _Parser:
         raise ExprSyntaxError(f"unknown token {tok!r}")
 
     # -- twisting classes ---------------------------------------------------
-    def euler(self) -> EulerClass:
+    def euler(self, depth: int = 0) -> EulerClass:
+        """The class at the next token, ``depth`` levels in; a ``[`` is one
+        more level, checked against the nesting depth cap as it is read."""
         tok = self.peek()
         if tok == "0":
             self.take()
-            return EulerClass.zero()
+            return EulerClass(0)
         if tok == "prim":
             self.take()
-            return EulerClass.primitive()
+            return EulerClass(1)
         if tok == "div":
             self.take()
             self.take("(")
             k = self.integer()
             self.take(")")
-            return EulerClass.of_divisibility(k)
+            return EulerClass(k)
         if tok == "[":
+            depth = topology.capped("nesting depth", depth + 1)
             self.take()
-            parts = [self.euler()]
+            parts = [self.euler(depth)]
             while self.peek() == ",":
                 self.take()
-                parts.append(self.euler())
+                parts.append(self.euler(depth))
             self.take("]")
-            return EulerClass.split(parts)
+            return EulerClass(0, parts)
         raise ExprSyntaxError(f"expected a twisting class, found {tok!r}")
 
 

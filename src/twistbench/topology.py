@@ -6,7 +6,8 @@ sums, twisted suspensions (surgery on the fibre of a circle bundle),
 circle-bundle bookkeeping, and the diffeomorphism-type rewrites the
 catalog supports.  An expression is one of three kinds: an ``atom`` (a
 row of ``ATOMS``, the sphere product ``S(p)xS(q)`` among them), a
-``connected_sum`` or a ``twisted_suspension``.
+``connected_sum`` or a ``twisted_suspension``.  A twisting class is its
+divisibility k, or a split list of classes, one per summand.
 
 Homology tables are exact (``FgAbGroup`` values).  Twisted suspensions
 with a nonzero twisting class are only computed for the families whose
@@ -36,67 +37,27 @@ CACHE_SIZE = 256
 # Twisting classes
 # ---------------------------------------------------------------------------
 
-class EulerClass(namedtuple("EulerClass", "kind k parts")):
-    """Symbolic degree-2 integral class, described by its divisibility.
-
-    kind is one of ``zero``, ``primitive``, ``divisibility`` (with k >= 2),
-    or ``split`` (``parts``, one class per connected summand).
-    """
+class EulerClass(namedtuple("EulerClass", "k parts")):
+    """Symbolic degree-2 integral class: its divisibility k (0 the zero
+    class, 1 a primitive one), or a split class with k = 0 and ``parts``,
+    one class per connected summand."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, k: int = 0, parts: tuple = ()):
-        if kind not in ("zero", "primitive", "divisibility", "split"):
-            raise ValueError(f"unknown euler class kind {kind!r}")
-        if kind == "divisibility" and k < 2:
-            raise ValueError("divisibility classes require k >= 2; use zero/primitive")
-        if kind == "split" and not parts:
-            raise ValueError("split class needs at least one part")
-        return tuple.__new__(cls, (kind, k, parts))
-
-    @staticmethod
-    def zero() -> "EulerClass":
-        return EulerClass("zero")
-
-    @staticmethod
-    def primitive() -> "EulerClass":
-        return EulerClass("primitive")
-
-    @staticmethod
-    def of_divisibility(k: int) -> "EulerClass":
-        k = abs(int(k))
-        if k == 0:
-            return EulerClass.zero()
-        if k == 1:
-            return EulerClass.primitive()
-        return EulerClass("divisibility", k=k)
-
-    @staticmethod
-    def split(parts) -> "EulerClass":
-        return EulerClass("split", parts=tuple(parts))
-
-    @property
-    def div(self) -> int:
-        """Divisibility where it is a single number (zero -> 0, primitive -> 1)."""
-        if self.kind == "zero":
-            return 0
-        if self.kind == "primitive":
-            return 1
-        if self.kind == "divisibility":
-            return self.k
-        raise ValueError("split class has no single divisibility")
+    def __new__(cls, k: int, parts: tuple = ()):
+        if type(k) is not int or k < 0:
+            raise ValueError(f"a class's divisibility must be an int >= 0, not {k!r}")
+        if k and parts:
+            raise ValueError("a split class has no divisibility of its own")
+        return tuple.__new__(cls, (k, tuple(parts)))
 
     def render(self) -> str:
-        if self.kind == "zero":
-            return "0"
-        if self.kind == "primitive":
-            return "prim"
-        if self.kind == "divisibility":
-            return f"div({self.k})"
-        return "[" + ",".join(p.render() for p in self.parts) + "]"
+        if self.parts:
+            return "[" + ",".join(p.render() for p in self.parts) + "]"
+        return {0: "0", 1: "prim"}.get(self.k, f"div({self.k})")
 
 
-ZERO_CLASS = EulerClass.zero()
+ZERO_CLASS = EulerClass(0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +142,7 @@ def connected_sum(summands) -> ManifoldExpr:
             raise DimensionMismatch("connected sum of unequal dimensions")
     if n < 4:
         raise DimensionTooSmall("connected-sum calculus is used for dimension >= 4")
+    capped("sum cells", len(summands) * (n + 1))
     return ManifoldExpr("connected_sum", children=summands)
 
 
@@ -193,7 +155,7 @@ def suspend(x: ManifoldExpr, e: EulerClass) -> ManifoldExpr:
     """
     if dim(x) < 3:
         raise DimensionTooSmall("suspension requires dimension >= 3")
-    if e.kind == "split":
+    if e.parts:
         if x.kind != "connected_sum" or len(e.parts) != len(x.children):
             raise DimensionMismatch("split class arity must match the summands")
     return ManifoldExpr("twisted_suspension", children=(x,), euler=e)
@@ -244,11 +206,15 @@ ATOMS = {
 # (CLI exit 3) before any work that grows with the size.  Each cap is the
 # largest size whose costliest request answered in about 1 s on a 2-vCPU
 # VM: ``homology 'susp(0,lens(3,19999))'`` (1.0 s, a table of 20 001
-# groups) and ``gon --standard 699`` (1.0 s, a 1400 x 1400 model).
+# groups), ``gon --standard 699`` (1.0 s, a 1400 x 1400 model), a sum of
+# 100 000 S(4) (0.8-1.1 s) and five zero suspensions of lens(3,16667)
+# (0.8-1.1 s, 1 999 780 pairs).
 CAPS = {
     "dimension": 20000,  # of any expression: spheres, CP's 2m, lens d, products
     "gon edges": 1400,  # m of a gon: 2L + 2 for gon --standard L, or its label count
-    "nesting depth": 200,  # of csum( and susp( in an expression's text
+    "nesting depth": 200,  # of csum(, susp( and a class's [ in an expression's text
+    "sum cells": 500000,  # summands x (dimension + 1) of a connected sum
+    "torsion pairs": 2000000,  # pairs of invariant factors the sweeps of one table compare
 }
 
 
@@ -328,16 +294,16 @@ def spin(x: ManifoldExpr):
 
 def _suspension_spin(base: ManifoldExpr, e: EulerClass):
     """Spin of a suspension: spin iff w_2(base) is congruent to e mod 2."""
-    if e.kind == "split":
+    if e.parts:
         return spin(_suspended_summands(base, e.parts))
     s = spin(base)
-    if e.div % 2 == 0:
+    if e.k % 2 == 0:
         # e is an even class, so the condition is w_2(base) = 0.
         return s
     # e has odd divisibility.
     if base.kind == "atom" and base.atom == "cp":
         # w_2(CP^m) is (m + 1) times the generator mod 2.
-        return (base.params[0] + 1) % 2 == e.div % 2
+        return (base.params[0] + 1) % 2 == e.k % 2
     if s is True:
         return False  # w_2 = 0 but e is odd
     return None  # w_2 nonzero or unknown; congruence not decidable here
@@ -362,14 +328,19 @@ def homology(x: ManifoldExpr) -> tuple:
     if x.kind == "atom":
         return _table(n, ATOMS[x.atom].homology(*x.params))
     if x.kind == "connected_sum":
-        tables = [homology(c) for c in x.children]
-        groups = {0: Z, n: Z}
-        for i in range(1, n):
-            groups[i] = direct_sum(*[t[i] for t in tables])
-        return _table(n, groups)
+        columns = list(zip(*[homology(c) for c in x.children]))[1:n]
+        return (Z, *_direct_sums(columns), Z)
     if x.kind == "twisted_suspension":
         return _suspension_homology(x.children[0], x.euler)
     raise ValueError(f"unknown expression kind {x.kind!r}")
+
+
+def _direct_sums(columns: list) -> list:
+    """The direct sum of each column of groups, once the pairs of invariant
+    factors that their normal-form sweeps compare are within the cap."""
+    counts = [sum(len(g.torsion) for g in column) for column in columns]
+    capped("torsion pairs", sum(c * (c - 1) // 2 for c in counts))
+    return [direct_sum(*column) for column in columns]
 
 
 def _suspended_summands(base: ManifoldExpr, parts) -> ManifoldExpr:
@@ -379,26 +350,21 @@ def _suspended_summands(base: ManifoldExpr, parts) -> ManifoldExpr:
 
 
 def _suspension_homology(base: ManifoldExpr, e: EulerClass) -> tuple:
-    n = dim(base)
-    if e.kind == "zero":
-        h = homology(base)
-        groups = {0: Z, 1: h[1], n + 1: Z}
-        for i in range(2, n):
-            groups[i] = direct_sum(h[i], h[i - 1])
-        groups[n] = h[n - 1]
-        return _table(n + 1, groups)
-    if e.kind == "split":
+    if e.parts:
         return homology(_suspended_summands(base, e.parts))
+    n = dim(base)
+    if e.k == 0:
+        h = homology(base)
+        return (Z, h[1], *_direct_sums(list(zip(h[2:n], h[1:n - 1]))), h[n - 1], Z)
     # Nonzero single class: only the resolved Gysin families.
     if base.kind == "atom" and base.atom == "cp":
         m = base.params[0]
-        k = e.div
         groups = {0: Z, 2: Z, 2 * m - 1: Z, 2 * m + 1: Z}
-        if k >= 2:
+        if e.k >= 2:
             for i in range(3, 2 * m - 2, 2):
-                groups[i] = cyclic(k)
+                groups[i] = cyclic(e.k)
         return _table(2 * m + 1, groups)
-    if base.kind == "atom" and base.atom == "lens" and e.kind == "primitive":
+    if base.kind == "atom" and base.atom == "lens" and e.k == 1:
         # Cohomology vanishes in degrees 3..n-2 and H^{n-1} = Z/k; dual to
         # a table with torsion Z/k in degrees 1 and n-2 and nothing else.
         k = base.params[0]
@@ -431,19 +397,18 @@ def euler_characteristic(x: ManifoldExpr) -> int:
 def decompose(x: ManifoldExpr) -> ManifoldExpr:
     """Rewrite toward connected-sum normal form.
 
-    Fixpoint application of the catalog's diffeomorphism rules:
-    suspensions of sums split summand-wise, suspended spheres collapse,
-    generator-twisted projective spaces become sphere bundles over S^2,
-    zero-twisted products S^2 x S^{2k} split, and trivial S^2 x S^q
-    summands are absorbed by a twisted neighbour.  Homology and spin
-    are preserved; input is returned unchanged when no rule fires.
+    The catalog's diffeomorphism rules: suspensions of sums split
+    summand-wise, suspended spheres collapse, generator-twisted
+    projective spaces become sphere bundles over S^2, zero-twisted
+    products S^2 x S^{2k} split, and trivial S^2 x S^q summands are
+    absorbed by a twisted neighbour.  One pass is the fixpoint: children
+    are rewritten first, the split rule rewrites its own output, every
+    other rule returns atoms (or a sum of two products) that no rule
+    matches, and an enclosing sum flattens and absorbs after its
+    children.  Homology and spin are preserved; input is returned
+    unchanged when no rule fires.
     """
-    prev = None
-    cur = x
-    while cur != prev:
-        prev = cur
-        cur = _rewrite(cur)
-    return cur
+    return _rewrite(x)
 
 
 def _rewrite(x: ManifoldExpr) -> ManifoldExpr:
@@ -455,23 +420,23 @@ def _rewrite(x: ManifoldExpr) -> ManifoldExpr:
                 children.extend(c.children)
             else:
                 children.append(c)
-        children = _absorb_trivial_bundles(children)
-        return ManifoldExpr("connected_sum", children=tuple(children))
+        return connected_sum(_absorb_trivial_bundles(children))
     if x.kind == "twisted_suspension":
-        base = _rewrite(x.children[0])
         e = x.euler
-        if base.kind == "connected_sum" and dim(base) >= 4 and e.kind in ("split", "zero"):
-            parts = e.parts if e.kind == "split" else [ZERO_CLASS] * len(base.children)
-            return _rewrite(_suspended_summands(base, parts))
-        if base.kind == "atom" and base.atom == "sphere" and e.kind == "zero":
+        if e.parts:  # split over the summands as written: their rewrites may regroup them
+            return _rewrite(_suspended_summands(x.children[0], e.parts))
+        base = _rewrite(x.children[0])
+        if base.kind == "connected_sum" and dim(base) >= 4 and e.k == 0:
+            return _rewrite(_suspended_summands(base, [ZERO_CLASS] * len(base.children)))
+        if base.kind == "atom" and base.atom == "sphere" and e == ZERO_CLASS:
             return sphere(base.params[0] + 1)
-        if base.kind == "atom" and base.atom == "cp" and e.kind == "primitive":
+        if base.kind == "atom" and base.atom == "cp" and e.k == 1:
             c = base.params[0]
             if c % 2 == 0:
                 return sphere_product(2, 2 * c - 1)
             return twisted_s2_bundle(2 * c - 1)
         if (base.atom == "product" and base.params[0] == 2 and base.params[1] % 2 == 0
-                and e.kind == "zero"):
+                and e == ZERO_CLASS):
             q = base.params[1]
             return connected_sum([sphere_product(2, q + 1), sphere_product(3, q)])
         if base is not x.children[0]:

@@ -1,5 +1,6 @@
 """Test-input generators that no command needs: random valid gon
-labellings and star-shaped plumbing graphs, and the matrix product."""
+labellings, star-shaped plumbing graphs and manifold expressions, and
+the matrix product."""
 
 import random
 
@@ -75,3 +76,41 @@ def suspension_graph(base: ManifoldExpr, euler: EulerClass, leaves: int) -> Plum
     nodes = [DiscBundleNode(base, euler)] + [TrivialDiscNode(n)] * leaves
     edges = [(0, k, "+") for k in range(1, leaves + 1)]
     return graph(nodes, edges)
+
+
+# The twisting classes of random expressions: 0, prim, div(2) and div(3).
+CLASSES = tuple(EulerClass(k) for k in range(4))
+
+
+def random_atom(rng: random.Random, n: int) -> ManifoldExpr:
+    """A catalogue atom of dimension n >= 3, drawn from every row that has one."""
+    rows = [("sphere", (n,))]
+    rows.append(("cp", (n // 2,)) if n % 2 == 0 else ("lens", (rng.randint(2, 6), n)))
+    if n == 3:
+        rows.append(("poincare", ()))
+    if n == 5:
+        rows += [("smale", (rng.randint(2, 6),)), ("wu", ())]
+    if n >= 4:
+        p = rng.randint(2, n - 2)
+        rows.append(("product", (p, n - p)))
+    if n >= 5:
+        rows.append(("twisted_s2", (n - 2,)))
+    name, params = rng.choice(rows)
+    return topology.ATOMS[name].make(*params)
+
+
+def random_expression(rng: random.Random, n: int, depth: int = 3) -> ManifoldExpr:
+    """An expression of dimension n >= 3 nested at most ``depth`` deep: an
+    atom, a sum of two or three expressions, or a suspension by one of
+    ``CLASSES`` or, of a sum, by a split class of them."""
+    roll = rng.random() if depth and n >= 4 else 1.0
+    if roll < 0.3:
+        return topology.connected_sum(
+            [random_expression(rng, n, depth - 1) for _ in range(rng.randint(2, 3))])
+    if roll < 0.6:
+        base = random_expression(rng, n - 1, depth - 1)
+        e = rng.choice(CLASSES)
+        if base.kind == "connected_sum" and rng.random() < 0.5:
+            e = EulerClass(0, [rng.choice(CLASSES) for _ in base.children])
+        return topology.suspend(base, e)
+    return random_atom(rng, n)

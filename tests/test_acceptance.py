@@ -63,7 +63,7 @@ def test_criterion_1_twisted_suspension_homology():
 
 
 def test_criterion_2_cp_suspension_cohomology():
-    x = tp.suspend(tp.cp(3), EulerClass.of_divisibility(4))
+    x = tp.suspend(tp.cp(3), EulerClass(4))
     coh = tp.cohomology(x)
     expected = (Z, TRIVIAL, Z, TRIVIAL, cyclic(4), Z, TRIVIAL, Z)
     report(2, coh == expected,
@@ -73,8 +73,8 @@ def test_criterion_2_cp_suspension_cohomology():
 def test_criterion_3_prescribed_third_homology():
     m = 4
     parts = [
-        tp.suspend(tp.cp(m), EulerClass.of_divisibility(4)),
-        tp.suspend(tp.cp(m), EulerClass.of_divisibility(12)),
+        tp.suspend(tp.cp(m), EulerClass(4)),
+        tp.suspend(tp.cp(m), EulerClass(12)),
         tp.suspend(tp.sphere_product(2, 2 * m - 2), ZERO_CLASS),
         tp.suspend(tp.sphere_product(2, 2 * m - 2), ZERO_CLASS),
     ]
@@ -188,7 +188,7 @@ def test_criterion_9_plumbing_star_boundaries():
     bases = [
         (tp.sphere(3), [ZERO_CLASS]),
         (tp.smale(2), [ZERO_CLASS]),
-        (tp.lens(3, 5), [ZERO_CLASS, EulerClass.primitive()]),
+        (tp.lens(3, 5), [ZERO_CLASS, EulerClass(1)]),
     ]
     checked = 0
     for base, classes in bases:

@@ -173,8 +173,9 @@ def test_plumb_short_declaration_names_its_fields(tmp_path, capsys, declaration,
 
 def test_caps_bound_dimension_and_gon_edges():
     # The largest sizes pass the caps; one more is refused.
-    assert topology.CAPS == {"dimension": 20000, "gon edges": 1400, "nesting depth": 200}
-    zero = topology.EulerClass.zero()
+    assert topology.CAPS == {"dimension": 20000, "gon edges": 1400, "nesting depth": 200,
+                             "sum cells": 500000, "torsion pairs": 2000000}
+    zero = topology.EulerClass(0)
     at_cap = (topology.sphere(20000), topology.cp(10000),
               topology.suspend(topology.sphere(19999), zero))
     assert [topology.dim(x) for x in at_cap] == [20000] * 3
@@ -248,6 +249,59 @@ def test_request_at_the_nesting_depth_cap_answers(argv, dimension):
 def test_request_above_the_nesting_depth_cap_exits_3_with_one_line(text):
     code, out, err = cli_in_fresh_process("homology", text)
     assert (code, out, err) == (3, "", "unsupported: nesting depth 201 is above the cap of 200\n")
+
+
+def test_nested_split_classes_are_capped_by_depth(capsys):
+    code, out, err = run(capsys, "suspend", "csum(S(4),S(4))", "--", "[" * 201 + "0" + "]" * 201)
+    assert (code, out, err) == (3, "", "unsupported: nesting depth 201 is above the cap of 200\n")
+
+
+def test_deeply_nested_gon_json_exits_2_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000))
+    code, out, err = run(capsys, "gon", "-")
+    assert (code, out, err) == (2, "", "error: gon JSON nests too deeply\n")
+
+
+def clear_memos():
+    for memo in (topology.dim, topology.pi1, topology.spin, topology.homology):
+        memo.cache_clear()
+
+
+def csum(*summands):
+    return "csum(" + ",".join(summands) + ")"
+
+
+# 300 copies of lens(3,5): 300 x 6 cells, and two degrees of 300 factors
+# each, whose sweeps compare 2 x (300 choose 2) pairs.
+@pytest.mark.parametrize("name, value", [("sum cells", 1800), ("torsion pairs", 89700)])
+def test_new_caps_refuse_the_first_value_above_them(capsys, monkeypatch, name, value):
+    for cap in (value, value - 1):
+        monkeypatch.setitem(topology.CAPS, name, cap)
+        clear_memos()
+        code, out, err = run(capsys, "homology", csum(*["lens(3,5)"] * 300))
+        if cap == value:
+            assert (code, err) == (0, "") and json.loads(out)["homology"][1] == "Z/3 + " * 299 + "Z/3"
+        else:
+            assert (code, out, err) == (3, "", f"unsupported: {name} {value} is above the cap of {cap}\n")
+
+
+def test_sum_cells_cap_answers_at_its_value_and_refuses_one_more(capsys):
+    clear_memos()
+    code, out, err = run(capsys, "homology", csum(*["S(19999)"] * 25))  # 25 x 20000 cells
+    assert (code, err) == (0, "") and json.loads(out)["homology"][19998] == "0"
+    code, out, err = run(capsys, "homology", csum(*["S(9433)"] * 53))  # 53 x 9434 cells
+    assert (code, out, err) == (3, "", "unsupported: sum cells 500002 is above the cap of 500000\n")
+
+
+def test_torsion_pairs_cap_answers_11_zero_suspensions_of_a_lens_space_and_refuses_12(capsys):
+    # Each level about doubles the factor count of the largest group.
+    clear_memos()
+    code, out, err = run(capsys, "homology", "susp(0," * 11 + "lens(3,5)" + ")" * 11)
+    assert (code, err) == (0, "") and json.loads(out)["dimension"] == 16
+    clear_memos()
+    code, out, err = run(capsys, "homology", "susp(0," * 12 + "lens(3,5)" + ")" * 12)
+    assert (code, out, err) == (
+        3, "", "unsupported: torsion pairs 4661316 is above the cap of 2000000\n")
 
 
 def reference_expressions(monkeypatch):

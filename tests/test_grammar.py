@@ -61,13 +61,31 @@ def test_catalogue_row_roundtrip(name):
 
 
 def test_parse_euler():
-    assert grammar.parse_euler("0") == EulerClass.zero()
-    assert grammar.parse_euler("prim") == EulerClass.primitive()
-    assert grammar.parse_euler("div(6)") == EulerClass.of_divisibility(6)
-    assert grammar.parse_euler("div(1)") == EulerClass.primitive()
-    assert grammar.parse_euler("div(0)") == EulerClass.zero()
+    assert grammar.parse_euler("0") == EulerClass(0)
+    assert grammar.parse_euler("prim") == EulerClass(1)
+    assert grammar.parse_euler("div(6)") == EulerClass(6)
+    assert grammar.parse_euler("div(1)") == EulerClass(1)
+    assert grammar.parse_euler("div(0)") == EulerClass(0)
     e = grammar.parse_euler("[0,prim,div(3)]")
-    assert e.kind == "split" and len(e.parts) == 3
+    assert e == EulerClass(0, (EulerClass(0), EulerClass(1), EulerClass(3)))
+
+
+def test_class_is_its_divisibility_and_round_trips():
+    # A class is the number k: div(0) and div(1) are 0 and prim.
+    rng = random.Random("class round trip")
+    singles = ["0", "prim"] + [f"div({rng.randint(2, 10**30)})" for _ in range(20)]
+    for text in singles:
+        e = grammar.parse_euler(text)
+        assert e.parts == () and e.render() == text
+        assert grammar.parse_euler(e.render()) == e
+    assert [grammar.parse_euler(f"div({k})") for k in (0, 1, 7)] == [
+        EulerClass(0), EulerClass(1), EulerClass(7)]
+    assert grammar.parse_euler("div(0)").render() == "0"
+    assert grammar.parse_euler("div(1)").render() == "prim"
+    for _ in range(20):
+        text = "[" + ",".join(rng.choice(singles) for _ in range(rng.randint(1, 5))) + "]"
+        e = grammar.parse_euler(text)
+        assert e.k == 0 and e.render() == text and grammar.parse_euler(text) == e
 
 
 @pytest.mark.parametrize("bad", [

@@ -110,7 +110,7 @@ def test_reduce_preserves_boundary_homology():
     cases = [
         star(tp.sphere(3), ZERO_CLASS, 4),
         star(tp.smale(2), ZERO_CLASS, 2),
-        star(tp.lens(3, 5), EulerClass.primitive(), 3),
+        star(tp.lens(3, 5), EulerClass(1), 3),
     ]
     for g in cases:
         assert tp.homology(pl.boundary(g)) == tp.homology(pl.boundary(pl.reduce(g)))
@@ -120,7 +120,7 @@ STAR_CASES = [
     (tp.sphere(3), ZERO_CLASS),
     (tp.smale(2), ZERO_CLASS),
     (tp.lens(3, 5), ZERO_CLASS),
-    (tp.lens(3, 5), EulerClass.primitive()),
+    (tp.lens(3, 5), EulerClass(1)),
 ]
 
 
@@ -154,7 +154,7 @@ def test_parse_graph_roundtrip():
     assert len(g.edges) == 3
     b = pl.boundary(g)
     expected = tp.connected_sum(
-        [tp.suspend(tp.lens(3, 5), EulerClass.primitive())]
+        [tp.suspend(tp.lens(3, 5), EulerClass(1))]
         + [tp.sphere_product(2, 4)] * 2
     )
     assert tp.homology(b) == tp.homology(expected)

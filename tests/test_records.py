@@ -43,14 +43,13 @@ def test_record_is_frozen_with_its_fields_in_order(cls, fields):
             setattr(record, name, -1)
 
 
-EULER3 = topology.EulerClass("divisibility", 3)
+EULER3 = topology.EulerClass(3)
 DISC3, DISC4 = plumbing.TrivialDiscNode(3), plumbing.TrivialDiscNode(4)
 # Each value class, built twice from equal fields, and once from others.
 VALUES = [
     (lambda: intlat.IntMatrix(2, 1, (3, 4)), lambda: intlat.IntMatrix(1, 2, (3, 4))),
     (lambda: fgab.FgAbGroup(1, (2, 4)), lambda: fgab.FgAbGroup(1, (4,))),
-    (lambda: topology.EulerClass("split", parts=(EULER3,)),
-     lambda: topology.EulerClass("split", parts=(EULER3, EULER3))),
+    (lambda: topology.EulerClass(0, (EULER3,)), lambda: topology.EulerClass(0, (EULER3, EULER3))),
     (lambda: orbitgon.GonLabelling(4, ((1, 0), (0, 1))),
      lambda: orbitgon.GonLabelling(4, ((0, 1), (1, 0)))),
     (lambda: plumbing.TrivialDiscNode(3), lambda: plumbing.TrivialDiscNode(4)),
@@ -95,10 +94,14 @@ REFUSALS = [
     (lambda: fgab.FgAbGroup(-1, ()), ValueError, "free rank must be nonnegative"),
     (lambda: fgab.FgAbGroup(0, (1,)), ValueError, "torsion coefficients must be integers >= 2"),
     (lambda: fgab.FgAbGroup(0, (2, 3)), ValueError, "torsion list must form a divisibility chain"),
-    (lambda: topology.EulerClass("odd"), ValueError, "unknown euler class kind 'odd'"),
-    (lambda: topology.EulerClass("divisibility", 1), ValueError,
-     "divisibility classes require k >= 2; use zero/primitive"),
-    (lambda: topology.EulerClass("split"), ValueError, "split class needs at least one part"),
+    (lambda: topology.EulerClass(-2), ValueError,
+     "a class's divisibility must be an int >= 0, not -2"),
+    (lambda: topology.EulerClass("odd"), ValueError,
+     "a class's divisibility must be an int >= 0, not 'odd'"),
+    (lambda: topology.EulerClass(2.0), ValueError,
+     "a class's divisibility must be an int >= 0, not 2.0"),
+    (lambda: topology.EulerClass(3, (EULER3,)), ValueError,
+     "a split class has no divisibility of its own"),
     (lambda: orbitgon.GonLabelling(3, ((1,), (1,))), InvalidLabelling,
      "manifold dimension must be >= 4"),
     (lambda: orbitgon.GonLabelling(4, ((1, 0),)), InvalidLabelling, "a gon has at least two edges"),
@@ -133,10 +136,11 @@ def test_constructor_refusal_keeps_its_type_and_message(make, kind, message):
 
 def test_equal_suspensions_parsed_apart_share_one_homology_entry():
     # EulerClass sits inside ManifoldExpr, the key of homology's cache.
-    a, b = (grammar.parse_manifold("susp(div(5),CP(6))") for _ in range(2))
-    assert a is not b and a.euler is not b.euler and a == b and hash(a) == hash(b)
-    topology.homology(a)
-    before = topology.homology.cache_info()
-    assert topology.homology(b) is topology.homology(a)
-    after = topology.homology.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    for text in ("susp(div(5),CP(6))", "susp(div(4),CP(3))"):
+        a, b = (grammar.parse_manifold(text) for _ in range(2))
+        assert a is not b and a.euler is not b.euler and a == b and hash(a) == hash(b)
+        topology.homology(a)
+        before = topology.homology.cache_info()
+        assert topology.homology(b) is topology.homology(a)
+        after = topology.homology.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)

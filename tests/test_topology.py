@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from twistbench import topology as tp
+from generators import random_expression
+from twistbench import grammar, topology as tp
 from twistbench.errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -132,7 +133,7 @@ def test_suspend_zero_matches_oracle():
 
 
 def test_suspend_cp_divisibility_four():
-    x = tp.suspend(tp.cp(3), EulerClass.of_divisibility(4))
+    x = tp.suspend(tp.cp(3), EulerClass(4))
     coh = tp.cohomology(x)
     expected = table(Z, TRIVIAL, Z, TRIVIAL, cyclic(4), Z, TRIVIAL, Z)
     assert coh == expected
@@ -140,16 +141,16 @@ def test_suspend_cp_divisibility_four():
 
 def test_suspend_cp_generator_matches_sphere_bundle():
     # generator class: the suspension is the corresponding sphere bundle
-    x = tp.suspend(tp.cp(2), EulerClass.primitive())
+    x = tp.suspend(tp.cp(2), EulerClass(1))
     assert tp.homology(x) == tp.homology(tp.sphere_product(2, 3))
-    y = tp.suspend(tp.cp(3), EulerClass.primitive())
+    y = tp.suspend(tp.cp(3), EulerClass(1))
     assert tp.homology(y) == tp.homology(tp.twisted_s2_bundle(5))
 
 
 def test_suspend_lens_primitive():
     # n even; fundamental group survives and middle homology is killed
     # except the Poincare-dual torsion in degree n-2
-    x = tp.suspend(tp.lens(5, 5), EulerClass.primitive())
+    x = tp.suspend(tp.lens(5, 5), EulerClass(1))
     assert tp.pi1(x) == "Z/5"
     h = tp.homology(x)
     assert h[1] == cyclic(5)
@@ -166,12 +167,12 @@ def test_suspend_dimension_too_small():
 
 def test_suspend_unsupported_twist():
     with pytest.raises(Unsupported):
-        tp.homology(tp.suspend(tp.smale(2), EulerClass.primitive()))
+        tp.homology(tp.suspend(tp.smale(2), EulerClass(1)))
 
 
 def test_suspend_split():
     base = tp.connected_sum([tp.cp(2), tp.cp(2)])
-    e = EulerClass.split([EulerClass.primitive(), EulerClass.primitive()])
+    e = EulerClass(0, [EulerClass(1), EulerClass(1)])
     x = tp.suspend(base, e)
     assert tp.homology(x) == tp.homology(
         tp.connected_sum([tp.sphere_product(2, 3)] * 2)
@@ -181,16 +182,16 @@ def test_suspend_split():
 def test_split_arity_checked():
     base = tp.connected_sum([tp.cp(2), tp.cp(2)])
     with pytest.raises(DimensionMismatch):
-        tp.suspend(base, EulerClass.split([EulerClass.primitive()]))
+        tp.suspend(base, EulerClass(0, [EulerClass(1)]))
 
 
 def test_suspension_spin_rules():
     # even-divisibility twist of a spin manifold stays spin
-    assert tp.spin(tp.suspend(tp.cp(3), EulerClass.of_divisibility(4))) is True
+    assert tp.spin(tp.suspend(tp.cp(3), EulerClass(4))) is True
     # odd twist of a spin manifold is not spin
-    assert tp.spin(tp.suspend(tp.cp(3), EulerClass.primitive())) is False
+    assert tp.spin(tp.suspend(tp.cp(3), EulerClass(1))) is False
     # CP(2): w2 is odd, so an odd twist matches it
-    assert tp.spin(tp.suspend(tp.cp(2), EulerClass.primitive())) is True
+    assert tp.spin(tp.suspend(tp.cp(2), EulerClass(1))) is True
     assert tp.spin(tp.suspend(tp.wu_manifold(), ZERO_CLASS)) is False
     assert tp.spin(tp.suspend(tp.lens(4, 5), ZERO_CLASS)) is None
 
@@ -226,11 +227,11 @@ CATALOG = [
     tp.twisted_s2_bundle(3),
     tp.connected_sum([tp.smale(2), tp.smale(3)]),
     tp.suspend(tp.smale(4), ZERO_CLASS),
-    tp.suspend(tp.cp(3), EulerClass.of_divisibility(6)),
-    tp.suspend(tp.lens(2, 3), EulerClass.primitive()),
-    tp.suspend(tp.lens(6, 7), EulerClass.primitive()),
+    tp.suspend(tp.cp(3), EulerClass(6)),
+    tp.suspend(tp.lens(2, 3), EulerClass(1)),
+    tp.suspend(tp.lens(6, 7), EulerClass(1)),
     tp.suspend(tp.connected_sum([tp.cp(2), tp.cp(2), tp.cp(2)]),
-               EulerClass.split([EulerClass.primitive()] * 3)),
+               EulerClass(0, [EulerClass(1)] * 3)),
 ]
 
 
@@ -281,7 +282,7 @@ def test_decompose_bundle_total_space():
     # star pattern of the S1-bundle over M # CP(2m) sums with generator
     # classes: P = susp(M, e) # (l-1) trivial sphere bundles
     base = tp.connected_sum([tp.cp(2)] * 3)
-    e = EulerClass.split([EulerClass.primitive()] * 3)
+    e = EulerClass(0, [EulerClass(1)] * 3)
     x = tp.suspend(base, e)
     y = tp.decompose(x)
     assert y == tp.connected_sum([tp.sphere_product(2, 3)] * 3)
@@ -306,44 +307,53 @@ def test_decompose_absorbs_trivial_bundles():
     assert tp.spin(y) == tp.spin(x)
 
 
-def random_expr(rng, depth=0):
-    atoms = [
-        lambda: tp.sphere(rng.randint(4, 7)),
-        lambda: tp.cp(2),
-        lambda: tp.smale(rng.randint(2, 5)),
-        lambda: tp.sphere_product(2, rng.randint(2, 5)),
-        lambda: tp.twisted_s2_bundle(rng.randint(3, 5)),
-        lambda: tp.lens(rng.randint(2, 5), 5),
-        lambda: tp.wu_manifold(),
-    ]
-    x = rng.choice(atoms)()
-    if depth < 2 and rng.random() < 0.6:
-        if rng.random() < 0.5:
-            copies = [x]
-            for _ in range(rng.randint(1, 3)):
-                y = random_expr(rng, depth + 2)
-                if tp.dim(y) == tp.dim(x):
-                    copies.append(y)
-            if len(copies) > 1 and tp.dim(x) >= 4:
-                x = tp.connected_sum(copies)
-        if tp.dim(x) >= 3 and rng.random() < 0.7:
-            x = tp.suspend(x, ZERO_CLASS)
-    return x
-
-
 def test_decompose_preserves_homology_and_spin_random():
+    # Every atom, every class form and split classes, nested three deep.
     rng = random.Random(2718)
     checked = 0
-    while checked < 200:
-        x = random_expr(rng)
+    while checked < 1000:
+        x = random_expression(rng, rng.randint(4, 9))
         try:
             h = tp.homology(x)
         except Unsupported:
             continue
         y = tp.decompose(x)
-        assert tp.homology(y) == h
-        assert tp.spin(y) == tp.spin(x)
+        assert tp.homology(y) == h, tp.render(x)
+        assert tp.spin(y) == tp.spin(x), tp.render(x)
         checked += 1
+
+
+def fixpoint_decompose(x):
+    """``decompose`` as it was written before one pass sufficed: rewrite
+    until nothing changes."""
+    prev, cur = None, x
+    while cur != prev:
+        prev, cur = cur, tp._rewrite(cur)
+    return cur
+
+
+def test_decompose_is_one_pass_of_the_rewrite():
+    rng = random.Random("one-pass rewrite")
+    changed = 0
+    for _ in range(2000):
+        x = random_expression(rng, rng.randint(4, 9))
+        y = tp.decompose(x)
+        assert y == fixpoint_decompose(x), tp.render(x)
+        changed += y != x
+    assert changed > 500  # the rules fire
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("susp([0,prim],csum(susp(0,S(2)xS(2)),lens(3,5)))",
+     "csum(susp(0,S(2)xS(3)),susp(0,S(3)xS(2)),susp(prim,lens(3,5)))"),
+    ("susp([prim,0],csum(csum(CP(2),S(4)),S(2)xS(2)))",
+     "csum(susp(prim,csum(CP(2),S(4))),S(2)xS(3),S(3)xS(2))"),
+    ("susp([prim,0],csum(S2~S(3),S(2)xS(3)))", "csum(susp(prim,S2~S(3)),susp(0,S(2)xS(3)))"),
+])
+def test_decompose_splits_a_class_over_the_summands_as_written(text, expected):
+    # Rewriting the summands first would flatten or absorb them, and the
+    # class's parts would then be paired with the wrong summands.
+    assert tp.render(tp.decompose(grammar.parse_manifold(text))) == expected
 
 
 # -- prescribed third homology construction ----------------------------------
@@ -353,8 +363,8 @@ def test_prescribed_h3_construction():
     # and untwisted suspensions of S^2 x S^6
     m = 4
     parts = [
-        tp.suspend(tp.cp(m), EulerClass.of_divisibility(4)),
-        tp.suspend(tp.cp(m), EulerClass.of_divisibility(12)),
+        tp.suspend(tp.cp(m), EulerClass(4)),
+        tp.suspend(tp.cp(m), EulerClass(12)),
         tp.suspend(tp.sphere_product(2, 2 * m - 2), ZERO_CLASS),
         tp.suspend(tp.sphere_product(2, 2 * m - 2), ZERO_CLASS),
     ]
