@@ -9,7 +9,6 @@ keys, fixed-format floats).  Exit codes: 0 success, 1 computed failure,
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import json
 import math
@@ -76,8 +75,7 @@ def cmd_homology(args) -> int:
 def cmd_plumb(args) -> int:
     g = plumbing.parse_graph(_read_text(args.graph))
     reduced = plumbing.reduce(g)
-    boundary = plumbing.boundary(g)
-    payload = _expr_report(boundary)
+    payload = _expr_report(plumbing.boundary(reduced))
     payload["reduced_edges"] = [[i, j, s] for (i, j, s) in reduced.edges]
     payload["nodes"] = len(g.nodes)
     _emit(payload, args.out)
@@ -132,13 +130,18 @@ _PROFILE_KEYS = {"n", "s0", "r", *_PARAM_FIELDS}
 def _config_parser() -> configparser.ConfigParser:
     """The config parser, built once per process: its constructor is most
     of the cost of reading a small config.  ``_load_config`` empties it
-    before each read."""
+    before each read.  It and ``_load_config`` import configparser, so
+    that only the commands that read a config load it."""
+    import configparser
+
     return configparser.ConfigParser(inline_comment_prefixes=("#",))
 
 
 def _load_config(path: str, section: str, allowed: set):
     """The [section] of the config at ``path``, its n and s0, and the
     WarpParams for lam = cos(s0) with the section's overrides."""
+    import configparser
+
     parser = _config_parser()
     # Nothing of an earlier read may leak into this one: no section and no
     # [DEFAULT] key.  A read that failed part way leaves its sections too.

@@ -12,6 +12,7 @@ connected sum of the pieces).
 
 from __future__ import annotations
 
+import heapq
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -53,27 +54,39 @@ class PlumbingGraph(namedtuple("PlumbingGraph", "nodes edges")):
                 raise InputError(f"bad edge sign {sign!r}")
         return tuple.__new__(cls, (nodes, edges))
 
-    def is_bundle(self, i: int) -> bool:
-        return isinstance(self.nodes[i], DiscBundleNode)
-
 
 def graph(nodes, edges) -> PlumbingGraph:
     return PlumbingGraph(tuple(nodes), tuple((i, j, s) for (i, j, s) in edges))
 
 
-def _components(g: PlumbingGraph):
-    n = len(g.nodes)
-    adj = {i: [] for i in range(n)}
-    for i, j, _ in g.edges:
+def reduce(g: PlumbingGraph) -> PlumbingGraph:
+    """Cut edges at trivial nodes until only the normal form remains.
+
+    Each tree component becomes a matching of bundle nodes with trivial
+    nodes plus leftover free trivial nodes: components in the order of
+    their least node, each matched from its least live leaf up.  Raises
+    UnrecognizedPattern when a component is not a tree of the recognized
+    shape, when an edge joins two bundle nodes or two trivial nodes, when
+    a minus-signed edge appears, or when some bundle node cannot keep a
+    trivial node.  One pass: O(n log n) in the node count.
+    """
+    bundle = [isinstance(node, DiscBundleNode) for node in g.nodes]
+    adj = [[] for _ in g.nodes]
+    for i, j, sign in g.edges:
+        if sign != "+":
+            raise UnrecognizedPattern("only plus-signed plumbings are recognized")
+        if bundle[i] == bundle[j]:
+            raise UnrecognizedPattern("edges must join a bundle node to a trivial node")
         adj[i].append(j)
         adj[j].append(i)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
+    degree = [len(a) for a in adj]  # live neighbours
+    seen, alive = [False] * len(adj), [True] * len(adj)
+    kept_edges = []
+    for start in range(len(adj)):
         if seen[start]:
             continue
-        stack, comp = [start], []
         seen[start] = True
+        comp, stack = [], [start]
         while stack:
             v = stack.pop()
             comp.append(v)
@@ -81,104 +94,54 @@ def _components(g: PlumbingGraph):
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
-        comps.append(sorted(comp))
-    return comps, adj
-
-
-def reduce(g: PlumbingGraph) -> PlumbingGraph:
-    """Cut edges at trivial nodes until only the normal form remains.
-
-    Each tree component becomes a matching of bundle nodes with trivial
-    nodes plus leftover free trivial nodes.  Raises UnrecognizedPattern
-    when a component is not a tree of the recognized shape, when an edge
-    joins two bundle nodes or two trivial nodes, when a minus-signed
-    edge appears, or when some bundle node cannot keep a trivial node.
-    """
-    for i, j, sign in g.edges:
-        if sign != "+":
-            raise UnrecognizedPattern("only plus-signed plumbings are recognized")
-        if g.is_bundle(i) == g.is_bundle(j):
-            raise UnrecognizedPattern("edges must join a bundle node to a trivial node")
-    comps, adj = _components(g)
-    kept_edges = []
-    for comp in comps:
-        edge_count = sum(1 for i, j, _ in g.edges if i in comp and j in comp)
-        if edge_count != len(comp) - 1:
+        # A tree has one edge fewer than nodes, and each edge adds 2 to the
+        # degree sum.
+        if sum(degree[v] for v in comp) != 2 * len(comp) - 2:
             raise UnrecognizedPattern("component is not a tree")
-        if len(comp) == 1:
-            if g.is_bundle(comp[0]):
-                raise UnrecognizedPattern("isolated bundle node has no suspension pattern")
-            continue
-        kept_edges.extend(_match_tree(g, comp, adj))
+        if len(comp) == 1 and bundle[start]:
+            raise UnrecognizedPattern("isolated bundle node has no suspension pattern")
+        # Greedy leaf matching pairs every bundle node with a trivial node.
+        leaves = [v for v in comp if degree[v] <= 1]
+        heapq.heapify(leaves)
+        while leaves:
+            v = heapq.heappop(leaves)
+            if not alive[v]:
+                continue
+            alive[v] = False
+            w = next((u for u in adj[v] if alive[u]), None)
+            if w is None:
+                if bundle[v]:
+                    raise UnrecognizedPattern("bundle node left without a trivial node")
+                continue  # a free trivial node
+            # A trivial leaf goes to its bundle neighbour.
+            kept_edges.append((v, w, "+") if bundle[v] else (w, v, "+"))
+            alive[w] = False
+            for u in adj[w]:
+                if alive[u]:
+                    degree[u] -= 1
+                    if degree[u] <= 1:
+                        heapq.heappush(leaves, u)
     return PlumbingGraph(g.nodes, tuple(kept_edges))
 
 
-def _match_tree(g: PlumbingGraph, comp, adj):
-    """Greedy leaf matching pairing every bundle node with a trivial node."""
-    alive = set(comp)
-    degree = {v: sum(1 for w in adj[v] if w in alive) for v in comp}
-    neighbors = {v: set(w for w in adj[v] if w in alive) for v in comp}
-    matching = []
+def boundary(reduced: PlumbingGraph) -> ManifoldExpr:
+    """Boundary manifold of a plumbing, read off ``reduce``'s normal form,
+    as a catalog expression.
 
-    def remove(v):
-        alive.discard(v)
-        for w in list(neighbors[v]):
-            neighbors[w].discard(v)
-            degree[w] -= 1
-        neighbors[v].clear()
-
-    while True:
-        leaves = sorted(v for v in alive if degree[v] <= 1)
-        if not leaves:
-            if alive:
-                raise UnrecognizedPattern("cycle left after matching")
-            break
-        v = leaves[0]
-        if degree[v] == 0:
-            if g.is_bundle(v):
-                raise UnrecognizedPattern("bundle node left without a trivial node")
-            remove(v)  # free trivial node
-            continue
-        w = next(iter(neighbors[v]))
-        if g.is_bundle(v):
-            matching.append((v, w, "+"))
-            remove(v)
-            remove(w)
-        else:
-            # Trivial leaf: give it to its bundle neighbour.
-            matching.append((w, v, "+"))
-            remove(v)
-            remove(w)
-    return matching
-
-
-def boundary(g: PlumbingGraph) -> ManifoldExpr:
-    """Boundary manifold of the plumbing, as a catalog expression.
-
-    Two-node components give twisted suspensions; free trivial nodes
-    give S^2 x S^{n-1}; the result is the connected sum over components.
+    Matched pairs give twisted suspensions, in the order of their bundle
+    node; free trivial nodes give S^2 x S^{n-1}; the result is the
+    connected sum over components.
     """
-    reduced = reduce(g)
-    matched = {}
-    for i, j, _ in reduced.edges:
-        b, d = (i, j) if reduced.is_bundle(i) else (j, i)
-        matched[b] = d
     parts = []
     used = set()
-    for b, d in sorted(matched.items()):
+    for b, d, _ in sorted(reduced.edges):  # each edge is (bundle, disc, +)
         bundle = reduced.nodes[b]
-        disc = reduced.nodes[d]
-        if disc.disc_rank != topology.dim(bundle.base):
+        if reduced.nodes[d].disc_rank != topology.dim(bundle.base):
             raise UnrecognizedPattern("disc rank does not match the base dimension")
         parts.append(topology.suspend(bundle.base, bundle.euler))
         used.update((b, d))
-    for k, node in enumerate(reduced.nodes):
-        if k in used:
-            continue
-        if isinstance(node, TrivialDiscNode):
-            parts.append(topology.sphere_product(2, node.disc_rank - 1))
-        else:
-            raise UnrecognizedPattern("isolated bundle node has no suspension pattern")
+    parts += [topology.sphere_product(2, node.disc_rank - 1)
+              for k, node in enumerate(reduced.nodes) if k not in used]
     if not parts:
         raise UnrecognizedPattern("empty plumbing graph")
     return topology.connected_sum(parts)

@@ -1,3 +1,4 @@
+import configparser
 import gc
 import importlib.util
 import io
@@ -649,8 +650,8 @@ def test_config_parser_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_pa
         cli._config_parser.cache_clear()
         fresh.append(load(path))
     builds = []
-    real = cli.configparser.ConfigParser
-    monkeypatch.setattr(cli.configparser, "ConfigParser",
+    real = configparser.ConfigParser
+    monkeypatch.setattr(configparser, "ConfigParser",
                         lambda **options: builds.append(1) or real(**options))
     cli._config_parser.cache_clear()
     kept = [load(path) for path in paths]

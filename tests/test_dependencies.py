@@ -1,6 +1,6 @@
 """numpy is the only runtime dependency, and only the metric commands load
-it; scipy and mpmath are for tests, and the CLI's import loads neither
-dataclasses nor inspect.  Every public name in the package has
+it, or configparser; scipy and mpmath are for tests, and the CLI's import
+loads neither dataclasses nor inspect.  Every public name in the package has
 a caller outside the tests, and every error class has a raiser."""
 
 import ast
@@ -80,6 +80,7 @@ def test_cli_import_loads_no_numpy_polynomial():
 
 
 def test_topology_commands_load_no_numpy(tmp_path):
+    # Nor configparser, which only the commands that read a config load.
     (tmp_path / "graph.txt").write_text("bundle b0 S(3) 0\ndisc d1 3\nedge b0 d1 +\n")
     (tmp_path / "certify.ini").write_text("[certify]\nn = 4\ns0 = 1.0\n")
     code = (
@@ -87,12 +88,12 @@ def test_topology_commands_load_no_numpy(tmp_path):
         "def run(*argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert twistbench.cli.main(list(argv)) == 0, argv\n"
-        "    return 'numpy' in sys.modules\n"
+        "    return [m in sys.modules for m in ('numpy', 'configparser')]\n"
         "print(run('homology', 'csum(N(3),S(2)xS(3))', '--decompose'),"
         " run('suspend', 'CP(3)', 'div(4)'), run('plumb', 'graph.txt'),"
         " run('gon', '--standard', '3'), run('certify', 'certify.ini'))"
     )
-    assert fresh(code, cwd=tmp_path) == "False False False False True"
+    assert fresh(code, cwd=tmp_path) == "[False, False] " * 4 + "[True, True]"
 
 
 def test_metric_modules_load_numpy_on_first_use():

@@ -7,18 +7,27 @@ memos cleared, and must exit 0-3 with at most one stderr line, raise
 nothing and finish within a few seconds.  Expressions come through stdin
 and a class after ``--``, so argparse never reads a leading ``-`` (its
 usage message for that is two lines, by its own design).
+
+Each case's exit code and first stderr line are pinned as well:
+``tools/fuzz_golden.py`` must rebuild ``tests/golden/fuzz.json`` byte for
+byte.  Regenerate it with ``python3 tools/fuzz_golden.py
+tests/golden/fuzz.json`` only when an answer changes on purpose.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import random
 import signal
 import sys
+from pathlib import Path
 
 from generators import CLASSES, random_expression, random_valid_labelling
 from twistbench import cli, topology
 
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).parent / "golden" / "fuzz.json"
 CASES = 800
 HANG_S = 5  # a hang guard, not a speed gate
 
@@ -116,17 +125,25 @@ def gon_case(rng: random.Random):
     return ["gon", "-"], text
 
 
-def run_case(argv: list, stdin: str, monkeypatch):
+def cases():
+    """The seeded case stream: CASES pairs of argv and stdin text."""
+    rng = random.Random("cli fuzz")
+    makers = [expression_case] * 3 + [plumbing_case, gon_case]
+    for _ in range(CASES):
+        yield rng.choice(makers)(rng)
+
+
+def run_case(argv: list, stdin: str):
     """Exit code, stdout and stderr of one request, with fresh memos."""
     for memo in (topology.dim, topology.pi1, topology.spin, topology.homology):
         memo.cache_clear()
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     out, err = io.StringIO(), io.StringIO()
 
     def hang(signum, frame):
         raise Hang(f"{argv} ran past {HANG_S} s")
 
-    previous = signal.signal(signal.SIGALRM, hang)
+    previous, stdin_was = signal.signal(signal.SIGALRM, hang), sys.stdin
+    sys.stdin = io.StringIO(stdin)
     signal.setitimer(signal.ITIMER_REAL, HANG_S)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -134,16 +151,14 @@ def run_case(argv: list, stdin: str, monkeypatch):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        sys.stdin = stdin_was
     return code, out.getvalue(), err.getvalue()
 
 
-def test_every_fuzzed_request_answers_or_is_refused_in_one_line(monkeypatch):
-    rng = random.Random("cli fuzz")
-    makers = [expression_case] * 3 + [plumbing_case, gon_case]
+def test_every_fuzzed_request_answers_or_is_refused_in_one_line():
     codes = set()
-    for case in range(CASES):
-        argv, stdin = rng.choice(makers)(rng)
-        code, out, err = run_case(argv, stdin, monkeypatch)
+    for case, (argv, stdin) in enumerate(cases()):
+        code, out, err = run_case(argv, stdin)
         where = f"case {case}: {argv} with stdin {stdin[:200]!r}"
         assert code in (0, 1, 2, 3), where
         assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), where
@@ -151,3 +166,46 @@ def test_every_fuzzed_request_answers_or_is_refused_in_one_line(monkeypatch):
             assert err == "" and isinstance(json.loads(out), dict), where
         codes.add(code)
     assert codes == {0, 1, 2, 3}
+
+
+def test_plumb_of_a_large_star_answers_within_the_hang_guard():
+    # A star of one bundle and k discs has k leaves: a reduction that sorted
+    # the live leaves at each matching step took 33 s at k = 20000, and the
+    # one-pass reduction takes about 0.2 s.
+    discs = 20000
+    text = "bundle b0 S(3) 0\n" + "".join(
+        f"disc d{k} 3\nedge b0 d{k}\n" for k in range(1, discs + 1))
+    code, out, err = run_case(["plumb", "-"], text)
+    report = json.loads(out)
+    assert (code, err) == (0, "")
+    assert report["nodes"] == discs + 1 and report["reduced_edges"] == [[0, 1, "+"]]
+    assert report["betti"] == [1, 0, 2 * (discs - 1), 0, 1]  # (discs - 1) S^2 x S^2
+
+
+def _fuzz_golden_tool():
+    spec = importlib.util.spec_from_file_location(
+        "fuzz_golden", ROOT / "tools" / "fuzz_golden.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_outcomes_match_the_golden():
+    recorded = GOLDEN.read_text(encoding="utf-8")
+    assert len(json.loads(recorded)) == CASES
+    assert _fuzz_golden_tool().fuzz_golden() == recorded
+
+
+def test_golden_tool_options_print_usage_and_run_no_case(monkeypatch, capsys):
+    tool = _fuzz_golden_tool()
+
+    def refuse():
+        raise AssertionError("fuzz_golden ran")
+
+    monkeypatch.setattr(tool, "fuzz_golden", refuse)
+    assert tool.main(["--help"]) == 0 and tool.main(["-h"]) == 0
+    assert capsys.readouterr() == ((tool.USAGE + "\n") * 2, "")
+    for argv in (["-o"], ["--out", "x.json"], ["a.json", "b.json"], ["-"]):
+        assert tool.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", tool.USAGE + "\n"), argv

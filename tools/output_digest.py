@@ -28,9 +28,12 @@ The digest holds, for the sources of the checkout the script sits in:
   seeded valid labellings from the benchmark's ``random_gon``, invalid
   labellings, seeded blocks of the ``topology_queries`` workload
   (homology, suspend, plumb and gon requests), ``homology`` of each
-  catalogue atom's text form (``CATALOGUE``) and ``homology --decompose``
+  catalogue atom's text form (``CATALOGUE``), ``homology --decompose``
   of expressions that run the grammar's ``susp(`` branch and every
-  suspension rule of ``decompose`` (``DECOMPOSED``).
+  suspension rule of ``decompose`` (``DECOMPOSED``), and ``plumb`` of
+  seeded forests of up to a few hundred nodes: valid bundle/disc trees,
+  and the same with each shape of ``PLUMB_FLAWS`` added
+  (``plumbing_forest``).
 
 Floats are written as ``repr(float(x))``, so two digests compare equal
 byte for byte only if every number is bit-identical, and a numpy scalar
@@ -70,7 +73,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import twistbench  # noqa: E402
 import twistbench.cli  # noqa: E402,F401
 from workloads import (  # noqa: E402
-    BASE_NECKS, ScaleSearch, TopologyQueries, certify_points, random_gon, run_cli,
+    BASE_NECKS, PLUMB_BASES, ScaleSearch, TopologyQueries, certify_points, random_gon,
+    run_cli,
 )
 
 GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
@@ -103,6 +107,68 @@ DECOMPOSED = (
     "susp([prim,0],csum(CP(2),S(2)xS(2)))", "susp(0,csum(N(2),S(5)))",
     "csum(S2~S(4),S(2)xS(4))", "susp(prim,lens(4,5))",
 )
+
+PLUMB_FORESTS = 12
+# The shapes plumb refuses, each added to a seeded forest as a component of
+# its own: a minus edge, an edge joining two bundles or two discs, a cycle,
+# an isolated bundle, two bundles sharing their one disc, and a disc whose
+# rank is not its bundle's base dimension.
+PLUMB_FLAWS = (
+    "minus edge", "bundle-bundle edge", "disc-disc edge", "cycle", "isolated bundle",
+    "bundle without disc", "rank mismatch",
+)
+
+
+def plumbing_forest(rng, flaw=None) -> str:
+    """A ``plumb`` text of one to four seeded trees over bases of one
+    dimension, and of the component ``flaw`` names.  In each tree every
+    bundle has a disc of its own, so the tree reduces; bundles and discs
+    join at random, and nodes, edges and edge ends are declared in
+    shuffled order."""
+    nodes, edges = [], []  # nodes as (kind, fields); edges as (i, j, sign)
+
+    def add(kind, fields):
+        nodes.append((kind, fields))
+        return len(nodes) - 1
+
+    n = rng.choice(sorted({n for _, _, n in PLUMB_BASES}))
+    bases = [(base, e) for base, e, rank in PLUMB_BASES if rank == n]
+    for _ in range(rng.randint(1, 4)):
+        base, e = rng.choice(bases)
+        discs, bundles = [], []
+        for _ in range(rng.randint(1, 40)):
+            bundles.append(add("bundle", f"{base} {e}"))
+            if discs:
+                edges.append((bundles[-1], rng.choice(discs), "+"))
+            discs.append(add("disc", n))
+            edges.append((bundles[-1], discs[-1], "+"))
+            for _ in range(rng.randint(0, 2)):
+                discs.append(add("disc", n))
+                edges.append((rng.choice(bundles), discs[-1], "+"))
+    if flaw:
+        base, e = rng.choice(bases)
+        b1, b2 = add("bundle", f"{base} {e}"), add("bundle", f"{base} {e}")
+        d1, d2 = add("disc", n + (flaw == "rank mismatch")), add("disc", n)
+        edges += {
+            "minus edge": [(b1, d1, "-"), (b2, d2, "+")],
+            "bundle-bundle edge": [(b1, d1, "+"), (b2, d2, "+"), (b1, b2, "+")],
+            "disc-disc edge": [(b1, d1, "+"), (b2, d2, "+"), (d1, d2, "+")],
+            "cycle": [(b1, d1, "+"), (d1, b2, "+"), (b2, d2, "+"), (d2, b1, "+")],
+            "isolated bundle": [(b2, d2, "+")],
+            "bundle without disc": [(b1, d1, "+"), (d1, b2, "+")],
+            "rank mismatch": [(b1, d1, "+"), (b2, d2, "+")],
+        }[flaw]
+    order = rng.sample(range(len(nodes)), len(nodes))
+    where = {old: new for new, old in enumerate(order)}
+    lines = [f"{nodes[old][0]} v{new} {nodes[old][1]}" for new, old in enumerate(order)]
+    rng.shuffle(edges)
+    for i, j, sign in edges:
+        if rng.random() < 0.5:
+            i, j = j, i
+        # "+" is the default sign, so half the plus edges leave it out.
+        tail = "" if sign == "+" and rng.random() < 0.5 else f" {sign}"
+        lines.append(f"edge v{where[i]} v{where[j]}{tail}")
+    return "\n".join(lines) + "\n"
 
 
 def _sha(text: str) -> str:
@@ -272,6 +338,8 @@ def topology_requests():
         yield "catalogue", ["homology", expr], None
     for expr in DECOMPOSED:
         yield "decompose", ["homology", "--decompose", expr], None
+    for flaw in (None,) * PLUMB_FORESTS + PLUMB_FLAWS:
+        yield flaw or "plumb forest", ["plumb", "-"], plumbing_forest(rng, flaw)
 
 
 def topology_lines(tb):
