@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from . import grammar, jsonout, orbitgon, plumbing, riccicert, topology, warpmetric
@@ -82,14 +83,31 @@ def cmd_plumb(args) -> int:
     return EXIT_OK
 
 
+# One token of a JSON text for the nesting count: a string, closed or
+# running to the end of the text, or a bracket.
+_JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[][{}]', re.DOTALL)
+
+
+def _check_nesting(text: str) -> None:
+    """Refuse a JSON text with more ``[`` and ``{`` open at once, outside its
+    strings, than the nesting depth cap, as the grammar refuses an
+    expression: the decoder then never recurses past the cap, so the answer
+    does not depend on the interpreter's recursion limit."""
+    depth = 0
+    for match in _JSON_TOKEN.finditer(text):
+        if match[0] in ("[", "{"):
+            depth = topology.capped("nesting depth", depth + 1)
+        elif match[0] in ("]", "}"):
+            depth -= 1
+
+
 def cmd_gon(args) -> int:
     if args.standard is not None:
         g = orbitgon.standard_gon(args.standard)
     else:
-        try:
-            data = json.loads(_read_text(args.gon))
-        except RecursionError:
-            raise InputError("gon JSON nests too deeply") from None
+        text = _read_text(args.gon)
+        _check_nesting(text)
+        data = json.loads(text)
         if not isinstance(data, dict):
             raise InputError("gon JSON must be an object")
         try:

@@ -1,18 +1,16 @@
 """Exact integer-lattice linear algebra.
 
 Smith normal form with the inverse transforms that the unimodular extension
-reads, unimodular extensions of generating sets, and divisibility and
-basis-extension tests.  All arithmetic uses Python integers, so nothing
-ever overflows; exactness is what the topology side of the workbench is
-built on.
+reads, unimodular extensions of generating sets, and basis-extension tests.
+All arithmetic uses Python integers, so nothing ever overflows; exactness
+is what the topology side of the workbench is built on.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from itertools import chain, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotGenerating
 
@@ -243,19 +241,16 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     )
 
 
-def unimodular_extension(a: IntMatrix) -> IntMatrix:
+def unimodular_extension(dec: SnfDecomposition) -> IntMatrix:
     """Extend a full-lattice generating matrix to a unimodular square one.
 
-    For ``a`` of shape r x m (r <= m) whose columns generate Z^r, returns
-    an m x m unimodular matrix whose top r rows equal ``a``.  Raises
-    NotGenerating otherwise.
+    ``dec`` is ``snf(a)`` of an r x m matrix ``a``.  When the columns of
+    ``a`` generate Z^r, returns an m x m unimodular matrix whose top r rows
+    equal ``a``.  Raises NotGenerating otherwise, and so when r > m.
     """
-    r, m = a.rows, a.cols
-    if r > m:
-        raise DimensionMismatch("need rows <= cols")
-    dec = snf(a)
+    r, m = dec.diag.rows, dec.diag.cols
     diag = dec.diagonal()
-    if len(diag) < r or any(d != 1 for d in diag[:r]):
+    if len(diag) < r or any(d != 1 for d in diag):
         raise NotGenerating("columns do not generate the full lattice")
     # a = left_inv [I 0] right_inv, so [[left_inv, 0], [0, I]] @ right_inv
     # has a as its top rows.  The block-diagonal factor touches only the
@@ -265,14 +260,6 @@ def unimodular_extension(a: IntMatrix) -> IntMatrix:
     rinv = dec.right_inv.to_lists()
     top = [[sum(c * rk[j] for c, rk in zip(row, rinv)) for j in range(m)] for row in linv]
     return IntMatrix.from_rows(top + rinv[r:], cols=m)
-
-
-def divisibility(v: Iterable[int]) -> int:
-    """gcd of the entries; 0 for the zero vector."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, int(x))
-    return g
 
 
 def extends_to_basis(vs: Sequence[Sequence[int]]) -> bool:

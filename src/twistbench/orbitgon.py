@@ -10,6 +10,7 @@ extending the labels.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
@@ -22,7 +23,7 @@ from .intlat import IntMatrix
 class GonLabelling(namedtuple("GonLabelling", "n labels")):
     """The m-gon of an n-manifold, n >= 4: ``labels`` are its edges' vectors
     in Z^{n-2}, cyclically ordered.  No ``__slots__``: the instance keeps
-    ``validation`` in its ``__dict__``."""
+    ``reduction`` and ``validation`` in its ``__dict__``."""
 
     def __new__(cls, n: int, labels: tuple):
         if n < 4:
@@ -40,6 +41,12 @@ class GonLabelling(namedtuple("GonLabelling", "n labels")):
     @property
     def m(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def reduction(self) -> intlat.SnfDecomposition:
+        """``intlat.snf`` of the label matrix, worked out once per labelling:
+        the generation check and the unimodular model both read it."""
+        return intlat.snf(self.label_matrix())
 
     @cached_property
     def validation(self) -> GonValidation:
@@ -90,12 +97,12 @@ class GonValidation(NamedTuple):
 def validate(g: GonLabelling) -> GonValidation:
     """Check the three labelling conditions and report every failure."""
     m = g.m
-    prim = tuple(intlat.divisibility(a) == 1 for a in g.labels)
+    prim = tuple(math.gcd(*a) == 1 for a in g.labels)
     pairs = []
     for i in range(m):
         a, b = g.labels[i], g.labels[(i + 1) % m]
         pairs.append(intlat.extends_to_basis([a, b]))
-    diag = intlat.snf(g.label_matrix()).diagonal()
+    diag = g.reduction.diagonal()
     needed = g.n - 2
     generates = len(diag) >= needed and all(d == 1 for d in diag[:needed])
     failures = []
@@ -131,7 +138,7 @@ def betti2(g: GonLabelling) -> int:
 def unimodular_model(g: GonLabelling) -> IntMatrix:
     """Unimodular m x m matrix whose top n-2 rows are the label matrix."""
     _require_valid(g)
-    return intlat.unimodular_extension(g.label_matrix())
+    return intlat.unimodular_extension(g.reduction)
 
 
 def standard_gon(handles: int) -> GonLabelling:

@@ -151,6 +151,13 @@ def boundary(reduced: PlumbingGraph) -> ManifoldExpr:
 # Text format (the CLI's plumb command)
 # ---------------------------------------------------------------------------
 
+# The fields after each declaration kind, with their least count (the
+# required <...> fields) and most count.
+_FORMS = {kind: (form, form.count("<"), len(form.split())) for kind, form in (
+    ("bundle", "<name> <manifold-expr> <euler>"), ("disc", "<name> <rank>"),
+    ("edge", "<name> <name> [+|-]"))}
+
+
 def parse_graph(text: str) -> PlumbingGraph:
     """Parse the adjacency-list format.
 
@@ -165,8 +172,6 @@ def parse_graph(text: str) -> PlumbingGraph:
     """
     from .grammar import parse_euler, parse_manifold
 
-    forms = {"bundle": "<name> <manifold-expr> <euler>", "disc": "<name> <rank>",
-             "edge": "<name> <name> [+|-]"}  # the fields after each kind
     names = {}
     nodes = []
     edges = []
@@ -175,12 +180,12 @@ def parse_graph(text: str) -> PlumbingGraph:
         if not line:
             continue
         kind, *fields = line.split()
-        form = forms.get(kind)
-        if form is None:
+        if kind not in _FORMS:
             raise InputError(f"line {lineno}: unknown declaration {kind!r}")
-        if len(fields) < form.count("<"):
+        form, least, most = _FORMS[kind]
+        if len(fields) < least:
             raise InputError(f"line {lineno}: {kind} needs {form}")
-        if len(fields) > len(form.split()):
+        if len(fields) > most:
             raise InputError(f"line {lineno}: {kind} takes {form}")
         try:
             if kind == "bundle":

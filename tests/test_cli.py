@@ -120,6 +120,22 @@ def test_gon_validates_once_per_request(capsys, monkeypatch, argv, labels):
     assert ("model" in payload) == payload["validation"]["valid"]
 
 
+@pytest.mark.parametrize("argv, labels", [
+    (["gon", "--standard", "5"], orbitgon.standard_gon(5).labels),
+    (["gon", "-"], [[1, 0], [0, 1], [1, 1]]),
+], ids=["standard", "json"])
+def test_gon_reduces_its_label_matrix_once_per_request(capsys, monkeypatch, argv, labels):
+    # The generation check and the unimodular model read one reduction.
+    label_matrix = orbitgon.GonLabelling(4, tuple(map(tuple, labels))).label_matrix()
+    calls = []
+    snf = intlat.snf
+    monkeypatch.setattr(intlat, "snf", lambda a: calls.append(a) or snf(a))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": 4, "labels": labels})))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "model" in json.loads(out)
+    assert calls.count(label_matrix) == 1
+
+
 @pytest.mark.parametrize("stdin", [
     "[1, 2]",
     '{"n": "4", "labels": [[1, 0], [0, 1]]}',
@@ -257,10 +273,33 @@ def test_nested_split_classes_are_capped_by_depth(capsys):
     assert (code, out, err) == (3, "", "unsupported: nesting depth 201 is above the cap of 200\n")
 
 
-def test_deeply_nested_gon_json_exits_2_with_one_line(capsys, monkeypatch):
+def test_deeply_nested_gon_json_exits_3_with_one_line(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000))
     code, out, err = run(capsys, "gon", "-")
-    assert (code, out, err) == (2, "", "error: gon JSON nests too deeply\n")
+    assert (code, out, err) == (3, "", "unsupported: nesting depth 201 is above the cap of 200\n")
+
+
+def within_frames(frames, call):
+    """``call()`` run ``frames`` Python frames further down the stack."""
+    return call() if frames == 0 else within_frames(frames - 1, call)
+
+
+def test_deep_gon_json_gets_one_answer_at_any_stack_depth(capsys, monkeypatch):
+    # On 3.10 and 3.11 the decoder's depth limit counts the caller's frames:
+    # the cap refuses the text before the decoder reads it.
+    answers = []
+    for frames in (0, 700):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 300 + "]" * 300))
+        answers.append(within_frames(frames, lambda: run(capsys, "gon", "-")))
+    assert answers[0] == answers[1] == (3, "", "unsupported: nesting depth 201 is above the cap of 200\n")
+
+
+def test_brackets_inside_gon_json_strings_do_not_count(capsys, monkeypatch):
+    # The string opens with an escaped quote, which does not end it.
+    text = json.dumps({"n": 4, "labels": [[1, 0], [0, 1]], "note": '"' + "[" * 300})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "gon", "-")
+    assert (code, err) == (0, "") and json.loads(out)["validation"]["valid"]
 
 
 def clear_memos():

@@ -8,7 +8,6 @@ import pytest
 from twistbench.errors import DimensionMismatch, NotGenerating
 from twistbench.intlat import (
     IntMatrix,
-    divisibility,
     extends_to_basis,
     identity_lists,
     snf,
@@ -75,7 +74,7 @@ def test_snf_empty_shapes(rows, cols):
 def test_empty_matrices():
     assert IntMatrix(0, 0, ()).det() == 1
     # No rows to keep: the extension of Z^0 into Z^3 is the identity.
-    assert unimodular_extension(IntMatrix(0, 3, ())) == eye(3)
+    assert unimodular_extension(snf(IntMatrix(0, 3, ()))) == eye(3)
 
 
 @pytest.mark.parametrize("call, exc, message", [
@@ -84,7 +83,8 @@ def test_empty_matrices():
     (lambda: IntMatrix(1, 2, (1, 2.0)), ValueError, "integers"),
     (lambda: IntMatrix.from_rows([[1, 2], [3]]), ValueError, "ragged"),
     (lambda: IntMatrix.from_rows([[1, 2]]).det(), DimensionMismatch, "non-square"),
-    (lambda: unimodular_extension(IntMatrix.from_rows([[1], [0]])), DimensionMismatch, "rows <= cols"),
+    (lambda: unimodular_extension(snf(IntMatrix.from_rows([[1], [0]]))), NotGenerating,
+     "do not generate"),
     (lambda: extends_to_basis([(1, 0), (1,)]), DimensionMismatch, "unequal length"),
 ], ids=["negative_dim", "entry_count", "non_int", "ragged", "det_non_square", "extension_tall", "basis_unequal_length"])
 def test_input_checks(call, exc, message):
@@ -140,7 +140,7 @@ def test_snf_property_suite_thousand():
 
 
 def test_unimodular_extension_identity():
-    ext = unimodular_extension(eye(2))
+    ext = unimodular_extension(snf(eye(2)))
     assert ext.rows == ext.cols == 2
     assert abs(ext.det()) == 1
     assert ext.row(0) == (1, 0) and ext.row(1) == (0, 1)
@@ -148,14 +148,14 @@ def test_unimodular_extension_identity():
 
 def test_unimodular_extension_row_vector():
     a = IntMatrix.from_rows([[2, 3]])
-    ext = unimodular_extension(a)
+    ext = unimodular_extension(snf(a))
     assert abs(ext.det()) == 1
     assert ext.row(0) == (2, 3)
 
 
 def test_unimodular_extension_not_generating():
     with pytest.raises(NotGenerating):
-        unimodular_extension(IntMatrix.from_rows([[2, 4]]))
+        unimodular_extension(snf(IntMatrix.from_rows([[2, 4]])))
 
 
 def test_unimodular_extension_random():
@@ -168,7 +168,7 @@ def test_unimodular_extension_random():
             [[rng.randint(-7, 7) for _ in range(c)] for _ in range(r)]
         )
         try:
-            ext = unimodular_extension(a)
+            ext = unimodular_extension(snf(a))
         except NotGenerating:
             continue
         produced += 1
@@ -177,19 +177,13 @@ def test_unimodular_extension_random():
             assert ext.row(i) == a.row(i)
 
 
-def test_divisibility():
-    assert divisibility((0, 0)) == 0
-    assert divisibility((4, 6)) == 2
-    assert divisibility((7, 7)) == 7
-
-
 def test_primitive_iff_divisibility_one():
     rng = random.Random(3)
     for _ in range(200):
         v = [rng.randint(-30, 30) for _ in range(rng.randint(1, 5))]
         if all(x == 0 for x in v):
             continue
-        assert extends_to_basis([v]) == (divisibility(v) == 1)
+        assert extends_to_basis([v]) == (math.gcd(*v) == 1)
 
 
 def test_extends_to_basis():

@@ -125,4 +125,4 @@ def test_unimodular_extension_is_the_block_product():
         gons.append(random_valid_labelling(rng, n, rng.randint(n - 2, n + 10)))
     for g in gons:
         a = g.label_matrix()
-        assert intlat.unimodular_extension(a) == _block_product(a)
+        assert intlat.unimodular_extension(intlat.snf(a)) == _block_product(a)

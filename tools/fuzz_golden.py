@@ -9,14 +9,6 @@ maps to its exit code and the first line of its stderr ("" when it wrote
 none).  The JSON object lists the cases one per line, keyed by index and
 command, so the outcomes of two revisions compare with ``diff``.  Without
 OUT they go to stdout.  It needs no numpy: the exact half never loads it.
-
-One kind of line depends on the interpreter.  The JSON decoder refuses a
-text nested past the recursion limit, which ``gon`` reports as "gon JSON
-nests too deeply", and the limit differs: 3.10 and 3.11 refuse about 994
-levels less the caller's frames, 3.12 1497 levels, 3.13 9998.  So a gon
-case whose text holds more than ``DEEP`` brackets open at once keeps its
-exit code, which is 2 on every interpreter, and records ``DEEP_LINE`` for
-its stderr.
 """
 
 from __future__ import annotations
@@ -30,29 +22,12 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import test_fuzz  # noqa: E402
 
-DEEP = 500
-DEEP_LINE = f"(more than {DEEP} brackets deep: the line depends on the interpreter)"
-
-
-def brackets(text: str) -> int:
-    """The most brackets of ``text`` open at once."""
-    depth = most = 0
-    for ch in text:
-        if ch in "[{":
-            depth += 1
-            most = max(most, depth)
-        elif ch in "]}":
-            depth -= 1
-    return most
-
 
 def fuzz_golden() -> str:
     lines = []
     for case, (argv, stdin) in enumerate(test_fuzz.cases()):
         code, _, err = test_fuzz.run_case(argv, stdin)
         first = err.split("\n", 1)[0]
-        if argv[0] == "gon" and brackets(stdin) > DEEP:
-            first = DEEP_LINE
         lines.append(f"  {json.dumps(f'{case} {argv[0]}')}: {json.dumps([code, first])}")
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
